@@ -574,6 +574,10 @@ pub struct CausalLogManager {
     /// cursors[channel] maps (origin, log_id) -> next seq to ship.
     cursors: Vec<BTreeMap<(TaskId, u32), u64>>,
     replay: Option<ReplaySource>,
+    /// Scratch encoder for [`CausalLogManager::collect_delta`]: one delta is
+    /// built per outgoing buffer, so the writer is reused and only the
+    /// frozen copy is allocated.
+    delta_scratch: ByteWriter,
     pub stats: CausalLogStats,
 }
 
@@ -587,6 +591,7 @@ impl CausalLogManager {
             replicated: BTreeMap::new(),
             cursors: vec![BTreeMap::new(); num_out_channels],
             replay: None,
+            delta_scratch: ByteWriter::new(),
             stats: CausalLogStats::default(),
         }
     }
@@ -653,47 +658,30 @@ impl CausalLogManager {
     /// advancing that channel's cursors. Includes this task's own logs
     /// (orig hops 0) and any replicated logs with `hops + 1 <= dsd`.
     pub fn collect_delta(&mut self, channel: ChannelId) -> LogDelta {
-        let mut w = ByteWriter::new();
         if !self.enabled() {
-            return w.freeze();
+            return Bytes::new();
         }
         let ch = channel as usize;
         debug_assert!(ch < self.cursors.len());
-        let mut origins: u64 = 0;
-        let mut body = ByteWriter::new();
-
+        let dsd = self.dsd;
+        // Replicated upstream logs still within sharing depth are forwarded.
+        let forwarded = || self.replicated.iter().filter(|(_, r)| dsd > 1 && r.hops < dsd);
+        let w = &mut self.delta_scratch;
+        w.clear();
+        w.put_varint(1 + forwarded().count() as u64);
         // Own logs always ship (receiver is 1 hop from us).
-        Self::encode_origin_delta(
-            &mut body,
-            self.task,
-            0,
-            &self.own,
-            &mut self.cursors[ch],
-            &mut self.stats,
-        );
-        origins += 1;
-
-        // Forward replicated upstream logs still within sharing depth.
-        if self.dsd > 1 {
-            for (&origin, replica) in &self.replicated {
-                if replica.hops + 1 > self.dsd {
-                    continue;
-                }
-                Self::encode_origin_delta(
-                    &mut body,
-                    origin,
-                    replica.hops,
-                    &replica.log,
-                    &mut self.cursors[ch],
-                    &mut self.stats,
-                );
-                origins += 1;
-            }
+        Self::encode_origin_delta(w, self.task, 0, &self.own, &mut self.cursors[ch], &mut self.stats);
+        for (&origin, replica) in forwarded() {
+            Self::encode_origin_delta(
+                w,
+                origin,
+                replica.hops,
+                &replica.log,
+                &mut self.cursors[ch],
+                &mut self.stats,
+            );
         }
-
-        w.put_varint(origins);
-        w.put_raw(body.as_slice());
-        let delta = w.freeze();
+        let delta = w.take_frozen();
         self.stats.delta_bytes_shipped += delta.len() as u64;
         delta
     }

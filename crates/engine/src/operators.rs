@@ -181,23 +181,12 @@ impl WindowOp {
         WindowOp { time, size_us, slide_us, agg }
     }
 
-    fn windows_for(&self, ts: u64) -> Vec<u64> {
-        let first = (ts / self.slide_us) * self.slide_us;
-        let mut starts = Vec::new();
-        let mut s = first;
-        loop {
-            if s + self.size_us > ts {
-                starts.push(s);
-            }
-            if s < self.slide_us || s == 0 {
-                break;
-            }
-            s -= self.slide_us;
-            if s + self.size_us <= ts {
-                break;
-            }
-        }
-        starts
+    /// Starts of the windows containing `ts`, newest first.
+    fn windows_for(&self, ts: u64) -> impl Iterator<Item = u64> {
+        let (size, slide) = (self.size_us, self.slide_us);
+        let first = (ts / slide) * slide;
+        std::iter::successors(Some(first), move |&s| s.checked_sub(slide))
+            .take_while(move |&s| s + size > ts)
     }
 
     fn bucket_key(key: u64, window_start: u64) -> u64 {
@@ -379,24 +368,42 @@ where
 mod tests {
     use super::*;
 
+    fn windows(w: &WindowOp, ts: u64) -> Vec<u64> {
+        w.windows_for(ts).collect()
+    }
+
     #[test]
     fn tumbling_window_assignment() {
         let w = WindowOp::tumbling(WindowTime::Event, 10, WindowAggregate::Count);
-        assert_eq!(w.windows_for(0), vec![0]);
-        assert_eq!(w.windows_for(9), vec![0]);
-        assert_eq!(w.windows_for(10), vec![10]);
-        assert_eq!(w.windows_for(25), vec![20]);
+        assert_eq!(windows(&w, 0), vec![0]);
+        assert_eq!(windows(&w, 9), vec![0]);
+        assert_eq!(windows(&w, 10), vec![10]);
+        assert_eq!(windows(&w, 25), vec![20]);
     }
 
     #[test]
     fn sliding_window_assignment_covers_all_containing_windows() {
         let w = WindowOp::sliding(WindowTime::Event, 10, 5, WindowAggregate::Count);
-        // ts=12 is inside [10,20) and [5,15).
-        let mut ws = w.windows_for(12);
-        ws.sort_unstable();
-        assert_eq!(ws, vec![5, 10]);
+        // ts=12 is inside [10,20) and [5,15); newest window first.
+        assert_eq!(windows(&w, 12), vec![10, 5]);
         // ts=3 is inside [0,10) only (no negative window here).
-        assert_eq!(w.windows_for(3), vec![0]);
+        assert_eq!(windows(&w, 3), vec![0]);
+    }
+
+    /// The window starts and their order, against the definition: every
+    /// slide-aligned start `s` with `s <= ts < s + size`, newest first.
+    #[test]
+    fn window_starts_match_definition_for_tumbling_sliding_and_hopping() {
+        for (size, slide) in [(10, 10), (10, 5), (60, 1), (7, 3), (3, 7), (1, 1)] {
+            let w = WindowOp::sliding(WindowTime::Event, size, slide, WindowAggregate::Count);
+            for ts in 0..200 {
+                let mut expected: Vec<u64> = (0..=ts)
+                    .filter(|s| s % slide == 0 && ts < s + size)
+                    .collect();
+                expected.reverse();
+                assert_eq!(windows(&w, ts), expected, "size {size} slide {slide} ts {ts}");
+            }
+        }
     }
 
     #[test]

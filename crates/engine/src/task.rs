@@ -21,8 +21,8 @@ use crate::error::EngineError;
 use crate::graph::{Partitioning, SinkSpec, SourceSpec, TaskSpec, TimestampMode, VertexKind};
 use crate::messages::{Msg, SegmentAck};
 use crate::metrics::{CausalRef, CheckpointStats, JobMetrics, RoutingStats};
-use crate::operator::{timer_id, OpCtx, Operator, TimerKind};
-use crate::record::{barrier_only, decode_buffer, Datum, Record, Row, StreamElement};
+use crate::operator::{timer_id, Emit, OpCtx, Operator, TimerKind};
+use crate::record::{barrier_only, BufferReader, Datum, Element, Record, StreamElement};
 use crate::state::{StateStore, StateTimer, SEC_META};
 use bytes::Bytes;
 use clonos::causal_log::{CausalLogManager, TaskLogSnapshot};
@@ -40,6 +40,7 @@ use clonos_storage::snapshot::SnapshotStore;
 use clonos_storage::spill::SpillDevice;
 use clonos_storage::external::ExternalKv;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// Timer id reserved for the source watermark tick.
 const WM_TIMER_ID: u64 = u64::MAX - 1;
@@ -201,10 +202,60 @@ enum Role {
         spec: SinkSpec,
         mode: SinkMode,
         /// Idents written per un-checkpointed epoch (dedup set).
-        committed: BTreeMap<EpochId, std::collections::BTreeSet<u64>>,
+        committed: CommittedIdents,
         /// Buffered uncommitted output (transactional mode).
-        pending: BTreeMap<EpochId, Vec<Record>>,
+        pending: BTreeMap<EpochId, Vec<SinkOut>>,
     },
+}
+
+/// The idents an immediate sink has written in epochs no checkpoint covers
+/// yet (the §5.5 dedup set), per epoch and producer as an ascending vector.
+/// A producer's records reach a sink in ident order (FIFO channel, monotone
+/// `emit_seq`), so the steady-state insert is one comparison and a push;
+/// only what a replaying or rolled-back producer sends again is searched for.
+#[derive(Default)]
+struct CommittedIdents {
+    epochs: BTreeMap<EpochId, BTreeMap<TaskId, Vec<u64>>>,
+}
+
+impl CommittedIdents {
+    /// Add `ident` under `epoch`; false if some live epoch already holds it.
+    fn insert(&mut self, epoch: EpochId, ident: u64) -> bool {
+        let producer = ident >> 40;
+        let held = |idents: &Vec<u64>| {
+            idents.last().is_some_and(|&last| ident <= last) && idents.binary_search(&ident).is_ok()
+        };
+        if self.epochs.values().any(|e| e.get(&producer).is_some_and(held)) {
+            return false;
+        }
+        let idents = self.epochs.entry(epoch).or_default().entry(producer).or_default();
+        match idents.last() {
+            Some(&last) if ident < last => {
+                let at = idents.partition_point(|&i| i < ident);
+                idents.insert(at, ident);
+            }
+            _ => idents.push(ident),
+        }
+        true
+    }
+
+    fn truncate_through(&mut self, epoch: EpochId) {
+        self.epochs.retain(|&e, _| e > epoch);
+    }
+
+    fn clear(&mut self) {
+        self.epochs.clear();
+    }
+}
+
+/// One record on its way to the output topic: the two header fields the sink
+/// itself needs, and the record's wire bytes as a slice of the network
+/// buffer it arrived in (a refcount bump, no copy; see DESIGN.md "Record
+/// path ownership" for why pinning that buffer costs no resident bytes).
+struct SinkOut {
+    ident: u64,
+    create_ts: u64,
+    payload: Bytes,
 }
 
 struct InChannel {
@@ -318,6 +369,14 @@ pub struct Task {
     /// serialized once here, then its bytes are copied to each destination
     /// channel's builder.
     route_scratch: ByteWriter,
+    /// The record being processed: buffer elements (and source topic rows)
+    /// are decoded into it, so its row keeps its capacity across records.
+    scratch_rec: Record,
+    /// Operator scratch, lent to each `OpCtx` and taken back drained.
+    emits: Vec<Emit>,
+    new_timers: Vec<StateTimer>,
+    /// Scratch encoder for sink output metadata.
+    meta_scratch: ByteWriter,
     pub routing: RoutingStats,
     /// Scratch encoder for checkpoint images (full or delta): reused across
     /// barriers so the steady-state snapshot path allocates nothing.
@@ -406,7 +465,7 @@ impl Task {
                 Role::Sink {
                     spec: s.clone(),
                     mode,
-                    committed: BTreeMap::new(),
+                    committed: CommittedIdents::default(),
                     pending: BTreeMap::new(),
                 }
             }
@@ -479,6 +538,10 @@ impl Task {
             dead: false,
             buffer_size: config.buffer_size,
             route_scratch: ByteWriter::new(),
+            scratch_rec: Record::default(),
+            emits: Vec::new(),
+            new_timers: Vec::new(),
+            meta_scratch: ByteWriter::new(),
             routing: RoutingStats::default(),
             snap_scratch: ByteWriter::new(),
             chain_parent: None,
@@ -895,23 +958,45 @@ impl Task {
             .pending
             .pop_front()
             .ok_or_else(|| EngineError::Protocol("consume from empty channel".into()))?;
-        let elements = decode_buffer(&buffer.payload)?;
+        // Lend the scratch record to the loop. A nested `consume_buffer`
+        // (alignment release inside `handle_barrier`) finds an empty one and
+        // grows its own, which is dropped when this one is put back.
+        let mut rec = std::mem::take(&mut self.scratch_rec);
+        let result = self.consume_elements(ch, &buffer.payload, &mut rec, ctx);
+        self.scratch_rec = rec;
+        result
+    }
+
+    fn consume_elements(
+        &mut self,
+        ch: ChannelId,
+        payload: &Bytes,
+        rec: &mut Record,
+        ctx: &mut TaskCtx<'_>,
+    ) -> Result<(), EngineError> {
         let input = self.ins[ch as usize].input;
-        for el in elements {
+        // A sink forwards record bytes as they are and only needs the header.
+        let header_only = self.is_sink();
+        let mut reader = BufferReader::new(payload);
+        loop {
+            let el = if header_only { reader.next_header(rec)? } else { reader.next_into(rec)? };
             match el {
-                StreamElement::Record(rec) => {
-                    self.process_record(input, rec, ctx)?;
+                Some(Element::Record(range)) => {
+                    self.process_record(input, rec, payload, range, ctx)?;
                     self.fire_due_async(ctx)?;
                 }
-                StreamElement::Watermark(ts) => self.advance_watermark(ch, ts, ctx)?,
-                StreamElement::Barrier(id) => self.handle_barrier(ch, id, ctx)?,
+                Some(Element::Watermark(ts)) => self.advance_watermark(ch, ts, ctx)?,
+                Some(Element::Barrier(id)) => self.handle_barrier(ch, id, ctx)?,
+                None => return Ok(()),
             }
         }
-        Ok(())
     }
 
     /// Fire replayed asynchronous events anchored at the current step.
     fn fire_due_async(&mut self, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
+        if self.log.replay_complete() {
+            return Ok(());
+        }
         while self.replaying() {
             match self.log.peek_replay() {
                 Some(&Determinant::Timer { timer_id: id, offset }) if offset == self.step => {
@@ -944,11 +1029,14 @@ impl Task {
         self.run_operator(|op, opctx| op.on_timer(t, TimerKind::ProcessingTime, opctx), 0, ctx)
     }
 
-    /// Run one record through the operator / sink.
+    /// Run one record through the operator / sink. `payload[range]` is the
+    /// record's wire encoding (sinks forward it; `rec.row` is empty there).
     fn process_record(
         &mut self,
         input: u8,
-        rec: Record,
+        rec: &Record,
+        payload: &Bytes,
+        range: Range<usize>,
         ctx: &mut TaskCtx<'_>,
     ) -> Result<(), EngineError> {
         let now = ctx.sched.now();
@@ -962,14 +1050,14 @@ impl Task {
             Role::Op { .. } => {
                 let create = rec.create_ts;
                 self.run_operator_at(
-                    |op, opctx| op.on_record(input, &rec, opctx),
+                    |op, opctx| op.on_record(input, rec, opctx),
                     create,
                     finish,
                     ctx,
                 )?;
             }
             Role::Sink { .. } => {
-                self.sink_write(rec, finish, ctx)?;
+                self.sink_write(rec, payload, range, finish, ctx)?;
             }
             Role::Source { .. } => {
                 return Err(EngineError::Protocol("source received a data record".into()));
@@ -1011,19 +1099,40 @@ impl Task {
             default_create,
             self.step,
         );
-        f(op, &mut opctx)?;
-        let emits = std::mem::take(&mut opctx.emitted);
-        let new_timers = std::mem::take(&mut opctx.new_proc_timers);
+        // Lend the task's scratch vectors for the callback; they come back
+        // below, drained, with whatever capacity they have grown to.
+        opctx.emitted = std::mem::take(&mut self.emits);
+        opctx.new_proc_timers = std::mem::take(&mut self.new_timers);
+        let result = f(op, &mut opctx);
+        let mut emits = std::mem::take(&mut opctx.emitted);
+        let mut new_timers = std::mem::take(&mut opctx.new_proc_timers);
         drop(opctx);
-        // Schedule freshly registered processing-time timers (replay fires
-        // them from determinants instead).
-        if !self.replaying() {
-            for t in new_timers {
+        let result = result.and_then(|()| self.route_emissions(&mut emits, &mut new_timers, at, ctx));
+        emits.clear();
+        new_timers.clear();
+        self.emits = emits;
+        self.new_timers = new_timers;
+        result
+    }
+
+    /// Schedule the timers and route the records an operator callback left
+    /// behind, draining both vectors.
+    fn route_emissions(
+        &mut self,
+        emits: &mut Vec<Emit>,
+        new_timers: &mut Vec<StateTimer>,
+        at: VirtualTime,
+        ctx: &mut TaskCtx<'_>,
+    ) -> Result<(), EngineError> {
+        // Replay fires processing-time timers from determinants instead.
+        let live = !self.replaying();
+        for t in new_timers.drain(..) {
+            if live {
                 let fire_at = VirtualTime(t.ts).max(ctx.sched.now());
                 ctx.sched.schedule_at(fire_at, self.spec.id, Msg::ProcTimerFire(t));
             }
         }
-        for e in emits {
+        for e in emits.drain(..) {
             let ident = (self.spec.id << 40) | self.emit_seq;
             self.emit_seq += 1;
             let rec = Record {
@@ -1033,7 +1142,7 @@ impl Task {
                 ident,
                 row: e.row,
             };
-            self.route(rec, at, ctx)?;
+            self.route(&rec, at, ctx)?;
         }
         Ok(())
     }
@@ -1043,12 +1152,19 @@ impl Task {
     ///
     /// Hot path: the record is serialized exactly once into `route_scratch`;
     /// every destination channel (one per edge, or all of them on broadcast)
-    /// receives a byte copy of that encoding. No per-record allocation, no
-    /// deep `Record` clones, no per-channel re-encode.
-    fn route(&mut self, rec: Record, at: VirtualTime, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
+    /// receives a byte copy of that encoding. No deep `Record` clones, no
+    /// per-channel re-encode, and no allocator call of the engine's own per
+    /// record in any role: a source decodes its topic row into the task's
+    /// scratch record and routes from there; an operator task decodes into
+    /// the same scratch and lends its emit and timer vectors to the callback
+    /// (what the callback builds is the operator's own); a sink forwards a
+    /// slice of the arriving buffer and allocates only the frozen meta bytes.
+    /// Allocation is otherwise per buffer (freeze, in-flight log, message),
+    /// which `crates/engine/tests/alloc_budget.rs` holds to a budget.
+    fn route(&mut self, rec: &Record, at: VirtualTime, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
         let key = rec.key;
         self.route_scratch.clear();
-        StreamElement::Record(rec).encode(&mut self.route_scratch);
+        rec.encode_element(&mut self.route_scratch);
         self.routing.records_routed += 1;
         self.routing.route_encodes += 1;
         for edge in 0..self.edge_channels.len() {
@@ -1170,6 +1286,9 @@ impl Task {
     }
 
     fn drain_replay_flushes(&mut self, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
+        if self.log.replay_complete() {
+            return Ok(());
+        }
         let at = self.queue.busy_until().max(ctx.sched.now());
         for i in 0..self.outs.len() {
             if self.log.replaying_flushes(i as ChannelId) {
@@ -1347,13 +1466,14 @@ impl Task {
     /// Emit the next record from the input topic. Returns false if none is
     /// available yet.
     fn emit_next_source_record(&mut self, ctx: &mut TaskCtx<'_>) -> Result<bool, EngineError> {
-        let Role::Source { spec, offset, .. } = &self.role else {
+        let replaying = self.replaying();
+        let Role::Source { spec, offset, max_event_time } = &mut self.role else {
             return Ok(false);
         };
-        let (topic, part, off) = (spec.topic.clone(), self.spec.subtask, *offset);
+        let (part, off) = (self.spec.subtask, *offset);
         // Respect the modelled producer frontier under normal operation
         // (replay may read anything the predecessor already read).
-        if !self.replaying() {
+        if !replaying {
             let frontier =
                 (spec.rate * ctx.sched.now().as_micros()) / 1_000_000 + spec.batch as u64;
             if off >= frontier {
@@ -1362,37 +1482,33 @@ impl Task {
         }
         let Some(log_rec) = ctx
             .topics
-            .get(&topic)
+            .get(&spec.topic)
             .and_then(|t| t.partition(part % t.num_partitions()).get(off))
-            .cloned()
         else {
             return Ok(false);
         };
-        let row = Row::decode(&mut ByteReader::new(&log_rec.payload))?;
+        let rec = &mut self.scratch_rec;
+        rec.row.decode_into(&mut ByteReader::new(&log_rec.payload))?;
         let finish = self.queue.admit(ctx.sched.now(), ctx.config.record_cost);
         // Ingestion timestamp through the causal service (logged/replayed).
-        let ingest_ts = self.services.timestamp(&mut self.log, finish, self.step)?;
-        let (event_time, key) = {
-            let Role::Source { spec, .. } = &self.role else { unreachable!() };
-            let event_time = match spec.timestamps {
-                TimestampMode::EventTimeField(i) => row.int(i).max(0) as u64,
-                TimestampMode::IngestionTime => ingest_ts,
-            };
-            let key = match spec.key_field {
-                Some(i) => hash_datum(row.get(i)),
-                None => off,
-            };
-            (event_time, key)
+        rec.create_ts = self.services.timestamp(&mut self.log, finish, self.step)?;
+        rec.event_time = match spec.timestamps {
+            TimestampMode::EventTimeField(i) => rec.row.int(i).max(0) as u64,
+            TimestampMode::IngestionTime => rec.create_ts,
         };
-        let ident = (self.spec.id << 40) | self.emit_seq;
+        rec.key = match spec.key_field {
+            Some(i) => hash_datum(rec.row.get(i)),
+            None => off,
+        };
+        rec.ident = (self.spec.id << 40) | self.emit_seq;
         self.emit_seq += 1;
-        if let Role::Source { offset, max_event_time, .. } = &mut self.role {
-            *offset += 1;
-            *max_event_time = (*max_event_time).max(event_time);
-        }
-        let rec = Record { key, event_time, create_ts: ingest_ts, ident, row };
+        *offset += 1;
+        *max_event_time = (*max_event_time).max(rec.event_time);
         ctx.metrics.records_in += 1;
-        self.route(rec, finish, ctx)?;
+        let rec = std::mem::take(&mut self.scratch_rec);
+        let routed = self.route(&rec, finish, ctx);
+        self.scratch_rec = rec;
+        routed?;
         self.step += 1;
         Ok(true)
     }
@@ -1817,7 +1933,7 @@ impl Task {
         // bookkeeping (captures for <= id are already sealed and gone).
         self.ua_seen.retain(|&k, _| k > id);
         if let Role::Sink { committed, .. } = &mut self.role {
-            committed.retain(|&e, _| e > id);
+            committed.truncate_through(id);
         }
         Ok(())
     }
@@ -1826,9 +1942,13 @@ impl Task {
     // Sinks
     // ------------------------------------------------------------------
 
+    /// `rec` carries the header of the record whose wire bytes are
+    /// `payload[range]`; those bytes go to the output topic as they are.
     fn sink_write(
         &mut self,
-        rec: Record,
+        rec: &Record,
+        payload: &Bytes,
+        range: Range<usize>,
         commit_at: VirtualTime,
         ctx: &mut TaskCtx<'_>,
     ) -> Result<(), EngineError> {
@@ -1836,20 +1956,19 @@ impl Task {
         let Role::Sink { mode, committed, pending, .. } = &mut self.role else {
             return Ok(());
         };
-        match *mode {
-            SinkMode::Immediate { dedup } => {
-                if dedup {
-                    // §5.5: determinants piggybacked on output records let a
-                    // recovered sink skip rewrites.
-                    if committed.values().any(|s| s.contains(&rec.ident)) {
-                        return Ok(());
-                    }
-                    committed.entry(epoch).or_default().insert(rec.ident);
-                }
-                self.write_out(rec, epoch, commit_at, ctx)
+        if let SinkMode::Immediate { dedup: true } = *mode {
+            // §5.5: determinants piggybacked on output records let a
+            // recovered sink skip rewrites.
+            if !committed.insert(epoch, rec.ident) {
+                return Ok(());
             }
+        }
+        let out =
+            SinkOut { ident: rec.ident, create_ts: rec.create_ts, payload: payload.slice(range) };
+        match *mode {
+            SinkMode::Immediate { .. } => self.write_out(out, epoch, commit_at, ctx),
             SinkMode::Transactional => {
-                pending.entry(epoch).or_default().push(rec);
+                pending.entry(epoch).or_default().push(out);
                 Ok(())
             }
         }
@@ -1866,7 +1985,7 @@ impl Task {
     /// epoch `> r`, which is exactly the set of pre-committed transactions
     /// whose checkpoint never completed.
     fn commit_pending(&mut self, through: EpochId, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
-        let mut to_write: Vec<(EpochId, Vec<Record>)> = Vec::new();
+        let mut to_write: Vec<(EpochId, Vec<SinkOut>)> = Vec::new();
         if let Role::Sink { mode, pending, .. } = &mut self.role {
             if *mode == SinkMode::Transactional {
                 let epochs: Vec<EpochId> = pending.keys().copied().filter(|&e| e <= through).collect();
@@ -1877,8 +1996,8 @@ impl Task {
         }
         let now = ctx.sched.now();
         for (e, recs) in to_write {
-            for rec in recs {
-                self.write_out(rec, e, now, ctx)?;
+            for out in recs {
+                self.write_out(out, e, now, ctx)?;
             }
         }
         Ok(())
@@ -1890,7 +2009,7 @@ impl Task {
     /// markers.
     fn write_out(
         &mut self,
-        rec: Record,
+        out: SinkOut,
         epoch: EpochId,
         commit_at: VirtualTime,
         ctx: &mut TaskCtx<'_>,
@@ -1898,23 +2017,20 @@ impl Task {
         let Role::Sink { spec, .. } = &self.role else {
             return Ok(());
         };
-        let topic = spec.topic.clone();
-        let part = self.spec.subtask;
-        let mut meta = ByteWriter::new();
-        meta.put_u8(crate::task::META_DATA);
+        let t = ctx
+            .topics
+            .get_mut(&spec.topic)
+            .ok_or_else(|| EngineError::Protocol(format!("missing output topic {}", spec.topic)))?;
+        let meta = &mut self.meta_scratch;
+        meta.clear();
+        meta.put_u8(META_DATA);
         meta.put_varint(self.spec.id);
         meta.put_varint(self.gen as u64);
         meta.put_varint(epoch);
-        meta.put_varint(rec.ident);
-        let mut payload = ByteWriter::new();
-        rec.encode(&mut payload);
-        let t = ctx
-            .topics
-            .get_mut(&topic)
-            .ok_or_else(|| EngineError::Protocol(format!("missing output topic {topic}")))?;
-        let p = part % t.num_partitions();
-        t.partition_mut(p).append_with_meta(payload.freeze(), Some(meta.freeze()));
-        let latency = commit_at.saturating_sub(VirtualTime(rec.create_ts));
+        meta.put_varint(out.ident);
+        let p = self.spec.subtask % t.num_partitions();
+        t.partition_mut(p).append_with_meta(out.payload, Some(meta.take_frozen()));
+        let latency = commit_at.saturating_sub(VirtualTime(out.create_ts));
         ctx.metrics.record_output(self.spec.id, commit_at, latency);
         Ok(())
     }
@@ -2050,7 +2166,7 @@ impl Task {
                         let me = self.spec.id;
                         for m in effective_sink_meta(topic.partition(p), me) {
                             if m.epoch > resume_cp {
-                                committed.entry(m.epoch).or_default().insert(m.ident);
+                                committed.insert(m.epoch, m.ident);
                             }
                         }
                     }
@@ -2355,6 +2471,33 @@ mod tests {
         for &c in &counts {
             assert!((1_500..=2_500).contains(&c), "skewed: {counts:?}");
         }
+    }
+
+    #[test]
+    fn committed_idents_behave_as_a_set_per_live_epoch() {
+        let id = |producer: u64, seq: u64| (producer << 40) | seq;
+        let mut c = CommittedIdents::default();
+        // In-order arrivals from two interleaved producers.
+        for seq in 0..5 {
+            assert!(c.insert(1, id(7, seq)));
+            assert!(c.insert(1, id(3, seq * 2)));
+        }
+        assert!(c.insert(2, id(7, 5)));
+        // Replays are refused whichever live epoch holds them.
+        assert!(!c.insert(2, id(7, 0)));
+        assert!(!c.insert(2, id(7, 5)));
+        assert!(!c.insert(2, id(3, 8)));
+        // An ident below the newest that was never written is still new, once.
+        assert!(c.insert(2, id(3, 3)));
+        assert!(!c.insert(2, id(3, 3)));
+        assert!(c.insert(2, id(3, 1)));
+        assert!(!c.insert(3, id(3, 1)));
+        // Checkpoint 1 completes: its idents are forgotten, epoch 2's are not.
+        c.truncate_through(1);
+        assert!(c.insert(3, id(7, 0)));
+        assert!(!c.insert(3, id(7, 5)));
+        c.clear();
+        assert!(c.insert(3, id(7, 5)));
     }
 
     #[test]

@@ -1,0 +1,135 @@
+//! Allocation budget of the record path, as a tier-1 test: the engine's own
+//! allocator calls per input record must stay under a small fixed number, so
+//! that a per-record allocation creeping back into source, operator task or
+//! sink fails `cargo test` and not only the benchmark's `allocs_per_record`.
+//!
+//! The allocator counts per thread (each test runs on its own), so tests of
+//! this binary do not see each other's or the harness's allocations.
+
+use clonos::config::{ClonosConfig, SharingDepth};
+use clonos_engine::operators::ProcessOp;
+use clonos_engine::*;
+use clonos_sim::{VirtualDuration, VirtualTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`,
+        // and the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const PARALLELISM: usize = 2;
+const ROWS: i64 = 60_000;
+/// What the two stages below allocate per input record: one row each.
+const OPERATOR_ALLOCS_PER_RECORD: f64 = 2.0;
+/// The engine's own share: the sink's frozen meta bytes (1 per record) plus
+/// everything that is per buffer, per checkpoint or amortised growth. Measured
+/// 1.20 (Clonos) and 1.09 (global rollback) when the budget was set, so one
+/// more allocation per record in any role breaks it.
+const ENGINE_BUDGET_PER_RECORD: f64 = 1.5;
+
+/// src → two hash-partitioned stages, each building one row and moving it
+/// into `emit` → sink.
+fn job() -> JobGraph {
+    let mut g = JobGraph::new("alloc-budget");
+    let mut prev = g.add_source("src", PARALLELISM, SourceSpec::new("in").rate(10_000).key_field(0));
+    for d in 0..2 {
+        let stage = g.add_operator(
+            &format!("stage{d}"),
+            PARALLELISM,
+            factory(|| {
+                ProcessOp::new(|_input, rec: &Record, ctx: &mut OpCtx<'_>| {
+                    let row = Row::new(vec![rec.row.0[0].clone(), Datum::Int(rec.row.int(1) + 1)]);
+                    ctx.emit(rec.key, rec.event_time, row);
+                    Ok(())
+                })
+            }),
+        );
+        g.connect(prev, stage, Partitioning::Hash);
+        prev = stage;
+    }
+    let sink = g.add_sink("sink", PARALLELISM, SinkSpec { topic: "out".into() });
+    g.connect(prev, sink, Partitioning::Hash);
+    g
+}
+
+/// Allocator calls per input record over the run phase (deployment and
+/// input population are outside the window), less the operators' own.
+fn engine_allocs_per_record(ft: FtMode) -> f64 {
+    let mut cfg = EngineConfig::default().with_seed(5).with_ft(ft);
+    cfg.checkpoint_interval = VirtualDuration::from_secs(1);
+    let mut runner = JobRunner::new(job(), cfg);
+    for p in 0..PARALLELISM {
+        let rows = (0..ROWS)
+            .filter(|i| *i as usize % PARALLELISM == p)
+            .map(|i| Row::new(vec![Datum::Int(i % 1_000), Datum::Int(i)]));
+        runner.populate("in", p, rows);
+    }
+    let mut cluster = runner.cluster;
+    let before = CALLS.with(Cell::get);
+    cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(8));
+    let calls = CALLS.with(Cell::get) - before;
+    assert_eq!(cluster.metrics.records_in, ROWS as u64, "every row ingested");
+    assert_eq!(cluster.metrics.records_out, ROWS as u64, "every row committed");
+    calls as f64 / ROWS as f64 - OPERATOR_ALLOCS_PER_RECORD
+}
+
+fn assert_within_budget(mode: &str, per_record: f64) {
+    assert!(
+        per_record <= ENGINE_BUDGET_PER_RECORD,
+        "{mode}: {per_record:.2} engine-owned allocator calls per input record, \
+         budget {ENGINE_BUDGET_PER_RECORD}"
+    );
+    // The window really covers the run: the sink's meta bytes alone are 1.
+    assert!(per_record >= 1.0, "{mode}: {per_record:.2} is less than the sink alone allocates");
+}
+
+/// Immediate (deduplicating) sink, causal and in-flight logs on.
+#[test]
+fn clonos_record_path_stays_within_allocation_budget() {
+    let ft = FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full));
+    assert_within_budget("clonos", engine_allocs_per_record(ft));
+}
+
+/// Transactional sink: records wait in `pending` for the epoch's cut.
+#[test]
+fn global_rollback_record_path_stays_within_allocation_budget() {
+    assert_within_budget("global rollback", engine_allocs_per_record(FtMode::GlobalRollback));
+}

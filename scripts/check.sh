@@ -44,4 +44,18 @@ BENCH_BARRIER_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_barrier
 echo "== bench: state smoke (tiered backend, O(dirty) shipped bytes) =="
 BENCH_STATE_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_state
 
+echo "== bench: chain allocation ceiling (clonos_benchmark, exact count) =="
+ALLOCS_PER_RECORD_CEILING=11.21 # chain allocs_per_record at the commit that set it (10.19) + 10 %
+bash clonos_benchmark/run.sh --workload chain --seed 1 --seconds 3 --trace 0 | tail -n 1 |
+  python3 -c '
+import json, sys
+result, ceiling = json.loads(sys.stdin.read()), float(sys.argv[1])
+allocs = result["metrics"]["allocs_per_record"]["value"]
+if result["correct"] is not True:
+    sys.exit("ERROR: chain benchmark run is not correct")
+if allocs > ceiling:
+    sys.exit(f"ERROR: chain allocs_per_record {allocs:.2f} exceeds the ceiling {ceiling}")
+print(f"== bench: chain allocs_per_record {allocs:.2f} (ceiling {ceiling}) ==")
+' "$ALLOCS_PER_RECORD_CEILING"
+
 echo "== OK =="
