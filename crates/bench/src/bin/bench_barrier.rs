@@ -14,7 +14,8 @@
 //! reduction under backpressure.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_barrier`
-//! (`BENCH_BARRIER_SMOKE=1` shrinks the horizon for CI smoke runs.)
+//! (`BENCH_BARRIER_SMOKE=1` shrinks the horizon for CI smoke runs, which write
+//! `target/bench-smoke/barrier.json` instead.)
 
 use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_bench::print_table;
@@ -252,6 +253,5 @@ fn main() {
         smoke(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_barrier.json", &json).expect("write BENCH_barrier.json");
-    println!("wrote BENCH_barrier.json");
+    clonos_bench::write_bench_json("barrier", smoke(), &json);
 }

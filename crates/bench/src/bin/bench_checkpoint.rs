@@ -10,7 +10,8 @@
 //! 10^5+ keys.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_checkpoint`
-//! (`BENCH_CHECKPOINT_SMOKE=1` shrinks sizes/rounds for CI smoke runs.)
+//! (`BENCH_CHECKPOINT_SMOKE=1` shrinks sizes/rounds for CI smoke runs, which
+//! write `target/bench-smoke/checkpoint.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
@@ -209,6 +210,5 @@ fn main() {
         smoke(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_checkpoint.json", &json).expect("write BENCH_checkpoint.json");
-    println!("wrote BENCH_checkpoint.json");
+    clonos_bench::write_bench_json("checkpoint", smoke(), &json);
 }

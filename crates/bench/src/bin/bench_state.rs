@@ -12,12 +12,14 @@
 //! `BENCH_state.json`.
 //!
 //! Usage: `cargo run -p clonos-bench --release --bin bench_state`
-//! (`BENCH_STATE_SMOKE=1` shrinks scales to {10^4, 10^5} for CI smoke runs.)
+//! (`BENCH_STATE_SMOKE=1` shrinks scales to {10^4, 10^5} for CI smoke runs,
+//! which write `target/bench-smoke/state.json` instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
 #![allow(clippy::disallowed_methods)]
 
+use bytes::Bytes;
 use clonos_bench::print_table;
 use clonos_engine::state::StateStore;
 use clonos_engine::{Datum, Row as DataRow};
@@ -54,6 +56,16 @@ struct Measurement {
     resident_bytes: u64,
 }
 
+/// The image layer a tiered task acks beside its segments: everything but
+/// the values section, full or dirty, consuming the change log.
+fn resident_layer(store: &mut StateStore, full: bool) -> Bytes {
+    let mut w = ByteWriter::new();
+    w.put_varint(store.entry_count(full));
+    store.write_entries(full, &mut w);
+    store.clear_dirty();
+    w.freeze()
+}
+
 fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> Measurement {
     let budget = (keys * APPROX_ENTRY_BYTES / 10).max(1024);
     let mut store = StateStore::new();
@@ -80,12 +92,8 @@ fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> Measurement {
     // like a task's first ack. Not part of the steady-state mean.
     let sealed = store.take_sealed_segments();
     let live = store.live_segments();
-    let mut w = ByteWriter::new();
-    w.put_varint(store.resident_full_entry_count());
-    store.write_resident_full_entries(&mut w);
-    store.clear_dirty();
     snapshots.put_segments(0, 0, live, sealed);
-    snapshots.put(VirtualTime(0), 0, 0, w.freeze());
+    snapshots.put(VirtualTime(0), 0, 0, resident_layer(&mut store, true));
 
     // Steady state: each barrier dirties a fixed absolute number of keys
     // spread across the whole key space, then cuts segments the way
@@ -106,10 +114,7 @@ fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> Measurement {
         store.tier_sync_dirty();
         let sealed = store.take_sealed_segments();
         let live = store.live_segments();
-        let mut w = ByteWriter::new();
-        w.put_varint(store.resident_dirty_entry_count());
-        store.write_resident_dirty_entries(&mut w);
-        let image = w.freeze();
+        let image = resident_layer(&mut store, false);
         sync_ns_total += t0.elapsed().as_nanos() as f64;
         let shipped = sealed.iter().map(|(_, p)| p.len() as u64).sum::<u64>()
             + image.len() as u64
@@ -123,10 +128,7 @@ fn measure(keys: u64, dirty_per_barrier: u64, barriers: u64) -> Measurement {
     // Reconstruction check: re-fold the final checkpoint's shipped segments
     // and compare digests with the live store. The final resident image must
     // be the full one for a single-blob fold to be canonical.
-    let mut w = ByteWriter::new();
-    w.put_varint(store.resident_full_entry_count());
-    store.write_resident_full_entries(&mut w);
-    snapshots.put(VirtualTime(0), barriers, 0, w.freeze());
+    snapshots.put(VirtualTime(0), barriers, 0, resident_layer(&mut store, true));
     let (folded, _) =
         snapshots.get(VirtualTime(0), barriers, 0).expect("final checkpoint reconstructs");
     let restored = StateStore::restore(&folded).expect("folded image decodes");
@@ -243,6 +245,5 @@ fn main() {
         smoke(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_state.json", &json).expect("write BENCH_state.json");
-    println!("wrote BENCH_state.json");
+    clonos_bench::write_bench_json("state", smoke(), &json);
 }

@@ -13,7 +13,8 @@
 //! Usage: `cargo run -p clonos-bench --release --bin bench_throughput`
 //! (`BENCH_THROUGHPUT_SMOKE=1` shrinks the workload for CI smoke runs and
 //! additionally asserts the parallel record counts match a sim-scheduled
-//! run of the same job.)
+//! run of the same job; smoke runs write `target/bench-smoke/throughput.json`
+//! instead.)
 
 // Host-time measurement is this binary's purpose (clippy.toml wall-clock
 // disallow list exempts measurement code explicitly).
@@ -289,6 +290,5 @@ fn main() {
         rows_total(),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
-    println!("\nwrote BENCH_throughput.json");
+    clonos_bench::write_bench_json("throughput", smoke(), &json);
 }

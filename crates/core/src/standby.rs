@@ -6,6 +6,12 @@
 //! activates one to replace a failed task — a sub-second switch instead of a
 //! cold restart plus state load.
 //!
+//! This module models *which* checkpoint each standby holds and *when* its
+//! transfer lands; it keeps no bytes. The layers a standby was shipped are
+//! the ones the snapshot store retains for that checkpoint, so the job
+//! manager folds the image from the store at the moment it activates the
+//! standby (DESIGN.md §3.9).
+//!
 //! The allocation strategy (which node hosts which standby) trades resource
 //! usage against failure safety: co-locating a standby with its primary
 //! makes that node a single point of failure.
@@ -32,8 +38,6 @@ pub struct StandbyTask {
     pub node: u32,
     /// Checkpoint whose state the standby holds (None until first dispatch).
     pub snapshot_checkpoint: Option<EpochId>,
-    /// State bytes preloaded on the standby.
-    pub state: Option<Bytes>,
     /// When the most recent state transfer completes; activation before this
     /// instant must wait for the transfer (§6.4 last paragraph).
     pub transfer_done_at: VirtualTime,
@@ -73,12 +77,7 @@ impl StandbyManager {
         };
         self.standbys.insert(
             task,
-            StandbyTask {
-                node,
-                snapshot_checkpoint: None,
-                state: None,
-                transfer_done_at: VirtualTime::ZERO,
-            },
+            StandbyTask { node, snapshot_checkpoint: None, transfer_done_at: VirtualTime::ZERO },
         );
     }
 
@@ -104,7 +103,6 @@ impl StandbyManager {
         let sb = self.standbys.get_mut(&task)?;
         let done = now + transfer_time;
         sb.snapshot_checkpoint = Some(checkpoint);
-        sb.state = Some(state.clone());
         sb.transfer_done_at = done;
         self.dispatches += 1;
         self.bytes_dispatched += state.len() as u64;
@@ -113,10 +111,9 @@ impl StandbyManager {
 
     /// Dispatch only the delta between `parent` and `checkpoint` (§6.4 with
     /// incremental checkpoints): applicable when the standby already holds
-    /// exactly the parent image, in which case it merges the delta locally
-    /// and only the delta bytes cross the network. Returns `None` — without
-    /// touching the standby — when the parent doesn't match (or the delta is
-    /// malformed); the caller falls back to a full-image dispatch.
+    /// exactly the parent image, in which case only the delta bytes cross the
+    /// network. Returns `None` — without touching the standby — when the
+    /// parent doesn't match; the caller falls back to a full-image dispatch.
     pub fn dispatch_delta(
         &mut self,
         task: TaskId,
@@ -130,13 +127,10 @@ impl StandbyManager {
         if sb.snapshot_checkpoint != Some(parent) {
             return None;
         }
-        let base = sb.state.as_ref()?;
-        let merged = clonos_storage::deltamap::merge_chain(base, &[&delta]).ok()?;
         // An in-transit transfer of the parent finishes before the delta
         // starts shipping: serialize on the same link.
         let done = now.max(sb.transfer_done_at) + transfer_time;
         sb.snapshot_checkpoint = Some(checkpoint);
-        sb.state = Some(merged);
         sb.transfer_done_at = done;
         self.dispatches += 1;
         self.delta_dispatches += 1;
@@ -144,21 +138,14 @@ impl StandbyManager {
         Some(done)
     }
 
-    /// Activate the standby for a failed task. Returns the preloaded state,
-    /// the checkpoint it corresponds to, and the earliest instant the standby
-    /// can start running (waiting out an in-transit state transfer if one is
-    /// ongoing). `None` when no standby (or no state yet) exists — the caller
-    /// falls back to a cold replacement.
-    pub fn activate(
-        &mut self,
-        task: TaskId,
-        now: VirtualTime,
-    ) -> Option<(Bytes, EpochId, VirtualTime)> {
-        let sb = self.standbys.get_mut(&task)?;
-        let state = sb.state.clone()?;
-        let cp = sb.snapshot_checkpoint?;
-        let ready = now.max(sb.transfer_done_at);
-        Some((state, cp, ready))
+    /// Activate the standby for a failed task. Returns the checkpoint whose
+    /// state it holds and the earliest instant the standby can start running
+    /// (waiting out an in-transit state transfer if one is ongoing). `None`
+    /// when no standby (or no state yet) exists — the caller falls back to a
+    /// cold replacement.
+    pub fn activate(&self, task: TaskId, now: VirtualTime) -> Option<(EpochId, VirtualTime)> {
+        let sb = self.standbys.get(&task)?;
+        Some((sb.snapshot_checkpoint?, now.max(sb.transfer_done_at)))
     }
 
     /// Interrupt an in-flight state transfer for `task`'s standby: if a
@@ -168,8 +155,7 @@ impl StandbyManager {
     /// when a transfer was actually interrupted.
     pub fn interrupt_transfer(&mut self, task: TaskId, now: VirtualTime) -> bool {
         let Some(sb) = self.standbys.get_mut(&task) else { return false };
-        if sb.state.is_some() && sb.transfer_done_at > now {
-            sb.state = None;
+        if sb.snapshot_checkpoint.is_some() && sb.transfer_done_at > now {
             sb.snapshot_checkpoint = None;
             sb.transfer_done_at = now;
             true
@@ -194,7 +180,6 @@ impl StandbyManager {
                 continue;
             }
             lost.push(task);
-            sb.state = None;
             sb.snapshot_checkpoint = None;
             sb.transfer_done_at = now;
             if num_nodes > 1 {
@@ -269,12 +254,29 @@ mod tests {
         m.register(1, 0, 2, AllocationStrategy::AntiAffinity);
         m.dispatch_state(1, 0, Bytes::from_static(b"cp0"), VirtualTime::ZERO, VirtualDuration::from_millis(5));
         m.dispatch_state(1, 1, Bytes::from_static(b"cp1"), VirtualTime(1_000_000), VirtualDuration::from_millis(5));
-        let (state, cp, ready) = m.activate(1, VirtualTime(2_000_000)).unwrap();
-        assert_eq!(&state[..], b"cp1");
+        let (cp, ready) = m.activate(1, VirtualTime(2_000_000)).unwrap();
         assert_eq!(cp, 1);
         assert_eq!(ready, VirtualTime(2_000_000)); // transfer long done
         assert_eq!(m.dispatches(), 2);
         assert_eq!(m.bytes_dispatched(), 6);
+    }
+
+    #[test]
+    fn delta_dispatch_needs_the_parent_and_queues_behind_its_transfer() {
+        let mut m = StandbyManager::new();
+        m.register(1, 0, 2, AllocationStrategy::AntiAffinity);
+        let delta = Bytes::from_static(b"d");
+        let ms = VirtualDuration::from_millis;
+        // Nothing held yet, then the wrong parent: refused, standby untouched.
+        assert!(m.dispatch_delta(1, 2, 1, delta.clone(), VirtualTime::ZERO, ms(5)).is_none());
+        m.dispatch_state(1, 1, Bytes::from_static(b"base"), VirtualTime::ZERO, ms(20));
+        assert!(m.dispatch_delta(1, 3, 2, delta.clone(), VirtualTime::ZERO, ms(5)).is_none());
+        assert_eq!(m.get(1).unwrap().snapshot_checkpoint, Some(1));
+        // Holding the parent: accepted, shipped after the base lands.
+        let done = m.dispatch_delta(1, 2, 1, delta, VirtualTime(1_000), ms(5)).unwrap();
+        assert_eq!(done, VirtualTime(25_000));
+        assert_eq!(m.activate(1, VirtualTime(1_000)), Some((2, done)));
+        assert_eq!((m.dispatches(), m.delta_dispatches(), m.bytes_dispatched()), (2, 1, 5));
     }
 
     #[test]
@@ -320,7 +322,7 @@ mod tests {
         // Transfer started at t=1s and takes 3s.
         m.dispatch_state(1, 0, Bytes::from_static(b"s"), VirtualTime(1_000_000), VirtualDuration::from_secs(3));
         // Failure at t=2s: the standby is only ready at t=4s.
-        let (_, _, ready) = m.activate(1, VirtualTime(2_000_000)).unwrap();
+        let (_, ready) = m.activate(1, VirtualTime(2_000_000)).unwrap();
         assert_eq!(ready, VirtualTime(4_000_000));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The job manager implements:
 //! - the **checkpoint coordinator** (periodic barrier injection, ack
-//!   collection, completion broadcast, snapshot GC, standby state dispatch —
-//!   §6.4);
+//!   collection and snapshot GC — `coordinator::AckLedger`, shared with the
+//!   threaded runtime — completion broadcast, standby state dispatch, §6.4);
 //! - **failure detection** (connection-reset propagation for Clonos,
 //!   heartbeat-timeout for the baseline);
 //! - the **recovery orchestration**: Figure-4 analysis, standby activation,
@@ -13,9 +13,10 @@
 //!   for Clonos' orphan fallback.
 
 use crate::config::{EngineConfig, FtMode};
+use crate::coordinator::AckLedger;
 use crate::error::EngineError;
 use crate::graph::{ExecutionGraph, JobGraph, Partitioning, VertexKind};
-use crate::messages::Msg;
+use crate::messages::{Msg, SegmentAck};
 use crate::metrics::JobMetrics;
 use crate::task::{encode_abort_marker, Task, TaskCtx, TaskSnapshot};
 use bytes::Bytes;
@@ -51,9 +52,7 @@ struct LogGather {
 #[derive(Debug, Default)]
 struct JmState {
     next_cp: u64,
-    last_completed: u64,
-    /// cp id → acked task set.
-    pending: BTreeMap<u64, BTreeSet<TaskId>>,
+    acks: AckLedger,
     /// Tasks currently dead or mid-recovery (for the Figure-4 analysis).
     failed: BTreeSet<TaskId>,
     /// Tasks whose determinant replay has not finished yet.
@@ -100,6 +99,7 @@ impl Cluster {
     pub fn new(job: JobGraph, config: EngineConfig) -> Cluster {
         let graph = ExecutionGraph::expand(&job, 1);
         let depth = graph.depth();
+        let acks = AckLedger { total: graph.tasks.len(), ..Default::default() };
         let root = SimRng::new(config.seed);
         let mut cluster = Cluster {
             sim: Simulation::new(),
@@ -115,7 +115,7 @@ impl Cluster {
             tasks: BTreeMap::new(),
             nodes: BTreeMap::new(),
             gens: BTreeMap::new(),
-            jm: JmState::default(),
+            jm: JmState { acks, ..Default::default() },
             depth,
             retired_ckpt: crate::metrics::CheckpointStats::default(),
             retired_backend: crate::metrics::StateBackendStats::default(),
@@ -140,7 +140,7 @@ impl Cluster {
     }
 
     pub fn last_completed_checkpoint(&self) -> u64 {
-        self.jm.last_completed
+        self.jm.acks.last_completed
     }
 
     pub fn task_ref(&self, id: TaskId) -> Option<&Task> {
@@ -182,7 +182,7 @@ impl Cluster {
     /// Mirror the coordinator's completed-checkpoint watermark back into the
     /// JM state after a parallel run.
     pub(crate) fn set_last_completed(&mut self, cp: u64) {
-        self.jm.last_completed = self.jm.last_completed.max(cp);
+        self.jm.acks.last_completed = self.jm.acks.last_completed.max(cp);
     }
 
     fn deploy(&mut self) {
@@ -452,7 +452,7 @@ impl Cluster {
         // Barrier-chain entry: everything checkpoint `id` does is caused by
         // this trigger.
         self.metrics.causal_event(now, "TriggerCheckpoint", id, JM, None);
-        self.jm.pending.insert(id, BTreeSet::new());
+        self.jm.acks.pending.insert(id, BTreeSet::new());
         let sources: Vec<TaskId> = self
             .graph
             .tasks
@@ -465,40 +465,24 @@ impl Cluster {
         }
     }
 
+    /// A task acked checkpoint `id` with one more layer of its image. On the
+    /// last ack the checkpoint completes: broadcast it, then bring each
+    /// standby up to date (§6.4) — charged for the layers it does not hold
+    /// yet, never handed bytes (the store keeps the layers; the fold happens
+    /// if and when the standby is activated).
     fn jm_ack(
         &mut self,
         task: TaskId,
         id: u64,
         snapshot: Bytes,
         delta_parent: Option<u64>,
-        segments: Option<Box<crate::messages::SegmentAck>>,
+        segments: Option<Box<SegmentAck>>,
     ) {
         let now = self.sim.now();
-        // Tiered backend: register the checkpoint's segment view first, so
-        // a full-image read of this checkpoint can already fold it.
-        if let Some(seg) = segments {
-            self.snapshots.put_segments(id, task, seg.live, seg.sealed);
-        }
-        match delta_parent {
-            Some(parent) => {
-                self.snapshots.put_delta(now, id, task, parent, snapshot);
-            }
-            None => {
-                self.snapshots.put(now, id, task, snapshot);
-            }
-        }
-        let total = self.graph.tasks.len();
-        let Some(acked) = self.jm.pending.get_mut(&id) else { return };
-        acked.insert(task);
-        if acked.len() < total {
+        let layer = SnapshotBlob { bytes: snapshot, parent: delta_parent };
+        if self.jm.acks.record(&mut self.snapshots, now, task, id, layer, segments).is_none() {
             return;
         }
-        // Checkpoint complete.
-        self.jm.pending.remove(&id);
-        if id <= self.jm.last_completed {
-            return;
-        }
-        self.jm.last_completed = id;
         self.metrics.event(now, format!("checkpoint {id} complete"));
         self.metrics.causal_event(
             now,
@@ -511,37 +495,35 @@ impl Cluster {
         for &t in &ids {
             self.sim.schedule_in(VirtualDuration::from_micros(100), t, Msg::CheckpointComplete { id });
         }
-        self.snapshots.truncate_before(id);
-        // Dispatch state to standbys (§6.4): ship only the delta when the
-        // standby already holds the parent image, so the dispatch-time-vs-
-        // checkpoint-interval bound is measured on what actually changed;
-        // otherwise reconstruct and ship the full image.
+        let model = TransferModel::default();
         let extra = self.config.synthetic_state_bytes;
         for &t in &ids {
             if !self.jm.standby.has_standby(t) {
                 continue;
             }
-            // Tiered checkpoints: the delta blob covers only resident
-            // sections — value state lives in segments, so a delta-only
-            // ship would under-deliver. Fall back to the full fold.
-            let delta = if self.snapshots.has_segments(id, t) {
-                None
-            } else {
-                match self.snapshots.blob(id, t) {
-                    Some(SnapshotBlob::Delta { parent, bytes }) => Some((*parent, bytes.clone())),
-                    _ => None,
-                }
-            };
-            let shipped = delta.and_then(|(parent, bytes)| {
-                let transfer = TransferModel::default().transfer_time(bytes.len() as u64);
-                self.jm.standby.dispatch_delta(t, id, parent, bytes, now, transfer)
+            // What a holder of the parent image lacks: this checkpoint's
+            // blob plus — tiered tasks — the segments sealed since. With no
+            // parent (a base blob) that is the whole image.
+            let Some((blob, segment_bytes)) = self.snapshots.newest_layer(id, t) else { continue };
+            let SnapshotBlob { bytes, parent } = blob.clone();
+            let missing = bytes.len() as u64 + segment_bytes;
+            let shipped = parent.and_then(|p| {
+                let transfer = model.transfer_time(missing);
+                self.jm.standby.dispatch_delta(t, id, p, bytes.clone(), now, transfer)
             });
-            if shipped.is_none() {
-                if let Some((bytes, _)) = self.snapshots.get(now, id, t) {
-                    let transfer =
-                        TransferModel::default().transfer_time(bytes.len() as u64 + extra);
-                    self.jm.standby.dispatch_state(t, id, bytes, now, transfer);
-                }
+            if shipped.is_some() {
+                continue;
+            }
+            // Full dispatch. Only a delta blob whose parent the standby lost
+            // (interrupted transfer, node loss, restart) needs the image
+            // folded, for its length.
+            let full = match parent {
+                None => Some((missing, bytes)),
+                Some(_) => self.snapshots.get(now, id, t).map(|(image, _)| (image.len() as u64, image)),
+            };
+            if let Some((len, image)) = full {
+                let transfer = model.transfer_time(len + extra);
+                self.jm.standby.dispatch_state(t, id, image, now, transfer);
             }
         }
     }
@@ -637,27 +619,47 @@ impl Cluster {
         }
     }
 
+    /// A task's full image at `resume_cp`, folded from the store's layers
+    /// now, and when it is loaded: `standby_ready` if an activated standby
+    /// already holds the layers, else after a charged store read. Checkpoint
+    /// 0 is the empty state. `None` — after recording an engine error — if
+    /// the image is missing or undecodable: restoring must never silently
+    /// become a fresh start.
+    fn restore_image(
+        &mut self,
+        task: TaskId,
+        resume_cp: u64,
+        standby_ready: Option<VirtualTime>,
+    ) -> Option<(Bytes, VirtualTime)> {
+        let now = self.sim.now();
+        let loaded = match (resume_cp, standby_ready) {
+            (0, _) => Some((Bytes::new(), now + VirtualDuration::from_millis(50))),
+            (cp, Some(ready)) => self.snapshots.image(cp, task).map(|image| (image, ready)),
+            (cp, None) => self.snapshots.get(now, cp, task),
+        };
+        if loaded.is_none() {
+            self.errors.push(format!(
+                "task {task}: checkpoint {resume_cp} image is missing or undecodable"
+            ));
+        }
+        loaded
+    }
+
     fn clonos_schedule_install(&mut self, task: TaskId) {
         let now = self.sim.now();
-        let resume_cp = self.jm.last_completed;
-        // Step 1: activate the standby (preloaded state) or cold-start.
-        let (state, cp, ready) = match self.jm.standby.activate(task, now) {
-            Some((bytes, cp, ready)) if cp == resume_cp => (bytes, cp, ready),
-            _ => {
-                // Cold replacement: load from the snapshot store.
-                if resume_cp == 0 {
-                    (Bytes::new(), 0, now + VirtualDuration::from_millis(50))
-                } else {
-                    match self.snapshots.get(now, resume_cp, task) {
-                        Some((bytes, done)) => (bytes, resume_cp, done),
-                        None => (Bytes::new(), 0, now + VirtualDuration::from_millis(50)),
-                    }
-                }
-            }
+        let resume_cp = self.jm.acks.last_completed;
+        // Step 1: activate the standby — usable only if it holds exactly the
+        // checkpoint to resume from, whose layers the store still has (GC
+        // keeps the last completed checkpoint's chain) — or cold-start.
+        let standby_ready = match self.jm.standby.activate(task, now) {
+            Some((cp, ready)) if cp == resume_cp => Some(ready),
+            _ => None,
+        };
+        let Some((state, ready)) = self.restore_image(task, resume_cp, standby_ready) else {
+            return;
         };
         self.jm.gather_seq += 1;
-        let gather =
-            LogGather { id: self.jm.gather_seq, resume_cp: cp, state, ..Default::default() };
+        let gather = LogGather { id: self.jm.gather_seq, resume_cp, state, ..Default::default() };
         self.jm.gathers.insert(task, gather);
         self.sim.schedule_at(ready, JM, Msg::InstallRecovery { task });
     }
@@ -955,13 +957,13 @@ impl Cluster {
 
     fn jm_restart_all(&mut self) {
         let now = self.sim.now();
-        let resume_cp = self.jm.last_completed;
+        let resume_cp = self.jm.acks.last_completed;
         self.metrics.event(now, format!("global rollback: restarting from checkpoint {resume_cp}"));
         self.jm.rollback_scheduled = false;
         self.jm.failed.clear();
         self.jm.recovering.clear();
         self.jm.gathers.clear();
-        self.jm.pending.clear();
+        self.jm.acks.pending.clear();
         self.jm.next_cp = resume_cp;
         // One common new generation for every task.
         let new_gen = self.gens.values().copied().max().unwrap_or(0) + 1;
@@ -990,17 +992,12 @@ impl Cluster {
             let task = self.build_task(id, new_gen);
             self.tasks.insert(id, Some(task));
             // State restore time: snapshot transfer from the store.
-            let (state, ready) = if resume_cp == 0 {
-                (Bytes::new(), now + VirtualDuration::from_millis(50))
-            } else {
-                match self.snapshots.get(now, resume_cp, id) {
-                    Some((bytes, done)) => {
-                        let done = done + TransferModel::default().transfer_time(extra);
-                        (bytes, done)
-                    }
-                    None => (Bytes::new(), now + VirtualDuration::from_millis(50)),
-                }
+            let Some((state, mut ready)) = self.restore_image(id, resume_cp, None) else {
+                continue;
             };
+            if resume_cp > 0 {
+                ready += TransferModel::default().transfer_time(extra);
+            }
             self.metrics.causal_event(
                 now,
                 "BeginReplay",
@@ -1102,19 +1099,7 @@ impl Cluster {
     /// accumulator before the `Task` object is dropped.
     fn retire_ckpt(&mut self, old: Option<Task>) {
         let Some(t) = old else { return };
-        let r = &mut self.retired_ckpt;
-        r.full_snapshots += t.ckpt.full_snapshots;
-        r.delta_snapshots += t.ckpt.delta_snapshots;
-        r.full_bytes += t.ckpt.full_bytes;
-        r.delta_bytes += t.ckpt.delta_bytes;
-        r.dirty_entries += t.ckpt.dirty_entries;
-        r.rebases += t.ckpt.rebases;
-        r.alignment_stall_us += t.ckpt.alignment_stall_us;
-        r.channels_blocked_highwater =
-            r.channels_blocked_highwater.max(t.ckpt.channels_blocked_highwater);
-        r.overtaken_records += t.ckpt.overtaken_records;
-        r.overtaken_bytes += t.ckpt.overtaken_bytes;
-        r.unaligned_reinjections += t.ckpt.unaligned_reinjections;
+        self.retired_ckpt.absorb(&t.ckpt);
         self.retired_backend.absorb(&t.backend_stats());
     }
 
@@ -1124,18 +1109,7 @@ impl Cluster {
     pub fn checkpoint_stats(&self) -> crate::metrics::CheckpointStats {
         let mut total = self.retired_ckpt;
         for t in self.tasks.values().flatten() {
-            total.full_snapshots += t.ckpt.full_snapshots;
-            total.delta_snapshots += t.ckpt.delta_snapshots;
-            total.full_bytes += t.ckpt.full_bytes;
-            total.delta_bytes += t.ckpt.delta_bytes;
-            total.dirty_entries += t.ckpt.dirty_entries;
-            total.rebases += t.ckpt.rebases;
-            total.alignment_stall_us += t.ckpt.alignment_stall_us;
-            total.channels_blocked_highwater =
-                total.channels_blocked_highwater.max(t.ckpt.channels_blocked_highwater);
-            total.overtaken_records += t.ckpt.overtaken_records;
-            total.overtaken_bytes += t.ckpt.overtaken_bytes;
-            total.unaligned_reinjections += t.ckpt.unaligned_reinjections;
+            total.absorb(&t.ckpt);
         }
         total.reconstructions = self.snapshots.reconstructions();
         total.reconstruct_us = self.snapshots.reconstruct_us();
@@ -1168,5 +1142,132 @@ impl Cluster {
         let now = self.sim.now();
         let (bytes, _) = self.snapshots.get(now, cp, task)?;
         TaskSnapshot::decode(&bytes).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CheckpointMode;
+    use crate::graph::{SinkSpec, SourceSpec};
+    use crate::operator::{factory, OpCtx};
+    use crate::operators::ProcessOp;
+    use crate::record::{Datum, Record, Row};
+    use crate::runner::JobRunner;
+    use clonos::config::{ClonosConfig, SharingDepth};
+
+    /// Task id of the keyed counter in `counting_cluster`.
+    const COUNTER: TaskId = 2;
+
+    /// source → keyed running count → sink, one subtask each, no input yet.
+    fn counting_cluster(config: EngineConfig) -> Cluster {
+        let mut g = JobGraph::new("restore");
+        let src = g.add_source("src", 1, SourceSpec::new("in").rate(4_000).key_field(0));
+        let count = g.add_operator(
+            "count",
+            1,
+            factory(|| {
+                ProcessOp::new(|_i, rec: &Record, ctx: &mut OpCtx<'_>| {
+                    let c = ctx.state.value(0, rec.key).map(|r| r.int(0)).unwrap_or(0) + 1;
+                    ctx.state.set_value(0, rec.key, Row::new(vec![Datum::Int(c)]));
+                    ctx.emit(rec.key, rec.event_time, Row::new(vec![Datum::Int(c)]));
+                    Ok(())
+                })
+            }),
+        );
+        let snk = g.add_sink("out", 1, SinkSpec { topic: "out".into() });
+        g.connect(src, count, Partitioning::Hash);
+        g.connect(count, snk, Partitioning::Hash);
+        let cluster = JobRunner::new(g, config).cluster;
+        assert!(!cluster.graph.task(COUNTER).inputs.is_empty());
+        assert!(!cluster.graph.task(COUNTER).outputs.is_empty());
+        cluster
+    }
+
+    /// Append one second's worth of input over `keys`, then run to `until`:
+    /// the job is idle again well before the next checkpoint cut.
+    fn feed(cluster: &mut Cluster, keys: std::ops::Range<i64>, until: u64) {
+        let log = cluster.topic_mut("in").expect("source topic");
+        for i in 0..4_000 {
+            let key = keys.start + i % (keys.end - keys.start);
+            log.partition_mut(0).append(Row::new(vec![Datum::Int(key), Datum::Int(i)]).to_bytes());
+        }
+        cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(until));
+    }
+
+    fn clonos() -> EngineConfig {
+        EngineConfig::default()
+            .with_seed(7)
+            .with_ft(FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full)))
+    }
+
+    #[test]
+    fn activated_standby_is_handed_the_store_image_of_the_cut() {
+        for (mode, budget) in [
+            (CheckpointMode::Aligned, 0),
+            (CheckpointMode::Unaligned, 0),
+            (CheckpointMode::Aligned, 2_048),
+        ] {
+            let mut config = clonos().with_checkpoint_mode(mode);
+            config.state_memory_budget = budget;
+            let mut cluster = counting_cluster(config);
+            // Checkpoints at 5, 10, 15 s: a base and two deltas that add,
+            // overwrite and leave keys alone.
+            feed(&mut cluster, 0..300, 6);
+            feed(&mut cluster, 200..500, 11);
+            feed(&mut cluster, 0..100, 16);
+            let what = format!("{mode:?}, budget {budget}");
+            assert_eq!(cluster.last_completed_checkpoint(), 3, "{what}");
+            assert_eq!(cluster.snapshots.newest_layer(3, COUNTER).and_then(|(b, _)| b.parent), Some(2), "{what}");
+            // Idle since ~12 s, so this is also the state at the 15 s cut.
+            let live = cluster.state_digests()[&COUNTER].expect("counter is alive");
+
+            let reads = cluster.snapshots.reads();
+            cluster.kill_task(COUNTER);
+            while !cluster.jm.gathers.contains_key(&COUNTER) {
+                let next = cluster.sim.peek_time().expect("failure detection is scheduled");
+                cluster.run_until(next);
+            }
+            let (resume_cp, handed) = {
+                let g = &cluster.jm.gathers[&COUNTER];
+                (g.resume_cp, g.state.clone())
+            };
+            assert_eq!(resume_cp, 3, "{what}");
+            assert_eq!(cluster.snapshots.reads(), reads, "{what}: standby path must not read the store");
+            let now = cluster.sim.now();
+            let (stored, _) = cluster.snapshots.get(now, 3, COUNTER).expect("image folds");
+            assert_eq!(handed, stored, "{what}");
+            let restored = TaskSnapshot::decode(&handed).expect("image decodes");
+            assert_eq!(restored.store.digest(), live, "{what}");
+
+            // No input since: the recovered task ends where the dead one was.
+            cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(30));
+            assert_eq!(cluster.state_digests()[&COUNTER], Some(live), "{what}");
+        }
+    }
+
+    /// Damage the newest layer of the counter's checkpoint-2 image, then
+    /// fail the counter so the job has to restore from it.
+    fn restore_from_damaged_layer(config: EngineConfig) {
+        let mut cluster = counting_cluster(config);
+        feed(&mut cluster, 0..300, 6);
+        feed(&mut cluster, 200..500, 11);
+        assert_eq!(cluster.last_completed_checkpoint(), 2);
+        let now = cluster.sim.now();
+        cluster.snapshots.put_delta(now, 2, COUNTER, 1, Bytes::from_static(b"\x02not a layer"));
+        cluster.kill_task(COUNTER);
+        cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "engine error: task 2: checkpoint 2 image is missing or undecodable")]
+    fn local_recovery_from_an_undecodable_image_is_an_error_not_a_fresh_start() {
+        restore_from_damaged_layer(clonos());
+    }
+
+    #[test]
+    #[should_panic(expected = "engine error: task 2: checkpoint 2 image is missing or undecodable")]
+    fn global_rollback_from_an_undecodable_image_is_an_error_not_a_fresh_start() {
+        restore_from_damaged_layer(EngineConfig::default().with_seed(7).with_ft(FtMode::GlobalRollback));
     }
 }

@@ -20,6 +20,7 @@
 
 pub mod cluster;
 pub mod config;
+mod coordinator;
 pub mod error;
 pub mod graph;
 pub mod messages;

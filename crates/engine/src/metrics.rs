@@ -114,6 +114,28 @@ pub struct CheckpointStats {
     pub unaligned_reinjections: u64,
 }
 
+impl CheckpointStats {
+    /// Fold another set of counters into this aggregate: every field sums,
+    /// except the blocked-channel highwater mark, which folds with `max`.
+    pub fn absorb(&mut self, other: &CheckpointStats) {
+        self.full_snapshots += other.full_snapshots;
+        self.delta_snapshots += other.delta_snapshots;
+        self.full_bytes += other.full_bytes;
+        self.delta_bytes += other.delta_bytes;
+        self.dirty_entries += other.dirty_entries;
+        self.rebases += other.rebases;
+        self.reconstructions += other.reconstructions;
+        self.reconstruct_us += other.reconstruct_us;
+        self.delta_dispatches += other.delta_dispatches;
+        self.alignment_stall_us += other.alignment_stall_us;
+        self.channels_blocked_highwater =
+            self.channels_blocked_highwater.max(other.channels_blocked_highwater);
+        self.overtaken_records += other.overtaken_records;
+        self.overtaken_bytes += other.overtaken_bytes;
+        self.unaligned_reinjections += other.unaligned_reinjections;
+    }
+}
+
 /// Robustness counters for the failure/recovery machinery: how often the
 /// retry ladders fired, how often recovery escalated to a global rollback,
 /// and how overlapped the failures were. Surfaced through `RunReport` so
@@ -386,6 +408,49 @@ mod tests {
         // Time-ordered despite interleaved sinks.
         let times: Vec<_> = combined.points().iter().map(|&(t, _)| t).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn checkpoint_stats_absorb_sums_all_but_the_highwater() {
+        // All fields set by exhaustive literal, so a new field fails to
+        // compile here until `absorb` is taught about it.
+        let one = CheckpointStats {
+            full_snapshots: 1,
+            delta_snapshots: 2,
+            full_bytes: 3,
+            delta_bytes: 4,
+            dirty_entries: 5,
+            rebases: 6,
+            reconstructions: 7,
+            reconstruct_us: 8,
+            delta_dispatches: 9,
+            alignment_stall_us: 10,
+            channels_blocked_highwater: 11,
+            overtaken_records: 12,
+            overtaken_bytes: 13,
+            unaligned_reinjections: 14,
+        };
+        let mut total = one;
+        total.absorb(&CheckpointStats { channels_blocked_highwater: 3, ..one });
+        assert_eq!(
+            total,
+            CheckpointStats {
+                full_snapshots: 2,
+                delta_snapshots: 4,
+                full_bytes: 6,
+                delta_bytes: 8,
+                dirty_entries: 10,
+                rebases: 12,
+                reconstructions: 14,
+                reconstruct_us: 16,
+                delta_dispatches: 18,
+                alignment_stall_us: 20,
+                channels_blocked_highwater: 11,
+                overtaken_records: 24,
+                overtaken_bytes: 26,
+                unaligned_reinjections: 28,
+            }
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! only ever mutated under their cell's state lock.
 
 use crate::config::EngineConfig;
+use crate::coordinator::AckLedger;
 use crate::graph::TaskSpec;
 use crate::messages::Msg;
 use crate::metrics::JobMetrics;
@@ -14,7 +15,7 @@ use clonos::TaskId;
 use clonos_sim::{ActorId, Link, Scheduler, SimRng, VirtualDuration, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotStore, TransferModel};
+use clonos_storage::snapshot::{SnapshotBlob, SnapshotStore, TransferModel};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Mutex;
@@ -131,21 +132,20 @@ impl TaskWorld {
 }
 
 /// The coordinator: the JM-side checkpoint protocol state for failure-free
-/// runs. Mirrors `Cluster::jm_checkpoint_tick` / `jm_ack` minus everything
-/// that only matters under failures (standby dispatch, recovery state).
+/// runs. Mirrors `Cluster::jm_checkpoint_tick` and shares `jm_ack`'s ack
+/// bookkeeping, minus everything that only matters under failures (standby
+/// dispatch, recovery state).
 pub(crate) struct CoordWorld {
     pub(crate) clock: VirtualTime,
     pub(crate) timers: BinaryHeap<TimerEntry>,
     pub(crate) seq: u64,
     pub(crate) next_cp: u64,
-    pub(crate) last_completed: u64,
-    pub(crate) pending: BTreeMap<u64, BTreeSet<TaskId>>,
+    pub(crate) acks: AckLedger,
     pub(crate) snapshots: SnapshotStore,
     /// Task ids with no inputs (checkpoint barrier injection points).
     pub(crate) sources: Vec<TaskId>,
     /// All task ids (checkpoint-complete broadcast).
     pub(crate) tasks: Vec<TaskId>,
-    pub(crate) total: usize,
     pub(crate) metrics: JobMetrics,
     pub(crate) errors: Vec<String>,
 }
@@ -157,12 +157,10 @@ impl CoordWorld {
             timers: BinaryHeap::new(),
             seq: 0,
             next_cp: 0,
-            last_completed: 0,
-            pending: BTreeMap::new(),
+            acks: AckLedger { total: specs.len(), ..Default::default() },
             snapshots: SnapshotStore::with_model(TransferModel::default()),
             sources: specs.iter().filter(|t| t.inputs.is_empty()).map(|t| t.id).collect(),
             tasks: specs.iter().map(|t| t.id).collect(),
-            total: specs.len(),
             // Window must match the cluster accumulator's for `absorb`.
             metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
             errors: Vec::new(),
@@ -190,7 +188,7 @@ impl CoordWorld {
                 sched.schedule_in(config.checkpoint_interval, me, Msg::CheckpointTick);
                 self.next_cp += 1;
                 let id = self.next_cp;
-                self.pending.insert(id, BTreeSet::new());
+                self.acks.pending.insert(id, BTreeSet::new());
                 for &s in &self.sources {
                     sched.schedule_in(
                         VirtualDuration::from_micros(100),
@@ -201,30 +199,10 @@ impl CoordWorld {
             }
             Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
                 let now = self.clock;
-                // Tiered backend: register the segment view before the
-                // image so reads of this checkpoint can fold it (same
-                // protocol as the sim-scheduler job manager).
-                if let Some(seg) = segments {
-                    self.snapshots.put_segments(id, task, seg.live, seg.sealed);
-                }
-                match delta_parent {
-                    Some(parent) => {
-                        self.snapshots.put_delta(now, id, task, parent, snapshot);
-                    }
-                    None => {
-                        self.snapshots.put(now, id, task, snapshot);
-                    }
-                }
-                let Some(acked) = self.pending.get_mut(&id) else { return };
-                acked.insert(task);
-                if acked.len() < self.total {
+                let layer = SnapshotBlob { bytes: snapshot, parent: delta_parent };
+                if self.acks.record(&mut self.snapshots, now, task, id, layer, segments).is_none() {
                     return;
                 }
-                self.pending.remove(&id);
-                if id <= self.last_completed {
-                    return;
-                }
-                self.last_completed = id;
                 self.metrics.event(now, format!("checkpoint {id} complete"));
                 let mut sched = ActorSched {
                     me,
@@ -241,7 +219,6 @@ impl CoordWorld {
                         Msg::CheckpointComplete { id },
                     );
                 }
-                self.snapshots.truncate_before(id);
             }
             other => {
                 self.errors

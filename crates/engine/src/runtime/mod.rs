@@ -163,7 +163,7 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
         let state = cell.state.into_inner().expect("cell lock poisoned");
         match state.kind {
             CellKind::Coord(w) => {
-                cluster.set_last_completed(w.last_completed);
+                cluster.set_last_completed(w.acks.last_completed);
                 cluster.metrics.absorb(w.metrics);
                 errors.extend(w.errors);
             }

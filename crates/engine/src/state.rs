@@ -5,14 +5,16 @@
 //! buffers), and the registered timers (Flink likewise snapshots timers).
 //!
 //! Every mutation marks its `(section, key)` dirty; at a barrier the task
-//! either streams the *full* canonical image or only the dirty entries (puts
-//! for keys still present, tombstones for removed ones) into a reusable
-//! [`ByteWriter`] — the O(dirty) barrier path of incremental checkpointing.
-//! Both encoders emit the sectioned delta-map format of
-//! [`clonos_storage::deltamap`], with fixed-width big-endian keys so the
-//! store's canonical `(section, byte-lex key)` order equals numeric order
-//! and `merge_chain(base, deltas)` is byte-identical to a full snapshot
-//! taken at the same epoch.
+//! streams one image layer into a reusable [`ByteWriter`] through
+//! [`StateStore::write_entries`]: the *full* canonical image, or only the
+//! dirty entries (puts for keys still present, tombstones for removed ones)
+//! — the O(dirty) barrier path of incremental checkpointing. A tiered store
+//! leaves the values section out of either kind: its values travel as tier
+//! segments, which are older layers of the same image. Layers use the
+//! sectioned delta-map format of [`clonos_storage::deltamap`], with
+//! fixed-width big-endian keys so the store's canonical `(section, byte-lex
+//! key)` order equals numeric order and folding base + deltas is
+//! byte-identical to a full snapshot taken at the same epoch.
 
 use crate::metrics::StateBackendStats;
 use crate::record::Row;
@@ -453,13 +455,15 @@ impl StateStore {
     }
 
     /// Barrier-path sync: write the epoch's dirty values into the tier, seal
-    /// the memtable into an L0 segment, and consume the value change-log.
-    /// The list/timer dirty sets are untouched — the resident delta encoder
-    /// owns those. O(dirty): cost scales with mutations, not total state.
-    pub fn tier_sync_dirty(&mut self) {
+    /// the memtable into an L0 segment, and consume the value change-log;
+    /// returns how many value changes that was. The list/timer dirty sets
+    /// are untouched — [`Self::write_entries`] ships those. O(dirty): cost
+    /// scales with mutations, not total state.
+    pub fn tier_sync_dirty(&mut self) -> u64 {
         if self.tiered.is_none() {
-            return;
+            return 0;
         }
+        let synced = self.dirty_values.len() as u64;
         self.tier_sync_values();
         if let Some(t) = self.tiered.as_deref_mut() {
             t.tier.flush();
@@ -467,6 +471,7 @@ impl StateStore {
         }
         self.tier_mark_values_clean();
         self.evict_excess();
+        synced
     }
 
     /// Consume the value change-log: every still-resident dirty row is now
@@ -538,20 +543,19 @@ impl StateStore {
 
     // ----- snapshot encoding -----
 
-    /// Entries a full encoding emits.
-    pub fn full_entry_count(&self) -> u64 {
-        (self.values.len()
-            + self.lists.len()
-            + self.event_timers.len()
-            + self.proc_timers.len()) as u64
-    }
-
-    /// Entries a dirty (delta) encoding emits.
-    pub fn dirty_entry_count(&self) -> u64 {
-        (self.dirty_values.len()
-            + self.dirty_lists.len()
-            + self.dirty_event_timers.len()
-            + self.dirty_proc_timers.len()) as u64
+    /// Entries [`Self::write_entries`] emits for the same `full`.
+    pub fn entry_count(&self, full: bool) -> u64 {
+        let values = match (&self.tiered, full) {
+            (Some(_), _) => 0,
+            (None, true) => self.values.len(),
+            (None, false) => self.dirty_values.len(),
+        };
+        let rest = if full {
+            self.lists.len() + self.event_timers.len() + self.proc_timers.len()
+        } else {
+            self.dirty_lists.len() + self.dirty_event_timers.len() + self.dirty_proc_timers.len()
+        };
+        (values + rest) as u64
     }
 
     fn write_value_entry(w: &mut ByteWriter, id: StateId, key: u64, row: &Row) {
@@ -571,119 +575,67 @@ impl StateStore {
         w.end_u32_len(pos);
     }
 
-    fn write_timer_entry(w: &mut ByteWriter, section: u8, t: &StateTimer) {
-        let pos = deltamap::write_put_header(w, section, &timer_key(t));
-        w.end_u32_len(pos); // all information lives in the key
+    /// One timer section: every live timer as a put (`full`), or every
+    /// dirty timer as a put if still registered and a tombstone if not. All
+    /// information lives in the key, so puts carry an empty value.
+    fn write_timers(
+        w: &mut ByteWriter,
+        section: u8,
+        live: &BTreeSet<StateTimer>,
+        dirty: &BTreeSet<StateTimer>,
+        full: bool,
+    ) {
+        for t in if full { live } else { dirty } {
+            if full || live.contains(t) {
+                let pos = deltamap::write_put_header(w, section, &timer_key(t));
+                w.end_u32_len(pos);
+            } else {
+                deltamap::write_tombstone(w, section, &timer_key(t));
+            }
+        }
     }
 
-    /// Stream every entry in canonical `(section, key)` order into `w` — the
-    /// body of a full image. Pure: does not touch dirty tracking, so
+    /// Stream one image layer's entries in canonical `(section, key)` order
+    /// into `w`: every entry (`full`), or only those dirtied since the last
+    /// snapshot — a put for each dirty key still present, a tombstone for
+    /// each removed one. A tiered store skips the values section: its values
+    /// are in tier segments, shipped beside the layer. Pure — the caller
+    /// consumes the change log with [`Self::clear_dirty`], and
     /// [`StateStore::digest`] can observe at any time.
-    pub fn write_full_entries(&self, w: &mut ByteWriter) {
-        for (&(id, key), row) in &self.values {
-            Self::write_value_entry(w, id, key, row);
+    pub fn write_entries(&self, full: bool, w: &mut ByteWriter) {
+        match (&self.tiered, full) {
+            (Some(_), _) => {} // values travel as tier segments
+            (None, true) => {
+                for (&(id, key), row) in &self.values {
+                    Self::write_value_entry(w, id, key, row);
+                }
+            }
+            (None, false) => {
+                for &(id, key) in &self.dirty_values {
+                    match self.values.get(&(id, key)) {
+                        Some(row) => Self::write_value_entry(w, id, key, row),
+                        None => deltamap::write_tombstone(w, SEC_VALUES, &kv_key(id, key)),
+                    }
+                }
+            }
         }
-        for (&(id, key), rows) in &self.lists {
-            Self::write_list_entry(w, id, key, rows);
+        if full {
+            for (&(id, key), rows) in &self.lists {
+                Self::write_list_entry(w, id, key, rows);
+            }
+        } else {
+            for &(id, key) in &self.dirty_lists {
+                match self.lists.get(&(id, key)) {
+                    Some(rows) => Self::write_list_entry(w, id, key, rows),
+                    None => deltamap::write_tombstone(w, SEC_LISTS, &kv_key(id, key)),
+                }
+            }
         }
-        for t in &self.event_timers {
-            Self::write_timer_entry(w, SEC_EVENT_TIMERS, t);
-        }
-        for t in &self.proc_timers {
-            Self::write_timer_entry(w, SEC_PROC_TIMERS, t);
-        }
+        Self::write_timers(w, SEC_EVENT_TIMERS, &self.event_timers, &self.dirty_event_timers, full);
+        Self::write_timers(w, SEC_PROC_TIMERS, &self.proc_timers, &self.dirty_proc_timers, full);
     }
 
-    /// Stream only the entries dirtied since the last snapshot: a put for
-    /// each dirty key still present, a tombstone for each removed one.
-    /// Clears the dirty sets (the epoch's change log is consumed).
-    pub fn write_dirty_entries(&mut self, w: &mut ByteWriter) {
-        for &(id, key) in &self.dirty_values {
-            match self.values.get(&(id, key)) {
-                Some(row) => Self::write_value_entry(w, id, key, row),
-                None => deltamap::write_tombstone(w, SEC_VALUES, &kv_key(id, key)),
-            }
-        }
-        for &(id, key) in &self.dirty_lists {
-            match self.lists.get(&(id, key)) {
-                Some(rows) => Self::write_list_entry(w, id, key, rows),
-                None => deltamap::write_tombstone(w, SEC_LISTS, &kv_key(id, key)),
-            }
-        }
-        for t in &self.dirty_event_timers {
-            if self.event_timers.contains(t) {
-                Self::write_timer_entry(w, SEC_EVENT_TIMERS, t);
-            } else {
-                deltamap::write_tombstone(w, SEC_EVENT_TIMERS, &timer_key(t));
-            }
-        }
-        for t in &self.dirty_proc_timers {
-            if self.proc_timers.contains(t) {
-                Self::write_timer_entry(w, SEC_PROC_TIMERS, t);
-            } else {
-                deltamap::write_tombstone(w, SEC_PROC_TIMERS, &timer_key(t));
-            }
-        }
-        self.clear_dirty();
-    }
-
-    /// Entries a resident-only full encoding emits (tiered checkpoints:
-    /// value state travels as segment references, not image entries).
-    pub fn resident_full_entry_count(&self) -> u64 {
-        (self.lists.len() + self.event_timers.len() + self.proc_timers.len()) as u64
-    }
-
-    /// Stream the non-value sections (lists, timers) in canonical order —
-    /// the resident body of a tiered full image. Pure.
-    pub fn write_resident_full_entries(&self, w: &mut ByteWriter) {
-        for (&(id, key), rows) in &self.lists {
-            Self::write_list_entry(w, id, key, rows);
-        }
-        for t in &self.event_timers {
-            Self::write_timer_entry(w, SEC_EVENT_TIMERS, t);
-        }
-        for t in &self.proc_timers {
-            Self::write_timer_entry(w, SEC_PROC_TIMERS, t);
-        }
-    }
-
-    /// Entries a resident-only dirty encoding emits.
-    pub fn resident_dirty_entry_count(&self) -> u64 {
-        (self.dirty_lists.len()
-            + self.dirty_event_timers.len()
-            + self.dirty_proc_timers.len()) as u64
-    }
-
-    /// Stream only the dirty list/timer entries and consume those change
-    /// logs. The value change-log is left alone — [`Self::tier_sync_dirty`]
-    /// owns it on the tiered barrier path.
-    pub fn write_resident_dirty_entries(&mut self, w: &mut ByteWriter) {
-        for &(id, key) in &self.dirty_lists {
-            match self.lists.get(&(id, key)) {
-                Some(rows) => Self::write_list_entry(w, id, key, rows),
-                None => deltamap::write_tombstone(w, SEC_LISTS, &kv_key(id, key)),
-            }
-        }
-        for t in &self.dirty_event_timers {
-            if self.event_timers.contains(t) {
-                Self::write_timer_entry(w, SEC_EVENT_TIMERS, t);
-            } else {
-                deltamap::write_tombstone(w, SEC_EVENT_TIMERS, &timer_key(t));
-            }
-        }
-        for t in &self.dirty_proc_timers {
-            if self.proc_timers.contains(t) {
-                Self::write_timer_entry(w, SEC_PROC_TIMERS, t);
-            } else {
-                deltamap::write_tombstone(w, SEC_PROC_TIMERS, &timer_key(t));
-            }
-        }
-        self.dirty_lists.clear();
-        self.dirty_event_timers.clear();
-        self.dirty_proc_timers.clear();
-    }
-
-    /// Drop the change log (after a full encoding made it redundant). Under
+    /// Drop the change log (an encoded layer made it redundant). Under
     /// tiering the value changes are first routed into the memtable so the
     /// eviction invariant (clean resident rows are tier-recoverable) holds.
     pub fn clear_dirty(&mut self) {
@@ -706,10 +658,7 @@ impl StateStore {
     pub fn snapshot(&self) -> Bytes {
         let mut w = ByteWriter::new();
         match self.tiered.as_deref() {
-            None => {
-                w.put_varint(self.full_entry_count());
-                self.write_full_entries(&mut w);
-            }
+            None => w.put_varint(self.entry_count(true)),
             Some(t) => {
                 let mut vals = t.tier.fold_entries();
                 for &(id, key) in &self.dirty_values {
@@ -727,15 +676,15 @@ impl StateStore {
                         }
                     }
                 }
-                w.put_varint(vals.len() as u64 + self.resident_full_entry_count());
+                w.put_varint(vals.len() as u64 + self.entry_count(true));
                 for (fk, v) in &vals {
                     if let Some((&sec, key)) = fk.split_first() {
                         deltamap::write_put(&mut w, sec, key, &v[..]);
                     }
                 }
-                self.write_resident_full_entries(&mut w);
             }
         }
+        self.write_entries(true, &mut w);
         w.freeze()
     }
 
@@ -744,8 +693,9 @@ impl StateStore {
     /// this produces reconstructs [`StateStore::snapshot`] byte-identically.
     pub fn snapshot_delta(&mut self) -> Bytes {
         let mut w = ByteWriter::new();
-        w.put_varint(self.dirty_entry_count());
-        self.write_dirty_entries(&mut w);
+        w.put_varint(self.entry_count(false));
+        self.write_entries(false, &mut w);
+        self.clear_dirty();
         w.freeze()
     }
 
@@ -926,13 +876,13 @@ mod tests {
         s.set_value(0, 1, row(1));
         s.set_value(0, 2, row(2));
         let _base = s.snapshot_delta(); // consume the change log
-        assert_eq!(s.dirty_entry_count(), 0);
+        assert_eq!(s.entry_count(false), 0);
         s.set_value(0, 2, row(22));
-        assert_eq!(s.dirty_entry_count(), 1);
+        assert_eq!(s.entry_count(false), 1);
         // Reads leave the change log untouched.
         let _ = s.value(0, 1);
         let _ = s.digest();
-        assert_eq!(s.dirty_entry_count(), 1);
+        assert_eq!(s.entry_count(false), 1);
     }
 
     #[test]
@@ -1023,14 +973,9 @@ mod tests {
         }
         // All 40 are dirty: none may be evicted even though we are far over
         // budget, and the delta must still cover every mutation.
-        assert_eq!(s.dirty_entry_count(), 40);
         assert_eq!(s.backend_stats().evictions, 0);
-        let mut w = ByteWriter::new();
-        let before = s.dirty_entry_count();
-        s.tier_sync_dirty();
-        s.write_resident_dirty_entries(&mut w);
-        assert_eq!(before, 40);
-        assert_eq!(s.dirty_entry_count(), 0);
+        assert_eq!(s.tier_sync_dirty(), 40);
+        assert_eq!(s.tier_sync_dirty(), 0);
         // Now clean: pressure may trim the cache, reads still complete.
         for k in 0..40 {
             assert_eq!(s.value(0, k).map(|r| r.int(0)), Some(k as i64));

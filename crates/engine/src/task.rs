@@ -110,8 +110,8 @@ impl<'a> TaskCtx<'a> {
 /// Decoded per-task checkpoint payload: a full delta-map image parsed into
 /// a fresh [`StateStore`] plus the execution-progress scalars carried in the
 /// image's META section. (Encoding happens directly on the task's reusable
-/// scratch writer — see `Task::encode_snapshot` — so the steady-state
-/// barrier path is O(dirty) and allocation-free.)
+/// scratch writer — see `Task::open_capture` — so the steady-state barrier
+/// path is O(dirty) and allocation-free.)
 #[derive(Debug, Default)]
 pub struct TaskSnapshot {
     pub store: StateStore,
@@ -312,22 +312,26 @@ struct FtFlags {
     skip_dedup: bool,
 }
 
-/// An unaligned checkpoint in progress at a non-source task: the state was
-/// snapshotted at first barrier arrival, and buffers the barrier overtook on
-/// not-yet-barriered channels accumulate here until every input has
-/// delivered its barrier. Only then is the final image assembled and acked —
-/// completing earlier would let the JM truncate upstream in-flight logs
-/// while overtaken buffers are still on the wire.
-struct UaCapture {
-    /// Encoded META + state entries (no entry-count prefix), frozen at the
-    /// snapshot point.
-    state_bytes: Bytes,
-    /// Entries in `state_bytes`, META included.
+/// A checkpoint cut awaiting its seal. The state is encoded at the cut; an
+/// aligned cut (and any source's) overtakes nothing and seals in the same
+/// step. An unaligned cut at a non-source task stays open while buffers the
+/// barrier overtook on not-yet-barriered channels accumulate here, until
+/// every input has delivered its barrier. Only then is the final image
+/// assembled and acked — completing earlier would let the JM truncate
+/// upstream in-flight logs while overtaken buffers are still on the wire.
+struct Capture {
+    /// The image as it stands with nothing overtaken: entry count, META,
+    /// state entries — frozen at the snapshot point.
+    image: Bytes,
+    /// Entries in `image`, META included, and where they start (past the
+    /// count prefix).
     state_entries: u64,
+    body_at: usize,
     /// Whether the image is a full base (vs an O(dirty) delta).
     full: bool,
     delta_parent: Option<u64>,
-    /// Overtaken buffers per input channel, in arrival (FIFO) order.
+    /// Overtaken buffers per input channel, in arrival (FIFO) order; no
+    /// channels at all for a cut that overtakes nothing.
     captured: Vec<Vec<SentBuffer>>,
     /// Tiered backend: segment manifest + newly sealed payloads, cut at the
     /// same instant as the state bytes (the deferred ack carries them).
@@ -403,10 +407,10 @@ pub struct Task {
     /// id has arrived (pruned when the capture closes / completes).
     ua_seen: BTreeMap<u64, std::collections::BTreeSet<usize>>,
     /// Unaligned mode: open captures by checkpoint id (close in id order).
-    ua_captures: BTreeMap<u64, UaCapture>,
+    ua_captures: BTreeMap<u64, Capture>,
     /// Per-channel overtaken-buffer counts in this incarnation's previous
-    /// image — delta images tombstone `new..prev` so `merge_chain` never
-    /// resurrects a stale capture.
+    /// image — delta images tombstone `new..prev` so the restore-time fold
+    /// never resurrects a stale capture.
     prev_overtaken: Vec<u32>,
     /// Times the tiered backend was (re-)enabled on this task object —
     /// folded with `gen` into the segment-id namespace so no two
@@ -1658,21 +1662,18 @@ impl Task {
         // and value state travels as segment ids + newly sealed payloads.
         let segments = self.cut_tier_segments();
         self.charge_tier_io(ctx);
-        if ctx.config.checkpoint_mode == CheckpointMode::Unaligned && !self.is_source() {
-            // Unaligned: the state cut is taken now (at first-barrier time),
-            // but the image is not sealed — records the barrier overtook on
+        let unaligned =
+            ctx.config.checkpoint_mode == CheckpointMode::Unaligned && !self.is_source();
+        let cap = self.open_capture(id, full, delta_parent, segments, unaligned);
+        if unaligned {
+            // The state cut is taken now (at first-barrier time), but the
+            // image is not sealed — records the barrier overtook on
             // not-yet-barriered channels still have to be captured into it.
             // The ack is deferred until every input channel has barriered.
-            self.open_unaligned_capture(id, full, delta_parent, segments);
+            self.ua_captures.insert(id, cap);
             self.maybe_close_unaligned_captures(ctx)?;
         } else {
-            let snapshot = self.encode_snapshot(full);
-            if full {
-                self.ckpt.full_bytes += snapshot.len() as u64;
-            } else {
-                self.ckpt.delta_bytes += snapshot.len() as u64;
-            }
-            self.send_checkpoint_ack(id, snapshot, delta_parent, segments, ctx);
+            self.close_unaligned_capture(id, cap, ctx);
         }
         // 2PC pre-commit: the cut seals every buffered transaction up to
         // this checkpoint — write them out now so they survive the sink
@@ -1690,31 +1691,6 @@ impl Task {
         Ok(())
     }
 
-    /// Encode a checkpoint image into the reusable scratch writer. The META
-    /// entry (execution-progress scalars) is written in every image — full
-    /// or delta — since those scalars change each epoch; state sections
-    /// follow in canonical order, so a full image here is byte-identical to
-    /// what `merge_chain` reconstructs from a base + its deltas.
-    fn encode_snapshot(&mut self, full: bool) -> Bytes {
-        self.snap_scratch.clear();
-        let entries = self.count_snapshot_entries(full);
-        self.snap_scratch.put_varint(entries);
-        self.write_snapshot_entries(full);
-        self.snap_scratch.take_frozen()
-    }
-
-    /// Entry count for the state portion of an image: the META entry plus
-    /// full or dirty state entries. Tiered tasks count only resident
-    /// sections — value entries live in segments, not the image.
-    fn count_snapshot_entries(&self, full: bool) -> u64 {
-        1 + match (self.state.tiering_enabled(), full) {
-            (true, true) => self.state.resident_full_entry_count(),
-            (true, false) => self.state.resident_dirty_entry_count(),
-            (false, true) => self.state.full_entry_count(),
-            (false, false) => self.state.dirty_entry_count(),
-        }
-    }
-
     /// Tiered backend barrier step: sync the dirty value change-log into a
     /// sealed L0 segment and gather the checkpoint's segment view (full live
     /// manifest + payloads sealed since the previous ack). `None` untiered.
@@ -1723,9 +1699,7 @@ impl Task {
             return None;
         }
         // Dirty value entries synced here are the O(dirty) barrier work.
-        self.ckpt.dirty_entries +=
-            self.state.dirty_entry_count() - self.state.resident_dirty_entry_count();
-        self.state.tier_sync_dirty();
+        self.ckpt.dirty_entries += self.state.tier_sync_dirty();
         let sealed = self.state.take_sealed_segments();
         let live = self.state.live_segments();
         Some(SegmentAck { live, sealed })
@@ -1740,19 +1714,36 @@ impl Task {
         }
     }
 
-    /// Write the state portion of an image (META entry + state sections in
-    /// canonical order) into `snap_scratch` at its current position — shared
-    /// by sealed aligned images and the state cut inside unaligned captures.
-    /// The caller writes the total entry count first.
-    fn write_snapshot_entries(&mut self, full: bool) {
+    /// Cut the state for checkpoint `id` now: encode the image layer (entry
+    /// count, META, state sections in canonical order) into the reusable
+    /// scratch writer and consume the change log. The META entry
+    /// (execution-progress scalars) is written in every layer — full or
+    /// delta — since those scalars change each epoch; a tiered store leaves
+    /// its values to the segments cut beside the layer. With `overtaking`
+    /// (an unaligned cut) every input channel's still-queued buffers from
+    /// epochs `<= id` are unconsumed at this cut and therefore belong to the
+    /// capture; channels that have not barriered yet keep feeding it as data
+    /// arrives (`on_data`).
+    fn open_capture(
+        &mut self,
+        id: u64,
+        full: bool,
+        delta_parent: Option<u64>,
+        segments: Option<SegmentAck>,
+        overtaking: bool,
+    ) -> Capture {
         let source_offset = self.source_offset();
         let max_event_time = match &self.role {
             Role::Source { max_event_time, .. } => *max_event_time,
             _ => 0,
         };
+        let state_entries = 1 + self.state.entry_count(full);
         if !full {
-            self.ckpt.dirty_entries += self.state.dirty_entry_count();
+            self.ckpt.dirty_entries += state_entries - 1;
         }
+        self.snap_scratch.clear();
+        self.snap_scratch.put_varint(state_entries);
+        let body_at = self.snap_scratch.len();
         let pos = deltamap::write_put_header(&mut self.snap_scratch, SEC_META, &[]);
         self.snap_scratch.put_varint(self.emit_seq);
         self.snap_scratch.put_varint(source_offset);
@@ -1763,54 +1754,25 @@ impl Task {
             self.snap_scratch.put_varint(c.watermark);
         }
         self.snap_scratch.end_u32_len(pos);
-        match (self.state.tiering_enabled(), full) {
-            (true, true) => {
-                self.state.write_resident_full_entries(&mut self.snap_scratch);
-                self.state.clear_dirty();
-            }
-            (true, false) => self.state.write_resident_dirty_entries(&mut self.snap_scratch),
-            (false, true) => {
-                self.state.write_full_entries(&mut self.snap_scratch);
-                self.state.clear_dirty();
-            }
-            (false, false) => self.state.write_dirty_entries(&mut self.snap_scratch),
-        }
-    }
-
-    /// Unaligned mode: cut the state for checkpoint `id` now and start
-    /// collecting the records its barrier overtakes. The state bytes are
-    /// encoded immediately (the cut is at first-barrier time, exactly like
-    /// the aligned snapshot point); every input channel's still-queued
-    /// buffers from epochs `<= id` are unconsumed at this cut and therefore
-    /// belong to the capture. Channels that have not barriered yet keep
-    /// feeding the capture as data arrives (`on_data`).
-    fn open_unaligned_capture(
-        &mut self,
-        id: u64,
-        full: bool,
-        delta_parent: Option<u64>,
-        segments: Option<SegmentAck>,
-    ) {
-        self.snap_scratch.clear();
-        let state_entries = self.count_snapshot_entries(full);
-        self.write_snapshot_entries(full);
-        let state_bytes = self.snap_scratch.take_frozen();
-        let mut captured: Vec<Vec<SentBuffer>> = vec![Vec::new(); self.ins.len()];
-        for (ch, c) in self.ins.iter().enumerate() {
-            for buf in &c.pending {
-                if buf.epoch <= id {
-                    debug_assert!(
-                        barrier_only(&buf.payload).is_none(),
-                        "barrier buffers must never enter pending in unaligned mode"
-                    );
-                    captured[ch].push(buf.clone());
+        self.state.write_entries(full, &mut self.snap_scratch);
+        self.state.clear_dirty();
+        let image = self.snap_scratch.take_frozen();
+        let mut captured: Vec<Vec<SentBuffer>> = Vec::new();
+        if overtaking {
+            captured.resize(self.ins.len(), Vec::new());
+            for (ch, c) in self.ins.iter().enumerate() {
+                for buf in &c.pending {
+                    if buf.epoch <= id {
+                        debug_assert!(
+                            barrier_only(&buf.payload).is_none(),
+                            "barrier buffers must never enter pending in unaligned mode"
+                        );
+                        captured[ch].push(buf.clone());
+                    }
                 }
             }
         }
-        self.ua_captures.insert(
-            id,
-            UaCapture { state_bytes, state_entries, full, delta_parent, captured, segments },
-        );
+        Capture { image, state_entries, body_at, full, delta_parent, captured, segments }
     }
 
     /// Seal and ack every open capture whose barriers have all arrived, in
@@ -1832,51 +1794,63 @@ impl Task {
         }
     }
 
-    /// Append the overtaken-record section to the capture's state cut,
-    /// producing the sealed image, and ack it to the JM. Delta images also
+    /// Seal a capture and ack it to the JM — the only place a task image is
+    /// sealed. With nothing overtaken (every aligned cut) the state cut
+    /// already is the image; otherwise the overtaken-record section is
+    /// appended behind it under a corrected entry count. Delta images also
     /// write tombstones for the previous checkpoint's now-stale capture
-    /// slots so `merge_chain` cannot resurrect them.
-    fn close_unaligned_capture(&mut self, id: u64, cap: UaCapture, ctx: &mut TaskCtx<'_>) {
-        let UaCapture { state_bytes, state_entries, full, delta_parent, captured, segments } = cap;
-        let mut entries = state_entries;
+    /// slots so the restore-time fold cannot resurrect them.
+    fn close_unaligned_capture(&mut self, id: u64, cap: Capture, ctx: &mut TaskCtx<'_>) {
+        let Capture { image, state_entries, body_at, full, delta_parent, captured, segments } =
+            cap;
+        let mut extra = 0u64;
         for (ch, bufs) in captured.iter().enumerate() {
-            let prev = if full { bufs.len() } else { self.prev_overtaken[ch] as usize };
-            entries += bufs.len() as u64 + prev.saturating_sub(bufs.len()) as u64;
+            let prev = if full { 0 } else { self.prev_overtaken[ch] as usize };
+            extra += bufs.len().max(prev) as u64;
         }
-        self.snap_scratch.clear();
-        self.snap_scratch.put_varint(entries);
-        self.snap_scratch.put_raw(&state_bytes);
-        let sec_start = self.snap_scratch.len();
-        for (ch, bufs) in captured.iter().enumerate() {
-            let mut key = [0u8; 6];
-            key[..2].copy_from_slice(&(ch as u16).to_be_bytes());
-            for (seq, buf) in bufs.iter().enumerate() {
-                key[2..].copy_from_slice(&(seq as u32).to_be_bytes());
-                let pos =
-                    deltamap::write_put_header(&mut self.snap_scratch, deltamap::SEC_OVERTAKEN, &key);
-                self.snap_scratch.put_varint(buf.epoch);
-                self.snap_scratch.put_varint(buf.records as u64);
-                self.snap_scratch.put_varint(buf.delta.len() as u64);
-                self.snap_scratch.put_raw(&buf.delta);
-                self.snap_scratch.put_raw(&buf.payload);
-                self.snap_scratch.end_u32_len(pos);
-                self.ckpt.overtaken_records += buf.records as u64;
-            }
-            if !full {
-                // Tombstone the previous capture's higher slots.
-                for seq in bufs.len()..self.prev_overtaken[ch] as usize {
+        let snapshot = if extra == 0 {
+            image
+        } else {
+            self.snap_scratch.clear();
+            self.snap_scratch.put_varint(state_entries + extra);
+            self.snap_scratch.put_raw(&image[body_at..]);
+            let sec_start = self.snap_scratch.len();
+            for (ch, bufs) in captured.iter().enumerate() {
+                let mut key = [0u8; 6];
+                key[..2].copy_from_slice(&(ch as u16).to_be_bytes());
+                for (seq, buf) in bufs.iter().enumerate() {
                     key[2..].copy_from_slice(&(seq as u32).to_be_bytes());
-                    deltamap::write_tombstone(
+                    let pos = deltamap::write_put_header(
                         &mut self.snap_scratch,
                         deltamap::SEC_OVERTAKEN,
                         &key,
                     );
+                    self.snap_scratch.put_varint(buf.epoch);
+                    self.snap_scratch.put_varint(buf.records as u64);
+                    self.snap_scratch.put_varint(buf.delta.len() as u64);
+                    self.snap_scratch.put_raw(&buf.delta);
+                    self.snap_scratch.put_raw(&buf.payload);
+                    self.snap_scratch.end_u32_len(pos);
+                    self.ckpt.overtaken_records += buf.records as u64;
+                }
+                if !full {
+                    // Tombstone the previous capture's higher slots.
+                    for seq in bufs.len()..self.prev_overtaken[ch] as usize {
+                        key[2..].copy_from_slice(&(seq as u32).to_be_bytes());
+                        deltamap::write_tombstone(
+                            &mut self.snap_scratch,
+                            deltamap::SEC_OVERTAKEN,
+                            &key,
+                        );
+                    }
                 }
             }
-            self.prev_overtaken[ch] = bufs.len() as u32;
+            self.ckpt.overtaken_bytes += (self.snap_scratch.len() - sec_start) as u64;
+            self.snap_scratch.take_frozen()
+        };
+        for (prev, bufs) in self.prev_overtaken.iter_mut().zip(&captured) {
+            *prev = bufs.len() as u32;
         }
-        self.ckpt.overtaken_bytes += (self.snap_scratch.len() - sec_start) as u64;
-        let snapshot = self.snap_scratch.take_frozen();
         if full {
             self.ckpt.full_bytes += snapshot.len() as u64;
         } else {

@@ -9,10 +9,10 @@
 //! canonical `(section, key)` order; a **delta** contains puts for entries
 //! mutated since the parent image and tombstones for entries removed.
 //!
-//! [`merge_chain`] applies deltas (oldest first) on top of a base image and
-//! re-encodes the canonical full image — byte-identical to a full snapshot
-//! taken at the same epoch, which is the property the engine's incremental
-//! checkpointing tests pin down.
+//! [`fold_layers`] applies layers (oldest first) on top of each other and
+//! re-encodes the canonical image — with tombstones dropped, byte-identical
+//! to a full snapshot taken at the same epoch, which is the property the
+//! engine's incremental checkpointing tests pin down.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use bytes::Bytes;
@@ -108,59 +108,33 @@ pub fn read_entries(bytes: &[u8]) -> Result<Vec<EntryRef<'_>>, CodecError> {
     Ok(out)
 }
 
-/// Apply `deltas` (oldest first) on top of the full image `base` and encode
-/// the resulting canonical full image: entries sorted by `(section, key)`,
-/// all puts. Errors on any malformed layer rather than panicking — chain
-/// reconstruction sits on the recovery path.
-pub fn merge_chain<'a>(base: &'a [u8], deltas: &[&'a [u8]]) -> Result<Bytes, CodecError> {
-    let mut layers: Vec<Vec<EntryRef<'a>>> = Vec::with_capacity(deltas.len() + 1);
-    layers.push(read_entries(base)?);
-    for d in deltas {
-        layers.push(read_entries(d)?);
-    }
-    let mut map: BTreeMap<(u8, &[u8]), &[u8]> = BTreeMap::new();
-    for layer in &layers {
-        for e in layer {
-            match e.value {
-                Some(v) => {
-                    map.insert((e.section, e.key), v);
-                }
-                None => {
-                    map.remove(&(e.section, e.key));
-                }
-            }
-        }
-    }
-    let total: usize =
-        map.iter().map(|(&(_, k), &v)| 7 + k.len() + v.len()).sum::<usize>() + 10;
-    let mut w = ByteWriter::with_capacity(total);
-    w.put_varint(map.len() as u64);
-    for (&(section, key), &value) in &map {
-        write_put(&mut w, section, key, value);
-    }
-    Ok(w.freeze())
+/// Apply `deltas` (oldest first) on top of the full image `base`: the
+/// two-argument spelling of [`fold_layers`] with tombstones dropped.
+pub fn merge_chain(base: &[u8], deltas: &[&[u8]]) -> Result<Bytes, CodecError> {
+    let layers: Vec<&[u8]> = std::iter::once(base).chain(deltas.iter().copied()).collect();
+    fold_layers(&layers, true)
 }
 
-/// Fold `layers` (oldest first) into one image, like [`merge_chain`] but
-/// with explicit control over tombstones. With `drop_tombstones = false` the
-/// output *retains* a tombstone for every `(section, key)` whose newest entry
-/// is a delete — required when compacting LSM levels that still have older
-/// data beneath them, where dropping the tombstone would resurrect a deleted
-/// key. With `drop_tombstones = true` the result is byte-identical to
-/// `merge_chain(layers[0], &layers[1..])`.
+/// Fold `layers` (oldest first) into one canonical image: entries sorted by
+/// `(section, key)`, the newest layer's entry winning. This is the only place
+/// an image is built from layers. With `drop_tombstones = true` the result is
+/// a full image (all puts) — byte-identical to a full snapshot taken at the
+/// newest layer's epoch. With `drop_tombstones = false` the output *retains*
+/// a tombstone for every `(section, key)` whose newest entry is a delete —
+/// required when compacting LSM levels that still have older data beneath
+/// them, where dropping the tombstone would resurrect a deleted key. Errors
+/// on any malformed layer rather than panicking — the fold sits on the
+/// recovery path.
 pub fn fold_layers(layers: &[&[u8]], drop_tombstones: bool) -> Result<Bytes, CodecError> {
-    let mut decoded: Vec<Vec<EntryRef<'_>>> = Vec::with_capacity(layers.len());
-    for l in layers {
-        decoded.push(read_entries(l)?);
-    }
     let mut map: BTreeMap<(u8, &[u8]), Option<&[u8]>> = BTreeMap::new();
-    for layer in &decoded {
-        for e in layer {
-            map.insert((e.section, e.key), e.value);
+    for layer in layers {
+        for e in read_entries(layer)? {
+            if drop_tombstones && e.value.is_none() {
+                map.remove(&(e.section, e.key));
+            } else {
+                map.insert((e.section, e.key), e.value);
+            }
         }
-    }
-    if drop_tombstones {
-        map.retain(|_, v| v.is_some());
     }
     let total: usize = map
         .iter()
@@ -192,6 +166,30 @@ mod tests {
                 Some(v) => write_put(&mut w, section, key, v),
                 None => write_tombstone(&mut w, section, key),
             }
+        }
+        w.freeze()
+    }
+
+    type Owned = (u8, Vec<u8>, Option<Vec<u8>>);
+
+    /// The model fold the proptests compare the codec against: apply entries
+    /// in order to a map (tombstones remove), encode what is left.
+    fn canonical(entries: &[Owned]) -> Bytes {
+        let mut map: BTreeMap<(u8, &[u8]), &[u8]> = BTreeMap::new();
+        for (s, k, v) in entries {
+            match v {
+                Some(v) => {
+                    map.insert((*s, k.as_slice()), v.as_slice());
+                }
+                None => {
+                    map.remove(&(*s, k.as_slice()));
+                }
+            }
+        }
+        let mut w = ByteWriter::new();
+        w.put_varint(map.len() as u64);
+        for (&(section, key), &value) in &map {
+            write_put(&mut w, section, key, value);
         }
         w.freeze()
     }
@@ -250,6 +248,19 @@ mod tests {
         w.put_varint(0);
         w.put_u8(7);
         assert!(read_entries(&w.freeze()).is_err());
+        // A damaged layer anywhere in a stack: every truncation is an error,
+        // and no bit flip panics (some still decode, to a different image).
+        let base = image(&[(1, b"a", Some(b"1")), (2, b"bb", Some(b"22"))]);
+        let delta = image(&[(1, b"a", None), (5, b"\0\0\0\0\0\0", Some(b"buffer"))]);
+        for cut in 0..delta.len() {
+            assert!(fold_layers(&[&base, &delta[..cut]], true).is_err(), "cut at {cut}");
+            assert!(fold_layers(&[&delta[..cut], &base], false).is_err(), "cut at {cut}");
+        }
+        for bit in 0..delta.len() * 8 {
+            let mut flipped = delta.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = fold_layers(&[&base, &flipped], true);
+        }
     }
 
     /// Strategy pieces for the overtaken-section property: an image mixes
@@ -258,8 +269,6 @@ mod tests {
     mod overtaken_props {
         use super::*;
         use proptest::prelude::*;
-
-        type Owned = (u8, Vec<u8>, Option<Vec<u8>>);
 
         fn state_entry() -> impl Strategy<Value = Owned> {
             (
@@ -279,26 +288,6 @@ mod tests {
                     (SEC_OVERTAKEN, key, Some(v))
                 },
             )
-        }
-
-        fn canonical(entries: &[Owned]) -> Bytes {
-            let mut map: BTreeMap<(u8, &[u8]), &[u8]> = BTreeMap::new();
-            for (s, k, v) in entries {
-                match v {
-                    Some(v) => {
-                        map.insert((*s, k.as_slice()), v.as_slice());
-                    }
-                    None => {
-                        map.remove(&(*s, k.as_slice()));
-                    }
-                }
-            }
-            let mut w = ByteWriter::new();
-            w.put_varint(map.len() as u64);
-            for (&(section, key), &value) in &map {
-                write_put(&mut w, section, key, value);
-            }
-            w.freeze()
         }
 
         proptest! {
@@ -394,10 +383,12 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn layer() -> impl Strategy<Value = Vec<(u8, Vec<u8>, Option<Vec<u8>>)>> {
+        /// A layer over `sections`: puts and tombstones on a small key space,
+        /// so layers overwrite and delete each other's entries.
+        fn layer(sections: std::ops::RangeInclusive<u8>) -> impl Strategy<Value = Vec<Owned>> {
             proptest::collection::vec(
                 (
-                    0u8..=2,
+                    sections,
                     proptest::collection::vec(0u8..4, 1..4),
                     proptest::option::of(proptest::collection::vec(any::<u8>(), 0..8)),
                 ),
@@ -405,15 +396,10 @@ mod tests {
             )
         }
 
-        proptest! {
-            /// `fold_layers(.., true)` is byte-identical to `merge_chain` —
-            /// the compaction-at-bottom fast path matches recovery-path
-            /// reconstruction exactly.
-            #[test]
-            fn drop_tombstones_matches_merge_chain(
-                layers in proptest::collection::vec(layer(), 1..5),
-            ) {
-                let encoded: Vec<Bytes> = layers.iter().map(|l| {
+        fn encode(layers: &[Vec<Owned>]) -> Vec<Bytes> {
+            layers
+                .iter()
+                .map(|l| {
                     let mut w = ByteWriter::new();
                     w.put_varint(l.len() as u64);
                     for (s, k, v) in l {
@@ -423,41 +409,51 @@ mod tests {
                         }
                     }
                     w.freeze()
-                }).collect();
+                })
+                .collect()
+        }
+
+        proptest! {
+            /// `fold_layers(.., true)` is byte-identical to the model fold of
+            /// the layers' entries taken in order.
+            #[test]
+            fn drop_tombstones_matches_model_fold(
+                layers in proptest::collection::vec(layer(0..=2), 1..5),
+            ) {
+                let encoded = encode(&layers);
                 let refs: Vec<&[u8]> = encoded.iter().map(|b| b.as_ref()).collect();
-                let folded = fold_layers(&refs, true).unwrap();
-                let merged = merge_chain(refs[0], &refs[1..]).unwrap();
-                prop_assert_eq!(folded, merged);
+                prop_assert_eq!(fold_layers(&refs, true).unwrap(), canonical(&layers.concat()));
             }
 
-            /// Folding in two steps (with tombstones retained in the middle)
-            /// then dropping equals folding once — compaction staging never
-            /// changes the final image.
+            /// Folding in two steps then dropping equals folding once —
+            /// staging never changes the final image. `chain` is split at an
+            /// arbitrary point with tombstones retained in the middle (LSM
+            /// compaction); `segments` (their own section, as tier segments
+            /// have) go under the chain either as more layers of one fold or
+            /// under the already-folded chain (how the snapshot store used to
+            /// read a tiered checkpoint).
             #[test]
             fn staged_fold_equals_single_fold(
-                layers in proptest::collection::vec(layer(), 2..6),
+                segments in proptest::collection::vec(layer(3..=3), 0..3),
+                chain in proptest::collection::vec(layer(0..=2), 2..6),
                 split in 1usize..5,
             ) {
-                let encoded: Vec<Bytes> = layers.iter().map(|l| {
-                    let mut w = ByteWriter::new();
-                    w.put_varint(l.len() as u64);
-                    for (s, k, v) in l {
-                        match v {
-                            Some(v) => write_put(&mut w, *s, k, v),
-                            None => write_tombstone(&mut w, *s, k),
-                        }
-                    }
-                    w.freeze()
-                }).collect();
-                let refs: Vec<&[u8]> = encoded.iter().map(|b| b.as_ref()).collect();
-                let split = split.min(refs.len() - 1);
-                let mid = fold_layers(&refs[..split], false).unwrap();
-                let mut staged: Vec<&[u8]> = vec![&mid];
-                staged.extend_from_slice(&refs[split..]);
-                prop_assert_eq!(
-                    fold_layers(&staged, true).unwrap(),
-                    fold_layers(&refs, true).unwrap()
-                );
+                let (segments, chain) = (encode(&segments), encode(&chain));
+                let segments: Vec<&[u8]> = segments.iter().map(|b| b.as_ref()).collect();
+                let chain: Vec<&[u8]> = chain.iter().map(|b| b.as_ref()).collect();
+                let single = fold_layers(&[segments.clone(), chain.clone()].concat(), true).unwrap();
+
+                let split = split.min(chain.len() - 1);
+                let mid = fold_layers(&chain[..split], false).unwrap();
+                let mut staged: Vec<&[u8]> = segments.clone();
+                staged.push(&mid);
+                staged.extend_from_slice(&chain[split..]);
+                prop_assert_eq!(fold_layers(&staged, true).unwrap(), single.clone());
+
+                let folded_chain = fold_layers(&chain, true).unwrap();
+                let mut under: Vec<&[u8]> = segments;
+                under.push(&folded_chain);
+                prop_assert_eq!(fold_layers(&under, true).unwrap(), single);
             }
         }
     }

@@ -5,12 +5,14 @@
 //! snapshot "should not take longer to dispatch to a standby task than the
 //! job's checkpoint frequency".
 //!
-//! With incremental checkpointing a stored blob is either a full **base**
-//! image or a **delta** referencing its parent checkpoint; `get` walks the
-//! chain back to the base and reconstructs the full image via
-//! [`crate::deltamap::merge_chain`]. Writes are charged transfer cost for the
-//! blob actually shipped — deltas cost O(dirty), which is what keeps the
-//! §6.4 dispatch-time-vs-checkpoint-interval bound honest under large state.
+//! A checkpoint image is stored as a **stack of deltamap layers**: the
+//! checkpoint's live tier segments (tiered tasks only), then the base blob,
+//! then each delta blob up to the checkpoint's own. Nothing here keeps a
+//! folded copy; `get` folds the stack once, via
+//! [`crate::deltamap::fold_layers`], when a task is restored. Writes are
+//! charged transfer cost for the layer actually shipped — deltas cost
+//! O(dirty), which is what keeps the §6.4 dispatch-time-vs-checkpoint-interval
+//! bound honest under large state.
 
 use crate::deltamap;
 use bytes::Bytes;
@@ -51,28 +53,12 @@ impl Default for TransferModel {
     }
 }
 
-/// One stored snapshot: a self-contained full image, or a delta whose full
-/// image is `parent`'s image with the delta's entries applied on top.
+/// One stored layer: `parent` is `None` for a self-contained base image, or
+/// the checkpoint whose image these bytes apply on top of.
 #[derive(Clone, Debug)]
-pub enum SnapshotBlob {
-    Base(Bytes),
-    Delta { parent: SnapshotId, bytes: Bytes },
-}
-
-impl SnapshotBlob {
-    pub fn bytes(&self) -> &Bytes {
-        match self {
-            SnapshotBlob::Base(b) => b,
-            SnapshotBlob::Delta { bytes, .. } => bytes,
-        }
-    }
-
-    pub fn parent(&self) -> Option<SnapshotId> {
-        match self {
-            SnapshotBlob::Base(_) => None,
-            SnapshotBlob::Delta { parent, .. } => Some(*parent),
-        }
-    }
+pub struct SnapshotBlob {
+    pub bytes: Bytes,
+    pub parent: Option<SnapshotId>,
 }
 
 /// The store itself.
@@ -81,9 +67,9 @@ impl SnapshotBlob {
 /// **by id**: the ack ships each segment payload exactly once (into the
 /// `segments` arena, keyed `(task, segment id)` and refcounted), and every
 /// checkpoint records its authoritative live-segment list in
-/// `segment_refs`. Reconstruction folds the referenced segment payloads
-/// (oldest first) under the resident image; GC drops an arena payload only
-/// when the last checkpoint referencing it is truncated.
+/// `segment_refs`. The referenced payloads are the oldest layers of that
+/// checkpoint's image; GC drops an arena payload only when the last
+/// checkpoint referencing it is truncated.
 #[derive(Debug, Default)]
 pub struct SnapshotStore {
     snapshots: BTreeMap<(SnapshotId, u64), SnapshotBlob>,
@@ -118,10 +104,7 @@ impl SnapshotStore {
         task: u64,
         state: Bytes,
     ) -> VirtualTime {
-        let done = now + self.model.transfer_time(state.len() as u64);
-        self.snapshots.insert((checkpoint, task), SnapshotBlob::Base(state));
-        self.writes += 1;
-        done
+        self.insert(now, checkpoint, task, None, state)
     }
 
     /// Persist a delta on top of `parent`'s image. Only the delta bytes are
@@ -135,10 +118,21 @@ impl SnapshotStore {
         parent: SnapshotId,
         delta: Bytes,
     ) -> VirtualTime {
-        let done = now + self.model.transfer_time(delta.len() as u64);
-        self.snapshots.insert((checkpoint, task), SnapshotBlob::Delta { parent, bytes: delta });
+        self.insert(now, checkpoint, task, Some(parent), delta)
+    }
+
+    fn insert(
+        &mut self,
+        now: VirtualTime,
+        checkpoint: SnapshotId,
+        task: u64,
+        parent: Option<SnapshotId>,
+        bytes: Bytes,
+    ) -> VirtualTime {
+        let done = now + self.model.transfer_time(bytes.len() as u64);
+        self.snapshots.insert((checkpoint, task), SnapshotBlob { bytes, parent });
         self.writes += 1;
-        self.delta_writes += 1;
+        self.delta_writes += u64::from(parent.is_some());
         done
     }
 
@@ -190,80 +184,90 @@ impl SnapshotStore {
         }
     }
 
-    /// Does this checkpoint reference tier segments? (Standby delta
-    /// dispatch must fall back to full reconstruction when it does.)
-    pub fn has_segments(&self, checkpoint: SnapshotId, task: u64) -> bool {
-        self.segment_refs.contains_key(&(checkpoint, task))
+    /// The newest layer of `(checkpoint, task)`'s image — what a holder of
+    /// its parent's image still lacks: the blob, and the payload bytes of the
+    /// live segments the parent does not list (all of them under a base).
+    pub fn newest_layer(&self, checkpoint: SnapshotId, task: u64) -> Option<(&SnapshotBlob, u64)> {
+        let blob = self.snapshots.get(&(checkpoint, task))?;
+        let live = |cp| self.segment_refs.get(&(cp, task)).map_or(&[][..], Vec::as_slice);
+        let held = blob.parent.map_or(&[][..], live);
+        let fresh = live(checkpoint).iter().filter(|id| !held.contains(id));
+        let payloads = fresh.filter_map(|id| Some(self.segments.get(&(task, *id))?.0.len() as u64));
+        Some((blob, payloads.sum()))
     }
 
-    /// The raw stored blob, if any (standby dispatch ships deltas directly).
-    pub fn blob(&self, checkpoint: SnapshotId, task: u64) -> Option<&SnapshotBlob> {
-        self.snapshots.get(&(checkpoint, task))
+    /// `(checkpoint, task)`'s blob and its ancestors, newest first, following
+    /// parent pointers until a base, a missing link or the hop limit.
+    fn chain(
+        &self,
+        checkpoint: SnapshotId,
+        task: u64,
+    ) -> impl Iterator<Item = (SnapshotId, &SnapshotBlob)> {
+        let at = move |cp| self.snapshots.get(&(cp, task)).map(|blob| (cp, blob));
+        std::iter::successors(at(checkpoint), move |(_, blob)| at(blob.parent?)).take(MAX_CHAIN_LEN)
     }
 
-    /// Blobs from `(checkpoint, task)` back to (and including) its base,
-    /// newest first. `None` if any link of the chain is missing.
-    fn chain(&self, checkpoint: SnapshotId, task: u64) -> Option<Vec<&SnapshotBlob>> {
-        let mut out = Vec::new();
-        let mut cp = checkpoint;
-        loop {
-            if out.len() >= MAX_CHAIN_LEN {
-                return None;
-            }
-            let blob = self.snapshots.get(&(cp, task))?;
-            out.push(blob);
-            match blob.parent() {
-                Some(parent) => cp = parent,
-                None => return Some(out),
+    /// The image of `(checkpoint, task)` as its layers, oldest first: the
+    /// checkpoint's live tier segments, then the blob chain from the base up
+    /// to the checkpoint's own blob. Also returns how many of the layers are
+    /// segments (`None` for an untiered checkpoint). `None` if a chain link
+    /// or a referenced payload is missing.
+    fn layers(&self, checkpoint: SnapshotId, task: u64) -> Option<(Vec<&Bytes>, Option<usize>)> {
+        let chain: Vec<&SnapshotBlob> = self.chain(checkpoint, task).map(|(_, b)| b).collect();
+        // The walk must have ended at a base, not at a gap or the hop limit.
+        if chain.last()?.parent.is_some() {
+            return None;
+        }
+        let live = self.segment_refs.get(&(checkpoint, task));
+        let mut layers = Vec::with_capacity(live.map_or(0, Vec::len) + chain.len());
+        for id in live.into_iter().flatten() {
+            layers.push(&self.segments.get(&(task, *id))?.0);
+        }
+        layers.extend(chain.iter().rev().map(|b| &b.bytes));
+        Some((layers, live.map(Vec::len)))
+    }
+
+    /// Fold a layer stack into the full image. Sections are disjoint between
+    /// segments (values) and blobs (everything else), so one pass over the
+    /// whole stack yields the canonical image, byte-identical to an untiered
+    /// full snapshot. A lone base blob already is that image.
+    fn fold(layers: &[&Bytes]) -> Option<Bytes> {
+        match layers {
+            [base] => Some((*base).clone()),
+            _ => {
+                let refs: Vec<&[u8]> = layers.iter().map(|b| b.as_ref()).collect();
+                deltamap::fold_layers(&refs, true).ok()
             }
         }
     }
 
-    /// Fetch a task's *full* image for a checkpoint, reconstructing it from
-    /// the base + delta chain when necessary; returns the bytes plus the
-    /// modelled completion time of reading the whole chain starting at `now`.
+    /// A task's full image for a checkpoint as [`Self::get`] returns it, for
+    /// a reader that already holds the layers (an activated standby): no
+    /// transfer is charged and no read is counted. `None` if a layer is
+    /// missing or does not decode.
+    pub fn image(&self, checkpoint: SnapshotId, task: u64) -> Option<Bytes> {
+        Self::fold(&self.layers(checkpoint, task)?.0)
+    }
+
+    /// Fetch a task's *full* image for a checkpoint, folding its layer stack
+    /// when it has more than the base; returns the bytes plus the modelled
+    /// completion time of reading every layer starting at `now` (blob chain
+    /// and segment payloads are two transfers).
     pub fn get(
         &mut self,
         now: VirtualTime,
         checkpoint: SnapshotId,
         task: u64,
     ) -> Option<(Bytes, VirtualTime)> {
-        let chain = self.chain(checkpoint, task)?;
-        let total: u64 = chain.iter().map(|b| b.bytes().len() as u64).sum();
-        let mut done = now + self.model.transfer_time(total);
-        let mut reconstructed = chain.len() > 1;
-        let image = match chain.as_slice() {
-            [SnapshotBlob::Base(b)] => b.clone(),
-            _ => {
-                // chain is newest-first; merge wants base then deltas.
-                let base = chain.last()?.bytes();
-                let deltas: Vec<&[u8]> =
-                    chain.iter().rev().skip(1).map(|b| b.bytes().as_ref()).collect();
-                deltamap::merge_chain(base, &deltas).ok()?
-            }
-        };
-        // Tiered checkpoints: fold the referenced segment payloads (already
-        // in fold order, oldest first) under the resident image. Sections
-        // are disjoint — segments hold the values section, the resident
-        // image everything else — so the merge yields the canonical full
-        // image, byte-identical to an untiered snapshot.
-        let image = match self.segment_refs.get(&(checkpoint, task)).cloned() {
-            None => image,
-            Some(live) => {
-                let mut layers: Vec<Bytes> = Vec::with_capacity(live.len() + 1);
-                let mut seg_bytes = 0u64;
-                for id in &live {
-                    let (b, _) = self.segments.get(&(task, *id))?;
-                    seg_bytes += b.len() as u64;
-                    layers.push(b.clone());
-                }
-                layers.push(image);
-                done += self.model.transfer_time(seg_bytes);
-                reconstructed = true;
-                let refs: Vec<&[u8]> = layers.iter().map(|b| b.as_ref()).collect();
-                deltamap::fold_layers(&refs, true).ok()?
-            }
-        };
+        let (layers, segments) = self.layers(checkpoint, task)?;
+        let size = |ls: &[&Bytes]| ls.iter().map(|b| b.len() as u64).sum::<u64>();
+        let (segs, chain) = layers.split_at(segments.unwrap_or(0));
+        let mut done = now + self.model.transfer_time(size(chain));
+        if segments.is_some() {
+            done += self.model.transfer_time(size(segs));
+        }
+        let reconstructed = chain.len() > 1 || segments.is_some();
+        let image = Self::fold(&layers)?;
         if reconstructed {
             self.reconstructions += 1;
             self.reconstruct_us += done.saturating_sub(now).as_micros();
@@ -283,18 +287,10 @@ impl SnapshotStore {
     /// chain, the next GC collects the whole superseded chain.
     pub fn truncate_before(&mut self, keep_from: SnapshotId) {
         let mut keep: BTreeSet<(SnapshotId, u64)> = BTreeSet::new();
-        for &(cp, task) in self.snapshots.keys() {
-            if cp < keep_from {
-                continue;
-            }
-            let mut cur = (cp, task);
-            for _ in 0..MAX_CHAIN_LEN {
-                if !keep.insert(cur) {
+        for &(cp, task) in self.snapshots.keys().filter(|k| k.0 >= keep_from) {
+            for (ancestor, _) in self.chain(cp, task) {
+                if !keep.insert((ancestor, task)) {
                     break;
-                }
-                match self.snapshots.get(&cur).and_then(|b| b.parent()) {
-                    Some(parent) => cur = (parent, task),
-                    None => break,
                 }
             }
         }
@@ -316,7 +312,7 @@ impl SnapshotStore {
     }
 
     pub fn total_bytes(&self) -> u64 {
-        let blob: u64 = self.snapshots.values().map(|b| b.bytes().len() as u64).sum();
+        let blob: u64 = self.snapshots.values().map(|b| b.bytes.len() as u64).sum();
         blob + self.segment_arena_bytes()
     }
 
@@ -348,7 +344,7 @@ impl SnapshotStore {
         self.reads
     }
 
-    /// Reads that had to merge a base + delta chain into a full image.
+    /// Reads that had to fold more than a lone base blob into a full image.
     pub fn reconstructions(&self) -> u64 {
         self.reconstructions
     }
@@ -430,8 +426,12 @@ mod tests {
         s.put(VirtualTime::ZERO, 1, 7, image(&[(1, b"a", Some(b"1")), (1, b"b", Some(b"2"))]));
         s.put_delta(VirtualTime::ZERO, 2, 7, 1, image(&[(1, b"b", None), (1, b"c", Some(b"3"))]));
         s.put_delta(VirtualTime::ZERO, 3, 7, 2, image(&[(1, b"a", Some(b"9"))]));
+        // The uncharged read folds the same image and leaves no trace.
+        let unread = s.image(3, 7).unwrap();
+        assert_eq!((s.reads(), s.reconstructions()), (0, 0));
         let (img, _) = s.get(VirtualTime::ZERO, 3, 7).unwrap();
         assert_eq!(img, image(&[(1, b"a", Some(b"9")), (1, b"c", Some(b"3"))]));
+        assert_eq!(unread, img);
         // Intermediate chain members reconstruct too.
         let (img2, _) = s.get(VirtualTime::ZERO, 2, 7).unwrap();
         assert_eq!(img2, image(&[(1, b"a", Some(b"1")), (1, b"c", Some(b"3"))]));
@@ -448,6 +448,12 @@ mod tests {
         // Self-referential parent pointer terminates via the hop limit.
         s.put_delta(VirtualTime::ZERO, 5, 7, 5, image(&[]));
         assert!(s.get(VirtualTime::ZERO, 5, 7).is_none());
+        assert!(s.image(5, 7).is_none());
+        // So does a layer that does not decode.
+        s.put(VirtualTime::ZERO, 8, 7, image(&[(1, b"a", Some(b"1"))]));
+        s.put_delta(VirtualTime::ZERO, 9, 7, 8, Bytes::from_static(b"\x01garbage"));
+        assert!(s.get(VirtualTime::ZERO, 9, 7).is_none());
+        assert!(s.image(9, 7).is_none());
     }
 
     #[test]
@@ -507,6 +513,7 @@ mod tests {
         let seg_a = image(&[(1, b"a", Some(b"1"))]);
         let seg_b = image(&[(1, b"b", Some(b"2"))]);
         let seg_c = image(&[(1, b"c", Some(b"3"))]);
+        let (seg_a_len, seg_b_len) = (seg_a.len() as u64, seg_b.len() as u64);
         // cp1: base, seals A. cp2: delta on 1, seals B, live [A, B].
         // cp3: delta on 2, seals nothing, live [A, B].
         s.put(VirtualTime::ZERO, 1, 7, image(&[(0, b"", Some(b"m1"))]));
@@ -515,6 +522,13 @@ mod tests {
         s.put_segments(2, 7, vec![1, 2], vec![(2, seg_b)]);
         s.put_delta(VirtualTime::ZERO, 3, 7, 2, image(&[(0, b"", Some(b"m3"))]));
         s.put_segments(3, 7, vec![1, 2], vec![]);
+        // A holder of the parent lacks only what was sealed since: B for
+        // cp2, nothing for cp3, and under the base cp1 all of A.
+        let lacks = |s: &SnapshotStore, cp| s.newest_layer(cp, 7).map(|(b, segs)| (b.parent, segs));
+        assert_eq!(lacks(&s, 1), Some((None, seg_a_len)));
+        assert_eq!(lacks(&s, 2), Some((Some(1), seg_b_len)));
+        assert_eq!(lacks(&s, 3), Some((Some(2), 0)));
+        assert_eq!(lacks(&s, 9), None);
         // Truncating to cp2 keeps the chain (cp1 anchors it) and thus every
         // segment reference.
         s.truncate_before(2);

@@ -58,4 +58,11 @@ if allocs > ceiling:
 print(f"== bench: chain allocs_per_record {allocs:.2f} (ceiling {ceiling}) ==")
 ' "$ALLOCS_PER_RECORD_CEILING"
 
+echo "== bench: committed BENCH_*.json untouched by the smokes =="
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1 && ! git diff --quiet -- 'BENCH_*.json'; then
+  echo "ERROR: a committed BENCH_*.json differs from HEAD — smoke runs must write under target/bench-smoke/" >&2
+  git diff --stat -- 'BENCH_*.json' >&2
+  exit 1
+fi
+
 echo "== OK =="
