@@ -6,8 +6,8 @@
 //! job must fall back to a **global rollback** (the worst-case leaf of
 //! Figure 4). The engine consults it before launching per-task recovery.
 //!
-//! The per-task recovery procedure itself is a six-step plan
-//! ([`RecoveryPlan`]) mirroring §2.2:
+//! The per-task recovery procedure itself has six steps (§2.2), executed by
+//! the engine's job manager and the recovering task:
 //! 1. activate the standby (or cold-start a replacement),
 //! 2. reconfigure network connections,
 //! 3. retrieve the determinant log from downstream survivors,
@@ -180,31 +180,6 @@ pub fn analyze_failure(
     } else {
         RecoveryDecision::GlobalRollback { orphaned }
     }
-}
-
-/// The six protocol steps for one recovering task, §2.2. The engine executes
-/// these; the enum documents and orders them, and shows up in traces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryStep {
-    ActivateStandby,
-    ReconfigureNetwork,
-    RetrieveDeterminantLog,
-    RequestInFlightRecords,
-    ReplayRecords,
-    DeduplicateOutput,
-}
-
-/// Plan for recovering a single failed task.
-#[derive(Clone, Debug)]
-pub struct RecoveryPlan {
-    pub task: TaskId,
-    /// Surviving downstream tasks to query for the determinant log (step 3).
-    pub log_holders: Vec<TaskId>,
-    /// Upstream tasks that must replay their in-flight logs (step 4); the
-    /// lineage rule makes this recursive if they are themselves recovering.
-    pub replay_sources: Vec<TaskId>,
-    /// Whether a standby should be activated (vs. cold replacement).
-    pub use_standby: bool,
 }
 
 /// Report sent by a downstream survivor in response to a determinant-log

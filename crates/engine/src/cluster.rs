@@ -3,8 +3,9 @@
 //!
 //! The job manager implements:
 //! - the **checkpoint coordinator** (periodic barrier injection, ack
-//!   collection and snapshot GC — `coordinator::AckLedger`, shared with the
-//!   threaded runtime — completion broadcast, standby state dispatch, §6.4);
+//!   collection and snapshot GC, completion broadcast, standby state
+//!   dispatch, §6.4) — `coordinator::JobManager`, which the threaded runtime
+//!   drives too;
 //! - **failure detection** (connection-reset propagation for Clonos,
 //!   heartbeat-timeout for the baseline);
 //! - the **recovery orchestration**: Figure-4 analysis, standby activation,
@@ -13,55 +14,25 @@
 //!   for Clonos' orphan fallback.
 
 use crate::config::{EngineConfig, FtMode};
-use crate::coordinator::AckLedger;
+use crate::coordinator::{JmCtx, JobManager, LogGather};
 use crate::error::EngineError;
 use crate::graph::{ExecutionGraph, JobGraph, Partitioning, VertexKind};
-use crate::messages::{Msg, SegmentAck};
+use crate::messages::Msg;
 use crate::metrics::JobMetrics;
-use crate::task::{encode_abort_marker, Task, TaskCtx, TaskSnapshot};
+use crate::task::{encode_abort_marker, recovery_ctrl_delay, Task, TaskCtx, TaskSnapshot};
 use bytes::Bytes;
 use clonos::causal_log::TaskLogSnapshot;
 use clonos::recovery::{analyze_failure, RecoveryDecision};
-use clonos::standby::{AllocationStrategy, StandbyManager};
+use clonos::standby::AllocationStrategy;
 use clonos::{ChannelId, TaskId};
 use clonos_sim::{Link, SimRng, Simulation, VirtualDuration, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotBlob, SnapshotStore, TransferModel};
+use clonos_storage::snapshot::{SnapshotStore, TransferModel};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Job-manager actor id.
 pub const JM: TaskId = 0;
-
-/// Gathering state for one recovering task's determinant logs.
-#[derive(Debug, Default)]
-struct LogGather {
-    /// Unique id: stale `LogResponse`s from a superseded gather (e.g. the
-    /// previous recovery attempt of a re-failed task) are discarded by it.
-    id: u64,
-    expected: BTreeSet<TaskId>,
-    snapshot: TaskLogSnapshot,
-    /// (reporter, reporter's input channel) → received-buffer count.
-    counts: BTreeMap<(TaskId, ChannelId), u64>,
-    resume_cp: u64,
-    state: Bytes,
-    /// Retry rounds already spent on this gather.
-    attempts: u32,
-}
-
-#[derive(Debug, Default)]
-struct JmState {
-    next_cp: u64,
-    acks: AckLedger,
-    /// Tasks currently dead or mid-recovery (for the Figure-4 analysis).
-    failed: BTreeSet<TaskId>,
-    /// Tasks whose determinant replay has not finished yet.
-    recovering: BTreeSet<TaskId>,
-    gathers: BTreeMap<TaskId, LogGather>,
-    gather_seq: u64,
-    rollback_scheduled: bool,
-    standby: StandbyManager,
-}
 
 /// The simulated cluster.
 pub struct Cluster {
@@ -82,7 +53,7 @@ pub struct Cluster {
     /// Task → hosting node (round-robin placement; standbys anti-affine).
     nodes: BTreeMap<TaskId, u32>,
     gens: BTreeMap<TaskId, u32>,
-    jm: JmState,
+    pub(crate) jm: JobManager,
     depth: u32,
     /// Encoder counters of retired task incarnations (killed, rolled back,
     /// or replaced): folded in before the `Task` object is dropped so
@@ -99,7 +70,7 @@ impl Cluster {
     pub fn new(job: JobGraph, config: EngineConfig) -> Cluster {
         let graph = ExecutionGraph::expand(&job, 1);
         let depth = graph.depth();
-        let acks = AckLedger { total: graph.tasks.len(), ..Default::default() };
+        let jm = JobManager::new(&graph.tasks);
         let root = SimRng::new(config.seed);
         let mut cluster = Cluster {
             sim: Simulation::new(),
@@ -115,7 +86,7 @@ impl Cluster {
             tasks: BTreeMap::new(),
             nodes: BTreeMap::new(),
             gens: BTreeMap::new(),
-            jm: JmState { acks, ..Default::default() },
+            jm,
             depth,
             retired_ckpt: crate::metrics::CheckpointStats::default(),
             retired_backend: crate::metrics::StateBackendStats::default(),
@@ -140,7 +111,7 @@ impl Cluster {
     }
 
     pub fn last_completed_checkpoint(&self) -> u64 {
-        self.jm.acks.last_completed
+        self.jm.last_completed
     }
 
     pub fn task_ref(&self, id: TaskId) -> Option<&Task> {
@@ -177,12 +148,6 @@ impl Cluster {
     /// (log/routing/checkpoint stats, state digests) see its final state.
     pub(crate) fn install_task(&mut self, id: TaskId, task: Task) {
         self.tasks.insert(id, Some(task));
-    }
-
-    /// Mirror the coordinator's completed-checkpoint watermark back into the
-    /// JM state after a parallel run.
-    pub(crate) fn set_last_completed(&mut self, cp: u64) {
-        self.jm.acks.last_completed = self.jm.acks.last_completed.max(cp);
     }
 
     fn deploy(&mut self) {
@@ -233,7 +198,6 @@ impl Cluster {
             links: &mut self.links,
             external: &mut self.external,
             topics: &mut self.topics,
-            snapshots: &mut self.snapshots,
             config: &self.config,
             entropy: &mut self.entropy,
             metrics: &mut self.metrics,
@@ -357,27 +321,16 @@ impl Cluster {
     }
 
     /// Send a recovery-path control message from the JM, subject to the
-    /// configured control-plane chaos (loss / extra delay). Entropy is only
-    /// drawn when chaos is enabled, so default runs keep their exact
-    /// pre-chaos event sequences.
+    /// configured control-plane chaos (loss / extra delay).
     fn send_recovery_ctrl(&mut self, base_delay: VirtualDuration, dest: TaskId, msg: Msg) {
-        let mut delay = base_delay;
-        if self.config.ctrl_loss_prob > 0.0 && self.entropy.gen_bool(self.config.ctrl_loss_prob)
-        {
-            self.metrics.recovery.ctrl_dropped += 1;
-            return;
+        if let Some(delay) = recovery_ctrl_delay(
+            &self.config,
+            &mut self.entropy,
+            &mut self.metrics.recovery,
+            base_delay,
+        ) {
+            self.sim.schedule_in(delay, dest, msg);
         }
-        if self.config.ctrl_delay_prob > 0.0
-            && self.config.ctrl_max_delay > VirtualDuration::ZERO
-            && self.entropy.gen_bool(self.config.ctrl_delay_prob)
-        {
-            self.metrics.recovery.ctrl_delayed += 1;
-            delay = delay
-                + VirtualDuration::from_micros(
-                    self.entropy.gen_range(self.config.ctrl_max_delay.as_micros().max(1)),
-                );
-        }
-        self.sim.schedule_in(delay, dest, msg);
     }
 
     /// Drive the simulation until virtual time `until` (or event exhaustion).
@@ -408,10 +361,18 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn jm_handle(&mut self, msg: Msg) {
+        // The checkpoint arms act through `ctx`; the recovery arms need the
+        // whole cluster (they build, replace and drop tasks).
+        let mut ctx = JmCtx {
+            sched: &mut self.sim,
+            snapshots: &mut self.snapshots,
+            config: &self.config,
+            metrics: &mut self.metrics,
+        };
         match msg {
-            Msg::CheckpointTick => self.jm_checkpoint_tick(),
+            Msg::CheckpointTick => self.jm.checkpoint_tick(&mut ctx),
             Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
-                self.jm_ack(task, id, snapshot, delta_parent, segments)
+                self.jm.ack(&mut ctx, task, id, snapshot, delta_parent, segments)
             }
             Msg::FailureDetected { task, gen, killed_at } => {
                 self.jm_failure(task, gen, killed_at)
@@ -435,99 +396,6 @@ impl Cluster {
         }
     }
 
-    fn jm_checkpoint_tick(&mut self) {
-        let interval = self.config.checkpoint_interval;
-        self.sim.schedule_in(interval, JM, Msg::CheckpointTick);
-        // Pause triggering while anything is failed or recovering.
-        if !self.jm.failed.is_empty()
-            || !self.jm.recovering.is_empty()
-            || self.jm.rollback_scheduled
-        {
-            return;
-        }
-        self.jm.next_cp += 1;
-        let id = self.jm.next_cp;
-        let now = self.sim.now();
-        self.metrics.event(now, format!("checkpoint {id} triggered"));
-        // Barrier-chain entry: everything checkpoint `id` does is caused by
-        // this trigger.
-        self.metrics.causal_event(now, "TriggerCheckpoint", id, JM, None);
-        self.jm.acks.pending.insert(id, BTreeSet::new());
-        let sources: Vec<TaskId> = self
-            .graph
-            .tasks
-            .iter()
-            .filter(|t| t.inputs.is_empty())
-            .map(|t| t.id)
-            .collect();
-        for s in sources {
-            self.sim.schedule_in(VirtualDuration::from_micros(100), s, Msg::TriggerCheckpoint { id });
-        }
-    }
-
-    /// A task acked checkpoint `id` with one more layer of its image. On the
-    /// last ack the checkpoint completes: broadcast it, then bring each
-    /// standby up to date (§6.4) — charged for the layers it does not hold
-    /// yet, never handed bytes (the store keeps the layers; the fold happens
-    /// if and when the standby is activated).
-    fn jm_ack(
-        &mut self,
-        task: TaskId,
-        id: u64,
-        snapshot: Bytes,
-        delta_parent: Option<u64>,
-        segments: Option<Box<SegmentAck>>,
-    ) {
-        let now = self.sim.now();
-        let layer = SnapshotBlob { bytes: snapshot, parent: delta_parent };
-        if self.jm.acks.record(&mut self.snapshots, now, task, id, layer, segments).is_none() {
-            return;
-        }
-        self.metrics.event(now, format!("checkpoint {id} complete"));
-        self.metrics.causal_event(
-            now,
-            "CheckpointComplete",
-            id,
-            JM,
-            Some(crate::metrics::CausalRef { kind: "CheckpointAck", epoch: id, task }),
-        );
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
-        for &t in &ids {
-            self.sim.schedule_in(VirtualDuration::from_micros(100), t, Msg::CheckpointComplete { id });
-        }
-        let model = TransferModel::default();
-        let extra = self.config.synthetic_state_bytes;
-        for &t in &ids {
-            if !self.jm.standby.has_standby(t) {
-                continue;
-            }
-            // What a holder of the parent image lacks: this checkpoint's
-            // blob plus — tiered tasks — the segments sealed since. With no
-            // parent (a base blob) that is the whole image.
-            let Some((blob, segment_bytes)) = self.snapshots.newest_layer(id, t) else { continue };
-            let SnapshotBlob { bytes, parent } = blob.clone();
-            let missing = bytes.len() as u64 + segment_bytes;
-            let shipped = parent.and_then(|p| {
-                let transfer = model.transfer_time(missing);
-                self.jm.standby.dispatch_delta(t, id, p, bytes.clone(), now, transfer)
-            });
-            if shipped.is_some() {
-                continue;
-            }
-            // Full dispatch. Only a delta blob whose parent the standby lost
-            // (interrupted transfer, node loss, restart) needs the image
-            // folded, for its length.
-            let full = match parent {
-                None => Some((missing, bytes)),
-                Some(_) => self.snapshots.get(now, id, t).map(|(image, _)| (image.len() as u64, image)),
-            };
-            if let Some((len, image)) = full {
-                let transfer = model.transfer_time(len + extra);
-                self.jm.standby.dispatch_state(t, id, image, now, transfer);
-            }
-        }
-    }
-
     fn jm_failure(&mut self, task: TaskId, gen: u32, killed_at: VirtualTime) {
         let now = self.sim.now();
         // Stale notification about an incarnation the JM already replaced
@@ -541,10 +409,7 @@ impl Cluster {
         self.metrics.recovery.detection_samples += 1;
         // Recovery-chain entry: epoch is the incarnation that died.
         self.metrics.causal_event(now, "FailureDetected", gen as u64, task, None);
-        if !self.jm.failed.is_empty()
-            || !self.jm.recovering.is_empty()
-            || self.jm.rollback_scheduled
-        {
+        if self.jm.busy() {
             self.metrics.recovery.concurrent_failures += 1;
         }
         if self.jm.rollback_scheduled {
@@ -647,7 +512,7 @@ impl Cluster {
 
     fn clonos_schedule_install(&mut self, task: TaskId) {
         let now = self.sim.now();
-        let resume_cp = self.jm.acks.last_completed;
+        let resume_cp = self.jm.last_completed;
         // Step 1: activate the standby — usable only if it holds exactly the
         // checkpoint to resume from, whose layers the store still has (GC
         // keeps the last completed checkpoint's chain) — or cold-start.
@@ -957,13 +822,13 @@ impl Cluster {
 
     fn jm_restart_all(&mut self) {
         let now = self.sim.now();
-        let resume_cp = self.jm.acks.last_completed;
+        let resume_cp = self.jm.last_completed;
         self.metrics.event(now, format!("global rollback: restarting from checkpoint {resume_cp}"));
         self.jm.rollback_scheduled = false;
         self.jm.failed.clear();
         self.jm.recovering.clear();
         self.jm.gathers.clear();
-        self.jm.acks.pending.clear();
+        self.jm.pending.clear();
         self.jm.next_cp = resume_cp;
         // One common new generation for every task.
         let new_gen = self.gens.values().copied().max().unwrap_or(0) + 1;
@@ -1146,7 +1011,7 @@ impl Cluster {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::CheckpointMode;
     use crate::graph::{SinkSpec, SourceSpec};
@@ -1160,7 +1025,7 @@ mod tests {
     const COUNTER: TaskId = 2;
 
     /// source → keyed running count → sink, one subtask each, no input yet.
-    fn counting_cluster(config: EngineConfig) -> Cluster {
+    pub(crate) fn counting_cluster(config: EngineConfig) -> Cluster {
         let mut g = JobGraph::new("restore");
         let src = g.add_source("src", 1, SourceSpec::new("in").rate(4_000).key_field(0));
         let count = g.add_operator(
@@ -1184,18 +1049,23 @@ mod tests {
         cluster
     }
 
-    /// Append one second's worth of input over `keys`, then run to `until`:
-    /// the job is idle again well before the next checkpoint cut.
-    fn feed(cluster: &mut Cluster, keys: std::ops::Range<i64>, until: u64) {
+    /// Append one second's worth of input over `keys`.
+    pub(crate) fn append_input(cluster: &mut Cluster, keys: std::ops::Range<i64>) {
         let log = cluster.topic_mut("in").expect("source topic");
         for i in 0..4_000 {
             let key = keys.start + i % (keys.end - keys.start);
             log.partition_mut(0).append(Row::new(vec![Datum::Int(key), Datum::Int(i)]).to_bytes());
         }
+    }
+
+    /// `append_input`, then run to `until`: the job is idle again well
+    /// before the next checkpoint cut.
+    fn feed(cluster: &mut Cluster, keys: std::ops::Range<i64>, until: u64) {
+        append_input(cluster, keys);
         cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(until));
     }
 
-    fn clonos() -> EngineConfig {
+    pub(crate) fn clonos() -> EngineConfig {
         EngineConfig::default()
             .with_seed(7)
             .with_ft(FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full)))

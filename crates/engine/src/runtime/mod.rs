@@ -3,33 +3,34 @@
 //! sim queue.
 //!
 //! Each task becomes an actor with a bounded mailbox and a private world
-//! (Lamport clock, timer heap, links, metrics shard, topic partitions);
+//! (Lamport clock, timer queue, links, metrics shard, topic partitions);
 //! actors are sharded round-robin across worker threads with work stealing,
-//! and a coordinator actor owns the JM-side checkpoint protocol. The
-//! determinism-sensitive machinery (determinant replay, chaos injection,
+//! and a coordinator actor drives the cluster's own `JobManager` (the same
+//! checkpoint coordinator the sim runs) against the cluster's snapshot
+//! store. The determinism-sensitive machinery (determinant replay, chaos injection,
 //! recovery oracles) stays pinned to the sim scheduler — this runtime only
 //! accepts failure-free plans and exists to measure and scale the hot path.
 //!
-//! Lifecycle: `run` lifts the tasks out of a deployed [`Cluster`], drains
-//! the sim queue's pending self-events into per-actor timer heaps, runs the
-//! actor system to quiescence under the virtual-time horizon, then folds
-//! every world back into the cluster (tasks reinstalled, metrics shards
-//! absorbed, sink appends merged into the shared topics) so reporting and
-//! inspection work exactly as after a sim run.
+//! Lifecycle: `run` lifts the tasks, the job manager and the snapshot store
+//! out of a deployed [`Cluster`], drains the sim queue's pending self-events
+//! into per-actor timer queues, runs the actor system to quiescence under
+//! the virtual-time horizon, then folds every cell back into the cluster
+//! (tasks, job manager and store reinstalled, metrics shards absorbed, sink
+//! appends merged into the shared topics) so reporting, inspection and a
+//! later restore work exactly as after a sim run.
 
 mod actor;
 mod mailbox;
 mod worker;
 
 use crate::cluster::Cluster;
-use crate::metrics::{JobMetrics, RuntimeStats};
-use clonos_sim::{ActorId, SimRng, VirtualDuration, VirtualTime};
+use crate::metrics::RuntimeStats;
+use clonos_sim::{ActorId, SimRng, VirtualTime};
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotStore, TransferModel};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-use actor::{ActorCell, CellKind, CoordWorld, TaskWorld, TimerEntry};
+use actor::{ActorCell, CellKind, TaskWorld};
 use worker::{coordinator_loop, worker_loop, Shared};
 
 /// Knobs for the parallel runtime.
@@ -74,11 +75,8 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     // ---- Build the actor cells: coordinator first, then graph order. ----
     let mut cells: Vec<ActorCell> = Vec::with_capacity(specs.len() + 1);
     let mut index: BTreeMap<ActorId, usize> = BTreeMap::new();
-    cells.push(ActorCell::new(
-        crate::cluster::JM,
-        CellKind::Coord(Box::new(CoordWorld::new(&specs))),
-        usize::MAX,
-    ));
+    let coord = (std::mem::take(&mut cluster.jm), std::mem::take(&mut cluster.snapshots));
+    cells.push(ActorCell::new(crate::cluster::JM, CellKind::Coord(Box::new(coord)), usize::MAX));
     index.insert(crate::cluster::JM, 0);
     for spec in &specs {
         let task = cluster
@@ -101,16 +99,10 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
         }
         let world = TaskWorld {
             task,
-            clock: VirtualTime::ZERO,
-            timers: BinaryHeap::new(),
-            seq: 0,
             links: BTreeMap::new(),
             external: cluster.external.clone(),
             topics,
-            snapshots: SnapshotStore::with_model(TransferModel::default()),
             entropy: SimRng::new(cluster.config.seed).fork(0xAC70).fork(spec.id),
-            metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
-            errors: Vec::new(),
             sink_merge,
         };
         index.insert(spec.id, cells.len());
@@ -118,16 +110,11 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     }
 
     // ---- Seed: move the sim queue's pending events (the self-ticks that
-    // `deploy()` scheduled) into the owning actors' timer heaps. ----
+    // `deploy()` scheduled) into the owning actors' timer queues. ----
     while let Some(d) = cluster.sim.pop() {
         let Some(&idx) = index.get(&d.dest) else { continue };
         let state = cells[idx].state.get_mut().expect("cell lock poisoned before start");
-        let (timers, seq) = match &mut state.kind {
-            CellKind::Task(w) => (&mut w.timers, &mut w.seq),
-            CellKind::Coord(w) => (&mut w.timers, &mut w.seq),
-        };
-        timers.push(TimerEntry { at: d.at, seq: *seq, msg: d.msg });
-        *seq += 1;
+        state.timers.schedule_at(d.at, d.dest, d.msg);
     }
 
     // ---- Run to quiescence. ----
@@ -155,18 +142,16 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     });
     let stalls = shared.stalls.load(Ordering::SeqCst);
 
-    // ---- Fold every world back into the cluster. ----
+    // ---- Fold every cell back into the cluster. ----
     let highwater = cells.iter().skip(1).map(|c| c.mailbox.highwater()).max().unwrap_or(0);
     let mut errors: Vec<String> = Vec::new();
     for cell in cells {
         let id = cell.id;
         let state = cell.state.into_inner().expect("cell lock poisoned");
+        cluster.metrics.absorb(state.metrics);
+        errors.extend(state.errors);
         match state.kind {
-            CellKind::Coord(w) => {
-                cluster.set_last_completed(w.acks.last_completed);
-                cluster.metrics.absorb(w.metrics);
-                errors.extend(w.errors);
-            }
+            CellKind::Coord(w) => (cluster.jm, cluster.snapshots) = *w,
             CellKind::Task(mut w) => {
                 if let Some((name, part, base)) = w.sink_merge.take() {
                     if let (Some(mine), Some(shared_topic)) =
@@ -179,8 +164,6 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
                         }
                     }
                 }
-                cluster.metrics.absorb(w.metrics);
-                errors.extend(w.errors);
                 cluster.install_task(id, w.task);
             }
         }
@@ -201,4 +184,35 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
         panic!("engine error: {}", cluster.errors[0]);
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::tests::{append_input, clonos, counting_cluster};
+    use clonos_sim::VirtualDuration;
+
+    /// The coordinator cell works on the cluster's own job manager and store,
+    /// so what a threaded run checkpointed is there to restore from afterwards.
+    #[test]
+    fn a_threaded_run_leaves_its_checkpoint_images_in_the_clusters_store() {
+        let mut cluster = counting_cluster(clonos());
+        // One second of input, then idle: the state at the 5 s cut is also
+        // the state the run ends on.
+        append_input(&mut cluster, 0..300);
+        let horizon = VirtualTime::ZERO + VirtualDuration::from_secs(6);
+        run(&mut cluster, horizon, &ParallelConfig { workers: 2, ..ParallelConfig::default() });
+
+        assert_eq!(cluster.metrics.records_out, 4_000);
+        let cp = cluster.last_completed_checkpoint();
+        assert_eq!(cp, 1);
+        let live = cluster.state_digests();
+        assert_eq!(live.len(), 3);
+        for (task, digest) in live {
+            let restored = cluster
+                .snapshot_of(cp, task)
+                .unwrap_or_else(|| panic!("task {task}: checkpoint {cp} image missing or undecodable"));
+            assert_eq!(Some(restored.store.digest()), digest, "task {task}");
+        }
+    }
 }

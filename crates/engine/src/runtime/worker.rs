@@ -47,16 +47,10 @@ pub(crate) struct Shared<'a> {
     pub(crate) stalls: AtomicU64,
 }
 
-/// Deliver one message into a cell's world. Does NOT flush the outbox —
+/// Deliver one message to a cell's actor. Does NOT flush the outbox —
 /// callers flush (or deliberately defer while a send is stalled).
 fn deliver_raw(shared: &Shared<'_>, idx: usize, state: &mut CellState, at: VirtualTime, msg: Msg) {
-    let me = shared.cells[idx].id;
-    // The outbox lives beside the world in CellState so the handler can
-    // borrow both mutably at once.
-    match &mut state.kind {
-        CellKind::Task(w) => w.deliver(shared.config, at, msg, me, &mut state.outbox),
-        CellKind::Coord(w) => w.deliver(shared.config, at, msg, me, &mut state.outbox),
-    }
+    state.deliver(shared.config, shared.cells[idx].id, at, msg);
 }
 
 /// Flush a cell's outbox into destination mailboxes, honouring
@@ -128,7 +122,7 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     let Ok(mut state) = cell.state.try_lock() else { return 0 };
     let mut done = 0u64;
     while (done as usize) < budget && !shared.shutdown.load(Ordering::Relaxed) {
-        let timer_at = state.due_timer_at().filter(|&at| timer_due(shared, &state, at));
+        let timer_at = state.timers.peek_time().filter(|&at| timer_due(shared, &state, at));
         // One mailbox lock per event: pop the front message iff it precedes
         // the due timer (the timer wins ties). Only the lock holder pops, so
         // the front can't change between the bound check and the pop.
@@ -139,7 +133,7 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
             shared.inflight.fetch_sub(1, Ordering::SeqCst);
             done += 1 + flush_outbox(shared, idx, &mut state, depth);
         } else if timer_at.is_some() {
-            let Some(entry) = state.pop_timer() else { break };
+            let Some(entry) = state.timers.pop() else { break };
             deliver_raw(shared, idx, &mut state, entry.at, entry.msg);
             done += 1 + flush_outbox(shared, idx, &mut state, depth);
         } else {
@@ -153,11 +147,11 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     // horizon simply keeps the cell runnable for one more round.)
     if cell.mailbox.is_drained()
         && state.outbox.is_empty()
-        && state.due_timer_at().is_none_or(|at| !timer_due(shared, &state, at))
+        && state.timers.peek_time().is_none_or(|at| !timer_due(shared, &state, at))
     {
         if let CellKind::Task(w) = &state.kind {
             if w.task.has_buffered_output() {
-                let at = state.clock();
+                let at = state.clock;
                 deliver_raw(shared, idx, &mut state, at, Msg::FlushTick);
                 done += 1 + flush_outbox(shared, idx, &mut state, depth);
             }
@@ -176,12 +170,12 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     // parked tasks do by publishing `end`, and the driver re-sweeps the
     // coordinator every round regardless of its park flag.
     let parked = cell.mailbox.is_drained()
-        && state.due_timer_at().is_none_or(|at| !timer_due(shared, &state, at))
+        && state.timers.peek_time().is_none_or(|at| !timer_due(shared, &state, at))
         && state.outbox.is_empty();
     let clock = if parked && !matches!(state.kind, CellKind::Coord(_)) {
         shared.end
     } else {
-        state.clock()
+        state.clock
     };
     cell.clock_us.store(clock.as_micros(), Ordering::Release);
     cell.parked.store(parked, Ordering::Release);

@@ -20,7 +20,7 @@ use crate::config::{CheckpointMode, EngineConfig, FtMode};
 use crate::error::EngineError;
 use crate::graph::{Partitioning, SinkSpec, SourceSpec, TaskSpec, TimestampMode, VertexKind};
 use crate::messages::{Msg, SegmentAck};
-use crate::metrics::{CausalRef, CheckpointStats, JobMetrics, RoutingStats};
+use crate::metrics::{CausalRef, CheckpointStats, JobMetrics, RecoveryStats, RoutingStats};
 use crate::operator::{timer_id, Emit, OpCtx, Operator, TimerKind};
 use crate::record::{barrier_only, BufferReader, Datum, Element, Record, StreamElement};
 use crate::state::{StateStore, StateTimer, SEC_META};
@@ -36,7 +36,6 @@ use clonos_sim::{Link, Scheduler, ServiceQueue, SimRng, VirtualDuration, Virtual
 use clonos_storage::codec::{ByteReader, ByteWriter};
 use clonos_storage::deltamap;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::SnapshotStore;
 use clonos_storage::spill::SpillDevice;
 use clonos_storage::external::ExternalKv;
 use std::collections::{BTreeMap, VecDeque};
@@ -51,7 +50,6 @@ pub struct TaskCtx<'a> {
     pub links: &'a mut BTreeMap<(TaskId, TaskId), Link>,
     pub external: &'a mut ExternalKv,
     pub topics: &'a mut BTreeMap<String, DurableLog>,
-    pub snapshots: &'a mut SnapshotStore,
     pub config: &'a EngineConfig,
     pub entropy: &'a mut SimRng,
     pub metrics: &'a mut JobMetrics,
@@ -83,28 +81,40 @@ impl<'a> TaskCtx<'a> {
 
     /// Send a recovery-path control message (LogResponse / ReplayRequest),
     /// subject to the configured control-plane chaos: the message may be
-    /// dropped or delayed. Senders own the retry; receivers dedup. Entropy
-    /// is only drawn when chaos is enabled, so default runs keep their exact
-    /// pre-chaos event sequences.
+    /// dropped or delayed. Senders own the retry; receivers dedup.
     pub fn send_recovery_ctrl(&mut self, to: TaskId, msg: Msg) {
-        let mut delay = VirtualDuration::from_micros(100);
-        if self.config.ctrl_loss_prob > 0.0 && self.entropy.gen_bool(self.config.ctrl_loss_prob)
+        let base = VirtualDuration::from_micros(100);
+        if let Some(delay) =
+            recovery_ctrl_delay(self.config, self.entropy, &mut self.metrics.recovery, base)
         {
-            self.metrics.recovery.ctrl_dropped += 1;
-            return;
+            self.sched.schedule_in(delay, to, msg);
         }
-        if self.config.ctrl_delay_prob > 0.0
-            && self.config.ctrl_max_delay > VirtualDuration::ZERO
-            && self.entropy.gen_bool(self.config.ctrl_delay_prob)
-        {
-            self.metrics.recovery.ctrl_delayed += 1;
-            delay = delay
-                + VirtualDuration::from_micros(
-                    self.entropy.gen_range(self.config.ctrl_max_delay.as_micros().max(1)),
-                );
-        }
-        self.sched.schedule_in(delay, to, msg);
     }
+}
+
+/// The control-plane chaos rule for one recovery-path message that would
+/// take `base` to deliver: `None` if it is lost, else its (possibly
+/// stretched) delay. Entropy is only drawn when chaos is enabled, so default
+/// runs keep their exact pre-chaos event sequences.
+pub(crate) fn recovery_ctrl_delay(
+    config: &EngineConfig,
+    entropy: &mut SimRng,
+    stats: &mut RecoveryStats,
+    base: VirtualDuration,
+) -> Option<VirtualDuration> {
+    if config.ctrl_loss_prob > 0.0 && entropy.gen_bool(config.ctrl_loss_prob) {
+        stats.ctrl_dropped += 1;
+        return None;
+    }
+    if config.ctrl_delay_prob > 0.0
+        && config.ctrl_max_delay > VirtualDuration::ZERO
+        && entropy.gen_bool(config.ctrl_delay_prob)
+    {
+        stats.ctrl_delayed += 1;
+        let extra = entropy.gen_range(config.ctrl_max_delay.as_micros().max(1));
+        return Some(base + VirtualDuration::from_micros(extra));
+    }
+    Some(base)
 }
 
 /// Decoded per-task checkpoint payload: a full delta-map image parsed into

@@ -26,6 +26,24 @@ if [[ "$lint_ms" -gt 2000 ]]; then
 fi
 echo "== lint: analysis wall time ${lint_ms} ms (budget 2000 ms) =="
 
+echo "== lint: protocol edges of the regenerated causal spec match HEAD (sites may move) =="
+git show HEAD:results/causal_spec.json | python3 -c '
+import json, sys
+def protocol(text):
+    spec = json.loads(text)
+    edges = sorted((e["from"], e["to"], e["progress"]) for e in spec["edges"])
+    return edges, sorted(e["variant"] for e in spec["entries"]), spec["chains"]
+head, new = protocol(sys.stdin.read()), protocol(open("results/causal_spec.json").read())
+if head != new:
+    for name, a, b in zip(("edges", "entries", "chains"), head, new):
+        for x in a:
+            if x not in b: print(f"ERROR: {name}: dropped {x}", file=sys.stderr)
+        for x in b:
+            if x not in a: print(f"ERROR: {name}: added {x}", file=sys.stderr)
+    sys.exit("ERROR: results/causal_spec.json changed in more than site/arm")
+print(f"== lint: {len(new[0])} edges / {len(new[2])} chains unchanged ==")
+'
+
 echo "== chaos: bounded seed sweep (25 seeds x 3 modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 

@@ -13,6 +13,7 @@ use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_bench::{synthetic_chain, synthetic_rows};
 use clonos_engine::operators::ReduceOp;
 use clonos_engine::*;
+use clonos_integration::conformance::{assert_conformant, StaticSpec, Tolerances};
 use clonos_sim::VirtualDuration;
 use std::collections::BTreeMap;
 
@@ -106,6 +107,26 @@ fn chain_clonos_four_wide_matches_sim() {
     assert_equivalent(&sim, &par);
     // Checkpoints completed under the parallel coordinator too.
     assert!(par.last_completed_checkpoint > 0, "no checkpoint completed in parallel run");
+}
+
+/// The threaded run is coordinated by the same job manager as the sim, so
+/// its causal trace is checkable against the static spec (every
+/// `CheckpointAck` resolves to a recorded `TriggerCheckpoint`, every barrier
+/// completes) and its standbys are kept up to date.
+#[test]
+fn threaded_clonos_chain_trace_conforms_and_standbys_follow() {
+    let ft = FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full));
+    let par = chain_runner(5, 4, ft).run_parallel_for(
+        VirtualDuration::from_secs(SECS),
+        &ParallelConfig { workers: 4, ..ParallelConfig::default() },
+    );
+    for kind in ["TriggerCheckpoint", "CheckpointAck", "CheckpointComplete"] {
+        assert!(par.causal_events.iter().any(|e| e.kind == kind), "trace never recorded {kind}");
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let tol = Tolerances { horizon: VirtualDuration::from_secs(SECS), ..Tolerances::oracle() };
+    assert_conformant(&par, &StaticSpec::load(&root), &tol, "threaded clonos chain");
+    assert!(par.checkpoint_stats.delta_dispatches > 0, "no standby was brought up to date");
 }
 
 #[test]
