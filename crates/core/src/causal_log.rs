@@ -318,13 +318,12 @@ impl EpochLog {
         self.since(self.base_seq).collect()
     }
 
-    /// Length of a maximal run of same-epoch, same-channel `Order` entries
-    /// starting at index position `i`, counting at most `cap` (0 when the
-    /// entry is not an `Order`). Index-only — no decoding.
-    fn run_len_at(&self, i: usize, cap: usize) -> usize {
-        let Some(channel) = self.index[i].order_channel else {
-            return 0;
-        };
+    /// The maximal run of same-epoch, same-channel `Order` entries starting
+    /// at index position `i`, as `(channel, length)` with the length counted
+    /// to at most `cap`; `None` when the entry is not an `Order`.
+    /// Index-only — no decoding.
+    fn run_at(&self, i: usize, cap: usize) -> Option<(u32, usize)> {
+        let channel = self.index[i].order_channel?;
         let epoch = self.index[i].epoch;
         let mut run = 1;
         while run < cap
@@ -334,7 +333,7 @@ impl EpochLog {
         {
             run += 1;
         }
-        run
+        Some((channel, run))
     }
 
     /// Append the wire encoding of entries `seq >= from` to `w`: maximal
@@ -347,13 +346,10 @@ impl EpochLog {
         let mut i = from.saturating_sub(self.base_seq) as usize;
         let emitted = (n - i.min(n)) as u64;
         while i < n {
-            let run = self.run_len_at(i, usize::MAX);
-            if run >= 3 {
-                let e = &self.index[i];
-                w.put_varint(e.epoch);
+            if let Some((channel, run)) = self.run_at(i, usize::MAX).filter(|&(_, run)| run >= 3) {
+                w.put_varint(self.index[i].epoch);
                 w.put_u8(WIRE_ORDER_RUN);
-                // clonos-lint: allow(recovery-panic, reason = "run_len_at only forms runs over entries whose order_channel is Some")
-                w.put_varint(e.order_channel.expect("run entries are Order") as u64);
+                w.put_varint(channel as u64);
                 w.put_varint(run as u64);
                 i += run;
                 continue;
@@ -362,7 +358,7 @@ impl EpochLog {
             // run, then copy its arena bytes wholesale.
             let span_start = i;
             i += 1;
-            while i < n && self.run_len_at(i, 3) < 3 {
+            while i < n && self.run_at(i, 3).is_none_or(|(_, run)| run < 3) {
                 i += 1;
             }
             let a = self.index[span_start].offset;
@@ -434,14 +430,6 @@ impl TaskLog {
         TaskLog { main: EpochLog::new(), channels: vec![EpochLog::new(); num_channels] }
     }
 
-    fn log(&self, id: u32) -> Option<&EpochLog> {
-        if id == MAIN_LOG {
-            Some(&self.main)
-        } else {
-            self.channels.get((id - 1) as usize)
-        }
-    }
-
     fn log_mut(&mut self, id: u32) -> &mut EpochLog {
         if id == MAIN_LOG {
             &mut self.main
@@ -454,8 +442,10 @@ impl TaskLog {
         }
     }
 
-    fn log_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        std::iter::once(MAIN_LOG).chain((0..self.channels.len() as u32).map(channel_log))
+    /// Every log with its id: main first, then the channels in order.
+    fn logs(&self) -> impl Iterator<Item = (u32, &EpochLog)> + '_ {
+        let channels = self.channels.iter().zip(0..).map(|(log, c)| (channel_log(c), log));
+        std::iter::once((MAIN_LOG, &self.main)).chain(channels)
     }
 
     fn num_logs(&self) -> usize {
@@ -542,17 +532,10 @@ pub struct CausalLogStats {
     pub order_entries_compressed: u64,
     /// Entries serialized into a log arena (each exactly once, at append).
     pub entries_encoded: u64,
-    /// Entries serialized again at delta-collection time. The arena path
-    /// ships stored bytes, so this stays 0; it exists to catch regressions
-    /// that reintroduce per-channel re-encoding.
-    pub entries_reencoded: u64,
     /// Delta payload bytes bulk-copied out of log arenas (as opposed to the
     /// freshly written framing/run varints).
     pub delta_bytes_memcpy: u64,
 }
-
-/// Former name of [`CausalLogStats`], kept for downstream callers.
-pub type LogStats = CausalLogStats;
 
 /// Replay source installed on a recovering task: the merged snapshot of its
 /// predecessor's logs, consumed as the task re-executes.
@@ -700,9 +683,7 @@ impl CausalLogManager {
         w.put_varint(origin);
         w.put_varint(hops_at_sender as u64);
         w.put_varint(logs.num_logs() as u64);
-        for id in logs.log_ids() {
-            // clonos-lint: allow(recovery-panic, reason = "id was just yielded by log_ids() on the same immutable borrow")
-            let log = logs.log(id).expect("log id from log_ids");
+        for (id, log) in logs.logs() {
             let cursor = cursors.entry((origin, id)).or_insert(log.base_seq());
             let from = (*cursor).max(log.base_seq());
             w.put_varint(id as u64);
@@ -795,9 +776,7 @@ impl CausalLogManager {
 
     fn snapshot_of(logs: &TaskLog) -> TaskLogSnapshot {
         let mut snap = TaskLogSnapshot::default();
-        for id in logs.log_ids() {
-            // clonos-lint: allow(recovery-panic, reason = "id was just yielded by log_ids() on the same immutable borrow")
-            let log = logs.log(id).expect("valid id");
+        for (id, log) in logs.logs() {
             snap.logs.push((
                 id,
                 log.base_seq(),

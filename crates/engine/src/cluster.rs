@@ -942,7 +942,6 @@ impl Cluster {
             total.entries_ingested += s.entries_ingested;
             total.order_entries_compressed += s.order_entries_compressed;
             total.entries_encoded += s.entries_encoded;
-            total.entries_reencoded += s.entries_reencoded;
             total.delta_bytes_memcpy += s.delta_bytes_memcpy;
         }
         total
@@ -955,7 +954,6 @@ impl Cluster {
             total.records_routed += t.routing.records_routed;
             total.channel_writes += t.routing.channel_writes;
             total.route_encodes += t.routing.route_encodes;
-            total.record_clones += t.routing.record_clones;
         }
         total
     }

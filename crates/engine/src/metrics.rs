@@ -54,8 +54,8 @@ impl CausalEvent {
 /// Hot-path counters for the record-routing fast path (per task; aggregated
 /// job-wide by the cluster). The encode-once router serializes each routed
 /// record exactly once and memcpys the bytes to every destination channel,
-/// so `record_clones` stays 0 and `route_encodes` tracks `records_routed`
-/// even on broadcast/rescale fanout.
+/// so `route_encodes` tracks `records_routed` even on broadcast/rescale
+/// fanout.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoutingStats {
     /// Records that entered `Task::route`.
@@ -64,8 +64,6 @@ pub struct RoutingStats {
     pub channel_writes: u64,
     /// Record payload serializations performed while routing.
     pub route_encodes: u64,
-    /// Deep `Record` clones made on the routing path (should stay 0).
-    pub record_clones: u64,
 }
 
 /// Incremental-checkpoint counters: what each barrier actually encoded and

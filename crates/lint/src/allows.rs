@@ -30,14 +30,11 @@ pub struct AllowBook {
 }
 
 impl AllowBook {
-    /// Register a file's annotations. `live` filters out `#[cfg(test)]`
-    /// regions — annotations there are invisible, like the code they cover.
-    pub fn add_file(&mut self, rel: &str, allows: &[AllowAnnotation], live: impl Fn(u32) -> bool) {
-        let entries = allows
-            .iter()
-            .filter(|a| live(a.line))
-            .map(|a| Entry { ann: a.clone(), used: false })
-            .collect();
+    /// Register a file's live annotations (`callgraph::Source::allows` —
+    /// ones inside `#[cfg(test)]` regions are invisible, like the code they
+    /// cover).
+    pub fn add_file(&mut self, rel: &str, allows: &[AllowAnnotation]) {
+        let entries = allows.iter().map(|a| Entry { ann: a.clone(), used: false }).collect();
         self.files.insert(rel.to_string(), entries);
     }
 
@@ -138,7 +135,7 @@ mod tests {
 
     fn book_for(src: &str) -> AllowBook {
         let mut book = AllowBook::default();
-        book.add_file("x.rs", &lex(src).allows, |_| true);
+        book.add_file("x.rs", &lex(src).allows);
         book
     }
 

@@ -23,16 +23,55 @@
 //! Everything is `BTree`-ordered so the graph — and every diagnostic
 //! derived from it — is byte-identical across runs and file-walk orders.
 
+use crate::config;
 use crate::diagnostics::Diagnostic;
-use crate::lexer;
+use crate::lexer::{self, AllowAnnotation, LexedFile, Tok};
 use crate::parser::{self, CallTarget, FnItem, ParsedFile};
+use crate::rules::test_regions;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
 use std::path::Path;
 
-/// Parsed view of the deterministic-crate source trees.
+/// One source file as every pass sees it: read and lexed exactly once,
+/// with `#[cfg(test)]` regions already cut out — test-only code is
+/// outside the production graph, the per-file rules and the allow book
+/// alike.
+#[derive(Debug, Default)]
+pub struct Source {
+    /// Live (non-test) tokens.
+    pub toks: Vec<Tok>,
+    /// Live `clonos-lint:` annotations.
+    pub allows: Vec<AllowAnnotation>,
+    /// Identifiers appearing as `.<ident>` (field access or method call)
+    /// anywhere in the file, test regions *included*: a counter read by a
+    /// unit test counts as consumed for `stats-surfaced`.
+    pub dots: BTreeSet<String>,
+}
+
+impl Source {
+    pub fn new(mut lexed: LexedFile) -> Source {
+        let dots = lexed
+            .toks
+            .windows(2)
+            .filter(|w| w[0].is_punct('.'))
+            .filter_map(|w| w[1].ident().map(str::to_string))
+            .collect();
+        let skip = test_regions(&lexed.toks);
+        let live = |line: u32| !skip.iter().any(|&(a, b)| (a..=b).contains(&line));
+        lexed.toks.retain(|t| live(t.line));
+        lexed.allows.retain(|a| live(a.line));
+        Source { toks: lexed.toks, allows: lexed.allows, dots }
+    }
+}
+
+/// Everything the analysis reads off disk, loaded once: the lexed view of
+/// every file, and the parsed item structure of the graph-crate files.
 #[derive(Debug, Default)]
 pub struct Workspace {
+    /// rel path -> lexed source, for every file handed to the analysis
+    /// plus the files `config` names explicitly.
+    pub sources: BTreeMap<String, Source>,
+    /// rel path -> I/O error text, for files that could not be read.
+    pub unreadable: BTreeMap<String, String>,
     /// rel path -> parsed file, for every graph-crate source file.
     pub files: BTreeMap<String, ParsedFile>,
     /// Lib names of workspace crates (`clonos`, `clonos_engine`, ...).
@@ -40,32 +79,46 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Parse every file of the graph crates. `files_by_crate` maps a crate
-    /// directory name (e.g. `core`) to its workspace-relative `.rs` files.
-    pub fn parse(
-        root: &Path,
-        files_by_crate: &BTreeMap<String, Vec<String>>,
-    ) -> io::Result<Workspace> {
+    /// Read, lex and (for `config::DETERMINISTIC_CRATES` sources) parse
+    /// `files` — workspace-relative `.rs` paths in any order — together
+    /// with the files the config tables single out. The only place the
+    /// analysis touches the file system or calls the lexer.
+    pub fn load(root: &Path, files: &[String]) -> Workspace {
         let mut ws = Workspace::default();
-        for (krate, rels) in files_by_crate {
-            let lib = lib_name(root, krate);
-            ws.crate_roots.insert(lib.clone());
-            for rel in rels {
-                let src = match std::fs::read_to_string(root.join(rel)) {
-                    Ok(s) => s,
-                    Err(_) => continue, // reported by the per-file pass
-                };
-                let lexed = lexer::lex(&src);
-                let module = parser::module_path_of(&lib, rel);
-                let mut pf = parser::parse_file(rel, module, &lexed);
-                // `#[cfg(test)]` items are invisible to the graph: test-only
-                // panics/taints are fine, and test fns are not entry points.
-                let regions = crate::rules::test_regions(&lexed.toks);
-                pf.fns.retain(|f| !regions.iter().any(|&(a, b)| (a..=b).contains(&f.line)));
-                ws.files.insert(rel.clone(), pf);
+        let configured = config::RECOVERY_PATH_FILES
+            .iter()
+            .chain(config::REPLAY_SURFACE_FILES)
+            .chain(config::STATS_STRUCTS.iter().map(|(_, file)| file))
+            .chain([&config::DETERMINANT_FILE, &config::RUN_REPORT_FILE]);
+        let rels: BTreeSet<&str> =
+            files.iter().map(String::as_str).chain(configured.copied()).collect();
+        // Crate dir -> lib name (one manifest read per graph crate).
+        let mut libs: BTreeMap<&str, String> = BTreeMap::new();
+        for rel in rels {
+            match std::fs::read_to_string(root.join(rel)) {
+                Ok(src) => {
+                    let lib = config::deterministic_crate_of(rel)
+                        .map(|k| libs.entry(k).or_insert_with(|| lib_name(root, k)).clone());
+                    ws.add(rel, lib, lexer::lex(&src));
+                }
+                Err(e) => {
+                    ws.unreadable.insert(rel.to_string(), e.to_string());
+                }
             }
         }
-        Ok(ws)
+        ws
+    }
+
+    /// Register one lexed file; with `lib` — the lib name of the graph
+    /// crate it belongs to — it is parsed into the call graph's view too.
+    pub fn add(&mut self, rel: &str, lib: Option<String>, lexed: LexedFile) {
+        let src = Source::new(lexed);
+        if let Some(lib) = lib {
+            let module = parser::module_path_of(&lib, rel);
+            self.crate_roots.insert(lib);
+            self.files.insert(rel.to_string(), parser::parse_file(module, &src.toks));
+        }
+        self.sources.insert(rel.to_string(), src);
     }
 }
 
@@ -89,26 +142,21 @@ pub fn lib_name(root: &Path, crate_dir: &str) -> String {
     crate_dir.replace('-', "_")
 }
 
-/// One function node in the graph.
+/// One function node in the graph: the parsed item (body facts included)
+/// plus where it lives.
 #[derive(Clone, Debug)]
-pub struct Node {
-    pub file: String,
+pub struct Node<'a> {
+    pub file: &'a str,
     /// `a::b::c` display path.
     pub path: String,
-    pub name: String,
-    pub line: u32,
-    pub is_pub: bool,
-    pub panics: Vec<parser::PanicFact>,
-    pub taints: Vec<parser::TaintFact>,
-    pub locks: Vec<parser::LockFact>,
-    pub blocks: Vec<parser::BlockFact>,
-    pub mentions_determinant: bool,
-    pub sends: Vec<parser::SendFact>,
-    pub arms: Vec<parser::ArmRegion>,
-    /// Ordinals where the body mutates a progress counter (`epoch`,
-    /// `attempt`, ...) — the causal pass uses these to decide whether a
-    /// protocol cycle makes progress, window-filtered per match arm.
-    pub progress_ords: Vec<u32>,
+    pub item: &'a FnItem,
+}
+
+impl Node<'_> {
+    /// `path (file:line)` — one hop of a rendered blame chain.
+    pub fn render(&self) -> String {
+        format!("{} ({}:{})", self.path, self.file, self.item.line)
+    }
 }
 
 /// Directed call edge; `line` is the call site in the caller's file and
@@ -133,8 +181,8 @@ pub struct GraphStats {
     pub unknown_callees: usize,
 }
 
-pub struct CallGraph {
-    pub nodes: Vec<Node>,
+pub struct CallGraph<'a> {
+    pub nodes: Vec<Node<'a>>,
     /// Adjacency, sorted; distinct call *sites* to the same target are kept
     /// (the lockgraph pass needs every site to test guard liveness).
     pub edges: Vec<Vec<Edge>>,
@@ -173,62 +221,35 @@ const DERIVED_TRAIT_METHODS: &[&str] = &[
     "drop",
 ];
 
-impl CallGraph {
-    pub fn build(ws: &Workspace) -> CallGraph {
+impl<'a> CallGraph<'a> {
+    pub fn build(ws: &'a Workspace) -> CallGraph<'a> {
         // ---- node table (BTreeMap file order, then declaration order) ----
         let mut nodes = Vec::new();
-        let mut owner: Vec<(&str, &FnItem)> = Vec::new();
         for (rel, pf) in &ws.files {
             for item in &pf.fns {
-                owner.push((rel, item));
-                nodes.push(Node {
-                    file: rel.clone(),
-                    path: item.display_path(),
-                    name: item.name.clone(),
-                    line: item.line,
-                    is_pub: item.is_pub,
-                    panics: item.panics.clone(),
-                    taints: item.taints.clone(),
-                    locks: item.locks.clone(),
-                    blocks: item.blocks.clone(),
-                    mentions_determinant: item.mentions_determinant,
-                    sends: item.sends.clone(),
-                    arms: item.arms.clone(),
-                    progress_ords: item.progress_ords.clone(),
-                });
+                nodes.push(Node { file: rel, path: item.display_path(), item });
             }
         }
 
         // ---- resolution indexes ----
-        let mut fn_index: BTreeMap<Vec<String>, Vec<usize>> = BTreeMap::new();
+        let mut index = Index::default();
         let mut method_index: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (ix, (_, item)) in owner.iter().enumerate() {
-            fn_index.entry(item.path.clone()).or_default().push(ix);
+        for (ix, Node { item, .. }) in nodes.iter().enumerate() {
+            index.fns.entry(item.path.clone()).or_default().push(ix);
             if item.has_self {
                 method_index.entry(item.name.as_str()).or_default().push(ix);
             }
         }
-        let mut type_set: BTreeSet<Vec<String>> = BTreeSet::new();
-        let mut variant_set: BTreeSet<Vec<String>> = BTreeSet::new();
-        let mut module_set: BTreeSet<Vec<String>> = BTreeSet::new();
+        let under = |base: &[String], leaf: &String| [base, std::slice::from_ref(leaf)].concat();
         for pf in ws.files.values() {
             for i in 1..=pf.module.len() {
-                module_set.insert(pf.module[..i].to_vec());
+                index.modules.insert(pf.module[..i].to_vec());
             }
-            for s in &pf.structs {
-                let mut p = pf.module.clone();
-                p.push(s.clone());
-                type_set.insert(p);
-            }
+            index.types.extend(pf.structs.keys().map(|s| under(&pf.module, s)));
             for (e, variants) in &pf.enums {
-                let mut p = pf.module.clone();
-                p.push(e.clone());
-                for (v, _) in variants {
-                    let mut vp = p.clone();
-                    vp.push(v.clone());
-                    variant_set.insert(vp);
-                }
-                type_set.insert(p);
+                let p = under(&pf.module, e);
+                index.variants.extend(variants.iter().map(|(v, _)| under(&p, v)));
+                index.types.insert(p);
             }
         }
 
@@ -240,46 +261,28 @@ impl CallGraph {
         };
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
         let mut unknown_keys: BTreeSet<(String, u32, String)> = BTreeSet::new();
-        for (ix, (rel, item)) in owner.iter().enumerate() {
+        for (ix, Node { file: rel, item, .. }) in nodes.iter().enumerate() {
             let pf = &ws.files[*rel];
             for call in &item.calls {
+                let mut link = |targets: &[usize], by_name: bool| {
+                    let edge = |&to| Edge { to, line: call.line, ord: call.ord, by_name };
+                    edges[ix].extend(targets.iter().map(edge));
+                };
                 match &call.target {
-                    CallTarget::Path(segs) => {
-                        match resolve_path(
-                            ws, pf, item, segs, &fn_index, &type_set, &variant_set, &module_set,
-                        ) {
-                            Resolution::Fns(targets) => {
-                                stats.resolved_paths += 1;
-                                for t in targets {
-                                    edges[ix].push(Edge {
-                                        to: t,
-                                        line: call.line,
-                                        ord: call.ord,
-                                        by_name: false,
-                                    });
-                                }
-                            }
-                            Resolution::Unknown(path) => {
-                                unknown_keys.insert((
-                                    (*rel).to_string(),
-                                    call.line,
-                                    path.join("::"),
-                                ));
-                            }
-                            Resolution::External => {}
+                    CallTarget::Path(segs) => match index.resolve(ws, pf, item, segs) {
+                        Resolution::Fns(targets) => {
+                            stats.resolved_paths += 1;
+                            link(&targets, false);
                         }
-                    }
+                        Resolution::Unknown(path) => {
+                            unknown_keys.insert((rel.to_string(), call.line, path.join("::")));
+                        }
+                        Resolution::External => {}
+                    },
                     CallTarget::Method(name) => {
                         if let Some(targets) = method_index.get(name.as_str()) {
                             stats.by_name_edges += targets.len();
-                            for &t in targets {
-                                edges[ix].push(Edge {
-                                    to: t,
-                                    line: call.line,
-                                    ord: call.ord,
-                                    by_name: true,
-                                });
-                            }
+                            link(targets, true);
                         }
                     }
                 }
@@ -310,92 +313,6 @@ impl CallGraph {
 
         CallGraph { nodes, edges, unknown, stats }
     }
-
-    /// Node indexes whose file is one of `rels`.
-    pub fn nodes_in_files<'a>(&'a self, rels: &'a [&str]) -> impl Iterator<Item = usize> + 'a {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| rels.contains(&n.file.as_str()))
-            .map(|(ix, _)| ix)
-    }
-
-    /// Multi-source BFS over `allowed` edges; returns `parent[ix] ->
-    /// Some((pred, call line))` for every reached node (sources map to
-    /// themselves via `None`). Deterministic: sources and adjacency are
-    /// visited in sorted order.
-    pub fn bfs(
-        &self,
-        sources: &BTreeSet<usize>,
-        edge_allowed: impl Fn(usize, &Edge) -> bool,
-    ) -> BTreeMap<usize, Option<(usize, u32)>> {
-        let mut parent: BTreeMap<usize, Option<(usize, u32)>> = BTreeMap::new();
-        let mut queue: std::collections::VecDeque<usize> = Default::default();
-        for &s in sources {
-            parent.insert(s, None);
-            queue.push_back(s);
-        }
-        while let Some(u) = queue.pop_front() {
-            for e in &self.edges[u] {
-                if !edge_allowed(u, e) || parent.contains_key(&e.to) {
-                    continue;
-                }
-                parent.insert(e.to, Some((u, e.line)));
-                queue.push_back(e.to);
-            }
-        }
-        parent
-    }
-
-    /// Reverse reachability: all nodes that can reach any of `targets`.
-    pub fn reaches(
-        &self,
-        targets: &BTreeSet<usize>,
-        edge_allowed: impl Fn(usize, &Edge) -> bool,
-    ) -> BTreeSet<usize> {
-        let mut radj: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (u, adj) in self.edges.iter().enumerate() {
-            for e in adj {
-                if edge_allowed(u, e) {
-                    radj[e.to].push(u);
-                }
-            }
-        }
-        let mut seen: BTreeSet<usize> = targets.clone();
-        let mut queue: Vec<usize> = targets.iter().copied().collect();
-        while let Some(v) = queue.pop() {
-            for &u in &radj[v] {
-                if seen.insert(u) {
-                    queue.push(u);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Reconstruct the blame chain `source → ... → ix` from BFS parents:
-    /// `(node, call-site line into the *next* hop)` pairs, source first.
-    pub fn chain_to(
-        &self,
-        parent: &BTreeMap<usize, Option<(usize, u32)>>,
-        ix: usize,
-    ) -> Vec<(usize, Option<u32>)> {
-        let mut hops: Vec<(usize, Option<u32>)> = Vec::new();
-        let mut cur = ix;
-        let mut into_line: Option<u32> = None;
-        loop {
-            hops.push((cur, into_line));
-            match parent.get(&cur) {
-                Some(Some((pred, line))) => {
-                    into_line = Some(*line);
-                    cur = *pred;
-                }
-                _ => break,
-            }
-        }
-        hops.reverse();
-        hops
-    }
 }
 
 enum Resolution {
@@ -404,75 +321,82 @@ enum Resolution {
     Unknown(Vec<String>),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn resolve_path(
-    _ws: &Workspace,
-    pf: &ParsedFile,
-    caller: &FnItem,
-    segs: &[String],
-    fn_index: &BTreeMap<Vec<String>, Vec<usize>>,
-    type_set: &BTreeSet<Vec<String>>,
-    variant_set: &BTreeSet<Vec<String>>,
-    module_set: &BTreeSet<Vec<String>>,
-) -> Resolution {
-    let mut cands: Vec<Vec<String>> = Vec::new();
-    let push = |cands: &mut Vec<Vec<String>>, base: Vec<String>, rest: &[String]| {
-        let mut p = base;
-        p.extend(rest.iter().cloned());
-        if !cands.contains(&p) {
-            cands.push(p);
-        }
-    };
+/// Everything a path call can resolve against.
+#[derive(Default)]
+struct Index {
+    fns: BTreeMap<Vec<String>, Vec<usize>>,
+    types: BTreeSet<Vec<String>>,
+    variants: BTreeSet<Vec<String>>,
+    modules: BTreeSet<Vec<String>>,
+}
 
-    if segs[0] == "Self" {
-        if let Some(ty) = &caller.impl_type {
-            let mut base = caller.module.clone();
-            base.push(ty.clone());
-            push(&mut cands, base, &segs[1..]);
-        }
-    } else {
-        if let Some(imported) = pf.imports.get(&segs[0]) {
-            push(&mut cands, imported.clone(), &segs[1..]);
-        }
-        if _ws.crate_roots.contains(&segs[0]) {
-            push(&mut cands, Vec::new(), segs);
-        }
-        push(&mut cands, caller.module.clone(), segs);
-        for g in &pf.globs {
-            push(&mut cands, g.clone(), segs);
-        }
-    }
+impl Index {
+    fn resolve(
+        &self,
+        ws: &Workspace,
+        pf: &ParsedFile,
+        caller: &FnItem,
+        segs: &[String],
+    ) -> Resolution {
+        let mut cands: Vec<Vec<String>> = Vec::new();
+        let push = |cands: &mut Vec<Vec<String>>, base: Vec<String>, rest: &[String]| {
+            let mut p = base;
+            p.extend(rest.iter().cloned());
+            if !cands.contains(&p) {
+                cands.push(p);
+            }
+        };
 
-    for cand in &cands {
-        if let Some(ixs) = fn_index.get(cand) {
-            return Resolution::Fns(ixs.clone());
+        if segs[0] == "Self" {
+            if let Some(ty) = &caller.impl_type {
+                let mut base = caller.module.clone();
+                base.push(ty.clone());
+                push(&mut cands, base, &segs[1..]);
+            }
+        } else {
+            if let Some(imported) = pf.imports.get(&segs[0]) {
+                push(&mut cands, imported.clone(), &segs[1..]);
+            }
+            if ws.crate_roots.contains(&segs[0]) {
+                push(&mut cands, Vec::new(), segs);
+            }
+            push(&mut cands, caller.module.clone(), segs);
+            for g in &pf.globs {
+                push(&mut cands, g.clone(), segs);
+            }
         }
-    }
-    for cand in &cands {
-        if cand.len() >= 2 && variant_set.contains(cand) {
-            return Resolution::External; // enum variant construction/pattern
-        }
-    }
-    // No item matched: a call rooted in the workspace is an unknown callee.
-    if segs.len() >= 2 {
+
         for cand in &cands {
-            if cand.len() < 2 {
-                continue;
-            }
-            let parent = cand[..cand.len() - 1].to_vec();
-            let leaf = cand.last().map(String::as_str).unwrap_or_default();
-            if type_set.contains(&parent) {
-                if DERIVED_TRAIT_METHODS.contains(&leaf) {
-                    return Resolution::External;
-                }
-                return Resolution::Unknown(cand.clone());
-            }
-            if module_set.contains(&parent) {
-                return Resolution::Unknown(cand.clone());
+            if let Some(ixs) = self.fns.get(cand) {
+                return Resolution::Fns(ixs.clone());
             }
         }
+        for cand in &cands {
+            if cand.len() >= 2 && self.variants.contains(cand) {
+                return Resolution::External; // enum variant construction/pattern
+            }
+        }
+        // No item matched: a call rooted in the workspace is an unknown callee.
+        if segs.len() >= 2 {
+            for cand in &cands {
+                if cand.len() < 2 {
+                    continue;
+                }
+                let parent = cand[..cand.len() - 1].to_vec();
+                let leaf = cand.last().map(String::as_str).unwrap_or_default();
+                if self.types.contains(&parent) {
+                    if DERIVED_TRAIT_METHODS.contains(&leaf) {
+                        return Resolution::External;
+                    }
+                    return Resolution::Unknown(cand.clone());
+                }
+                if self.modules.contains(&parent) {
+                    return Resolution::Unknown(cand.clone());
+                }
+            }
+        }
+        Resolution::External
     }
-    Resolution::External
 }
 
 #[cfg(test)]
@@ -481,15 +405,15 @@ mod tests {
     use crate::diagnostics::Severity;
     use crate::lexer::lex;
 
-    /// Build a two-crate workspace from (rel, lib, src) triples.
-    fn build(files: &[(&str, &str, &str)]) -> CallGraph {
+    /// Build a two-crate workspace from (rel, lib, src) triples (leaked:
+    /// the graph borrows it, and a test's workspace lives as long as the
+    /// test anyway).
+    fn build(files: &[(&str, &str, &str)]) -> CallGraph<'static> {
         let mut ws = Workspace::default();
         for (rel, lib, src) in files {
-            ws.crate_roots.insert(lib.to_string());
-            let module = parser::module_path_of(lib, rel);
-            ws.files.insert(rel.to_string(), parser::parse_file(rel, module, &lex(src)));
+            ws.add(rel, Some(lib.to_string()), lex(src));
         }
-        CallGraph::build(&ws)
+        CallGraph::build(Box::leak(Box::new(ws)))
     }
 
     fn ix(g: &CallGraph, path: &str) -> usize {
@@ -631,28 +555,48 @@ mod tests {
             "clonos",
             "struct S { q: Mutex<u32> }\nimpl S { fn f(&self) { let g = self.q.lock().unwrap(); std::thread::sleep(d); } }\n",
         )]);
-        let n = &g.nodes[ix(&g, "clonos::a::S::f")];
+        let n = g.nodes[ix(&g, "clonos::a::S::f")].item;
         assert_eq!(n.locks.len(), 1);
         assert_eq!(n.locks[0].lock, "q");
         assert_eq!(n.blocks.len(), 1);
     }
 
     #[test]
-    fn chain_reconstruction() {
-        let g = build(&[(
-            "crates/core/src/a.rs",
-            "clonos",
-            "pub fn a() { b(); }\nfn b() { c(); }\nfn c() {}\n",
-        )]);
-        let sources: BTreeSet<usize> = [ix(&g, "clonos::a::a")].into();
-        let parent = g.bfs(&sources, |_, _| true);
-        let chain = g.chain_to(&parent, ix(&g, "clonos::a::c"));
-        let names: Vec<&str> = chain.iter().map(|&(n, _)| g.nodes[n].name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        // Each hop carries the line of its call into the *next* node; the
-        // final hop has none.
-        assert!(chain[0].1.is_some());
-        assert!(chain[1].1.is_some());
-        assert_eq!(chain[2].1, None);
+    fn source_cuts_test_regions_but_keeps_their_dot_reads() {
+        let src = Source::new(lex(
+            "fn live(r: &R) -> u64 { r.shown }\n\
+             // clonos-lint: allow(wall-clock, reason = \"live\")\n\
+             #[cfg(test)]\nmod tests {\n\
+                 // clonos-lint: allow(wall-clock, reason = \"test-only\")\n\
+                 fn t(r: &R) { assert_eq!(r.hidden_counter, 0); r.go(); }\n\
+             }\n",
+        ));
+        assert!(src.toks.iter().all(|t| t.line <= 2), "test region tokens survived");
+        assert_eq!(src.allows.len(), 1);
+        assert_eq!(src.allows[0].line, 2);
+        let dots: Vec<&str> = src.dots.iter().map(String::as_str).collect();
+        assert_eq!(dots, vec!["go", "hidden_counter", "shown"]);
+    }
+
+    #[test]
+    fn load_lexes_every_file_parses_graph_sources_and_records_the_unreadable() {
+        let root = std::env::temp_dir().join(format!("clonos_lint_ws_{}", std::process::id()));
+        let write = |rel: &str, body: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, body).unwrap();
+        };
+        write("crates/core/src/recovery.rs", "pub fn recover() {}\n");
+        write("crates/engine/tests/t.rs", "fn t(r: R) { r.count; }\n");
+        let files = vec!["crates/engine/tests/t.rs".to_string(), "crates/core/src/recovery.rs".into()];
+        let ws = Workspace::load(&root, &files);
+        // Listed files are lexed; only graph-crate sources are parsed.
+        assert!(ws.sources["crates/engine/tests/t.rs"].dots.contains("count"));
+        assert_eq!(ws.files.keys().collect::<Vec<_>>(), vec!["crates/core/src/recovery.rs"]);
+        assert!(ws.crate_roots.contains("core"));
+        // Configured files that are absent are reported, not silently skipped.
+        assert!(ws.unreadable.contains_key(config::DETERMINANT_FILE));
+        assert!(!ws.unreadable.contains_key("crates/core/src/recovery.rs"));
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -11,11 +11,12 @@
 //! * A **send** is an `Enum::Variant` construction site
 //!   (`parser::SendFact`) of a protocol variant.
 //! * The causal edge `V → W` exists when handling `V` leads to sending
-//!   `W`: either a send of `W` whose token ordinal falls inside a `V`
-//!   arm's body extent, or — transitively — a call site inside that
-//!   extent from which BFS over the call graph reaches a function with an
-//!   *unconditional* send of `W` (one outside all of that function's own
-//!   protocol arms; sends inside a callee's arms belong to those arms).
+//!   `W`. Propagation states (`propagate::bfs`) are `(arm, callee)`: the
+//!   zero-hop state is the arm's own body extent, whose sends of `W` count
+//!   directly; calls inside the extent enter callee states, followed
+//!   transitively, where only an *unconditional* send of `W` counts (one
+//!   outside all of that function's own protocol arms; sends inside a
+//!   callee's arms belong to those arms).
 //! * A **protocol entry** is a spontaneous send: an unconditional send in
 //!   a function that is neither reachable from any handler-arm call site
 //!   nor itself a handler (e.g. the deploy-time `CheckpointTick` kick-off
@@ -45,6 +46,7 @@ use crate::callgraph::{CallGraph, Workspace};
 use crate::config;
 use crate::diagnostics::{json_str, Diagnostic};
 use crate::parser::PROGRESS_IDENTS;
+use crate::propagate::{bfs, Reached};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One derived causal edge `from → to`, with its exemplar evidence.
@@ -81,12 +83,6 @@ pub struct CausalSpec {
     pub chains: Vec<(String, Vec<String>)>,
 }
 
-impl CausalSpec {
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.edges.is_empty()
-    }
-}
-
 pub fn check(
     ws: &Workspace,
     graph: &CallGraph,
@@ -112,121 +108,87 @@ pub fn check(
     // ---- per-node protocol view ----
     let n = graph.nodes.len();
     let test_node: Vec<bool> =
-        graph.nodes.iter().map(|nd| config::is_test_source(&nd.file)).collect();
-    // Indexes into node.arms whose pattern names a protocol variant.
+        graph.nodes.iter().map(|nd| config::is_test_source(nd.file)).collect();
+    // Indexes into item.arms whose pattern names a protocol variant.
     let mut proto_arms: Vec<Vec<usize>> = vec![Vec::new(); n];
     // Protocol sends outside every protocol arm of the node.
     let mut uncond: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for ix in 0..n {
-        if test_node[ix] {
-            continue;
-        }
-        let node = &graph.nodes[ix];
-        for (ai, arm) in node.arms.iter().enumerate() {
-            if arm.patterns.iter().any(|(e, v)| is_protocol(e, v)) {
+    for ix in (0..n).filter(|&ix| !test_node[ix]) {
+        let item = graph.nodes[ix].item;
+        for (ai, arm) in item.arms.iter().enumerate() {
+            if arm.patterns.iter().any(|p| is_protocol(&p.enm, &p.variant)) {
                 proto_arms[ix].push(ai);
             }
         }
-        for (si, s) in node.sends.iter().enumerate() {
-            if !is_protocol(&s.enm, &s.variant) {
-                continue;
-            }
+        for (si, s) in item.sends.iter().enumerate() {
             let in_arm = proto_arms[ix].iter().any(|&ai| {
-                let a = &node.arms[ai];
+                let a = &item.arms[ai];
                 (a.lo..a.hi).contains(&s.ord)
             });
-            if !in_arm {
+            if is_protocol(&s.enm, &s.variant) && !in_arm {
                 uncond[ix].push(si);
             }
         }
     }
 
     // ---- edge derivation ----
-    let render = |ix: usize| {
-        let nd = &graph.nodes[ix];
-        format!("{} ({}:{})", nd.path, nd.file, nd.line)
-    };
+    // State `(arm fn, arm index, callee)`: `None` is the arm's own body
+    // window, `Some(f)` is `f` entered (transitively) from a call inside it.
+    type ArmState = (usize, usize, Option<usize>);
+    let arm_seeds = (0..n).flat_map(|ix| proto_arms[ix].iter().map(move |&ai| (ix, ai, None)));
+    let flow = bfs(arm_seeds, |&(ix, ai, callee): &ArmState| {
+        let arm = &graph.nodes[ix].item.arms[ai];
+        let (from, window) = match callee {
+            None => (ix, arm.lo..arm.hi),
+            Some(f) => (f, 0..u32::MAX),
+        };
+        graph.edges[from]
+            .iter()
+            .filter(|e| window.contains(&e.ord) && !test_node[e.to])
+            .map(|e| (ix, ai, Some(e.to)))
+            .collect()
+    });
     let mut edges: BTreeMap<(String, String), CausalEdge> = BTreeMap::new();
-    let mut record = |from: &str, to: &str, ev: CausalEdge| {
-        edges
-            .entry((from.to_string(), to.to_string()))
-            .and_modify(|e| e.progress |= ev.progress)
-            .or_insert(ev);
-    };
-    // All handler-arm call-site targets, for the entry computation below.
-    let mut arm_targets: BTreeSet<usize> = BTreeSet::new();
-    for (ix, arms_of) in proto_arms.iter().enumerate() {
-        let node = &graph.nodes[ix];
-        for &ai in arms_of {
-            let arm = &node.arms[ai];
-            let window = arm.lo..arm.hi;
-            let window_progress =
-                node.progress_ords.iter().any(|o| window.contains(o));
-            let froms: Vec<&(String, String)> = arm
-                .patterns
-                .iter()
-                .filter(|(e, v)| is_protocol(e, v))
-                .collect();
-            // Direct sends inside the arm body.
-            for s in &node.sends {
-                if window.contains(&s.ord) && is_protocol(&s.enm, &s.variant) {
-                    for (_, from) in &froms {
-                        record(
-                            from,
-                            &s.variant,
-                            CausalEdge {
-                                from: from.clone(),
-                                to: s.variant.clone(),
-                                send_file: node.file.clone(),
-                                send_line: s.line,
-                                arm_file: node.file.clone(),
-                                arm_line: arm.line,
-                                chain: vec![render(ix)],
-                                progress: window_progress,
-                            },
-                        );
-                    }
-                }
+    for st in flow.0.keys() {
+        let &(ix, ai, callee) = st;
+        let (node, arm) = (&graph.nodes[ix], &graph.nodes[ix].item.arms[ai]);
+        let window = arm.lo..arm.hi;
+        let sender = &graph.nodes[callee.unwrap_or(ix)];
+        // Direct sends inside the arm body, or a callee's unconditional ones.
+        let sends: Vec<&crate::parser::VariantSite> = match callee {
+            None => {
+                let in_window = sender.item.sends.iter().filter(|s| window.contains(&s.ord));
+                in_window.filter(|s| is_protocol(&s.enm, &s.variant)).collect()
             }
-            // Transitive: calls out of the arm body, then BFS.
-            let sources: BTreeSet<usize> = graph.edges[ix]
-                .iter()
-                .filter(|e| window.contains(&e.ord) && !test_node[e.to])
-                .map(|e| e.to)
-                .collect();
-            arm_targets.extend(sources.iter().copied());
-            if sources.is_empty() {
-                continue;
-            }
-            let parents = graph.bfs(&sources, |_, e| !test_node[e.to]);
-            for &r in parents.keys() {
-                if uncond[r].is_empty() {
-                    continue;
-                }
-                let hops = graph.chain_to(&parents, r);
-                let progress = window_progress
-                    || hops.iter().any(|&(h, _)| !graph.nodes[h].progress_ords.is_empty());
-                let mut chain = vec![render(ix)];
-                chain.extend(hops.iter().map(|&(h, _)| render(h)));
-                for &si in &uncond[r] {
-                    let s = &graph.nodes[r].sends[si];
-                    for (_, from) in &froms {
-                        record(
-                            from,
-                            &s.variant,
-                            CausalEdge {
-                                from: from.clone(),
-                                to: s.variant.clone(),
-                                send_file: graph.nodes[r].file.clone(),
-                                send_line: s.line,
-                                arm_file: node.file.clone(),
-                                arm_line: arm.line,
-                                chain: chain.clone(),
-                                progress,
-                            },
-                        );
-                    }
-                }
+            Some(f) => uncond[f].iter().map(|&si| &sender.item.sends[si]).collect(),
+        };
+        if sends.is_empty() {
+            continue;
+        }
+        // Progress: in the arm window, or anywhere in a fn of the call chain.
+        let path = flow.path_to(st);
+        let progress = node.item.progress_ords.iter().any(|o| window.contains(o))
+            || path[1..].iter().any(|&(.., f)| {
+                f.is_some_and(|f| !graph.nodes[f].item.progress_ords.is_empty())
+            });
+        let chain: Vec<String> =
+            path.iter().map(|&(.., f)| graph.nodes[f.unwrap_or(ix)].render()).collect();
+        for s in sends {
+            for from in arm.patterns.iter().filter(|p| is_protocol(&p.enm, &p.variant)) {
+                let ev = CausalEdge {
+                    from: from.variant.clone(),
+                    to: s.variant.clone(),
+                    send_file: sender.file.to_string(),
+                    send_line: s.line,
+                    arm_file: node.file.to_string(),
+                    arm_line: arm.line,
+                    chain: chain.clone(),
+                    progress,
+                };
+                edges
+                    .entry((ev.from.clone(), ev.to.clone()))
+                    .and_modify(|e| e.progress |= progress)
+                    .or_insert(ev);
             }
         }
     }
@@ -235,17 +197,17 @@ pub fn check(
     // A node is message-triggered if an arm call site reaches it, or if it
     // contains a handler arm itself (its straight-line sends execute on
     // message receipt, not spontaneously).
-    let reached = graph.bfs(&arm_targets, |_, e| !test_node[e.to]);
+    let reached: BTreeSet<usize> = flow.0.keys().filter_map(|&(.., callee)| callee).collect();
     let mut entries: BTreeMap<String, (String, u32)> = BTreeMap::new();
     for ix in 0..n {
-        if test_node[ix] || reached.contains_key(&ix) || !proto_arms[ix].is_empty() {
+        if test_node[ix] || reached.contains(&ix) || !proto_arms[ix].is_empty() {
             continue;
         }
         for &si in &uncond[ix] {
-            let s = &graph.nodes[ix].sends[si];
+            let s = &graph.nodes[ix].item.sends[si];
             entries
                 .entry(s.variant.clone())
-                .or_insert((graph.nodes[ix].file.clone(), s.line));
+                .or_insert((graph.nodes[ix].file.to_string(), s.line));
         }
     }
 
@@ -255,41 +217,19 @@ pub fn check(
         adj.entry(from.as_str()).or_default().insert(to.as_str());
     }
     let mut constructed: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    for (node, &is_test) in graph.nodes.iter().zip(&test_node) {
-        if is_test {
-            continue;
-        }
-        for s in &node.sends {
-            if is_protocol(&s.enm, &s.variant) {
-                constructed
-                    .entry(s.variant.clone())
-                    .or_insert((node.file.clone(), s.line));
-            }
+    for (node, _) in graph.nodes.iter().zip(&test_node).filter(|(_, &is_test)| !is_test) {
+        for s in node.item.sends.iter().filter(|s| is_protocol(&s.enm, &s.variant)) {
+            constructed.entry(s.variant.clone()).or_insert((node.file.to_string(), s.line));
         }
     }
-    let reach_from = |starts: &[&str]| -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> =
-            starts.iter().map(|s| s.to_string()).collect();
-        let mut stack: Vec<String> = seen.iter().cloned().collect();
-        while let Some(v) = stack.pop() {
-            if let Some(next) = adj.get(v.as_str()) {
-                for &w in next {
-                    if seen.insert(w.to_string()) {
-                        stack.push(w.to_string());
-                    }
-                }
-            }
-        }
-        seen
-    };
     let entry_names: Vec<&str> = entries.keys().map(String::as_str).collect();
-    let live = reach_from(&entry_names);
+    let live = reach_from(&adj, &entry_names);
 
     let mut out = Vec::new();
 
     // ---- rule: orphan-event ----
     for (v, site) in &constructed {
-        if live.contains(v) {
+        if live.contains(&v.as_str()) {
             continue;
         }
         let (enm, line) = &decl[v];
@@ -322,25 +262,15 @@ pub fn check(
     }
 
     // ---- rule: non-progressing-cycle ----
-    // Tiny variant set: O(V²) pairwise reachability is plenty, and BTree
-    // iteration keeps SCC grouping deterministic.
+    // Tiny variant set: O(V²) pairwise reachability is plenty. A vertex's
+    // representative is the BTree-min vertex mutually reachable with it.
     let verts: Vec<&str> = adj.keys().copied().collect();
-    let mut scc_of: BTreeMap<&str, &str> = BTreeMap::new();
-    for &v in &verts {
-        let rv = reach_from(&[v]);
-        for &w in &verts {
-            if scc_of.contains_key(w) || w == v {
-                continue;
-            }
-            if rv.contains(w) && reach_from(&[w]).contains(v) {
-                scc_of.insert(w, v); // v is the BTree-min representative
-            }
-        }
-        scc_of.entry(v).or_insert(v);
-    }
+    let reach: BTreeMap<&str, Reached<&str>> =
+        verts.iter().map(|&v| (v, reach_from(&adj, &[v]))).collect();
     let mut sccs: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (&v, &rep) in &scc_of {
-        sccs.entry(rep).or_default().push(v);
+    for &v in &verts {
+        let mutual = |u: &&str| reach[u].contains(&v) && reach[v].contains(u);
+        sccs.entry(verts.iter().copied().find(mutual).unwrap_or(v)).or_default().push(v);
     }
     for (rep, members) in &sccs {
         let set: BTreeSet<&str> = members.iter().copied().collect();
@@ -398,8 +328,8 @@ pub fn check(
         if !decl.contains_key(entry) || !constructed.contains_key(entry) {
             continue; // absent or already flagged by message-protocol
         }
-        let rv = reach_from(&[entry]);
-        if config::STABILIZE_VARIANTS.iter().any(|s| rv.contains(*s)) {
+        let rv = reach_from(&adj, &[entry]);
+        if config::STABILIZE_VARIANTS.iter().any(|s| rv.contains(s)) {
             continue;
         }
         let rule = "unstabilized-recovery";
@@ -411,13 +341,15 @@ pub fn check(
         // The frontier: reached variants with no outgoing edges — where
         // the chain stalls.
         let frontier: Vec<&str> = rv
-            .iter()
-            .map(String::as_str)
+            .0
+            .keys()
+            .copied()
             .filter(|v| adj.get(*v).is_none_or(|next| next.is_empty()))
             .collect();
         let chain = rv
-            .iter()
-            .filter(|v| v.as_str() != entry)
+            .0
+            .keys()
+            .filter(|v| **v != entry)
             .map(|v| {
                 let e = edges
                     .iter()
@@ -458,7 +390,9 @@ pub fn check(
         if !decl.contains_key(from) || !decl.contains_key(to) {
             continue;
         }
-        if let Some(hops) = shortest_path(&adj, from, to) {
+        let rv = reach_from(&adj, &[from]);
+        if rv.contains(&to) {
+            let hops = rv.path_to(&to).into_iter().map(str::to_string).collect();
             chains.push((name.to_string(), hops));
         }
     }
@@ -474,40 +408,13 @@ pub fn check(
     (out, spec)
 }
 
-/// BFS shortest path `from → to` over the variant graph, inclusive.
-fn shortest_path(
-    adj: &BTreeMap<&str, BTreeSet<&str>>,
-    from: &str,
-    to: &str,
-) -> Option<Vec<String>> {
-    let mut parent: BTreeMap<String, String> = BTreeMap::new();
-    let mut queue: std::collections::VecDeque<String> = Default::default();
-    parent.insert(from.to_string(), String::new());
-    queue.push_back(from.to_string());
-    while let Some(v) = queue.pop_front() {
-        if v == to {
-            let mut hops = vec![v.clone()];
-            let mut cur = v;
-            while let Some(p) = parent.get(&cur) {
-                if p.is_empty() {
-                    break;
-                }
-                hops.push(p.clone());
-                cur = p.clone();
-            }
-            hops.reverse();
-            return Some(hops);
-        }
-        if let Some(next) = adj.get(v.as_str()) {
-            for &w in next {
-                if !parent.contains_key(w) {
-                    parent.insert(w.to_string(), v.clone());
-                    queue.push_back(w.to_string());
-                }
-            }
-        }
-    }
-    None
+/// Variants reachable from `starts` over the variant graph, with
+/// shortest-path provenance.
+fn reach_from<'a>(
+    adj: &BTreeMap<&'a str, BTreeSet<&'a str>>,
+    starts: &[&'a str],
+) -> Reached<&'a str> {
+    bfs(starts.iter().copied(), |v| adj.get(v).into_iter().flatten().copied().collect())
 }
 
 /// Render the spec as JSON (hand-rolled; the workspace has no serde). One

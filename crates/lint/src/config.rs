@@ -167,6 +167,14 @@ pub fn rule_allowable(id: &str) -> bool {
 /// are `tests/` and `benches/` directories of the listed crates.
 pub const DETERMINISTIC_CRATES: &[&str] = &["core", "engine", "sim", "storage", "nexmark"];
 
+/// The deterministic crate (`core`, `engine`, ...) whose `src/` tree holds
+/// `rel` — the files the per-file determinism rules and the call graph
+/// cover.
+pub fn deterministic_crate_of(rel: &str) -> Option<&'static str> {
+    let (krate, tail) = rel.strip_prefix("crates/")?.split_once('/')?;
+    tail.starts_with("src/").then(|| DETERMINISTIC_CRATES.iter().copied().find(|k| *k == krate))?
+}
+
 /// The one place threading primitives are legitimate: the sharded actor
 /// runtime. Everything else in the deterministic crates must be runnable
 /// single-threaded under the sim scheduler (determinant replay, chaos

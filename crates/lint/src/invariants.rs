@@ -15,39 +15,36 @@
 //!    counter field is read outside its defining file (tests, sweeps, bench
 //!    bins). A counter nobody reads is a guarantee nobody checks.
 
+use crate::callgraph::Workspace;
 use crate::config;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{lex, Tok, TokKind};
-use crate::rules::test_regions;
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use crate::parser::{FieldFact, FnItem, ParsedFile};
+use std::collections::BTreeSet;
 
-pub fn check(root: &Path, all_files: &[String]) -> Vec<Diagnostic> {
+pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut cache: BTreeMap<String, Vec<Tok>> = BTreeMap::new();
-    let mut toks_of = |rel: &str, diags: &mut Vec<Diagnostic>| -> Vec<Tok> {
-        if let Some(t) = cache.get(rel) {
-            return t.clone();
-        }
-        let toks = match std::fs::read_to_string(root.join(rel)) {
-            Ok(src) => lex(&src).toks,
-            Err(e) => {
-                diags.push(Diagnostic::new(
-                    rel,
-                    0,
-                    "determinant-codec",
-                    format!("cannot read invariant source file: {e}"),
-                ));
-                Vec::new()
-            }
-        };
-        cache.insert(rel.to_string(), toks.clone());
-        toks
+    // Every file consulted below that could not be read (the recovery-path
+    // files this pass never opens are the per-file pass' to report).
+    let consulted = |rel: &str| {
+        !config::RECOVERY_PATH_FILES.contains(&rel)
+            || config::REPLAY_SURFACE_FILES.contains(&rel)
+            || config::STATS_STRUCTS.iter().any(|(_, file)| *file == rel)
     };
+    for (rel, e) in ws.unreadable.iter().filter(|(rel, _)| consulted(rel)) {
+        diags.push(Diagnostic::new(
+            rel,
+            0,
+            "determinant-codec",
+            format!("cannot read invariant source file: {e}"),
+        ));
+    }
+    // Parsed view of a configured file; a missing one reads as empty.
+    let empty = ParsedFile::default();
+    let parsed = |rel: &str| ws.files.get(rel).unwrap_or(&empty);
 
     // ---- 1 & 2: Determinant variants vs codec and replay arms -----------
-    let det_toks = toks_of(config::DETERMINANT_FILE, &mut diags);
-    let variants = enum_variants(&det_toks, "Determinant");
+    let det = parsed(config::DETERMINANT_FILE);
+    let variants = det.enums.get("Determinant").cloned().unwrap_or_default();
     if variants.is_empty() {
         diags.push(Diagnostic::new(
             config::DETERMINANT_FILE,
@@ -56,41 +53,23 @@ pub fn check(root: &Path, all_files: &[String]) -> Vec<Diagnostic> {
             "could not locate `enum Determinant` (moved? update clonos-lint config)",
         ));
     }
-    let encode_refs = fn_body_range(&det_toks, "encode")
-        .map(|(a, b)| determinant_refs(&det_toks[a..b]))
-        .unwrap_or_default();
-    let decode_refs = fn_body_range(&det_toks, "decode_with_tag")
-        .map(|(a, b)| determinant_refs(&det_toks[a..b]))
-        .unwrap_or_default();
-    let mut replay_refs = BTreeSet::new();
-    for rel in config::REPLAY_SURFACE_FILES {
-        let toks = toks_of(rel, &mut diags);
-        let skip = test_regions(&toks);
-        let live: Vec<Tok> = toks
-            .iter()
-            .filter(|t| !skip.iter().any(|&(a, b)| (a..=b).contains(&t.line)))
-            .cloned()
-            .collect();
-        replay_refs.extend(determinant_refs(&live));
-    }
+    let codec_refs = |name: &str| determinant_refs(det.fns.iter().find(|f| f.name == name));
+    let (encode_refs, decode_refs) = (codec_refs("encode"), codec_refs("decode_with_tag"));
+    let replay_refs = determinant_refs(
+        config::REPLAY_SURFACE_FILES.iter().flat_map(|rel| &parsed(rel).fns),
+    );
     for (variant, line) in &variants {
-        if !encode_refs.contains(variant) {
-            diags.push(Diagnostic::new(
-                config::DETERMINANT_FILE,
-                *line,
-                "determinant-codec",
-                format!("variant `{variant}` has no arm in `Determinant::encode`"),
-            ));
+        for (refs, codec_fn) in [(&encode_refs, "encode"), (&decode_refs, "decode_with_tag")] {
+            if !refs.contains(variant.as_str()) {
+                diags.push(Diagnostic::new(
+                    config::DETERMINANT_FILE,
+                    *line,
+                    "determinant-codec",
+                    format!("variant `{variant}` has no arm in `Determinant::{codec_fn}`"),
+                ));
+            }
         }
-        if !decode_refs.contains(variant) {
-            diags.push(Diagnostic::new(
-                config::DETERMINANT_FILE,
-                *line,
-                "determinant-codec",
-                format!("variant `{variant}` has no arm in `Determinant::decode_with_tag`"),
-            ));
-        }
-        if !replay_refs.contains(variant) {
+        if !replay_refs.contains(variant.as_str()) {
             diags.push(Diagnostic::new(
                 config::DETERMINANT_FILE,
                 *line,
@@ -104,9 +83,8 @@ pub fn check(root: &Path, all_files: &[String]) -> Vec<Diagnostic> {
     }
 
     // ---- 3: stats counters surfaced through RunReport -------------------
-    let report_toks = toks_of(config::RUN_REPORT_FILE, &mut diags);
-    let report_idents = struct_block_idents(&report_toks, "RunReport");
-    if report_idents.is_empty() {
+    let report = parsed(config::RUN_REPORT_FILE).structs.get("RunReport");
+    if report.is_none_or(|fields| fields.is_empty()) {
         diags.push(Diagnostic::new(
             config::RUN_REPORT_FILE,
             0,
@@ -114,25 +92,8 @@ pub fn check(root: &Path, all_files: &[String]) -> Vec<Diagnostic> {
             "could not locate `struct RunReport` (moved? update clonos-lint config)",
         ));
     }
-    // Dot-accessed identifiers per file, for the consumed-somewhere check.
-    let mut accessed_outside: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for (name, defining) in config::STATS_STRUCTS {
-        accessed_outside.entry(defining).or_default();
-        let _ = name;
-    }
-    for rel in all_files {
-        let toks = toks_of(rel, &mut diags);
-        let dots = dot_accessed(&toks);
-        for (defining, set) in accessed_outside.iter_mut() {
-            if rel != defining {
-                set.extend(dots.iter().cloned());
-            }
-        }
-    }
-    for (name, defining) in config::STATS_STRUCTS {
-        let toks = toks_of(defining, &mut diags);
-        let fields = struct_fields(&toks, name);
-        if fields.is_empty() {
+        let Some(fields) = parsed(defining).structs.get(*name).filter(|f| !f.is_empty()) else {
             diags.push(Diagnostic::new(
                 *defining,
                 0,
@@ -140,8 +101,9 @@ pub fn check(root: &Path, all_files: &[String]) -> Vec<Diagnostic> {
                 format!("could not locate `struct {name}` (moved? update clonos-lint config)"),
             ));
             continue;
-        }
-        if !report_idents.is_empty() && !report_idents.contains(*name) {
+        };
+        let embeds = |f: &FieldFact| f.ty.iter().any(|t| t == name);
+        if report.is_some_and(|r| !r.is_empty() && !r.iter().any(embeds)) {
             diags.push(Diagnostic::new(
                 config::RUN_REPORT_FILE,
                 0,
@@ -149,194 +111,33 @@ pub fn check(root: &Path, all_files: &[String]) -> Vec<Diagnostic> {
                 format!("`RunReport` has no field of type `{name}`"),
             ));
         }
-        let seen = &accessed_outside[defining];
-        for (field, line) in fields {
-            if !seen.contains(&field) {
-                diags.push(Diagnostic::new(
-                    *defining,
-                    line,
-                    "stats-surfaced",
-                    format!(
-                        "counter `{name}.{field}` is never read outside {defining}; \
-                         surface it in a report/test or remove it"
-                    ),
-                ));
-            }
+        // Read as `.field` in any *other* file, tests and bench bins included.
+        let read_elsewhere = |field: &str| {
+            ws.sources.iter().any(|(rel, src)| rel != defining && src.dots.contains(field))
+        };
+        for field in fields.iter().filter(|f| f.is_pub && !read_elsewhere(&f.name)) {
+            diags.push(Diagnostic::new(
+                *defining,
+                field.line,
+                "stats-surfaced",
+                format!(
+                    "counter `{name}.{}` is never read outside {defining}; \
+                     surface it in a report/test or remove it",
+                    field.name
+                ),
+            ));
         }
     }
 
     diags
 }
 
-/// `(variant name, line)` pairs of `enum <name>`.
-fn enum_variants(toks: &[Tok], name: &str) -> Vec<(String, u32)> {
-    let Some(open) = item_open_brace(toks, "enum", name) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match &toks[i].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            TokKind::Ident(s) if depth == 1 => {
-                let starts_variant = i == open + 1
-                    || matches!(toks[i - 1].kind, TokKind::Punct('{' | ',' | ']'));
-                if starts_variant {
-                    out.push((s.clone(), toks[i].line));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// `(field name, line)` pairs of `pub` fields of `struct <name>`.
-fn struct_fields(toks: &[Tok], name: &str) -> Vec<(String, u32)> {
-    let Some(open) = item_open_brace(toks, "struct", name) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match &toks[i].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            TokKind::Ident(s) if depth == 1 && s == "pub" => {
-                if let (Some(f), Some(colon)) = (toks.get(i + 1), toks.get(i + 2)) {
-                    if let (Some(fname), true) = (f.ident(), colon.is_punct(':')) {
-                        out.push((fname.to_string(), f.line));
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// All identifiers inside the brace block of `struct <name>`.
-fn struct_block_idents(toks: &[Tok], name: &str) -> BTreeSet<String> {
-    let Some(open) = item_open_brace(toks, "struct", name) else {
-        return BTreeSet::new();
-    };
-    let mut out = BTreeSet::new();
-    let mut depth = 0usize;
-    for t in &toks[open..] {
-        match &t.kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            TokKind::Ident(s) => {
-                out.insert(s.clone());
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Index of the opening `{` of `keyword name ... {`.
-fn item_open_brace(toks: &[Tok], keyword: &str, name: &str) -> Option<usize> {
-    let at = (0..toks.len().saturating_sub(1))
-        .find(|&i| toks[i].is_ident(keyword) && toks[i + 1].is_ident(name))?;
-    (at + 2..toks.len()).find(|&i| toks[i].is_punct('{'))
-}
-
-/// Token range (exclusive end) of the body of `fn <name>`.
-fn fn_body_range(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    let open = item_open_brace(toks, "fn", name)?;
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        match &t.kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, i + 1));
-                }
-            }
-            _ => {}
-        }
-    }
-    Some((open, toks.len()))
-}
-
-/// Variant names referenced as `Determinant::<V>`.
-fn determinant_refs(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident("Determinant")
-            && toks.get(i + 1).map(|t| t.is_punct(':')).unwrap_or(false)
-            && toks.get(i + 2).map(|t| t.is_punct(':')).unwrap_or(false)
-        {
-            if let Some(v) = toks.get(i + 3).and_then(|t| t.ident()) {
-                out.insert(v.to_string());
-            }
-        }
-    }
-    out
-}
-
-/// Identifiers appearing as `.<ident>` (field access or method call).
-fn dot_accessed(toks: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for i in 1..toks.len() {
-        if toks[i - 1].is_punct('.') {
-            if let Some(s) = toks[i].ident() {
-                out.insert(s.to_string());
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    #[test]
-    fn variant_extraction() {
-        let src = "pub enum Determinant {\n    Order { channel: u32 },\n    Timer { timer_id: u64, offset: u64 },\n    RngSeed { seed: u64 },\n}\n";
-        let toks = lex(src).toks;
-        let vs: Vec<String> = enum_variants(&toks, "Determinant").into_iter().map(|(v, _)| v).collect();
-        assert_eq!(vs, vec!["Order", "Timer", "RngSeed"]);
-    }
-
-    #[test]
-    fn field_extraction_skips_nested_blocks() {
-        let src = "pub struct S {\n    pub a: u64,\n    pub b: Vec<(u32, u32)>,\n}\nimpl S { pub fn c(&self) {} }\n";
-        let toks = lex(src).toks;
-        let fs: Vec<String> = struct_fields(&toks, "S").into_iter().map(|(f, _)| f).collect();
-        assert_eq!(fs, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn refs_and_dot_access() {
-        let toks = lex("match d { Determinant::Order { .. } => x.count, _ => y.other() }").toks;
-        assert!(determinant_refs(&toks).contains("Order"));
-        let dots = dot_accessed(&toks);
-        assert!(dots.contains("count"));
-        assert!(dots.contains("other"));
-    }
+/// Variants of `Determinant` the given fn bodies name, in any role (arm
+/// pattern, construction or `if let` test).
+fn determinant_refs<'a>(fns: impl IntoIterator<Item = &'a FnItem>) -> BTreeSet<&'a str> {
+    fns.into_iter()
+        .flat_map(FnItem::variant_sites)
+        .filter(|v| v.enm == "Determinant")
+        .map(|v| v.variant.as_str())
+        .collect()
 }

@@ -60,7 +60,7 @@ pub struct AllowAnnotation {
 }
 
 /// Lexed view of one source file.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct LexedFile {
     pub toks: Vec<Tok>,
     pub allows: Vec<AllowAnnotation>,

@@ -16,6 +16,9 @@
 //!
 //! Self-contained by design: a hand-rolled comment/string-aware lexer, no
 //! registry dependencies (the build environment is offline), `std` only.
+//! Every file is read and lexed once (`callgraph::Workspace::load`), parsed
+//! once into per-file facts, and the rules read those facts; the
+//! transitive rules share one propagation engine (`propagate`).
 //! Everything iterates in `BTree` order, so the full diagnostic output —
 //! including every blame chain — is byte-identical across runs and
 //! file-walk orders (`analyze_ordered` exists so tests can prove it).
@@ -29,6 +32,7 @@ pub mod invariants;
 pub mod lexer;
 pub mod lockgraph;
 pub mod parser;
+pub mod propagate;
 pub mod protocol;
 pub mod reach;
 pub mod rules;
@@ -39,7 +43,7 @@ pub use diagnostics::{Diagnostic, Severity};
 use allows::AllowBook;
 use callgraph::{CallGraph, GraphStats, Workspace};
 use rules::RuleSet;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -47,12 +51,7 @@ use std::path::{Path, PathBuf};
 /// by (file, line, rule); no *errors* means the workspace is lint-clean
 /// (warnings report analysis blind spots and do not gate).
 pub fn analyze(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    analyze_with_stats(root).map(|(diags, _)| diags)
-}
-
-/// `analyze`, plus the call-graph size stats for the timing summary line.
-pub fn analyze_with_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, GraphStats)> {
-    analyze_full(root).map(|fa| (fa.diags, fa.stats))
+    analyze_full(root).map(|fa| fa.diags)
 }
 
 /// Everything one analysis run produces: diagnostics, graph stats, the
@@ -66,7 +65,7 @@ pub struct FullAnalysis {
     pub causal_ms: u128,
 }
 
-/// `analyze_with_stats`, plus the causal spec and per-pass timings.
+/// `analyze`, plus the graph stats, the causal spec and per-pass timings.
 pub fn analyze_full(root: &Path) -> io::Result<FullAnalysis> {
     let mut files = Vec::new();
     for top in ["crates", "tests", "examples"] {
@@ -74,81 +73,53 @@ pub fn analyze_full(root: &Path) -> io::Result<FullAnalysis> {
             files.push(relative(root, &file));
         }
     }
-    analyze_ordered_full(root, &files)
+    analyze_ordered(root, &files)
 }
 
 /// The order-independent core: `files` is the workspace-relative `.rs`
 /// file list in *any* order — all internal state is `BTree`-keyed, so the
 /// output is identical under permutation (the determinism golden test
 /// feeds a shuffled list through here).
-pub fn analyze_ordered(
-    root: &Path,
-    files: &[String],
-) -> io::Result<(Vec<Diagnostic>, GraphStats)> {
-    analyze_ordered_full(root, files).map(|fa| (fa.diags, fa.stats))
-}
+pub fn analyze_ordered(root: &Path, files: &[String]) -> io::Result<FullAnalysis> {
+    let ws = Workspace::load(root, files);
 
-/// `analyze_ordered`, returning the full result set.
-pub fn analyze_ordered_full(root: &Path, files: &[String]) -> io::Result<FullAnalysis> {
-    // ---- per-file rule plan from the config tables ----
-    let mut plan: BTreeMap<String, RuleSet> = BTreeMap::new();
-    let mut graph_files: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for krate in config::DETERMINISTIC_CRATES {
-        let prefix = format!("crates/{krate}/src/");
-        for rel in files {
-            if rel.starts_with(&prefix) {
-                let rules = plan.entry(rel.clone()).or_default();
-                rules.determinism = true;
-                // The sharded actor runtime is the sanctioned home for
-                // thread coordination; everywhere else in the deterministic
-                // crates must stay single-thread-runnable.
-                rules.threading = !config::THREADING_EXEMPT_PREFIXES
-                    .iter()
-                    .any(|p| rel.starts_with(p));
-                graph_files.entry(krate.to_string()).or_default().push(rel.clone());
-            }
-        }
-    }
-    for rel in config::RECOVERY_PATH_FILES {
-        plan.entry(rel.to_string()).or_default().recovery_panic = true;
-    }
-    for fs in graph_files.values_mut() {
-        fs.sort();
-        fs.dedup();
-    }
-
-    // ---- pass 1: lex + raw per-file findings + allow registration ----
+    // ---- per-file rules (plan from the config tables) + allow registration ----
     let mut diags = Vec::new();
     let mut book = AllowBook::default();
     let mut raw: Vec<Diagnostic> = Vec::new();
-    for (rel, ruleset) in &plan {
+    let planned =
+        files.iter().map(String::as_str).chain(config::RECOVERY_PATH_FILES.iter().copied());
+    for rel in planned.collect::<BTreeSet<&str>>() {
+        let determinism = config::deterministic_crate_of(rel).is_some();
+        let ruleset = RuleSet {
+            determinism,
+            // The sharded actor runtime is the sanctioned home for thread
+            // coordination; everywhere else in the deterministic crates
+            // must stay single-thread-runnable.
+            threading: determinism
+                && !config::THREADING_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p)),
+            recovery_panic: config::RECOVERY_PATH_FILES.contains(&rel),
+        };
         if !ruleset.any() {
             continue;
         }
-        let src = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
-            Err(e) => {
-                diags.push(Diagnostic::new(
-                    rel.clone(),
-                    0,
-                    "bad-annotation",
-                    format!("cannot read configured file: {e}"),
-                ));
-                continue;
+        match (ws.sources.get(rel), ws.unreadable.get(rel)) {
+            (Some(src), _) => {
+                book.add_file(rel, &src.allows);
+                raw.extend(rules::scan_file(rel, &src.toks, &ruleset));
             }
-        };
-        let lexed = lexer::lex(&src);
-        let regions = rules::test_regions(&lexed.toks);
-        book.add_file(rel, &lexed.allows, |line| {
-            !regions.iter().any(|&(a, b)| (a..=b).contains(&line))
-        });
-        raw.extend(rules::scan_file(rel, &lexed, ruleset));
+            (None, e) => diags.push(Diagnostic::new(
+                rel,
+                0,
+                "bad-annotation",
+                format!("cannot read configured file: {}", e.map_or("", String::as_str)),
+            )),
+        }
     }
 
-    // ---- pass 2: workspace call graph + transitive analyses ----
+    // ---- workspace call graph + transitive analyses ----
     // Wall-clock is fine here: per-pass timings feed the lint's own speed
     // budget report and never run inside the simulation.
-    let ws = Workspace::parse(root, &graph_files)?;
     let graph = CallGraph::build(&ws);
     diags.extend(reach::check(&graph, &mut book));
     diags.extend(taint::check(&graph, &mut book));
@@ -165,19 +136,13 @@ pub fn analyze_ordered_full(root: &Path, files: &[String]) -> io::Result<FullAna
     diags.extend(graph.unknown.iter().cloned());
     let stats = graph.stats;
 
-    // ---- pass 3: resolve per-file suppressions, then the meta rules ----
+    // ---- resolve per-file suppressions, then the meta rules ----
     diags.extend(raw.into_iter().filter(|d| !book.suppress(&d.file, d.line, &d.rule)));
     diags.extend(book.finish());
 
-    // Cross-file invariants scan a wider net (tests, examples, bench bins)
-    // for the counter-consumption check.
-    let all_files: Vec<String> = {
-        let mut fs = files.to_vec();
-        fs.sort();
-        fs.dedup();
-        fs
-    };
-    diags.extend(invariants::check(root, &all_files));
+    // Cross-file invariants; the counter-consumption check scans the wider
+    // net (tests, examples, bench bins) the workspace already holds.
+    diags.extend(invariants::check(&ws));
 
     diags.sort();
     diags.dedup();

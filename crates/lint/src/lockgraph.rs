@@ -9,11 +9,13 @@
 //! All facts share a token-ordinal scale with call-graph edges, so "call
 //! made while guard live" is a plain ordinal-window test.
 //!
-//! From those facts this pass computes **held-lock states**: `(function,
-//! lock)` pairs meaning "this function can be entered with that lock
-//! held", propagated breadth-first over the call graph from every
-//! acquisition whose guard window covers the call site. Three rules read
-//! the states:
+//! From those facts this pass computes **held-lock states** and runs them
+//! through the shared engine (`propagate::run`). A state is either the
+//! acquiring function's own *frame* — its body inside the guard's window,
+//! the zero-hop case — or a *callee* entered, however deep, from a call
+//! site a live guard covers, whose whole body therefore runs under the
+//! lock. Three rules read the states, each defined by nothing but its
+//! sink predicate (`HeldRule::sinks`):
 //!
 //! * `lock-order` — directed order edges `L → M` wherever `M` is acquired
 //!   *blockingly* while `L` is held (however `L` itself was acquired —
@@ -27,119 +29,132 @@
 //! * `guard-across-park` — a guard live across `yield_now`/`park`: the
 //!   scheduler may run every other thread into the held lock first.
 //!
-//! Allow semantics mirror `reach.rs`: an audited allow on the acquisition
+//! Allow semantics are the engine's: an audited allow on the acquisition
 //! line kills every path from that guard, one on a call-site line kills
 //! paths through that edge, one on the sink line kills the sink — so an
-//! allow works on any hop of the printed chain. Stale-allow bookkeeping
-//! runs on the *unfiltered* states so a load-bearing allow still counts
-//! as used. Lock identity is the receiver field name (`queue`, `state`),
-//! rendered as `Struct::field` when the workspace declares the field
-//! exactly once — same-named fields on different structs conflate, which
-//! is conservative (more states, never fewer).
+//! allow works on any hop of the printed chain, and one that no held path
+//! to a sink runs through ages into `unused-allow`. Lock identity is the
+//! receiver field name (`queue`, `state`), rendered as `Struct::field` when
+//! the workspace declares the field exactly once — same-named fields on
+//! different structs conflate, which is conservative (more states, never
+//! fewer).
 
 use crate::allows::AllowBook;
 use crate::callgraph::{CallGraph, Workspace};
 use crate::diagnostics::Diagnostic;
-use crate::parser::{BlockKind, LockFact, LockOp};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::parser::{BlockFact, BlockKind, LockFact, LockOp};
+use crate::propagate::{self, bfs, PathRule};
+use std::collections::{BTreeMap, BTreeSet};
 
 const RULE_ORDER: &str = "lock-order";
 const RULE_BLOCK: &str = "blocking-under-lock";
 const RULE_PARK: &str = "guard-across-park";
 
-/// `(callee node, lock name)`: the callee can run with the lock held.
-type State = (usize, String);
+/// Field types whose fields name a lock.
+const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
-/// How a held state was first reached (BFS, deterministic first-wins).
-#[derive(Clone, Debug)]
-enum Prov {
-    /// Call out of the acquiring function itself: lock taken in `node` at
-    /// `locks[fact]`, call into the state's node at `line`.
-    Seed { node: usize, fact: usize },
-    /// Propagated from another held state via the call at `line`.
-    Step { from: State },
+/// "This code can run with that lock held." Ordered callees first, then
+/// frames by `(node, acquisition)` — the order exemplars are picked in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Held<'a> {
+    /// `node` was called, directly or transitively, from under a live
+    /// guard of `lock`: its whole body runs with the lock held.
+    Callee { node: usize, lock: &'a str },
+    /// The acquiring function itself, inside the guard window of its
+    /// `locks[acq]` (`acq.ord < ord <= acq.scope_end`).
+    Frame { node: usize, acq: usize },
 }
 
-struct Held {
-    parent: BTreeMap<State, Prov>,
+/// What a held state must not contain.
+enum Sink<'a> {
+    /// A blocking acquisition (`.lock()` / `Condvar::wait*`).
+    Acquire(&'a LockFact),
+    /// A blocking or parking operation that takes no guard.
+    Op(&'a BlockFact),
 }
 
-/// BFS over `(node, lock)` states. `covered(file, line)` is the allow
-/// filter: a covered acquisition seeds nothing, a covered call site
-/// propagates nothing. Pass `|_, _| false` for the unfiltered graph.
-fn propagate(graph: &CallGraph, covered: &dyn Fn(&str, u32) -> bool) -> Held {
-    let mut parent: BTreeMap<State, Prov> = BTreeMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    for (v, node) in graph.nodes.iter().enumerate() {
-        for (ai, a) in node.locks.iter().enumerate() {
-            if covered(&node.file, a.line) {
-                continue;
-            }
-            for e in &graph.edges[v] {
-                if a.ord < e.ord && e.ord <= a.scope_end && !covered(&node.file, e.line) {
-                    let st = (e.to, a.lock.clone());
-                    if !parent.contains_key(&st) {
-                        parent.insert(st.clone(), Prov::Seed { node: v, fact: ai });
-                        queue.push_back(st);
-                    }
+struct HeldRule<'a> {
+    graph: &'a CallGraph<'a>,
+    rule: &'static str,
+}
+
+impl<'a> HeldRule<'a> {
+    /// The acquisition a frame state sits under.
+    fn guard(&self, s: &Held<'a>) -> Option<&'a LockFact> {
+        match *s {
+            Held::Frame { node, acq } => Some(&self.graph.nodes[node].item.locks[acq]),
+            Held::Callee { .. } => None,
+        }
+    }
+
+    fn lock(&self, s: &Held<'a>) -> &'a str {
+        match *s {
+            Held::Callee { lock, .. } => lock,
+            Held::Frame { .. } => self.guard(s).map_or("", |a| a.lock.as_str()),
+        }
+    }
+
+    /// Does the state cover token ordinal `ord` of its function?
+    fn covers(&self, s: &Held<'a>, ord: u32) -> bool {
+        self.guard(s).is_none_or(|a| a.ord < ord && ord <= a.scope_end)
+    }
+}
+
+impl<'a> PathRule for HeldRule<'a> {
+    type State = Held<'a>;
+    type Sink = Sink<'a>;
+
+    fn id(&self) -> &'static str {
+        self.rule
+    }
+
+    fn seeds(&self) -> Vec<Held<'a>> {
+        let frames = |(node, n): (usize, &crate::callgraph::Node<'a>)| {
+            (0..n.item.locks.len()).map(move |acq| Held::Frame { node, acq })
+        };
+        self.graph.nodes.iter().enumerate().flat_map(frames).collect()
+    }
+
+    fn node(&self, s: &Held<'a>) -> usize {
+        match *s {
+            Held::Callee { node, .. } | Held::Frame { node, .. } => node,
+        }
+    }
+
+    fn seed_line(&self, s: &Held<'a>) -> Option<u32> {
+        self.guard(s).map(|a| a.line)
+    }
+
+    fn calls(&self, s: &Held<'a>) -> Vec<(u32, Held<'a>)> {
+        let lock = self.lock(s);
+        self.graph.edges[self.node(s)]
+            .iter()
+            .filter(|e| self.covers(s, e.ord))
+            .map(|e| (e.line, Held::Callee { node: e.to, lock }))
+            .collect()
+    }
+
+    /// The one place each rule's sinks are spelled out.
+    fn sinks(&self, s: &Held<'a>) -> Vec<(u32, Sink<'a>)> {
+        let item = self.graph.nodes[self.node(s)].item;
+        let held = self.lock(s);
+        let acquires = item.locks.iter().filter(|f| {
+            matches!(f.op, LockOp::Lock | LockOp::Wait)
+                && match self.rule {
+                    RULE_BLOCK => true,
+                    RULE_ORDER => f.lock != held,
+                    _ => false,
                 }
-            }
-        }
-    }
-    while let Some((w, l)) = queue.pop_front() {
-        let file = graph.nodes[w].file.clone();
-        for e in &graph.edges[w] {
-            if covered(&file, e.line) {
-                continue;
-            }
-            let st = (e.to, l.clone());
-            if !parent.contains_key(&st) {
-                parent.insert(st.clone(), Prov::Step { from: (w, l.clone()) });
-                queue.push_back(st);
-            }
-        }
-    }
-    Held { parent }
-}
-
-/// Blame chain from the acquiring function down to the state's node:
-/// `f acquires `L` (file:line) → g (file:line) → ...`. Also returns the
-/// seed `(node, fact index)`.
-fn chain_of(
-    graph: &CallGraph,
-    held: &Held,
-    disp: &dyn Fn(&str) -> String,
-    st: &State,
-) -> (Vec<String>, (usize, usize)) {
-    let mut rev: Vec<String> = Vec::new();
-    let mut cur = st.clone();
-    loop {
-        let n = &graph.nodes[cur.0];
-        rev.push(format!("{} ({}:{})", n.path, n.file, n.line));
-        match &held.parent[&cur] {
-            Prov::Step { from } => cur = from.clone(),
-            Prov::Seed { node, fact } => {
-                let v = &graph.nodes[*node];
-                let a = &v.locks[*fact];
-                rev.push(format!(
-                    "{} acquires `{}` ({}:{})",
-                    v.path,
-                    disp(&a.lock),
-                    v.file,
-                    a.line
-                ));
-                rev.reverse();
-                return (rev, (*node, *fact));
-            }
-        }
-    }
-}
-
-/// Rendered description of a blocking sink.
-fn blocking_sink_label(f: &LockFact, disp: &dyn Fn(&str) -> String) -> String {
-    match f.op {
-        LockOp::Wait => format!("`Condvar::wait` on `{}`", disp(&f.lock)),
-        _ => format!("blocking `.lock()` of `{}`", disp(&f.lock)),
+        });
+        let ops = item.blocks.iter().filter(|b| match self.rule {
+            RULE_BLOCK => b.kind == BlockKind::Blocking,
+            RULE_PARK => b.kind == BlockKind::Park,
+            _ => false,
+        });
+        let acquires =
+            acquires.filter(|f| self.covers(s, f.ord)).map(|f| (f.line, Sink::Acquire(f)));
+        let ops = ops.filter(|b| self.covers(s, b.ord)).map(|b| (b.line, Sink::Op(b)));
+        acquires.chain(ops).collect()
     }
 }
 
@@ -153,11 +168,11 @@ struct OrderEx {
 pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Diagnostic> {
     // field -> declaring structs, for `Struct::field` display names.
     let mut fields: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for pf in ws.files.values() {
-        for (f, ss) in &pf.lock_fields {
-            for s in ss {
-                fields.entry(f).or_default().insert(s);
-            }
+    for (strukt, fs) in ws.files.values().flat_map(|pf| &pf.structs) {
+        // `FieldFact::ty` stops at the first generic-argument comma, so
+        // `Mutex<..>` and `Arc<Mutex<..>>` count, `Map<K, Mutex<V>>` does not.
+        for f in fs.iter().filter(|f| f.ty.iter().any(|t| LOCK_TYPES.contains(&t.as_str()))) {
+            fields.entry(&f.name).or_default().insert(strukt);
         }
     }
     let disp = |l: &str| -> String {
@@ -168,236 +183,77 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
     };
 
     let mut out = Vec::new();
-    let mut order_edges: BTreeMap<(String, String), OrderEx> = BTreeMap::new();
-
-    // ---- per-rule filtered analyses ----
+    let mut order_edges: BTreeMap<(&str, &str), OrderEx> = BTreeMap::new();
     for rule in [RULE_BLOCK, RULE_PARK, RULE_ORDER] {
-        let covered = |file: &str, line: u32| book.covers(file, line, rule);
-        let held = propagate(graph, &covered);
-
-        // Transitive sinks: the whole body of a held-state node is under
-        // the lock.
-        for st in held.parent.keys() {
-            let (w, l) = st;
-            let node = &graph.nodes[*w];
-            let (chain, (sv, sa)) = chain_of(graph, &held, &disp, st);
-            let seed = &graph.nodes[sv];
-            let acq = &seed.locks[sa];
+        let held = HeldRule { graph, rule };
+        let found = propagate::run(graph, book, &held);
+        for (st, line, sink) in &found.hits {
+            // Blame chain from the acquiring frame down to the state's
+            // node: `f acquires `L` (file:line) → g (file:line) → ...`.
+            let path = found.reached.path_to(st);
+            let Some(acq) = held.guard(&path[0]) else { continue };
+            let (seed, node) = (&graph.nodes[held.node(&path[0])], &graph.nodes[held.node(st)]);
+            let lock = disp(&acq.lock);
+            let mut chain =
+                vec![format!("{} acquires `{lock}` ({}:{})", seed.path, seed.file, acq.line)];
+            chain.extend(path[1..].iter().map(|s| graph.nodes[held.node(s)].render()));
+            // Zero-hop findings name the acquisition site alone; a path
+            // finding names the acquiring function and offers its hops.
+            let direct = path.len() == 1;
             let holder = format!(
-                "`{}` is held (acquired in `{}`, {}:{})",
-                disp(l),
-                seed.path,
+                "`{lock}` is held (acquired {}{}:{})",
+                if direct { "at ".to_string() } else { format!("in `{}`, ", seed.path) },
                 seed.file,
                 acq.line
             );
-            match rule {
-                RULE_BLOCK => {
-                    for f in &node.locks {
-                        if matches!(f.op, LockOp::Lock | LockOp::Wait)
-                            && !covered(&node.file, f.line)
-                        {
-                            out.push(
-                                Diagnostic::new(
-                                    node.file.clone(),
-                                    f.line,
-                                    RULE_BLOCK,
-                                    format!(
-                                        "{} in `{}` while {holder}; a stalled owner wedges \
-                                         the worker — use `try_lock` with the bounded help \
-                                         ladder (DESIGN.md §9) or add an audited allow on a \
-                                         hop of the printed path",
-                                        blocking_sink_label(f, &disp),
-                                        node.path
-                                    ),
-                                )
-                                .with_chain(chain.clone()),
-                            );
-                        }
-                    }
-                    for b in &node.blocks {
-                        if b.kind == BlockKind::Blocking && !covered(&node.file, b.line) {
-                            out.push(
-                                Diagnostic::new(
-                                    node.file.clone(),
-                                    b.line,
-                                    RULE_BLOCK,
-                                    format!(
-                                        "{} in `{}` while {holder}; the lock stays held for \
-                                         the full wait — restructure or add an audited allow \
-                                         on a hop of the printed path",
-                                        b.what, node.path
-                                    ),
-                                )
-                                .with_chain(chain.clone()),
-                            );
-                        }
-                    }
-                }
-                RULE_PARK => {
-                    for b in &node.blocks {
-                        if b.kind == BlockKind::Park && !covered(&node.file, b.line) {
-                            out.push(
-                                Diagnostic::new(
-                                    node.file.clone(),
-                                    b.line,
-                                    RULE_PARK,
-                                    format!(
-                                        "{} in `{}` parks while {holder}; the scheduler can \
-                                         starve every thread waiting on that lock — drop the \
-                                         guard before yielding or add an audited allow",
-                                        b.what, node.path
-                                    ),
-                                )
-                                .with_chain(chain.clone()),
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    for f in &node.locks {
-                        if matches!(f.op, LockOp::Lock | LockOp::Wait)
-                            && f.lock != *l
-                            && !covered(&node.file, f.line)
-                        {
-                            let key = (l.clone(), f.lock.clone());
-                            order_edges.entry(key).or_insert_with(|| {
-                                let mut hops = chain.clone();
-                                hops.push(format!(
-                                    "{} acquires `{}` while holding `{}` ({}:{})",
-                                    node.path,
-                                    disp(&f.lock),
-                                    disp(l),
-                                    node.file,
-                                    f.line
-                                ));
-                                OrderEx { hops, file: node.file.clone(), line: f.line }
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Direct sinks: facts inside the acquiring function's own guard
-        // window (`acq.ord < fact.ord <= acq.scope_end`).
-        for node in &graph.nodes {
-            for a in &node.locks {
-                if covered(&node.file, a.line) {
+            let on_path = if direct { "" } else { " on a hop of the printed path" };
+            let message = match (rule, sink) {
+                (RULE_ORDER, Sink::Acquire(f)) => {
+                    order_edges.entry((&acq.lock, &f.lock)).or_insert_with(|| {
+                        chain.push(format!(
+                            "{} acquires `{}` while holding `{lock}` ({}:{})",
+                            node.path,
+                            disp(&f.lock),
+                            node.file,
+                            f.line
+                        ));
+                        OrderEx { hops: chain, file: node.file.to_string(), line: f.line }
+                    });
                     continue;
                 }
-                let in_window = |ord: u32| a.ord < ord && ord <= a.scope_end;
-                let chain = vec![format!(
-                    "{} acquires `{}` ({}:{})",
+                (_, Sink::Acquire(f)) => format!(
+                    "{} in `{}` while {holder}; a stalled owner wedges the worker — use \
+                     `try_lock` with the bounded help ladder (DESIGN.md §9) or add an audited \
+                     allow{on_path}",
+                    match f.op {
+                        LockOp::Wait => format!("`Condvar::wait` on `{}`", disp(&f.lock)),
+                        _ => format!("blocking `.lock()` of `{}`", disp(&f.lock)),
+                    },
+                    node.path
+                ),
+                (RULE_PARK, Sink::Op(b)) => format!(
+                    "{} in `{}` parks while {holder}; {}drop the guard before yielding or add \
+                     an audited allow",
+                    b.what,
                     node.path,
-                    disp(&a.lock),
-                    node.file,
-                    a.line
-                )];
-                let holder =
-                    format!("`{}` is held (acquired at {}:{})", disp(&a.lock), node.file, a.line);
-                match rule {
-                    RULE_BLOCK => {
-                        for f in &node.locks {
-                            if in_window(f.ord)
-                                && matches!(f.op, LockOp::Lock | LockOp::Wait)
-                                && !covered(&node.file, f.line)
-                            {
-                                out.push(
-                                    Diagnostic::new(
-                                        node.file.clone(),
-                                        f.line,
-                                        RULE_BLOCK,
-                                        format!(
-                                            "{} in `{}` while {holder}; a stalled owner \
-                                             wedges the worker — use `try_lock` with the \
-                                             bounded help ladder (DESIGN.md §9) or add an \
-                                             audited allow",
-                                            blocking_sink_label(f, &disp),
-                                            node.path
-                                        ),
-                                    )
-                                    .with_chain(chain.clone()),
-                                );
-                            }
-                        }
-                        for b in &node.blocks {
-                            if in_window(b.ord)
-                                && b.kind == BlockKind::Blocking
-                                && !covered(&node.file, b.line)
-                            {
-                                out.push(
-                                    Diagnostic::new(
-                                        node.file.clone(),
-                                        b.line,
-                                        RULE_BLOCK,
-                                        format!(
-                                            "{} in `{}` while {holder}; the lock stays held \
-                                             for the full wait — restructure or add an \
-                                             audited allow",
-                                            b.what, node.path
-                                        ),
-                                    )
-                                    .with_chain(chain.clone()),
-                                );
-                            }
-                        }
+                    if direct {
+                        ""
+                    } else {
+                        "the scheduler can starve every thread waiting on that lock — "
                     }
-                    RULE_PARK => {
-                        for b in &node.blocks {
-                            if in_window(b.ord)
-                                && b.kind == BlockKind::Park
-                                && !covered(&node.file, b.line)
-                            {
-                                out.push(
-                                    Diagnostic::new(
-                                        node.file.clone(),
-                                        b.line,
-                                        RULE_PARK,
-                                        format!(
-                                            "{} in `{}` parks while {holder}; drop the guard \
-                                             before yielding or add an audited allow",
-                                            b.what, node.path
-                                        ),
-                                    )
-                                    .with_chain(chain.clone()),
-                                );
-                            }
-                        }
-                    }
-                    _ => {
-                        for f in &node.locks {
-                            if in_window(f.ord)
-                                && matches!(f.op, LockOp::Lock | LockOp::Wait)
-                                && f.lock != a.lock
-                                && !covered(&node.file, f.line)
-                            {
-                                let key = (a.lock.clone(), f.lock.clone());
-                                order_edges.entry(key).or_insert_with(|| {
-                                    let mut hops = chain.clone();
-                                    hops.push(format!(
-                                        "{} acquires `{}` while holding `{}` ({}:{})",
-                                        node.path,
-                                        disp(&f.lock),
-                                        disp(&a.lock),
-                                        node.file,
-                                        f.line
-                                    ));
-                                    OrderEx { hops, file: node.file.clone(), line: f.line }
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+                ),
+                (_, Sink::Op(b)) => format!(
+                    "{} in `{}` while {holder}; the lock stays held for the full wait — \
+                     restructure or add an audited allow{on_path}",
+                    b.what, node.path
+                ),
+            };
+            out.push(Diagnostic::new(node.file, *line, rule, message).with_chain(chain));
         }
     }
 
     // ---- lock-order cycles over the surviving order edges ----
     out.extend(order_cycles(&order_edges, &disp));
-
-    // ---- stale-allow bookkeeping on the unfiltered states ----
-    mark_used_allows(graph, book);
-
     out
 }
 
@@ -407,66 +263,41 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
 /// successors iterate in BTree order, and a reported cycle retires its
 /// locks so overlapping rotations collapse to one report.
 fn order_cycles(
-    edges: &BTreeMap<(String, String), OrderEx>,
+    edges: &BTreeMap<(&str, &str), OrderEx>,
     disp: &dyn Fn(&str) -> String,
 ) -> Vec<Diagnostic> {
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (l, m) in edges.keys() {
         adj.entry(l).or_default().push(m);
     }
+    let next = |l: &&str| adj.get(l).cloned().unwrap_or_default();
     let mut out = Vec::new();
     let mut retired: BTreeSet<&str> = BTreeSet::new();
     for &start in adj.keys() {
         if retired.contains(start) {
             continue;
         }
-        // Shortest path start → ... → start (length ≥ 2 by construction:
-        // self-edges are never recorded).
-        let mut parent: BTreeMap<&str, &str> = BTreeMap::new();
-        let mut queue: VecDeque<&str> = VecDeque::new();
-        parent.insert(start, start);
-        queue.push_back(start);
-        let mut closer: Option<&str> = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &v in adj.get(u).into_iter().flatten() {
-                if v == start && u != start {
-                    closer = Some(u);
-                    break 'bfs;
-                }
-                if v != start && !parent.contains_key(v) {
-                    parent.insert(v, u);
-                    queue.push_back(v);
-                }
-            }
+        // Shortest cycle through `start`: the shortest way back to it from
+        // its successors (length ≥ 2: self-edges are never recorded).
+        let back = bfs(next(&start), next);
+        if !back.contains(&start) {
+            continue;
         }
-        let Some(last) = closer else { continue };
-        let mut cycle = vec![start];
-        let mut cur = last;
-        let mut tail = Vec::new();
-        while cur != start {
-            tail.push(cur);
-            cur = parent[cur];
-        }
-        tail.reverse();
-        cycle.extend(tail);
+        let mut cycle = back.path_to(&start);
+        cycle.rotate_right(1); // [.., last, start] → [start, .., last]
         retired.extend(cycle.iter().copied());
 
-        let mut hops: Vec<String> = Vec::new();
-        for i in 0..cycle.len() {
-            let l = cycle[i];
-            let m = cycle[(i + 1) % cycle.len()];
-            hops.extend(edges[&(l.to_string(), m.to_string())].hops.iter().cloned());
-        }
+        let edge = |i: usize| &edges[&(cycle[i], cycle[(i + 1) % cycle.len()])];
+        let hops = (0..cycle.len()).flat_map(|i| edge(i).hops.iter().cloned()).collect();
         let shown: Vec<String> = cycle
             .iter()
             .chain(std::iter::once(&start))
             .map(|l| format!("`{}`", disp(l)))
             .collect();
-        let anchor = &edges[&(cycle[0].to_string(), cycle[1].to_string())];
         out.push(
             Diagnostic::new(
-                anchor.file.clone(),
-                anchor.line,
+                edge(0).file.clone(),
+                edge(0).line,
                 RULE_ORDER,
                 format!(
                     "lock-order cycle: {} — call paths acquire these locks in conflicting \
@@ -482,130 +313,17 @@ fn order_cycles(
     out
 }
 
-/// Mark allows that do load-bearing work, computed on the *unfiltered*
-/// state graph (mirrors `reach.rs`): an allow is used when it covers a
-/// sink that some held state reaches, an acquisition whose guard window
-/// leads to a sink, or a call-site edge on a held path that can still
-/// reach a sink. Anything else ages into an `unused-allow` finding.
-fn mark_used_allows(graph: &CallGraph, book: &mut AllowBook) {
-    let un = propagate(graph, &|_, _| false);
-    let held_nodes: BTreeSet<usize> = un.parent.keys().map(|(w, _)| *w).collect();
-
-    let is_block_sink = |w: usize| {
-        let n = &graph.nodes[w];
-        n.locks.iter().any(|f| matches!(f.op, LockOp::Lock | LockOp::Wait))
-            || n.blocks.iter().any(|b| b.kind == BlockKind::Blocking)
-    };
-    let is_park_sink =
-        |w: usize| graph.nodes[w].blocks.iter().any(|b| b.kind == BlockKind::Park);
-    // lock-order sinks over-approximate: any blocking acquisition could
-    // close an order edge for *some* held lock.
-    let is_order_sink =
-        |w: usize| graph.nodes[w].locks.iter().any(|f| matches!(f.op, LockOp::Lock | LockOp::Wait));
-
-    for (rule, sinky) in [
-        (RULE_BLOCK, &is_block_sink as &dyn Fn(usize) -> bool),
-        (RULE_PARK, &is_park_sink),
-        (RULE_ORDER, &is_order_sink),
-    ] {
-        let sink_nodes: BTreeSet<usize> = (0..graph.nodes.len()).filter(|&w| sinky(w)).collect();
-        let reach = graph.reaches(&sink_nodes, |_, _| true);
-
-        // Sinks inside held states.
-        for (w, l) in un.parent.keys() {
-            let node = &graph.nodes[*w];
-            for f in &node.locks {
-                let hit = match rule {
-                    RULE_ORDER => {
-                        matches!(f.op, LockOp::Lock | LockOp::Wait) && f.lock != *l
-                    }
-                    RULE_BLOCK => matches!(f.op, LockOp::Lock | LockOp::Wait),
-                    _ => false,
-                };
-                if hit && book.covers(&node.file, f.line, rule) {
-                    book.mark_used(&node.file, f.line, rule);
-                }
-            }
-            for b in &node.blocks {
-                let hit = match rule {
-                    RULE_BLOCK => b.kind == BlockKind::Blocking,
-                    RULE_PARK => b.kind == BlockKind::Park,
-                    _ => false,
-                };
-                if hit && book.covers(&node.file, b.line, rule) {
-                    book.mark_used(&node.file, b.line, rule);
-                }
-            }
-        }
-
-        for (v, node) in graph.nodes.iter().enumerate() {
-            // Direct-window sinks and productive acquisitions.
-            for a in &node.locks {
-                let in_window = |ord: u32| a.ord < ord && ord <= a.scope_end;
-                let mut productive = false;
-                for f in &node.locks {
-                    let hit = in_window(f.ord)
-                        && matches!(f.op, LockOp::Lock | LockOp::Wait)
-                        && (rule != RULE_ORDER || f.lock != a.lock)
-                        && rule != RULE_PARK;
-                    if hit {
-                        productive = true;
-                        if book.covers(&node.file, f.line, rule) {
-                            book.mark_used(&node.file, f.line, rule);
-                        }
-                    }
-                }
-                for b in &node.blocks {
-                    let hit = in_window(b.ord)
-                        && match rule {
-                            RULE_BLOCK => b.kind == BlockKind::Blocking,
-                            RULE_PARK => b.kind == BlockKind::Park,
-                            _ => false,
-                        };
-                    if hit {
-                        productive = true;
-                        if book.covers(&node.file, b.line, rule) {
-                            book.mark_used(&node.file, b.line, rule);
-                        }
-                    }
-                }
-                productive |= graph.edges[v]
-                    .iter()
-                    .any(|e| in_window(e.ord) && reach.contains(&e.to));
-                if productive && book.covers(&node.file, a.line, rule) {
-                    book.mark_used(&node.file, a.line, rule);
-                }
-            }
-            // Call-site edges on a held path that still reaches a sink.
-            for e in &graph.edges[v] {
-                if !book.covers(&node.file, e.line, rule) || !reach.contains(&e.to) {
-                    continue;
-                }
-                let held_here = held_nodes.contains(&v)
-                    || node.locks.iter().any(|a| a.ord < e.ord && e.ord <= a.scope_end);
-                if held_here {
-                    book.mark_used(&node.file, e.line, rule);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser;
 
     fn analyze(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
         let mut ws = Workspace::default();
         let mut book = AllowBook::default();
         for (rel, lib, src) in files {
-            ws.crate_roots.insert(lib.to_string());
-            let module = parser::module_path_of(lib, rel);
-            let lexed = lex(src);
-            book.add_file(rel, &lexed.allows, |_| true);
-            ws.files.insert(rel.to_string(), parser::parse_file(rel, module, &lexed));
+            ws.add(rel, Some(lib.to_string()), lex(src));
+            book.add_file(rel, &ws.sources[*rel].allows);
         }
         let graph = CallGraph::build(&ws);
         let mut out = check(&ws, &graph, &mut book);

@@ -1,9 +1,7 @@
 //! CLI entry point. Exit codes: 0 = clean (warnings do not gate),
-//! 1 = violations found (or regressions vs. the baseline), 2 = usage or
-//! I/O error.
+//! 1 = violations found, 2 = usage or I/O error.
 
-use clonos_lint::{analyze_full, causal, diagnostics, find_workspace_root, Diagnostic};
-use std::collections::BTreeSet;
+use clonos_lint::{analyze_full, causal, diagnostics, find_workspace_root};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -11,7 +9,7 @@ const USAGE: &str = "\
 clonos-lint — workspace determinism & protocol-invariant static analysis
 
 USAGE:
-    clonos-lint [--json] [--root <dir>] [--baseline <file>] [--emit-spec <file>]
+    clonos-lint [--json] [--root <dir>] [--emit-spec <file>]
 
 OPTIONS:
     --json                 emit machine-readable JSON instead of text
@@ -21,30 +19,13 @@ OPTIONS:
                            input (conventionally results/causal_spec.json)
     --root <dir>           workspace root (default: walk up from the current
                            directory to the nearest [workspace] Cargo.toml)
-    --baseline <file>      ratchet mode: only fail on violations NOT present
-                           in the baseline snapshot (adopt new rules
-                           incrementally; fixed entries are reported so the
-                           baseline can shrink)
-    --write-baseline <file>
-                           write the current violations as a baseline
-                           snapshot and exit 0
     --rules                list every rule with its summary
     -h, --help             show this help
-
-Violations are keyed in baselines as (file, rule, message) — line numbers
-are deliberately excluded so unrelated edits don't churn the snapshot.
 ";
-
-/// Baseline key: line numbers excluded so unrelated edits don't churn it.
-fn baseline_key(d: &Diagnostic) -> String {
-    format!("{}\t{}\t{}", d.file, d.rule, d.message)
-}
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut emit_spec: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -59,14 +40,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--root" => match path_arg(&mut args) {
                 Ok(p) => root = Some(p),
-                Err(()) => return ExitCode::from(2),
-            },
-            "--baseline" => match path_arg(&mut args) {
-                Ok(p) => baseline = Some(p),
-                Err(()) => return ExitCode::from(2),
-            },
-            "--write-baseline" => match path_arg(&mut args) {
-                Ok(p) => write_baseline = Some(p),
                 Err(()) => return ExitCode::from(2),
             },
             "--emit-spec" => match path_arg(&mut args) {
@@ -151,59 +124,14 @@ fn main() -> ExitCode {
         );
     }
 
-    let errors: Vec<&Diagnostic> = diags.iter().filter(|d| d.is_error()).collect();
-
-    if let Some(path) = write_baseline {
-        let mut lines: Vec<String> = errors.iter().map(|d| baseline_key(d)).collect();
-        lines.sort();
-        lines.dedup();
-        let body = lines.join("\n") + if lines.is_empty() { "" } else { "\n" };
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("error: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("clonos-lint: wrote {} baseline entr{} to {}",
-            lines.len(), if lines.len() == 1 { "y" } else { "ies" }, path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    let gating: Vec<&Diagnostic> = if let Some(path) = &baseline {
-        let known: BTreeSet<String> = match std::fs::read_to_string(path) {
-            Ok(s) => s.lines().filter(|l| !l.trim().is_empty()).map(str::to_string).collect(),
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let current: BTreeSet<String> = errors.iter().map(|d| baseline_key(d)).collect();
-        let fixed = known.difference(&current).count();
-        if fixed > 0 {
-            eprintln!(
-                "clonos-lint: {fixed} baseline entr{} no longer fire{} — shrink the baseline",
-                if fixed == 1 { "y" } else { "ies" },
-                if fixed == 1 { "s" } else { "" }
-            );
-        }
-        errors.iter().filter(|d| !known.contains(&baseline_key(d))).copied().collect()
-    } else {
-        errors
-    };
-
     if json {
         print!("{}", diagnostics::render_json(&diags));
     } else {
         print!("{}", diagnostics::render_text(&diags));
-        if baseline.is_some() {
-            println!(
-                "clonos-lint: {} regression{} vs. baseline",
-                gating.len(),
-                if gating.len() == 1 { "" } else { "s" }
-            );
-        }
     }
-    if gating.is_empty() {
-        ExitCode::SUCCESS
-    } else {
+    if diags.iter().any(|d| d.is_error()) {
         ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -13,9 +13,10 @@
 //! concurrency facts share one token-ordinal scale (`ord`), so a later pass
 //! can tell which calls happen while a guard is live.
 //!
-//! `#[cfg(test)]` regions are excluded up front (they are outside the
-//! production call graph). Known limits — documented in DESIGN.md §7 and
-//! deliberately accepted for a dependency-free parser:
+//! The token stream handed in is the file's *live* one: `#[cfg(test)]`
+//! regions were cut when the file was loaded (`callgraph::Source`), so
+//! test-only items never become nodes or facts. Known limits — documented
+//! in DESIGN.md §7 and deliberately accepted for a dependency-free parser:
 //!
 //! - trait *default method bodies* are parsed as nodes (path
 //!   `module::Trait::method`), so `dyn Trait` calls resolve through the
@@ -34,9 +35,8 @@
 //!   a thread join under a lock still surfaces via the lock facts of
 //!   whatever the joined thread runs).
 
-use crate::lexer::{AllowAnnotation, LexedFile, Tok, TokKind};
-use crate::rules::test_regions;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{Tok, TokKind};
+use std::collections::BTreeMap;
 
 /// Methods that panic on None/Err.
 pub const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -169,12 +169,14 @@ pub struct BlockFact {
     pub kind: BlockKind,
 }
 
-/// One `Enum::Variant` construction site inside a function body — a *send
-/// fact* candidate. The causal pass filters these to the enums declared in
-/// the protocol file; everything else (associated consts, other enums) is
-/// recorded here indiscriminately and ignored there.
-#[derive(Clone, Debug)]
-pub struct SendFact {
+/// One `Enum::Variant` occurrence inside a function body. Which list of
+/// its `FnItem` it lands in says what it is: a construction (`sends`), a
+/// match-arm pattern (`ArmRegion::patterns`) or a refutable test
+/// (`tests`). Recorded for every capitalised two-segment path tail; the
+/// passes filter to the enums they care about (associated consts and
+/// foreign enums ride along unused).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VariantSite {
     pub line: u32,
     /// Token ordinal (same scale as `CallSite::ord` / `ArmRegion` extents).
     pub ord: u32,
@@ -190,9 +192,9 @@ pub struct SendFact {
 /// execute *in response to* the matched variant.
 #[derive(Clone, Debug)]
 pub struct ArmRegion {
+    /// Line of the arm's first pattern.
     pub line: u32,
-    /// `(enum, variant)` patterns of the arm.
-    pub patterns: Vec<(String, String)>,
+    pub patterns: Vec<VariantSite>,
     /// Arm-body start ordinal (just past `=>`).
     pub lo: u32,
     /// Arm-body end ordinal (exclusive).
@@ -200,7 +202,7 @@ pub struct ArmRegion {
 }
 
 /// One `fn` item.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FnItem {
     /// Leaf name.
     pub name: String,
@@ -223,10 +225,14 @@ pub struct FnItem {
     pub blocks: Vec<BlockFact>,
     /// Body mentions the `Determinant` type (replay-surface marker).
     pub mentions_determinant: bool,
-    /// `Enum::Variant` construction sites (causal-pass input).
-    pub sends: Vec<SendFact>,
-    /// `Enum::Variant` match-arm regions (causal-pass input).
+    /// `Enum::Variant` construction sites.
+    pub sends: Vec<VariantSite>,
+    /// `Enum::Variant` match-arm regions.
     pub arms: Vec<ArmRegion>,
+    /// `Enum::Variant` patterns that only *test* a value — `if let` /
+    /// `while let` / `let .. else` / `matches!`. Neither a construction
+    /// nor a handling arm.
+    pub tests: Vec<VariantSite>,
     /// Token ordinals where the body increments a progress counter (see
     /// `PROGRESS_IDENTS`) — per-site so the causal pass can tell whether a
     /// specific match arm (not merely the enclosing fn) advances state.
@@ -234,23 +240,34 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// Any progress-counter mutation in the body.
-    pub fn advances_epoch(&self) -> bool {
-        !self.progress_ords.is_empty()
-    }
-}
-
-impl FnItem {
     /// `a::b::c` display form.
     pub fn display_path(&self) -> String {
         self.path.join("::")
     }
+
+    /// Every `Enum::Variant` the body names, whatever its role.
+    pub fn variant_sites(&self) -> impl Iterator<Item = &VariantSite> {
+        let arms = self.arms.iter().flat_map(|a| &a.patterns);
+        self.sends.iter().chain(arms).chain(&self.tests)
+    }
+}
+
+/// One named field of a braced struct.
+#[derive(Clone, Debug)]
+pub struct FieldFact {
+    pub name: String,
+    pub line: u32,
+    /// Declared with a bare `pub`.
+    pub is_pub: bool,
+    /// Identifiers of the field's type, in source order up to its first
+    /// generic-argument comma (`Mutex`, `VecDeque`, `Msg` for
+    /// `Mutex<VecDeque<Msg>>`; `Map`, `K` for `Map<K, V>`).
+    pub ty: Vec<String>,
 }
 
 /// Parsed view of one source file.
 #[derive(Clone, Debug, Default)]
 pub struct ParsedFile {
-    pub rel: String,
     /// Module path of the file root (crate lib name + file-derived mods).
     pub module: Vec<String>,
     pub fns: Vec<FnItem>,
@@ -260,16 +277,9 @@ pub struct ParsedFile {
     pub globs: Vec<Vec<String>>,
     /// Enum name -> variants (name, line). Module-level enums only.
     pub enums: BTreeMap<String, Vec<(String, u32)>>,
-    /// Module-level struct names.
-    pub structs: BTreeSet<String>,
-    /// Struct fields of lock type (`Mutex`/`RwLock`/`Condvar`): field name
-    /// -> owning struct names. Lets the lockgraph render `Mailbox::queue`
-    /// instead of a bare field ident.
-    pub lock_fields: BTreeMap<String, BTreeSet<String>>,
-    /// Live (non-`cfg(test)`) tokens, for passes that scan raw tokens.
-    pub toks: Vec<Tok>,
-    /// Live `clonos-lint:` annotations.
-    pub allows: Vec<AllowAnnotation>,
+    /// Module-level struct name -> named fields (empty for tuple/unit
+    /// structs).
+    pub structs: BTreeMap<String, Vec<FieldFact>>,
 }
 
 /// Derive the module path for `rel` (workspace-relative, `/`-separated)
@@ -291,32 +301,18 @@ pub fn module_path_of(lib_name: &str, rel: &str) -> Vec<String> {
     out
 }
 
-/// Parse one lexed file into its item/call-site structure.
-pub fn parse_file(rel: &str, module: Vec<String>, lexed: &LexedFile) -> ParsedFile {
-    let skip = test_regions(&lexed.toks);
-    let live = |line: u32| !skip.iter().any(|&(a, b)| (a..=b).contains(&line));
-    let toks: Vec<Tok> = lexed.toks.iter().filter(|t| live(t.line)).cloned().collect();
-    let allows: Vec<AllowAnnotation> =
-        lexed.allows.iter().filter(|a| live(a.line)).cloned().collect();
-
+/// Parse one file's live token stream into its item/call-site structure.
+pub fn parse_file(module: Vec<String>, toks: &[Tok]) -> ParsedFile {
     let mut p = Parser {
-        t: &toks,
+        t: toks,
         i: 0,
-        out: ParsedFile {
-            rel: rel.to_string(),
-            module: module.clone(),
-            allows,
-            ..ParsedFile::default()
-        },
+        out: ParsedFile { module: module.clone(), ..ParsedFile::default() },
         module,
         mods: Vec::new(),
         impls: Vec::new(),
-        pending_pub: false,
     };
     p.run();
-    let mut out = p.out;
-    out.toks = toks;
-    out
+    p.out
 }
 
 struct Parser<'a> {
@@ -329,23 +325,26 @@ struct Parser<'a> {
     mods: Vec<(String, usize)>,
     /// `impl Ty {` stack: (type leaf name, brace depth after entering).
     impls: Vec<(String, usize)>,
-    pending_pub: bool,
 }
 
 impl<'a> Parser<'a> {
     fn run(&mut self) {
         let mut depth = 0usize;
+        // A `pub` seen since the last item boundary: survives attributes
+        // and qualifiers (`pub const unsafe fn`), cleared by anything else.
+        let mut pending_pub = false;
         while self.i < self.t.len() {
+            let was_pub = std::mem::take(&mut pending_pub);
             let tok = &self.t[self.i];
             match &tok.kind {
                 TokKind::Punct('#') if self.peek_punct(1, '[') => {
-                    self.i = self.skip_balanced(self.i + 1, '[', ']');
+                    pending_pub = was_pub;
+                    self.i = skip_group(self.t, self.i + 1);
                 }
                 TokKind::Punct('{') => {
                     // A brace not claimed by mod/impl/fn below: skip the
                     // whole block (const/static initializers, etc.).
-                    self.i = self.skip_balanced(self.i, '{', '}');
-                    self.pending_pub = false;
+                    self.i = skip_group(self.t, self.i);
                 }
                 TokKind::Punct('}') => {
                     depth = depth.saturating_sub(1);
@@ -356,25 +355,18 @@ impl<'a> Parser<'a> {
                         self.impls.pop();
                     }
                     self.i += 1;
-                    self.pending_pub = false;
                 }
-                TokKind::Punct(';') => {
-                    self.i += 1;
-                    self.pending_pub = false;
-                }
+                TokKind::Punct(';') => self.i += 1,
                 TokKind::Ident(name) => match name.as_str() {
                     "pub" => {
-                        self.pending_pub = true;
+                        pending_pub = true;
                         self.i += 1;
                         // `pub(crate)` / `pub(super)` restriction.
                         if self.peek_punct(0, '(') {
-                            self.i = self.skip_balanced(self.i, '(', ')');
+                            self.i = skip_group(self.t, self.i);
                         }
                     }
-                    "use" => {
-                        self.parse_use();
-                        self.pending_pub = false;
-                    }
+                    "use" => self.parse_use(),
                     "mod" => {
                         let modname = self.ident_at(self.i + 1).map(str::to_string);
                         match (modname, self.find_punct_before_semi(self.i + 2, '{')) {
@@ -389,12 +381,8 @@ impl<'a> Parser<'a> {
                                 self.skip_past_semi();
                             }
                         }
-                        self.pending_pub = false;
                     }
-                    "impl" => {
-                        self.parse_impl_header(&mut depth);
-                        self.pending_pub = false;
-                    }
+                    "impl" => self.parse_impl_header(&mut depth),
                     "trait" => {
                         // Parse the trait body like an impl block: default
                         // method bodies become nodes at `module::Trait::m`,
@@ -410,47 +398,42 @@ impl<'a> Parser<'a> {
                             }
                             _ => self.skip_past_semi(),
                         }
-                        self.pending_pub = false;
                     }
-                    "enum" => {
-                        self.parse_enum();
-                        self.pending_pub = false;
-                    }
+                    "enum" => self.parse_enum(),
                     "struct" => {
                         let name = self.ident_at(self.i + 1).map(str::to_string);
-                        if let Some(n) = &name {
-                            self.out.structs.insert(n.clone());
-                        }
-                        // Braced struct: record lock-typed fields, then skip
-                        // the body; tuple/unit struct: skip to `;`.
+                        // Braced struct: record its fields, then skip the
+                        // body; tuple/unit struct: skip to `;`.
+                        let mut fields = Vec::new();
                         match self.find_punct_before_semi(self.i + 1, '{') {
                             Some(open) => {
-                                let close = self.skip_balanced(open, '{', '}');
-                                if let Some(n) = &name {
-                                    self.scan_lock_fields(n, open, close);
-                                }
+                                let close = skip_group(self.t, open);
+                                fields = self.scan_fields(open, close);
                                 self.i = close;
                             }
                             None => self.skip_past_semi(),
                         }
-                        self.pending_pub = false;
+                        if let Some(n) = name {
+                            self.out.structs.insert(n, fields);
+                        }
                     }
                     "macro_rules" => {
                         if let Some(open) = self.find_punct_before_semi(self.i + 1, '{') {
-                            self.i = self.skip_balanced(open, '{', '}');
+                            self.i = skip_group(self.t, open);
                         } else {
                             self.skip_past_semi();
                         }
-                        self.pending_pub = false;
                     }
-                    "fn" => {
-                        let is_pub = self.pending_pub;
-                        self.pending_pub = false;
-                        self.parse_fn(is_pub);
+                    "fn" => self.parse_fn(was_pub),
+                    _ => {
+                        pending_pub = was_pub;
+                        self.i += 1;
                     }
-                    _ => self.i += 1,
                 },
-                _ => self.i += 1,
+                _ => {
+                    pending_pub = was_pub;
+                    self.i += 1;
+                }
             }
         }
     }
@@ -463,25 +446,6 @@ impl<'a> Parser<'a> {
 
     fn ident_at(&self, at: usize) -> Option<&str> {
         self.t.get(at).and_then(|t| t.ident())
-    }
-
-    /// From an opening delimiter at `open`, return the index just past its
-    /// matching close.
-    fn skip_balanced(&self, open: usize, o: char, c: char) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < self.t.len() {
-            if self.t[i].is_punct(o) {
-                depth += 1;
-            } else if self.t[i].is_punct(c) {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        self.t.len()
     }
 
     /// Find `c` at nesting level 0 starting at `from`, stopping at a `;`
@@ -628,7 +592,7 @@ impl<'a> Parser<'a> {
     fn parse_impl_header(&mut self, depth: &mut usize) {
         self.i += 1; // `impl`
         if self.peek_punct(0, '<') {
-            self.i = self.skip_generics(self.i);
+            self.i = skip_generics(self.t, self.i);
         }
         let Some(open) = self.find_impl_open_brace(self.i) else {
             self.skip_past_semi();
@@ -651,7 +615,7 @@ impl<'a> Parser<'a> {
                     j += 1;
                     // Skip generic args of this segment.
                     if j < open && self.t[j].is_punct('<') {
-                        j = self.skip_generics(j);
+                        j = skip_generics(self.t, j);
                     }
                 }
                 _ => j += 1,
@@ -670,38 +634,11 @@ impl<'a> Parser<'a> {
             match &self.t[i].kind {
                 TokKind::Punct('{') => return Some(i),
                 TokKind::Punct(';') => return None,
-                TokKind::Punct('<') => i = self.skip_generics(i),
+                TokKind::Punct('<') => i = skip_generics(self.t, i),
                 _ => i += 1,
             }
         }
         None
-    }
-
-    /// From `<` at `open`, return the index past the matching `>`,
-    /// tolerating `->` arrows inside (they cannot appear in generics, but
-    /// guard anyway).
-    fn skip_generics(&self, open: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < self.t.len() {
-            match &self.t[i].kind {
-                TokKind::Punct('<') => depth += 1,
-                TokKind::Punct('>') => {
-                    // Ignore the `>` of a `->` arrow.
-                    if i > 0 && self.t[i - 1].is_punct('-') {
-                        i += 1;
-                        continue;
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        self.t.len()
     }
 
     fn parse_enum(&mut self) {
@@ -728,7 +665,7 @@ impl<'a> Parser<'a> {
                 }
                 TokKind::Punct('(') if depth == 1 => {
                     // Tuple-variant payload: skip.
-                    j = self.skip_balanced(j, '(', ')');
+                    j = skip_group(self.t, j);
                     continue;
                 }
                 TokKind::Punct('[') => bracket += 1,
@@ -748,40 +685,39 @@ impl<'a> Parser<'a> {
         self.i = j + 1;
     }
 
-    /// Record fields of lock type within a struct body `{..}` at
-    /// `[open, close)`. A field is `ident :` at brace depth 1; it is a lock
-    /// field if a `Mutex`/`RwLock`/`Condvar` ident appears in its type
-    /// before the next depth-1 comma (the lock head always leads the type,
-    /// so generic-argument commas deeper in cannot split it away).
-    fn scan_lock_fields(&mut self, struct_name: &str, open: usize, close: usize) {
-        const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
+    /// The named fields of a struct body `{..}` at `[open, close)`. A field
+    /// starts at `ident :` (single colon) at brace depth 1; the identifiers
+    /// up to the next comma are recorded as its type. Only braces are
+    /// tracked, so a generic-argument comma ends the recorded type early —
+    /// `ty` holds the head of the type, not all of it.
+    fn scan_fields(&self, open: usize, close: usize) -> Vec<FieldFact> {
+        let mut fields: Vec<FieldFact> = Vec::new();
         let mut depth = 0usize;
-        let mut field: Option<String> = None;
-        let mut j = open;
-        while j < close {
+        let mut in_type = false;
+        for j in open..close {
             match &self.t[j].kind {
                 TokKind::Punct('{') => depth += 1,
                 TokKind::Punct('}') => depth = depth.saturating_sub(1),
-                TokKind::Punct(',') if depth == 1 => field = None,
+                TokKind::Punct(',') if depth == 1 => in_type = false,
                 TokKind::Ident(s) if depth == 1 => {
                     let named = self.t.get(j + 1).is_some_and(|n| n.is_punct(':'))
                         && !self.t.get(j + 2).is_some_and(|n| n.is_punct(':'));
                     if named && s != "pub" {
-                        field = Some(s.clone());
-                    } else if LOCK_TYPES.contains(&s.as_str()) {
-                        if let Some(f) = &field {
-                            self.out
-                                .lock_fields
-                                .entry(f.clone())
-                                .or_default()
-                                .insert(struct_name.to_string());
-                        }
+                        fields.push(FieldFact {
+                            name: s.clone(),
+                            line: self.t[j].line,
+                            is_pub: self.t[j - 1].is_ident("pub"),
+                            ty: Vec::new(),
+                        });
+                        in_type = true;
+                    } else if let (true, Some(f)) = (in_type, fields.last_mut()) {
+                        f.ty.push(s.clone());
                     }
                 }
                 _ => {}
             }
-            j += 1;
         }
+        fields
     }
 
     fn parse_fn(&mut self, is_pub: bool) {
@@ -792,12 +728,12 @@ impl<'a> Parser<'a> {
         };
         self.i += 2;
         if self.peek_punct(0, '<') {
-            self.i = self.skip_generics(self.i);
+            self.i = skip_generics(self.t, self.i);
         }
         // Parameter list.
         let mut has_self = false;
         if self.peek_punct(0, '(') {
-            let close = self.skip_balanced(self.i, '(', ')');
+            let close = skip_group(self.t, self.i);
             // `self` receiver appears before the first top-level comma.
             let mut j = self.i + 1;
             let mut depth = 0i32;
@@ -821,38 +757,18 @@ impl<'a> Parser<'a> {
             self.skip_past_semi();
             return;
         };
-        let end = self.skip_balanced(open, '{', '}');
+        let end = skip_group(self.t, open);
         let module = self.current_module();
         let impl_type = self
             .impls
             .last()
             .map(|(ty, _)| ty.clone())
             .filter(|ty| !ty.is_empty());
-        let mut item = FnItem {
-            name: name.clone(),
-            path: {
-                let mut p = module.clone();
-                if let Some(ty) = &impl_type {
-                    p.push(ty.clone());
-                }
-                p.push(name);
-                p
-            },
-            module,
-            impl_type,
-            line,
-            is_pub,
-            has_self,
-            calls: Vec::new(),
-            panics: Vec::new(),
-            taints: Vec::new(),
-            locks: Vec::new(),
-            blocks: Vec::new(),
-            mentions_determinant: false,
-            sends: Vec::new(),
-            arms: Vec::new(),
-            progress_ords: Vec::new(),
-        };
+        let mut path = module.clone();
+        path.extend(impl_type.clone());
+        path.push(name.clone());
+        let mut item =
+            FnItem { name, path, module, impl_type, line, is_pub, has_self, ..FnItem::default() };
         scan_body(self.t, open, end, &mut item, self);
         scan_protocol(self.t, open, end, &mut item);
         self.out.fns.push(item);
@@ -912,7 +828,7 @@ fn scan_body(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem, p: &Parser<'_>)
                 // Path continuation segments were consumed below; `.field`
                 // and `.method(` handled here.
                 if matches!(prev, Some(TokKind::Punct('.'))) {
-                    let (after, _turbo) = skip_turbofish(t, j + 1);
+                    let after = skip_turbofish(t, j + 1);
                     if t.get(after).is_some_and(|n| n.is_punct('(')) {
                         if let Some(&(_, op)) =
                             LOCK_METHODS.iter().find(|(m, _)| m == name)
@@ -944,31 +860,29 @@ fn scan_body(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem, p: &Parser<'_>)
                                 binds_guard: binds,
                                 scope_end: scope_end as u32,
                             });
-                        } else if BLOCKING_METHODS.contains(&name.as_str()) {
-                            item.blocks.push(BlockFact {
-                                line: t[j].line,
-                                ord: j as u32,
-                                what: format!("blocking `.{name}()`"),
-                                kind: BlockKind::Blocking,
-                            });
-                            // Keep the call edge too: a workspace method of
-                            // the same name still resolves by name.
-                            item.calls.push(CallSite {
-                                line: t[j].line,
-                                ord: j as u32,
-                                target: CallTarget::Method(name.clone()),
-                            });
-                        } else if PANIC_METHODS.contains(&name.as_str()) {
-                            item.panics.push(PanicFact {
-                                line: t[j].line,
-                                what: format!("`.{name}()`"),
-                            });
                         } else {
-                            item.calls.push(CallSite {
-                                line: t[j].line,
-                                ord: j as u32,
-                                target: CallTarget::Method(name.clone()),
-                            });
+                            if BLOCKING_METHODS.contains(&name.as_str()) {
+                                // The call edge below is kept too: a workspace
+                                // method of the same name resolves by name.
+                                item.blocks.push(BlockFact {
+                                    line: t[j].line,
+                                    ord: j as u32,
+                                    what: format!("blocking `.{name}()`"),
+                                    kind: BlockKind::Blocking,
+                                });
+                            }
+                            if PANIC_METHODS.contains(&name.as_str()) {
+                                item.panics.push(PanicFact {
+                                    line: t[j].line,
+                                    what: format!("`.{name}()`"),
+                                });
+                            } else {
+                                item.calls.push(CallSite {
+                                    line: t[j].line,
+                                    ord: j as u32,
+                                    target: CallTarget::Method(name.clone()),
+                                });
+                            }
                         }
                     }
                     j += 1;
@@ -995,7 +909,7 @@ fn scan_body(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem, p: &Parser<'_>)
                         _ => break,
                     }
                 }
-                let (after, _turbo) = skip_turbofish(t, k);
+                let after = skip_turbofish(t, k);
                 let is_macro = t.get(after).is_some_and(|n| n.is_punct('!'));
                 let is_call = t.get(after).is_some_and(|n| n.is_punct('('));
 
@@ -1054,15 +968,20 @@ fn scan_body(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem, p: &Parser<'_>)
     }
 }
 
-/// Collect protocol facts from a body range: `Enum::Variant` construction
-/// sites (send facts), `Enum::Variant` match-arm regions (or-patterns
-/// grouped, body extents on the shared ord scale), and the progress flag
-/// for the `non-progressing-cycle` rule. Separate from `scan_body` because
-/// it needs pattern-vs-expression classification that the call-site walk
+/// Collect protocol facts from a body range: every `Enum::Variant`
+/// occurrence, classified **here and nowhere else** as a construction
+/// (send fact), a match-arm pattern (or-patterns grouped into one
+/// `ArmRegion` with its body extent on the shared ord scale) or a
+/// refutable test pattern — plus the progress ordinals for the
+/// `non-progressing-cycle` rule. Separate from `scan_body` because it
+/// needs pattern-vs-expression classification that the call-site walk
 /// deliberately does not do.
 fn scan_protocol(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem) {
+    let punct = |k: usize, c: char| t.get(k).is_some_and(|x| x.is_punct(c));
     // Patterns of the or-group currently being accumulated.
-    let mut pending: Vec<(String, String, u32)> = Vec::new();
+    let mut pending: Vec<VariantSite> = Vec::new();
+    // Pattern operand of the `matches!(expr, PATTERN)` being walked.
+    let mut matches_pattern = 0..0;
     let mut j = lo;
     while j < hi {
         let TokKind::Ident(name) = &t[j].kind else {
@@ -1076,90 +995,82 @@ fn scan_protocol(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem) {
         {
             item.progress_ords.push(j as u32);
         }
+        if name == "matches" && punct(j + 1, '!') && punct(j + 2, '(') {
+            let close = skip_group(t, j + 2);
+            matches_pattern = arm_expr_end(t, j + 3, close)..close;
+        }
         // Path heads only: a continuation segment (preceded by `::`) was
         // already consumed as part of its head's walk below.
-        if j >= 2 && t[j - 1].is_punct(':') && t[j - 2].is_punct(':') {
-            j += 1;
-            continue;
-        }
-        if j > 0 && t[j - 1].is_punct('.') {
+        if j > 0 && (punct(j - 1, '.') || j > 1 && punct(j - 1, ':') && punct(j - 2, ':')) {
             j += 1;
             continue;
         }
         // Collect `a::b::...::z`.
         let mut segs = vec![name.clone()];
         let mut jl = j; // index of the last path segment
-        let mut k = j + 1;
-        while t.get(k).is_some_and(|x| x.is_punct(':'))
-            && t.get(k + 1).is_some_and(|x| x.is_punct(':'))
-        {
-            match t.get(k + 2).map(|x| &x.kind) {
-                Some(TokKind::Ident(s)) => {
-                    segs.push(s.clone());
-                    jl = k + 2;
-                    k += 3;
-                }
-                _ => break,
-            }
+        while punct(jl + 1, ':') && punct(jl + 2, ':') {
+            let Some(TokKind::Ident(s)) = t.get(jl + 3).map(|x| &x.kind) else { break };
+            segs.push(s.clone());
+            jl += 3;
         }
         let upper = |s: &str| s.chars().next().is_some_and(char::is_uppercase);
         if segs.len() < 2 || !upper(&segs[segs.len() - 2]) || !upper(&segs[segs.len() - 1]) {
-            j = k.max(j + 1);
+            j = jl + 1;
             continue;
         }
-        let (enm, variant) = (segs[segs.len() - 2].clone(), segs[segs.len() - 1].clone());
-        let line = t[jl].line;
-        // Classify: skip an optional payload group, then look at what
-        // follows the pattern-or-expression.
+        let variant = segs.pop().unwrap_or_default();
+        let enm = segs.pop().unwrap_or_default();
+        let site = VariantSite { line: t[jl].line, ord: jl as u32, enm, variant };
+        // Skip an optional payload group, then classify by what follows the
+        // pattern-or-expression.
         let mut after = jl + 1;
-        if after < t.len() && (t[after].is_punct('{') || t[after].is_punct('(')) {
+        if punct(after, '{') || punct(after, '(') {
             after = skip_group(t, after);
         }
-        if is_arm_pattern(t, jl) {
-            pending.push((enm, variant, line));
-            if t.get(after).is_some_and(|x| x.is_punct('|')) {
-                // Or-pattern: the next alternative continues this arm.
-                j = after + 1;
-                continue;
-            }
-            // Find the arm's `=>` (possibly past a guard) and the body extent.
-            if let Some(arrow) = find_arrow(t, after, hi) {
-                let body_lo = arrow + 2;
-                let body_hi = if t.get(body_lo).is_some_and(|x| x.is_punct('{')) {
-                    skip_group(t, body_lo)
-                } else {
-                    arm_expr_end(t, body_lo, hi)
-                };
-                let first_line = pending.first().map(|p| p.2).unwrap_or(line);
-                item.arms.push(ArmRegion {
-                    line: first_line,
-                    patterns: pending.drain(..).map(|(e, v, _)| (e, v)).collect(),
-                    lo: body_lo as u32,
-                    hi: body_hi as u32,
-                });
-                // Keep walking *inside* the body: nested arms and sends count.
-                j = body_lo;
-                continue;
-            }
-            pending.clear();
-            j = after;
+        if matches_pattern.contains(&jl) {
+            item.tests.push(site);
+        } else if punct(after, '|') {
+            // Or-pattern: the next alternative continues this arm.
+            pending.push(site);
+            j = after + 1;
             continue;
+        } else if let Some(arrow) = (punct(after, '=') && punct(after + 1, '>')
+            || t.get(after).is_some_and(|x| x.is_ident("if")))
+        .then(|| find_arrow(t, after, hi))
+        .flatten()
+        {
+            // Match arm (possibly guarded): `=>` and the body extent.
+            pending.push(site);
+            let body_lo = arrow + 2;
+            let body_hi = if punct(body_lo, '{') {
+                skip_group(t, body_lo)
+            } else {
+                arm_expr_end(t, body_lo, hi)
+            };
+            item.arms.push(ArmRegion {
+                line: pending[0].line,
+                patterns: std::mem::take(&mut pending),
+                lo: body_lo as u32,
+                hi: body_hi as u32,
+            });
+            // Keep walking *inside* the body: nested arms and sends count.
+            j = body_lo;
+            continue;
+        } else if punct(after, '=') && !punct(after + 1, '=') && !punct(after + 1, '>') {
+            // `if let` / `while let` / `let ... else`: `=` (not `==`)
+            // directly after the pattern.
+            item.tests.push(site);
+        } else {
+            item.sends.push(site);
         }
         pending.clear();
-        // `if let` / `while let` / `let ... else` pattern: `=` (not `==`)
-        // directly after the pattern — not a construction.
-        let is_let_pattern = t.get(after).is_some_and(|x| x.is_punct('='))
-            && !t.get(after + 1).is_some_and(|x| x.is_punct('=') || x.is_punct('>'));
-        if !is_let_pattern {
-            item.sends.push(SendFact { line, ord: jl as u32, enm, variant });
-        }
         j = jl + 1;
     }
 }
 
-/// Find the `=` of a `=>` at bracket depth 0, scanning from `from` (used to
-/// locate an arm's arrow past an optional guard). Bails at a `;`, an
-/// unmatched close, or after 200 tokens.
+/// Find the `=` of a `=>` at bracket depth 0, scanning from `from` (an
+/// arm's arrow, possibly past a guard). Bails at a `;`, an unmatched
+/// close, or after 200 tokens.
 fn find_arrow(t: &[Tok], from: usize, hi: usize) -> Option<usize> {
     let mut depth = 0i32;
     for k in from..(from + 200).min(hi.min(t.len().saturating_sub(1))) {
@@ -1205,49 +1116,14 @@ fn arm_expr_end(t: &[Tok], from: usize, hi: usize) -> usize {
     hi
 }
 
-/// Is the `Enum::Variant` occurrence ending at `i` (the variant ident) a
-/// match-arm pattern? Skip an optional `{...}` / `(...)` payload, then look
-/// for `=>` (directly or past an `if` guard) or a `|` or-pattern
-/// continuation.
-pub fn is_arm_pattern(toks: &[Tok], i: usize) -> bool {
-    let mut j = i + 1;
-    if j < toks.len() && (toks[j].is_punct('{') || toks[j].is_punct('(')) {
-        j = skip_group(toks, j);
-    }
-    match toks.get(j).map(|t| &t.kind) {
-        Some(TokKind::Punct('|')) => true,
-        Some(TokKind::Punct('=')) => {
-            toks.get(j + 1).map(|t| t.is_punct('>')).unwrap_or(false)
-        }
-        Some(TokKind::Ident(s)) if s == "if" => {
-            // Guarded arm: scan the guard expression for its `=>`.
-            let mut depth = 0i32;
-            for k in j + 1..(j + 200).min(toks.len().saturating_sub(1)) {
-                match &toks[k].kind {
-                    TokKind::Punct('(' | '[' | '{') => depth += 1,
-                    TokKind::Punct(')' | ']' | '}') => {
-                        depth -= 1;
-                        if depth < 0 {
-                            return false;
-                        }
-                    }
-                    TokKind::Punct(';') if depth == 0 => return false,
-                    TokKind::Punct('=') if depth == 0 => {
-                        return toks.get(k + 1).map(|t| t.is_punct('>')).unwrap_or(false);
-                    }
-                    _ => {}
-                }
-            }
-            false
-        }
-        _ => false,
-    }
-}
-
-/// From an opening `{`/`(` at `open`, return the index just past its
+/// From an opening `{`/`(`/`[` at `open`, return the index just past its
 /// matching close.
-pub fn skip_group(toks: &[Tok], open: usize) -> usize {
-    let (o, c) = if toks[open].is_punct('{') { ('{', '}') } else { ('(', ')') };
+fn skip_group(toks: &[Tok], open: usize) -> usize {
+    let (o, c) = match toks[open].kind {
+        TokKind::Punct('{') => ('{', '}'),
+        TokKind::Punct('[') => ('[', ']'),
+        _ => ('(', ')'),
+    };
     let mut depth = 0usize;
     let mut j = open;
     while j < toks.len() {
@@ -1323,34 +1199,34 @@ fn stmt_end(t: &[Tok], j: usize, hi: usize) -> usize {
     hi
 }
 
-/// If `at` starts a turbofish (`::<...>`), return the index past it.
-fn skip_turbofish(t: &[Tok], at: usize) -> (usize, bool) {
-    if t.get(at).is_some_and(|x| x.is_punct(':'))
-        && t.get(at + 1).is_some_and(|x| x.is_punct(':'))
-        && t.get(at + 2).is_some_and(|x| x.is_punct('<'))
-    {
-        let mut depth = 0i32;
-        let mut i = at + 2;
-        while i < t.len() {
-            match &t[i].kind {
-                TokKind::Punct('<') => depth += 1,
-                TokKind::Punct('>') => {
-                    if i > 0 && t[i - 1].is_punct('-') {
-                        i += 1;
-                        continue;
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        return (i + 1, true);
-                    }
+/// From `<` at `open`, return the index past the matching `>` (the `>` of
+/// a `->` arrow does not count).
+fn skip_generics(t: &[Tok], open: usize) -> usize {
+    let mut depth = 0i32;
+    let mut i = open;
+    while i < t.len() {
+        match &t[i].kind {
+            TokKind::Punct('<') => depth += 1,
+            TokKind::Punct('>') if !t[i - 1].is_punct('-') => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
                 }
-                _ => {}
             }
-            i += 1;
+            _ => {}
         }
-        (t.len(), true)
+        i += 1;
+    }
+    t.len()
+}
+
+/// If `at` starts a turbofish (`::<...>`), return the index past it.
+fn skip_turbofish(t: &[Tok], at: usize) -> usize {
+    let is = |k: usize, c: char| t.get(k).is_some_and(|x| x.is_punct(c));
+    if is(at, ':') && is(at + 1, ':') && is(at + 2, '<') {
+        skip_generics(t, at + 2)
     } else {
-        (at, false)
+        at
     }
 }
 
@@ -1360,7 +1236,8 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file("crates/x/src/lib.rs", vec!["x".into()], &lex(src))
+        let live = crate::callgraph::Source::new(lex(src));
+        parse_file(vec!["x".into()], &live.toks)
     }
 
     fn fn_named<'a>(f: &'a ParsedFile, name: &str) -> &'a FnItem {
@@ -1543,8 +1420,10 @@ mod tests {
                  }\n\
              }\n",
         );
-        // Lock fields recorded off the struct body.
-        assert_eq!(f.lock_fields["q"].iter().collect::<Vec<_>>(), vec!["S"]);
+        // Fields recorded off the struct body, type idents included.
+        assert_eq!(f.structs["S"].len(), 1);
+        assert_eq!((f.structs["S"][0].name.as_str(), f.structs["S"][0].is_pub), ("q", false));
+        assert_eq!(f.structs["S"][0].ty, vec!["Mutex", "u32"]);
 
         let bound = fn_named(&f, "bound");
         let a = &bound.locks[0];
@@ -1620,9 +1499,12 @@ mod tests {
         assert_eq!(item.sends[0].enm, "Msg");
         // Two arm regions; the second groups the or-pattern.
         assert_eq!(item.arms.len(), 2, "{:#?}", item.arms);
-        assert_eq!(item.arms[0].patterns, vec![("Msg".into(), "Ping".into())]);
+        let pats = |a: &ArmRegion| -> Vec<(String, String)> {
+            a.patterns.iter().map(|p| (p.enm.clone(), p.variant.clone())).collect()
+        };
+        assert_eq!(pats(&item.arms[0]), vec![("Msg".into(), "Ping".into())]);
         assert_eq!(
-            item.arms[1].patterns,
+            pats(&item.arms[1]),
             vec![("Msg".into(), "Stop".into()), ("Msg".into(), "Halt".into())]
         );
         // The Pong send lands inside the Ping arm's body extent.
@@ -1676,8 +1558,46 @@ mod tests {
              fn b(&mut self, attempt: u32) { retry(GatherTimeout { attempt: attempt + 1 }); }\n\
              fn c(&mut self) { self.counter += 1; }\n",
         );
-        assert!(fn_named(&f, "a").advances_epoch());
-        assert!(fn_named(&f, "b").advances_epoch());
-        assert!(!fn_named(&f, "c").advances_epoch());
+        assert!(!fn_named(&f, "a").progress_ords.is_empty());
+        assert!(!fn_named(&f, "b").progress_ords.is_empty());
+        assert!(fn_named(&f, "c").progress_ords.is_empty());
+    }
+
+    #[test]
+    fn variant_occurrences_are_classified_once() {
+        let f = parse(
+            "fn f(m: Msg, q: &Q) -> bool {\n\
+                 match m {\n\
+                     Msg::Ping { n } if n == 0 || n >= LIMIT => q.push(Msg::Pong(n)),\n\
+                     Msg::Stop => {}\n\
+                 }\n\
+                 matches!(q.peek(), Some(Msg::Halt | Msg::Stop)) && !matches!(m, Msg::Tick)\n\
+             }\n",
+        );
+        let item = fn_named(&f, "f");
+        let names = |v: &[VariantSite]| v.iter().map(|s| s.variant.clone()).collect::<Vec<_>>();
+        // A guard with `==`/`>=` in it is still an arm: the arrow search
+        // must not stop at the first `=`.
+        assert_eq!(item.arms.len(), 2, "{:#?}", item.arms);
+        assert_eq!(names(&item.arms[0].patterns), vec!["Ping"]);
+        assert_eq!(names(&item.sends), vec!["Pong"]);
+        assert!((item.arms[0].lo..item.arms[0].hi).contains(&item.sends[0].ord));
+        // `matches!` operands are tests, alternatives included; `Some` and
+        // the scrutinee expression are not variant paths at all.
+        assert_eq!(names(&item.tests), vec!["Halt", "Stop", "Tick"]);
+        assert_eq!(item.variant_sites().count(), 6);
+    }
+
+    #[test]
+    fn struct_fields_with_visibility_and_type_idents() {
+        let f = parse(
+            "pub struct S {\n    pub a: u64,\n    pub(crate) b: Vec<(u32, Inner)>,\n    c: std::sync::Mutex<Inner>,\n}\n\
+             struct Unit;\nstruct Tuple(u32);\nimpl S { pub fn d(&self) {} }\n",
+        );
+        let fields: Vec<(&str, u32, bool)> =
+            f.structs["S"].iter().map(|f| (f.name.as_str(), f.line, f.is_pub)).collect();
+        assert_eq!(fields, vec![("a", 2, true), ("b", 3, false), ("c", 4, false)]);
+        assert_eq!(f.structs["S"][2].ty, vec!["std", "sync", "Mutex", "Inner"]);
+        assert!(f.structs["Unit"].is_empty() && f.structs["Tuple"].is_empty());
     }
 }

@@ -7,14 +7,20 @@
 //! constructs is dead protocol surface that rots. For every variant of
 //! every enum declared in `config::MESSAGES_FILE` this pass cross-checks:
 //!
-//! * **constructed** — an `Enum::Variant` occurrence anywhere in the graph
-//!   crates that is *not* a match-arm pattern;
+//! * **constructed** — an `Enum::Variant` construction site in any fn of
+//!   the graph crates (`parser::FnItem::sends`);
 //! * **handled** — an `Enum::Variant` match-arm pattern (payload and guard
-//!   aware, `|` or-patterns included) in a handler file
-//!   (`config::MESSAGE_HANDLER_FILES`), outside `#[cfg(test)]`.
+//!   aware, `|` or-patterns included — `parser::ArmRegion`) in a handler
+//!   file (`config::MESSAGE_HANDLER_FILES`).
+//!
+//! Both come from the parser's one occurrence classifier, the same facts
+//! the causal pass reads. A pattern that merely *tests* a value — `if let
+//! Msg::X(..) = m`, `matches!(m, Msg::X(..))` — is neither: it sends
+//! nothing, and it lets every other variant fall through silently, which is
+//! exactly what a handling arm must not do.
 //!
 //! Test sources contribute *no* evidence in either direction: inline
-//! `#[cfg(test)]` regions are stripped at lex/filter time, and whole
+//! `#[cfg(test)]` regions are cut when a file is loaded, and whole
 //! test-module files (`src/tests.rs`, `tests/*.rs` — whose cfg marker
 //! lives on the `mod` declaration in the parent, invisible here) are
 //! skipped by `config::is_test_source`. A variant only a test constructs
@@ -32,32 +38,25 @@
 use crate::callgraph::Workspace;
 use crate::config;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{Tok, TokKind};
-use crate::parser::is_arm_pattern;
-use crate::rules;
 use std::collections::BTreeMap;
 
+/// Where a variant is declared, constructed and handled: `(file, line)`s.
 #[derive(Debug, Default)]
-struct Evidence {
-    constructed: Vec<(String, u32)>,
-    handled: Vec<(String, u32)>,
+struct Evidence<'a> {
+    decl_line: u32,
+    constructed: Vec<(&'a str, u32)>,
+    handled: Vec<(&'a str, u32)>,
 }
 
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let Some(msg_file) = ws.files.get(config::MESSAGES_FILE) else {
         return Vec::new(); // no protocol surface (fixture workspaces)
     };
-    // (enum, variant) -> declaration line + gathered evidence.
-    let mut decl: BTreeMap<(String, String), u32> = BTreeMap::new();
-    let mut evidence: BTreeMap<(String, String), Evidence> = BTreeMap::new();
+    let mut evidence: BTreeMap<(&str, &str), Evidence> = BTreeMap::new();
     for (enum_name, variants) in &msg_file.enums {
         for (v, line) in variants {
-            decl.insert((enum_name.clone(), v.clone()), *line);
-            evidence.insert((enum_name.clone(), v.clone()), Evidence::default());
+            evidence.insert((enum_name, v), Evidence { decl_line: *line, ..Evidence::default() });
         }
-    }
-    if decl.is_empty() {
-        return Vec::new();
     }
 
     for (rel, pf) in &ws.files {
@@ -65,15 +64,23 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
             continue;
         }
         let is_handler = config::MESSAGE_HANDLER_FILES.contains(&rel.as_str());
-        let test_regions = rules::test_regions(&pf.toks);
-        let live =
-            |line: u32| !test_regions.iter().any(|&(a, b)| (a..=b).contains(&line));
-        scan_file(rel, &pf.toks, is_handler, &live, &mut evidence);
+        for item in &pf.fns {
+            for s in &item.sends {
+                if let Some(ev) = evidence.get_mut(&(s.enm.as_str(), s.variant.as_str())) {
+                    ev.constructed.push((rel, s.line));
+                }
+            }
+            for p in item.arms.iter().flat_map(|a| &a.patterns).filter(|_| is_handler) {
+                if let Some(ev) = evidence.get_mut(&(p.enm.as_str(), p.variant.as_str())) {
+                    ev.handled.push((rel, p.line));
+                }
+            }
+        }
     }
 
     let mut out = Vec::new();
     for ((enum_name, variant), ev) in &evidence {
-        let line = decl[&(enum_name.clone(), variant.clone())];
+        let line = ev.decl_line;
         let qualified = format!("{enum_name}::{variant}");
         let diag = match (ev.constructed.is_empty(), ev.handled.is_empty()) {
             (false, false) => continue, // constructed and handled: healthy
@@ -112,51 +119,19 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     out
 }
 
-fn sites(label: &str, ev: &[(String, u32)]) -> Vec<String> {
+fn sites(label: &str, ev: &[(&str, u32)]) -> Vec<String> {
     ev.iter().take(3).map(|(f, l)| format!("{label} {f}:{l}")).collect()
-}
-
-/// Collect `Enum::Variant` occurrences in one token stream, classified as
-/// match-arm pattern or construction.
-fn scan_file(
-    rel: &str,
-    toks: &[Tok],
-    is_handler: bool,
-    live: &dyn Fn(u32) -> bool,
-    evidence: &mut BTreeMap<(String, String), Evidence>,
-) {
-    for i in 3..toks.len() {
-        let TokKind::Ident(variant) = &toks[i].kind else { continue };
-        if !(toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':')) {
-            continue;
-        }
-        let TokKind::Ident(enum_name) = &toks[i - 3].kind else { continue };
-        let Some(ev) = evidence.get_mut(&(enum_name.clone(), variant.clone())) else {
-            continue;
-        };
-        let line = toks[i].line;
-        if is_arm_pattern(toks, i) {
-            if is_handler && live(line) {
-                ev.handled.push((rel.to_string(), line));
-            }
-        } else {
-            ev.constructed.push((rel.to_string(), line));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
         let mut ws = Workspace::default();
-        ws.crate_roots.insert("clonos_engine".into());
         for (rel, src) in files {
-            let module = parser::module_path_of("clonos_engine", rel);
-            ws.files.insert(rel.to_string(), parser::parse_file(rel, module, &lex(src)));
+            ws.add(rel, Some("clonos_engine".into()), lex(src));
         }
         ws
     }
@@ -283,5 +258,61 @@ mod tests {
             ),
         ]);
         assert!(check(&w).is_empty(), "{:?}", check(&w));
+    }
+
+    /// A variant someone only *destructures* is not thereby constructed:
+    /// `Pong` has its arm, nobody sends it, and the `if let` in `peek` is a
+    /// test, not a send.
+    #[test]
+    fn if_let_destructuring_is_not_a_construction() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                "crates/engine/src/task.rs",
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n\
+                 fn peek(m: &Msg) -> u64 { if let Msg::Pong(n) = m { *n } else { 0 } }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` has a handling match arm but is never constructed"));
+        assert!(d[0].chain[0].contains("handled at crates/engine/src/task.rs:1"), "{:?}", d[0].chain);
+    }
+
+    /// Same for `matches!`: its second operand is a pattern.
+    #[test]
+    fn matches_macro_pattern_is_not_a_construction() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                "crates/engine/src/task.rs",
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n\
+                 fn is_pong(m: &Msg) -> bool { matches!(m, Msg::Pong(..) | Msg::Pong(0)) }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` has a handling match arm but is never constructed"));
+    }
+
+    /// ...and neither test counts as *handling*: both let every other
+    /// variant fall through silently, which is what the rule exists to stop.
+    #[test]
+    fn test_patterns_do_not_handle_either() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                "crates/engine/src/task.rs",
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n\
+                 fn peek(m: &Msg) -> bool { if let Msg::Pong(_) = m { return true; } matches!(m, Msg::Pong(1)) }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` is constructed but has no handling"));
+        assert_eq!(d[0].chain, vec!["constructed at crates/engine/src/task.rs:2"]);
     }
 }

@@ -1,22 +1,24 @@
-//! Transitive panic-reachability (`panic-path`) and the shared path-rule
-//! engine it is built on (`taint.rs` reuses it for `replay-taint`).
+//! Transitive panic-reachability (`panic-path`) and the entry→fact rule
+//! shape it shares with `replay-taint` (`taint.rs`).
 //!
 //! Shape of both rules: a set of *entry* nodes, a set of *facts* attached
 //! to nodes (panic sinks / nondeterminism sources), and the claim that no
-//! entry may transitively reach a fact. Allow annotations act on the graph:
-//! a covered call site removes that edge (suppressing every path through
-//! it), a covered fact removes the sink. BFS from the entries yields a
-//! shortest exemplar blame chain per surviving fact, rendered into the
-//! diagnostic in both text and JSON.
+//! entry may transitively reach a fact. States are plain call-graph nodes;
+//! propagation, allow semantics (a covered call site removes that edge, a
+//! covered fact removes the sink) and stale-allow bookkeeping are
+//! `propagate::run`'s. Each surviving fact is reported with the shortest
+//! exemplar blame chain from an entry, in both text and JSON.
 
 use crate::allows::AllowBook;
 use crate::callgraph::CallGraph;
 use crate::config;
 use crate::diagnostics::Diagnostic;
+use crate::propagate::{self, PathRule};
 use std::collections::BTreeSet;
 
-/// Parameterization of one transitive path rule.
-pub struct PathRule<'a> {
+/// Parameterization of one entry→fact rule.
+pub struct EntryRule<'a> {
+    pub graph: &'a CallGraph<'a>,
     /// Rule id (`panic-path` / `replay-taint`) — also the allow key.
     pub rule: &'static str,
     /// Entry node indexes (BFS sources).
@@ -30,92 +32,50 @@ pub struct PathRule<'a> {
     pub hint: &'static str,
 }
 
-/// Run a path rule over the graph. Marks used allows in `book`.
-pub fn run(graph: &CallGraph, book: &mut AllowBook, rule: PathRule<'_>) -> Vec<Diagnostic> {
-    // Live facts: rule facts not suppressed by an allow at the fact line.
-    let live_facts: Vec<Vec<(u32, String)>> = (0..graph.nodes.len())
-        .map(|ix| {
-            (rule.facts)(ix)
-                .into_iter()
-                .filter(|(line, _)| !book.covers(&graph.nodes[ix].file, *line, rule.rule))
-                .collect()
-        })
-        .collect();
+impl PathRule for EntryRule<'_> {
+    type State = usize;
+    type Sink = String;
 
-    // Reachability with allow-covered edges removed.
-    let edge_live = |u: usize, e: &crate::callgraph::Edge| {
-        !book.covers(&graph.nodes[u].file, e.line, rule.rule)
-    };
-    let parent = graph.bfs(&rule.entries, edge_live);
-
-    let mut out = Vec::new();
-    for (ix, facts) in live_facts.iter().enumerate() {
-        if facts.is_empty() || !parent.contains_key(&ix) {
-            continue;
-        }
-        let chain = render_chain(graph, &parent, ix);
-        let entry_ix = graph.chain_to(&parent, ix)[0].0;
-        let node = &graph.nodes[ix];
-        for (line, what) in facts {
-            out.push(
-                Diagnostic::new(
-                    node.file.clone(),
-                    *line,
-                    rule.rule,
-                    format!(
-                        "{what} in `{}` is transitively reachable from {} `{}`; {}",
-                        node.path, rule.entry_label, graph.nodes[entry_ix].path, rule.hint
-                    ),
-                )
-                .with_chain(chain.clone()),
-            );
-        }
+    fn id(&self) -> &'static str {
+        self.rule
     }
-
-    // Stale-allow bookkeeping: an allow is *used* when the site it covers
-    // lies on a would-be blame path — computed on the unfiltered graph so
-    // the allow that cut the path still counts as doing work.
-    let r0 = graph.bfs(&rule.entries, |_, _| true);
-    let all_sinks: BTreeSet<usize> =
-        (0..graph.nodes.len()).filter(|&ix| !(rule.facts)(ix).is_empty()).collect();
-    let can_reach_sink = graph.reaches(&all_sinks, |_, _| true);
-    for &ix in r0.keys() {
-        for (line, _) in (rule.facts)(ix) {
-            if book.covers(&graph.nodes[ix].file, line, rule.rule) {
-                book.mark_used(&graph.nodes[ix].file, line, rule.rule);
-            }
-        }
+    fn seeds(&self) -> Vec<usize> {
+        self.entries.iter().copied().collect()
     }
-    for (u, adj) in graph.edges.iter().enumerate() {
-        if !r0.contains_key(&u) {
-            continue;
-        }
-        for e in adj {
-            if can_reach_sink.contains(&e.to)
-                && book.covers(&graph.nodes[u].file, e.line, rule.rule)
-            {
-                book.mark_used(&graph.nodes[u].file, e.line, rule.rule);
-            }
-        }
+    fn node(&self, s: &usize) -> usize {
+        *s
     }
-
-    out
+    fn calls(&self, s: &usize) -> Vec<(u32, usize)> {
+        self.graph.edges[*s].iter().map(|e| (e.line, e.to)).collect()
+    }
+    fn sinks(&self, s: &usize) -> Vec<(u32, String)> {
+        (self.facts)(*s)
+    }
 }
 
-/// `entry (file:line) → hop (file:line) → ...`, one rendered hop per node.
-fn render_chain(
-    graph: &CallGraph,
-    parent: &std::collections::BTreeMap<usize, Option<(usize, u32)>>,
-    ix: usize,
-) -> Vec<String> {
-    graph
-        .chain_to(parent, ix)
-        .into_iter()
-        .map(|(n, _)| {
-            let node = &graph.nodes[n];
-            format!("{} ({}:{})", node.path, node.file, node.line)
-        })
-        .collect()
+/// Run an entry→fact rule over the graph. Marks used allows in `book`.
+pub fn run(book: &mut AllowBook, rule: EntryRule<'_>) -> Vec<Diagnostic> {
+    let graph = rule.graph;
+    let found = propagate::run(graph, book, &rule);
+    let mut out = Vec::new();
+    for (ix, line, what) in found.hits {
+        // `entry (file:line) → hop (file:line) → ...`, one hop per node.
+        let path = found.reached.path_to(&ix);
+        let node = &graph.nodes[ix];
+        out.push(
+            Diagnostic::new(
+                node.file,
+                line,
+                rule.rule,
+                format!(
+                    "{what} in `{}` is transitively reachable from {} `{}`; {}",
+                    node.path, rule.entry_label, graph.nodes[path[0]].path, rule.hint
+                ),
+            )
+            .with_chain(path.iter().map(|&n| graph.nodes[n].render()).collect()),
+        );
+    }
+    out
 }
 
 /// The `panic-path` rule: no function transitively reachable from a
@@ -123,26 +83,24 @@ fn render_chain(
 /// Sinks *inside* the recovery-path files are excluded — the per-file
 /// `recovery-panic` rule owns those lines, with its own audited allows.
 pub fn check(graph: &CallGraph, book: &mut AllowBook) -> Vec<Diagnostic> {
-    let entries: BTreeSet<usize> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.is_pub && config::RECOVERY_PATH_FILES.contains(&n.file.as_str()))
-        .map(|(ix, _)| ix)
-        .collect();
-    let rule = PathRule {
+    let on_recovery_path = |ix: usize| {
+        config::RECOVERY_PATH_FILES.contains(&graph.nodes[ix].file)
+    };
+    let rule = EntryRule {
+        graph,
         rule: "panic-path",
-        entries,
+        entries: (0..graph.nodes.len())
+            .filter(|&ix| graph.nodes[ix].item.is_pub && on_recovery_path(ix))
+            .collect(),
         entry_label: "recovery entry point",
-        facts: Box::new(|ix| {
-            let n = &graph.nodes[ix];
-            if config::RECOVERY_PATH_FILES.contains(&n.file.as_str()) {
+        facts: Box::new(move |ix| {
+            if on_recovery_path(ix) {
                 return Vec::new();
             }
-            n.panics.iter().map(|p| (p.line, p.what.clone())).collect()
+            graph.nodes[ix].item.panics.iter().map(|p| (p.line, p.what.clone())).collect()
         }),
         hint: "surface an error into the retry/escalation ladder or add an audited allow on a \
                hop of the printed path",
     };
-    run(graph, book, rule)
+    run(book, rule)
 }

@@ -1,10 +1,12 @@
 //! The per-file rule engine: determinism rules and recovery-path panic
-//! rules over the token stream, with `#[cfg(test)]` regions excluded.
+//! rules over a file's live token stream (`#[cfg(test)]` regions are cut
+//! when the file is loaded — `test_regions` below finds them).
 //! Allow-annotation resolution lives in `allows::AllowBook` (shared with
 //! the transitive graph rules); `check_file` remains as the single-file
 //! convenience wrapper.
 
 use crate::allows::AllowBook;
+use crate::callgraph::Source;
 use crate::diagnostics::Diagnostic;
 use crate::lexer::{LexedFile, Tok, TokKind};
 
@@ -46,12 +48,6 @@ const SYNC_PRIMITIVE_IDENTS: &[&str] = &["Mutex", "RwLock", "Condvar"];
 /// runtime module (threading rule).
 const THREAD_OP_IDENTS: &[&str] = &["sleep", "yield_now", "park", "park_timeout"];
 
-/// Macros that abort instead of returning an error (recovery-path rule).
-/// `debug_assert*` is deliberately absent: it compiles out in release and
-/// serves as executable documentation of local invariants.
-const PANIC_MACROS: &[&str] =
-    &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
-
 /// Methods that panic on None/Err (recovery-path rule).
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
@@ -59,12 +55,10 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 /// against a file-local `AllowBook`. The workspace driver (`lib.rs`)
 /// instead calls `scan_file` and shares one book across every pass.
 pub fn check_file(rel: &str, lexed: &LexedFile, rules: &RuleSet) -> Vec<Diagnostic> {
+    let src = Source::new(lexed.clone());
     let mut book = AllowBook::default();
-    let skip = test_regions(&lexed.toks);
-    book.add_file(rel, &lexed.allows, |line| {
-        !skip.iter().any(|&(a, b)| (a..=b).contains(&line))
-    });
-    let mut out: Vec<Diagnostic> = scan_file(rel, lexed, rules)
+    book.add_file(rel, &src.allows);
+    let mut out: Vec<Diagnostic> = scan_file(rel, &src.toks, rules)
         .into_iter()
         .filter(|d| !book.suppress(&d.file, d.line, &d.rule))
         .collect();
@@ -74,105 +68,80 @@ pub fn check_file(rel: &str, lexed: &LexedFile, rules: &RuleSet) -> Vec<Diagnost
     out
 }
 
-/// Raw per-file findings with `#[cfg(test)]` regions excluded; suppression
-/// is the caller's job (via `AllowBook`). Two identical triggers on one
-/// line (e.g. `HashMap` twice) are deduplicated to one finding.
-pub fn scan_file(rel: &str, lexed: &LexedFile, rules: &RuleSet) -> Vec<Diagnostic> {
-    let skip = test_regions(&lexed.toks);
-    let live = |line: u32| !skip.iter().any(|&(a, b)| (a..=b).contains(&line));
-
-    // Collect raw findings first, then resolve suppressions so stale allows
-    // can be reported.
+/// Raw per-file findings over a file's live tokens; suppression is the
+/// caller's job (via `AllowBook`, so stale allows can be reported). Two
+/// identical triggers on one line (e.g. `HashMap` twice) are deduplicated
+/// to one finding.
+pub fn scan_file(rel: &str, toks: &[Tok], rules: &RuleSet) -> Vec<Diagnostic> {
     let mut found: Vec<Diagnostic> = Vec::new();
-    let toks = &lexed.toks;
     for (i, t) in toks.iter().enumerate() {
-        if !live(t.line) {
-            continue;
-        }
         let Some(name) = t.ident() else { continue };
+        let mut flag =
+            |rule: &str, message: String| found.push(Diagnostic::new(rel, t.line, rule, message));
+        let next_punct = |ahead: usize, c: char| toks.get(i + ahead).is_some_and(|n| n.is_punct(c));
         if rules.determinism {
             if HASH_IDENTS.contains(&name) {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
+                flag(
                     "hash-collections",
                     format!("`{name}` has nondeterministic iteration/hash order; use BTreeMap/BTreeSet"),
-                ));
+                );
             }
             if WALL_CLOCK_IDENTS.contains(&name)
                 || (name == "Instant" && path_call(toks, i, "now"))
             {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
+                flag(
                     "wall-clock",
                     format!("`{name}` reads the host clock; route through the sim clock (VirtualTime)"),
-                ));
+                );
             }
             if ENTROPY_IDENTS.contains(&name) {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
-                    "os-entropy",
-                    format!("`{name}` draws OS entropy; use the seeded sim RNG"),
-                ));
+                flag("os-entropy", format!("`{name}` draws OS entropy; use the seeded sim RNG"));
             }
             if name == "partial_cmp" && !prev_is_fn(toks, i) {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
+                flag(
                     "float-ordering",
-                    "`partial_cmp` is not a total order over floats; use total_cmp or integer keys",
-                ));
+                    "`partial_cmp` is not a total order over floats; use total_cmp or integer keys"
+                        .to_string(),
+                );
             }
         }
         if rules.threading {
             let is_atomic = name.starts_with("Atomic") && name.len() > "Atomic".len();
-            let is_thread_path = name == "thread"
-                && toks.get(i + 1).map(|n| n.is_punct(':')).unwrap_or(false)
-                && toks.get(i + 2).map(|n| n.is_punct(':')).unwrap_or(false);
+            let is_thread_path = name == "thread" && next_punct(1, ':') && next_punct(2, ':');
             // A bare `sleep(..)`/`yield_now(..)`/`park(..)` call — imported
             // via `use std::thread::sleep` — sidesteps the `thread::` path
             // check above. Require a following `(` and no `.`/`::` prefix
             // so `d.sleep()` methods and the path form (already reported)
             // don't double-fire.
             let is_thread_op = THREAD_OP_IDENTS.contains(&name)
-                && toks.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false)
+                && next_punct(1, '(')
                 && !prev_is_dot(toks, i)
                 && !(i > 0 && toks[i - 1].is_punct(':'))
                 && !prev_is_fn(toks, i);
             if SYNC_PRIMITIVE_IDENTS.contains(&name) || is_atomic || is_thread_path || is_thread_op
             {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
+                flag(
                     "threading",
                     format!(
                         "`{name}` is a thread-coordination primitive; determinism-sensitive \
                          code runs single-threaded under the sim scheduler — threading \
                          belongs in crates/engine/src/runtime/"
                     ),
-                ));
+                );
             }
         }
         if rules.recovery_panic {
-            let next_punct =
-                |c: char| toks.get(i + 1).map(|n| n.is_punct(c)).unwrap_or(false);
-            if PANIC_METHODS.contains(&name) && next_punct('(') && prev_is_dot(toks, i) {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
+            if PANIC_METHODS.contains(&name) && next_punct(1, '(') && prev_is_dot(toks, i) {
+                flag(
                     "recovery-panic",
                     format!("`.{name}()` panics on the recovery path; surface an error into the retry/escalation ladder"),
-                ));
+                );
             }
-            if PANIC_MACROS.contains(&name) && next_punct('!') {
-                found.push(Diagnostic::new(
-                    rel,
-                    t.line,
+            if crate::parser::PANIC_MACROS.contains(&name) && next_punct(1, '!') {
+                flag(
                     "recovery-panic",
                     format!("`{name}!` aborts on the recovery path; surface an error into the retry/escalation ladder"),
-                ));
+                );
             }
         }
     }

@@ -15,36 +15,31 @@
 //! parser (`SystemTime`, `Instant::now`, `thread_rng`, `OsRng`,
 //! `getrandom`, `RandomState`, ...). Path mechanics — edge-removal allows,
 //! blame chains, stale-allow bookkeeping — are shared with `panic-path`
-//! (see `reach.rs`).
+//! (see `reach.rs` and `propagate.rs`).
 
 use crate::allows::AllowBook;
 use crate::callgraph::CallGraph;
 use crate::config;
 use crate::diagnostics::Diagnostic;
-use crate::reach::{self, PathRule};
-use std::collections::BTreeSet;
+use crate::reach::{self, EntryRule};
 
 pub fn check(graph: &CallGraph, book: &mut AllowBook) -> Vec<Diagnostic> {
-    let entries: BTreeSet<usize> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| {
-            n.mentions_determinant
-                && (config::REPLAY_SURFACE_FILES.contains(&n.file.as_str())
-                    || n.file == config::DETERMINANT_FILE)
-        })
-        .map(|(ix, _)| ix)
-        .collect();
-    let rule = PathRule {
+    let is_entry = |n: &crate::callgraph::Node| {
+        n.item.mentions_determinant
+            && (config::REPLAY_SURFACE_FILES.contains(&n.file)
+                || n.file == config::DETERMINANT_FILE)
+    };
+    let rule = EntryRule {
+        graph,
         rule: "replay-taint",
-        entries,
+        entries: (0..graph.nodes.len()).filter(|&ix| is_entry(&graph.nodes[ix])).collect(),
         entry_label: "replay-surface function",
         facts: Box::new(|ix| {
-            graph.nodes[ix].taints.iter().map(|t| (t.line, format!("`{}`", t.what))).collect()
+            let taints = &graph.nodes[ix].item.taints;
+            taints.iter().map(|t| (t.line, format!("`{}`", t.what))).collect()
         }),
         hint: "route the value through a logged determinant or add an audited allow on a hop \
                of the printed path",
     };
-    reach::run(graph, book, rule)
+    reach::run(book, rule)
 }

@@ -217,56 +217,76 @@ fn dead_variant_and_dead_arm_are_flagged() {
     assert!(d.iter().any(|x| x.message.contains("`Msg::Zombie` has a handling match arm but is never constructed")));
 }
 
+/// A variant with a handler arm that nobody sends, whose only other
+/// mention is a *test* of a value (`if let` in one fixture, `matches!` in
+/// the other), is dead protocol surface: a test is not a construction.
+fn only_tested_never_sent(tag: &str, test_fn: &str) -> Vec<Diagnostic> {
+    let f = Fixture::new(tag);
+    f.write(
+        "crates/engine/src/messages.rs",
+        "pub enum Msg {\n    Ping { n: u64 },\n    Probe(u32),\n}\n",
+    );
+    f.write(
+        "crates/engine/src/task.rs",
+        &format!(
+            "fn handle(m: Msg) {{ match m {{ Msg::Ping {{ .. }} => {{}}, Msg::Probe(_) => {{}} }} }}\n\
+             fn send() {{ emit(Msg::Ping {{ n: 1 }}); }}\n{test_fn}\n"
+        ),
+    );
+    f.write("crates/engine/src/cluster.rs", "// jm side: no arms\n");
+    f.of_rule("message-protocol")
+}
+
+#[test]
+fn if_let_on_a_never_sent_variant_is_not_a_construction() {
+    let d = only_tested_never_sent(
+        "proto_if_let",
+        "fn probed(m: &Msg) -> u32 { if let Msg::Probe(k) = m { *k } else { 0 } }",
+    );
+    assert_eq!(d.len(), 1, "{d:?}");
+    assert_eq!((d[0].file.as_str(), d[0].line), ("crates/engine/src/messages.rs", 3));
+    assert!(d[0].message.contains("`Msg::Probe` has a handling match arm but is never constructed"));
+    assert_eq!(d[0].chain, vec!["handled at crates/engine/src/task.rs:1"]);
+}
+
+#[test]
+fn matches_macro_on_a_never_sent_variant_is_not_a_construction() {
+    let d = only_tested_never_sent(
+        "proto_matches",
+        "fn is_probe(m: &Msg) -> bool { matches!(m, Msg::Probe(..)) }",
+    );
+    assert_eq!(d.len(), 1, "{d:?}");
+    assert!(d[0].message.contains("`Msg::Probe` has a handling match arm but is never constructed"));
+}
+
 // ---------------------------------------------------------------------
-// baseline ratchet (exercises the CLI binary end to end)
+// the CLI binary end to end
 // ---------------------------------------------------------------------
 
 #[test]
-fn baseline_ratchet_masks_known_and_fails_on_regression() {
+fn cli_exit_codes_gate_on_violations_and_there_is_no_ratchet() {
     use std::process::Command;
-    let f = three_hop_panic("baseline", false);
     let bin = env!("CARGO_BIN_EXE_clonos-lint");
-    let baseline = f.root.join("lint-baseline.txt");
+    let run = |root: &std::path::Path, extra: &[&str]| {
+        Command::new(bin).arg("--root").arg(root).args(extra).output().unwrap()
+    };
 
-    // Snapshot the dirty state.
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(&f.root)
-        .args(["--write-baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let snapshot = fs::read_to_string(&baseline).unwrap();
-    assert!(snapshot.contains("panic-path"), "{snapshot}");
-
-    // Same violations + baseline → clean exit.
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(&f.root)
-        .args(["--baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
-
-    // A regression not in the snapshot still fails.
-    f.write(
-        "crates/storage/src/depot2.rs",
-        "pub fn fresh() -> u32 { let v: Vec<u32> = Vec::new(); v[0] }\n",
-    );
-    f.write(
-        "crates/core/src/standby.rs",
-        "pub fn install() { storage::depot2::fresh(); }\n",
-    );
-    let out = Command::new(bin)
-        .args(["--root"])
-        .arg(&f.root)
-        .args(["--baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
+    // Violations → exit 1, text report with the blame chain on stdout.
+    let dirty = three_hop_panic("cli_dirty", false);
+    let out = run(&dirty.root, &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("regression"), "{stdout}");
+    assert!(stdout.contains("[panic-path]") && stdout.contains("path: "), "{stdout}");
+    // `--json` carries the same verdict.
+    let out = run(&dirty.root, &["--json"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"rule\":\"panic-path\""));
+
+    // There is no ratchet mode: every violation gates, and baseline flags
+    // are usage errors rather than silently ignored.
+    for flag in ["--baseline", "--write-baseline"] {
+        let out = run(&dirty.root, &[flag, "lint-baseline.txt"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"), "{flag}");
+    }
 }

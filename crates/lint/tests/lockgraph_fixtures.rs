@@ -267,6 +267,66 @@ fn stale_allow_on_lock_hop_is_flagged() {
     );
 }
 
+/// One sleep sits directly in the acquiring function's guard window, the
+/// other is reached through a callee: the zero-hop frame and the callee
+/// state are the same rule asked of two states, so each site gets exactly
+/// one finding — and an allow on *any* hop of either is load-bearing
+/// (reported used), never stale. `hop` is spliced in front of the line
+/// named by `at`.
+fn window_and_callee(tag: &str, at: &str, hop: &str) -> Vec<Diagnostic> {
+    let f = Fixture::new(tag);
+    let line = |name: &str, code: &str| {
+        format!("{}{code}\n", if name == at { format!("{hop}\n") } else { String::new() })
+    };
+    f.write(
+        "crates/engine/src/runtime/both.rs",
+        &[
+            line("-", "pub struct Cell { state: Mutex<u32> }"),
+            line("-", "impl Cell {"),
+            line("-", "pub fn tick(&self) {"),
+            line("acquire", "let g = self.state.lock().unwrap();"),
+            line("window-sink", "std::thread::sleep(d);"),
+            line("call", "self.nap();"),
+            line("-", "}"),
+            line("callee-sink", "fn nap(&self) { std::thread::sleep(d); }"),
+            line("-", "}"),
+        ]
+        .concat(),
+    );
+    f.diags()
+        .into_iter()
+        .filter(|d| d.rule == "blocking-under-lock" || d.rule == "unused-allow")
+        .collect()
+}
+
+#[test]
+fn sink_in_the_guard_window_and_sink_through_a_callee_each_report_once() {
+    let d = window_and_callee("both_bare", "nowhere", "");
+    let sites: Vec<(u32, usize)> = d.iter().map(|d| (d.line, d.chain.len())).collect();
+    // Line 5: zero hops (the chain is the acquisition alone). Line 8: one.
+    assert_eq!(sites, vec![(5, 1), (8, 2)], "{d:#?}");
+    assert!(d[0].message.contains("acquired at crates/engine/src/runtime/both.rs:4"));
+    assert!(d[1].message.contains("acquired in `engine::runtime::both::Cell::tick`"));
+    assert!(d.iter().all(|d| d.chain[0].contains("tick acquires `Cell::state`")), "{d:#?}");
+}
+
+#[test]
+fn allow_on_either_kind_of_hop_is_used_and_cuts_only_its_own_path() {
+    let allow = "// clonos-lint: allow(blocking-under-lock, reason = \"audited hop\")";
+    // (annotated hop, lines still reported — shifted by the inserted comment)
+    for (at, survivors) in [
+        ("acquire", vec![]),
+        ("window-sink", vec![9]),
+        ("call", vec![5]),
+        ("callee-sink", vec![5]),
+    ] {
+        let d = window_and_callee(&format!("both_{at}"), at, allow);
+        assert!(d.iter().all(|d| d.rule != "unused-allow"), "{at}: allow reported stale: {d:#?}");
+        let lines: Vec<u32> = d.iter().map(|d| d.line).collect();
+        assert_eq!(lines, survivors, "{at}: {d:#?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // mini-workspace integration: all three rules at once, JSON end to end
 // ---------------------------------------------------------------------

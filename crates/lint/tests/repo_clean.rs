@@ -67,19 +67,19 @@ fn analysis_output_is_byte_identical_and_order_independent() {
         }
     }
 
-    let (first, _) = analyze_ordered(&root, &files).unwrap();
-    let (second, _) = analyze_ordered(&root, &files).unwrap();
+    let first = analyze_ordered(&root, &files).unwrap().diags;
+    let second = analyze_ordered(&root, &files).unwrap().diags;
     assert_eq!(render_json(&first), render_json(&second), "same input, different output");
 
     // Deterministic shuffles: reversed and rotated walk orders.
     let mut reversed = files.clone();
     reversed.reverse();
-    let (third, _) = analyze_ordered(&root, &reversed).unwrap();
+    let third = analyze_ordered(&root, &reversed).unwrap().diags;
     assert_eq!(render_json(&first), render_json(&third), "reversed walk order changed output");
 
     let mut rotated = files.clone();
     rotated.rotate_left(files.len() / 3);
-    let (fourth, _) = analyze_ordered(&root, &rotated).unwrap();
+    let fourth = analyze_ordered(&root, &rotated).unwrap().diags;
     assert_eq!(render_json(&first), render_json(&fourth), "rotated walk order changed output");
 }
 
@@ -118,7 +118,7 @@ impl MiniRepo {
         repo.write(
             "crates/engine/src/metrics.rs",
             "pub struct RecoveryStats {\n    pub escalations: u64,\n}\n\
-             pub struct RoutingStats {\n    pub record_clones: u64,\n}\n\
+             pub struct RoutingStats {\n    pub route_encodes: u64,\n}\n\
              pub struct CheckpointStats {\n    pub rebases: u64,\n}\n\
              pub struct RuntimeStats {\n    pub steals: u64,\n}\n\
              pub struct StateBackendStats {\n    pub faults: u64,\n}\n",
@@ -133,7 +133,7 @@ impl MiniRepo {
         );
         repo.write(
             "crates/engine/tests/counters.rs",
-            "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.record_clones, r.checkpoint_stats.rebases, r.log_stats.deltas_ingested, r.runtime_stats.steals, r.state_backend_stats.faults);\n}\n",
+            "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.route_encodes, r.checkpoint_stats.rebases, r.log_stats.deltas_ingested, r.runtime_stats.steals, r.state_backend_stats.faults);\n}\n",
         );
         for f in ["recovery.rs", "standby.rs", "inflight.rs", "services.rs"] {
             repo.write(&format!("crates/core/src/{f}"), "// empty recovery-path module\n");
@@ -215,7 +215,7 @@ fn unread_counter_is_detected() {
     // The test file stops reading the CausalLogStats counter.
     repo.write(
         "crates/engine/tests/counters.rs",
-        "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.record_clones);\n}\n",
+        "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.route_encodes);\n}\n",
     );
     let diags = analyze(&repo.root).unwrap();
     assert!(

@@ -44,6 +44,9 @@ if head != new:
 print(f"== lint: {len(new[0])} edges / {len(new[2])} chains unchanged ==")
 '
 
+echo "== size: non-test lines per crate (scripts/loc.sh; reported, not gated) =="
+scripts/loc.sh
+
 echo "== chaos: bounded seed sweep (25 seeds x 3 modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 

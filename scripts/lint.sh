@@ -10,7 +10,7 @@
 # analysis wall time in ms so check.sh can enforce its perf budget. A
 # machine-readable report (every diagnostic incl. blame chains, empty array
 # when clean) is always written to results/lint.json.
-# Usage: scripts/lint.sh [--json] [--baseline <file>]
+# Usage: scripts/lint.sh [--json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
