@@ -62,7 +62,6 @@ fn resident_layer(store: &mut StateStore, full: bool) -> Bytes {
     let mut w = ByteWriter::new();
     w.put_varint(store.entry_count(full));
     store.write_entries(full, &mut w);
-    store.clear_dirty();
     w.freeze()
 }
 

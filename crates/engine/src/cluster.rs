@@ -1114,6 +1114,21 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    #[should_panic(expected = "engine error: task 2: codec error: unexpected EOF")]
+    fn a_tier_read_that_fails_is_an_engine_error_not_a_count_restarted_from_zero() {
+        let mut config = clonos();
+        config.state_memory_budget = 1_024;
+        let mut cluster = counting_cluster(config);
+        // The cut at 5 s seals the 300 counts into one segment; a 1 KiB cache
+        // keeps a tenth of them.
+        feed(&mut cluster, 0..300, 6);
+        let counter = cluster.tasks.get_mut(&COUNTER).and_then(Option::as_mut).expect("counter");
+        counter.state_mut().damage_newest_segment(|payload| payload.truncate(1));
+        // The same keys again: most reads must fault, and cannot.
+        feed(&mut cluster, 0..300, 8);
+    }
+
     /// Damage the newest layer of the counter's checkpoint-2 image, then
     /// fail the counter so the job has to restore from it.
     fn restore_from_damaged_layer(config: EngineConfig) {

@@ -215,7 +215,7 @@ pub struct RuntimeStats {
 pub struct StateBackendStats {
     /// Tasks that ran with tiering enabled.
     pub tiered_tasks: u64,
-    /// Memtable seals (each produced at most one L0 segment).
+    /// L0 segments sealed: one per checkpoint cut that had value changes.
     pub flushes: u64,
     /// Compaction passes (level spill-over or bulk-tail fold).
     pub compactions: u64,

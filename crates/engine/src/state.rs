@@ -23,10 +23,14 @@ use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 use clonos_storage::deltamap::{self, EntryRef};
 use clonos_storage::{SpillDevice, TieredConfig, TieredStore};
 use bytes::Bytes;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// Identifier of a named state within an operator (e.g. "counts" = 0).
 pub type StateId = u16;
+
+type ValueKey = (StateId, u64);
 
 /// Image section carrying the task's execution-progress scalars (written by
 /// the task layer; the state store only owns sections 1..=4).
@@ -55,6 +59,11 @@ fn kv_key(id: StateId, key: u64) -> [u8; 10] {
     k[..2].copy_from_slice(&id.to_be_bytes());
     k[2..].copy_from_slice(&key.to_be_bytes());
     k
+}
+
+/// A value key as the tier's bulk load and fold spell it.
+fn tier_value_key((id, key): ValueKey) -> Vec<u8> {
+    TieredStore::full_key(SEC_VALUES, &kv_key(id, key))
 }
 
 fn timer_key(t: &StateTimer) -> [u8; 24] {
@@ -88,12 +97,12 @@ fn decode_timer_key(key: &[u8]) -> Result<StateTimer, CodecError> {
     Ok(StateTimer { ts, key: k, tag: u64::from_be_bytes(a) })
 }
 
-/// Structural size estimate of a row (bytes), used for resident-cache
-/// accounting under a memory budget. Mirrors the encoded size closely
-/// enough for budgeting without encoding.
-fn approx_row_bytes(row: &Row) -> u64 {
+/// Resident weight of one value entry, for cache accounting under a memory
+/// budget: key/map overhead plus a structural estimate of the row, close
+/// enough to its encoded size for budgeting without encoding.
+fn entry_weight(row: &Row) -> u32 {
     use crate::record::Datum;
-    let mut b = 8u64; // row header + field count
+    let mut b = 18 + 8u64; // key + map overhead, row header + field count
     for d in &row.0 {
         b += match d {
             Datum::Null | Datum::Bool(_) => 2,
@@ -102,61 +111,112 @@ fn approx_row_bytes(row: &Row) -> u64 {
             Datum::Str(s) => s.len() as u64 + 5,
         };
     }
-    b
+    u32::try_from(b).unwrap_or(u32::MAX)
 }
 
-/// Resident weight of one value entry: row bytes plus key/map overhead.
-fn entry_weight(row: &Row) -> u64 {
-    18 + approx_row_bytes(row)
+/// One resident value row and its bookkeeping, found by the lookup that
+/// finds the row.
+#[derive(Debug)]
+struct Slot {
+    row: Row,
+    /// [`entry_weight`] of `row`; the resident total adds and subtracts it
+    /// as stored.
+    weight: u32,
+    /// Written since the last cut: listed in `changed_values`, and not an
+    /// eviction candidate (the change is not in the tier yet).
+    dirty: bool,
+    /// CLOCK second-chance bit: set by a read hit, cleared by the passing hand.
+    referenced: bool,
+}
+
+impl Slot {
+    fn new(row: Row, dirty: bool) -> Slot {
+        Slot { weight: entry_weight(&row), row, dirty, referenced: false }
+    }
 }
 
 /// The tiered half of a budgeted store: the log-structured tier holding the
-/// authoritative value state, plus the LRU bookkeeping for the resident
-/// cache (`StateStore::values` becomes the cache when this is present).
+/// authoritative value state, plus what the CLOCK sweep over the resident
+/// cache needs (`StateStore::values` becomes the cache when this is present).
 ///
-/// Invariants (DESIGN.md §10):
-/// - a **dirty** value key is always resident — eviction re-ranks it to MRU
-///   instead of dropping it, so the O(dirty) change log never needs the tier;
-/// - a **clean** resident row is byte-identical to its tier image (it was
-///   synced, faulted in, or bulk-loaded from exactly those bytes), so
-///   eviction is always safe and the canonical fold never consults the cache
-///   except through the dirty overlay.
+/// Invariants (DESIGN.md §10): a **dirty** row is always resident — the sweep
+/// passes over it, so the O(dirty) change list never needs the tier; a
+/// **clean** resident row is byte-identical to its tier image (synced, faulted
+/// in or bulk-loaded from exactly those bytes), so eviction is always safe and
+/// the canonical fold consults the cache only through the change list.
 #[derive(Debug)]
 struct TieredState {
     tier: TieredStore,
     /// Resident-cache budget in (approximate) bytes.
     budget: u64,
-    /// Current resident weight of all cached rows.
+    /// Sum of the resident slots' weights.
     resident_bytes: u64,
-    /// Monotonic access clock — LRU order without wall time.
-    tick: u64,
-    /// Clean-row LRU index: only *evictable* (synced) rows are tracked.
-    /// Dirty rows leave the structure the moment they are mutated and
-    /// rejoin as MRU when a sync cleans them — so eviction pops candidates
-    /// in O(log n) instead of scanning past pinned dirty entries.
-    last_access: BTreeMap<(StateId, u64), u64>,
-    by_tick: BTreeMap<u64, (StateId, u64)>,
+    /// Clean resident rows, the eviction candidates: no sweep starts without
+    /// one, so a cache of dirty rows over its budget costs an access nothing.
+    clean_rows: u64,
+    /// The last key the CLOCK hand passed (`None`: before the first) — state,
+    /// not time, so the same operations always evict the same rows.
+    hand: Option<ValueKey>,
+    /// Victims of the sweep pass in progress (kept for its allocation).
+    victims: Vec<ValueKey>,
     faults: u64,
     evictions: u64,
     /// Modelled tier I/O accrued since the last [`StateStore::take_tier_io`].
     io: VirtualDuration,
     /// Cumulative drained I/O, for stats.
     io_us: u64,
+    /// The first tier read that failed, until [`StateStore::take_tier_error`].
+    read_error: Option<CodecError>,
 }
 
 impl TieredState {
-    fn touch(&mut self, k: (StateId, u64)) {
-        if let Some(old) = self.last_access.get(&k).copied() {
-            self.by_tick.remove(&old);
-        }
-        self.tick += 1;
-        self.by_tick.insert(self.tick, k);
-        self.last_access.insert(k, self.tick);
+    /// Read one row out of the tier. A block that is gone or does not decode
+    /// is not "key absent": the error is kept for the task to fail the run
+    /// with, and this read's `None` never leaves the task.
+    fn fault(&mut self, (id, key): ValueKey) -> Option<Row> {
+        let row = self
+            .tier
+            .try_get(SEC_VALUES, &kv_key(id, key))
+            .and_then(|got| got.map(|b| Row::decode(&mut ByteReader::new(&b))).transpose());
+        self.io = self.io + self.tier.take_io();
+        self.faults += u64::from(matches!(row, Ok(Some(_))));
+        row.unwrap_or_else(|e| {
+            self.read_error.get_or_insert(e);
+            None
+        })
     }
 
-    fn forget(&mut self, k: &(StateId, u64)) {
-        if let Some(old) = self.last_access.remove(k) {
-            self.by_tick.remove(&old);
+    /// CLOCK / second-chance sweep: advance the hand over the resident rows
+    /// in key order, wrapping, until the cache fits its budget or no clean
+    /// row is left. A dirty row is passed over; a clean row read since the
+    /// hand last came by loses its bit and stays; any other clean row is
+    /// evicted. Three passes reach every candidate twice.
+    fn sweep(&mut self, values: &mut BTreeMap<ValueKey, Slot>) {
+        for _pass in 0..3 {
+            if self.resident_bytes <= self.budget || self.clean_rows == 0 {
+                return;
+            }
+            let mut freed = 0;
+            let from = self.hand.map_or(Bound::Unbounded, Bound::Excluded);
+            self.hand = None; // wrap, unless this pass frees enough first
+            for (&k, slot) in values.range_mut((from, Bound::Unbounded)) {
+                if slot.dirty || std::mem::take(&mut slot.referenced) {
+                    continue;
+                }
+                self.victims.push(k);
+                freed += u64::from(slot.weight);
+                if self.resident_bytes - freed <= self.budget {
+                    self.hand = Some(k);
+                    break;
+                }
+            }
+            for k in self.victims.drain(..) {
+                if let Some(slot) = values.remove(&k) {
+                    self.resident_bytes -= u64::from(slot.weight);
+                    self.clean_rows -= 1;
+                    self.evictions += 1;
+                }
+            }
         }
     }
 }
@@ -167,14 +227,19 @@ pub struct StateStore {
     /// All value state (untiered), or the bounded resident cache of it
     /// (tiered — the [`TieredState`] tier is then authoritative).
     tiered: Option<Box<TieredState>>,
-    values: BTreeMap<(StateId, u64), Row>,
+    values: BTreeMap<ValueKey, Slot>,
     lists: BTreeMap<(StateId, u64), Vec<Row>>,
     event_timers: BTreeSet<StateTimer>,
     proc_timers: BTreeSet<StateTimer>,
-    // Epoch-scoped dirty tracking: every key mutated (inserted, updated or
+    // Epoch-scoped change tracking: every key mutated (inserted, updated or
     // removed) since the last snapshot encoding. Presence in the live map at
     // encode time decides put vs tombstone.
-    dirty_values: BTreeSet<(StateId, u64)>,
+    /// Each changed value key once, in arrival order (sorted, and freed, at
+    /// the cut): entered when its slot goes clean → dirty, or its row is removed.
+    changed_values: Vec<ValueKey>,
+    /// The changed value keys that have no slot: pending deletions. Only a
+    /// miss consults this — the tier may still hold the old row.
+    deleted_values: BTreeSet<ValueKey>,
     dirty_lists: BTreeSet<(StateId, u64)>,
     dirty_event_timers: BTreeSet<StateTimer>,
     dirty_proc_timers: BTreeSet<StateTimer>,
@@ -187,125 +252,95 @@ impl StateStore {
 
     // ----- value state -----
 
-    /// Read a value. Under tiering this may fault the row in from a segment
+    /// Read a value. Under tiering a miss faults the row in from a segment
     /// (hence `&mut`); the modelled I/O accrues until [`Self::take_tier_io`].
+    /// The budget is enforced on entry, never under the returned reference:
+    /// a faulted row stays resident for as long as the caller can see it,
+    /// even when every other resident row is dirty.
     pub fn value(&mut self, id: StateId, key: u64) -> Option<&Row> {
-        if self.tiered.is_some() {
-            self.fault_value(id, key);
-            // Only clean rows live in the LRU index; a dirty row is pinned
-            // resident anyway and rejoins the index at the next sync.
-            if self.values.contains_key(&(id, key)) && !self.dirty_values.contains(&(id, key)) {
-                if let Some(t) = self.tiered.as_deref_mut() {
-                    t.touch((id, key));
+        self.evict_excess();
+        match self.values.entry((id, key)) {
+            Entry::Occupied(e) => {
+                let slot = e.into_mut();
+                slot.referenced = true;
+                Some(&slot.row)
+            }
+            Entry::Vacant(v) => {
+                let t = self.tiered.as_deref_mut()?;
+                if self.deleted_values.contains(&(id, key)) {
+                    return None;
                 }
+                let slot = Slot::new(t.fault((id, key))?, false);
+                t.resident_bytes += u64::from(slot.weight);
+                t.clean_rows += 1;
+                Some(&v.insert(slot).row)
             }
         }
-        self.values.get(&(id, key))
     }
 
     pub fn set_value(&mut self, id: StateId, key: u64, row: Row) {
-        self.dirty_values.insert((id, key));
-        if self.tiered.is_some() {
-            let weight = entry_weight(&row);
-            let old = self.values.insert((id, key), row);
-            if let Some(t) = self.tiered.as_deref_mut() {
-                if let Some(old) = &old {
-                    t.resident_bytes = t.resident_bytes.saturating_sub(entry_weight(old));
+        let new = Slot::new(row, true);
+        let weight = u64::from(new.weight);
+        // What the write replaced: its weight, and whether it was clean.
+        let (old_weight, was_clean) = match self.values.entry((id, key)) {
+            Entry::Occupied(mut e) => {
+                let old = e.insert(Slot { referenced: e.get().referenced, ..new });
+                if !old.dirty {
+                    self.changed_values.push((id, key));
                 }
-                t.resident_bytes += weight;
-                // Now dirty: leave the clean-LRU until a sync cleans it.
-                t.forget(&(id, key));
+                (u64::from(old.weight), !old.dirty)
             }
+            Entry::Vacant(v) => {
+                v.insert(new);
+                // A pending deletion is in the change list already.
+                if !self.deleted_values.remove(&(id, key)) {
+                    self.changed_values.push((id, key));
+                }
+                (0, false)
+            }
+        };
+        if let Some(t) = self.tiered.as_deref_mut() {
+            t.resident_bytes = t.resident_bytes + weight - old_weight;
+            t.clean_rows -= u64::from(was_clean);
             self.evict_excess();
-        } else {
-            self.values.insert((id, key), row);
         }
     }
 
     pub fn take_value(&mut self, id: StateId, key: u64) -> Option<Row> {
-        if self.tiered.is_some() {
-            self.fault_value(id, key);
-        }
-        let prev = self.values.remove(&(id, key));
-        if let Some(t) = self.tiered.as_deref_mut() {
-            if let Some(row) = &prev {
-                t.resident_bytes = t.resident_bytes.saturating_sub(entry_weight(row));
-                t.forget(&(id, key));
+        let (row, listed) = match self.values.remove(&(id, key)) {
+            Some(slot) => {
+                if let Some(t) = self.tiered.as_deref_mut() {
+                    t.resident_bytes -= u64::from(slot.weight);
+                    t.clean_rows -= u64::from(!slot.dirty);
+                }
+                (slot.row, slot.dirty)
             }
+            // Not resident: the tier may hold it, unless it is already a
+            // pending deletion.
+            None if self.deleted_values.contains(&(id, key)) => return None,
+            None => (self.tiered.as_deref_mut()?.fault((id, key))?, false),
+        };
+        if !listed {
+            self.changed_values.push((id, key));
         }
-        if prev.is_some() {
-            self.dirty_values.insert((id, key));
-        }
-        prev
+        self.deleted_values.insert((id, key));
+        Some(row)
     }
 
     /// Iterate resident values of one state id. Under tiering only cached
     /// rows are visited — use the snapshot fold for a complete view.
     pub fn values_of(&self, id: StateId) -> impl Iterator<Item = (u64, &Row)> {
-        self.values.range((id, 0)..=(id, u64::MAX)).map(|(&(_, k), v)| (k, v))
+        self.values.range((id, 0)..=(id, u64::MAX)).map(|(&(_, k), slot)| (k, &slot.row))
     }
 
-    /// Pull a missing row out of the tier into the resident cache. A key in
-    /// `dirty_values` but absent from the cache is a pending deletion — the
-    /// tier may still hold the old row, so it must not be consulted.
-    fn fault_value(&mut self, id: StateId, key: u64) {
-        if self.values.contains_key(&(id, key)) || self.dirty_values.contains(&(id, key)) {
-            return;
-        }
-        let Some(t) = self.tiered.as_deref_mut() else { return };
-        let got = t.tier.get(SEC_VALUES, &kv_key(id, key));
-        t.io = t.io + t.tier.take_io();
-        let Some(bytes) = got else { return };
-        let mut r = ByteReader::new(&bytes);
-        let Ok(row) = Row::decode(&mut r) else { return };
-        t.faults += 1;
-        t.resident_bytes += entry_weight(&row);
-        t.touch((id, key));
-        self.values.insert((id, key), row);
-        // The caller is about to hand out `&Row` for this key: it must stay
-        // resident through the read even if it is the only clean row left.
-        self.evict_excess_except(Some((id, key)));
-    }
-
-    /// Evict clean LRU rows until the resident cache fits its budget. Dirty
-    /// rows are not candidates (the change log must stay resident until the
-    /// next sync); an all-dirty cache that cannot fit simply stays over
-    /// budget until a sync cleans it.
+    /// Bring the resident cache back under its budget. Runs on entry to a
+    /// read, after a write and after a sync — never while a caller holds a
+    /// reference into the cache.
+    #[inline]
     fn evict_excess(&mut self) {
-        self.evict_excess_except(None);
-    }
-
-    /// [`Self::evict_excess`] with one key pinned: the row a faulting read
-    /// just brought in is exempt, otherwise a cache whose every other row is
-    /// dirty would evict the row the caller is about to return a reference
-    /// to — the read would observe a spurious `None`.
-    fn evict_excess_except(&mut self, pin: Option<(StateId, u64)>) {
-        let Some(t) = self.tiered.as_deref_mut() else { return };
-        while t.resident_bytes > t.budget {
-            let Some((&tick, &k)) = t.by_tick.iter().next() else { break };
-            if self.dirty_values.contains(&k) {
-                // Belt and braces: a dirty row must never be evicted (its
-                // change is not in the tier yet). It should not be in the
-                // clean-LRU at all; drop the stale index entry and move on.
-                t.by_tick.remove(&tick);
-                t.last_access.remove(&k);
-                continue;
-            }
-            if pin == Some(k) {
-                if t.by_tick.len() == 1 {
-                    break; // nothing else to evict; stay over budget
-                }
-                t.by_tick.remove(&tick);
-                t.tick += 1;
-                t.by_tick.insert(t.tick, k);
-                t.last_access.insert(k, t.tick);
-                continue;
-            }
-            t.by_tick.remove(&tick);
-            t.last_access.remove(&k);
-            if let Some(row) = self.values.remove(&k) {
-                t.resident_bytes = t.resident_bytes.saturating_sub(entry_weight(&row));
-                t.evictions += 1;
+        if let Some(t) = self.tiered.as_deref_mut() {
+            if t.resident_bytes > t.budget && t.clean_rows > 0 {
+                t.sweep(&mut self.values);
             }
         }
     }
@@ -393,43 +428,24 @@ impl StateStore {
     /// this store mints (callers fold in task id + incarnation so ids never
     /// collide across an arena shared by many tasks and generations).
     pub fn enable_tiering(&mut self, budget: u64, id_base: u64) {
-        let mut cfg = TieredConfig::default();
-        cfg.memtable_bytes = (budget / 4).clamp(4096, cfg.memtable_bytes);
-        let mut tier = TieredStore::new(cfg, SpillDevice::new(), id_base);
+        let mut tier = TieredStore::new(TieredConfig::default(), SpillDevice::new(), id_base);
         if !self.values.is_empty() {
-            let entries = self.values.iter().map(|(&(id, key), row)| {
-                let mut rw = ByteWriter::new();
-                row.encode(&mut rw);
-                let mut fk = Vec::with_capacity(11);
-                fk.push(SEC_VALUES);
-                fk.extend_from_slice(&kv_key(id, key));
-                (fk, rw.freeze())
-            });
-            tier.bulk_load(entries);
+            tier.bulk_load(self.values.iter().map(|(&k, s)| (tier_value_key(k), s.row.to_bytes())));
         }
         let io = tier.take_io();
-        let mut t = Box::new(TieredState {
+        self.tiered = Some(Box::new(TieredState {
             tier,
             budget,
-            resident_bytes: 0,
-            tick: 0,
-            last_access: BTreeMap::new(),
-            by_tick: BTreeMap::new(),
+            resident_bytes: self.values.values().map(|s| u64::from(s.weight)).sum(),
+            clean_rows: self.values.values().filter(|s| !s.dirty).count() as u64,
+            hand: None,
+            victims: Vec::new(),
             faults: 0,
             evictions: 0,
             io,
             io_us: 0,
-        });
-        for (&k, row) in &self.values {
-            t.resident_bytes += entry_weight(row);
-            if self.dirty_values.contains(&k) {
-                continue; // dirty rows join the clean-LRU at the next sync
-            }
-            t.tick += 1;
-            t.by_tick.insert(t.tick, k);
-            t.last_access.insert(k, t.tick);
-        }
-        self.tiered = Some(t);
+            read_error: None,
+        }));
         self.evict_excess();
     }
 
@@ -437,86 +453,71 @@ impl StateStore {
         self.tiered.is_some()
     }
 
-    /// Route the dirty value change-log into the tier memtable (put for a
-    /// present key, tombstone for a removed one) without clearing it.
-    fn tier_sync_values(&mut self) {
-        let Some(t) = self.tiered.as_deref_mut() else { return };
-        for &(id, key) in &self.dirty_values {
-            match self.values.get(&(id, key)) {
-                Some(row) => {
-                    let mut rw = ByteWriter::new();
-                    row.encode(&mut rw);
-                    t.tier.put(SEC_VALUES, &kv_key(id, key), rw.freeze());
-                }
-                None => t.tier.delete(SEC_VALUES, &kv_key(id, key)),
-            }
-        }
-        t.io = t.io + t.tier.take_io();
+    /// The first tier read that failed since the last call, if any. The
+    /// read itself answered `None`; whoever drove it must not act on that.
+    pub fn take_tier_error(&mut self) -> Option<CodecError> {
+        self.tiered.as_deref_mut()?.read_error.take()
     }
 
-    /// Barrier-path sync: write the epoch's dirty values into the tier, seal
-    /// the memtable into an L0 segment, and consume the value change-log;
-    /// returns how many value changes that was. The list/timer dirty sets
-    /// are untouched — [`Self::write_entries`] ships those. O(dirty): cost
-    /// scales with mutations, not total state.
+    /// Encode one changed value key as its layer entry — a put for a key
+    /// still present, a tombstone for a removed one — and mark the row
+    /// clean. Returns whether there was a row.
+    fn write_value_change(values: &mut BTreeMap<ValueKey, Slot>, w: &mut ByteWriter, k: ValueKey) -> bool {
+        let row = values.get_mut(&k).map(|slot| {
+            slot.dirty = false;
+            &slot.row
+        });
+        match row {
+            Some(row) => Self::write_value_entry(w, k.0, k.1, row),
+            None => deltamap::write_tombstone(w, SEC_VALUES, &kv_key(k.0, k.1)),
+        }
+        row.is_some()
+    }
+
+    /// Barrier-path sync, the one way value changes reach the tier: stream
+    /// the epoch's change list, in canonical key order, into one sealed L0
+    /// segment and consume it; returns how many changes that was. O(dirty).
+    /// The list/timer dirty sets are left to [`Self::write_entries`].
     pub fn tier_sync_dirty(&mut self) -> u64 {
-        if self.tiered.is_none() {
+        let Some(t) = self.tiered.as_deref_mut() else { return 0 };
+        if self.changed_values.is_empty() {
             return 0;
         }
-        let synced = self.dirty_values.len() as u64;
-        self.tier_sync_values();
-        if let Some(t) = self.tiered.as_deref_mut() {
-            t.tier.flush();
-            t.io = t.io + t.tier.take_io();
+        // The list lives for an epoch: taken, so its buffer goes with it.
+        let mut changed = std::mem::take(&mut self.changed_values);
+        changed.sort_unstable();
+        let mut segment = t.tier.begin_segment(changed.len() as u64);
+        for &(id, key) in &changed {
+            let w = segment.entry(SEC_VALUES, &kv_key(id, key));
+            // Synced rows become eviction candidates.
+            t.clean_rows += u64::from(Self::write_value_change(&mut self.values, w, (id, key)));
         }
-        self.tier_mark_values_clean();
+        t.tier.seal(segment);
+        t.io = t.io + t.tier.take_io();
+        self.deleted_values.clear();
         self.evict_excess();
-        synced
-    }
-
-    /// Consume the value change-log: every still-resident dirty row is now
-    /// synced, so it rejoins the clean-LRU (as MRU) and becomes evictable.
-    fn tier_mark_values_clean(&mut self) {
-        if let Some(t) = self.tiered.as_deref_mut() {
-            for &k in &self.dirty_values {
-                if self.values.contains_key(&k) {
-                    t.touch(k);
-                }
-            }
-        }
-        self.dirty_values.clear();
+        changed.len() as u64
     }
 
     /// Drain segments sealed since the last call: `(id, payload)` pairs the
     /// task ships to the checkpoint store exactly once.
     pub fn take_sealed_segments(&mut self) -> Vec<(u64, Bytes)> {
-        match self.tiered.as_deref_mut() {
-            Some(t) => t.tier.take_sealed(),
-            None => Vec::new(),
-        }
+        self.tiered.as_deref_mut().map_or_else(Vec::new, |t| t.tier.take_sealed())
     }
 
     /// All live segment ids in canonical fold order (oldest layer first) —
     /// the authoritative value-state manifest a checkpoint references.
     pub fn live_segments(&self) -> Vec<u64> {
-        match self.tiered.as_deref() {
-            Some(t) => t.tier.live_ids(),
-            None => Vec::new(),
-        }
+        self.tiered.as_deref().map_or_else(Vec::new, |t| t.tier.live_ids())
     }
 
     /// Drain the modelled tier I/O accrued since the last call, to be
     /// charged against the task's service queue.
     pub fn take_tier_io(&mut self) -> VirtualDuration {
-        match self.tiered.as_deref_mut() {
-            Some(t) => {
-                let io = t.io + t.tier.take_io();
-                t.io = VirtualDuration::ZERO;
-                t.io_us += io.as_micros();
-                io
-            }
-            None => VirtualDuration::ZERO,
-        }
+        let Some(t) = self.tiered.as_deref_mut() else { return VirtualDuration::ZERO };
+        let io = std::mem::replace(&mut t.io, VirtualDuration::ZERO) + t.tier.take_io();
+        t.io_us += io.as_micros();
+        io
     }
 
     /// Backend counters for this store (all zero when untiered).
@@ -548,7 +549,7 @@ impl StateStore {
         let values = match (&self.tiered, full) {
             (Some(_), _) => 0,
             (None, true) => self.values.len(),
-            (None, false) => self.dirty_values.len(),
+            (None, false) => self.changed_values.len(),
         };
         let rest = if full {
             self.lists.len() + self.event_timers.len() + self.proc_timers.len()
@@ -596,27 +597,30 @@ impl StateStore {
     }
 
     /// Stream one image layer's entries in canonical `(section, key)` order
-    /// into `w`: every entry (`full`), or only those dirtied since the last
-    /// snapshot — a put for each dirty key still present, a tombstone for
-    /// each removed one. A tiered store skips the values section: its values
-    /// are in tier segments, shipped beside the layer. Pure — the caller
-    /// consumes the change log with [`Self::clear_dirty`], and
-    /// [`StateStore::digest`] can observe at any time.
-    pub fn write_entries(&self, full: bool, w: &mut ByteWriter) {
-        match (&self.tiered, full) {
-            (Some(_), _) => {} // values travel as tier segments
-            (None, true) => {
-                for (&(id, key), row) in &self.values {
-                    Self::write_value_entry(w, id, key, row);
-                }
+    /// into `w` and consume the change log: every entry (`full`), or only
+    /// those changed since the last layer — a put for each changed key still
+    /// present, a tombstone for each removed one. A tiered store skips the
+    /// values section: its values are in tier segments, shipped beside the
+    /// layer.
+    pub fn write_entries(&mut self, full: bool, w: &mut ByteWriter) {
+        if !full && self.tiered.is_none() {
+            let mut changed = std::mem::take(&mut self.changed_values);
+            changed.sort_unstable();
+            for k in changed {
+                Self::write_value_change(&mut self.values, w, k);
             }
-            (None, false) => {
-                for &(id, key) in &self.dirty_values {
-                    match self.values.get(&(id, key)) {
-                        Some(row) => Self::write_value_entry(w, id, key, row),
-                        None => deltamap::write_tombstone(w, SEC_VALUES, &kv_key(id, key)),
-                    }
-                }
+        }
+        self.write_resident(full, w);
+        self.clear_dirty();
+    }
+
+    /// The part of a layer that reads the store without changing it: every
+    /// entry it holds resident (`full`), or the changed lists and timers.
+    /// Pure, so [`StateStore::digest`] can observe at any time.
+    fn write_resident(&self, full: bool, w: &mut ByteWriter) {
+        if full && self.tiered.is_none() {
+            for (&(id, key), slot) in &self.values {
+                Self::write_value_entry(w, id, key, &slot.row);
             }
         }
         if full {
@@ -635,16 +639,18 @@ impl StateStore {
         Self::write_timers(w, SEC_PROC_TIMERS, &self.proc_timers, &self.dirty_proc_timers, full);
     }
 
-    /// Drop the change log (an encoded layer made it redundant). Under
-    /// tiering the value changes are first routed into the memtable so the
-    /// eviction invariant (clean resident rows are tier-recoverable) holds.
+    /// Drop the change log (an image that holds it — the layer just written,
+    /// or a [`Self::snapshot`] taken as a base — made it redundant). Under
+    /// tiering value changes still have to reach the tier, so that clean
+    /// resident rows stay tier-recoverable; the sync leaves none behind.
     pub fn clear_dirty(&mut self) {
-        if self.tiered.is_some() {
-            self.tier_sync_values();
-            self.tier_mark_values_clean();
-        } else {
-            self.dirty_values.clear();
+        self.tier_sync_dirty();
+        for k in std::mem::take(&mut self.changed_values) {
+            if let Some(slot) = self.values.get_mut(&k) {
+                slot.dirty = false;
+            }
         }
+        self.deleted_values.clear();
         self.dirty_lists.clear();
         self.dirty_event_timers.clear();
         self.dirty_proc_timers.clear();
@@ -661,20 +667,11 @@ impl StateStore {
             None => w.put_varint(self.entry_count(true)),
             Some(t) => {
                 let mut vals = t.tier.fold_entries();
-                for &(id, key) in &self.dirty_values {
-                    let mut fk = Vec::with_capacity(11);
-                    fk.push(SEC_VALUES);
-                    fk.extend_from_slice(&kv_key(id, key));
-                    match self.values.get(&(id, key)) {
-                        Some(row) => {
-                            let mut rw = ByteWriter::new();
-                            row.encode(&mut rw);
-                            vals.insert(fk, rw.freeze());
-                        }
-                        None => {
-                            vals.remove(&fk);
-                        }
-                    }
+                for &k in &self.changed_values {
+                    match self.values.get(&k) {
+                        Some(slot) => vals.insert(tier_value_key(k), slot.row.to_bytes()),
+                        None => vals.remove(&tier_value_key(k)),
+                    };
                 }
                 w.put_varint(vals.len() as u64 + self.entry_count(true));
                 for (fk, v) in &vals {
@@ -684,18 +681,17 @@ impl StateStore {
                 }
             }
         }
-        self.write_entries(true, &mut w);
+        self.write_resident(true, &mut w);
         w.freeze()
     }
 
-    /// Serialize only the dirty entries as a standalone delta image and
+    /// Serialize only the changed entries as a standalone delta image and
     /// consume the change log. `merge_chain(base, deltas)` over the images
     /// this produces reconstructs [`StateStore::snapshot`] byte-identically.
     pub fn snapshot_delta(&mut self) -> Bytes {
         let mut w = ByteWriter::new();
         w.put_varint(self.entry_count(false));
         self.write_entries(false, &mut w);
-        self.clear_dirty();
         w.freeze()
     }
 
@@ -709,7 +705,7 @@ impl StateStore {
                 match e.value {
                     Some(v) => {
                         let mut r = ByteReader::new(v);
-                        self.values.insert((id, key), Row::decode(&mut r)?);
+                        self.values.insert((id, key), Slot::new(Row::decode(&mut r)?, false));
                     }
                     None => {
                         self.values.remove(&(id, key));
@@ -1036,6 +1032,221 @@ mod tests {
         let sealed2 = s.take_sealed_segments();
         assert!(!sealed2.is_empty());
         assert!(s.take_sealed_segments().is_empty(), "drain is once-only");
+    }
+
+    impl StateStore {
+        /// Rebuild the tier over a device on which the newest L0 segment's
+        /// payload went through `damage` — what a corrupted disk looks like
+        /// to a store that reopens over it. Needs a tier that never
+        /// compacted (device handles are then dense, in write order).
+        pub(crate) fn damage_newest_segment(&mut self, damage: impl Fn(&mut Vec<u8>)) {
+            let t = self.tiered.as_deref_mut().expect("tiered store");
+            let newest = t.tier.levels()[0].last().expect("a sealed L0 segment").handle;
+            let mut handles: Vec<_> = t.tier.levels().iter().flatten().map(|m| m.handle).collect();
+            handles.sort();
+            let mut device = SpillDevice::new();
+            for (i, &h) in handles.iter().enumerate() {
+                assert_eq!(h.0, i as u64, "device handles are dense");
+                let mut payload = t.tier.device().peek(h).expect("live payload").to_vec();
+                if h == newest {
+                    damage(&mut payload);
+                }
+                device.write(Bytes::from(payload));
+            }
+            let manifest = t.tier.manifest_bytes().to_vec();
+            t.tier = TieredStore::reopen(TieredConfig::default(), &manifest, device);
+        }
+    }
+
+    /// Twenty rows synced into one L0 segment and evicted, which then
+    /// suffers `damage`.
+    fn store_over_damaged_segment(damage: impl Fn(&mut Vec<u8>)) -> StateStore {
+        let mut s = StateStore::new();
+        s.enable_tiering(1024, 0);
+        for k in 0..20 {
+            s.set_value(0, k, row(k as i64));
+        }
+        s.tier_sync_dirty();
+        for k in 0..40 {
+            s.set_value(1, k, row(0)); // dirty rows alone exceed the budget
+        }
+        assert!(s.values_of(0).next().is_none(), "state 0 is in the tier only");
+        s.damage_newest_segment(damage);
+        s
+    }
+
+    #[test]
+    fn tiered_read_of_a_flipped_byte_is_an_error_not_an_absent_key() {
+        // count (1B) ++ [section, key len, 10 key bytes, op, ..]: flip the
+        // first entry's op byte.
+        let mut s = store_over_damaged_segment(|p| {
+            assert_eq!(p[13], deltamap::OP_PUT);
+            p[13] ^= 0xFF;
+        });
+        assert!(s.take_tier_error().is_none());
+        assert!(s.value(0, 0).is_none(), "the read has no row to give");
+        assert_eq!(
+            s.take_tier_error(),
+            Some(CodecError::InvalidTag { context: "deltamap op", tag: 0xFE }),
+            "and says why"
+        );
+        assert!(s.take_tier_error().is_none(), "reported once");
+        // Removal reads the tier too, and fails the same way.
+        assert!(s.take_value(0, 0).is_none());
+        assert!(s.take_tier_error().is_some());
+        assert_eq!(s.backend_stats().faults, 0, "nothing was faulted in");
+    }
+
+    #[test]
+    fn tiered_read_of_a_truncated_block_is_an_error_not_an_absent_key() {
+        let mut s = store_over_damaged_segment(|p| p.truncate(p.len() - 4));
+        // The first index block (16 entries) is whole; the last is short.
+        assert_eq!(s.value(0, 0).map(|r| r.int(0)), Some(0));
+        assert!(s.take_tier_error().is_none());
+        assert!(s.value(0, 19).is_none());
+        assert!(matches!(s.take_tier_error(), Some(CodecError::UnexpectedEof { .. })));
+    }
+
+    #[test]
+    fn tiered_read_of_an_undecodable_row_is_an_error() {
+        // .. op, value len (4B), row: field count, datum tag. Flip the tag.
+        let mut s = store_over_damaged_segment(|p| p[19] ^= 0xFF);
+        assert!(s.value(0, 0).is_none());
+        assert!(s.take_tier_error().is_some());
+    }
+
+    // ----- model test: the tiered cache against the untiered map -----
+
+    #[derive(Clone, Debug)]
+    enum CacheOp {
+        Set(StateId, u64, Row),
+        Take(StateId, u64),
+        Get(StateId, u64),
+        Sync,
+        ClearDirty,
+    }
+
+    fn cache_op() -> impl proptest::Strategy<Value = CacheOp> {
+        use proptest::prelude::*;
+        let key = || (0u16..2, 0u64..24);
+        // Rows of three weights, so replacing one changes the resident total.
+        let value = || {
+            prop_oneof![
+                any::<i64>().prop_map(|v| Row::new(vec![Datum::Int(v)])),
+                any::<i64>().prop_map(|v| Row::new(vec![Datum::Int(v), Datum::Int(-v)])),
+                (0usize..40).prop_map(|n| Row::new(vec![Datum::str("x".repeat(n))])),
+            ]
+        };
+        let set = move || (key(), value()).prop_map(|((id, k), row)| CacheOp::Set(id, k, row));
+        let get = move || key().prop_map(|(id, k)| CacheOp::Get(id, k));
+        // The shim's `prop_oneof!` is uniform: repeats are the weights.
+        prop_oneof![
+            set(),
+            set(),
+            set(),
+            get(),
+            get(),
+            get(),
+            key().prop_map(|(id, k)| CacheOp::Take(id, k)),
+            key().prop_map(|(id, k)| CacheOp::Take(id, k)),
+            Just(CacheOp::Sync),
+            Just(CacheOp::ClearDirty),
+        ]
+    }
+
+    /// What must hold of a tiered store between any two operations.
+    /// `unsynced` is the model's view of the keys written since the last
+    /// sync and still present: each must be resident and dirty.
+    fn check_cache(s: &StateStore, unsynced: &BTreeSet<ValueKey>) {
+        let t = s.tiered.as_deref().expect("tiered");
+        let weights: u64 = s.values.values().map(|slot| u64::from(entry_weight(&slot.row))).sum();
+        assert_eq!(t.resident_bytes, weights, "resident_bytes is exactly the sum of entry weights");
+        assert!(s.values.values().all(|slot| slot.weight == entry_weight(&slot.row)));
+        let clean = s.values.values().filter(|slot| !slot.dirty).count() as u64;
+        assert_eq!(t.clean_rows, clean);
+        for k in unsynced {
+            assert!(s.values.get(k).is_some_and(|slot| slot.dirty), "dirty row {k:?} evicted");
+        }
+        // The change list holds each changed key once: the dirty slots and
+        // the pending deletions, which have no slot.
+        let listed: BTreeSet<ValueKey> = s.changed_values.iter().copied().collect();
+        assert_eq!(listed.len(), s.changed_values.len(), "a key listed twice");
+        let dirty: BTreeSet<ValueKey> =
+            s.values.iter().filter(|(_, slot)| slot.dirty).map(|(&k, _)| k).collect();
+        assert!(s.deleted_values.iter().all(|k| !s.values.contains_key(k)));
+        assert_eq!(listed, &dirty | &s.deleted_values);
+    }
+
+    /// Run `ops` on a tiered store beside an untiered one; returns the
+    /// tiered store's `(faults, evictions)`.
+    fn run_against_flat_model(ops: &[CacheOp], budget: u64) -> (u64, u64) {
+        let mut flat = StateStore::new();
+        let mut tiered = StateStore::new();
+        tiered.enable_tiering(budget, 0);
+        let mut unsynced: BTreeSet<ValueKey> = BTreeSet::new();
+        for op in ops {
+            match op {
+                CacheOp::Set(id, k, row) => {
+                    flat.set_value(*id, *k, row.clone());
+                    tiered.set_value(*id, *k, row.clone());
+                    unsynced.insert((*id, *k));
+                }
+                CacheOp::Take(id, k) => {
+                    assert_eq!(tiered.take_value(*id, *k), flat.take_value(*id, *k));
+                    unsynced.remove(&(*id, *k));
+                }
+                CacheOp::Get(id, k) => {
+                    let faults = tiered.backend_stats().faults;
+                    // Also: a key deleted since the last sync is `None` here,
+                    // whatever the tier still holds; a faulted row is `Some`
+                    // however much of the cache is dirty.
+                    assert_eq!(tiered.value(*id, *k), flat.value(*id, *k), "read of {id}/{k}");
+                    if unsynced.contains(&(*id, *k)) {
+                        assert_eq!(tiered.backend_stats().faults, faults, "a dirty row is resident");
+                    }
+                }
+                CacheOp::Sync | CacheOp::ClearDirty => {
+                    if matches!(op, CacheOp::Sync) {
+                        tiered.tier_sync_dirty();
+                    } else {
+                        tiered.clear_dirty();
+                    }
+                    flat.clear_dirty();
+                    unsynced.clear();
+                    assert_eq!(tiered.snapshot(), flat.snapshot(), "image after a sync");
+                    assert!(tiered.changed_values.is_empty() && tiered.deleted_values.is_empty());
+                }
+            }
+            check_cache(&tiered, &unsynced);
+            if !matches!(op, CacheOp::Get(..) | CacheOp::Take(..)) {
+                // Enforced after every write and sync (a read leaves the row
+                // it faulted in over budget until the next access).
+                let t = tiered.tiered.as_deref().expect("tiered");
+                assert!(t.resident_bytes <= t.budget || t.clean_rows == 0, "over budget with clean rows");
+            }
+        }
+        assert_eq!(tiered.snapshot(), flat.snapshot(), "image with unsynced changes");
+        assert!(tiered.take_tier_error().is_none());
+        let stats = tiered.backend_stats();
+        if budget == u64::MAX {
+            assert_eq!((stats.faults, stats.evictions), (0, 0), "nothing exceeds an unbounded budget");
+        }
+        (stats.faults, stats.evictions)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn tiered_cache_matches_untiered_model(
+            ops in proptest::collection::vec(cache_op(), 1..160),
+        ) {
+            for budget in [1024, 4096, u64::MAX] {
+                let first = run_against_flat_model(&ops, budget);
+                // The CLOCK hand is state, not time: same sequence, same counts.
+                proptest::prop_assert_eq!(run_against_flat_model(&ops, budget), first);
+            }
+        }
     }
 
     #[test]

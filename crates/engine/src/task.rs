@@ -650,6 +650,11 @@ impl Task {
         self.state.digest()
     }
 
+    #[cfg(test)]
+    pub(crate) fn state_mut(&mut self) -> &mut StateStore {
+        &mut self.state
+    }
+
     pub fn inflight_stats(&self) -> Option<clonos::inflight::InFlightStats> {
         self.inflight.as_ref().map(|l| l.stats)
     }
@@ -1121,7 +1126,11 @@ impl Task {
         let mut emits = std::mem::take(&mut opctx.emitted);
         let mut new_timers = std::mem::take(&mut opctx.new_proc_timers);
         drop(opctx);
-        let result = result.and_then(|()| self.route_emissions(&mut emits, &mut new_timers, at, ctx));
+        // A state read the tier could not serve answered `None`: whatever
+        // the callback made of that must not leave the task.
+        let result = result
+            .and_then(|()| self.state.take_tier_error().map_or(Ok(()), |e| Err(e.into())))
+            .and_then(|()| self.route_emissions(&mut emits, &mut new_timers, at, ctx));
         emits.clear();
         new_timers.clear();
         self.emits = emits;
@@ -1765,7 +1774,6 @@ impl Task {
         }
         self.snap_scratch.end_u32_len(pos);
         self.state.write_entries(full, &mut self.snap_scratch);
-        self.state.clear_dirty();
         let image = self.snap_scratch.take_frozen();
         let mut captured: Vec<Vec<SentBuffer>> = Vec::new();
         if overtaking {

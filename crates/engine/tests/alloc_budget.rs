@@ -3,54 +3,16 @@
 //! that a per-record allocation creeping back into source, operator task or
 //! sink fails `cargo test` and not only the benchmark's `allocs_per_record`.
 //!
-//! The allocator counts per thread (each test runs on its own), so tests of
-//! this binary do not see each other's or the harness's allocations.
+//! The allocator (`common`) counts per thread (each test runs on its own), so
+//! tests of this binary do not see each other's or the harness's allocations.
 
 use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_engine::operators::ProcessOp;
 use clonos_engine::*;
 use clonos_sim::{VirtualDuration, VirtualTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct Counting;
-
-thread_local! {
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator also runs while a thread's locals are torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches no allocator memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from `System` through this allocator with `layout`,
-        // and the caller guarantees `new_size` is valid for it.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod common;
+use common::{calls, Counting};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -103,12 +65,12 @@ fn engine_allocs_per_record(ft: FtMode) -> f64 {
         runner.populate("in", p, rows);
     }
     let mut cluster = runner.cluster;
-    let before = CALLS.with(Cell::get);
+    let before = calls();
     cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(8));
-    let calls = CALLS.with(Cell::get) - before;
+    let during = calls() - before;
     assert_eq!(cluster.metrics.records_in, ROWS as u64, "every row ingested");
     assert_eq!(cluster.metrics.records_out, ROWS as u64, "every row committed");
-    calls as f64 / ROWS as f64 - OPERATOR_ALLOCS_PER_RECORD
+    during as f64 / ROWS as f64 - OPERATOR_ALLOCS_PER_RECORD
 }
 
 fn assert_within_budget(mode: &str, per_record: f64) {

@@ -24,6 +24,20 @@ fn fnv1a(key: &[u8]) -> u64 {
     h
 }
 
+/// A key's two hashes, from which every filter derives its probe positions.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyHash(u64, u64);
+
+impl KeyHash {
+    #[inline]
+    pub fn of(key: &[u8]) -> KeyHash {
+        let h1 = fnv1a(key);
+        // A second, independent hash derived by mixing; forced odd so the
+        // probe sequence walks the whole bit space.
+        KeyHash(h1, h1.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31) | 1)
+    }
+}
+
 /// A fixed-size bit array sized at build time from the expected key count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyFilter {
@@ -44,19 +58,17 @@ impl KeyFilter {
         KeyFilter { nbits, words }
     }
 
+    /// The `i`-th probe position of a key hashed to `hash`.
     #[inline]
-    fn probe(&self, key: &[u8], i: u32) -> (usize, u64) {
-        let h1 = fnv1a(key);
-        // A second, independent hash derived by mixing; forced odd so the
-        // probe sequence walks the whole bit space.
-        let h2 = h1.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31) | 1;
-        let bit = h1.wrapping_add(h2.wrapping_mul(i as u64)) % self.nbits;
+    fn probe(&self, hash: KeyHash, i: u32) -> (usize, u64) {
+        let bit = hash.0.wrapping_add(hash.1.wrapping_mul(i as u64)) % self.nbits;
         ((bit / 64) as usize, 1u64 << (bit % 64))
     }
 
     pub fn insert(&mut self, key: &[u8]) {
+        let hash = KeyHash::of(key);
         for i in 0..PROBES {
-            let (word, mask) = self.probe(key, i);
+            let (word, mask) = self.probe(hash, i);
             if let Some(w) = self.words.get_mut(word) {
                 *w |= mask;
             }
@@ -66,8 +78,14 @@ impl KeyFilter {
     /// False negatives are impossible; false positives are expected at the
     /// configured bits-per-key rate.
     pub fn may_contain(&self, key: &[u8]) -> bool {
+        self.may_contain_hash(KeyHash::of(key))
+    }
+
+    /// [`Self::may_contain`] for a key hashed once and looked up in many
+    /// filters (a point read probes every covering segment's).
+    pub fn may_contain_hash(&self, hash: KeyHash) -> bool {
         (0..PROBES).all(|i| {
-            let (word, mask) = self.probe(key, i);
+            let (word, mask) = self.probe(hash, i);
             self.words.get(word).is_some_and(|w| w & mask != 0)
         })
     }

@@ -4,9 +4,14 @@
 //! here, as immutable deltamap-format segments on a [`SpillDevice`] behind a
 //! bounded memtable:
 //!
-//! - **Writes** land in the memtable (`BTreeMap` over full keys — section
-//!   byte ++ key bytes, so byte-lex order equals `(section, key)` order) and
-//!   flush to a sealed level-0 segment when the byte budget fills.
+//! - **Writes** reach level 0 as sealed segments, two ways. A producer that
+//!   holds a whole sorted batch — the engine's checkpoint cut — streams it
+//!   through [`TieredStore::begin_segment`] / [`TieredStore::seal`] into one
+//!   segment, metadata built as the entries go by. Single writes
+//!   ([`TieredStore::put`] / [`TieredStore::delete`]) land in the memtable
+//!   (`BTreeMap` over full keys — section byte ++ key bytes, so byte-lex
+//!   order equals `(section, key)` order), which is sealed through the same
+//!   writer when its byte budget fills.
 //! - **Compaction** is size-tiered and whole-level: when a level exceeds the
 //!   fanout it folds into a single segment one level down via
 //!   [`deltamap::fold_layers`], retaining tombstones unless nothing older
@@ -32,11 +37,11 @@ pub mod filter;
 pub mod manifest;
 pub mod segment;
 
-pub use filter::KeyFilter;
+pub use filter::{KeyFilter, KeyHash};
 pub use manifest::{Manifest, ManifestEdit};
-pub use segment::SegmentMeta;
+pub use segment::{SegmentMeta, SegmentWriter};
 
-use crate::codec::ByteWriter;
+use crate::codec::{ByteWriter, CodecError};
 use crate::deltamap;
 use crate::spill::SpillDevice;
 use bytes::Bytes;
@@ -109,6 +114,8 @@ pub struct TieredStore {
     pending: Vec<u64>,
     stats: TierStats,
     pending_io: VirtualDuration,
+    /// Image buffer lent to each [`SegmentWriter`] in turn.
+    scratch: ByteWriter,
 }
 
 /// Per-entry memtable bookkeeping overhead added to key+value bytes.
@@ -129,6 +136,7 @@ impl TieredStore {
             pending: Vec::new(),
             stats: TierStats::default(),
             pending_io: VirtualDuration::ZERO,
+            scratch: ByteWriter::new(),
         }
     }
 
@@ -171,10 +179,13 @@ impl TieredStore {
             pending: Vec::new(),
             stats: TierStats::default(),
             pending_io: VirtualDuration::ZERO,
+            scratch: ByteWriter::new(),
         }
     }
 
-    fn full_key(section: u8, key: &[u8]) -> Vec<u8> {
+    /// `section ++ key`: how [`Self::bulk_load`] and [`Self::fold_entries`]
+    /// spell a key.
+    pub fn full_key(section: u8, key: &[u8]) -> Vec<u8> {
         let mut fk = Vec::with_capacity(1 + key.len());
         fk.push(section);
         fk.extend_from_slice(key);
@@ -204,46 +215,72 @@ impl TieredStore {
         }
     }
 
-    /// Point read. `None` means absent *or* tombstoned — the tier does not
-    /// distinguish, and neither does the caller's fault path.
-    pub fn get(&mut self, section: u8, key: &[u8]) -> Option<Bytes> {
+    /// Point read. `Ok(None)` means absent *or* tombstoned — the tier does
+    /// not distinguish, and neither does the caller's fault path. A block
+    /// the device no longer holds, or one that does not decode, is an error:
+    /// a damaged tier must not read as "key absent".
+    pub fn try_get(&mut self, section: u8, key: &[u8]) -> Result<Option<Bytes>, CodecError> {
         self.stats.point_reads += 1;
-        let fk = Self::full_key(section, key);
-        if let Some(v) = self.memtable.get(fk.as_slice()) {
-            return v.clone();
+        // The full key is assembled on the stack (the engine's keys are 10
+        // and 24 bytes), so a read allocates nothing but the value it returns.
+        let mut buf = [0u8; 64];
+        let Some(fk) = buf.get_mut(..=key.len()) else {
+            return self.get_full(&Self::full_key(section, key));
+        };
+        if let Some((first, rest)) = fk.split_first_mut() {
+            *first = section;
+            rest.copy_from_slice(key);
         }
+        self.get_full(fk)
+    }
+
+    /// [`Self::try_get`] for callers with no error path; a damaged block
+    /// reads as absent.
+    pub fn get(&mut self, section: u8, key: &[u8]) -> Option<Bytes> {
+        self.try_get(section, key).ok().flatten()
+    }
+
+    fn get_full(&mut self, fk: &[u8]) -> Result<Option<Bytes>, CodecError> {
+        if let Some(v) = self.memtable.get(fk) {
+            return Ok(v.clone());
+        }
+        let hash = KeyHash::of(fk);
         // Newest first: L0 back-to-front, then each deeper level.
         for level in &self.levels {
             for m in level.iter().rev() {
-                if !m.covers(&fk) {
+                if !m.covers(fk) {
                     continue;
                 }
-                if !m.filter.may_contain(&fk) {
+                if !m.filter.may_contain_hash(hash) {
                     self.stats.filter_negatives += 1;
                     continue;
                 }
-                let Some((start, end)) = m.block_bounds(&fk) else { continue };
-                let Some((block, cost)) = self.device.read_range(m.handle, start, end - start)
-                else {
-                    continue;
+                let Some((start, end)) = m.block_bounds(fk) else { continue };
+                let block = end
+                    .checked_sub(start)
+                    .and_then(|len| self.device.read_range(m.handle, start, len));
+                let Some((block, cost)) = block else {
+                    let remaining = self.device.peek(m.handle).map_or(0, Bytes::len);
+                    return Err(CodecError::UnexpectedEof { needed: end, remaining });
                 };
                 self.pending_io = self.pending_io + cost;
-                match segment::search_block(&block, &fk) {
-                    Ok(Some(hit)) => return hit,
-                    Ok(None) => self.stats.filter_false_positives += 1,
-                    Err(_) => {}
+                match segment::search_block(&block, fk)? {
+                    Some(hit) => return Ok(hit),
+                    None => self.stats.filter_false_positives += 1,
                 }
             }
         }
-        None
+        Ok(None)
     }
 
-    /// Write the payload to the device and assemble its metadata. Returns
-    /// `None` for empty or malformed payloads (nothing to add).
-    fn build_meta(&mut self, payload: Bytes, level: u8) -> Option<SegmentMeta> {
-        let parts =
-            segment::scan_image(&payload, self.cfg.index_every, self.cfg.filter_bits_per_key)
-                .ok()?;
+    /// Write a payload to the device and give it identity and placement.
+    /// `None` for an empty segment (nothing to add).
+    fn install(
+        &mut self,
+        payload: Bytes,
+        parts: segment::SegmentParts,
+        level: u8,
+    ) -> Option<SegmentMeta> {
         if parts.entries == 0 {
             return None;
         }
@@ -264,39 +301,67 @@ impl TieredStore {
         })
     }
 
+    /// [`Self::install`] for a payload that arrives whole (a compaction fold,
+    /// a bulk-load chunk): its metadata is read back out of it. `None` also
+    /// for a malformed payload.
+    fn build_meta(&mut self, payload: Bytes, level: u8) -> Option<SegmentMeta> {
+        let parts =
+            segment::scan_image(&payload, self.cfg.index_every, self.cfg.filter_bits_per_key)
+                .ok()?;
+        self.install(payload, parts, level)
+    }
+
+    /// Start a level-0 segment of exactly `entries` entries, which the
+    /// caller streams in canonical order through [`SegmentWriter::entry`]
+    /// and hands to [`Self::seal`] — how a checkpoint cut's whole dirty set
+    /// becomes one segment, written once.
+    pub fn begin_segment(&mut self, entries: u64) -> SegmentWriter {
+        let image = std::mem::take(&mut self.scratch);
+        SegmentWriter::new(image, entries, self.cfg.index_every, self.cfg.filter_bits_per_key)
+    }
+
+    /// Seal a streamed segment as the newest of level 0. Whatever the
+    /// memtable still holds was written earlier, so it is sealed first.
+    pub fn seal(&mut self, segment: SegmentWriter) {
+        self.flush();
+        self.seal_newest(segment);
+    }
+
     /// Seal the memtable into a level-0 segment. Returns false when there
     /// was nothing to flush.
     pub fn flush(&mut self) -> bool {
         if self.memtable.is_empty() {
             return false;
         }
-        let mut w = ByteWriter::with_capacity(self.mem_bytes as usize + 16);
-        w.put_varint(self.memtable.len() as u64);
+        let mut segment = self.begin_segment(self.memtable.len() as u64);
         for (fk, v) in &self.memtable {
             let (&sec, key) = fk.split_first().unwrap_or((&0, &[]));
+            let w = segment.entry(sec, key);
             match v {
-                Some(val) => deltamap::write_put(&mut w, sec, key, val),
-                None => deltamap::write_tombstone(&mut w, sec, key),
+                Some(val) => deltamap::write_put(w, sec, key, val),
+                None => deltamap::write_tombstone(w, sec, key),
             }
         }
-        let payload = w.freeze();
         self.memtable.clear();
         self.mem_bytes = 0;
-        self.stats.flushes += 1;
-        if let Some(meta) = self.build_meta(payload, 0) {
-            self.manifest.append(&ManifestEdit {
-                added: vec![meta.clone()],
-                removed: vec![],
-                seeded: 0,
-            });
+        self.seal_newest(segment);
+        true
+    }
+
+    fn seal_newest(&mut self, segment: SegmentWriter) {
+        let (payload, parts, scratch) = segment.finish();
+        self.scratch = scratch;
+        if let Some(meta) = self.install(payload, parts, 0) {
+            self.stats.flushes += 1;
             self.pending.push(meta.id);
             self.stats.segments_created += 1;
+            let edit = ManifestEdit { added: vec![meta], removed: vec![], seeded: 0 };
+            self.manifest.append(&edit);
             if let Some(l0) = self.levels.get_mut(0) {
-                l0.push(meta);
+                l0.extend(edit.added);
             }
         }
         self.maybe_compact();
-        true
     }
 
     fn maybe_compact(&mut self) {
@@ -312,13 +377,35 @@ impl TieredStore {
         }
     }
 
-    /// Fold every segment of level `l` into one segment appended to level
+    /// Fold the segments of level `l` into one segment appended to level
     /// `l+1`. Tombstones are dropped only when no older data exists beneath.
+    ///
+    /// The oldest segments go down as they are while each is at least as
+    /// large as everything newer beside it (two or more always stay to be
+    /// folded): such a segment would make up most of the fold, its bytes
+    /// written — and shipped to the checkpoint store — again for nothing. A
+    /// level that holds one large cut and a few small ones therefore costs
+    /// what the small ones cost, which keeps compaction O(dirty).
     fn compact_into_next(&mut self, l: usize) {
-        let victims = match self.levels.get_mut(l) {
+        let mut victims = match self.levels.get_mut(l) {
             Some(lv) => std::mem::take(lv),
             None => return,
         };
+        let mut newer: u64 = victims.iter().map(|m| m.bytes).sum();
+        let large = victims.iter().take(victims.len().saturating_sub(2)).take_while(|m| {
+            newer -= m.bytes;
+            m.bytes >= newer
+        });
+        let mut moved: Vec<SegmentMeta> = victims.drain(..large.count()).collect();
+        if !moved.is_empty() {
+            moved.iter_mut().for_each(|m| m.level = (l + 1) as u8);
+            let removed = moved.iter().map(|m| m.id).collect();
+            let edit = ManifestEdit { added: moved, removed, seeded: 0 };
+            self.manifest.append(&edit);
+            if let Some(lv) = self.levels.get_mut(l + 1) {
+                lv.extend(edit.added);
+            }
+        }
         let deeper_empty = self.levels.iter().skip(l + 1).all(Vec::is_empty);
         let Some(folded) = self.fold_victims(&victims, deeper_empty) else {
             if let Some(lv) = self.levels.get_mut(l) {
@@ -665,6 +752,97 @@ mod tests {
         // Memtable was empty at "crash" (we flushed), so folds agree.
         assert_eq!(r.fold_entries(), s.fold_entries());
         assert_eq!(r.get(1, &k(3)), s.get(1, &k(3)));
+    }
+
+    #[test]
+    fn a_damaged_block_is_an_error_not_an_absent_key() {
+        let mut s = store();
+        for i in 0..8u64 {
+            s.put(1, &k(i), Bytes::from(vec![b'v'; 8]));
+        }
+        s.flush();
+        let payload = s.device().peek(s.levels()[0][0].handle).expect("sealed payload").to_vec();
+        // The store as it reopens over a device holding `payload` instead.
+        let reopen_over = |payload: Vec<u8>| {
+            let mut device = SpillDevice::new();
+            device.write(Bytes::from(payload));
+            TieredStore::reopen(small_cfg(), s.manifest_bytes(), device)
+        };
+        // count ++ [section, key len, 8 key bytes, op, ..]: the first op byte.
+        let mut flipped = payload.clone();
+        flipped[11] ^= 0xFF;
+        let mut r = reopen_over(flipped);
+        assert_eq!(
+            r.try_get(1, &k(0)),
+            Err(CodecError::InvalidTag { context: "deltamap op", tag: 0xFE })
+        );
+        assert_eq!(r.get(1, &k(0)), None, "`get` has no error path");
+        assert_eq!(r.try_get(1, &k(99)), Ok(None), "range and filter still answer from memory");
+        // `index_every` is 4: key 7 sits in the second block, now short.
+        let mut short = payload.clone();
+        short.truncate(payload.len() - 3);
+        let mut r = reopen_over(short);
+        assert_eq!(r.try_get(1, &k(0)), Ok(Some(Bytes::from(vec![b'v'; 8]))));
+        assert!(matches!(r.try_get(1, &k(7)), Err(CodecError::UnexpectedEof { .. })));
+        // A payload the device no longer holds at all.
+        let mut r = TieredStore::reopen(small_cfg(), s.manifest_bytes(), SpillDevice::new());
+        assert!(matches!(r.try_get(1, &k(0)), Err(CodecError::UnexpectedEof { remaining: 0, .. })));
+    }
+
+    #[test]
+    fn a_streamed_segment_is_newer_than_the_memtable_it_follows() {
+        let mut s = store();
+        s.put(1, &k(1), Bytes::from_static(b"memtable"));
+        s.put(1, &k(2), Bytes::from_static(b"memtable"));
+        let mut segment = s.begin_segment(2);
+        deltamap::write_put(segment.entry(1, &k(2)), 1, &k(2), b"streamed");
+        deltamap::write_tombstone(segment.entry(1, &k(3)), 1, &k(3));
+        s.seal(segment);
+        assert_eq!(s.memtable_len(), 0, "sealed first");
+        assert_eq!(s.stats().flushes, 2);
+        assert_eq!(s.get(1, &k(1)), Some(Bytes::from_static(b"memtable")));
+        assert_eq!(s.get(1, &k(2)), Some(Bytes::from_static(b"streamed")));
+        assert_eq!(s.get(1, &k(3)), None);
+        // What the writer collected is what a scan of the payload finds.
+        let meta = s.levels()[0].last().expect("streamed segment");
+        let payload = s.device().peek(meta.handle).expect("payload");
+        let scanned = segment::scan_image(payload, small_cfg().index_every, 10).expect("well-formed");
+        assert_eq!((meta.bytes, meta.entries), (scanned.bytes, scanned.entries));
+        assert_eq!((&meta.min_key, &meta.max_key), (&scanned.min_key, &scanned.max_key));
+        assert_eq!((&meta.filter, &meta.index), (&scanned.filter, &scanned.index));
+        // An empty cut seals nothing.
+        let empty = s.begin_segment(0);
+        s.seal(empty);
+        assert_eq!((s.stats().flushes, s.segment_count()), (2, 2));
+    }
+
+    #[test]
+    fn a_large_segment_moves_down_a_spilling_level_without_being_rewritten() {
+        let mut s = store(); // fanout 2
+        let mut large = s.begin_segment(400);
+        for i in 0..400u64 {
+            deltamap::write_put(large.entry(2, &k(i)), 2, &k(i), &[b'G'; 32]);
+        }
+        s.seal(large);
+        let large_id = *s.live_ids().last().expect("just sealed");
+        s.take_sealed();
+        // Small cuts on top until level 0 spills, more than once.
+        for round in 0..6u64 {
+            let mut small = s.begin_segment(1);
+            deltamap::write_put(small.entry(1, &k(round)), 1, &k(round), b"small");
+            s.seal(small);
+        }
+        let moved = s.levels().iter().flatten().find(|m| m.id == large_id).expect("still live");
+        let (level, bytes) = (moved.level, moved.bytes as usize);
+        assert!(level > 0, "went down, as itself");
+        assert!(
+            s.take_sealed().iter().all(|(_, payload)| payload.len() < bytes / 4),
+            "and what it was folded with cost what the small cuts cost"
+        );
+        assert_eq!(s.get(2, &k(399)), Some(Bytes::from(vec![b'G'; 32])));
+        assert_eq!(s.get(1, &k(3)), Some(Bytes::from_static(b"small")));
+        let reopened = TieredStore::reopen(small_cfg(), s.manifest_bytes(), s.device().clone());
+        assert_eq!(reopened.levels(), s.levels());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! section byte leads, byte-lexicographic order over full keys equals the
 //! deltamap's `(section, key)` order.
 
-use crate::codec::{ByteReader, CodecError};
+use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::deltamap;
 use crate::lsm::filter::KeyFilter;
 use crate::spill::SpillHandle;
@@ -63,8 +63,9 @@ impl SegmentMeta {
     }
 }
 
-/// Scan results of [`scan_image`]: everything for a [`SegmentMeta`] except
-/// identity and placement, which the store assigns.
+/// Everything a [`SegmentMeta`] holds except identity and placement, which
+/// the store assigns: what [`scan_image`] reads back out of a payload and
+/// what a [`SegmentWriter`] collects while the payload is written.
 pub struct SegmentParts {
     pub bytes: u64,
     pub entries: u64,
@@ -72,6 +73,40 @@ pub struct SegmentParts {
     pub max_key: Vec<u8>,
     pub filter: KeyFilter,
     pub index: Vec<(Vec<u8>, u32)>,
+}
+
+impl SegmentParts {
+    fn with_capacity(entries: u64, every: usize, bits_per_key: u32) -> SegmentParts {
+        SegmentParts {
+            bytes: 0,
+            entries: 0,
+            min_key: Vec::new(),
+            max_key: Vec::new(),
+            filter: KeyFilter::with_capacity(entries, bits_per_key),
+            index: Vec::with_capacity(entries as usize / every + 1),
+        }
+    }
+
+    /// Account for the next entry, `section ++ key` at payload offset `off`.
+    /// `max_key` doubles as the buffer the full key is assembled in.
+    fn add_entry(&mut self, section: u8, key: &[u8], off: usize, every: usize) {
+        debug_assert!(
+            self.entries == 0
+                || self.max_key.split_first().is_some_and(|(&s, k)| (s, k) < (section, key)),
+            "segment entries must arrive in canonical (section, key) order"
+        );
+        self.max_key.clear();
+        self.max_key.push(section);
+        self.max_key.extend_from_slice(key);
+        self.filter.insert(&self.max_key);
+        if self.entries == 0 {
+            self.min_key.clone_from(&self.max_key);
+        }
+        if (self.entries as usize).is_multiple_of(every) {
+            self.index.push((self.max_key.clone(), off as u32));
+        }
+        self.entries += 1;
+    }
 }
 
 /// Single pass over a deltamap-image payload, building filter, sparse index
@@ -85,55 +120,86 @@ pub fn scan_image(
 ) -> Result<SegmentParts, CodecError> {
     let mut r = ByteReader::new(payload);
     let n = r.get_varint()?;
-    let mut filter = KeyFilter::with_capacity(n, bits_per_key);
-    let mut index = Vec::with_capacity((n as usize / index_every.max(1)) + 1);
-    let mut min_key = Vec::new();
-    let mut max_key = Vec::new();
     let every = index_every.max(1);
-    for i in 0..n {
-        let off = r.position() as u32;
+    // A corrupt count must not size the filter: no entry is under 3 bytes.
+    let mut parts = SegmentParts::with_capacity(n.min(payload.len() as u64 / 3), every, bits_per_key);
+    for _ in 0..n {
+        let off = r.position();
         let e = deltamap::read_one(&mut r)?;
-        let mut fk = Vec::with_capacity(1 + e.key.len());
-        fk.push(e.section);
-        fk.extend_from_slice(e.key);
-        filter.insert(&fk);
-        if i == 0 {
-            min_key = fk.clone();
-        }
-        if (i as usize).is_multiple_of(every) {
-            index.push((fk.clone(), off));
-        }
-        max_key = fk;
+        parts.add_entry(e.section, e.key, off, every);
     }
     if !r.is_empty() {
         return Err(CodecError::InvalidTag { context: "segment trailing bytes", tag: 0 });
     }
-    Ok(SegmentParts {
-        bytes: payload.len() as u64,
-        entries: n,
-        min_key,
-        max_key,
-        filter,
-        index,
-    })
+    parts.bytes = payload.len() as u64;
+    Ok(parts)
+}
+
+/// Writes a segment image whose entries the producer already holds in
+/// canonical order, collecting filter, sparse index and key range as the
+/// entries go by — the payload is never parsed back. The producer announces
+/// each entry with [`SegmentWriter::entry`] and encodes it into the writer
+/// that call returns, with the deltamap entry encoders.
+pub struct SegmentWriter {
+    image: ByteWriter,
+    every: usize,
+    declared: u64,
+    parts: SegmentParts,
+}
+
+impl SegmentWriter {
+    /// Start an image of exactly `entries` entries in `image`, a scratch
+    /// writer whose allocation is reused ([`SegmentWriter::finish`] hands it
+    /// back).
+    pub fn new(
+        mut image: ByteWriter,
+        entries: u64,
+        index_every: usize,
+        bits_per_key: u32,
+    ) -> SegmentWriter {
+        let every = index_every.max(1);
+        image.clear();
+        image.put_varint(entries);
+        SegmentWriter {
+            image,
+            every,
+            declared: entries,
+            parts: SegmentParts::with_capacity(entries, every, bits_per_key),
+        }
+    }
+
+    /// The next entry is `(section, key)`; the caller encodes it — put or
+    /// tombstone, same section and key — into the returned writer.
+    pub fn entry(&mut self, section: u8, key: &[u8]) -> &mut ByteWriter {
+        self.parts.add_entry(section, key, self.image.len(), self.every);
+        &mut self.image
+    }
+
+    /// The finished payload, its metadata, and the scratch writer back.
+    pub fn finish(mut self) -> (Bytes, SegmentParts, ByteWriter) {
+        debug_assert_eq!(self.parts.entries, self.declared, "segment entry count");
+        let payload = self.image.take_frozen();
+        self.parts.bytes = payload.len() as u64;
+        (payload, self.parts, self.image)
+    }
 }
 
 /// Decode a sparse-index block and look `fk` up in it.
 ///
 /// Returns `Ok(None)` when the key is not in the block,
-/// `Ok(Some(None))` for a tombstone, `Ok(Some(Some(value)))` for a put.
-pub fn search_block(block: &[u8], fk: &[u8]) -> Result<Option<Option<Bytes>>, CodecError> {
+/// `Ok(Some(None))` for a tombstone, `Ok(Some(Some(value)))` for a put —
+/// the value a slice of `block`, not a copy.
+pub fn search_block(block: &Bytes, fk: &[u8]) -> Result<Option<Option<Bytes>>, CodecError> {
+    let Some((sec, key)) = fk.split_first() else { return Ok(None) };
     let mut r = ByteReader::new(block);
     while !r.is_empty() {
         let e = deltamap::read_one(&mut r)?;
-        let (sec, key) = match fk.split_first() {
-            Some(p) => p,
-            None => return Ok(None),
-        };
         match e.section.cmp(sec).then_with(|| e.key.cmp(key)) {
             std::cmp::Ordering::Less => continue,
             std::cmp::Ordering::Equal => {
-                return Ok(Some(e.value.map(Bytes::copy_from_slice)));
+                // A put's value is the last thing `read_one` consumed.
+                let end = r.position();
+                return Ok(Some(e.value.map(|v| block.slice(end - v.len()..end))));
             }
             std::cmp::Ordering::Greater => return Ok(None),
         }
@@ -212,7 +278,7 @@ mod tests {
         };
         let probe = |target: &[u8]| -> Option<Option<Bytes>> {
             let (start, end) = meta.block_bounds(target)?;
-            search_block(&img[start..end], target).unwrap()
+            search_block(&img.slice(start..end), target).unwrap()
         };
         assert_eq!(probe(&fk(1, b"aa")), Some(Some(Bytes::from_static(b"1"))));
         assert_eq!(probe(&fk(1, b"bb")), Some(None)); // tombstone

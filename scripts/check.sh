@@ -79,6 +79,16 @@ if allocs > ceiling:
 print(f"== bench: chain allocs_per_record {allocs:.2f} (ceiling {ceiling}) ==")
 ' "$ALLOCS_PER_RECORD_CEILING"
 
+echo "== bench: keyed_state, tiered output = untiered output (clonos_benchmark; no timing threshold) =="
+bash clonos_benchmark/run.sh --workload keyed_state --seed 1 --seconds 3 --trace 0 | tail -n 1 |
+  python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("ERROR: keyed_state benchmark run is not correct: the tiered and untiered stores must produce the same output digests, every rep the same counts")
+print("== bench: keyed_state correct ({} records, 0 failed) ==".format(result["attempted"]))
+'
+
 echo "== bench: committed BENCH_*.json untouched by the smokes =="
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1 && ! git diff --quiet -- 'BENCH_*.json'; then
   echo "ERROR: a committed BENCH_*.json differs from HEAD — smoke runs must write under target/bench-smoke/" >&2
