@@ -21,7 +21,7 @@
 //! paths) and lets recovery merge partial replicas from multiple downstream
 //! survivors by simply taking the longest.
 
-use crate::determinant::Determinant;
+use crate::determinant::{Determinant, WireCursor};
 use crate::{ChannelId, EpochId, TaskId};
 use bytes::Bytes;
 use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
@@ -121,8 +121,6 @@ pub struct EpochLog {
     /// Logical offset of `active`'s first byte.
     active_start: u64,
     encoded_bytes: u64,
-    /// Times this replica resynchronized over a forward gap (diagnostics).
-    gap_resyncs: u64,
 }
 
 impl EpochLog {
@@ -167,6 +165,16 @@ impl EpochLog {
         if let Some(last) = self.index.back() {
             debug_assert!(epoch >= last.epoch, "epochs must be nondecreasing");
         }
+        self.encode_entry(epoch, det)
+    }
+
+    /// `append` without its claim about epochs, which holds for a task's own
+    /// log only. A replica does receive entries whose epoch is below their
+    /// predecessor's in runs the exactly-once oracle accepts (recoveries
+    /// under unaligned barriers: `chaos_sweep_unaligned_clonos_exactly_once`
+    /// at 25 seeds), so ingest must take them; truncation copes — it pops a
+    /// prefix, such an entry just waits for the ones before it.
+    fn encode_entry(&mut self, epoch: EpochId, det: Determinant) -> u64 {
         let seq = self.next_seq();
         if self.active.len() >= ARENA_CHUNK_BYTES {
             self.seal_active();
@@ -212,7 +220,7 @@ impl EpochLog {
     fn decode_entry(&self, e: &IndexEntry) -> Determinant {
         let bytes = self.entry_bytes(e);
         let mut r = ByteReader::new(&bytes[e.epoch_len as usize..]);
-        // clonos-lint: allow(recovery-panic, reason = "arena bytes were encoded by this process; a decode failure is memory corruption, not a protocol fault to escalate")
+        // clonos-lint: allow(recovery-panic, reason = "arena bytes were encoded by this process or accepted by Determinant::skip_with_tag on ingest, which accepts exactly what decode accepts; a decode failure is memory corruption, not a protocol fault to escalate")
         Determinant::decode(&mut r).expect("arena entry decodes")
     }
 
@@ -275,23 +283,20 @@ impl EpochLog {
         }
     }
 
-    /// Idempotent insert of an entry with a known sequence number.
+    /// Apply the sequence rules to an incoming span of `count > 0` entries
+    /// numbered from `from`, once for the whole span, and return how many of
+    /// them — a prefix — this log already holds or has truncated (duplicate
+    /// delivery along a second path of a diamond). The rest of the span is
+    /// contiguous with the log afterwards.
     ///
-    /// Returns `Ok(true)` if appended, `Ok(false)` if it was a duplicate or
-    /// pre-truncation entry, and an error on a sequence gap — except that an
-    /// *empty* log resynchronizes its base to the incoming sequence (the
+    /// An *empty* log resynchronizes its base to the incoming sequence (the
     /// pre-gap entries are stable and were truncated everywhere).
-    pub fn ingest(&mut self, seq: u64, epoch: EpochId, det: Determinant) -> Result<bool, DeltaError> {
-        if self.is_empty() && seq > self.base_seq {
-            // Resync: see module docs — only reachable when the skipped
-            // prefix is already stable.
-            self.base_seq = seq;
+    fn admit_span(&mut self, from: u64, count: u64, stats: &mut CausalLogStats) -> u64 {
+        if self.is_empty() && from > self.base_seq {
+            self.base_seq = from;
         }
         let next = self.next_seq();
-        if seq < next {
-            return Ok(false); // duplicate path (diamond) or truncated
-        }
-        if seq > next {
+        if from > next {
             // Forward gap. Two legitimate causes: (a) the sender truncated
             // entries this replica still holds (checkpoint-complete
             // notifications race across tasks), or (b) the sender is a
@@ -299,18 +304,113 @@ impl EpochLog {
             // repackaged by replay pacing (DSD > 1). Either way the invariant
             // is safe: dependence on an event only ever arrives together
             // with its determinant (piggybacked on the same buffer), so a
-            // receiver that never got entries `next..seq` cannot depend on
+            // receiver that never got entries `next..from` cannot depend on
             // them — Depend(e) ⊆ Log(e) is preserved. Resync: drop the stale
             // resident prefix (it remains contiguous elsewhere or is
             // checkpoint-stable) and continue from the incoming sequence.
             self.encoded_bytes = 0;
             self.index.clear();
             self.retire_dead_chunks();
-            self.base_seq = seq;
-            self.gap_resyncs += 1;
+            self.base_seq = from;
+            stats.gap_resyncs += 1;
+            return 0;
         }
-        self.append(epoch, det);
-        Ok(true)
+        count.min(next - from)
+    }
+
+    /// Ingest one delta span: `count` logical entries numbered from `from`,
+    /// wire-encoded at `r`. The prefix this log already holds is walked
+    /// without touching the log; the rest is appended by copying its wire
+    /// bytes — the arena format *is* the wire format — so no determinant is
+    /// built and nothing is re-encoded. Returns the number appended.
+    ///
+    /// On `Err` the entries read before the fault stay appended and the log
+    /// is consistent (every indexed entry has its bytes).
+    fn ingest_span(
+        &mut self,
+        from: u64,
+        count: u64,
+        r: &mut WireCursor<'_>,
+        stats: &mut CausalLogStats,
+    ) -> Result<u64, CodecError> {
+        if count == 0 {
+            return Ok(0);
+        }
+        let held = self.admit_span(from, count, stats);
+        let mut logical = 0;
+        while logical < held {
+            match WireItem::read(r, count - logical)? {
+                WireItem::Entry { .. } => logical += 1,
+                WireItem::Run { epoch, channel, run } => {
+                    stats.order_entries_compressed += run;
+                    logical += run;
+                    // Only the tail of a run that straddles the boundary is new.
+                    if logical > held {
+                        self.append_order_run(epoch, channel, logical - held);
+                    }
+                }
+            }
+        }
+        // The first `pending` bytes at `batch` belong to entries that are
+        // indexed but not copied yet: consecutive entries go into the arena
+        // with one copy, cut where `append` would have sealed a chunk.
+        let mut batch = *r;
+        let mut pending = 0usize;
+        let result = loop {
+            if logical >= count {
+                break Ok(count - held);
+            }
+            if self.active.len() + pending >= ARENA_CHUNK_BYTES {
+                self.active.put_raw(batch.peek(pending));
+                self.seal_active();
+                (batch, pending) = (*r, 0);
+            }
+            match WireItem::read(r, count - logical) {
+                Err(e) => break Err(e),
+                Ok(WireItem::Entry { epoch, epoch_len, len, order_channel }) => {
+                    let det_len = (len - epoch_len as usize) as u32;
+                    let offset = self.next_offset() + pending as u64;
+                    self.index.push_back(IndexEntry { epoch, offset, epoch_len, det_len, order_channel });
+                    self.encoded_bytes += det_len as u64;
+                    pending += len;
+                    logical += 1;
+                }
+                Ok(WireItem::Run { epoch, channel, run }) => {
+                    self.active.put_raw(batch.peek(pending));
+                    stats.order_entries_compressed += run;
+                    self.append_order_run(epoch, channel, run);
+                    logical += run;
+                    (batch, pending) = (*r, 0);
+                }
+            }
+        };
+        self.active.put_raw(batch.peek(pending));
+        result
+    }
+
+    /// Append `n` copies of `Order { channel }` under `epoch` (a compressed
+    /// wire run, expanded): the first is encoded, the rest are stamped from
+    /// its bytes.
+    fn append_order_run(&mut self, epoch: EpochId, channel: u32, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.encode_entry(epoch, Determinant::Order { channel });
+        let Some(&first) = self.index.back() else { return };
+        // varint(epoch) + tag + varint(u32): at most 10 + 1 + 5 bytes.
+        let mut image = [0u8; 16];
+        let bytes = self.entry_bytes(&first);
+        let len = bytes.len();
+        image[..len].copy_from_slice(bytes);
+        for _ in 1..n {
+            if self.active.len() >= ARENA_CHUNK_BYTES {
+                self.seal_active();
+            }
+            let offset = self.next_offset();
+            self.active.put_raw(&image[..len]);
+            self.index.push_back(IndexEntry { offset, ..first });
+            self.encoded_bytes += first.det_len as u64;
+        }
     }
 
     /// Full copy of resident entries, `(seq, epoch, det)` triplets.
@@ -371,31 +471,75 @@ impl EpochLog {
 
     /// Copy the logical arena range `[a, b)` into `w`, chunk by chunk.
     fn copy_arena_range(&self, mut a: u64, b: u64, w: &mut ByteWriter) {
-        let mut ci = self.sealed.partition_point(|c| c.end() <= a);
-        while a < b {
-            match self.sealed.get(ci) {
-                Some(c) if c.start <= a => {
-                    let end = c.end().min(b);
-                    w.put_raw(&c.bytes[(a - c.start) as usize..(end - c.start) as usize]);
-                    a = end;
-                    ci += 1;
-                }
-                _ => {
-                    debug_assert!(a >= self.active_start, "live range below active tail");
-                    let s = (a - self.active_start) as usize;
-                    let e = (b - self.active_start) as usize;
-                    w.put_raw(&self.active.as_slice()[s..e]);
-                    a = b;
-                }
+        // A range of the newest entries usually sits wholly in the active
+        // tail: no chunk search for it.
+        if a < self.active_start {
+            let mut ci = self.sealed.partition_point(|c| c.end() <= a);
+            while let Some(c) = self.sealed.get(ci).filter(|_| a < b) {
+                let end = c.end().min(b);
+                w.put_raw(&c.bytes[(a - c.start) as usize..(end - c.start) as usize]);
+                a = end;
+                ci += 1;
             }
         }
+        if a < b {
+            debug_assert!(a >= self.active_start, "live range below active tail");
+            let s = (a - self.active_start) as usize;
+            let e = (b - self.active_start) as usize;
+            w.put_raw(&self.active.as_slice()[s..e]);
+        }
     }
+}
+
+/// One item of a span's wire encoding.
+enum WireItem {
+    /// An uncompressed entry of `len` wire bytes: `varint(epoch)` in
+    /// `epoch_len` of them, then the determinant.
+    Entry { epoch: EpochId, epoch_len: u8, len: usize, order_channel: Option<u32> },
+    /// A [`WIRE_ORDER_RUN`]: `run` logical entries `Order { channel }`.
+    Run { epoch: EpochId, channel: u32, run: u64 },
+}
+
+impl WireItem {
+    /// Read and validate the next item of a span that has `left` logical
+    /// entries to go.
+    #[inline]
+    fn read(r: &mut WireCursor<'_>, left: u64) -> Result<WireItem, CodecError> {
+        let start = r.remaining();
+        let epoch = r.varint()?;
+        let epoch_len = (start - r.remaining()) as u8;
+        let tag = r.u8()?;
+        if tag == WIRE_ORDER_RUN {
+            let channel = r.varint()? as u32;
+            let run = r.varint()?;
+            if run > left {
+                // A flipped length byte must not expand into 2^63 entries.
+                return Err(CodecError::InvalidTag { context: "delta order run longer than its span", tag });
+            }
+            return Ok(WireItem::Run { epoch, channel, run });
+        }
+        let order_channel = Determinant::skip_with_tag(tag, r)?;
+        Ok(WireItem::Entry { epoch, epoch_len, len: start - r.remaining(), order_channel })
+    }
+}
+
+/// A varint count of origins or spans. Each takes at least three bytes on
+/// the wire (`origin, hops, nlogs`; `id, from, count`): a count the bytes
+/// left cannot hold is an error, so a corrupt one never sizes an allocation
+/// or a loop.
+fn read_count(r: &mut WireCursor<'_>) -> Result<u64, CodecError> {
+    let n = r.varint()?;
+    let remaining = r.remaining();
+    if n > (remaining / 3) as u64 {
+        let needed = usize::try_from(n).unwrap_or(usize::MAX).saturating_mul(3);
+        return Err(CodecError::UnexpectedEof { needed, remaining });
+    }
+    Ok(n)
 }
 
 /// Errors during delta exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaError {
-    SequenceGap { expected: u64, got: u64 },
     Codec(CodecError),
 }
 
@@ -408,9 +552,6 @@ impl From<CodecError> for DeltaError {
 impl std::fmt::Display for DeltaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeltaError::SequenceGap { expected, got } => {
-                write!(f, "determinant sequence gap: expected {expected}, got {got}")
-            }
             DeltaError::Codec(e) => write!(f, "delta codec error: {e}"),
         }
     }
@@ -508,12 +649,18 @@ impl TaskLogSnapshot {
     }
 }
 
+/// Delta cursors of one origin's logs: `cursors[channel][log id]` is the
+/// next sequence number to ship on that output channel (0 until the log
+/// first ships; collection clamps to the log's base).
+type ShipCursors = Vec<Vec<u64>>;
+
 /// A replicated upstream log held at a downstream task.
 #[derive(Clone, Debug)]
 struct Replica {
     /// Minimum hop distance from the origin task to the holder.
     hops: u32,
     log: TaskLog,
+    cursors: ShipCursors,
 }
 
 /// Encoded piggyback delta (attached to every outgoing buffer).
@@ -530,11 +677,16 @@ pub struct CausalLogStats {
     /// Logical `Order` entries shipped inside run-length-compressed wire
     /// items (the §9 compression extension).
     pub order_entries_compressed: u64,
-    /// Entries serialized into a log arena (each exactly once, at append).
+    /// Determinants this task serialized into its own log arenas: each
+    /// recorded or replayed entry exactly once, at append. Ingested entries
+    /// are not encoded again — replica arenas take their wire bytes.
     pub entries_encoded: u64,
     /// Delta payload bytes bulk-copied out of log arenas (as opposed to the
     /// freshly written framing/run varints).
     pub delta_bytes_memcpy: u64,
+    /// Times a replica dropped its resident prefix to resynchronize over a
+    /// forward gap in an incoming span (see `EpochLog::admit_span`).
+    pub gap_resyncs: u64,
 }
 
 /// Replay source installed on a recovering task: the merged snapshot of its
@@ -554,8 +706,7 @@ pub struct CausalLogManager {
     epoch: EpochId,
     own: TaskLog,
     replicated: BTreeMap<TaskId, Replica>,
-    /// cursors[channel] maps (origin, log_id) -> next seq to ship.
-    cursors: Vec<BTreeMap<(TaskId, u32), u64>>,
+    own_cursors: ShipCursors,
     replay: Option<ReplaySource>,
     /// Scratch encoder for [`CausalLogManager::collect_delta`]: one delta is
     /// built per outgoing buffer, so the writer is reused and only the
@@ -572,7 +723,7 @@ impl CausalLogManager {
             epoch: 0,
             own: TaskLog::new(num_out_channels),
             replicated: BTreeMap::new(),
-            cursors: vec![BTreeMap::new(); num_out_channels],
+            own_cursors: vec![Vec::new(); num_out_channels],
             replay: None,
             delta_scratch: ByteWriter::new(),
             stats: CausalLogStats::default(),
@@ -645,22 +796,22 @@ impl CausalLogManager {
             return Bytes::new();
         }
         let ch = channel as usize;
-        debug_assert!(ch < self.cursors.len());
+        debug_assert!(ch < self.own_cursors.len());
         let dsd = self.dsd;
         // Replicated upstream logs still within sharing depth are forwarded.
-        let forwarded = || self.replicated.iter().filter(|(_, r)| dsd > 1 && r.hops < dsd);
+        let forwarded = |r: &Replica| dsd > 1 && r.hops < dsd;
         let w = &mut self.delta_scratch;
         w.clear();
-        w.put_varint(1 + forwarded().count() as u64);
+        w.put_varint(1 + self.replicated.values().filter(|r| forwarded(r)).count() as u64);
         // Own logs always ship (receiver is 1 hop from us).
-        Self::encode_origin_delta(w, self.task, 0, &self.own, &mut self.cursors[ch], &mut self.stats);
-        for (&origin, replica) in forwarded() {
+        Self::encode_origin_delta(w, self.task, 0, &self.own, &mut self.own_cursors[ch], &mut self.stats);
+        for (&origin, replica) in self.replicated.iter_mut().filter(|(_, r)| forwarded(r)) {
             Self::encode_origin_delta(
                 w,
                 origin,
                 replica.hops,
                 &replica.log,
-                &mut self.cursors[ch],
+                &mut replica.cursors[ch],
                 &mut self.stats,
             );
         }
@@ -677,74 +828,74 @@ impl CausalLogManager {
         origin: TaskId,
         hops_at_sender: u32,
         logs: &TaskLog,
-        cursors: &mut BTreeMap<(TaskId, u32), u64>,
+        cursors: &mut Vec<u64>,
         stats: &mut CausalLogStats,
     ) {
         w.put_varint(origin);
         w.put_varint(hops_at_sender as u64);
         w.put_varint(logs.num_logs() as u64);
-        for (id, log) in logs.logs() {
-            let cursor = cursors.entry((origin, id)).or_insert(log.base_seq());
+        if cursors.len() < logs.num_logs() {
+            cursors.resize(logs.num_logs(), 0);
+        }
+        for ((id, log), cursor) in logs.logs().zip(cursors.iter_mut()) {
             let from = (*cursor).max(log.base_seq());
+            let next = log.next_seq();
             w.put_varint(id as u64);
             w.put_varint(from);
-            w.put_varint(log.next_seq() - from);
-            let shipped = log.encode_since(from, w, stats);
-            *cursor = from + shipped;
-            stats.delta_entries_shipped += shipped;
+            w.put_varint(next - from);
+            // Most spans are empty (an idle channel, a log with nothing new).
+            if from < next {
+                let shipped = log.encode_since(from, w, stats);
+                *cursor = from + shipped;
+                stats.delta_entries_shipped += shipped;
+            }
         }
     }
 
     /// Ingest a delta received piggybacked on an input buffer. Must be called
     /// *before* the buffer's records are processed.
+    ///
+    /// The delta is input from outside the task: anything malformed is an
+    /// `Err`, never a panic, an unbounded loop or an allocation its bytes do
+    /// not pay for. Work is per span, not per entry
+    /// ([`EpochLog::ingest_span`]).
     pub fn ingest_delta(&mut self, delta: &[u8]) -> Result<u64, DeltaError> {
         if !self.enabled() || delta.is_empty() {
             return Ok(0);
         }
-        let mut r = ByteReader::new(delta);
-        let origins = r.get_varint()?;
+        let r = &mut WireCursor::new(delta);
+        let origins = read_count(r)?;
         let mut added = 0u64;
         for _ in 0..origins {
-            let origin = r.get_varint()?;
-            let hops_at_sender = r.get_varint()? as u32;
-            let nlogs = r.get_varint()?;
-            let replica = self
-                .replicated
-                .entry(origin)
-                .or_insert_with(|| Replica { hops: hops_at_sender + 1, log: TaskLog::default() });
-            replica.hops = replica.hops.min(hops_at_sender + 1);
+            let origin = r.varint()?;
+            let hops = (r.varint()? as u32).saturating_add(1);
+            let nlogs = read_count(r)?;
+            let num_channels = self.own_cursors.len();
+            let replica = self.replicated.entry(origin).or_insert_with(|| Replica {
+                hops,
+                log: TaskLog::default(),
+                cursors: vec![Vec::new(); num_channels],
+            });
+            replica.hops = replica.hops.min(hops);
             for _ in 0..nlogs {
-                let id = r.get_varint()? as u32;
-                let from = r.get_varint()?;
-                let count = r.get_varint()?;
-                let log = replica.log.log_mut(id);
-                let mut logical = 0u64;
-                while logical < count {
-                    let epoch = r.get_varint()?;
-                    let tag = r.get_u8()?;
-                    if tag == WIRE_ORDER_RUN {
-                        let channel = r.get_varint()? as u32;
-                        let run = r.get_varint()?;
-                        for _ in 0..run {
-                            if log.ingest(from + logical, epoch, Determinant::Order { channel })? {
-                                added += 1;
-                            }
-                            logical += 1;
-                        }
-                        self.stats.order_entries_compressed += run;
-                    } else {
-                        let det = Determinant::decode_with_tag(tag, &mut r)?;
-                        if log.ingest(from + logical, epoch, det)? {
-                            added += 1;
-                        }
-                        logical += 1;
-                    }
+                let id = r.varint()?;
+                let from = r.varint()?;
+                let count = r.varint()?;
+                // Log ids are dense (`encode_origin_delta`), and `log_mut`
+                // grows the table to whatever id it is given.
+                if id >= nlogs {
+                    let tag = u8::try_from(id).unwrap_or(u8::MAX);
+                    return Err(CodecError::InvalidTag { context: "delta log id", tag }.into());
                 }
+                if from.checked_add(count).is_none() {
+                    return Err(CodecError::VarintOverflow.into());
+                }
+                let log = replica.log.log_mut(id as u32);
+                added += log.ingest_span(from, count, r, &mut self.stats)?;
             }
         }
         self.stats.deltas_ingested += 1;
         self.stats.entries_ingested += added;
-        self.stats.entries_encoded += added; // replica arenas encode on ingest
         Ok(added)
     }
 
@@ -794,8 +945,7 @@ impl CausalLogManager {
     /// rebuilt buffers carry byte-identical deltas.
     pub fn begin_replay(&mut self, snapshot: TaskLogSnapshot, resume_epoch: EpochId) {
         let mut source = ReplaySource::default();
-        let num_channels = self.cursors.len();
-        self.own = TaskLog::new(num_channels);
+        self.own = TaskLog::new(self.own_cursors.len());
         for (id, base, mut entries) in snapshot.logs {
             // Entries from epochs before the resume point are stable (their
             // checkpoint completed) and will not be regenerated by replay —
@@ -909,6 +1059,18 @@ mod tests {
         Determinant::Timestamp { ts: v, offset: 0 }
     }
 
+    impl EpochLog {
+        /// Ingest one entry with a known sequence number, as a one-entry
+        /// span; true if it was appended.
+        fn ingest(&mut self, seq: u64, epoch: EpochId, det: Determinant) -> bool {
+            let mut w = ByteWriter::new();
+            w.put_varint(epoch);
+            det.encode(&mut w);
+            let mut stats = CausalLogStats::default();
+            self.ingest_span(seq, 1, &mut WireCursor::new(w.as_slice()), &mut stats).unwrap() == 1
+        }
+    }
+
     #[test]
     fn epoch_log_append_truncate() {
         let mut log = EpochLog::new();
@@ -928,16 +1090,17 @@ mod tests {
     #[test]
     fn epoch_log_ingest_idempotent_and_gap_checked() {
         let mut log = EpochLog::new();
-        assert!(log.ingest(0, 0, ts(1)).unwrap());
-        assert!(log.ingest(1, 0, ts(2)).unwrap());
+        assert!(log.ingest(0, 0, ts(1)));
+        assert!(log.ingest(1, 0, ts(2)));
         // Duplicate delivery along a second path: ignored.
-        assert!(!log.ingest(0, 0, ts(1)).unwrap());
-        assert!(!log.ingest(1, 0, ts(2)).unwrap());
-        // Forward gap: resync (see ingest docs) — the stale prefix is
+        assert!(!log.ingest(0, 0, ts(1)));
+        assert!(!log.ingest(1, 0, ts(2)));
+        // Forward gap: resync (see `admit_span`) — the stale prefix is
         // dropped and the log continues from the incoming sequence.
-        assert!(log.ingest(5, 0, ts(9)).unwrap());
+        assert!(log.ingest(5, 0, ts(9)));
         assert_eq!(log.base_seq(), 5);
         assert_eq!(log.next_seq(), 6);
+        assert_eq!(log.get(5).unwrap().1, ts(9));
     }
 
     #[test]
@@ -945,7 +1108,7 @@ mod tests {
         let mut log = EpochLog::new();
         // Fresh replica receiving a replayed delta whose earlier entries were
         // truncated (stable): resync.
-        assert!(log.ingest(10, 3, ts(1)).unwrap());
+        assert!(log.ingest(10, 3, ts(1)));
         assert_eq!(log.base_seq(), 10);
         assert_eq!(log.next_seq(), 11);
     }
@@ -1155,6 +1318,132 @@ mod tests {
         // collected now must dedupe cleanly at `down`.
         let d = a2.collect_delta(0);
         assert_eq!(down.ingest_delta(&d).unwrap(), 0, "downstream re-ingested known entries");
+    }
+
+    #[test]
+    fn order_run_straddling_the_held_boundary_appends_only_its_tail() {
+        // Diamond: `up` ships the same main log on two channels, cut at
+        // different points inside one run of `Order`s.
+        let mut up = mgr(1, 2, 1);
+        for _ in 0..5 {
+            up.record(Determinant::Order { channel: 2 });
+        }
+        let short = up.collect_delta(0); // seqs 0..5, one run of 5
+        for _ in 0..4 {
+            up.record(Determinant::Order { channel: 2 });
+        }
+        up.record(ts(7));
+        let long = up.collect_delta(1); // seqs 0..10: one run of 9, then the timestamp
+        let mut down = mgr(2, 0, 1);
+        assert_eq!(down.ingest_delta(&short).unwrap(), 5);
+        assert_eq!(down.ingest_delta(&long).unwrap(), 5, "4 of the run's 9 and the timestamp are new");
+        assert_eq!(down.export_replica(1).unwrap(), up.own_snapshot());
+        assert_eq!(down.stats.order_entries_compressed, 14, "runs count whole, held or not");
+        assert_eq!(down.stats.gap_resyncs, 0);
+        // A relay that saw the run in two pieces forwards the bytes of one
+        // that saw it whole.
+        let mut relays = [mgr(3, 1, 2), mgr(3, 1, 2)];
+        relays[0].ingest_delta(&short).unwrap();
+        for relay in &mut relays {
+            relay.ingest_delta(&long).unwrap();
+        }
+        assert_eq!(relays[0].collect_delta(0), relays[1].collect_delta(0));
+    }
+
+    /// A delta with two origins, compressed runs, `External` payloads and
+    /// empty spans, as `a` (task 2, DSD 2) ships it, and the delta before it.
+    fn two_origin_deltas() -> (LogDelta, LogDelta) {
+        let mut u = mgr(1, 1, 2);
+        let mut a = mgr(2, 1, 2);
+        let step = |u: &mut CausalLogManager, a: &mut CausalLogManager, k: u64| {
+            for _ in 0..4 {
+                u.record(Determinant::Order { channel: 1 });
+            }
+            u.record(Determinant::External { payload: vec![k as u8; 9] });
+            u.record(ts(1_000 + k));
+            u.record_flush(0, 4_000, 17);
+            a.ingest_delta(&u.collect_delta(0)).unwrap();
+            a.record(Determinant::Order { channel: 0 });
+            a.record(Determinant::Rpc { kind: crate::determinant::RpcKind::Other, arg: k, offset: 300 });
+            for _ in 0..3 {
+                a.record(Determinant::Order { channel: 0 });
+            }
+            a.collect_delta(0)
+        };
+        let first = step(&mut u, &mut a, 1);
+        u.set_epoch(1);
+        a.set_epoch(1);
+        (first, step(&mut u, &mut a, 2))
+    }
+
+    #[test]
+    fn corrupt_deltas_are_errors_not_panics_or_unbounded_work() {
+        let (first, delta) = two_origin_deltas();
+        // Run compression is the only amplification a delta has (a few
+        // bytes stand for `run` entries), a run is checked against its
+        // span's count, and one flipped bit can at most merge two adjacent
+        // one-byte varints into a 14-bit count.
+        let bound = 16 * delta.len() as u64;
+        let mut outcomes = [0u32; 2];
+        let mut check = |bytes: &[u8]| {
+            // A fresh receiver, and one that already holds the earlier delta
+            // (so spans are partly held).
+            for primed in [false, true] {
+                let mut b = mgr(3, 1, 2);
+                if primed {
+                    b.ingest_delta(&first).unwrap();
+                }
+                outcomes[b.ingest_delta(bytes).is_ok() as usize] += 1;
+                assert!(b.resident_bytes() <= bound, "{} resident bytes from a {}-byte delta", b.resident_bytes(), bytes.len());
+                // Whatever was taken in is a consistent log: it exports and ships.
+                for origin in [1, 2] {
+                    let _ = b.export_replica(origin);
+                }
+                let _ = b.collect_delta(0);
+            }
+        };
+        check(&delta);
+        for cut in 0..delta.len() {
+            check(&delta[..cut]);
+        }
+        let mut flipped = delta.to_vec();
+        for bit in 0..delta.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let [errs, oks] = outcomes;
+        assert!(errs > 0 && oks > 0, "{errs} errors, {oks} accepted");
+    }
+
+    #[test]
+    fn crafted_lengths_are_codec_errors() {
+        let delta = |fields: &[u64], tail: &[u8]| {
+            let mut w = ByteWriter::new();
+            for &f in fields {
+                w.put_varint(f);
+            }
+            w.put_raw(tail);
+            w.freeze()
+        };
+        let rejects = |bytes: &[u8]| {
+            let mut b = mgr(2, 0, 1);
+            let err = b.ingest_delta(bytes).unwrap_err();
+            assert!(matches!(err, DeltaError::Codec(_)));
+            assert_eq!(b.resident_bytes(), 0);
+            assert!(b.export_replica(1).is_none_or(|snap| snap.logs.len() <= 2));
+        };
+        // origins, then origin 1 at hop 0 with one log; span (id, from, count).
+        // A run of 2^62 `Order`s inside a span of 3: no loop, no append.
+        let run = delta(&[1, 1, 0, 1, 0, 0, 3, 0], &[WIRE_ORDER_RUN, 0]);
+        rejects(&[&run[..], &delta(&[1 << 62], &[])[..]].concat());
+        // A log id of 2^32 - 1: the log table is not grown to reach it.
+        rejects(&delta(&[1, 1, 0, 1, u32::MAX as u64, 0, 0], &[]));
+        // More logs, or more origins, than the bytes that follow could hold.
+        rejects(&delta(&[1, 1, 0, 1 << 40, 0, 0, 0], &[]));
+        rejects(&delta(&[1 << 40, 1, 0, 1, 0, 0, 0], &[]));
+        // A span whose sequence numbers would wrap.
+        rejects(&delta(&[1, 1, 0, 1, 0, u64::MAX, 2], &[0, 0, 1, 0, 0, 1]));
     }
 
     #[test]

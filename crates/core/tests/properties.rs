@@ -4,11 +4,11 @@
 //! arithmetic, and dedup-count bookkeeping.
 
 use bytes::Bytes;
-use clonos::causal_log::CausalLogManager;
+use clonos::causal_log::{CausalLogManager, TaskLogSnapshot};
 use clonos::config::SpillPolicy;
 use clonos::determinant::Determinant;
 use clonos::inflight::{InFlightLog, SentBuffer};
-use clonos_storage::codec::ByteWriter;
+use clonos_storage::codec::{ByteReader, ByteWriter};
 use clonos_storage::spill::SpillDevice;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -247,6 +247,12 @@ fn legacy_encode_delta(
     w.put_varint(1); // origins: own logs only (DSD 1)
     w.put_varint(task);
     w.put_varint(0); // hops at sender
+    legacy_encode_logs(&mut w, logs, cursors);
+    w.freeze().to_vec()
+}
+
+/// One origin's `nlogs` and per-log spans, re-encoded entry by entry.
+fn legacy_encode_logs(w: &mut ByteWriter, logs: &[ShadowLog], cursors: &mut BTreeMap<u32, u64>) {
     w.put_varint(logs.len() as u64);
     for (id, log) in logs.iter().enumerate() {
         let cursor = cursors.entry(id as u32).or_insert(log.base);
@@ -279,12 +285,11 @@ fn legacy_encode_delta(
                 }
             }
             w.put_varint(*epoch);
-            det.encode(&mut w);
+            det.encode(w);
             i += 1;
         }
         *cursor = from + window.len() as u64;
     }
-    w.freeze().to_vec()
 }
 
 proptest! {
@@ -401,4 +406,291 @@ fn order_run_compression_shrinks_deltas_losslessly() {
     assert_eq!(down.ingest_delta(&d_comp).unwrap(), 200);
     assert_eq!(down.stats.order_entries_compressed, 200);
     assert_eq!(down.export_replica(1).unwrap(), compressed.own_snapshot());
+}
+
+// ---------------------------------------------------------------------
+// Span ingest / per-entry ingest equivalence
+// ---------------------------------------------------------------------
+
+impl ShadowLog {
+    /// `EpochLog::ingest` as it was before ingest worked on spans: the
+    /// sequence rules applied to one decoded entry. True if appended.
+    fn ingest(&mut self, seq: u64, epoch: u64, det: Determinant, gap_resyncs: &mut u64) -> bool {
+        if self.entries.is_empty() && seq > self.base {
+            self.base = seq;
+        }
+        let next = self.base + self.entries.len() as u64;
+        if seq < next {
+            return false;
+        }
+        if seq > next {
+            self.entries.clear();
+            self.base = seq;
+            *gap_resyncs += 1;
+        }
+        self.entries.push((epoch, det));
+        true
+    }
+
+    fn truncate_through(&mut self, epoch: u64) {
+        let stale = self.entries.iter().take_while(|(e, _)| *e <= epoch).count();
+        self.entries.drain(..stale);
+        self.base += stale as u64;
+    }
+}
+
+/// Decoded reference model of a `CausalLogManager`: logs hold decoded
+/// determinants, `collect_delta` re-encodes them entry by entry
+/// ([`legacy_encode_logs`]) and `ingest_delta` decodes every entry and
+/// applies the sequence rules to it — what the manager did before the arena
+/// and before span ingest.
+struct ModelManager {
+    task: u64,
+    dsd: u32,
+    epoch: u64,
+    own: Vec<ShadowLog>,
+    /// origin -> (hops, logs by id)
+    replicated: BTreeMap<u64, (u32, Vec<ShadowLog>)>,
+    /// cursors[channel][origin][log id]
+    cursors: Vec<BTreeMap<u64, BTreeMap<u32, u64>>>,
+    entries_ingested: u64,
+    order_entries_compressed: u64,
+    gap_resyncs: u64,
+}
+
+impl ModelManager {
+    fn new(task: u64, channels: usize, dsd: u32) -> ModelManager {
+        ModelManager {
+            task,
+            dsd,
+            epoch: 0,
+            own: (0..channels + 1).map(|_| ShadowLog::default()).collect(),
+            replicated: BTreeMap::new(),
+            cursors: vec![BTreeMap::new(); channels],
+            entries_ingested: 0,
+            order_entries_compressed: 0,
+            gap_resyncs: 0,
+        }
+    }
+
+    fn record(&mut self, det: Determinant) {
+        self.own[0].entries.push((self.epoch, det));
+    }
+
+    fn record_flush(&mut self, channel: u32, size: u32, records: u32) {
+        self.own[channel as usize + 1]
+            .entries
+            .push((self.epoch, Determinant::BufferFlush { size, records }));
+    }
+
+    fn collect_delta(&mut self, channel: usize) -> Vec<u8> {
+        let dsd = self.dsd;
+        let forwarded = |hops: u32| dsd > 1 && hops < dsd;
+        let cursors = &mut self.cursors[channel];
+        let mut w = ByteWriter::new();
+        w.put_varint(1 + self.replicated.values().filter(|(hops, _)| forwarded(*hops)).count() as u64);
+        w.put_varint(self.task);
+        w.put_varint(0);
+        legacy_encode_logs(&mut w, &self.own, cursors.entry(self.task).or_default());
+        for (&origin, (hops, logs)) in &self.replicated {
+            if forwarded(*hops) {
+                w.put_varint(origin);
+                w.put_varint(*hops as u64);
+                legacy_encode_logs(&mut w, logs, cursors.entry(origin).or_default());
+            }
+        }
+        w.freeze().to_vec()
+    }
+
+    fn ingest_delta(&mut self, delta: &[u8]) {
+        let mut r = ByteReader::new(delta);
+        for _ in 0..r.get_varint().unwrap() {
+            let origin = r.get_varint().unwrap();
+            let hops = r.get_varint().unwrap() as u32 + 1;
+            let nlogs = r.get_varint().unwrap();
+            let (held_hops, logs) =
+                self.replicated.entry(origin).or_insert_with(|| (hops, vec![ShadowLog::default()]));
+            *held_hops = (*held_hops).min(hops);
+            for _ in 0..nlogs {
+                let id = r.get_varint().unwrap() as usize;
+                let from = r.get_varint().unwrap();
+                let count = r.get_varint().unwrap();
+                if logs.len() <= id {
+                    logs.resize_with(id + 1, ShadowLog::default);
+                }
+                let mut logical = 0;
+                while logical < count {
+                    let epoch = r.get_varint().unwrap();
+                    let tag = r.get_u8().unwrap();
+                    let (det, n) = if tag == ORDER_RUN_TAG {
+                        let channel = r.get_varint().unwrap() as u32;
+                        let run = r.get_varint().unwrap();
+                        self.order_entries_compressed += run;
+                        (Determinant::Order { channel }, run)
+                    } else {
+                        (Determinant::decode_with_tag(tag, &mut r).unwrap(), 1)
+                    };
+                    for _ in 0..n {
+                        let added =
+                            logs[id].ingest(from + logical, epoch, det.clone(), &mut self.gap_resyncs);
+                        self.entries_ingested += added as u64;
+                        logical += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    fn truncate_through(&mut self, epoch: u64) {
+        let replicas = self.replicated.values_mut().flat_map(|(_, logs)| logs.iter_mut());
+        for log in self.own.iter_mut().chain(replicas) {
+            log.truncate_through(epoch);
+        }
+    }
+
+    fn export_replica(&self, origin: u64) -> Option<TaskLogSnapshot> {
+        let (_, logs) = self.replicated.get(&origin)?;
+        let logs = logs.iter().zip(0..).map(|(log, id)| (id, log.base, log.entries.clone())).collect();
+        Some(TaskLogSnapshot { logs })
+    }
+}
+
+/// The diamond `1 -> {2, 3} -> 4 -> 5`: every edge as `(from, channel, to)`
+/// in task ids; three hops from task 1 to task 5, and task 4 gets task 1's
+/// log along two paths whose deltas are cut at different points.
+const EDGES: [(u64, u32, u64); 5] = [(1, 0, 2), (1, 1, 3), (2, 0, 4), (3, 0, 4), (4, 0, 5)];
+const TASKS: u64 = 5;
+
+/// One step of a delta-exchange schedule over the diamond.
+#[derive(Clone, Debug)]
+enum Step {
+    Record(u64, Determinant),
+    OrderRun(u64, u32, usize),
+    /// A flush determinant on an edge's channel log.
+    Flush(usize, u16, u8),
+    NextEpoch(u64),
+    /// Collect a delta on an edge and put it in flight.
+    Collect(usize),
+    /// Collect a delta on an edge and deliver it at once: what keeps logs
+    /// flowing down both sides of the diamond between the disorderly steps.
+    Ship(usize),
+    /// Deliver the in-flight delta `pick` (modulo what is there) of an edge;
+    /// it stays in flight for a duplicate delivery unless `consume`.
+    /// Picking past the oldest delivers out of order: forward gaps.
+    Deliver(usize, usize, bool),
+    /// A task learns its previous epoch is stable (tasks learn it at
+    /// different times, so replicas empty while deltas are in flight).
+    Truncate(u64),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let task = || 1..TASKS + 1;
+    let edge = || 0..EDGES.len();
+    prop_oneof![
+        (task(), arb_main_determinant()).prop_map(|(t, d)| Step::Record(t, d)),
+        (task(), 0u32..2, 3usize..9).prop_map(|(t, c, n)| Step::OrderRun(t, c, n)),
+        (3usize..9).prop_map(|n| Step::OrderRun(1, 0, n)),
+        (edge(), any::<u16>(), any::<u8>()).prop_map(|(e, s, r)| Step::Flush(e, s, r)),
+        task().prop_map(Step::NextEpoch),
+        edge().prop_map(Step::Collect),
+        edge().prop_map(Step::Ship),
+        edge().prop_map(Step::Ship),
+        edge().prop_map(Step::Ship),
+        edge().prop_map(Step::Ship),
+        (edge(), 0usize..3, any::<bool>()).prop_map(|(e, p, c)| Step::Deliver(e, p, c)),
+        (edge(), 0usize..3, any::<bool>()).prop_map(|(e, p, c)| Step::Deliver(e, p, c)),
+        task().prop_map(Step::Truncate),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Whatever the schedule — deltas delivered out of order, twice, after
+    /// the receiver truncated, overlapping what another path delivered in
+    /// the middle of a compressed run — the span ingest leaves every task
+    /// with the replicas, the counters and the forwarded bytes of the
+    /// per-entry model.
+    #[test]
+    fn span_ingest_matches_per_entry_model(
+        dsd in 1u32..4, // 3 = Full on this graph
+        steps in proptest::collection::vec(arb_step(), 1..160),
+    ) {
+        let channels = |task: u64| EDGES.iter().filter(|(from, _, _)| *from == task).count();
+        let mut real: Vec<CausalLogManager> =
+            (1..=TASKS).map(|t| CausalLogManager::new(t, channels(t), dsd)).collect();
+        let mut model: Vec<ModelManager> =
+            (1..=TASKS).map(|t| ModelManager::new(t, channels(t), dsd)).collect();
+        let mut in_flight: Vec<Vec<Vec<u8>>> = vec![Vec::new(); EDGES.len()];
+        let at = |task: u64| task as usize - 1;
+        for step in &steps {
+            match step {
+                Step::Record(t, d) => {
+                    real[at(*t)].record(d.clone());
+                    model[at(*t)].record(d.clone());
+                }
+                Step::OrderRun(t, channel, n) => {
+                    for _ in 0..*n {
+                        real[at(*t)].record(Determinant::Order { channel: *channel });
+                        model[at(*t)].record(Determinant::Order { channel: *channel });
+                    }
+                }
+                Step::Flush(e, size, records) => {
+                    let (from, ch, _) = EDGES[*e];
+                    real[at(from)].record_flush(ch, *size as u32, *records as u32);
+                    model[at(from)].record_flush(ch, *size as u32, *records as u32);
+                }
+                Step::NextEpoch(t) => {
+                    model[at(*t)].epoch += 1;
+                    real[at(*t)].set_epoch(model[at(*t)].epoch);
+                }
+                Step::Truncate(t) => {
+                    if let Some(stable) = model[at(*t)].epoch.checked_sub(1) {
+                        real[at(*t)].truncate_through(stable);
+                        model[at(*t)].truncate_through(stable);
+                    }
+                }
+                Step::Collect(_) | Step::Ship(_) | Step::Deliver(..) => {}
+            }
+            if let Step::Collect(e) | Step::Ship(e) = *step {
+                let (from, ch, _) = EDGES[e];
+                let delta = real[at(from)].collect_delta(ch);
+                let want = model[at(from)].collect_delta(ch as usize);
+                prop_assert_eq!(&delta[..], &want[..], "task {} channel {} ships other bytes", from, ch);
+                in_flight[e].push(want);
+            }
+            let delivery = match *step {
+                Step::Ship(e) => Some((e, usize::MAX, true)), // the delta just collected
+                Step::Deliver(e, pick, consume) => Some((e, pick, consume)),
+                _ => None,
+            };
+            if let Some((e, pick, consume)) = delivery.filter(|(e, ..)| !in_flight[*e].is_empty()) {
+                let (_, _, to) = EDGES[e];
+                let pick = pick.min(in_flight[e].len() - 1);
+                let before = model[at(to)].entries_ingested;
+                let added = real[at(to)].ingest_delta(&in_flight[e][pick]).unwrap();
+                model[at(to)].ingest_delta(&in_flight[e][pick]);
+                prop_assert_eq!(added, model[at(to)].entries_ingested - before);
+                if consume {
+                    in_flight[e].remove(pick);
+                }
+            }
+        }
+        for (real, model) in real.iter_mut().zip(&mut model) {
+            for origin in 1..=TASKS {
+                prop_assert_eq!(
+                    real.export_replica(origin), model.export_replica(origin),
+                    "task {}'s replica of task {}", model.task, origin
+                );
+            }
+            prop_assert_eq!(real.stats.entries_ingested, model.entries_ingested);
+            prop_assert_eq!(real.stats.order_entries_compressed, model.order_entries_compressed);
+            prop_assert_eq!(real.stats.gap_resyncs, model.gap_resyncs);
+            // What is left to forward is the same bytes, too.
+            for ch in 0..model.cursors.len() {
+                let delta = real.collect_delta(ch as u32);
+                prop_assert_eq!(&delta[..], &model.collect_delta(ch)[..]);
+            }
+        }
+    }
 }

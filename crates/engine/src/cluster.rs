@@ -943,6 +943,7 @@ impl Cluster {
             total.order_entries_compressed += s.order_entries_compressed;
             total.entries_encoded += s.entries_encoded;
             total.delta_bytes_memcpy += s.delta_bytes_memcpy;
+            total.gap_resyncs += s.gap_resyncs;
         }
         total
     }

@@ -219,42 +219,66 @@ enum Role {
 }
 
 /// The idents an immediate sink has written in epochs no checkpoint covers
-/// yet (the §5.5 dedup set), per epoch and producer as an ascending vector.
+/// yet (the §5.5 dedup set), per producer and epoch as an ascending vector.
 /// A producer's records reach a sink in ident order (FIFO channel, monotone
-/// `emit_seq`), so the steady-state insert is one comparison and a push;
-/// only what a replaying or rolled-back producer sends again is searched for.
+/// `emit_seq`), so the steady-state insert is one comparison against the
+/// producer's high-water ident and a push; only what a replaying or
+/// rolled-back producer sends again is searched for.
 #[derive(Default)]
 struct CommittedIdents {
-    epochs: BTreeMap<EpochId, BTreeMap<TaskId, Vec<u64>>>,
+    /// A sink has a handful of producers: a scan, tried first at `hint`.
+    producers: Vec<ProducerIdents>,
+    /// Slot of the last insert's producer (records arrive in buffers).
+    hint: usize,
+}
+
+struct ProducerIdents {
+    producer: TaskId,
+    /// One past the highest ident inserted since the last `clear`: an ident
+    /// at or above it is held in no epoch. Truncation leaves it alone — a
+    /// mark that is too high only sends an insert down the searching path.
+    fresh_from: u64,
+    /// Live epochs, each with its idents ascending.
+    epochs: BTreeMap<EpochId, Vec<u64>>,
 }
 
 impl CommittedIdents {
     /// Add `ident` under `epoch`; false if some live epoch already holds it.
     fn insert(&mut self, epoch: EpochId, ident: u64) -> bool {
         let producer = ident >> 40;
-        let held = |idents: &Vec<u64>| {
-            idents.last().is_some_and(|&last| ident <= last) && idents.binary_search(&ident).is_ok()
-        };
-        if self.epochs.values().any(|e| e.get(&producer).is_some_and(held)) {
-            return false;
+        if self.producers.get(self.hint).is_none_or(|p| p.producer != producer) {
+            self.hint = self.producers.iter().position(|p| p.producer == producer).unwrap_or_else(|| {
+                self.producers.push(ProducerIdents { producer, fresh_from: 0, epochs: BTreeMap::new() });
+                self.producers.len() - 1
+            });
         }
-        let idents = self.epochs.entry(epoch).or_default().entry(producer).or_default();
-        match idents.last() {
-            Some(&last) if ident < last => {
-                let at = idents.partition_point(|&i| i < ident);
-                idents.insert(at, ident);
-            }
-            _ => idents.push(ident),
-        }
-        true
+        self.producers.get_mut(self.hint).is_some_and(|p| p.insert(epoch, ident))
     }
 
     fn truncate_through(&mut self, epoch: EpochId) {
-        self.epochs.retain(|&e, _| e > epoch);
+        for p in &mut self.producers {
+            p.epochs.retain(|&e, _| e > epoch);
+        }
     }
 
     fn clear(&mut self) {
-        self.epochs.clear();
+        self.producers.clear();
+    }
+}
+
+impl ProducerIdents {
+    fn insert(&mut self, epoch: EpochId, ident: u64) -> bool {
+        if ident >= self.fresh_from {
+            self.fresh_from = ident + 1;
+            self.epochs.entry(epoch).or_default().push(ident);
+            return true;
+        }
+        if self.epochs.values().any(|idents| idents.binary_search(&ident).is_ok()) {
+            return false;
+        }
+        let idents = self.epochs.entry(epoch).or_default();
+        idents.insert(idents.partition_point(|&i| i < ident), ident);
+        true
     }
 }
 
@@ -2490,6 +2514,34 @@ mod tests {
         assert!(!c.insert(3, id(7, 5)));
         c.clear();
         assert!(c.insert(3, id(7, 5)));
+
+        // A rolled-back producer re-sends across an epoch boundary: it wrote
+        // 10..14 in epoch 4 and 14..18 in epoch 5, then restarts from 12.
+        let mut c = CommittedIdents::default();
+        for seq in 10..18 {
+            assert!(c.insert(if seq < 14 { 4 } else { 5 }, id(9, seq)));
+        }
+        for seq in 12..18 {
+            assert!(!c.insert(5, id(9, seq)), "re-sent {seq} written twice");
+        }
+        assert!(c.insert(5, id(9, 18)));
+        // Checkpoint 4 completes between two re-sends: epoch 4's idents are
+        // forgotten (the producer never rolls back behind a completed
+        // checkpoint, but the set must still answer), epoch 5's are kept,
+        // and the high-water mark survives so nothing above it is searched.
+        c.truncate_through(4);
+        assert!(c.insert(6, id(9, 12)), "epoch 4 was truncated");
+        assert!(!c.insert(6, id(9, 12)));
+        assert!(!c.insert(6, id(9, 15)), "epoch 5 is still live");
+        assert!(!c.insert(6, id(9, 18)));
+        assert!(c.insert(6, id(9, 19)));
+        // An old ident filed under an epoch older than the newest live one
+        // keeps every vector ascending.
+        assert!(c.insert(5, id(9, 11)));
+        assert!(!c.insert(6, id(9, 11)));
+        // Another producer's idents are independent of this one's mark.
+        assert!(c.insert(6, id(2, 0)));
+        assert!(!c.insert(6, id(2, 0)));
     }
 
     #[test]

@@ -61,5 +61,11 @@ fn broadcast_routes_encode_once_and_deltas_ship_arena_bytes() {
     // the encoded arena (`core/tests/properties.rs` proves the bytes equal
     // the per-entry encoder's).
     assert!(l.delta_bytes_memcpy > 0, "deltas should ship arena bytes");
-    assert!(l.entries_encoded >= l.determinants_recorded);
+    // Recorded determinants are encoded once, at append; ingested ones are
+    // copied as wire bytes, not encoded again.
+    assert_eq!(l.entries_encoded, l.determinants_recorded);
+    assert!(l.entries_ingested > 0, "replicas should hold upstream determinants");
+    // A resync drops a replica's resident prefix; without a failure no
+    // sender ever skips ahead of what a receiver holds.
+    assert_eq!(l.gap_resyncs, 0, "failure-free run resynchronized a replica");
 }
