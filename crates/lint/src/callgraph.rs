@@ -25,7 +25,7 @@
 
 use crate::config;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{self, AllowAnnotation, LexedFile, Tok};
+use crate::lexer::{self, AllowAnnotation, LexedFile, Tokens};
 use crate::parser::{self, CallTarget, FnItem, ParsedFile};
 use crate::rules::test_regions;
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,8 +37,8 @@ use std::path::Path;
 /// alike.
 #[derive(Debug, Default)]
 pub struct Source {
-    /// Live (non-test) tokens.
-    pub toks: Vec<Tok>,
+    /// Live (non-test) tokens, bracket-indexed.
+    pub toks: Tokens,
     /// Live `clonos-lint:` annotations.
     pub allows: Vec<AllowAnnotation>,
     /// Identifiers appearing as `.<ident>` (field access or method call)
@@ -49,17 +49,16 @@ pub struct Source {
 
 impl Source {
     pub fn new(mut lexed: LexedFile) -> Source {
-        let dots = lexed
-            .toks
+        let raw = Tokens::new(lexed.toks);
+        let dots = raw
             .windows(2)
             .filter(|w| w[0].is_punct('.'))
             .filter_map(|w| w[1].ident().map(str::to_string))
             .collect();
-        let skip = test_regions(&lexed.toks);
+        let skip = test_regions(&raw);
         let live = |line: u32| !skip.iter().any(|&(a, b)| (a..=b).contains(&line));
-        lexed.toks.retain(|t| live(t.line));
         lexed.allows.retain(|a| live(a.line));
-        Source { toks: lexed.toks, allows: lexed.allows, dots }
+        Source { toks: raw.retain(|t| live(t.line)), allows: lexed.allows, dots }
     }
 }
 

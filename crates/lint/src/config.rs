@@ -136,6 +136,11 @@ pub const RULES: &[RuleInfo] = &[
         allowable: false,
     },
     RuleInfo {
+        id: "unreadable-file",
+        summary: "a listed or configured source file could not be read; none of its rules ran",
+        allowable: false,
+    },
+    RuleInfo {
         id: "determinant-codec",
         summary: "every Determinant variant must have matching encode and decode arms",
         allowable: false,

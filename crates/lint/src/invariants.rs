@@ -23,22 +23,8 @@ use std::collections::BTreeSet;
 
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // Every file consulted below that could not be read (the recovery-path
-    // files this pass never opens are the per-file pass' to report).
-    let consulted = |rel: &str| {
-        !config::RECOVERY_PATH_FILES.contains(&rel)
-            || config::REPLAY_SURFACE_FILES.contains(&rel)
-            || config::STATS_STRUCTS.iter().any(|(_, file)| *file == rel)
-    };
-    for (rel, e) in ws.unreadable.iter().filter(|(rel, _)| consulted(rel)) {
-        diags.push(Diagnostic::new(
-            rel,
-            0,
-            "determinant-codec",
-            format!("cannot read invariant source file: {e}"),
-        ));
-    }
-    // Parsed view of a configured file; a missing one reads as empty.
+    // Parsed view of a configured file; a missing one (reported as
+    // `unreadable-file`) reads as empty.
     let empty = ParsedFile::default();
     let parsed = |rel: &str| ws.files.get(rel).unwrap_or(&empty);
 

@@ -12,7 +12,9 @@
 //! and byte-string literals with escapes, raw strings (`r"…"`, `r#"…"#`,
 //! `br#"…"#`), char and byte-char literals vs. lifetimes, raw identifiers
 //! (`r#fn`), and numeric literals including floats and exponents. It does
-//! not attempt full parsing — rules operate on the token stream.
+//! not attempt full parsing — rules operate on the token stream, and
+//! `Tokens` pairs its brackets so every "where does this construct end"
+//! question is one index lookup or one level walk.
 
 /// One lexical token.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,6 +47,84 @@ impl Tok {
             TokKind::Ident(s) => Some(s.as_str()),
             _ => None,
         }
+    }
+}
+
+/// A token stream with its matching-bracket index, built once in O(tokens)
+/// with one stack. `(`, `[` and `{` share that stack, so a close pairs with
+/// the innermost open of any kind — exactly a single depth counter over all
+/// three. Derefs to the tokens.
+#[derive(Clone, Debug, Default)]
+pub struct Tokens {
+    toks: Vec<Tok>,
+    /// For an open bracket, the index of its close; the stream length for
+    /// an unmatched open (and for every other token).
+    close: Vec<u32>,
+}
+
+impl Tokens {
+    pub fn new(toks: Vec<Tok>) -> Tokens {
+        let mut close = vec![toks.len() as u32; toks.len()];
+        let mut opens = Vec::new();
+        for (i, t) in toks.iter().enumerate() {
+            match t.kind {
+                TokKind::Punct('(' | '[' | '{') => opens.push(i),
+                TokKind::Punct(')' | ']' | '}') => {
+                    if let Some(o) = opens.pop() {
+                        close[o] = i as u32;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Tokens { toks, close }
+    }
+
+    /// The tokens `keep` accepts, re-indexed if it dropped any.
+    pub fn retain(mut self, keep: impl FnMut(&Tok) -> bool) -> Tokens {
+        let len = self.toks.len();
+        self.toks.retain(keep);
+        if self.toks.len() == len {
+            return self;
+        }
+        Tokens::new(self.toks)
+    }
+
+    /// Index of the close of the bracket opened at `open` (the stream
+    /// length when it is unmatched).
+    pub fn close(&self, open: usize) -> usize {
+        self.close[open] as usize
+    }
+
+    pub fn punct(&self, at: usize, c: char) -> bool {
+        self.toks.get(at).is_some_and(|t| t.is_punct(c))
+    }
+
+    /// The level walker: the first token in `from..hi` at `from`'s nesting
+    /// level that satisfies `stop` — every group opened on the way is
+    /// jumped whole — or else the close of the enclosing group, or `hi`,
+    /// whichever comes first. An open bracket is offered to `stop` before
+    /// its group is jumped.
+    pub fn walk(&self, from: usize, hi: usize, stop: impl Fn(usize) -> bool) -> usize {
+        let hi = hi.min(self.toks.len());
+        let mut k = from;
+        while k < hi {
+            match self.toks[k].kind {
+                TokKind::Punct(')' | ']' | '}') => return k,
+                _ if stop(k) => return k,
+                TokKind::Punct('(' | '[' | '{') => k = self.close(k) + 1,
+                _ => k += 1,
+            }
+        }
+        hi
+    }
+}
+
+impl std::ops::Deref for Tokens {
+    type Target = [Tok];
+
+    fn deref(&self) -> &[Tok] {
+        &self.toks
     }
 }
 

@@ -103,19 +103,15 @@ pub fn analyze_ordered(root: &Path, files: &[String]) -> io::Result<FullAnalysis
         if !ruleset.any() {
             continue;
         }
-        match (ws.sources.get(rel), ws.unreadable.get(rel)) {
-            (Some(src), _) => {
-                book.add_file(rel, &src.allows);
-                raw.extend(rules::scan_file(rel, &src.toks, &ruleset));
-            }
-            (None, e) => diags.push(Diagnostic::new(
-                rel,
-                0,
-                "bad-annotation",
-                format!("cannot read configured file: {}", e.map_or("", String::as_str)),
-            )),
+        if let Some(src) = ws.sources.get(rel) {
+            book.add_file(rel, &src.allows);
+            raw.extend(rules::scan_file(rel, &src.toks, &ruleset));
         }
     }
+    // Every file the load could not read, once: none of its rules ran.
+    diags.extend(ws.unreadable.iter().map(|(rel, e)| {
+        Diagnostic::new(rel, 0, "unreadable-file", format!("cannot read source file: {e}"))
+    }));
 
     // ---- workspace call graph + transitive analyses ----
     // Wall-clock is fine here: per-pass timings feed the lint's own speed

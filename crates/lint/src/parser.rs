@@ -35,8 +35,9 @@
 //!   a thread join under a lock still surfaces via the lock facts of
 //!   whatever the joined thread runs).
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{Tok, TokKind, Tokens};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Methods that panic on None/Err.
 pub const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -302,7 +303,7 @@ pub fn module_path_of(lib_name: &str, rel: &str) -> Vec<String> {
 }
 
 /// Parse one file's live token stream into its item/call-site structure.
-pub fn parse_file(module: Vec<String>, toks: &[Tok]) -> ParsedFile {
+pub fn parse_file(module: Vec<String>, toks: &Tokens) -> ParsedFile {
     let mut p = Parser {
         t: toks,
         i: 0,
@@ -316,20 +317,19 @@ pub fn parse_file(module: Vec<String>, toks: &[Tok]) -> ParsedFile {
 }
 
 struct Parser<'a> {
-    t: &'a [Tok],
+    t: &'a Tokens,
     i: usize,
     out: ParsedFile,
     /// File-root module path.
     module: Vec<String>,
-    /// Inline `mod x {` stack: (name, brace depth *after* entering).
+    /// Inline `mod x {` stack: (name, index of the body's `}`).
     mods: Vec<(String, usize)>,
-    /// `impl Ty {` stack: (type leaf name, brace depth after entering).
+    /// `impl Ty {` stack: (type leaf name, index of the body's `}`).
     impls: Vec<(String, usize)>,
 }
 
 impl<'a> Parser<'a> {
     fn run(&mut self) {
-        let mut depth = 0usize;
         // A `pub` seen since the last item boundary: survives attributes
         // and qualifiers (`pub const unsafe fn`), cleared by anything else.
         let mut pending_pub = false;
@@ -337,21 +337,20 @@ impl<'a> Parser<'a> {
             let was_pub = std::mem::take(&mut pending_pub);
             let tok = &self.t[self.i];
             match &tok.kind {
-                TokKind::Punct('#') if self.peek_punct(1, '[') => {
+                TokKind::Punct('#') if self.t.punct(self.i + 1, '[') => {
                     pending_pub = was_pub;
-                    self.i = skip_group(self.t, self.i + 1);
+                    self.i = self.t.close(self.i + 1) + 1;
                 }
                 TokKind::Punct('{') => {
                     // A brace not claimed by mod/impl/fn below: skip the
                     // whole block (const/static initializers, etc.).
-                    self.i = skip_group(self.t, self.i);
+                    self.i = self.t.close(self.i) + 1;
                 }
                 TokKind::Punct('}') => {
-                    depth = depth.saturating_sub(1);
-                    if self.mods.last().is_some_and(|&(_, d)| d == depth + 1) {
+                    if self.mods.last().is_some_and(|&(_, c)| c == self.i) {
                         self.mods.pop();
                     }
-                    if self.impls.last().is_some_and(|&(_, d)| d == depth + 1) {
+                    if self.impls.last().is_some_and(|&(_, c)| c == self.i) {
                         self.impls.pop();
                     }
                     self.i += 1;
@@ -362,17 +361,16 @@ impl<'a> Parser<'a> {
                         pending_pub = true;
                         self.i += 1;
                         // `pub(crate)` / `pub(super)` restriction.
-                        if self.peek_punct(0, '(') {
-                            self.i = skip_group(self.t, self.i);
+                        if self.t.punct(self.i, '(') {
+                            self.i = self.t.close(self.i) + 1;
                         }
                     }
                     "use" => self.parse_use(),
                     "mod" => {
                         let modname = self.ident_at(self.i + 1).map(str::to_string);
-                        match (modname, self.find_punct_before_semi(self.i + 2, '{')) {
+                        match (modname, self.body_open(self.i + 2)) {
                             (Some(m), Some(open)) => {
-                                depth += 1;
-                                self.mods.push((m, depth));
+                                self.mods.push((m, self.t.close(open)));
                                 self.i = open + 1;
                             }
                             _ => {
@@ -382,7 +380,7 @@ impl<'a> Parser<'a> {
                             }
                         }
                     }
-                    "impl" => self.parse_impl_header(&mut depth),
+                    "impl" => self.parse_impl_header(),
                     "trait" => {
                         // Parse the trait body like an impl block: default
                         // method bodies become nodes at `module::Trait::m`,
@@ -390,10 +388,9 @@ impl<'a> Parser<'a> {
                         // by-name index. Bodyless required methods are
                         // skipped by `parse_fn` as before.
                         let name = self.ident_at(self.i + 1).map(str::to_string);
-                        match (name, self.find_impl_open_brace(self.i + 1)) {
+                        match (name, self.body_open(self.i + 1)) {
                             (Some(n), Some(open)) => {
-                                depth += 1;
-                                self.impls.push((n, depth));
+                                self.impls.push((n, self.t.close(open)));
                                 self.i = open + 1;
                             }
                             _ => self.skip_past_semi(),
@@ -405,11 +402,10 @@ impl<'a> Parser<'a> {
                         // Braced struct: record its fields, then skip the
                         // body; tuple/unit struct: skip to `;`.
                         let mut fields = Vec::new();
-                        match self.find_punct_before_semi(self.i + 1, '{') {
+                        match self.body_open(self.i + 1) {
                             Some(open) => {
-                                let close = skip_group(self.t, open);
-                                fields = self.scan_fields(open, close);
-                                self.i = close;
+                                fields = self.scan_fields(open);
+                                self.i = self.t.close(open) + 1;
                             }
                             None => self.skip_past_semi(),
                         }
@@ -417,13 +413,10 @@ impl<'a> Parser<'a> {
                             self.out.structs.insert(n, fields);
                         }
                     }
-                    "macro_rules" => {
-                        if let Some(open) = self.find_punct_before_semi(self.i + 1, '{') {
-                            self.i = skip_group(self.t, open);
-                        } else {
-                            self.skip_past_semi();
-                        }
-                    }
+                    "macro_rules" => match self.body_open(self.i + 1) {
+                        Some(open) => self.i = self.t.close(open) + 1,
+                        None => self.skip_past_semi(),
+                    },
                     "fn" => self.parse_fn(was_pub),
                     _ => {
                         pending_pub = was_pub;
@@ -440,33 +433,17 @@ impl<'a> Parser<'a> {
 
     // -- low-level helpers -------------------------------------------------
 
-    fn peek_punct(&self, ahead: usize, c: char) -> bool {
-        self.t.get(self.i + ahead).is_some_and(|t| t.is_punct(c))
-    }
-
     fn ident_at(&self, at: usize) -> Option<&str> {
         self.t.get(at).and_then(|t| t.ident())
     }
 
-    /// Find `c` at nesting level 0 starting at `from`, stopping at a `;`
-    /// that appears first. Used to find an item's opening brace.
-    fn find_punct_before_semi(&self, from: usize, c: char) -> Option<usize> {
-        let mut i = from;
-        let mut paren = 0i32;
-        let mut bracket = 0i32;
-        while i < self.t.len() {
-            match &self.t[i].kind {
-                TokKind::Punct(p) if *p == c && paren == 0 && bracket == 0 => return Some(i),
-                TokKind::Punct(';') if paren == 0 && bracket == 0 => return None,
-                TokKind::Punct('(') => paren += 1,
-                TokKind::Punct(')') => paren -= 1,
-                TokKind::Punct('[') => bracket += 1,
-                TokKind::Punct(']') => bracket -= 1,
-                _ => {}
-            }
-            i += 1;
-        }
-        None
+    /// The body `{` of the item whose header continues at `from`: the first
+    /// `{` at that level, unless a `;` ends the item first (`mod x;`, a
+    /// tuple struct, a bodyless fn).
+    fn body_open(&self, from: usize) -> Option<usize> {
+        let t = self.t;
+        let k = t.walk(from, t.len(), |k| t.punct(k, '{') || t.punct(k, ';'));
+        t.punct(k, '{').then_some(k)
     }
 
     fn skip_past_semi(&mut self) {
@@ -499,7 +476,7 @@ impl<'a> Parser<'a> {
                 Some(TokKind::Ident(s)) => {
                     prefix.push(s.clone());
                     self.i += 1;
-                    if self.peek_punct(0, ':') && self.peek_punct(1, ':') {
+                    if self.t.punct(self.i, ':') && self.t.punct(self.i + 1, ':') {
                         self.i += 2;
                         continue;
                     }
@@ -528,13 +505,13 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                     loop {
                         self.parse_use_tree(prefix.clone());
-                        if self.peek_punct(0, ',') {
+                        if self.t.punct(self.i, ',') {
                             self.i += 1;
                             continue;
                         }
                         break;
                     }
-                    if self.peek_punct(0, '}') {
+                    if self.t.punct(self.i, '}') {
                         self.i += 1;
                     }
                     return;
@@ -589,12 +566,12 @@ impl<'a> Parser<'a> {
     }
 
     /// `impl [<...>] Type [for Type2] {` — push the *self type* leaf.
-    fn parse_impl_header(&mut self, depth: &mut usize) {
+    fn parse_impl_header(&mut self) {
         self.i += 1; // `impl`
-        if self.peek_punct(0, '<') {
+        if self.t.punct(self.i, '<') {
             self.i = skip_generics(self.t, self.i);
         }
-        let Some(open) = self.find_impl_open_brace(self.i) else {
+        let Some(open) = self.body_open(self.i) else {
             self.skip_past_semi();
             return;
         };
@@ -621,101 +598,62 @@ impl<'a> Parser<'a> {
                 _ => j += 1,
             }
         }
-        *depth += 1;
-        self.impls.push((ty.unwrap_or_default(), *depth));
+        self.impls.push((ty.unwrap_or_default(), self.t.close(open)));
         self.i = open + 1;
     }
 
-    /// Find the impl body's `{`, skipping generic argument lists (whose
-    /// `{..}` cannot appear) and where clauses.
-    fn find_impl_open_brace(&self, from: usize) -> Option<usize> {
-        let mut i = from;
-        while i < self.t.len() {
-            match &self.t[i].kind {
-                TokKind::Punct('{') => return Some(i),
-                TokKind::Punct(';') => return None,
-                TokKind::Punct('<') => i = skip_generics(self.t, i),
-                _ => i += 1,
-            }
-        }
-        None
-    }
-
+    /// `enum E { .. }`: a variant is an ident at the body's level right
+    /// after `{`, `,` or an attribute's `]`; payloads, discriminants' groups
+    /// and attributes are jumped whole.
     fn parse_enum(&mut self) {
         let Some(name) = self.ident_at(self.i + 1).map(str::to_string) else {
             self.i += 1;
             return;
         };
-        let Some(open) = self.find_punct_before_semi(self.i + 2, '{') else {
+        let Some(open) = self.body_open(self.i + 2) else {
             self.skip_past_semi();
             return;
         };
+        let (t, close) = (self.t, self.t.close(open));
+        let starts = |k: usize| {
+            t[k].ident().is_some() && matches!(t[k - 1].kind, TokKind::Punct('{' | ',' | ']'))
+        };
         let mut variants = Vec::new();
-        let mut depth = 0usize;
-        let mut j = open;
-        let mut bracket = 0i32;
-        while j < self.t.len() {
-            match &self.t[j].kind {
-                TokKind::Punct('{') => depth += 1,
-                TokKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Punct('(') if depth == 1 => {
-                    // Tuple-variant payload: skip.
-                    j = skip_group(self.t, j);
-                    continue;
-                }
-                TokKind::Punct('[') => bracket += 1,
-                TokKind::Punct(']') => bracket -= 1,
-                TokKind::Ident(s) if depth == 1 && bracket == 0 => {
-                    let starts = j == open + 1
-                        || matches!(self.t[j - 1].kind, TokKind::Punct('{' | ',' | ']'));
-                    if starts {
-                        variants.push((s.clone(), self.t[j].line));
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
+        let mut k = t.walk(open + 1, close, starts);
+        while let Some(v) = t[..close].get(k).and_then(Tok::ident) {
+            variants.push((v.to_string(), t[k].line));
+            k = t.walk(k + 1, close, starts);
         }
         self.out.enums.insert(name, variants);
-        self.i = j + 1;
+        self.i = close + 1;
     }
 
-    /// The named fields of a struct body `{..}` at `[open, close)`. A field
-    /// starts at `ident :` (single colon) at brace depth 1; the identifiers
-    /// up to the next comma are recorded as its type. Only braces are
-    /// tracked, so a generic-argument comma ends the recorded type early —
-    /// `ty` holds the head of the type, not all of it.
-    fn scan_fields(&self, open: usize, close: usize) -> Vec<FieldFact> {
-        let mut fields: Vec<FieldFact> = Vec::new();
-        let mut depth = 0usize;
-        let mut in_type = false;
-        for j in open..close {
-            match &self.t[j].kind {
-                TokKind::Punct('{') => depth += 1,
-                TokKind::Punct('}') => depth = depth.saturating_sub(1),
-                TokKind::Punct(',') if depth == 1 => in_type = false,
-                TokKind::Ident(s) if depth == 1 => {
-                    let named = self.t.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                        && !self.t.get(j + 2).is_some_and(|n| n.is_punct(':'));
-                    if named && s != "pub" {
-                        fields.push(FieldFact {
-                            name: s.clone(),
-                            line: self.t[j].line,
-                            is_pub: self.t[j - 1].is_ident("pub"),
-                            ty: Vec::new(),
-                        });
-                        in_type = true;
-                    } else if let (true, Some(f)) = (in_type, fields.last_mut()) {
-                        f.ty.push(s.clone());
-                    }
-                }
-                _ => {}
+    /// The named fields of the struct body opened at `open`. Each field runs
+    /// to the next `,` at the body's level; its name is the first level
+    /// `ident :` (single colon) in it, and the identifiers after that, up to
+    /// the first comma of any level, are recorded as its type — a generic
+    /// argument or tuple comma ends the recorded type early, so `ty` holds
+    /// the head of the type, not all of it.
+    fn scan_fields(&self, open: usize) -> Vec<FieldFact> {
+        let (t, close) = (self.t, self.t.close(open));
+        let named = |k: usize| {
+            t[k].ident().is_some_and(|s| s != "pub") && t.punct(k + 1, ':') && !t.punct(k + 2, ':')
+        };
+        let mut fields = Vec::new();
+        let mut from = open + 1;
+        while from < close {
+            let end = t.walk(from, close, |k| t.punct(k, ','));
+            let name = t.walk(from, end, named);
+            if let Some(s) = t[..end].get(name).and_then(Tok::ident) {
+                let ty = t[name + 2..end].iter().take_while(|x| !x.is_punct(','));
+                fields.push(FieldFact {
+                    name: s.to_string(),
+                    line: t[name].line,
+                    is_pub: t[name - 1].is_ident("pub"),
+                    ty: ty.filter_map(|x| x.ident().map(str::to_string)).collect(),
+                });
             }
+            from = end + 1;
         }
         fields
     }
@@ -727,37 +665,22 @@ impl<'a> Parser<'a> {
             return;
         };
         self.i += 2;
-        if self.peek_punct(0, '<') {
+        if self.t.punct(self.i, '<') {
             self.i = skip_generics(self.t, self.i);
         }
-        // Parameter list.
+        // Parameter list: a `self` receiver is in the first parameter.
         let mut has_self = false;
-        if self.peek_punct(0, '(') {
-            let close = skip_group(self.t, self.i);
-            // `self` receiver appears before the first top-level comma.
-            let mut j = self.i + 1;
-            let mut depth = 0i32;
-            while j < close {
-                match &self.t[j].kind {
-                    TokKind::Punct('(' | '[' | '<') => depth += 1,
-                    TokKind::Punct(')' | ']' | '>') => depth -= 1,
-                    TokKind::Punct(',') if depth <= 0 => break,
-                    TokKind::Ident(s) if s == "self" => {
-                        has_self = true;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            self.i = close;
+        if self.t.punct(self.i, '(') {
+            let first = self.t.walk(self.i + 1, self.t.len(), |k| self.t.punct(k, ','));
+            has_self = self.t[self.i + 1..first].iter().any(|x| x.is_ident("self"));
+            self.i = self.t.close(self.i) + 1;
         }
-        // Scan to the body `{` or a `;` (bodyless declaration).
-        let Some(open) = self.find_punct_before_semi(self.i, '{') else {
+        // The body `{`, or a `;` (bodyless declaration).
+        let Some(open) = self.body_open(self.i) else {
             self.skip_past_semi();
             return;
         };
-        let end = skip_group(self.t, open);
+        let end = (self.t.close(open) + 1).min(self.t.len());
         let module = self.current_module();
         let impl_type = self
             .impls
@@ -769,375 +692,262 @@ impl<'a> Parser<'a> {
         path.push(name.clone());
         let mut item =
             FnItem { name, path, module, impl_type, line, is_pub, has_self, ..FnItem::default() };
-        scan_body(self.t, open, end, &mut item, self);
-        scan_protocol(self.t, open, end, &mut item);
+        self.scan_body(open, end, &mut item);
         self.out.fns.push(item);
         self.i = end;
     }
-}
 
-/// Collect call sites, panic facts, taint facts, and concurrency facts
-/// (lock acquisitions, blocking/park points) from a body range.
-fn scan_body(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem, p: &Parser<'_>) {
-    // Matching close index for every `{` in the range, for guard scopes.
-    let close_of: BTreeMap<usize, usize> = {
-        let mut map = BTreeMap::new();
-        let mut stack = Vec::new();
-        for (idx, tok) in t.iter().enumerate().take(hi).skip(lo) {
-            if tok.is_punct('{') {
-                stack.push(idx);
-            } else if tok.is_punct('}') {
-                if let Some(o) = stack.pop() {
-                    map.insert(o, idx);
-                }
-            }
-        }
-        map
-    };
-    // Innermost enclosing `{` while walking (the body brace at `lo` is the
-    // outermost entry).
-    let mut open_stack: Vec<usize> = Vec::new();
-    let mut j = lo;
-    while j < hi {
-        match &t[j].kind {
-            TokKind::Punct('{') => {
-                open_stack.push(j);
-                j += 1;
-            }
-            TokKind::Punct('}') => {
-                open_stack.pop();
-                j += 1;
-            }
-            TokKind::Punct('[') => {
-                // Slice/array indexing: `x[..]`, `f()[..]`, `x[0][1]`.
-                let is_index = j > lo
-                    && matches!(
-                        t[j - 1].kind,
-                        TokKind::Ident(_) | TokKind::Punct(')') | TokKind::Punct(']')
-                    )
-                    // `vec![` and other macros are separated by `!`; attrs by `#`.
-                    && !(j > lo + 1 && t[j - 2].is_punct('#'));
-                if is_index {
-                    item.panics
-                        .push(PanicFact { line: t[j].line, what: "slice indexing `[..]`".into() });
-                }
-                j += 1;
-            }
-            TokKind::Ident(name) => {
-                let prev = if j > 0 { Some(&t[j - 1].kind) } else { None };
-                // Path continuation segments were consumed below; `.field`
-                // and `.method(` handled here.
-                if matches!(prev, Some(TokKind::Punct('.'))) {
-                    let after = skip_turbofish(t, j + 1);
-                    if t.get(after).is_some_and(|n| n.is_punct('(')) {
-                        if let Some(&(_, op)) =
-                            LOCK_METHODS.iter().find(|(m, _)| m == name)
-                        {
-                            // `x.y.lock()` — the receiver leaf ident names
-                            // the lock; a non-ident receiver (call result)
-                            // stays anonymous. No call edge: `lock` et al.
-                            // resolve to std, not the workspace.
-                            let lock = (j >= 2)
-                                .then(|| t[j - 2].ident())
-                                .flatten()
-                                .unwrap_or("<unnamed>")
-                                .to_string();
-                            let binds = stmt_binds_guard(t, lo, j);
-                            let scope_end = if binds {
-                                open_stack
-                                    .last()
-                                    .and_then(|o| close_of.get(o))
-                                    .copied()
-                                    .unwrap_or(hi)
-                            } else {
-                                stmt_end(t, j, hi)
-                            };
-                            item.locks.push(LockFact {
-                                line: t[j].line,
-                                ord: j as u32,
-                                lock,
-                                op,
-                                binds_guard: binds,
-                                scope_end: scope_end as u32,
-                            });
-                        } else {
-                            if BLOCKING_METHODS.contains(&name.as_str()) {
-                                // The call edge below is kept too: a workspace
-                                // method of the same name resolves by name.
-                                item.blocks.push(BlockFact {
-                                    line: t[j].line,
-                                    ord: j as u32,
-                                    what: format!("blocking `.{name}()`"),
-                                    kind: BlockKind::Blocking,
-                                });
-                            }
-                            if PANIC_METHODS.contains(&name.as_str()) {
-                                item.panics.push(PanicFact {
-                                    line: t[j].line,
-                                    what: format!("`.{name}()`"),
-                                });
-                            } else {
-                                item.calls.push(CallSite {
-                                    line: t[j].line,
-                                    ord: j as u32,
-                                    target: CallTarget::Method(name.clone()),
-                                });
-                            }
-                        }
-                    }
-                    j += 1;
+    /// The one walk over a fn body `[lo, hi)`. Each path head `a::b::c` is
+    /// collected once and classified twice: for call sites, panic, taint,
+    /// lock and block facts, and — here and nowhere else — as an
+    /// `Enum::Variant` construction (`sends`), match-arm pattern
+    /// (or-patterns grouped into one `ArmRegion`, its body extent on the
+    /// shared ord scale) or refutable test (`tests`). Progress ordinals for
+    /// the `non-progressing-cycle` rule ride along.
+    fn scan_body(&self, lo: usize, hi: usize, item: &mut FnItem) {
+        let t = self.t;
+        // Innermost enclosing `{` (the body brace at `lo` is the outermost).
+        let mut braces: Vec<usize> = Vec::new();
+        // Patterns of the or-group currently being accumulated.
+        let mut pending: Vec<VariantSite> = Vec::new();
+        // Pattern operand of the `matches!(expr, PATTERN)` being walked.
+        let mut matches_pattern = 0..0;
+        // The next ordinal each classification looks at: a path head covers
+        // its continuation segments (and a macro its `!`) for the facts; an
+        // arm pattern covers its payload and guard, an or-alternative its
+        // payload and `|`, for the variant sites.
+        let (mut next_fact, mut next_site) = (lo, lo);
+        for j in lo..hi {
+            let (fact, site) = (j >= next_fact, j >= next_site);
+            let name = match &t[j].kind {
+                TokKind::Ident(name) => name,
+                TokKind::Punct('{') if fact => {
+                    braces.push(j);
                     continue;
                 }
-                // Skip identifiers that are declarations, not references.
-                if matches!(prev, Some(TokKind::Ident(k)) if k == "fn" || k == "let" || k == "mod" || k == "struct" || k == "enum")
+                TokKind::Punct('}') if fact => {
+                    braces.pop();
+                    continue;
+                }
+                TokKind::Punct('[') if fact => {
+                    // Slice/array indexing: `x[..]`, `f()[..]`, `x[0][1]`.
+                    let is_index = j > lo
+                        && matches!(t[j - 1].kind, TokKind::Ident(_) | TokKind::Punct(')' | ']'))
+                        // `vec![` and other macros are separated by `!`; attrs by `#`.
+                        && !(j > lo + 1 && t[j - 2].is_punct('#'));
+                    if is_index {
+                        let what = "slice indexing `[..]`".into();
+                        item.panics.push(PanicFact { line: t[j].line, what });
+                    }
+                    continue;
+                }
+                _ => continue,
+            };
+            if site {
+                // Progress probe: a known counter with a `+` shortly after
+                // covers `x += 1`, `x: x + 1`, and `self.epoch = id + 1` alike.
+                if PROGRESS_IDENTS.contains(&name.as_str())
+                    && t[j + 1..(j + 7).min(hi)].iter().any(|x| x.is_punct('+'))
                 {
-                    j += 1;
-                    continue;
+                    item.progress_ords.push(j as u32);
                 }
-                // Start of a path: collect `a::b::c`.
-                let mut segs = vec![name.clone()];
-                let start_line = t[j].line;
-                let mut k = j + 1;
-                while t.get(k).is_some_and(|x| x.is_punct(':'))
-                    && t.get(k + 1).is_some_and(|x| x.is_punct(':'))
-                {
-                    match t.get(k + 2).map(|x| &x.kind) {
-                        Some(TokKind::Ident(s)) => {
-                            segs.push(s.clone());
-                            k += 3;
-                        }
-                        _ => break,
-                    }
+                if name == "matches" && t.punct(j + 1, '!') && t.punct(j + 2, '(') {
+                    let past = t.close(j + 2) + 1;
+                    matches_pattern = t.walk(j + 3, past, |k| t.punct(k, ','))..past;
                 }
-                let after = skip_turbofish(t, k);
-                let is_macro = t.get(after).is_some_and(|n| n.is_punct('!'));
-                let is_call = t.get(after).is_some_and(|n| n.is_punct('('));
-
-                // Taint facts (independent of call-ness: type positions
-                // like `RandomState` in a generic argument also count).
-                for (ix, s) in segs.iter().enumerate() {
-                    if TAINT_IDENTS.contains(&s.as_str()) {
-                        item.taints.push(TaintFact { line: start_line, what: s.clone() });
-                    }
-                    if s == "Instant" && segs.get(ix + 1).map(String::as_str) == Some("now") {
-                        item.taints
-                            .push(TaintFact { line: start_line, what: "Instant::now".into() });
-                    }
-                    if s == "Determinant" {
-                        item.mentions_determinant = true;
-                    }
-                }
-
-                if is_macro {
-                    if segs.len() == 1 && PANIC_MACROS.contains(&segs[0].as_str()) {
-                        item.panics
-                            .push(PanicFact { line: start_line, what: format!("`{}!`", segs[0]) });
-                    }
-                    j = after + 1;
-                    continue;
-                }
-                if is_call {
-                    // `std::thread::sleep(..)` et al. are blocking/park
-                    // facts, not workspace call edges. A bare `sleep(..)`
-                    // counts when a `use` maps it back to `std::thread`.
-                    let effective = if segs.len() == 1 {
-                        p.out.imports.get(&segs[0]).cloned().unwrap_or_else(|| segs.clone())
-                    } else {
-                        segs.clone()
-                    };
-                    if let Some((what, kind)) = thread_block_op(&effective) {
-                        item.blocks.push(BlockFact {
-                            line: start_line,
-                            ord: j as u32,
-                            what,
-                            kind,
-                        });
-                    } else {
-                        let segs = p.normalize_head(segs);
-                        item.calls.push(CallSite {
-                            line: start_line,
-                            ord: j as u32,
-                            target: CallTarget::Path(segs),
-                        });
-                    }
-                }
-                j = k.max(j + 1);
             }
-            _ => j += 1,
+            if t[j - 1].is_punct('.') {
+                if fact {
+                    self.method_facts(j, name, &braces, lo, hi, item);
+                }
+                continue;
+            }
+            // A declared name is not a reference; a continuation segment
+            // (`::` before it) is not a variant path's head.
+            let decl = ["fn", "let", "mod", "struct", "enum"].iter().any(|k| t[j - 1].is_ident(k));
+            let fact = fact && !decl;
+            let site = site && !(t.punct(j - 1, ':') && t.punct(j - 2, ':'));
+            if !fact && !site {
+                continue;
+            }
+            // Collect `a::b::...::z`; `end` is just past its last segment.
+            let mut segs = vec![name.clone()];
+            let mut end = j + 1;
+            while t.punct(end, ':') && t.punct(end + 1, ':') {
+                let Some(s) = t.get(end + 2).and_then(Tok::ident) else { break };
+                segs.push(s.to_string());
+                end += 3;
+            }
+            if fact {
+                next_fact = self.path_facts(j, &segs, end, item);
+            }
+            if site {
+                next_site = self.variant_site(&segs, end, hi, &mut pending, &matches_pattern, item);
+            }
         }
     }
-}
 
-/// Collect protocol facts from a body range: every `Enum::Variant`
-/// occurrence, classified **here and nowhere else** as a construction
-/// (send fact), a match-arm pattern (or-patterns grouped into one
-/// `ArmRegion` with its body extent on the shared ord scale) or a
-/// refutable test pattern — plus the progress ordinals for the
-/// `non-progressing-cycle` rule. Separate from `scan_body` because it
-/// needs pattern-vs-expression classification that the call-site walk
-/// deliberately does not do.
-fn scan_protocol(t: &[Tok], lo: usize, hi: usize, item: &mut FnItem) {
-    let punct = |k: usize, c: char| t.get(k).is_some_and(|x| x.is_punct(c));
-    // Patterns of the or-group currently being accumulated.
-    let mut pending: Vec<VariantSite> = Vec::new();
-    // Pattern operand of the `matches!(expr, PATTERN)` being walked.
-    let mut matches_pattern = 0..0;
-    let mut j = lo;
-    while j < hi {
-        let TokKind::Ident(name) = &t[j].kind else {
-            j += 1;
-            continue;
-        };
-        // Progress probe: a known counter with a `+` shortly after covers
-        // `x += 1`, `x: x + 1`, and `self.epoch = id + 1` alike.
-        if PROGRESS_IDENTS.contains(&name.as_str())
-            && t[j + 1..(j + 7).min(hi)].iter().any(|x| x.is_punct('+'))
-        {
-            item.progress_ords.push(j as u32);
+    /// `.name(..)` at `j`: a lock acquisition with its guard window, or a
+    /// blocking receive, a panicking method or a by-name call.
+    fn method_facts(
+        &self,
+        j: usize,
+        name: &str,
+        braces: &[usize],
+        lo: usize,
+        hi: usize,
+        item: &mut FnItem,
+    ) {
+        let t = self.t;
+        if !t.punct(skip_turbofish(t, j + 1), '(') {
+            return;
         }
-        if name == "matches" && punct(j + 1, '!') && punct(j + 2, '(') {
-            let close = skip_group(t, j + 2);
-            matches_pattern = arm_expr_end(t, j + 3, close)..close;
+        let line = t[j].line;
+        if let Some(&(_, op)) = LOCK_METHODS.iter().find(|(m, _)| *m == name) {
+            // `x.y.lock()` — the receiver leaf ident names the lock; a
+            // non-ident receiver (call result) stays anonymous. No call edge:
+            // `lock` et al. resolve to std, not the workspace.
+            let lock = t[j - 2].ident().unwrap_or("<unnamed>").to_string();
+            // A bound guard lives to the end of the enclosing block, a
+            // temporary to the end of its statement: the first `;` at the
+            // block's level from `j` on. Groups after `j` (closure bodies,
+            // `if` blocks fed by the temporary) are stepped over, which
+            // over-approximates liveness into them — the safe direction.
+            let block = braces.last().copied().unwrap_or(lo);
+            let binds = stmt_binds_guard(t, lo, j);
+            let scope_end = if binds {
+                t.close(block)
+            } else {
+                t.walk(block + 1, hi, |k| k >= j && t.punct(k, ';'))
+            };
+            item.locks.push(LockFact {
+                line,
+                ord: j as u32,
+                lock,
+                op,
+                binds_guard: binds,
+                scope_end: scope_end as u32,
+            });
+            return;
         }
-        // Path heads only: a continuation segment (preceded by `::`) was
-        // already consumed as part of its head's walk below.
-        if j > 0 && (punct(j - 1, '.') || j > 1 && punct(j - 1, ':') && punct(j - 2, ':')) {
-            j += 1;
-            continue;
+        if BLOCKING_METHODS.contains(&name) {
+            // The call edge below is kept too: a workspace method of the
+            // same name resolves by name.
+            let what = format!("blocking `.{name}()`");
+            item.blocks.push(BlockFact { line, ord: j as u32, what, kind: BlockKind::Blocking });
         }
-        // Collect `a::b::...::z`.
-        let mut segs = vec![name.clone()];
-        let mut jl = j; // index of the last path segment
-        while punct(jl + 1, ':') && punct(jl + 2, ':') {
-            let Some(TokKind::Ident(s)) = t.get(jl + 3).map(|x| &x.kind) else { break };
-            segs.push(s.clone());
-            jl += 3;
+        if PANIC_METHODS.contains(&name) {
+            item.panics.push(PanicFact { line, what: format!("`.{name}()`") });
+        } else {
+            let target = CallTarget::Method(name.to_string());
+            item.calls.push(CallSite { line, ord: j as u32, target });
         }
+    }
+
+    /// Facts of the path head at `j` whose segments `segs` end before `end`:
+    /// taint sources, a panicking macro, a thread block/park operation or a
+    /// call. Returns the next ordinal the fact walk looks at.
+    fn path_facts(&self, j: usize, segs: &[String], end: usize, item: &mut FnItem) -> usize {
+        let (t, line) = (self.t, self.t[j].line);
+        // Taint facts (independent of call-ness: type positions like
+        // `RandomState` in a generic argument also count).
+        for (ix, s) in segs.iter().enumerate() {
+            if TAINT_IDENTS.contains(&s.as_str()) {
+                item.taints.push(TaintFact { line, what: s.clone() });
+            }
+            if s == "Instant" && segs.get(ix + 1).map(String::as_str) == Some("now") {
+                item.taints.push(TaintFact { line, what: "Instant::now".into() });
+            }
+            if s == "Determinant" {
+                item.mentions_determinant = true;
+            }
+        }
+        let after = skip_turbofish(t, end);
+        if t.punct(after, '!') {
+            if segs.len() == 1 && PANIC_MACROS.contains(&segs[0].as_str()) {
+                item.panics.push(PanicFact { line, what: format!("`{}!`", segs[0]) });
+            }
+            return after + 1;
+        }
+        if t.punct(after, '(') {
+            // `std::thread::sleep(..)` et al. are blocking/park facts, not
+            // workspace call edges. A bare `sleep(..)` counts when a `use`
+            // maps it back to `std::thread`.
+            let effective = match segs {
+                [one] => self.out.imports.get(one).map_or(segs, Vec::as_slice),
+                _ => segs,
+            };
+            if let Some((what, kind)) = thread_block_op(effective) {
+                item.blocks.push(BlockFact { line, ord: j as u32, what, kind });
+            } else {
+                let target = CallTarget::Path(self.normalize_head(segs.to_vec()));
+                item.calls.push(CallSite { line, ord: j as u32, target });
+            }
+        }
+        end
+    }
+
+    /// Classify the path whose segments `segs` end before `end`, when its
+    /// last two segments are capitalised (`Enum::Variant`): inside a
+    /// `matches!` pattern a test; followed by `|` an or-alternative; by `=>`
+    /// (or a guard and then `=>`) an arm pattern; by a lone `=` a
+    /// `let`/`if let`/`while let` test; else a construction. Returns the
+    /// next ordinal the classifier looks at — past the pattern's payload
+    /// and guard for an arm, which it keeps walking *inside*.
+    fn variant_site(
+        &self,
+        segs: &[String],
+        end: usize,
+        hi: usize,
+        pending: &mut Vec<VariantSite>,
+        matches_pattern: &Range<usize>,
+        item: &mut FnItem,
+    ) -> usize {
+        let t = self.t;
         let upper = |s: &str| s.chars().next().is_some_and(char::is_uppercase);
-        if segs.len() < 2 || !upper(&segs[segs.len() - 2]) || !upper(&segs[segs.len() - 1]) {
-            j = jl + 1;
-            continue;
+        let [.., enm, variant] = segs else { return end };
+        if !upper(enm) || !upper(variant) {
+            return end;
         }
-        let variant = segs.pop().unwrap_or_default();
-        let enm = segs.pop().unwrap_or_default();
-        let site = VariantSite { line: t[jl].line, ord: jl as u32, enm, variant };
-        // Skip an optional payload group, then classify by what follows the
-        // pattern-or-expression.
-        let mut after = jl + 1;
-        if punct(after, '{') || punct(after, '(') {
-            after = skip_group(t, after);
-        }
-        if matches_pattern.contains(&jl) {
+        let (enm, variant) = (enm.clone(), variant.clone());
+        let site = VariantSite { line: t[end - 1].line, ord: end as u32 - 1, enm, variant };
+        // Step over an optional payload group; what follows classifies.
+        let after = if t.punct(end, '{') || t.punct(end, '(') { t.close(end) + 1 } else { end };
+        let arm = t.punct(after, '=') && t.punct(after + 1, '>')
+            || t.get(after).is_some_and(|x| x.is_ident("if"));
+        let arrow = if arm {
+            t.walk(after, hi, |k| t.punct(k, ';') || t.punct(k, '=') && t.punct(k + 1, '>'))
+        } else {
+            hi
+        };
+        if matches_pattern.contains(&(end - 1)) {
             item.tests.push(site);
-        } else if punct(after, '|') {
-            // Or-pattern: the next alternative continues this arm.
+        } else if t.punct(after, '|') {
             pending.push(site);
-            j = after + 1;
-            continue;
-        } else if let Some(arrow) = (punct(after, '=') && punct(after + 1, '>')
-            || t.get(after).is_some_and(|x| x.is_ident("if")))
-        .then(|| find_arrow(t, after, hi))
-        .flatten()
-        {
-            // Match arm (possibly guarded): `=>` and the body extent.
+            return after + 1;
+        } else if arrow < hi && t.punct(arrow, '=') {
             pending.push(site);
             let body_lo = arrow + 2;
-            let body_hi = if punct(body_lo, '{') {
-                skip_group(t, body_lo)
+            let body_hi = if t.punct(body_lo, '{') {
+                t.close(body_lo) + 1
             } else {
-                arm_expr_end(t, body_lo, hi)
+                t.walk(body_lo, hi, |k| t.punct(k, ','))
             };
             item.arms.push(ArmRegion {
                 line: pending[0].line,
-                patterns: std::mem::take(&mut pending),
+                patterns: std::mem::take(pending),
                 lo: body_lo as u32,
                 hi: body_hi as u32,
             });
-            // Keep walking *inside* the body: nested arms and sends count.
-            j = body_lo;
-            continue;
-        } else if punct(after, '=') && !punct(after + 1, '=') && !punct(after + 1, '>') {
-            // `if let` / `while let` / `let ... else`: `=` (not `==`)
-            // directly after the pattern.
+            return body_lo;
+        } else if t.punct(after, '=') && !t.punct(after + 1, '=') && !t.punct(after + 1, '>') {
             item.tests.push(site);
         } else {
             item.sends.push(site);
         }
         pending.clear();
-        j = jl + 1;
+        end
     }
-}
-
-/// Find the `=` of a `=>` at bracket depth 0, scanning from `from` (an
-/// arm's arrow, possibly past a guard). Bails at a `;`, an unmatched
-/// close, or after 200 tokens.
-fn find_arrow(t: &[Tok], from: usize, hi: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for k in from..(from + 200).min(hi.min(t.len().saturating_sub(1))) {
-        match &t[k].kind {
-            TokKind::Punct('(' | '[' | '{') => depth += 1,
-            TokKind::Punct(')' | ']' | '}') => {
-                depth -= 1;
-                if depth < 0 {
-                    return None;
-                }
-            }
-            TokKind::Punct(';') if depth == 0 => return None,
-            TokKind::Punct('=')
-                if depth == 0 && t.get(k + 1).is_some_and(|x| x.is_punct('>')) =>
-            {
-                return Some(k);
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// End of a braceless arm body starting at `from`: the `,` at depth 0 that
-/// separates it from the next arm, or the `}` that closes the match.
-fn arm_expr_end(t: &[Tok], from: usize, hi: usize) -> usize {
-    let mut depth = 0i32;
-    let mut k = from;
-    while k < hi {
-        match &t[k].kind {
-            TokKind::Punct('(' | '[' | '{') => depth += 1,
-            TokKind::Punct(')' | ']' | '}') => {
-                if depth == 0 {
-                    return k;
-                }
-                depth -= 1;
-            }
-            TokKind::Punct(',') if depth == 0 => return k,
-            _ => {}
-        }
-        k += 1;
-    }
-    hi
-}
-
-/// From an opening `{`/`(`/`[` at `open`, return the index just past its
-/// matching close.
-fn skip_group(toks: &[Tok], open: usize) -> usize {
-    let (o, c) = match toks[open].kind {
-        TokKind::Punct('{') => ('{', '}'),
-        TokKind::Punct('[') => ('[', ']'),
-        _ => ('(', ')'),
-    };
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].is_punct(o) {
-            depth += 1;
-        } else if toks[j].is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
 }
 
 /// Is this path a `std::thread` blocking/park operation? Matches any path
@@ -1172,31 +982,6 @@ fn stmt_binds_guard(t: &[Tok], lo: usize, j: usize) -> bool {
         }
     }
     false
-}
-
-/// Index of the `;` (or closing `}` of the enclosing block) that ends the
-/// statement containing token `j` — the liveness bound for an unbound
-/// guard temporary. Brace blocks opened after `j` (closure bodies, `if`
-/// arms fed by the temporary) are stepped over, which over-approximates
-/// liveness into them; conservative in the safe direction.
-fn stmt_end(t: &[Tok], j: usize, hi: usize) -> usize {
-    let mut depth = 0usize;
-    let mut k = j;
-    while k < hi {
-        match &t[k].kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                if depth == 0 {
-                    return k;
-                }
-                depth -= 1;
-            }
-            TokKind::Punct(';') if depth == 0 => return k,
-            _ => {}
-        }
-        k += 1;
-    }
-    hi
 }
 
 /// From `<` at `open`, return the index past the matching `>` (the `>` of
@@ -1599,5 +1384,107 @@ mod tests {
         assert_eq!(fields, vec![("a", 2, true), ("b", 3, false), ("c", 4, false)]);
         assert_eq!(f.structs["S"][2].ty, vec!["std", "sync", "Mutex", "Inner"]);
         assert!(f.structs["Unit"].is_empty() && f.structs["Tuple"].is_empty());
+    }
+
+    /// The live tokens of `src` and their parse, for extents checked
+    /// against the stream itself.
+    fn parse_live(src: &str) -> (Tokens, ParsedFile) {
+        let live = crate::callgraph::Source::new(lex(src));
+        let f = parse_file(vec!["x".into()], &live.toks);
+        (live.toks, f)
+    }
+
+    #[test]
+    fn braceless_arm_body_ends_at_its_comma_past_an_array_repeat() {
+        let (t, f) = parse_live(
+            "fn f(m: E) -> usize {\n\
+                 match m {\n\
+                     E::A => [0u8; 4].len(),\n\
+                     E::B => send(Msg::X),\n\
+                 }\n\
+             }\n",
+        );
+        let item = fn_named(&f, "f");
+        assert_eq!(item.arms.len(), 2, "{:#?}", item.arms);
+        let a = &item.arms[0];
+        assert!(t[a.hi as usize].is_punct(',') && t[a.hi as usize - 1].is_punct(')'));
+        assert!(!(a.lo..a.hi).contains(&item.sends[0].ord));
+    }
+
+    #[test]
+    fn guarded_arm_finds_its_arrow_past_mixed_brackets() {
+        let (t, f) = parse_live(
+            "fn f(m: E) {\n\
+                 match m {\n\
+                     E::A(v) if v[0] == g({ 1 }) => send(Msg::X),\n\
+                     _ => {}\n\
+                 }\n\
+             }\n",
+        );
+        let item = fn_named(&f, "f");
+        assert_eq!(item.arms.len(), 1, "{:#?}", item.arms);
+        let arm = &item.arms[0];
+        assert!(t[arm.lo as usize - 2].is_punct('=') && t[arm.lo as usize - 1].is_punct('>'));
+        assert!((arm.lo..arm.hi).contains(&item.sends[0].ord));
+    }
+
+    #[test]
+    fn impl_header_with_an_array_type_argument_finds_its_body() {
+        let f = parse("impl Foo for Bar<[u8; 4]> {\n    fn m(&self) {}\n}\nfn after() {}\n");
+        assert_eq!(fn_named(&f, "m").path, vec!["x", "Bar", "m"]);
+        assert_eq!(fn_named(&f, "after").path, vec!["x", "after"]);
+    }
+
+    #[test]
+    fn a_tuple_typed_field_is_one_field() {
+        let f = parse("struct S {\n    pair: (A, B),\n    next: [u8; 4],\n    last: u8,\n}\n");
+        let names: Vec<&str> = f.structs["S"].iter().map(|x| x.name.as_str()).collect();
+        assert_eq!(names, vec!["pair", "next", "last"]);
+    }
+
+    #[test]
+    fn a_cfg_all_test_item_with_an_array_repeat_is_one_test_region() {
+        let src = "fn live() {}\n#[cfg(all(test, x))]\nmod t {\n    fn f() { let a = [0; 4]; }\n}\nfn after() {}\n";
+        assert_eq!(crate::rules::test_regions(&Tokens::new(lex(src).toks)), vec![(2, 5)]);
+    }
+
+    /// Reference for the level walker: one depth counter over all three
+    /// bracket kinds.
+    fn naive_walk(t: &[Tok], from: usize, hi: usize, stop: impl Fn(usize) -> bool) -> usize {
+        let mut depth = 0usize;
+        for (k, tok) in t.iter().enumerate().take(hi).skip(from) {
+            match tok.kind {
+                TokKind::Punct(')' | ']' | '}') if depth == 0 => return k,
+                TokKind::Punct(')' | ']' | '}') => depth -= 1,
+                _ if depth == 0 && stop(k) => return k,
+                TokKind::Punct('(' | '[' | '{') => depth += 1,
+                _ => {}
+            }
+        }
+        hi
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn walker_and_bracket_index_agree_with_a_depth_counter(
+            syms in proptest::collection::vec(0usize..9, 0..48),
+            a in 0usize..64,
+            b in 0usize..64,
+            target in 0usize..9,
+        ) {
+            let sym = |s: usize| "()[]{};,x".chars().nth(s).unwrap_or('x');
+            let kind = |c: char| if c == 'x' { TokKind::Ident("x".into()) } else { TokKind::Punct(c) };
+            let t = Tokens::new(syms.iter().map(|&s| Tok { line: 1, kind: kind(sym(s)) }).collect());
+            let n = t.len();
+            let from = a % (n + 1);
+            let hi = from + b % (n - from + 1);
+            let stop = |k: usize| t[k].kind == kind(sym(target));
+            proptest::prop_assert_eq!(t.walk(from, hi, stop), naive_walk(&t, from, hi, stop));
+            for (o, tok) in t.iter().enumerate() {
+                if matches!(tok.kind, TokKind::Punct('(' | '[' | '{')) {
+                    proptest::prop_assert_eq!(t.close(o), naive_walk(&t, o + 1, n, |_| false));
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,8 @@
 use crate::allows::AllowBook;
 use crate::callgraph::Source;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{LexedFile, Tok, TokKind};
+use crate::lexer::{LexedFile, Tok, Tokens};
+use crate::parser::{PANIC_MACROS, PANIC_METHODS};
 
 /// Which rule families apply to a file (derived from `config` tables).
 #[derive(Clone, Copy, Debug, Default)]
@@ -47,9 +48,6 @@ const SYNC_PRIMITIVE_IDENTS: &[&str] = &["Mutex", "RwLock", "Condvar"];
 /// std::thread::sleep` etc. — only modelled time is legal outside the
 /// runtime module (threading rule).
 const THREAD_OP_IDENTS: &[&str] = &["sleep", "yield_now", "park", "park_timeout"];
-
-/// Methods that panic on None/Err (recovery-path rule).
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
 /// Run all applicable per-file rules on one file, resolving suppressions
 /// against a file-local `AllowBook`. The workspace driver (`lib.rs`)
@@ -137,7 +135,7 @@ pub fn scan_file(rel: &str, toks: &[Tok], rules: &RuleSet) -> Vec<Diagnostic> {
                     format!("`.{name}()` panics on the recovery path; surface an error into the retry/escalation ladder"),
                 );
             }
-            if crate::parser::PANIC_MACROS.contains(&name) && next_punct(1, '!') {
+            if PANIC_MACROS.contains(&name) && next_punct(1, '!') {
                 flag(
                     "recovery-panic",
                     format!("`{name}!` aborts on the recovery path; surface an error into the retry/escalation ladder"),
@@ -151,88 +149,31 @@ pub fn scan_file(rel: &str, toks: &[Tok], rules: &RuleSet) -> Vec<Diagnostic> {
     found
 }
 
-/// Line ranges covered by `#[cfg(test)]`-gated items (inclusive).
-pub fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
+/// Line ranges covered by `#[cfg(test)]`-gated items (inclusive): an
+/// attribute naming both `cfg` and `test` (`#[cfg(all(test, ..))]` too)
+/// gates the item after it, which ends at its first level `;` or at the
+/// close of its first level `{`.
+pub fn test_regions(toks: &Tokens) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].is_punct('#') && toks.get(i + 1).map(|t| t.is_punct('[')).unwrap_or(false) {
-            let start_line = toks[i].line;
-            let (attr_end, is_test) = scan_attribute(toks, i + 1);
-            if is_test {
-                let end = item_end(toks, attr_end + 1);
-                let end_line = toks.get(end.min(toks.len() - 1)).map(|t| t.line).unwrap_or(start_line);
-                regions.push((start_line, end_line));
-                i = end + 1;
-                continue;
-            }
+        if !(toks[i].is_punct('#') && toks.punct(i + 1, '[')) {
+            i += 1;
+            continue;
+        }
+        let attr_end = toks.close(i + 1);
+        let names = |s: &str| toks[i + 1..attr_end].iter().any(|t| t.is_ident(s));
+        if !(names("cfg") && names("test")) {
             i = attr_end + 1;
             continue;
         }
-        i += 1;
+        let end = toks.walk(attr_end + 1, toks.len(), |k| toks.punct(k, ';') || toks.punct(k, '{'));
+        let end = if toks.punct(end, '{') { toks.close(end) } else { end };
+        let end_line = toks.get(end.min(toks.len() - 1)).map_or(toks[i].line, |t| t.line);
+        regions.push((toks[i].line, end_line));
+        i = end + 1;
     }
     regions
-}
-
-/// From the `[` at `open`, find the matching `]`; report whether the
-/// attribute mentions both `cfg` and `test` (covers `#[cfg(test)]` and
-/// `#[cfg(all(test, ...))]`).
-fn scan_attribute(toks: &[Tok], open: usize) -> (usize, bool) {
-    let mut depth = 0usize;
-    let mut saw_cfg = false;
-    let mut saw_test = false;
-    let mut i = open;
-    while i < toks.len() {
-        match &toks[i].kind {
-            TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return (i, saw_cfg && saw_test);
-                }
-            }
-            TokKind::Ident(s) if s == "cfg" => saw_cfg = true,
-            TokKind::Ident(s) if s == "test" => saw_test = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    (toks.len() - 1, false)
-}
-
-/// Find the end of the item starting at `from`: the matching `}` of its
-/// first brace block, or the first top-level `;` (e.g. `use` items). Nested
-/// attributes between are skipped.
-fn item_end(toks: &[Tok], from: usize) -> usize {
-    let mut i = from;
-    let mut bracket = 0usize;
-    while i < toks.len() {
-        match &toks[i].kind {
-            TokKind::Punct('[') => bracket += 1,
-            TokKind::Punct(']') => bracket = bracket.saturating_sub(1),
-            TokKind::Punct(';') if bracket == 0 => return i,
-            TokKind::Punct('{') if bracket == 0 => {
-                let mut depth = 0usize;
-                while i < toks.len() {
-                    match &toks[i].kind {
-                        TokKind::Punct('{') => depth += 1,
-                        TokKind::Punct('}') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return i;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                return toks.len() - 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// True if `toks[i]` is followed by `::method` (e.g. `Instant::now`).

@@ -80,6 +80,15 @@ fn recovery_panic_fixtures() {
 }
 
 #[test]
+fn recovery_panic_covers_every_panicking_method() {
+    // One list of panicking methods: the per-file rule flags what the
+    // graph's `panic-path` does.
+    for m in clonos_lint::parser::PANIC_METHODS {
+        assert_rule("recovery-panic", &format!("let x = r.{m}();"), REC);
+    }
+}
+
+#[test]
 fn instant_without_now_is_fine() {
     // Storing a sim-provided Instant type name alone is not a violation;
     // only the `::now` read is.

@@ -172,6 +172,28 @@ fn blocking_send_under_cell_lock_is_blamed_end_to_end() {
 }
 
 #[test]
+fn a_temporary_guard_spans_an_array_repeat_expression() {
+    let f = Fixture::new("array_repeat");
+    // The temporary guard lives to the statement's own `;`, not to the `;`
+    // of the `[0u8; 4]` repeat inside it: the receive after it is under
+    // the lock.
+    f.write(
+        "crates/engine/src/runtime/repeat.rs",
+        "pub struct Cell { state: Mutex<Vec<u8>>, rx: Receiver<u8> }\n\
+         impl Cell {\n\
+             pub fn fill(&self) {\n\
+                 self.state.lock().unwrap().insert([0u8; 4].len(), [self.rx.recv().unwrap(); 4]);\n\
+             }\n\
+         }\n",
+    );
+    let d = f.of_rule("blocking-under-lock");
+    assert_eq!(d.len(), 1, "{d:#?}");
+    assert_eq!(d[0].line, 4);
+    assert!(d[0].message.contains("blocking `.recv()`"), "{}", d[0].message);
+    assert!(d[0].message.contains("`Cell::state`"), "{}", d[0].message);
+}
+
+#[test]
 fn try_lock_with_bounded_help_is_clean() {
     let f = Fixture::new("help_ok");
     // The sanctioned escape hatch: the only nested acquisition under a held

@@ -241,6 +241,23 @@ fn stats_struct_missing_from_run_report_is_detected() {
 }
 
 #[test]
+fn missing_configured_file_is_reported_once() {
+    let repo = MiniRepo::consistent("unreadable");
+    // Both a recovery-path file and a replay-surface file.
+    let services = "crates/core/src/services.rs";
+    fs::remove_file(repo.root.join(services)).unwrap();
+    let diags = analyze(&repo.root).unwrap();
+    let about: Vec<_> = diags.iter().filter(|d| d.file == services).collect();
+    assert_eq!(about.len(), 1, "{diags:?}");
+    assert_eq!((about[0].rule.as_str(), about[0].line), ("unreadable-file", 0));
+    assert!(about[0].is_error());
+    for old in ["cannot read configured file", "cannot read invariant source file"] {
+        assert!(diags.iter().all(|d| !d.message.contains(old)), "{diags:?}");
+    }
+    assert!(clonos_lint::config::rule_exists("unreadable-file"));
+}
+
+#[test]
 fn threading_outside_runtime_fails_inside_runtime_is_exempt() {
     let repo = MiniRepo::consistent("threading");
     repo.write(
