@@ -69,8 +69,6 @@ pub struct ClonosConfig {
     pub standby_tasks: bool,
     /// In-flight log buffer pool capacity, in buffers, per task.
     pub inflight_pool_buffers: usize,
-    /// Determinant buffer pool size in bytes (§7.5: 5 MB suffices for DSD=1).
-    pub determinant_pool_bytes: usize,
     /// Cache granularity of the timestamp service in microseconds (§4.2
     /// "Wall-Clock Time": refresh the cached timestamp periodically instead
     /// of logging one determinant per call). 0 disables caching.
@@ -89,8 +87,7 @@ impl Default for ClonosConfig {
             spill: SpillPolicy::default_threshold(),
             standby_tasks: true,
             inflight_pool_buffers: 2_560, // 80 MB of 32 KiB buffers, per §7.5
-            determinant_pool_bytes: 5 * 1024 * 1024,
-            timestamp_cache_us: 1_000, // 1 ms granularity
+            timestamp_cache_us: 1_000,    // 1 ms granularity
             prefer_availability_on_orphans: false,
         }
     }
@@ -153,7 +150,6 @@ mod tests {
         assert_eq!(c.guarantee, GuaranteeMode::ExactlyOnce);
         assert!(matches!(c.spill, SpillPolicy::SpillThreshold(_)));
         assert!(c.standby_tasks);
-        assert_eq!(c.determinant_pool_bytes, 5 * 1024 * 1024);
         assert_eq!(c.timestamp_cache_us, 1_000);
     }
 }

@@ -18,7 +18,7 @@ use crate::coordinator::{JmCtx, JobManager, LogGather};
 use crate::error::EngineError;
 use crate::graph::{ExecutionGraph, JobGraph, Partitioning, VertexKind};
 use crate::messages::Msg;
-use crate::metrics::JobMetrics;
+use crate::metrics::{JobMetrics, TaskCounters};
 use crate::task::{encode_abort_marker, recovery_ctrl_delay, Task, TaskCtx, TaskSnapshot};
 use bytes::Bytes;
 use clonos::causal_log::TaskLogSnapshot;
@@ -55,13 +55,9 @@ pub struct Cluster {
     gens: BTreeMap<TaskId, u32>,
     pub(crate) jm: JobManager,
     depth: u32,
-    /// Encoder counters of retired task incarnations (killed, rolled back,
-    /// or replaced): folded in before the `Task` object is dropped so
-    /// `checkpoint_stats` reflects the whole run, not just live tasks.
-    retired_ckpt: crate::metrics::CheckpointStats,
-    /// Tiered-backend counters of retired incarnations, same lifecycle as
-    /// `retired_ckpt`.
-    retired_backend: crate::metrics::StateBackendStats,
+    /// Counters of retired task incarnations (killed, rolled back, or
+    /// replaced), folded in before the `Task` object is dropped.
+    retired: TaskCounters,
     /// Fatal task errors (should stay empty in correct runs).
     pub errors: Vec<String>,
 }
@@ -88,8 +84,7 @@ impl Cluster {
             gens: BTreeMap::new(),
             jm,
             depth,
-            retired_ckpt: crate::metrics::CheckpointStats::default(),
-            retired_backend: crate::metrics::StateBackendStats::default(),
+            retired: TaskCounters::default(),
             errors: Vec::new(),
             config,
         };
@@ -112,10 +107,6 @@ impl Cluster {
 
     pub fn last_completed_checkpoint(&self) -> u64 {
         self.jm.last_completed
-    }
-
-    pub fn task_ref(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.get(&id).and_then(|t| t.as_ref())
     }
 
     /// Vertex kind lookup for external consumers (the runner).
@@ -253,7 +244,7 @@ impl Cluster {
             return;
         }
         let old = slot.take();
-        self.retire_ckpt(old);
+        self.retire(old);
         self.sim.drop_events_for(id);
         let now = self.sim.now();
         self.metrics.event(now, format!("FAILURE task {id}"));
@@ -313,11 +304,6 @@ impl Cluster {
             self.metrics
                 .event(now, format!("standby state transfer for task {task} interrupted"));
         }
-    }
-
-    /// Node hosting `task` (placement is fixed at deploy time).
-    pub fn node_of(&self, task: TaskId) -> Option<u32> {
-        self.nodes.get(&task).copied()
     }
 
     /// Send a recovery-path control message from the JM, subject to the
@@ -545,7 +531,7 @@ impl Cluster {
         let gens = self.gens.clone();
         replacement.set_neighbor_gens(|t| gens.get(&t).copied().unwrap_or(0));
         let old = self.tasks.insert(task, Some(replacement)).flatten();
-        self.retire_ckpt(old);
+        self.retire(old);
         self.jm.recovering.insert(task);
         let now = self.sim.now();
         self.metrics.event(now, format!("standby/replacement for task {task} installed"));
@@ -812,7 +798,7 @@ impl Cluster {
         let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
         for id in ids {
             let old = self.tasks.insert(id, None).flatten();
-            self.retire_ckpt(old);
+            self.retire(old);
             self.sim.drop_events_for(id);
         }
         self.metrics.event(self.sim.now(), "global rollback: cancelling all tasks".to_string());
@@ -900,23 +886,30 @@ impl Cluster {
             .collect()
     }
 
-    /// Aggregate in-flight log statistics across tasks (§7.5).
-    pub fn inflight_stats(&self) -> clonos::inflight::InFlightStats {
-        let mut total = clonos::inflight::InFlightStats::default();
+    /// Fold a retired incarnation's counters into the job-wide accumulator
+    /// before the `Task` object is dropped.
+    fn retire(&mut self, old: Option<Task>) {
+        if let Some(t) = old {
+            self.retired.absorb(&t.counters());
+        }
+    }
+
+    /// Every per-task counter block, summed over retired and live
+    /// incarnations — what each counter accessor below reads.
+    fn counters(&self) -> TaskCounters {
+        let mut total = self.retired;
         for t in self.tasks.values().flatten() {
-            if let Some(s) = t.inflight_stats() {
-                total.buffers_logged += s.buffers_logged;
-                total.buffers_spilled += s.buffers_spilled;
-                total.spill_io = total.spill_io + s.spill_io;
-                total.replay_io = total.replay_io + s.replay_io;
-                total.blocked_appends += s.blocked_appends;
-                total.peak_resident_bytes += s.peak_resident_bytes;
-            }
+            total.absorb(&t.counters());
         }
         total
     }
 
-    /// Sum of in-flight log bytes across tasks (memory accounting, §7.5).
+    /// Aggregate in-flight log statistics (§7.5).
+    pub fn inflight_stats(&self) -> clonos::inflight::InFlightStats {
+        self.counters().inflight
+    }
+
+    /// Sum of in-flight log bytes across live tasks (memory accounting, §7.5).
     pub fn total_inflight_bytes(&self) -> u64 {
         self.tasks
             .values()
@@ -925,81 +918,42 @@ impl Cluster {
             .sum()
     }
 
-    /// Sum of resident causal-log bytes across tasks (§7.5 determinant pool).
+    /// Resident causal-log bytes summed over live tasks (§7.5 determinant pool).
     pub fn total_determinant_bytes(&self) -> u64 {
         self.tasks.values().flatten().map(|t| t.log.resident_bytes()).sum()
     }
 
     /// Aggregate causal-log statistics.
     pub fn log_stats(&self) -> clonos::causal_log::CausalLogStats {
-        let mut total = clonos::causal_log::CausalLogStats::default();
-        for t in self.tasks.values().flatten() {
-            let s = t.log.stats;
-            total.determinants_recorded += s.determinants_recorded;
-            total.delta_bytes_shipped += s.delta_bytes_shipped;
-            total.delta_entries_shipped += s.delta_entries_shipped;
-            total.deltas_ingested += s.deltas_ingested;
-            total.entries_ingested += s.entries_ingested;
-            total.order_entries_compressed += s.order_entries_compressed;
-            total.entries_encoded += s.entries_encoded;
-            total.delta_bytes_memcpy += s.delta_bytes_memcpy;
-            total.gap_resyncs += s.gap_resyncs;
-        }
-        total
+        self.counters().log
     }
 
     /// Aggregate routing hot-path counters.
     pub fn routing_stats(&self) -> crate::metrics::RoutingStats {
-        let mut total = crate::metrics::RoutingStats::default();
-        for t in self.tasks.values().flatten() {
-            total.records_routed += t.routing.records_routed;
-            total.channel_writes += t.routing.channel_writes;
-            total.route_encodes += t.routing.route_encodes;
-        }
-        total
-    }
-
-    /// Fold a retired incarnation's encoder counters into the job-wide
-    /// accumulator before the `Task` object is dropped.
-    fn retire_ckpt(&mut self, old: Option<Task>) {
-        let Some(t) = old else { return };
-        self.retired_ckpt.absorb(&t.ckpt);
-        self.retired_backend.absorb(&t.backend_stats());
+        self.counters().routing
     }
 
     /// Aggregate incremental-checkpoint counters: per-task encoder stats
     /// plus the snapshot store's reconstruction work and the standby
     /// manager's delta shipping.
     pub fn checkpoint_stats(&self) -> crate::metrics::CheckpointStats {
-        let mut total = self.retired_ckpt;
-        for t in self.tasks.values().flatten() {
-            total.absorb(&t.ckpt);
-        }
+        let mut total = self.counters().ckpt;
         total.reconstructions = self.snapshots.reconstructions();
         total.reconstruct_us = self.snapshots.reconstruct_us();
         total.delta_dispatches = self.jm.standby.delta_dispatches();
         total
     }
 
-    /// Aggregate tiered-state-backend counters across live and retired task
-    /// incarnations (all zero when `state_memory_budget` is 0).
+    /// Aggregate tiered-state-backend counters (all zero when
+    /// `state_memory_budget` is 0).
     pub fn state_backend_stats(&self) -> crate::metrics::StateBackendStats {
-        let mut total = self.retired_backend;
-        for t in self.tasks.values().flatten() {
-            total.absorb(&t.backend_stats());
-        }
-        total
+        self.counters().backend
     }
 
     /// Timestamp-service call/determinant counters (benchmark E9).
     pub fn ts_service_counts(&self) -> (u64, u64) {
-        let mut calls = 0;
-        let mut dets = 0;
-        for t in self.tasks.values().flatten() {
-            calls += t.services.ts_calls;
-            dets += t.services.ts_determinants;
-        }
-        (calls, dets)
+        let c = self.counters();
+        (c.ts_calls, c.ts_determinants)
     }
 
     pub fn snapshot_of(&mut self, cp: u64, task: TaskId) -> Option<TaskSnapshot> {
@@ -1113,6 +1067,24 @@ pub(crate) mod tests {
             cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(30));
             assert_eq!(cluster.state_digests()[&COUNTER], Some(live), "{what}");
         }
+    }
+
+    #[test]
+    fn a_killed_incarnation_keeps_its_counts_in_the_job_totals() {
+        let counts = |c: &Cluster| {
+            let (log, routing, inflight) = (c.log_stats(), c.routing_stats(), c.inflight_stats());
+            [log.determinants_recorded, routing.records_routed, inflight.buffers_logged]
+        };
+        let mut cluster = counting_cluster(clonos());
+        feed(&mut cluster, 0..300, 6);
+        let before = counts(&cluster);
+        cluster.kill_task(COUNTER);
+        assert_eq!(counts(&cluster), before, "the kill itself erases nothing");
+        // Recovered well before 12 s; the new incarnation adds to the totals.
+        feed(&mut cluster, 0..300, 12);
+        assert!(cluster.state_digests()[&COUNTER].is_some(), "counter recovered");
+        let after = counts(&cluster);
+        assert!(before.iter().zip(&after).all(|(b, a)| b < a), "{before:?} -> {after:?}");
     }
 
     #[test]

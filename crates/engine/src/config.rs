@@ -125,11 +125,11 @@ pub struct EngineConfig {
     /// Incremental (copy-on-write) checkpoints: after an incarnation's first
     /// full image, barriers encode only entries dirtied since the previous
     /// snapshot — the barrier path is O(dirty), and standby dispatch (§6.4)
-    /// ships delta bytes instead of the whole state.
-    pub incremental_checkpoints: bool,
-    /// Delta snapshots taken between full-image rebases: bounds delta-chain
-    /// length (restore reads at most this many blobs plus the base) and lets
-    /// the store GC superseded chains.
+    /// ships delta bytes instead of the whole state. This is the number of
+    /// delta snapshots taken between full-image rebases: it bounds
+    /// delta-chain length (restore reads at most this many blobs plus the
+    /// base) and lets the store GC superseded chains. 0 makes every image a
+    /// full base.
     pub checkpoint_rebase_interval: u32,
     /// Barrier alignment discipline; `Aligned` is the default, `Unaligned`
     /// lets barriers overtake backlogged input queues (see `CheckpointMode`).
@@ -170,7 +170,6 @@ impl Default for EngineConfig {
             num_nodes: 8,
             replay_batch: 16,
             synthetic_state_bytes: 0,
-            incremental_checkpoints: true,
             checkpoint_rebase_interval: 8,
             checkpoint_mode: CheckpointMode::Aligned,
             state_memory_budget: 0,
@@ -209,8 +208,7 @@ impl EngineConfig {
     }
 
     /// Reject incoherent configurations up front with a typed error instead
-    /// of a mid-run panic (a rebase interval of 0 would divide by zero on
-    /// the barrier path; zero-sized buffers or batches hang the pipeline).
+    /// of a mid-run panic (zero-sized buffers or batches hang the pipeline).
     pub fn validate(&self) -> Result<(), crate::error::EngineError> {
         let bad = |msg: String| Err(crate::error::EngineError::Config(msg));
         if self.buffer_size == 0 {
@@ -218,13 +216,6 @@ impl EngineConfig {
         }
         if self.replay_batch == 0 {
             return bad("replay_batch must be > 0 (replay pumping would never progress)".into());
-        }
-        if self.incremental_checkpoints && self.checkpoint_rebase_interval == 0 {
-            return bad(
-                "checkpoint_rebase_interval must be > 0 when incremental_checkpoints is on \
-                 (the barrier path takes checkpoint id modulo the interval)"
-                    .into(),
-            );
         }
         if !matches!(self.ft, FtMode::None) && self.checkpoint_interval == VirtualDuration::ZERO {
             return bad(
@@ -298,15 +289,8 @@ mod tests {
             other => panic!("expected Config error mentioning {needle:?}, got {other:?}"),
         };
 
+        // Rebase interval 0 is valid: every image is a full base.
         let c = EngineConfig { checkpoint_rebase_interval: 0, ..EngineConfig::default() };
-        reject(c, "checkpoint_rebase_interval");
-
-        // ... but rebase interval 0 is fine when incremental encoding is off.
-        let c = EngineConfig {
-            checkpoint_rebase_interval: 0,
-            incremental_checkpoints: false,
-            ..EngineConfig::default()
-        };
         assert!(c.validate().is_ok());
 
         let c = EngineConfig { buffer_size: 0, ..EngineConfig::default() };

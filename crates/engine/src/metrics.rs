@@ -175,18 +175,6 @@ pub struct RecoveryStats {
     pub detection_samples: u64,
 }
 
-impl RecoveryStats {
-    /// Mean failure-detection latency over the run, if any failure occurred.
-    pub fn mean_detection_latency(&self) -> Option<VirtualDuration> {
-        if self.detection_samples == 0 {
-            return None;
-        }
-        Some(VirtualDuration::from_micros(
-            self.detection_latency_us_total / self.detection_samples,
-        ))
-    }
-}
-
 /// Counters from the multi-threaded sharded actor runtime (all zero for
 /// runs driven by the deterministic sim scheduler). Aggregated once at
 /// runtime teardown and surfaced through `RunReport` so benchmarks and the
@@ -254,6 +242,50 @@ impl StateBackendStats {
         self.evictions += other.evictions;
         self.resident_bytes += other.resident_bytes;
         self.tier_io_us += other.tier_io_us;
+    }
+}
+
+/// Every per-task counter block. The cluster folds an incarnation's blocks
+/// in when it retires it (kill, replacement, rollback) and reports retired +
+/// live, so a failure erases no counts. In-flight peaks sum per incarnation.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TaskCounters {
+    pub ckpt: CheckpointStats,
+    pub backend: StateBackendStats,
+    pub log: clonos::causal_log::CausalLogStats,
+    pub routing: RoutingStats,
+    pub inflight: clonos::inflight::InFlightStats,
+    pub ts_calls: u64,
+    pub ts_determinants: u64,
+}
+
+impl TaskCounters {
+    /// Sum `o` into this aggregate, block by block.
+    pub fn absorb(&mut self, o: &TaskCounters) {
+        self.ckpt.absorb(&o.ckpt);
+        self.backend.absorb(&o.backend);
+        let (log, olog) = (&mut self.log, &o.log);
+        log.determinants_recorded += olog.determinants_recorded;
+        log.delta_bytes_shipped += olog.delta_bytes_shipped;
+        log.delta_entries_shipped += olog.delta_entries_shipped;
+        log.deltas_ingested += olog.deltas_ingested;
+        log.entries_ingested += olog.entries_ingested;
+        log.order_entries_compressed += olog.order_entries_compressed;
+        log.entries_encoded += olog.entries_encoded;
+        log.delta_bytes_memcpy += olog.delta_bytes_memcpy;
+        log.gap_resyncs += olog.gap_resyncs;
+        self.routing.records_routed += o.routing.records_routed;
+        self.routing.channel_writes += o.routing.channel_writes;
+        self.routing.route_encodes += o.routing.route_encodes;
+        let (inf, oinf) = (&mut self.inflight, &o.inflight);
+        inf.buffers_logged += oinf.buffers_logged;
+        inf.buffers_spilled += oinf.buffers_spilled;
+        inf.spill_io = inf.spill_io + oinf.spill_io;
+        inf.replay_io = inf.replay_io + oinf.replay_io;
+        inf.blocked_appends += oinf.blocked_appends;
+        inf.peak_resident_bytes += oinf.peak_resident_bytes;
+        self.ts_calls += o.ts_calls;
+        self.ts_determinants += o.ts_determinants;
     }
 }
 

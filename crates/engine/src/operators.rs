@@ -1,4 +1,4 @@
-//! Built-in operator library: map/filter/flat-map, keyed reduce, tumbling &
+//! Built-in operator library: map/filter, keyed reduce, tumbling &
 //! sliding windows (event- and processing-time), interval and full-history
 //! joins, and a raw process function for arbitrary UDFs.
 //!
@@ -64,22 +64,6 @@ pub fn filter_op(pred: impl Fn(&Record) -> bool + Send + Sync + 'static) -> crat
         Box::new(ProcessOp::new(move |_input, rec: &Record, ctx: &mut OpCtx<'_>| {
             if pred(rec) {
                 ctx.emit(rec.key, rec.event_time, rec.row.clone());
-            }
-            Ok(())
-        }))
-    })
-}
-
-/// Flat-map: 0..n outputs per record.
-pub fn flat_map_op(
-    f: impl Fn(&Record) -> Vec<(u64, Row)> + Send + Sync + 'static,
-) -> crate::operator::OperatorFactory {
-    let f = Arc::new(f);
-    Arc::new(move || {
-        let f = f.clone();
-        Box::new(ProcessOp::new(move |_input, rec: &Record, ctx: &mut OpCtx<'_>| {
-            for (key, row) in f(rec) {
-                ctx.emit(key, rec.event_time, row);
             }
             Ok(())
         }))

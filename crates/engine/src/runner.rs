@@ -47,11 +47,6 @@ impl FailurePlan {
         self
     }
 
-    pub fn interrupt_standby_at(mut self, at: VirtualTime, task: TaskId) -> FailurePlan {
-        self.faults.push((at, Fault::InterruptStandby(task)));
-        self
-    }
-
     pub fn slow_at(
         mut self,
         at: VirtualTime,

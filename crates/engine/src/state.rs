@@ -366,10 +366,6 @@ impl StateStore {
         }
     }
 
-    pub fn lists_of(&self, id: StateId) -> impl Iterator<Item = (u64, &Vec<Row>)> {
-        self.lists.range((id, 0)..=(id, u64::MAX)).map(|(&(_, k), v)| (k, v))
-    }
-
     // ----- timers -----
 
     pub fn register_event_timer(&mut self, t: StateTimer) {
@@ -506,7 +502,7 @@ impl StateStore {
     }
 
     /// All live segment ids in canonical fold order (oldest layer first) —
-    /// the authoritative value-state manifest a checkpoint references.
+    /// the authoritative value-state segment list a checkpoint references.
     pub fn live_segments(&self) -> Vec<u64> {
         self.tiered.as_deref().map_or_else(Vec::new, |t| t.tier.live_ids())
     }
@@ -1035,10 +1031,10 @@ mod tests {
     }
 
     impl StateStore {
-        /// Rebuild the tier over a device on which the newest L0 segment's
+        /// Put the live tier over a device on which the newest L0 segment's
         /// payload went through `damage` — what a corrupted disk looks like
-        /// to a store that reopens over it. Needs a tier that never
-        /// compacted (device handles are then dense, in write order).
+        /// to the store reading it. Needs a tier that never compacted
+        /// (device handles are then dense, in write order).
         pub(crate) fn damage_newest_segment(&mut self, damage: impl Fn(&mut Vec<u8>)) {
             let t = self.tiered.as_deref_mut().expect("tiered store");
             let newest = t.tier.levels()[0].last().expect("a sealed L0 segment").handle;
@@ -1053,8 +1049,7 @@ mod tests {
                 }
                 device.write(Bytes::from(payload));
             }
-            let manifest = t.tier.manifest_bytes().to_vec();
-            t.tier = TieredStore::reopen(TieredConfig::default(), &manifest, device);
+            t.tier.swap_device(device);
         }
     }
 

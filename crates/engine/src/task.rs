@@ -367,7 +367,7 @@ struct Capture {
     /// Overtaken buffers per input channel, in arrival (FIFO) order; no
     /// channels at all for a cut that overtakes nothing.
     captured: Vec<Vec<SentBuffer>>,
-    /// Tiered backend: segment manifest + newly sealed payloads, cut at the
+    /// Tiered backend: live segment ids + newly sealed payloads, cut at the
     /// same instant as the state bytes (the deferred ack carries them).
     segments: Option<SegmentAck>,
 }
@@ -625,9 +625,17 @@ impl Task {
         matches!(self.role, Role::Source { .. })
     }
 
-    /// Tiered-state-backend counters for this incarnation (zero untiered).
-    pub fn backend_stats(&self) -> crate::metrics::StateBackendStats {
-        self.state.backend_stats()
+    /// This incarnation's counter blocks, which the cluster sums job-wide.
+    pub(crate) fn counters(&self) -> crate::metrics::TaskCounters {
+        crate::metrics::TaskCounters {
+            ckpt: self.ckpt,
+            backend: self.state.backend_stats(),
+            log: self.log.stats,
+            routing: self.routing,
+            inflight: self.inflight.as_ref().map(|l| l.stats).unwrap_or_default(),
+            ts_calls: self.services.ts_calls,
+            ts_determinants: self.services.ts_determinants,
+        }
     }
 
     /// Chaos slow-consumer injection: multiply this task's per-record
@@ -677,14 +685,6 @@ impl Task {
     #[cfg(test)]
     pub(crate) fn state_mut(&mut self) -> &mut StateStore {
         &mut self.state
-    }
-
-    pub fn inflight_stats(&self) -> Option<clonos::inflight::InFlightStats> {
-        self.inflight.as_ref().map(|l| l.stats)
-    }
-
-    pub fn inflight_resident_bytes(&self) -> u64 {
-        self.inflight.as_ref().map(|l| l.resident_bytes()).unwrap_or(0)
     }
 
     pub fn inflight_total_bytes(&self) -> u64 {
@@ -1683,10 +1683,9 @@ impl Task {
             }
         }
         // Snapshot state and ack: a full base for the incarnation's first
-        // checkpoint (and every K-th thereafter — chain-length rebase), an
-        // O(dirty) delta otherwise.
-        let full = !ctx.config.incremental_checkpoints
-            || self.chain_parent.is_none()
+        // checkpoint (and every K-th thereafter — chain-length rebase; K = 0
+        // rebases every time), an O(dirty) delta otherwise.
+        let full = self.chain_parent.is_none()
             || self.snaps_since_base >= ctx.config.checkpoint_rebase_interval;
         let delta_parent = if full { None } else { self.chain_parent };
         if full {
@@ -1735,8 +1734,8 @@ impl Task {
     }
 
     /// Tiered backend barrier step: sync the dirty value change-log into a
-    /// sealed L0 segment and gather the checkpoint's segment view (full live
-    /// manifest + payloads sealed since the previous ack). `None` untiered.
+    /// sealed L0 segment and gather the checkpoint's segment view (every live
+    /// segment id + payloads sealed since the previous ack). `None` untiered.
     fn cut_tier_segments(&mut self) -> Option<SegmentAck> {
         if !self.state.tiering_enabled() {
             return None;
@@ -1945,7 +1944,7 @@ impl Task {
         for c in &mut self.ins {
             c.received.retain(|&e, _| e > id);
         }
-        // Completed checkpoints will never reopen; drop their barrier-seen
+        // Completed checkpoints are final; drop their barrier-seen
         // bookkeeping (captures for <= id are already sealed and gone).
         self.ua_seen.retain(|&k, _| k > id);
         if let Role::Sink { committed, .. } = &mut self.role {

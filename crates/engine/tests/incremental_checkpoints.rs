@@ -157,7 +157,7 @@ fn incremental_run_ships_deltas_and_rebases() {
     let cfg = EngineConfig::default()
         .with_seed(21)
         .with_ft(FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full)));
-    assert!(cfg.incremental_checkpoints, "incremental mode is the default");
+    assert!(cfg.checkpoint_rebase_interval > 0, "incremental mode is the default");
     let mut runner = JobRunner::new(job(), cfg);
     runner.populate("in", 0, rows(120_000, 512));
     runner.populate("in", 1, rows(120_000, 512));
@@ -181,14 +181,17 @@ fn incremental_run_ships_deltas_and_rebases() {
 
 #[test]
 fn delta_barrier_bytes_undercut_full_barrier_bytes() {
-    // Same job, same workload, incremental on vs off: with a hot key set that
-    // is small relative to accumulated state, per-barrier delta bytes must be
-    // well under per-barrier full bytes.
+    // Same job, same workload, incremental on vs off (rebase interval 0:
+    // every image a full base): with a hot key set that is small relative to
+    // accumulated state, per-barrier delta bytes must be well under
+    // per-barrier full bytes.
     let run = |incremental: bool| {
         let mut cfg = EngineConfig::default()
             .with_seed(33)
             .with_ft(FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full)));
-        cfg.incremental_checkpoints = incremental;
+        if !incremental {
+            cfg.checkpoint_rebase_interval = 0;
+        }
         let mut runner = JobRunner::new(job(), cfg);
         // Keys drawn from a wide space: state grows, per-epoch touched set
         // shrinks relative to it as the run progresses.

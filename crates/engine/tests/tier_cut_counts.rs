@@ -97,7 +97,7 @@ fn tier_sync_allocates_per_cut_not_per_dirty_row() {
     let per_cut = sync(1);
     let index_keys = DIRTY / TieredConfig::default().index_every as u64;
     assert!(
-        per_cut <= index_keys + 32,
+        per_cut <= index_keys + 10,
         "{per_cut} allocator calls to sync {DIRTY} dirty rows ({index_keys} index keys)"
     );
 }

@@ -77,11 +77,6 @@ impl VirtualDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    #[inline]
-    pub fn mul_f64(self, f: f64) -> VirtualDuration {
-        VirtualDuration((self.0 as f64 * f) as u64)
-    }
 }
 
 impl Add<VirtualDuration> for VirtualTime {

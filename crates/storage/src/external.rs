@@ -13,12 +13,13 @@
 use clonos_sim::{SimRng, VirtualTime};
 use std::collections::BTreeMap;
 
+/// Granularity at which autonomous values change, in microseconds.
+const CHANGE_PERIOD_US: u64 = 1_000;
+
 /// Time-varying external key-value service.
 #[derive(Clone, Debug)]
 pub struct ExternalKv {
     seed: u64,
-    /// Granularity at which autonomous values change, in microseconds.
-    change_period_us: u64,
     /// Explicit writes override the autonomous signal from their write time on.
     writes: BTreeMap<u64, Vec<(VirtualTime, i64)>>,
     calls: u64,
@@ -26,13 +27,7 @@ pub struct ExternalKv {
 
 impl ExternalKv {
     pub fn new(seed: u64) -> ExternalKv {
-        ExternalKv { seed, change_period_us: 1_000, writes: BTreeMap::new(), calls: 0 }
-    }
-
-    pub fn with_change_period_us(mut self, us: u64) -> ExternalKv {
-        assert!(us > 0);
-        self.change_period_us = us;
-        self
+        ExternalKv { seed, writes: BTreeMap::new(), calls: 0 }
     }
 
     /// Query the current value of `key` at virtual time `now`.
@@ -43,8 +38,8 @@ impl ExternalKv {
                 return v;
             }
         }
-        // Autonomous signal: changes every `change_period_us`.
-        let bucket = now.as_micros() / self.change_period_us;
+        // Autonomous signal: changes every `CHANGE_PERIOD_US`.
+        let bucket = now.as_micros() / CHANGE_PERIOD_US;
         let mut r = SimRng::new(self.seed).fork(key).fork(bucket);
         (r.next_u64() % 100_000) as i64
     }

@@ -19,9 +19,9 @@
 //! - [`spill`] — [`spill::SpillDevice`], an I/O-cost-modelled append device
 //!   backing the spilling in-flight log (§6.1);
 //! - [`lsm`] — [`lsm::TieredStore`], the tiered log-structured state
-//!   backend: bounded memtable, leveled deltamap-format segments on the
-//!   spill device, size-tiered compaction, and a crash-consistent segment
-//!   manifest (DESIGN.md §10);
+//!   backend: bounded memtable, leveled segments on the spill device,
+//!   size-tiered compaction; it dies with its task's incarnation, and what
+//!   outlives a failure is the checkpoint (DESIGN.md §10);
 //! - [`external`] — [`external::ExternalKv`], a time-varying key-value
 //!   "external world" that makes UDF calls genuinely nondeterministic (§4.1).
 

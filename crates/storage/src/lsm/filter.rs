@@ -53,11 +53,6 @@ impl KeyFilter {
         KeyFilter { nbits, words }
     }
 
-    /// Rebuild from serialized parts (manifest replay).
-    pub fn from_parts(nbits: u64, words: Vec<u64>) -> KeyFilter {
-        KeyFilter { nbits, words }
-    }
-
     /// The `i`-th probe position of a key hashed to `hash`.
     #[inline]
     fn probe(&self, hash: KeyHash, i: u32) -> (usize, u64) {
@@ -89,14 +84,6 @@ impl KeyFilter {
             self.words.get(word).is_some_and(|w| w & mask != 0)
         })
     }
-
-    pub fn nbits(&self) -> u64 {
-        self.nbits
-    }
-
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +111,5 @@ mod tests {
         let hits = (1_000_000u64..1_010_000).filter(|i| f.may_contain(&i.to_be_bytes())).count();
         // ~1% expected at 10 bits/key with 4 probes; 5% is a generous bound.
         assert!(hits < 500, "false positive rate too high: {hits}/10000");
-    }
-
-    #[test]
-    fn parts_roundtrip() {
-        let mut f = KeyFilter::with_capacity(10, 10);
-        f.insert(b"alpha");
-        let g = KeyFilter::from_parts(f.nbits(), f.words().to_vec());
-        assert_eq!(f, g);
-        assert!(g.may_contain(b"alpha"));
     }
 }

@@ -23,22 +23,22 @@
 //! - **Point reads** prune by key range, then by a bloom-style
 //!   [`KeyFilter`], then read one sparse-index block — never a whole
 //!   segment.
-//! - **Crash consistency**: every structural change is one atomic
-//!   [`Manifest`] record; [`TieredStore::reopen`] replays the manifest
-//!   prefix and lands on the exact tier tree those edits produced. The
-//!   memtable is deliberately volatile — its contents ride in the engine's
-//!   per-barrier dirty deltas, not in the manifest.
 //! - **Bulk load** seeds key-disjoint chunks directly at the bottom level,
 //!   skipping the write amplification of pushing 1e7 keys through L0. The
 //!   bottom level compacts in place (tail-only while seeds remain) so seed
 //!   chunks are never gratuitously rewritten.
+//!
+//! **Durability is the checkpoint's, not the tier's.** A tier lives and
+//! dies with its task's incarnation: its device and tree are in-memory
+//! state of that incarnation, and no second record of the tree is kept.
+//! What survives a failure is the checkpoint — each cut's newly sealed
+//! segments ride the task's ack into the snapshot store, and restore,
+//! standby activation and global rollback fold them (DESIGN.md §3.9, §10.3).
 
 pub mod filter;
-pub mod manifest;
 pub mod segment;
 
 pub use filter::{KeyFilter, KeyHash};
-pub use manifest::{Manifest, ManifestEdit};
 pub use segment::{SegmentMeta, SegmentWriter};
 
 use crate::codec::{ByteWriter, CodecError};
@@ -84,7 +84,6 @@ impl Default for TieredConfig {
 pub struct TierStats {
     pub flushes: u64,
     pub compactions: u64,
-    pub segments_created: u64,
     pub point_reads: u64,
     /// Probes answered "definitely absent" by a segment's key filter.
     pub filter_negatives: u64,
@@ -105,7 +104,6 @@ pub struct TieredStore {
     mem_bytes: u64,
     /// `levels[0]` is newest; within a level the front is oldest.
     levels: Vec<Vec<SegmentMeta>>,
-    manifest: Manifest,
     next_id: u64,
     /// Leading segments of the bottom level that came from `bulk_load`
     /// (key-disjoint seeds, exempt from in-place compaction).
@@ -130,52 +128,8 @@ impl TieredStore {
             memtable: BTreeMap::new(),
             mem_bytes: 0,
             levels,
-            manifest: Manifest::new(),
             next_id: id_base,
             bulk_seeded: 0,
-            pending: Vec::new(),
-            stats: TierStats::default(),
-            pending_io: VirtualDuration::ZERO,
-            scratch: ByteWriter::new(),
-        }
-    }
-
-    /// Rebuild the tier tree by replaying the manifest against a device that
-    /// still holds the referenced payloads — the crash-recovery path. The
-    /// memtable is empty by construction (its contents ride in checkpoint
-    /// deltas, not the manifest).
-    pub fn reopen(cfg: TieredConfig, manifest_bytes: &[u8], device: SpillDevice) -> TieredStore {
-        let (edits, valid) = Manifest::replay(manifest_bytes);
-        let bulk = cfg.bulk_level as usize;
-        let mut levels: Vec<Vec<SegmentMeta>> = vec![Vec::new(); bulk + 1];
-        let mut bulk_seeded = 0usize;
-        let mut next_id = 0u64;
-        for e in &edits {
-            for &rid in &e.removed {
-                for lv in &mut levels {
-                    lv.retain(|m| m.id != rid);
-                }
-            }
-            for m in &e.added {
-                next_id = next_id.max(m.id + 1);
-                let li = (m.level as usize).min(bulk);
-                if let Some(lv) = levels.get_mut(li) {
-                    lv.push(m.clone());
-                }
-            }
-            bulk_seeded += e.seeded as usize;
-        }
-        let records = edits.len() as u64;
-        let prefix = manifest_bytes.get(..valid).unwrap_or_default().to_vec();
-        TieredStore {
-            cfg,
-            device,
-            memtable: BTreeMap::new(),
-            mem_bytes: 0,
-            levels,
-            manifest: Manifest::from_bytes(prefix, records),
-            next_id,
-            bulk_seeded,
             pending: Vec::new(),
             stats: TierStats::default(),
             pending_io: VirtualDuration::ZERO,
@@ -273,14 +227,9 @@ impl TieredStore {
         Ok(None)
     }
 
-    /// Write a payload to the device and give it identity and placement.
-    /// `None` for an empty segment (nothing to add).
-    fn install(
-        &mut self,
-        payload: Bytes,
-        parts: segment::SegmentParts,
-        level: u8,
-    ) -> Option<SegmentMeta> {
+    /// Write a payload to the device and give it identity; the caller places
+    /// it. `None` for an empty segment (nothing to add).
+    fn install(&mut self, payload: Bytes, parts: segment::SegmentParts) -> Option<SegmentMeta> {
         if parts.entries == 0 {
             return None;
         }
@@ -290,7 +239,6 @@ impl TieredStore {
         self.next_id += 1;
         Some(SegmentMeta {
             id,
-            level,
             handle,
             bytes: parts.bytes,
             entries: parts.entries,
@@ -304,11 +252,11 @@ impl TieredStore {
     /// [`Self::install`] for a payload that arrives whole (a compaction fold,
     /// a bulk-load chunk): its metadata is read back out of it. `None` also
     /// for a malformed payload.
-    fn build_meta(&mut self, payload: Bytes, level: u8) -> Option<SegmentMeta> {
+    fn build_meta(&mut self, payload: Bytes) -> Option<SegmentMeta> {
         let parts =
             segment::scan_image(&payload, self.cfg.index_every, self.cfg.filter_bits_per_key)
                 .ok()?;
-        self.install(payload, parts, level)
+        self.install(payload, parts)
     }
 
     /// Start a level-0 segment of exactly `entries` entries, which the
@@ -351,14 +299,11 @@ impl TieredStore {
     fn seal_newest(&mut self, segment: SegmentWriter) {
         let (payload, parts, scratch) = segment.finish();
         self.scratch = scratch;
-        if let Some(meta) = self.install(payload, parts, 0) {
+        if let Some(meta) = self.install(payload, parts) {
             self.stats.flushes += 1;
             self.pending.push(meta.id);
-            self.stats.segments_created += 1;
-            let edit = ManifestEdit { added: vec![meta], removed: vec![], seeded: 0 };
-            self.manifest.append(&edit);
             if let Some(l0) = self.levels.get_mut(0) {
-                l0.extend(edit.added);
+                l0.push(meta);
             }
         }
         self.maybe_compact();
@@ -396,15 +341,9 @@ impl TieredStore {
             newer -= m.bytes;
             m.bytes >= newer
         });
-        let mut moved: Vec<SegmentMeta> = victims.drain(..large.count()).collect();
-        if !moved.is_empty() {
-            moved.iter_mut().for_each(|m| m.level = (l + 1) as u8);
-            let removed = moved.iter().map(|m| m.id).collect();
-            let edit = ManifestEdit { added: moved, removed, seeded: 0 };
-            self.manifest.append(&edit);
-            if let Some(lv) = self.levels.get_mut(l + 1) {
-                lv.extend(edit.added);
-            }
+        let moved = large.count();
+        if let Some(lv) = self.levels.get_mut(l + 1) {
+            lv.extend(victims.drain(..moved));
         }
         let deeper_empty = self.levels.iter().skip(l + 1).all(Vec::is_empty);
         let Some(folded) = self.fold_victims(&victims, deeper_empty) else {
@@ -413,7 +352,7 @@ impl TieredStore {
             }
             return;
         };
-        self.finish_compaction(victims, folded, (l + 1) as u8, l + 1);
+        self.finish_compaction(victims, folded, l + 1);
     }
 
     /// In-place compaction of the bottom level's non-seed tail. While bulk
@@ -432,7 +371,7 @@ impl TieredStore {
             }
             return;
         };
-        self.finish_compaction(victims, folded, bulk as u8, bulk);
+        self.finish_compaction(victims, folded, bulk);
     }
 
     /// Read victim payloads (oldest first) and fold them into one image.
@@ -448,30 +387,19 @@ impl TieredStore {
         deltamap::fold_layers(&refs, drop_tombstones).ok()
     }
 
-    fn finish_compaction(
-        &mut self,
-        victims: Vec<SegmentMeta>,
-        folded: Bytes,
-        level: u8,
-        level_idx: usize,
-    ) {
-        let removed: Vec<u64> = victims.iter().map(|m| m.id).collect();
+    fn finish_compaction(&mut self, victims: Vec<SegmentMeta>, folded: Bytes, level: usize) {
         for m in &victims {
             self.device.free(m.handle);
         }
         // A victim sealed but never shipped is subsumed by the fold; drop
         // it from the pending-publish set so acks only reference live ids.
-        self.pending.retain(|id| !removed.contains(id));
-        let mut edit = ManifestEdit { added: vec![], removed, seeded: 0 };
-        if let Some(meta) = self.build_meta(folded, level) {
-            edit.added.push(meta.clone());
+        self.pending.retain(|id| !victims.iter().any(|m| m.id == *id));
+        if let Some(meta) = self.build_meta(folded) {
             self.pending.push(meta.id);
-            self.stats.segments_created += 1;
-            if let Some(lv) = self.levels.get_mut(level_idx) {
+            if let Some(lv) = self.levels.get_mut(level) {
                 lv.push(meta);
             }
         }
-        self.manifest.append(&edit);
         self.stats.compactions += 1;
     }
 
@@ -480,7 +408,7 @@ impl TieredStore {
     /// a benchmark corpus without pushing everything through L0. Must only
     /// be called on a store with no overlapping data.
     pub fn bulk_load<I: IntoIterator<Item = (Vec<u8>, Bytes)>>(&mut self, entries: I) {
-        let bulk = self.cfg.bulk_level;
+        let bulk = self.cfg.bulk_level as usize;
         let mut payloads = Vec::new();
         let mut body = ByteWriter::new();
         let mut count = 0u64;
@@ -504,23 +432,15 @@ impl TieredStore {
             }
         }
         seal(&mut body, &mut count, &mut payloads);
-        let mut metas = Vec::with_capacity(payloads.len());
         for p in payloads {
-            if let Some(meta) = self.build_meta(p, bulk) {
+            if let Some(meta) = self.build_meta(p) {
                 self.pending.push(meta.id);
-                self.stats.segments_created += 1;
-                if let Some(lv) = self.levels.get_mut(bulk as usize) {
-                    lv.push(meta.clone());
+                self.bulk_seeded += 1;
+                if let Some(lv) = self.levels.get_mut(bulk) {
+                    lv.push(meta);
                 }
-                metas.push(meta);
             }
         }
-        if metas.is_empty() {
-            return;
-        }
-        self.bulk_seeded += metas.len();
-        let seeded = metas.len() as u64;
-        self.manifest.append(&ManifestEdit { added: metas, removed: vec![], seeded });
     }
 
     /// Drain segments sealed since the last call, with payloads — what a
@@ -605,19 +525,18 @@ impl TieredStore {
         self.mem_bytes
     }
 
-    pub fn manifest_bytes(&self) -> &[u8] {
-        self.manifest.bytes()
-    }
-
-    pub fn manifest_records(&self) -> u64 {
-        self.manifest.records()
-    }
-
     pub fn device(&self) -> &SpillDevice {
         &self.device
     }
 
-    /// The tier tree, for replay-identity assertions in tests.
+    /// The test seam for damage: put `device` under the live tier, whose
+    /// tree keeps reading the same handles. Tests hand in a device holding
+    /// altered payloads, to check that a damaged tier fails closed.
+    pub fn swap_device(&mut self, device: SpillDevice) {
+        self.device = device;
+    }
+
+    /// The tier tree, newest level first.
     pub fn levels(&self) -> &[Vec<SegmentMeta>] {
         &self.levels
     }
@@ -733,28 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn reopen_reconstructs_identical_tier_tree() {
-        let mut s = store();
-        s.bulk_load(
-            (0..100u64).map(|i| (TieredStore::full_key(1, &k(i)), Bytes::from(format!("b{i}").into_bytes()))),
-        );
-        for round in 0..6u64 {
-            for i in 0..30u64 {
-                s.put(1, &k(i), Bytes::from(format!("r{round}v{i}").into_bytes()));
-            }
-            s.delete(1, &k(round));
-            s.flush();
-        }
-        let reopened =
-            TieredStore::reopen(small_cfg(), s.manifest_bytes(), s.device().clone());
-        assert_eq!(reopened.levels(), s.levels());
-        let mut r = reopened;
-        // Memtable was empty at "crash" (we flushed), so folds agree.
-        assert_eq!(r.fold_entries(), s.fold_entries());
-        assert_eq!(r.get(1, &k(3)), s.get(1, &k(3)));
-    }
-
-    #[test]
     fn a_damaged_block_is_an_error_not_an_absent_key() {
         let mut s = store();
         for i in 0..8u64 {
@@ -762,31 +659,31 @@ mod tests {
         }
         s.flush();
         let payload = s.device().peek(s.levels()[0][0].handle).expect("sealed payload").to_vec();
-        // The store as it reopens over a device holding `payload` instead.
-        let reopen_over = |payload: Vec<u8>| {
+        // The one segment's handle, on a device holding `payload` instead.
+        let device_with = |payload: Vec<u8>| {
             let mut device = SpillDevice::new();
             device.write(Bytes::from(payload));
-            TieredStore::reopen(small_cfg(), s.manifest_bytes(), device)
+            device
         };
         // count ++ [section, key len, 8 key bytes, op, ..]: the first op byte.
         let mut flipped = payload.clone();
         flipped[11] ^= 0xFF;
-        let mut r = reopen_over(flipped);
+        s.swap_device(device_with(flipped));
         assert_eq!(
-            r.try_get(1, &k(0)),
+            s.try_get(1, &k(0)),
             Err(CodecError::InvalidTag { context: "deltamap op", tag: 0xFE })
         );
-        assert_eq!(r.get(1, &k(0)), None, "`get` has no error path");
-        assert_eq!(r.try_get(1, &k(99)), Ok(None), "range and filter still answer from memory");
+        assert_eq!(s.get(1, &k(0)), None, "`get` has no error path");
+        assert_eq!(s.try_get(1, &k(99)), Ok(None), "range and filter still answer from memory");
         // `index_every` is 4: key 7 sits in the second block, now short.
         let mut short = payload.clone();
         short.truncate(payload.len() - 3);
-        let mut r = reopen_over(short);
-        assert_eq!(r.try_get(1, &k(0)), Ok(Some(Bytes::from(vec![b'v'; 8]))));
-        assert!(matches!(r.try_get(1, &k(7)), Err(CodecError::UnexpectedEof { .. })));
+        s.swap_device(device_with(short));
+        assert_eq!(s.try_get(1, &k(0)), Ok(Some(Bytes::from(vec![b'v'; 8]))));
+        assert!(matches!(s.try_get(1, &k(7)), Err(CodecError::UnexpectedEof { .. })));
         // A payload the device no longer holds at all.
-        let mut r = TieredStore::reopen(small_cfg(), s.manifest_bytes(), SpillDevice::new());
-        assert!(matches!(r.try_get(1, &k(0)), Err(CodecError::UnexpectedEof { remaining: 0, .. })));
+        s.swap_device(SpillDevice::new());
+        assert!(matches!(s.try_get(1, &k(0)), Err(CodecError::UnexpectedEof { remaining: 0, .. })));
     }
 
     #[test]
@@ -832,8 +729,13 @@ mod tests {
             deltamap::write_put(small.entry(1, &k(round)), 1, &k(round), b"small");
             s.seal(small);
         }
-        let moved = s.levels().iter().flatten().find(|m| m.id == large_id).expect("still live");
-        let (level, bytes) = (moved.level, moved.bytes as usize);
+        let (level, moved) = s
+            .levels()
+            .iter()
+            .enumerate()
+            .find_map(|(l, lv)| Some((l, lv.iter().find(|m| m.id == large_id)?)))
+            .expect("still live");
+        let bytes = moved.bytes as usize;
         assert!(level > 0, "went down, as itself");
         assert!(
             s.take_sealed().iter().all(|(_, payload)| payload.len() < bytes / 4),
@@ -841,8 +743,6 @@ mod tests {
         );
         assert_eq!(s.get(2, &k(399)), Some(Bytes::from(vec![b'G'; 32])));
         assert_eq!(s.get(1, &k(3)), Some(Bytes::from_static(b"small")));
-        let reopened = TieredStore::reopen(small_cfg(), s.manifest_bytes(), s.device().clone());
-        assert_eq!(reopened.levels(), s.levels());
     }
 
     #[test]

@@ -21,11 +21,11 @@ use bytes::Bytes;
 
 /// Metadata for one sealed segment. The payload lives on the spill device
 /// under `handle`; everything needed to *decide* whether to read it lives
-/// here (and in the manifest, so it survives reopen).
+/// here, in memory only: after a failure the task's next incarnation builds
+/// a new tier from the checkpoint, it does not reload this one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SegmentMeta {
     pub id: u64,
-    pub level: u8,
     pub handle: SpillHandle,
     /// Payload length in bytes.
     pub bytes: u64,
@@ -267,7 +267,6 @@ mod tests {
         let p = scan_image(&img, 2, 10).unwrap();
         let meta = SegmentMeta {
             id: 0,
-            level: 0,
             handle: SpillHandle(0),
             bytes: p.bytes,
             entries: p.entries,

@@ -45,8 +45,6 @@ impl IoModel {
 }
 
 /// The device. Writes are modelled, contents retained for later reads.
-/// `Clone` exists for crash-simulation tests that snapshot device contents
-/// at an edit boundary and reopen from the copy.
 #[derive(Clone, Debug, Default)]
 pub struct SpillDevice {
     model: IoModel,

@@ -65,41 +65,39 @@ BENCH_BARRIER_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_barrier
 echo "== bench: state smoke (tiered backend, O(dirty) shipped bytes) =="
 BENCH_STATE_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_state
 
-# One short run of a benchmark workload: it must be correct and its exact
-# allocs_per_record at most the ceiling. No timing threshold.
-alloc_ceiling_stage() { # <workload> <ceiling>
+# One short run of a benchmark workload: it must be correct with no failed
+# operation and, when a ceiling is given, its exact allocs_per_record at most
+# the ceiling. No timing threshold.
+bench_stage() { # <workload> [allocs ceiling]
   bash clonos_benchmark/run.sh --workload "$1" --seed 1 --seconds 3 --trace 0 | tail -n 1 |
     python3 -c '
 import json, sys
-result, workload, ceiling = json.loads(sys.stdin.read()), sys.argv[1], float(sys.argv[2])
-allocs = result["metrics"]["allocs_per_record"]["value"]
-if result["correct"] is not True:
-    sys.exit(f"ERROR: {workload} benchmark run is not correct")
-if allocs > ceiling:
-    sys.exit(f"ERROR: {workload} allocs_per_record {allocs:.2f} exceeds the ceiling {ceiling}")
-print(f"== bench: {workload} allocs_per_record {allocs:.2f} (ceiling {ceiling}) ==")
-' "$1" "$2"
+result, workload, ceiling = json.loads(sys.stdin.read()), sys.argv[1], sys.argv[2:]
+failed, attempted = result["failed"], result["attempted"]
+if result["correct"] is not True or failed != 0:
+    sys.exit(f"ERROR: {workload} benchmark run is not correct ({failed} failed)")
+line = f"{attempted} records, 0 failed"
+if ceiling:
+    allocs, ceiling = result["metrics"]["allocs_per_record"]["value"], float(ceiling[0])
+    if allocs > ceiling:
+        sys.exit(f"ERROR: {workload} allocs_per_record {allocs:.2f} exceeds the ceiling {ceiling}")
+    line += f", allocs_per_record {allocs:.2f} (ceiling {ceiling})"
+print(f"== bench: {workload} correct: {line} ==")
+' "$@"
 }
 
-echo "== bench: chain allocation ceiling (clonos_benchmark, exact count) =="
+echo "== bench: chain correct + allocation ceiling (clonos_benchmark, exact count) =="
 ALLOCS_PER_RECORD_CEILING=11.21 # chain allocs_per_record at the commit that set it (10.19) + 10 %
-alloc_ceiling_stage chain "$ALLOCS_PER_RECORD_CEILING"
+bench_stage chain "$ALLOCS_PER_RECORD_CEILING"
 
 echo "== bench: nexmark correct + allocation ceiling (the one workload whose determinants carry payloads) =="
 # nexmark allocs_per_record at the commit that set it (5.36) + 10 %: a
 # per-determinant allocation back in the delta exchange costs Q13 one per record.
 NEXMARK_ALLOCS_PER_RECORD_CEILING=5.90
-alloc_ceiling_stage nexmark "$NEXMARK_ALLOCS_PER_RECORD_CEILING"
+bench_stage nexmark "$NEXMARK_ALLOCS_PER_RECORD_CEILING"
 
-echo "== bench: keyed_state, tiered output = untiered output (clonos_benchmark; no timing threshold) =="
-bash clonos_benchmark/run.sh --workload keyed_state --seed 1 --seconds 3 --trace 0 | tail -n 1 |
-  python3 -c '
-import json, sys
-result = json.loads(sys.stdin.read())
-if result["correct"] is not True or result["failed"] != 0:
-    sys.exit("ERROR: keyed_state benchmark run is not correct: the tiered and untiered stores must produce the same output digests, every rep the same counts")
-print("== bench: keyed_state correct ({} records, 0 failed) ==".format(result["attempted"]))
-'
+echo "== bench: keyed_state correct: tiered output = untiered output, every rep the same counts =="
+bench_stage keyed_state
 
 echo "== bench: committed BENCH_*.json untouched by the smokes =="
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1 && ! git diff --quiet -- 'BENCH_*.json'; then

@@ -59,7 +59,6 @@ fn chaos_sweep_incremental_long_chains_exactly_once() {
     for seed in 0..sweep_seeds() {
         let plan = ChaosPlan::generate(seed, &space);
         let report = run_oracle_with(clonos_full(), seed, Some(&plan), |cfg| {
-            cfg.incremental_checkpoints = true;
             cfg.checkpoint_rebase_interval = u32::MAX;
         });
         let label = format!("incremental-long-chain seed {seed} ({plan:?})");
