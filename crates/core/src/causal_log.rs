@@ -21,21 +21,25 @@
 //! paths) and lets recovery merge partial replicas from multiple downstream
 //! survivors by simply taking the longest.
 
-use crate::determinant::{Determinant, WireCursor};
+use crate::determinant::{Determinant, WireCtx, WireCursor, WIRE_ABS};
 use crate::{ChannelId, EpochId, TaskId};
 use bytes::Bytes;
-use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
+use clonos_storage::codec::{ByteWriter, CodecError};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Log identifier within a task: the main-thread log or an output-channel log.
 pub const MAIN_LOG: u32 = 0;
 
-/// Wire-only tag for a run-length-compressed sequence of `Order`
-/// determinants inside a delta (§9 of the paper lists compressed causal-log
-/// data structures as future work; `Order` entries dominate the log under
-/// steady load, and consecutive buffers from the same channel are common).
+/// Wire-only kind (the low bits of a tag byte) for a run-length-compressed
+/// sequence of `Order` determinants inside a delta (§9 of the paper lists
+/// compressed causal-log data structures as future work). It fires on
+/// single-input stretches; `chain` alternates each `Order` with a
+/// `Timestamp` and never forms a run (EXPERIMENTS.md E13).
 const WIRE_ORDER_RUN: u8 = 0x3F;
+
+/// `Determinant::Order`'s kind (its `Determinant::encode` tag).
+const ORDER: u8 = 0;
 
 #[inline]
 pub fn channel_log(ch: ChannelId) -> u32 {
@@ -52,24 +56,35 @@ const ARENA_CHUNK_BYTES: usize = 4096;
 #[derive(Clone, Copy, Debug)]
 struct IndexEntry {
     epoch: EpochId,
-    /// Logical arena offset of the entry's first byte (its epoch varint).
+    /// Logical arena offset of the entry's first byte (its tag byte).
     /// Logical offsets are monotone over the log's lifetime; truncation only
     /// retires dead prefixes, it never renumbers.
     offset: u64,
-    /// Width of the epoch varint prefix.
-    epoch_len: u8,
-    /// Width of the encoded determinant (tag + payload).
-    det_len: u32,
-    /// `Some(channel)` iff the determinant is `Order { channel }` — delta
-    /// collection detects run-length-compressible runs from the index alone,
-    /// without decoding.
-    order_channel: Option<u32>,
+    /// Width of the entry in the arena.
+    len: u32,
+    /// The channel of an `Order` (0 for other kinds): delta collection
+    /// detects run-length-compressible runs from the index alone.
+    channel: u32,
+    /// The determinant's kind (its [`Determinant::encode`] tag).
+    kind: u8,
 }
 
 impl IndexEntry {
     #[inline]
     fn end(&self) -> u64 {
-        self.offset + self.epoch_len as u64 + self.det_len as u64
+        self.offset + self.len as u64
+    }
+
+    #[inline]
+    fn order_channel(&self) -> Option<u32> {
+        (self.kind == ORDER).then_some(self.channel)
+    }
+
+    /// `Timer`, `Rpc` and `Timestamp` move the context's step fields: only
+    /// their bytes must be read to step past them.
+    #[inline]
+    fn has_steps(&self) -> bool {
+        matches!(self.kind, 1..=3)
     }
 }
 
@@ -88,30 +103,43 @@ impl Chunk {
     }
 }
 
+/// Arena bytes were coded by this process or accepted on ingest by
+/// [`Determinant::skip_wire`], which accepts exactly what
+/// [`Determinant::decode_wire`] accepts: failing to read them back is memory
+/// corruption, not a protocol fault to escalate.
+fn arena<T>(read: Result<T, CodecError>) -> T {
+    // clonos-lint: allow(recovery-panic, reason = "arena bytes were encoded by this process or accepted by Determinant::skip_wire on ingest, which accepts exactly what decode_wire accepts; a decode failure is memory corruption, not a protocol fault to escalate")
+    read.expect("arena entry decodes")
+}
+
 /// An epoch-segmented, sequence-numbered determinant log.
 ///
 /// Entries are appended with nondecreasing epochs; truncation drops whole
 /// epoch prefixes (safe once a checkpoint made them stable).
 ///
-/// Storage is an **encoded arena**: `append` serializes the entry
-/// (`varint(epoch)` followed by the determinant encoding — exactly the
-/// delta wire format for an uncompressed entry) into an append-only chunked
-/// byte arena, and keeps a per-entry [`IndexEntry`] carrying the epoch,
-/// offsets, and the `Order`-channel needed for run detection. Everything
-/// else derives from the index:
+/// Storage is an **encoded arena**: `append` codes the entry in the delta
+/// wire format ([`Determinant::encode_wire`]) against the entry before it —
+/// the epoch only when it changes, `Timestamp.ts` and step offsets as deltas
+/// — into an append-only chunked byte arena, and keeps a per-entry
+/// [`IndexEntry`] carrying the epoch, offsets, the kind and the
+/// `Order`-channel needed for run detection. Everything else derives from
+/// the index and two contexts (`base_ctx` before the front entry, `tail_ctx`
+/// after the last):
 ///
-/// - delta collection bulk-copies contiguous arena ranges instead of
-///   re-encoding each determinant per output channel;
+/// - delta collection re-codes a span's first entry or two and bulk-copies
+///   the rest instead of re-encoding each determinant per output channel;
 /// - `encoded_bytes` accounting sums indexed lengths (no re-encode);
-/// - truncation pops index entries and retires whole dead chunks;
-/// - `get`/`since` decode on demand (cold paths: tests, snapshots, replay
-///   installation).
+/// - truncation pops index entries and retires whole dead chunks; the new
+///   front starts a higher epoch, so its context restarted and `base_ctx`
+///   needs no byte of the popped entries;
+/// - `get`/`since` decode on demand from `base_ctx` (cold paths: tests,
+///   snapshots, replay installation).
 ///
 /// Invariants: index offsets are strictly increasing and contiguous
 /// (`index[i].end() == index[i+1].offset`); an entry never spans chunks;
 /// live bytes are covered by `sealed` chunks plus the `active` tail, with
 /// `active` starting at `active_start == sealed.back().end()` (when sealed
-/// chunks exist).
+/// chunks exist); an empty log has `base_ctx == tail_ctx`.
 #[derive(Clone, Debug, Default)]
 pub struct EpochLog {
     base_seq: u64,
@@ -121,6 +149,11 @@ pub struct EpochLog {
     /// Logical offset of `active`'s first byte.
     active_start: u64,
     encoded_bytes: u64,
+    /// The context the front entry is coded against: what the truncated
+    /// entries before it left.
+    base_ctx: WireCtx,
+    /// The context after the last entry, which the next one is coded against.
+    tail_ctx: WireCtx,
 }
 
 impl EpochLog {
@@ -149,8 +182,8 @@ impl EpochLog {
         self.index.is_empty()
     }
 
-    /// Total encoded size of resident determinants (determinant-pool
-    /// accounting; excludes the epoch prefixes).
+    /// Arena bytes of resident determinants (determinant-pool accounting),
+    /// each entry as coded against the one before it.
     pub fn encoded_bytes(&self) -> u64 {
         self.encoded_bytes
     }
@@ -165,7 +198,7 @@ impl EpochLog {
         if let Some(last) = self.index.back() {
             debug_assert!(epoch >= last.epoch, "epochs must be nondecreasing");
         }
-        self.encode_entry(epoch, det)
+        self.encode_entry(epoch, &det)
     }
 
     /// `append` without its claim about epochs, which holds for a task's own
@@ -174,23 +207,26 @@ impl EpochLog {
     /// under unaligned barriers: `chaos_sweep_unaligned_clonos_exactly_once`
     /// at 25 seeds), so ingest must take them; truncation copes — it pops a
     /// prefix, such an entry just waits for the ones before it.
-    fn encode_entry(&mut self, epoch: EpochId, det: Determinant) -> u64 {
+    fn encode_entry(&mut self, epoch: EpochId, det: &Determinant) -> u64 {
         let seq = self.next_seq();
         if self.active.len() >= ARENA_CHUNK_BYTES {
             self.seal_active();
         }
         let offset = self.next_offset();
-        self.active.put_varint(epoch);
-        let epoch_len = (self.next_offset() - offset) as u8;
-        det.encode(&mut self.active);
-        let det_len = (self.next_offset() - offset) as u32 - epoch_len as u32;
-        let order_channel = match det {
-            Determinant::Order { channel } => Some(channel),
-            _ => None,
+        let kind = det.encode_wire(epoch, &mut self.tail_ctx, &mut self.active);
+        let channel = match det {
+            Determinant::Order { channel } => *channel,
+            _ => 0,
         };
-        self.index.push_back(IndexEntry { epoch, offset, epoch_len, det_len, order_channel });
-        self.encoded_bytes += det_len as u64;
+        let len = (self.next_offset() - offset) as u32;
+        self.push_entry(IndexEntry { epoch, offset, len, channel, kind });
         seq
+    }
+
+    #[inline]
+    fn push_entry(&mut self, e: IndexEntry) {
+        self.encoded_bytes += e.len as u64;
+        self.index.push_back(e);
     }
 
     fn seal_active(&mut self) {
@@ -203,9 +239,9 @@ impl EpochLog {
         self.sealed.push_back(Chunk { start, bytes: frozen });
     }
 
-    /// The encoded bytes of one indexed entry (`varint(epoch)` + determinant).
+    /// The arena bytes of one indexed entry.
     fn entry_bytes(&self, e: &IndexEntry) -> &[u8] {
-        let len = (e.end() - e.offset) as usize;
+        let len = e.len as usize;
         if e.offset >= self.active_start {
             let s = (e.offset - self.active_start) as usize;
             &self.active.as_slice()[s..s + len]
@@ -217,43 +253,63 @@ impl EpochLog {
         }
     }
 
-    fn decode_entry(&self, e: &IndexEntry) -> Determinant {
-        let bytes = self.entry_bytes(e);
-        let mut r = ByteReader::new(&bytes[e.epoch_len as usize..]);
-        // clonos-lint: allow(recovery-panic, reason = "arena bytes were encoded by this process or accepted by Determinant::skip_with_tag on ingest, which accepts exactly what decode accepts; a decode failure is memory corruption, not a protocol fault to escalate")
-        Determinant::decode(&mut r).expect("arena entry decodes")
+    /// Decode entry `e`, coded against `ctx`, which advances past it.
+    fn read_entry(&self, e: &IndexEntry, ctx: &mut WireCtx) -> Determinant {
+        arena(Determinant::decode_wire(&mut WireCursor::new(self.entry_bytes(e)), ctx)).1
+    }
+
+    /// Advance `ctx` past entry `e`, building it only if it moves step
+    /// fields.
+    fn step_past(&self, e: &IndexEntry, ctx: &mut WireCtx) {
+        if e.has_steps() {
+            self.read_entry(e, ctx);
+        } else {
+            ctx.enter(e.epoch);
+        }
     }
 
     /// Entry at absolute sequence number `seq`, if resident (decoded from
     /// the arena).
     pub fn get(&self, seq: u64) -> Option<(EpochId, Determinant)> {
-        let idx = seq.checked_sub(self.base_seq)? as usize;
-        let e = self.index.get(idx)?;
-        Some((e.epoch, self.decode_entry(e)))
+        let (at, epoch, det) = self.since(seq).next()?;
+        (at == seq).then_some((epoch, det))
     }
 
     /// Iterate entries with `seq >= from`, yielding `(seq, epoch, det)`
-    /// decoded from the arena.
+    /// decoded from the arena (the entries before `from` are stepped past
+    /// for the context they leave).
     pub fn since(&self, from: u64) -> impl Iterator<Item = (u64, EpochId, Determinant)> + '_ {
-        let start = from.saturating_sub(self.base_seq) as usize;
-        self.index
-            .iter()
-            .enumerate()
-            .skip(start)
-            .map(move |(i, e)| (self.base_seq + i as u64, e.epoch, self.decode_entry(e)))
+        let mut ctx = self.base_ctx;
+        (self.base_seq..).zip(&self.index).filter_map(move |(seq, e)| {
+            if seq < from {
+                self.step_past(e, &mut ctx);
+                return None;
+            }
+            Some((seq, e.epoch, self.read_entry(e, &mut ctx)))
+        })
     }
 
     /// Drop all entries belonging to epochs `<= epoch`. Returns dropped count.
     pub fn truncate_through(&mut self, epoch: EpochId) -> usize {
         let mut dropped = 0;
+        let mut last = None;
         while let Some(&front) = self.index.front() {
             if front.epoch > epoch {
                 break;
             }
             self.index.pop_front();
-            self.encoded_bytes -= front.det_len as u64;
+            self.encoded_bytes -= front.len as u64;
             self.base_seq += 1;
             dropped += 1;
+            last = Some(front.epoch);
+        }
+        // The entry after the last one popped has a higher epoch, so it was
+        // coded against that epoch's restart, not against the context the
+        // popped entries left: no byte of theirs is read.
+        if self.index.is_empty() {
+            self.base_ctx = self.tail_ctx;
+        } else if let Some(last) = last {
+            self.base_ctx = WireCtx::of_epoch(last);
         }
         self.retire_dead_chunks();
         dropped
@@ -312,6 +368,7 @@ impl EpochLog {
             self.index.clear();
             self.retire_dead_chunks();
             self.base_seq = from;
+            self.base_ctx = self.tail_ctx;
             stats.gap_resyncs += 1;
             return 0;
         }
@@ -319,10 +376,14 @@ impl EpochLog {
     }
 
     /// Ingest one delta span: `count` logical entries numbered from `from`,
-    /// wire-encoded at `r`. The prefix this log already holds is walked
-    /// without touching the log; the rest is appended by copying its wire
-    /// bytes — the arena format *is* the wire format — so no determinant is
-    /// built and nothing is re-encoded. Returns the number appended.
+    /// wire-encoded in `span`. A span this log holds whole is skipped by its
+    /// length, unread. Otherwise the held prefix is walked without touching
+    /// the log, and the rest is appended as bytes: while the span's context
+    /// and the arena's tail differ — the first new entry or two — an entry
+    /// is re-coded against the tail ([`Determinant::recode_wire`]); once
+    /// they agree, entries are copied as they are, since an entry coded
+    /// against its predecessor means the same on both sides. No determinant
+    /// is built. Returns the number appended.
     ///
     /// On `Err` the entries read before the fault stay appended and the log
     /// is consistent (every indexed entry has its bytes).
@@ -330,23 +391,27 @@ impl EpochLog {
         &mut self,
         from: u64,
         count: u64,
-        r: &mut WireCursor<'_>,
+        span: &[u8],
         stats: &mut CausalLogStats,
     ) -> Result<u64, CodecError> {
-        if count == 0 {
+        let held = self.admit_span(from, count, stats);
+        if held == count {
+            stats.held_spans_skipped += 1;
             return Ok(0);
         }
-        let held = self.admit_span(from, count, stats);
+        let r = &mut WireCursor::new(span);
+        // The span's own context: zero before its first item.
+        let mut wire = WireCtx::default();
         let mut logical = 0;
         while logical < held {
-            match WireItem::read(r, count - logical)? {
+            match WireItem::read(r, &mut wire, count - logical)? {
                 WireItem::Entry { .. } => logical += 1,
-                WireItem::Run { epoch, channel, run } => {
+                WireItem::Run { channel, run } => {
                     stats.order_entries_compressed += run;
                     logical += run;
                     // Only the tail of a run that straddles the boundary is new.
                     if logical > held {
-                        self.append_order_run(epoch, channel, logical - held);
+                        self.append_order_run(wire.epoch, channel, logical - held);
                     }
                 }
             }
@@ -356,60 +421,89 @@ impl EpochLog {
         // with one copy, cut where `append` would have sealed a chunk.
         let mut batch = *r;
         let mut pending = 0usize;
+        // Whether the span's context and the tail agree; once they do, they
+        // stay in step, and the tail is moved along when the loop leaves.
+        let mut synced = wire == self.tail_ctx;
         let result = loop {
             if logical >= count {
-                break Ok(count - held);
+                break match r.remaining() {
+                    0 => Ok(count - held),
+                    _ => Err(CodecError::Inconsistent { context: "delta span byte length" }),
+                };
             }
             if self.active.len() + pending >= ARENA_CHUNK_BYTES {
                 self.active.put_raw(batch.peek(pending));
                 self.seal_active();
                 (batch, pending) = (*r, 0);
             }
-            match WireItem::read(r, count - logical) {
-                Err(e) => break Err(e),
-                Ok(WireItem::Entry { epoch, epoch_len, len, order_channel }) => {
-                    let det_len = (len - epoch_len as usize) as u32;
-                    let offset = self.next_offset() + pending as u64;
-                    self.index.push_back(IndexEntry { epoch, offset, epoch_len, det_len, order_channel });
-                    self.encoded_bytes += det_len as u64;
-                    pending += len;
+            let (mut at, mut before) = (*r, wire);
+            match WireItem::read(r, &mut wire, count - logical) {
+                Err(e) => {
+                    wire = before;
+                    break Err(e);
+                }
+                Ok(WireItem::Entry { kind, channel }) => {
+                    let len = at.remaining() - r.remaining();
+                    if synced {
+                        let offset = self.next_offset() + pending as u64;
+                        self.push_entry(IndexEntry { epoch: wire.epoch, offset, len: len as u32, channel, kind });
+                        pending += len;
+                    } else {
+                        self.active.put_raw(batch.peek(pending));
+                        (batch, pending) = (*r, 0);
+                        let offset = self.next_offset();
+                        let recoded =
+                            Determinant::recode_wire(&mut at, &mut before, &mut self.tail_ctx, &mut self.active);
+                        if let Err(e) = recoded {
+                            break Err(e);
+                        }
+                        let len = (self.next_offset() - offset) as u32;
+                        self.push_entry(IndexEntry { epoch: wire.epoch, offset, len, channel, kind });
+                        synced = wire == self.tail_ctx;
+                    }
                     logical += 1;
                 }
-                Ok(WireItem::Run { epoch, channel, run }) => {
+                Ok(WireItem::Run { channel, run }) => {
                     self.active.put_raw(batch.peek(pending));
+                    if synced {
+                        self.tail_ctx = before;
+                    }
                     stats.order_entries_compressed += run;
-                    self.append_order_run(epoch, channel, run);
+                    self.append_order_run(wire.epoch, channel, run);
+                    synced = wire == self.tail_ctx;
                     logical += run;
                     (batch, pending) = (*r, 0);
                 }
             }
         };
         self.active.put_raw(batch.peek(pending));
+        if synced {
+            self.tail_ctx = wire;
+        }
         result
     }
 
     /// Append `n` copies of `Order { channel }` under `epoch` (a compressed
-    /// wire run, expanded): the first is encoded, the rest are stamped from
-    /// its bytes.
+    /// wire run, expanded): the first two are encoded, the rest are stamped
+    /// from the second's bytes — an `Order` in its predecessor's epoch.
     fn append_order_run(&mut self, epoch: EpochId, channel: u32, n: u64) {
-        if n == 0 {
-            return;
+        let order = Determinant::Order { channel };
+        for _ in 0..n.min(2) {
+            self.encode_entry(epoch, &order);
         }
-        self.encode_entry(epoch, Determinant::Order { channel });
-        let Some(&first) = self.index.back() else { return };
-        // varint(epoch) + tag + varint(u32): at most 10 + 1 + 5 bytes.
-        let mut image = [0u8; 16];
-        let bytes = self.entry_bytes(&first);
+        let Some(&second) = self.index.back().filter(|_| n > 2) else { return };
+        // tag + varint(u32): at most 1 + 5 bytes.
+        let mut image = [0u8; 6];
+        let bytes = self.entry_bytes(&second);
         let len = bytes.len();
         image[..len].copy_from_slice(bytes);
-        for _ in 1..n {
+        for _ in 2..n {
             if self.active.len() >= ARENA_CHUNK_BYTES {
                 self.seal_active();
             }
             let offset = self.next_offset();
             self.active.put_raw(&image[..len]);
-            self.index.push_back(IndexEntry { offset, ..first });
-            self.encoded_bytes += first.det_len as u64;
+            self.push_entry(IndexEntry { offset, ..second });
         }
     }
 
@@ -423,50 +517,62 @@ impl EpochLog {
     /// to at most `cap`; `None` when the entry is not an `Order`.
     /// Index-only — no decoding.
     fn run_at(&self, i: usize, cap: usize) -> Option<(u32, usize)> {
-        let channel = self.index[i].order_channel?;
+        let channel = self.index[i].order_channel()?;
         let epoch = self.index[i].epoch;
         let mut run = 1;
         while run < cap
             && i + run < self.index.len()
             && self.index[i + run].epoch == epoch
-            && self.index[i + run].order_channel == Some(channel)
+            && self.index[i + run].order_channel() == Some(channel)
         {
             run += 1;
         }
         Some((channel, run))
     }
 
-    /// Append the wire encoding of entries `seq >= from` to `w`: maximal
-    /// runs (>= 3) of same-channel same-epoch `Order` entries are emitted
-    /// as [`WIRE_ORDER_RUN`] items; everything between runs is bulk-copied
-    /// straight out of the arena (the entries are already stored in wire
-    /// format). Returns the number of logical entries written.
-    fn encode_since(&self, from: u64, w: &mut ByteWriter, stats: &mut CausalLogStats) -> u64 {
+    /// Append the wire span of entries `seq >= from` to `w`. On the wire
+    /// each item is coded against the one before it and the first against
+    /// the zero context; `at` is the arena's context before `from`. While
+    /// the two contexts differ — the span's first entry or two — an entry is
+    /// re-coded; once they agree, entries are copied out of the arena as
+    /// they are, between maximal runs (>= 3) of same-channel same-epoch
+    /// `Order` entries, which go as [`WIRE_ORDER_RUN`] items.
+    fn encode_span(&self, from: u64, mut at: WireCtx, w: &mut ByteWriter, stats: &mut CausalLogStats) {
         let n = self.index.len();
         let mut i = from.saturating_sub(self.base_seq) as usize;
-        let emitted = (n - i.min(n)) as u64;
+        let mut wire = WireCtx::default();
         while i < n {
             if let Some((channel, run)) = self.run_at(i, usize::MAX).filter(|&(_, run)| run >= 3) {
-                w.put_varint(self.index[i].epoch);
-                w.put_u8(WIRE_ORDER_RUN);
+                let epoch = self.index[i].epoch;
+                wire.put_head(w, WIRE_ORDER_RUN, epoch);
                 w.put_varint(channel as u64);
                 w.put_varint(run as u64);
+                at.enter(epoch);
                 i += run;
                 continue;
             }
-            // Contiguous non-run span: extend until the next compressible
+            if wire != at {
+                let bytes = self.entry_bytes(&self.index[i]);
+                arena(Determinant::recode_wire(&mut WireCursor::new(bytes), &mut at, &mut wire, w));
+                i += 1;
+                continue;
+            }
+            // Contiguous non-run stretch: extend until the next compressible
             // run, then copy its arena bytes wholesale.
-            let span_start = i;
+            let start = i;
             i += 1;
             while i < n && self.run_at(i, 3).is_none_or(|(_, run)| run < 3) {
                 i += 1;
             }
-            let a = self.index[span_start].offset;
+            let a = self.index[start].offset;
             let b = self.index[i - 1].end();
             self.copy_arena_range(a, b, w);
             stats.delta_bytes_memcpy += b - a;
+            // The copy moved both contexts alike; past it only the epoch is
+            // read again (by a run's tag byte).
+            wire.epoch = self.index[i - 1].epoch;
+            at = wire;
         }
-        emitted
     }
 
     /// Copy the logical arena range `[a, b)` into `w`, chunk by chunk.
@@ -493,48 +599,31 @@ impl EpochLog {
 
 /// One item of a span's wire encoding.
 enum WireItem {
-    /// An uncompressed entry of `len` wire bytes: `varint(epoch)` in
-    /// `epoch_len` of them, then the determinant.
-    Entry { epoch: EpochId, epoch_len: u8, len: usize, order_channel: Option<u32> },
+    /// One entry of kind `kind` ([`Determinant::encode`]'s tag); `channel`
+    /// is an `Order`'s, 0 otherwise.
+    Entry { kind: u8, channel: u32 },
     /// A [`WIRE_ORDER_RUN`]: `run` logical entries `Order { channel }`.
-    Run { epoch: EpochId, channel: u32, run: u64 },
+    Run { channel: u32, run: u64 },
 }
 
 impl WireItem {
     /// Read and validate the next item of a span that has `left` logical
-    /// entries to go.
+    /// entries to go, coded against `ctx`, which advances past it.
     #[inline]
-    fn read(r: &mut WireCursor<'_>, left: u64) -> Result<WireItem, CodecError> {
-        let start = r.remaining();
-        let epoch = r.varint()?;
-        let epoch_len = (start - r.remaining()) as u8;
-        let tag = r.u8()?;
-        if tag == WIRE_ORDER_RUN {
+    fn read(r: &mut WireCursor<'_>, ctx: &mut WireCtx, left: u64) -> Result<WireItem, CodecError> {
+        let kind = ctx.read_head(r)?;
+        if kind == WIRE_ORDER_RUN {
             let channel = r.varint()? as u32;
             let run = r.varint()?;
             if run > left {
                 // A flipped length byte must not expand into 2^63 entries.
-                return Err(CodecError::InvalidTag { context: "delta order run longer than its span", tag });
+                return Err(CodecError::InvalidTag { context: "delta order run longer than its span", tag: kind });
             }
-            return Ok(WireItem::Run { epoch, channel, run });
+            return Ok(WireItem::Run { channel, run });
         }
-        let order_channel = Determinant::skip_with_tag(tag, r)?;
-        Ok(WireItem::Entry { epoch, epoch_len, len: start - r.remaining(), order_channel })
+        let channel = Determinant::skip_wire(kind, r, ctx)?;
+        Ok(WireItem::Entry { kind: kind & !WIRE_ABS, channel: channel.unwrap_or(0) })
     }
-}
-
-/// A varint count of origins or spans. Each takes at least three bytes on
-/// the wire (`origin, hops, nlogs`; `id, from, count`): a count the bytes
-/// left cannot hold is an error, so a corrupt one never sizes an allocation
-/// or a loop.
-fn read_count(r: &mut WireCursor<'_>) -> Result<u64, CodecError> {
-    let n = r.varint()?;
-    let remaining = r.remaining();
-    if n > (remaining / 3) as u64 {
-        let needed = usize::try_from(n).unwrap_or(usize::MAX).saturating_mul(3);
-        return Err(CodecError::UnexpectedEof { needed, remaining });
-    }
-    Ok(n)
 }
 
 /// Errors during delta exchange.
@@ -580,6 +669,14 @@ impl TaskLog {
                 self.channels.resize_with(idx + 1, EpochLog::new);
             }
             &mut self.channels[idx]
+        }
+    }
+
+    /// Grow the table to `nlogs` logs (a sender's `nlogs`: a replica keeps
+    /// its origin's shape, logs with nothing shipped yet included).
+    fn grow_to(&mut self, nlogs: usize) {
+        if nlogs > self.num_logs() {
+            self.channels.resize_with(nlogs - 1, EpochLog::new);
         }
     }
 
@@ -649,10 +746,18 @@ impl TaskLogSnapshot {
     }
 }
 
-/// Delta cursors of one origin's logs: `cursors[channel][log id]` is the
-/// next sequence number to ship on that output channel (0 until the log
-/// first ships; collection clamps to the log's base).
-type ShipCursors = Vec<Vec<u64>>;
+/// Where an output channel's next delta starts in one log: the sequence
+/// number, and the log's context before it — its tail when the channel last
+/// shipped (zero until the log first ships; collection clamps to the log's
+/// base and its base context).
+#[derive(Clone, Copy, Debug, Default)]
+struct ShipCursor {
+    seq: u64,
+    ctx: WireCtx,
+}
+
+/// Delta cursors of one origin's logs: `cursors[channel][log id]`.
+type ShipCursors = Vec<Vec<ShipCursor>>;
 
 /// A replicated upstream log held at a downstream task.
 #[derive(Clone, Debug)]
@@ -674,19 +779,25 @@ pub struct CausalLogStats {
     pub delta_entries_shipped: u64,
     pub deltas_ingested: u64,
     pub entries_ingested: u64,
-    /// Logical `Order` entries shipped inside run-length-compressed wire
-    /// items (the §9 compression extension).
+    /// Logical `Order` entries received inside run-length-compressed wire
+    /// items (the §9 compression extension) of the spans read; a span held
+    /// whole is not read.
     pub order_entries_compressed: u64,
     /// Determinants this task serialized into its own log arenas: each
     /// recorded or replayed entry exactly once, at append. Ingested entries
-    /// are not encoded again — replica arenas take their wire bytes.
+    /// are not encoded again — replica arenas take their wire bytes; a
+    /// span's first entry or two get a new tag byte and step deltas
+    /// against the replica's tail, their fields are not built.
     pub entries_encoded: u64,
     /// Delta payload bytes bulk-copied out of log arenas (as opposed to the
-    /// freshly written framing/run varints).
+    /// freshly written framing, re-coded first entries and run items).
     pub delta_bytes_memcpy: u64,
     /// Times a replica dropped its resident prefix to resynchronize over a
     /// forward gap in an incoming span (see `EpochLog::admit_span`).
     pub gap_resyncs: u64,
+    /// Incoming spans the replica already held whole (a second path of a
+    /// diamond, a barrier-time re-ship), skipped by their byte length.
+    pub held_spans_skipped: u64,
 }
 
 /// Replay source installed on a recovering task: the merged snapshot of its
@@ -790,7 +901,9 @@ impl CausalLogManager {
 
     /// Collect the piggyback delta for an outgoing buffer on `channel`,
     /// advancing that channel's cursors. Includes this task's own logs
-    /// (orig hops 0) and any replicated logs with `hops + 1 <= dsd`.
+    /// (orig hops 0) and any replicated logs with `hops + 1 <= dsd`; an
+    /// origin with nothing new is left out, and a delta with nothing new is
+    /// empty.
     pub fn collect_delta(&mut self, channel: ChannelId) -> LogDelta {
         if !self.enabled() {
             return Bytes::new();
@@ -802,7 +915,6 @@ impl CausalLogManager {
         let forwarded = |r: &Replica| dsd > 1 && r.hops < dsd;
         let w = &mut self.delta_scratch;
         w.clear();
-        w.put_varint(1 + self.replicated.values().filter(|r| forwarded(r)).count() as u64);
         // Own logs always ship (receiver is 1 hop from us).
         Self::encode_origin_delta(w, self.task, 0, &self.own, &mut self.own_cursors[ch], &mut self.stats);
         for (&origin, replica) in self.replicated.iter_mut().filter(|(_, r)| forwarded(r)) {
@@ -815,40 +927,59 @@ impl CausalLogManager {
                 &mut self.stats,
             );
         }
+        if w.is_empty() {
+            return Bytes::new();
+        }
         let delta = w.take_frozen();
         self.stats.delta_bytes_shipped += delta.len() as u64;
         delta
     }
 
-    /// Encode one origin's per-log deltas. The per-log entry bytes come
-    /// straight out of each log's encoded arena ([`EpochLog::encode_since`]);
-    /// only the framing varints and compressed-run items are written fresh.
+    /// Encode one origin's delta: nothing when none of its logs has an entry
+    /// past the channel's cursor; otherwise `origin, hops, nlogs`, a presence
+    /// bitmap of `nlogs` bits, and one span per present log — `from, count,
+    /// byte_len` and [`EpochLog::encode_span`]'s bytes, whose length is
+    /// patched in front of them once they are written.
     fn encode_origin_delta(
         w: &mut ByteWriter,
         origin: TaskId,
         hops_at_sender: u32,
         logs: &TaskLog,
-        cursors: &mut Vec<u64>,
+        cursors: &mut Vec<ShipCursor>,
         stats: &mut CausalLogStats,
     ) {
+        let nlogs = logs.num_logs();
+        if cursors.len() < nlogs {
+            cursors.resize(nlogs, ShipCursor::default());
+        }
+        let fresh = |log: &EpochLog, cursor: &ShipCursor| cursor.seq.max(log.base_seq()) < log.next_seq();
+        if !logs.logs().zip(cursors.iter()).any(|((_, log), cursor)| fresh(log, cursor)) {
+            return;
+        }
         w.put_varint(origin);
         w.put_varint(hops_at_sender as u64);
-        w.put_varint(logs.num_logs() as u64);
-        if cursors.len() < logs.num_logs() {
-            cursors.resize(logs.num_logs(), 0);
+        w.put_varint(nlogs as u64);
+        let mut bits = 0u8;
+        for (i, ((_, log), cursor)) in logs.logs().zip(cursors.iter()).enumerate() {
+            bits |= (fresh(log, cursor) as u8) << (i % 8);
+            if i % 8 == 7 || i + 1 == nlogs {
+                w.put_u8(bits);
+                bits = 0;
+            }
         }
-        for ((id, log), cursor) in logs.logs().zip(cursors.iter_mut()) {
-            let from = (*cursor).max(log.base_seq());
-            let next = log.next_seq();
-            w.put_varint(id as u64);
+        for ((_, log), cursor) in logs.logs().zip(cursors.iter_mut()) {
+            if !fresh(log, cursor) {
+                continue;
+            }
+            let (from, next) = (cursor.seq.max(log.base_seq()), log.next_seq());
+            let at = if cursor.seq >= log.base_seq() { cursor.ctx } else { log.base_ctx };
             w.put_varint(from);
             w.put_varint(next - from);
-            // Most spans are empty (an idle channel, a log with nothing new).
-            if from < next {
-                let shipped = log.encode_since(from, w, stats);
-                *cursor = from + shipped;
-                stats.delta_entries_shipped += shipped;
-            }
+            let byte_len = w.begin_varint_len();
+            log.encode_span(from, at, w, stats);
+            w.end_varint_len(byte_len);
+            *cursor = ShipCursor { seq: next, ctx: log.tail_ctx };
+            stats.delta_entries_shipped += next - from;
         }
     }
 
@@ -857,19 +988,23 @@ impl CausalLogManager {
     ///
     /// The delta is input from outside the task: anything malformed is an
     /// `Err`, never a panic, an unbounded loop or an allocation its bytes do
-    /// not pay for. Work is per span, not per entry
-    /// ([`EpochLog::ingest_span`]).
+    /// not pay for (a log-table slot costs a bitmap bit). Work is per span,
+    /// not per entry ([`EpochLog::ingest_span`]).
     pub fn ingest_delta(&mut self, delta: &[u8]) -> Result<u64, DeltaError> {
         if !self.enabled() || delta.is_empty() {
             return Ok(0);
         }
         let r = &mut WireCursor::new(delta);
-        let origins = read_count(r)?;
         let mut added = 0u64;
-        for _ in 0..origins {
+        while r.remaining() > 0 {
             let origin = r.varint()?;
             let hops = (r.varint()? as u32).saturating_add(1);
-            let nlogs = read_count(r)?;
+            let nlogs = r.varint()?;
+            // The bitmap is taken before `nlogs` sizes anything.
+            let bitmap = r.take(usize::try_from(nlogs.div_ceil(8)).unwrap_or(usize::MAX))?;
+            if nlogs % 8 != 0 && bitmap.last().is_some_and(|&last| last >> (nlogs % 8) != 0) {
+                return Err(CodecError::Inconsistent { context: "delta presence bit past nlogs" }.into());
+            }
             let num_channels = self.own_cursors.len();
             let replica = self.replicated.entry(origin).or_insert_with(|| Replica {
                 hops,
@@ -877,21 +1012,25 @@ impl CausalLogManager {
                 cursors: vec![Vec::new(); num_channels],
             });
             replica.hops = replica.hops.min(hops);
-            for _ in 0..nlogs {
-                let id = r.varint()?;
-                let from = r.varint()?;
-                let count = r.varint()?;
-                // Log ids are dense (`encode_origin_delta`), and `log_mut`
-                // grows the table to whatever id it is given.
-                if id >= nlogs {
-                    let tag = u8::try_from(id).unwrap_or(u8::MAX);
-                    return Err(CodecError::InvalidTag { context: "delta log id", tag }.into());
+            replica.log.grow_to(nlogs as usize);
+            for (byte_at, &byte) in bitmap.iter().enumerate() {
+                let mut bits = byte;
+                while bits != 0 {
+                    let id = byte_at * 8 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let from = r.varint()?;
+                    let count = r.varint()?;
+                    let byte_len = r.varint()?;
+                    let span = r.take(usize::try_from(byte_len).unwrap_or(usize::MAX))?;
+                    if count == 0 {
+                        return Err(CodecError::Inconsistent { context: "empty delta span" }.into());
+                    }
+                    if from.checked_add(count).is_none() {
+                        return Err(CodecError::VarintOverflow.into());
+                    }
+                    let log = replica.log.log_mut(id as u32);
+                    added += log.ingest_span(from, count, span, &mut self.stats)?;
                 }
-                if from.checked_add(count).is_none() {
-                    return Err(CodecError::VarintOverflow.into());
-                }
-                let log = replica.log.log_mut(id as u32);
-                added += log.ingest_span(from, count, r, &mut self.stats)?;
             }
         }
         self.stats.deltas_ingested += 1;
@@ -946,6 +1085,13 @@ impl CausalLogManager {
     pub fn begin_replay(&mut self, snapshot: TaskLogSnapshot, resume_epoch: EpochId) {
         let mut source = ReplaySource::default();
         self.own = TaskLog::new(self.own_cursors.len());
+        // A cursor's context describes the log it shipped from; a task
+        // object restarted after an abandoned replay rebuilds a new one, so
+        // its channels ship from the base again (receivers skip what they
+        // hold).
+        for cursors in &mut self.own_cursors {
+            cursors.clear();
+        }
         for (id, base, mut entries) in snapshot.logs {
             // Entries from epochs before the resume point are stable (their
             // checkpoint completed) and will not be regenerated by replay —
@@ -1064,10 +1210,9 @@ mod tests {
         /// span; true if it was appended.
         fn ingest(&mut self, seq: u64, epoch: EpochId, det: Determinant) -> bool {
             let mut w = ByteWriter::new();
-            w.put_varint(epoch);
-            det.encode(&mut w);
+            det.encode_wire(epoch, &mut WireCtx::default(), &mut w);
             let mut stats = CausalLogStats::default();
-            self.ingest_span(seq, 1, &mut WireCursor::new(w.as_slice()), &mut stats).unwrap() == 1
+            self.ingest_span(seq, 1, w.as_slice(), &mut stats).unwrap() == 1
         }
     }
 
@@ -1201,9 +1346,11 @@ mod tests {
         let du = u.collect_delta(0);
         let mut a = mgr(2, 1, 2);
         a.ingest_delta(&du).unwrap();
+        a.record(ts(6));
         let da = a.collect_delta(0);
         let mut b = mgr(3, 1, 2);
         b.ingest_delta(&da).unwrap();
+        b.record(ts(8));
         assert_eq!(b.export_replica(1).unwrap().total_entries(), 1);
         let db = b.collect_delta(0);
         let mut c = mgr(4, 0, 2);
@@ -1350,10 +1497,14 @@ mod tests {
         assert_eq!(relays[0].collect_delta(0), relays[1].collect_delta(0));
     }
 
-    /// A delta with two origins, compressed runs, `External` payloads and
-    /// empty spans, as `a` (task 2, DSD 2) ships it, and the delta before it.
-    fn two_origin_deltas() -> (LogDelta, LogDelta) {
-        let mut u = mgr(1, 1, 2);
+    /// `a` (task 2, DSD 2) forwards `u` (task 1): the delta `a` ships, the
+    /// one before it, and `u`'s own delta on its second channel, which holds
+    /// every entry of `u` that `a` forwards. Between them: two origins,
+    /// compressed runs, `External` payloads, `Timestamp`s whose `ts` falls,
+    /// step offsets, an epoch change inside a span and — at a receiver that
+    /// took the first and the direct delta — spans it holds whole.
+    fn two_origin_deltas() -> (LogDelta, LogDelta, LogDelta) {
+        let mut u = mgr(1, 2, 2);
         let mut a = mgr(2, 1, 2);
         let step = |u: &mut CausalLogManager, a: &mut CausalLogManager, k: u64| {
             for _ in 0..4 {
@@ -1361,89 +1512,172 @@ mod tests {
             }
             u.record(Determinant::External { payload: vec![k as u8; 9] });
             u.record(ts(1_000 + k));
+            u.set_epoch(k);
+            u.record(Determinant::Timestamp { ts: 900 + k, offset: 3 });
             u.record_flush(0, 4_000, 17);
             a.ingest_delta(&u.collect_delta(0)).unwrap();
             a.record(Determinant::Order { channel: 0 });
             a.record(Determinant::Rpc { kind: crate::determinant::RpcKind::Other, arg: k, offset: 300 });
+            a.set_epoch(k);
             for _ in 0..3 {
                 a.record(Determinant::Order { channel: 0 });
             }
             a.collect_delta(0)
         };
         let first = step(&mut u, &mut a, 1);
-        u.set_epoch(1);
-        a.set_epoch(1);
-        (first, step(&mut u, &mut a, 2))
+        let delta = step(&mut u, &mut a, 2);
+        (first, delta, u.collect_delta(1))
+    }
+
+    /// A varint field list followed by raw bytes: a hand-made delta.
+    fn crafted(fields: &[u64], tail: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for &f in fields {
+            w.put_varint(f);
+        }
+        w.put_raw(tail);
+        w.as_slice().to_vec()
+    }
+
+    /// One origin (9, unknown to every receiver here) at hop 0 with one log,
+    /// present, and one span of `count` entries from 0 whose bytes are
+    /// `entries` and whose `byte_len` says `byte_len`.
+    fn one_span(count: u64, byte_len: usize, entries: &[u8]) -> Vec<u8> {
+        crafted(&[9, 0, 1, 1, 0, count, byte_len as u64], entries)
     }
 
     #[test]
     fn corrupt_deltas_are_errors_not_panics_or_unbounded_work() {
-        let (first, delta) = two_origin_deltas();
+        let (first, delta, direct) = two_origin_deltas();
         // Run compression is the only amplification a delta has (a few
         // bytes stand for `run` entries), a run is checked against its
         // span's count, and one flipped bit can at most merge two adjacent
         // one-byte varints into a 14-bit count.
         let bound = 16 * delta.len() as u64;
-        let mut outcomes = [0u32; 2];
-        let mut check = |bytes: &[u8]| {
+        let check = |bytes: &[u8]| -> [Result<u64, DeltaError>; 2] {
             // A fresh receiver, and one that already holds the earlier delta
-            // (so spans are partly held).
-            for primed in [false, true] {
+            // and `u`'s direct one (so spans are partly and wholly held).
+            [false, true].map(|primed| {
                 let mut b = mgr(3, 1, 2);
                 if primed {
                     b.ingest_delta(&first).unwrap();
+                    b.ingest_delta(&direct).unwrap();
                 }
-                outcomes[b.ingest_delta(bytes).is_ok() as usize] += 1;
+                let outcome = b.ingest_delta(bytes);
                 assert!(b.resident_bytes() <= bound, "{} resident bytes from a {}-byte delta", b.resident_bytes(), bytes.len());
                 // Whatever was taken in is a consistent log: it exports and ships.
-                for origin in [1, 2] {
+                for origin in [1, 2, 9] {
                     let _ = b.export_replica(origin);
                 }
                 let _ = b.collect_delta(0);
+                outcome.map(|added| added + 1_000 * b.stats.held_spans_skipped)
+            })
+        };
+        // Intact, the primed receiver skips `u`'s forwarded spans unread.
+        let [fresh, primed] = check(&delta);
+        assert!(fresh.unwrap() < 1_000 && primed.unwrap() >= 2_000, "held spans not skipped");
+        let mut outcomes = [0u32; 2];
+        let mut tally = |bytes: &[u8]| {
+            for outcome in check(bytes) {
+                outcomes[outcome.is_ok() as usize] += 1;
             }
         };
-        check(&delta);
         for cut in 0..delta.len() {
-            check(&delta[..cut]);
+            tally(&delta[..cut]);
         }
         let mut flipped = delta.to_vec();
         for bit in 0..delta.len() * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);
-            check(&flipped);
+            tally(&flipped);
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
         let [errs, oks] = outcomes;
         assert!(errs > 0 && oks > 0, "{errs} errors, {oks} accepted");
+
+        // Faults in the v2 fields, on both receivers. Two `Timestamp`s
+        // (ts 10 at step 1, then ts 12 at step 2) are 3 + 3 bytes.
+        let two = [3, 20, 2, 3, 4, 2];
+        let inconsistent = |context| DeltaError::Codec(CodecError::Inconsistent { context });
+        let faults: [(Vec<u8>, DeltaError); 7] = [
+            // A `byte_len` past the span's entries, and one short of them.
+            (one_span(2, 7, &[&two[..], &[0]].concat()), inconsistent("delta span byte length")),
+            (one_span(2, 5, &two), DeltaError::Codec(CodecError::UnexpectedEof { needed: 1, remaining: 0 })),
+            // A presence bit at or past `nlogs`.
+            (crafted(&[9, 0, 1, 2], &[]), inconsistent("delta presence bit past nlogs")),
+            (crafted(&[9, 0, 9], &[1, 2, 0, 1, 1, 0]), inconsistent("delta presence bit past nlogs")),
+            // A `ts` delta and a `Timer` offset delta below 0, and a `ts`
+            // delta past `u64::MAX` after an absolute `Timestamp`.
+            (one_span(1, 3, &[3, 1, 0]), inconsistent("step delta past the range of its field")),
+            (one_span(1, 3, &[1, 5, 1]), inconsistent("step delta past the range of its field")),
+            (
+                one_span(2, 15, &[&[0x43][..], &[0xff; 9], &[1, 0], &[3, 2, 0]].concat()),
+                inconsistent("step delta past the range of its field"),
+            ),
+        ];
+        for (bytes, want) in &faults {
+            for outcome in check(bytes) {
+                assert_eq!(outcome.as_ref().map_err(|e| e.clone()), Err(want.clone()), "{bytes:?}");
+            }
+        }
     }
 
     #[test]
     fn crafted_lengths_are_codec_errors() {
-        let delta = |fields: &[u64], tail: &[u8]| {
-            let mut w = ByteWriter::new();
-            for &f in fields {
-                w.put_varint(f);
-            }
-            w.put_raw(tail);
-            w.freeze()
-        };
         let rejects = |bytes: &[u8]| {
             let mut b = mgr(2, 0, 1);
             let err = b.ingest_delta(bytes).unwrap_err();
             assert!(matches!(err, DeltaError::Codec(_)));
             assert_eq!(b.resident_bytes(), 0);
-            assert!(b.export_replica(1).is_none_or(|snap| snap.logs.len() <= 2));
+            assert!(b.export_replica(9).is_none_or(|snap| snap.logs.len() <= 2));
         };
-        // origins, then origin 1 at hop 0 with one log; span (id, from, count).
         // A run of 2^62 `Order`s inside a span of 3: no loop, no append.
-        let run = delta(&[1, 1, 0, 1, 0, 0, 3, 0], &[WIRE_ORDER_RUN, 0]);
-        rejects(&[&run[..], &delta(&[1 << 62], &[])[..]].concat());
-        // A log id of 2^32 - 1: the log table is not grown to reach it.
-        rejects(&delta(&[1, 1, 0, 1, u32::MAX as u64, 0, 0], &[]));
-        // More logs, or more origins, than the bytes that follow could hold.
-        rejects(&delta(&[1, 1, 0, 1 << 40, 0, 0, 0], &[]));
-        rejects(&delta(&[1 << 40, 1, 0, 1, 0, 0, 0], &[]));
+        let mut run = ByteWriter::new();
+        run.put_u8(WIRE_ORDER_RUN);
+        run.put_varint(0);
+        run.put_varint(1 << 62);
+        rejects(&one_span(3, run.len(), run.as_slice()));
+        // A log count no bitmap in the bytes left can hold: the log table
+        // is not grown to reach it.
+        rejects(&crafted(&[9, 0, 1 << 40], &[0xff]));
+        // A span longer than the bytes that follow.
+        rejects(&crafted(&[9, 0, 1, 1, 0, 1, 1 << 40], &[0, 0]));
         // A span whose sequence numbers would wrap.
-        rejects(&delta(&[1, 1, 0, 1, 0, u64::MAX, 2], &[0, 0, 1, 0, 0, 1]));
+        rejects(&crafted(&[9, 0, 1, 1, u64::MAX, 2, 4], &[0, 0, 0, 0]));
+        // An empty span, which no encoder writes.
+        rejects(&crafted(&[9, 0, 1, 1, 0, 0, 0], &[]));
+    }
+
+    /// The ROADMAP item 6 lead under the relative wire: a replica takes a
+    /// span whose epoch falls mid-span (a replica's log can hold one, and
+    /// forwards it), truncates through the higher epoch, and still exports
+    /// what the origin's own log holds — the new front entered its epoch
+    /// fresh, whatever the epochs popped before it.
+    #[test]
+    fn a_span_whose_epoch_falls_midway_truncates_and_exports_like_its_origin() {
+        let mut a = mgr(1, 1, 1);
+        a.set_epoch(2);
+        a.record(Determinant::Timer { timer_id: 1, offset: 40 });
+        a.record(ts(500));
+        // `encode_entry` is what ingest appends with: no claim about epochs.
+        a.own.main.encode_entry(1, &Determinant::Timestamp { ts: 480, offset: 7 });
+        a.own.main.encode_entry(3, &Determinant::Rpc { kind: crate::determinant::RpcKind::Other, arg: 9, offset: 12 });
+        a.own.main.encode_entry(3, &ts(510));
+        a.set_epoch(3);
+        let mut b = mgr(2, 0, 1);
+        assert_eq!(b.ingest_delta(&a.collect_delta(0)).unwrap(), 5);
+        assert_eq!(b.export_replica(1).unwrap(), a.own_snapshot());
+        // Through the lower epoch alone nothing goes: the 1 waits behind the 2.
+        b.truncate_through(1);
+        assert_eq!(b.export_replica(1).unwrap().total_entries(), 5);
+        // Through the higher one the prefix 2, 1 goes and the 3s stay.
+        b.truncate_through(2);
+        a.truncate_through(2);
+        assert_eq!(a.own_snapshot().total_entries(), 2);
+        assert_eq!(b.export_replica(1).unwrap(), a.own_snapshot());
+        // The next span is coded from the channel's cursor past them.
+        a.record(ts(530));
+        assert_eq!(b.ingest_delta(&a.collect_delta(0)).unwrap(), 1);
+        assert_eq!(b.export_replica(1).unwrap(), a.own_snapshot());
     }
 
     #[test]
@@ -1462,7 +1696,14 @@ mod tests {
     fn empty_delta_roundtrip() {
         let mut a = mgr(1, 1, 1);
         let d = a.collect_delta(0);
+        assert!(d.is_empty(), "a delta with nothing new is empty");
         let mut b = mgr(2, 0, 1);
         assert_eq!(b.ingest_delta(&d).unwrap(), 0);
+        // Nor does an origin with nothing new ship: only `a`'s own log.
+        a.record(ts(1));
+        let mut relay = mgr(3, 1, 2);
+        relay.ingest_delta(&a.collect_delta(0)).unwrap();
+        assert!(!relay.collect_delta(0).is_empty());
+        assert!(relay.collect_delta(0).is_empty(), "a relay re-shipped what it had forwarded");
     }
 }

@@ -7,6 +7,7 @@
 //! execution replayable. §4.1 of the paper enumerates the sources; each
 //! variant below corresponds to one of them.
 
+use crate::EpochId;
 use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Kind of a state-affecting RPC received by a task (§4.1: "any RPC received
@@ -138,8 +139,8 @@ impl Determinant {
         Self::decode_with_tag(tag, r)
     }
 
-    /// Decode with the tag byte already consumed (used by the delta wire
-    /// format, which reserves extra tags for compressed runs).
+    /// Decode with the tag byte already consumed (the delta wire decoder
+    /// reads tag bytes itself: they carry flags).
     pub fn decode_with_tag(tag: u8, r: &mut ByteReader<'_>) -> Result<Determinant, CodecError> {
         Ok(match tag {
             0 => Determinant::Order { channel: r.get_varint()? as u32 },
@@ -162,21 +163,116 @@ impl Determinant {
         })
     }
 
-    /// Walk past one encoded determinant (tag byte already consumed) without
-    /// building it: the delta receive path keeps determinants as bytes and
-    /// needs only their extent. Accepts exactly the byte strings
-    /// [`Determinant::decode_with_tag`] accepts, with the same error on the
-    /// rest, so bytes that got past it always decode later. Returns the
-    /// channel of an `Order`, the one field the arena index keeps.
+    /// The delta wire (v2) encoding of this determinant logged under `epoch`:
+    /// a tag byte carrying [`WIRE_EPOCH`] when `epoch` differs from the
+    /// context's and [`WIRE_ABS`] when a step field jumps further than an
+    /// `i64` reaches, then the fields of [`Determinant::encode`] with each
+    /// step field (`Timestamp.ts`, every `offset`) written as a zigzag delta
+    /// from the context's (from 0 in a new epoch). `ctx` advances past the
+    /// entry.
     #[inline]
-    pub(crate) fn skip_with_tag(tag: u8, r: &mut WireCursor<'_>) -> Result<Option<u32>, CodecError> {
-        match tag {
+    pub(crate) fn encode_wire(&self, epoch: EpochId, ctx: &mut WireCtx, w: &mut ByteWriter) -> u8 {
+        // The step fields are coded against the context the head leaves.
+        let fresh = ctx.enter(epoch);
+        let (kind, abs) = match *self {
+            Determinant::Order { .. } => (0, false),
+            Determinant::Timer { offset, .. } => (1, !step_fits(offset, ctx.offset)),
+            Determinant::Rpc { offset, .. } => (2, !step_fits(offset, ctx.offset)),
+            Determinant::Timestamp { ts, offset } => {
+                (3, !step_fits(ts, ctx.ts) || !step_fits(offset, ctx.offset))
+            }
+            Determinant::RngSeed { .. } => (4, false),
+            Determinant::External { .. } => (5, false),
+            Determinant::UserService { .. } => (6, false),
+            Determinant::BufferFlush { .. } => (7, false),
+            Determinant::Watermark { .. } => (8, false),
+        };
+        put_tag(w, if abs { kind | WIRE_ABS } else { kind }, fresh.then_some(epoch));
+        match self {
+            Determinant::Order { channel } => w.put_varint(*channel as u64),
+            Determinant::Timer { timer_id, offset } => {
+                w.put_varint(*timer_id);
+                put_step(w, *offset, &mut ctx.offset, abs);
+            }
+            Determinant::Rpc { kind, arg, offset } => {
+                w.put_u8(kind.tag());
+                w.put_varint(*arg);
+                put_step(w, *offset, &mut ctx.offset, abs);
+            }
+            Determinant::Timestamp { ts, offset } => {
+                put_step(w, *ts, &mut ctx.ts, abs);
+                put_step(w, *offset, &mut ctx.offset, abs);
+            }
+            Determinant::RngSeed { seed: v } | Determinant::Watermark { ts: v } => w.put_varint(*v),
+            Determinant::External { payload } | Determinant::UserService { payload } => {
+                w.put_bytes(payload)
+            }
+            Determinant::BufferFlush { size, records } => {
+                w.put_varint(*size as u64);
+                w.put_varint(*records as u64);
+            }
+        }
+        kind
+    }
+
+    /// Decode one wire entry coded against `ctx`, which advances past it.
+    /// Cold path: replica export, replay installation, tests. The step
+    /// kinds are read here, the rest — whose fields are
+    /// [`Determinant::encode`]'s — through [`Determinant::decode_with_tag`].
+    pub(crate) fn decode_wire(
+        r: &mut WireCursor<'_>,
+        ctx: &mut WireCtx,
+    ) -> Result<(EpochId, Determinant), CodecError> {
+        let kind = ctx.read_head(r)?;
+        let abs = kind & WIRE_ABS != 0;
+        let det = match kind {
+            0x01 | 0x41 => {
+                Determinant::Timer { timer_id: r.varint()?, offset: read_step(r, &mut ctx.offset, abs)? }
+            }
+            0x02 | 0x42 => Determinant::Rpc {
+                kind: RpcKind::from_tag(r.u8()?)?,
+                arg: r.varint()?,
+                offset: read_step(r, &mut ctx.offset, abs)?,
+            },
+            0x03 | 0x43 => Determinant::Timestamp {
+                ts: read_step(r, &mut ctx.ts, abs)?,
+                offset: read_step(r, &mut ctx.offset, abs)?,
+            },
+            tag => r.read_with(|br| Determinant::decode_with_tag(tag, br))?,
+        };
+        Ok((ctx.epoch, det))
+    }
+
+    /// Walk past the fields of one wire entry (tag byte read, `kind` without
+    /// [`WIRE_EPOCH`]) without building it: the delta receive path keeps
+    /// determinants as bytes and needs only their extent and the context they
+    /// leave. Accepts exactly the byte strings [`Determinant::decode_wire`]
+    /// accepts, with the same error on the rest, so bytes that got past it
+    /// always decode later. Returns the channel of an `Order`, the one field
+    /// the arena index keeps.
+    #[inline]
+    pub(crate) fn skip_wire(
+        kind: u8,
+        r: &mut WireCursor<'_>,
+        ctx: &mut WireCtx,
+    ) -> Result<Option<u32>, CodecError> {
+        let abs = kind & WIRE_ABS != 0;
+        match kind {
             0 => return Ok(Some(r.varint()? as u32)),
             4 | 8 => r.skip_varints::<1>()?,
-            1 | 3 | 7 => r.skip_varints::<2>()?,
-            2 => {
+            7 => r.skip_varints::<2>()?,
+            0x01 | 0x41 => {
+                r.skip_varints::<1>()?;
+                read_step(r, &mut ctx.offset, abs)?;
+            }
+            0x02 | 0x42 => {
                 RpcKind::from_tag(r.u8()?)?;
-                r.skip_varints::<2>()?;
+                r.skip_varints::<1>()?;
+                read_step(r, &mut ctx.offset, abs)?;
+            }
+            0x03 | 0x43 => {
+                read_step(r, &mut ctx.ts, abs)?;
+                read_step(r, &mut ctx.offset, abs)?;
             }
             5 | 6 => {
                 let n = r.varint()? as usize;
@@ -187,11 +283,161 @@ impl Determinant {
         Ok(None)
     }
 
+    /// Re-code the wire entry at `r`, coded against `from`, against `to`,
+    /// into `w`; both contexts advance past it. Only the tag byte, the epoch
+    /// and the step fields are written anew: the fields before the step
+    /// fields are copied as bytes, and no determinant is built.
+    pub(crate) fn recode_wire(
+        r: &mut WireCursor<'_>,
+        from: &mut WireCtx,
+        to: &mut WireCtx,
+        w: &mut ByteWriter,
+    ) -> Result<(), CodecError> {
+        let kind = from.read_head(r)?;
+        let fields = *r;
+        Self::skip_wire(kind, r, from)?;
+        let epoch = from.epoch;
+        // Where the step fields start: after a `Timer`'s id, after an
+        // `Rpc`'s kind and argument, at once in a `Timestamp`.
+        let mut steps = fields;
+        match kind & !WIRE_ABS {
+            1 => steps.skip_varints::<1>()?,
+            2 => {
+                steps.skip(1)?;
+                steps.skip_varints::<1>()?;
+            }
+            3 => {}
+            _ => {
+                to.put_head(w, kind, epoch);
+                w.put_raw(fields.peek(fields.remaining() - r.remaining()));
+                return Ok(());
+            }
+        }
+        let ts = (kind & !WIRE_ABS == 3).then_some(from.ts);
+        let fresh = to.enter(epoch);
+        let abs = ts.is_some_and(|v| !step_fits(v, to.ts)) || !step_fits(from.offset, to.offset);
+        put_tag(w, (kind & !WIRE_ABS) | if abs { WIRE_ABS } else { 0 }, fresh.then_some(epoch));
+        let prefix = fields.remaining() - steps.remaining();
+        if prefix > 0 {
+            w.put_raw(fields.peek(prefix));
+        }
+        if let Some(ts) = ts {
+            put_step(w, ts, &mut to.ts, abs);
+        }
+        put_step(w, from.offset, &mut to.offset, abs);
+        Ok(())
+    }
+
     /// True for determinants that guide the *main thread's* replay (as
     /// opposed to the output-queue threads').
     pub fn is_main_thread(&self) -> bool {
         !matches!(self, Determinant::BufferFlush { .. })
     }
+}
+
+/// Tag-byte flag of a delta wire item: `varint(epoch)` follows the tag
+/// byte. An item without it has the epoch of the item before it.
+pub(crate) const WIRE_EPOCH: u8 = 0x80;
+/// Tag-byte flag of a delta wire entry: its step fields are absolute
+/// varints, not deltas — for a jump of 2^63 or more, which no `i64` holds.
+pub(crate) const WIRE_ABS: u8 = 0x40;
+
+/// What a delta wire item is coded against: the epoch the items before it
+/// in the same log left, and their last `Timestamp.ts` and last step
+/// `offset` (`Timestamp`, `Timer`, `Rpc`) in that epoch — an item that
+/// changes the epoch starts both from 0. A span on the wire starts from the
+/// zero context; a log arena from its base context.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct WireCtx {
+    pub(crate) epoch: EpochId,
+    ts: u64,
+    offset: u64,
+}
+
+impl WireCtx {
+    /// The context an item that enters `epoch` leaves its fields coded
+    /// against.
+    #[inline]
+    pub(crate) fn of_epoch(epoch: EpochId) -> WireCtx {
+        WireCtx { epoch, ts: 0, offset: 0 }
+    }
+
+    /// Move to `epoch`: a change restarts the step fields. True if it did.
+    #[inline]
+    pub(crate) fn enter(&mut self, epoch: EpochId) -> bool {
+        let changed = epoch != self.epoch;
+        if changed {
+            *self = WireCtx::of_epoch(epoch);
+        }
+        changed
+    }
+
+    /// Write a tag byte of `kind`, flagged and followed by `epoch` when it
+    /// differs from the context's, and move to `epoch`.
+    #[inline]
+    pub(crate) fn put_head(&mut self, w: &mut ByteWriter, kind: u8, epoch: EpochId) {
+        let fresh = self.enter(epoch);
+        put_tag(w, kind, fresh.then_some(epoch));
+    }
+
+    /// Read a tag byte and the epoch it flags; returns it without
+    /// [`WIRE_EPOCH`]. Decreasing epochs are legal (DESIGN.md §3.2).
+    #[inline]
+    pub(crate) fn read_head(&mut self, r: &mut WireCursor<'_>) -> Result<u8, CodecError> {
+        let tag = r.u8()?;
+        if tag & WIRE_EPOCH != 0 {
+            *self = WireCtx::of_epoch(r.varint()?);
+        }
+        Ok(tag & !WIRE_EPOCH)
+    }
+}
+
+/// Write tag byte `tag`, flagged and followed by the epoch an item enters.
+#[inline]
+fn put_tag(w: &mut ByteWriter, tag: u8, entered: Option<EpochId>) {
+    match entered {
+        Some(epoch) => {
+            w.put_u8(tag | WIRE_EPOCH);
+            w.put_varint(epoch);
+        }
+        None => w.put_u8(tag),
+    }
+}
+
+/// Whether `v - prev` fits an `i64`: the wrapping difference has the sign
+/// of the true one.
+#[inline]
+fn step_fits(v: u64, prev: u64) -> bool {
+    ((v.wrapping_sub(prev) as i64) < 0) == (v < prev)
+}
+
+/// Write step field `v` as a zigzag delta from `prev` (absolute under
+/// [`WIRE_ABS`]) and make it the new `prev`.
+#[inline]
+fn put_step(w: &mut ByteWriter, v: u64, prev: &mut u64, abs: bool) {
+    if abs {
+        w.put_varint(v);
+    } else {
+        let d = v.wrapping_sub(*prev) as i64;
+        w.put_varint(((d << 1) ^ (d >> 63)) as u64);
+    }
+    *prev = v;
+}
+
+/// Read what [`put_step`] wrote. A delta that takes the field out of `u64`
+/// is an error: the encoder writes such a jump absolute.
+#[inline]
+fn read_step(r: &mut WireCursor<'_>, prev: &mut u64, abs: bool) -> Result<u64, CodecError> {
+    let raw = r.varint()?;
+    let v = if abs {
+        raw
+    } else {
+        let delta = (raw >> 1) as i64 ^ -((raw & 1) as i64);
+        prev.checked_add_signed(delta)
+            .ok_or(CodecError::Inconsistent { context: "step delta past the range of its field" })?
+    };
+    *prev = v;
+    Ok(v)
 }
 
 /// Forward cursor over received delta bytes. It reads what [`ByteReader`]
@@ -288,6 +534,25 @@ impl<'a> WireCursor<'a> {
         }
     }
 
+    /// The next `n` bytes, consumed.
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let taken = self.peek(n);
+        self.skip(n)?;
+        Ok(taken)
+    }
+
+    /// Run a [`ByteReader`] over the unread bytes and consume what it read.
+    fn read_with<T>(
+        &mut self,
+        read: impl FnOnce(&mut ByteReader<'a>) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        let mut reader = ByteReader::new(self.rest);
+        let value = read(&mut reader)?;
+        self.rest = self.rest.get(reader.position()..).unwrap_or_default();
+        Ok(value)
+    }
+
     #[inline]
     pub(crate) fn skip(&mut self, n: usize) -> Result<(), CodecError> {
         self.rest = self
@@ -301,6 +566,8 @@ impl<'a> WireCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire_v2;
+    use bytes::Bytes;
     use proptest::prelude::*;
 
     fn roundtrip(d: &Determinant) -> Determinant {
@@ -414,23 +681,36 @@ mod tests {
         }
     }
 
-    /// What decoding `bytes` as one determinant yields: the `Order` channel
-    /// if it is one, and the bytes consumed.
-    fn decoded(bytes: &[u8]) -> Result<(Option<u32>, usize), CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let channel = match Determinant::decode(&mut r)? {
+    /// What decoding `bytes` as one wire entry coded against `ctx` yields:
+    /// the `Order` channel if it is one, the bytes consumed, the context left.
+    fn decoded(bytes: &[u8], mut ctx: WireCtx) -> Result<(Option<u32>, usize, WireCtx), CodecError> {
+        let mut r = WireCursor::new(bytes);
+        let channel = match Determinant::decode_wire(&mut r, &mut ctx)?.1 {
             Determinant::Order { channel } => Some(channel),
             _ => None,
         };
-        Ok((channel, r.position()))
+        Ok((channel, bytes.len() - r.remaining(), ctx))
     }
 
     /// The same through the skip-walker.
-    fn skipped(bytes: &[u8]) -> Result<(Option<u32>, usize), CodecError> {
+    fn skipped(bytes: &[u8], mut ctx: WireCtx) -> Result<(Option<u32>, usize, WireCtx), CodecError> {
         let mut r = WireCursor::new(bytes);
-        let tag = r.u8()?;
-        let channel = Determinant::skip_with_tag(tag, &mut r)?;
-        Ok((channel, bytes.len() - r.remaining()))
+        let kind = ctx.read_head(&mut r)?;
+        let channel = Determinant::skip_wire(kind, &mut r, &mut ctx)?;
+        Ok((channel, bytes.len() - r.remaining(), ctx))
+    }
+
+    fn arb_ctx() -> impl Strategy<Value = WireCtx> {
+        (arb_u64(), arb_u64(), arb_u64()).prop_map(|(epoch, ts, offset)| WireCtx { epoch, ts, offset })
+    }
+
+    /// The test-only reference encoding (`tests/common/wire_v2.rs`) of `d`
+    /// under `epoch` against `ctx`, and the context it leaves.
+    fn reference(d: &Determinant, epoch: EpochId, ctx: WireCtx) -> (Bytes, WireCtx) {
+        let mut w = ByteWriter::new();
+        let mut c = wire_v2::Ctx { epoch: ctx.epoch, ts: ctx.ts, offset: ctx.offset };
+        wire_v2::encode(&mut w, &mut c, epoch, d);
+        (w.freeze(), WireCtx { epoch: c.epoch, ts: c.ts, offset: c.offset })
     }
 
     /// Bytes that make long varints, overflows and short payloads likely.
@@ -470,29 +750,63 @@ mod tests {
             prop_assert_eq!(seen, [true; VARIANTS]);
         }
 
-        /// On every encoding, and on every truncation of one, the walker
-        /// consumes what the decoder consumes or fails as the decoder fails.
+        /// On every reference wire encoding (any context, any epoch), the
+        /// crate's encoder writes the same bytes and leaves the same context,
+        /// the decoder gives the determinant back, and on every truncation the
+        /// walker consumes what the decoder consumes or fails as it fails.
         #[test]
-        fn prop_skip_agrees_with_decode_on_encodings(d in arb_determinant()) {
-            let mut w = ByteWriter::new();
-            d.encode(&mut w);
-            let bytes = w.freeze();
-            prop_assert_eq!(skipped(&bytes), Ok((decoded(&bytes).unwrap().0, bytes.len())));
+        fn prop_skip_agrees_with_decode_on_encodings(
+            d in arb_determinant(),
+            epoch in arb_u64(),
+            ctx in arb_ctx(),
+        ) {
+            let (bytes, after) = reference(&d, epoch, ctx);
+            let mut mine = ByteWriter::new();
+            let mut left = ctx;
+            d.encode_wire(epoch, &mut left, &mut mine);
+            prop_assert_eq!(mine.as_slice(), &bytes[..]);
+            prop_assert_eq!(left, after);
+            let mut back = ctx;
+            prop_assert_eq!(Determinant::decode_wire(&mut WireCursor::new(&bytes), &mut back), Ok((epoch, d.clone())));
+            prop_assert_eq!(back, after);
+            let channel = match d {
+                Determinant::Order { channel } => Some(channel),
+                _ => None,
+            };
+            prop_assert_eq!(skipped(&bytes, ctx), Ok((channel, bytes.len(), after)));
             for cut in 0..bytes.len() {
-                prop_assert_eq!(skipped(&bytes[..cut]), decoded(&bytes[..cut]), "cut at {}", cut);
+                prop_assert_eq!(skipped(&bytes[..cut], ctx), decoded(&bytes[..cut], ctx), "cut at {}", cut);
             }
         }
 
-        /// The same on byte strings no encoder wrote: invalid tags, bad
-        /// `RpcKind`s, varints that overflow or never end, payload lengths
-        /// past the end.
+        /// The same on byte strings no encoder wrote: invalid tags and
+        /// flags, bad `RpcKind`s, varints that overflow or never end, step
+        /// deltas that leave `u64`, payload lengths past the end.
         #[test]
         fn prop_skip_agrees_with_decode_on_arbitrary_bytes(
-            tag in prop_oneof![0u8..10, any::<u8>()],
+            tag in prop_oneof![0u8..10, 0x40u8..0x4A, 0x80u8..0x8A, 0xC0u8..0xCA, any::<u8>()],
             rest in proptest::collection::vec(arb_wire_byte(), 0..40),
+            ctx in arb_ctx(),
         ) {
             let bytes = [&[tag][..], &rest[..]].concat();
-            prop_assert_eq!(skipped(&bytes), decoded(&bytes));
+            prop_assert_eq!(skipped(&bytes, ctx), decoded(&bytes, ctx));
+        }
+
+        /// Re-coding an entry from one context to another writes the
+        /// reference encoding against the second, and both contexts end
+        /// where the reference leaves them.
+        #[test]
+        fn prop_recode_writes_the_reference_encoding(
+            d in arb_determinant(),
+            epoch in arb_u64(),
+            (from, to) in (arb_ctx(), arb_ctx()),
+        ) {
+            let (bytes, from_after) = reference(&d, epoch, from);
+            let (want, to_after) = reference(&d, epoch, to);
+            let (mut f, mut t, mut w) = (from, to, ByteWriter::new());
+            Determinant::recode_wire(&mut WireCursor::new(&bytes), &mut f, &mut t, &mut w).unwrap();
+            prop_assert_eq!(w.as_slice(), &want[..]);
+            prop_assert_eq!((f, t), (from_after, to_after));
         }
 
         /// The cursor's varint reader is `ByteReader`'s: same value, same

@@ -50,3 +50,9 @@ pub type EpochId = u64;
 
 /// Index of an output channel (partition) of a task.
 pub type ChannelId = u32;
+
+/// The test-only reference model of the delta wire, shared with
+/// `tests/properties.rs`.
+#[cfg(test)]
+#[path = "../tests/common/wire_v2.rs"]
+mod wire_v2;

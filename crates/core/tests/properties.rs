@@ -6,12 +6,15 @@
 use bytes::Bytes;
 use clonos::causal_log::{CausalLogManager, TaskLogSnapshot};
 use clonos::config::SpillPolicy;
-use clonos::determinant::Determinant;
+use clonos::determinant::{Determinant, RpcKind};
 use clonos::inflight::{InFlightLog, SentBuffer};
 use clonos_storage::codec::{ByteReader, ByteWriter};
 use clonos_storage::spill::SpillDevice;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+#[path = "common/wire_v2.rs"]
+mod wire_v2;
 
 fn arb_main_determinant() -> impl Strategy<Value = Determinant> {
     prop_oneof![
@@ -20,6 +23,8 @@ fn arb_main_determinant() -> impl Strategy<Value = Determinant> {
             .prop_map(|(t, o)| Determinant::Timer { timer_id: t as u64, offset: o as u64 }),
         (any::<u32>(), any::<u16>())
             .prop_map(|(ts, o)| Determinant::Timestamp { ts: ts as u64, offset: o as u64 }),
+        // Jumps no `i64` delta holds: the wire writes them absolute.
+        (any::<u64>(), any::<u64>()).prop_map(|(ts, offset)| Determinant::Timestamp { ts, offset }),
         any::<u64>().prop_map(|seed| Determinant::RngSeed { seed }),
         proptest::collection::vec(any::<u8>(), 0..32)
             .prop_map(|payload| Determinant::External { payload }),
@@ -187,13 +192,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Arena / legacy delta equivalence
+// Arena / reference delta equivalence
 // ---------------------------------------------------------------------
-
-/// Wire tag for a compressed `Order` run (mirrors the private
-/// `WIRE_ORDER_RUN` constant; the wire format is frozen, so the test pins
-/// the literal value).
-const ORDER_RUN_TAG: u8 = 0x3F;
 
 /// One step of a randomized causal-log workload.
 #[derive(Clone, Debug)]
@@ -201,7 +201,7 @@ enum Op {
     /// Record one main-thread determinant.
     Record(Determinant),
     /// Record a burst of same-channel `Order` determinants (guarantees
-    /// `WIRE_ORDER_RUN` coverage).
+    /// compressed-run coverage).
     OrderRun(u32, usize),
     /// Record a `BufferFlush` in an output-channel log.
     Flush(u32, u32, u32),
@@ -233,63 +233,83 @@ struct ShadowLog {
     entries: Vec<(u64, Determinant)>,
 }
 
-/// Byte-level model of the **pre-arena** delta encoder: walks decoded
-/// entries and re-encodes each determinant through the codec at collect
-/// time, exactly as `encode_origin_delta` did before the encoded-arena
-/// change. The arena-backed encoder must reproduce these bytes exactly —
-/// that is what keeps `ingest_delta` decoder-compatible across versions.
-fn legacy_encode_delta(
-    task: u64,
-    logs: &[ShadowLog],
-    cursors: &mut BTreeMap<u32, u64>,
-) -> Vec<u8> {
+/// Byte-level reference of the v2 delta encoder over decoded entries: each
+/// span re-encoded item by item from the zero context
+/// ([`wire_v2::encode`]), at collect time. The arena-backed encoder, which
+/// re-codes a span's first entry or two and copies the rest, must
+/// reproduce these bytes exactly.
+fn reference_delta(task: u64, logs: &[ShadowLog], cursors: &mut BTreeMap<u32, u64>) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_varint(1); // origins: own logs only (DSD 1)
-    w.put_varint(task);
-    w.put_varint(0); // hops at sender
-    legacy_encode_logs(&mut w, logs, cursors);
+    reference_origin(&mut w, task, 0, logs, cursors);
     w.freeze().to_vec()
 }
 
-/// One origin's `nlogs` and per-log spans, re-encoded entry by entry.
-fn legacy_encode_logs(w: &mut ByteWriter, logs: &[ShadowLog], cursors: &mut BTreeMap<u32, u64>) {
+/// One origin: nothing if no log has an entry past its cursor, else
+/// `origin, hops, nlogs`, the presence bitmap and a span per present log.
+fn reference_origin(
+    w: &mut ByteWriter,
+    origin: u64,
+    hops: u32,
+    logs: &[ShadowLog],
+    cursors: &mut BTreeMap<u32, u64>,
+) {
+    let windows: Vec<(u64, &[(u64, Determinant)])> = logs
+        .iter()
+        .enumerate()
+        .map(|(id, log)| {
+            let from = cursors.get(&(id as u32)).copied().unwrap_or(0).max(log.base);
+            (from, log.entries.get((from - log.base) as usize..).unwrap_or(&[]))
+        })
+        .collect();
+    if windows.iter().all(|(_, window)| window.is_empty()) {
+        return;
+    }
+    w.put_varint(origin);
+    w.put_varint(hops as u64);
     w.put_varint(logs.len() as u64);
-    for (id, log) in logs.iter().enumerate() {
-        let cursor = cursors.entry(id as u32).or_insert(log.base);
-        let from = (*cursor).max(log.base);
-        let window = &log.entries[(from - log.base) as usize..];
-        w.put_varint(id as u64);
+    let mut bitmap = vec![0u8; logs.len().div_ceil(8)];
+    for (id, (_, window)) in windows.iter().enumerate() {
+        if !window.is_empty() {
+            bitmap[id / 8] |= 1 << (id % 8);
+        }
+    }
+    w.put_raw(&bitmap);
+    for (id, (from, window)) in windows.into_iter().enumerate() {
+        if window.is_empty() {
+            continue;
+        }
+        let span = reference_span(window);
         w.put_varint(from);
         w.put_varint(window.len() as u64);
-        let mut i = 0;
-        while i < window.len() {
-            let (epoch, det) = &window[i];
-            if let Determinant::Order { channel } = det {
-                let mut run = 1;
-                while i + run < window.len() {
-                    let (e2, d2) = &window[i + run];
-                    let same = e2 == epoch
-                        && matches!(d2, Determinant::Order { channel: c2 } if c2 == channel);
-                    if !same {
-                        break;
-                    }
-                    run += 1;
-                }
-                if run >= 3 {
-                    w.put_varint(*epoch);
-                    w.put_u8(ORDER_RUN_TAG);
-                    w.put_varint(*channel as u64);
-                    w.put_varint(run as u64);
-                    i += run;
-                    continue;
-                }
-            }
-            w.put_varint(*epoch);
-            det.encode(w);
-            i += 1;
-        }
-        *cursor = from + window.len() as u64;
+        w.put_varint(span.len() as u64);
+        w.put_raw(&span);
+        cursors.insert(id as u32, from + window.len() as u64);
     }
+}
+
+/// A span's items from the zero context: maximal runs (>= 3) of same-epoch
+/// same-channel `Order`s as one run item, every other entry on its own.
+fn reference_span(window: &[(u64, Determinant)]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    let mut ctx = wire_v2::Ctx::default();
+    let mut i = 0;
+    while i < window.len() {
+        let (epoch, det) = &window[i];
+        if let Determinant::Order { channel } = det {
+            let run = window[i..]
+                .iter()
+                .take_while(|(e, d)| e == epoch && matches!(d, Determinant::Order { channel: c } if c == channel))
+                .count();
+            if run >= 3 {
+                wire_v2::encode_run(&mut w, &mut ctx, *epoch, *channel, run as u64);
+                i += run;
+                continue;
+            }
+        }
+        wire_v2::encode(&mut w, &mut ctx, *epoch, det);
+        i += 1;
+    }
+    w.freeze().to_vec()
 }
 
 proptest! {
@@ -298,11 +318,11 @@ proptest! {
     /// For arbitrary interleavings of records, flush determinants, epoch
     /// advances, per-channel delta collections, and mid-stream truncations,
     /// the arena-backed `collect_delta`:
-    /// 1. produces bytes identical to the pre-arena re-encoding
-    ///    implementation (wire-format compatibility, no decoder change), and
+    /// 1. produces the bytes of the v2 reference encoder over decoded
+    ///    entries ([`reference_delta`]), and
     /// 2. reconstructs the identical log (seq, epoch, determinant) on a
-    ///    downstream replica via the unchanged `ingest_delta`, and
-    /// 3. never re-encodes an entry at collect time.
+    ///    downstream replica via `ingest_delta`, and
+    /// 3. never re-encodes an entry into an arena at collect time.
     #[test]
     fn arena_delta_bytes_match_legacy_encoder(
         ops in proptest::collection::vec(arb_op(), 1..100),
@@ -338,8 +358,8 @@ proptest! {
                 }
                 Op::Collect(ch) => {
                     let real = up.collect_delta(*ch as u32);
-                    let model = legacy_encode_delta(1, &shadow, &mut cursors[*ch]);
-                    prop_assert_eq!(&real[..], &model[..], "arena delta diverged from legacy bytes");
+                    let model = reference_delta(1, &shadow, &mut cursors[*ch]);
+                    prop_assert_eq!(&real[..], &model[..], "arena delta diverged from the reference bytes");
                     down.ingest_delta(&real).unwrap();
                 }
                 Op::Truncate => {
@@ -359,11 +379,15 @@ proptest! {
         // the upstream's own logs entry-for-entry.
         for (ch, chan_cursors) in cursors.iter_mut().enumerate() {
             let real = up.collect_delta(ch as u32);
-            let model = legacy_encode_delta(1, &shadow, chan_cursors);
+            let model = reference_delta(1, &shadow, chan_cursors);
             prop_assert_eq!(&real[..], &model[..], "final arena delta diverged");
             down.ingest_delta(&real).unwrap();
         }
-        let replica = down.export_replica(1).unwrap();
+        // Nothing ever shipped, nothing to compare.
+        let Some(replica) = down.export_replica(1) else {
+            prop_assert_eq!(up.stats.delta_entries_shipped, 0);
+            return Ok(());
+        };
         let own = up.own_snapshot();
         prop_assert_eq!(replica.logs.len(), own.logs.len());
         for ((rid, rbase, rents), (oid, obase, oents)) in replica.logs.iter().zip(own.logs.iter()) {
@@ -432,6 +456,12 @@ impl ShadowLog {
         true
     }
 
+    /// Whether a span `from..from + count` holds nothing this log lacks.
+    fn holds(&self, from: u64, count: u64) -> bool {
+        let base = if self.entries.is_empty() { self.base.max(from) } else { self.base };
+        from + count <= base + self.entries.len() as u64
+    }
+
     fn truncate_through(&mut self, epoch: u64) {
         let stale = self.entries.iter().take_while(|(e, _)| *e <= epoch).count();
         self.entries.drain(..stale);
@@ -440,10 +470,10 @@ impl ShadowLog {
 }
 
 /// Decoded reference model of a `CausalLogManager`: logs hold decoded
-/// determinants, `collect_delta` re-encodes them entry by entry
-/// ([`legacy_encode_logs`]) and `ingest_delta` decodes every entry and
-/// applies the sequence rules to it — what the manager did before the arena
-/// and before span ingest.
+/// determinants, `collect_delta` re-encodes them item by item
+/// ([`reference_origin`]) and `ingest_delta` decodes every item of a span it
+/// lacks anything of and applies the sequence rules entry by entry — what
+/// the manager did before the arena and before span ingest, on the v2 wire.
 struct ModelManager {
     task: u64,
     dsd: u32,
@@ -456,6 +486,7 @@ struct ModelManager {
     entries_ingested: u64,
     order_entries_compressed: u64,
     gap_resyncs: u64,
+    held_spans_skipped: u64,
 }
 
 impl ModelManager {
@@ -470,6 +501,7 @@ impl ModelManager {
             entries_ingested: 0,
             order_entries_compressed: 0,
             gap_resyncs: 0,
+            held_spans_skipped: 0,
         }
     }
 
@@ -488,15 +520,10 @@ impl ModelManager {
         let forwarded = |hops: u32| dsd > 1 && hops < dsd;
         let cursors = &mut self.cursors[channel];
         let mut w = ByteWriter::new();
-        w.put_varint(1 + self.replicated.values().filter(|(hops, _)| forwarded(*hops)).count() as u64);
-        w.put_varint(self.task);
-        w.put_varint(0);
-        legacy_encode_logs(&mut w, &self.own, cursors.entry(self.task).or_default());
+        reference_origin(&mut w, self.task, 0, &self.own, cursors.entry(self.task).or_default());
         for (&origin, (hops, logs)) in &self.replicated {
             if forwarded(*hops) {
-                w.put_varint(origin);
-                w.put_varint(*hops as u64);
-                legacy_encode_logs(&mut w, logs, cursors.entry(origin).or_default());
+                reference_origin(&mut w, origin, *hops, logs, cursors.entry(origin).or_default());
             }
         }
         w.freeze().to_vec()
@@ -504,31 +531,35 @@ impl ModelManager {
 
     fn ingest_delta(&mut self, delta: &[u8]) {
         let mut r = ByteReader::new(delta);
-        for _ in 0..r.get_varint().unwrap() {
+        while !r.is_empty() {
             let origin = r.get_varint().unwrap();
             let hops = r.get_varint().unwrap() as u32 + 1;
-            let nlogs = r.get_varint().unwrap();
-            let (held_hops, logs) =
-                self.replicated.entry(origin).or_insert_with(|| (hops, vec![ShadowLog::default()]));
+            let nlogs = r.get_varint().unwrap() as usize;
+            let bitmap = r.get_raw(nlogs.div_ceil(8)).unwrap();
+            let (held_hops, logs) = self.replicated.entry(origin).or_insert_with(|| (hops, Vec::new()));
             *held_hops = (*held_hops).min(hops);
-            for _ in 0..nlogs {
-                let id = r.get_varint().unwrap() as usize;
+            if logs.len() < nlogs {
+                logs.resize_with(nlogs, ShadowLog::default);
+            }
+            for id in (0..nlogs).filter(|id| bitmap[id / 8] & (1 << (id % 8)) != 0) {
                 let from = r.get_varint().unwrap();
                 let count = r.get_varint().unwrap();
-                if logs.len() <= id {
-                    logs.resize_with(id + 1, ShadowLog::default);
+                let len = r.get_varint().unwrap() as usize;
+                let mut span = ByteReader::new(r.get_raw(len).unwrap());
+                if logs[id].holds(from, count) {
+                    self.held_spans_skipped += 1;
+                    continue;
                 }
+                let mut ctx = wire_v2::Ctx::default();
                 let mut logical = 0;
                 while logical < count {
-                    let epoch = r.get_varint().unwrap();
-                    let tag = r.get_u8().unwrap();
-                    let (det, n) = if tag == ORDER_RUN_TAG {
-                        let channel = r.get_varint().unwrap() as u32;
-                        let run = r.get_varint().unwrap();
-                        self.order_entries_compressed += run;
-                        (Determinant::Order { channel }, run)
-                    } else {
-                        (Determinant::decode_with_tag(tag, &mut r).unwrap(), 1)
+                    let (epoch, item) = wire_v2::decode(&mut span, &mut ctx).unwrap();
+                    let (det, n) = match item {
+                        wire_v2::Item::Entry(det) => (det, 1),
+                        wire_v2::Item::Run { channel, run } => {
+                            self.order_entries_compressed += run;
+                            (Determinant::Order { channel }, run)
+                        }
                     };
                     for _ in 0..n {
                         let added =
@@ -537,6 +568,7 @@ impl ModelManager {
                         logical += 1;
                     }
                 }
+                assert!(span.is_empty(), "span bytes past its entries");
             }
         }
     }
@@ -686,6 +718,7 @@ proptest! {
             prop_assert_eq!(real.stats.entries_ingested, model.entries_ingested);
             prop_assert_eq!(real.stats.order_entries_compressed, model.order_entries_compressed);
             prop_assert_eq!(real.stats.gap_resyncs, model.gap_resyncs);
+            prop_assert_eq!(real.stats.held_spans_skipped, model.held_spans_skipped);
             // What is left to forward is the same bytes, too.
             for ch in 0..model.cursors.len() {
                 let delta = real.collect_delta(ch as u32);

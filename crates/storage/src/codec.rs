@@ -20,6 +20,10 @@ pub enum CodecError {
     InvalidTag { context: &'static str, tag: u8 },
     /// A string field was not valid UTF-8.
     InvalidUtf8,
+    /// A field contradicts the frame around it: a length its contents
+    /// disagree with, a bit past a declared count, a delta that leaves the
+    /// range of the value it applies to.
+    Inconsistent { context: &'static str },
 }
 
 impl fmt::Display for CodecError {
@@ -33,6 +37,7 @@ impl fmt::Display for CodecError {
                 write!(f, "invalid tag {tag:#x} while decoding {context}")
             }
             CodecError::InvalidUtf8 => write!(f, "invalid UTF-8 in string field"),
+            CodecError::Inconsistent { context } => write!(f, "inconsistent {context}"),
         }
     }
 }
@@ -111,6 +116,7 @@ impl ByteWriter {
     }
 
     /// Raw bytes without a length prefix (caller manages framing).
+    #[inline]
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.put_slice(v);
     }
@@ -134,6 +140,45 @@ impl ByteWriter {
         let len = (self.buf.len() - pos - 4) as u32;
         // clonos-lint: allow(panic-path, reason = "pos is a begin_u32_len cookie; the 4-byte prefix exists by construction")
         self.buf[pos..pos + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Reserve a varint length prefix and return its position: one byte,
+    /// which [`ByteWriter::end_varint_len`] patches in place when the
+    /// payload streamed after it is shorter than 128 bytes and widens
+    /// otherwise. Canonical like [`ByteWriter::put_varint`], with no copy of
+    /// the payload in the common case.
+    #[inline]
+    pub fn begin_varint_len(&mut self) -> usize {
+        let pos = self.buf.len();
+        self.buf.put_u8(0);
+        pos
+    }
+
+    /// Patch the prefix reserved by [`ByteWriter::begin_varint_len`] with the
+    /// number of bytes appended since.
+    #[inline]
+    pub fn end_varint_len(&mut self, pos: usize) {
+        let end = self.buf.len();
+        let len = (end - pos - 1) as u64;
+        if len < 0x80 {
+            if let Some(byte) = self.buf.get_mut(pos) {
+                *byte = len as u8;
+            }
+            return;
+        }
+        // Wider: move the payload up by the extra bytes (one move).
+        let width = (u64::BITS - len.leading_zeros()).div_ceil(7) as usize;
+        for _ in 1..width {
+            self.buf.put_u8(0);
+        }
+        if let Some(prefixed) = self.buf.get_mut(pos..) {
+            prefixed.copy_within(1..end - pos, width);
+            let mut v = len;
+            for byte in prefixed.iter_mut().take(width) {
+                *byte = (v as u8 & 0x7f) | if v >= 0x80 { 0x80 } else { 0 };
+                v >>= 7;
+            }
+        }
     }
 
     pub fn freeze(self) -> Bytes {
@@ -333,6 +378,22 @@ mod tests {
         assert_eq!(r.get_raw(n).unwrap(), b"hello");
         assert_eq!(r.get_u32_le().unwrap(), 0);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn varint_len_prefix_is_put_bytes_at_every_width() {
+        for n in [0usize, 1, 127, 128, 300, 16_383, 16_384, 70_000] {
+            let payload: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let mut w = ByteWriter::new();
+            w.put_u8(7);
+            let pos = w.begin_varint_len();
+            w.put_raw(&payload);
+            w.end_varint_len(pos);
+            let mut want = ByteWriter::new();
+            want.put_u8(7);
+            want.put_bytes(&payload);
+            assert_eq!(w.as_slice(), want.as_slice(), "payload of {n}");
+        }
     }
 
     #[test]

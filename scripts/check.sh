@@ -66,35 +66,41 @@ echo "== bench: state smoke (tiered backend, O(dirty) shipped bytes) =="
 BENCH_STATE_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_state
 
 # One short run of a benchmark workload: it must be correct with no failed
-# operation and, when a ceiling is given, its exact allocs_per_record at most
-# the ceiling. No timing threshold.
-bench_stage() { # <workload> [allocs ceiling]
+# operation and, for each `metric=ceiling` given, the metric's exact value at
+# most the ceiling. Only exact metrics (counts, virtual time) get ceilings;
+# no host-time threshold.
+bench_stage() { # <workload> [metric=ceiling ...]
   bash clonos_benchmark/run.sh --workload "$1" --seed 1 --seconds 3 --trace 0 | tail -n 1 |
     python3 -c '
 import json, sys
-result, workload, ceiling = json.loads(sys.stdin.read()), sys.argv[1], sys.argv[2:]
+result, workload, ceilings = json.loads(sys.stdin.read()), sys.argv[1], sys.argv[2:]
 failed, attempted = result["failed"], result["attempted"]
 if result["correct"] is not True or failed != 0:
     sys.exit(f"ERROR: {workload} benchmark run is not correct ({failed} failed)")
 line = f"{attempted} records, 0 failed"
-if ceiling:
-    allocs, ceiling = result["metrics"]["allocs_per_record"]["value"], float(ceiling[0])
-    if allocs > ceiling:
-        sys.exit(f"ERROR: {workload} allocs_per_record {allocs:.2f} exceeds the ceiling {ceiling}")
-    line += f", allocs_per_record {allocs:.2f} (ceiling {ceiling})"
+for pair in ceilings:
+    metric, ceiling = pair.split("=")
+    value, ceiling = result["metrics"][metric]["value"], float(ceiling)
+    if value > ceiling:
+        sys.exit(f"ERROR: {workload} {metric} {value:.3f} exceeds the ceiling {ceiling}")
+    line += f", {metric} {value:.3f} (ceiling {ceiling})"
 print(f"== bench: {workload} correct: {line} ==")
 ' "$@"
 }
 
-echo "== bench: chain correct + allocation ceiling (clonos_benchmark, exact count) =="
+echo "== bench: chain correct + allocation and barrier ceilings (clonos_benchmark, exact values) =="
 ALLOCS_PER_RECORD_CEILING=11.21 # chain allocs_per_record at the commit that set it (10.19) + 10 %
-bench_stage chain "$ALLOCS_PER_RECORD_CEILING"
+# chain barrier_max_ms at the commit that set it (18.789, delta wire v2) + 5 %:
+# barrier-time delta bytes are charged on the barrier's critical path, and the
+# v1 wire read 25.773 (EXPERIMENTS.md E1i).
+BARRIER_MAX_MS_CEILING=19.73
+bench_stage chain "allocs_per_record=$ALLOCS_PER_RECORD_CEILING" "barrier_max_ms=$BARRIER_MAX_MS_CEILING"
 
 echo "== bench: nexmark correct + allocation ceiling (the one workload whose determinants carry payloads) =="
 # nexmark allocs_per_record at the commit that set it (5.36) + 10 %: a
 # per-determinant allocation back in the delta exchange costs Q13 one per record.
 NEXMARK_ALLOCS_PER_RECORD_CEILING=5.90
-bench_stage nexmark "$NEXMARK_ALLOCS_PER_RECORD_CEILING"
+bench_stage nexmark "allocs_per_record=$NEXMARK_ALLOCS_PER_RECORD_CEILING"
 
 echo "== bench: keyed_state correct: tiered output = untiered output, every rep the same counts =="
 bench_stage keyed_state
