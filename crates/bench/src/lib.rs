@@ -1,6 +1,6 @@
-//! Shared harness utilities for the figure/table-regenerating binaries and
-//! the Criterion benchmarks: configuration factories, the synthetic workload
-//! of §7.2, and plain-text table/series printing.
+//! Shared harness utilities for the figure/table-regenerating binaries:
+//! configuration factories, the synthetic workload of §7.2, and plain-text
+//! table/series printing.
 
 use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_engine::operator::OpCtx;
@@ -192,21 +192,6 @@ pub fn run_synthetic(
 // ---------------------------------------------------------------------
 // Plain-text reporting
 // ---------------------------------------------------------------------
-
-/// Write a `bench_*` bin's JSON result and say where: a full run updates the
-/// committed `BENCH_<name>.json`, a smoke run (CI) goes to
-/// `target/bench-smoke/<name>.json` so it never overwrites committed
-/// full-run numbers. Paths are relative to the working directory.
-pub fn write_bench_json(name: &str, smoke: bool, json: &str) {
-    let path = if smoke {
-        std::fs::create_dir_all("target/bench-smoke").expect("create target/bench-smoke");
-        format!("target/bench-smoke/{name}.json")
-    } else {
-        format!("BENCH_{name}.json")
-    };
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
 
 /// Print a header + aligned rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {

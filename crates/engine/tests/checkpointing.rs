@@ -1,6 +1,6 @@
 //! Checkpoint-coordination mechanics: barrier alignment across multi-input
-//! operators, snapshot consistency, log truncation, and standby state
-//! dispatch.
+//! operators, snapshot consistency, log truncation, standby state dispatch,
+//! and unaligned barriers overtaking a slow consumer's backlog.
 
 use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_engine::operator::OpCtx;
@@ -141,4 +141,99 @@ fn no_checkpoints_without_fault_tolerance_mode() {
     let report = runner.run_for(VirtualDuration::from_secs(12));
     assert_eq!(report.last_completed_checkpoint, 0);
     assert!(report.records_out > 0, "pipeline should still run");
+}
+
+/// src → a → b → sink, parallelism 2, over 4 nodes: two keyed counting
+/// stages that each read the timestamp service, so every record is logged.
+fn slow_consumer_chain() -> JobGraph {
+    let mut g = JobGraph::new("slow-consumer");
+    let src = g.add_source("src", 2, SourceSpec::new("in").rate(1_000).key_field(0));
+    let stage = || {
+        factory(|| {
+            ProcessOp::new(|_i, rec: &Record, ctx: &mut OpCtx<'_>| {
+                let c = ctx.state.value(0, rec.key).map(|r| r.int(0)).unwrap_or(0) + 1;
+                ctx.state.set_value(0, rec.key, Row::new(vec![Datum::Int(c)]));
+                let _ts = ctx.timestamp()?;
+                ctx.emit(rec.key, rec.event_time, rec.row.clone());
+                Ok(())
+            })
+        })
+    };
+    let a = g.add_operator("a", 2, stage());
+    let b = g.add_operator("b", 2, stage());
+    let snk = g.add_sink("sink", 2, SinkSpec { topic: "out".into() });
+    g.connect(src, a, Partitioning::Hash);
+    g.connect(a, b, Partitioning::Hash);
+    g.connect(b, snk, Partitioning::Hash);
+    g
+}
+
+/// Sorted `TriggerCheckpoint` → `CheckpointComplete` latencies, virtual µs.
+fn barrier_latencies_us(report: &RunReport) -> Vec<u64> {
+    let at_of = |kind: &str, epoch: u64| {
+        report.causal_events.iter().find(|e| e.kind == kind && e.epoch == epoch).map(|e| e.at)
+    };
+    let mut lat: Vec<u64> = report
+        .causal_events
+        .iter()
+        .filter(|e| e.kind == "CheckpointComplete")
+        .filter_map(|done| {
+            let start = at_of("TriggerCheckpoint", done.epoch)?;
+            Some(done.at.saturating_sub(start).as_micros())
+        })
+        .collect();
+    lat.sort_unstable();
+    lat
+}
+
+/// Nearest-rank percentile of a sorted, non-empty sample.
+fn percentile(sorted: &[u64], q: f64) -> u64 {
+    sorted[((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len()) - 1]
+}
+
+/// 40 virtual seconds, checkpoints every 2 s, and task 3 (stage `a`) slowed
+/// 150× for 1.5 s every 3 s, so barriers land in every phase of its
+/// backlog's build/drain cycle. Aligned barriers wait behind the backlog;
+/// unaligned ones jump it and carry the overtaken records in the image.
+fn run_slow_consumer(mode: CheckpointMode) -> RunReport {
+    const SECS: u64 = 40;
+    let ft = FtMode::Clonos(ClonosConfig::exactly_once(SharingDepth::Full));
+    let mut cfg = EngineConfig::default().with_seed(42).with_ft(ft);
+    cfg.num_nodes = 4;
+    cfg.checkpoint_interval = VirtualDuration::from_secs(2);
+    cfg.checkpoint_mode = mode;
+    let mut runner = JobRunner::new(slow_consumer_chain(), cfg);
+    let n = 2 * 1_000 * (SECS as i64 - 5);
+    for p in 0..2 {
+        let rows = (p..n).step_by(2).map(|i| Row::new(vec![Datum::Int(i % 64), Datum::Int(i)]));
+        runner.populate("in", p as usize, rows);
+    }
+    let mut plan = FailurePlan::none();
+    for at in (4..SECS - 7).step_by(3) {
+        let window = VirtualDuration::from_millis(1_500);
+        plan = plan.slow_at(VirtualTime(at * 1_000_000), 3, 150, window);
+    }
+    let report = runner.with_failures(plan).run_for(VirtualDuration::from_secs(SECS));
+    assert!(report.records_out > 0, "{mode:?}: no output committed");
+    assert!(report.duplicate_idents().is_empty(), "{mode:?}: duplicates under backpressure");
+    assert!(report.ident_gaps().is_empty(), "{mode:?}: gaps under backpressure");
+    report
+}
+
+/// The unaligned-checkpoint floor: under a sustained slow consumer, the p99
+/// trigger → complete latency of unaligned barriers is at least 5× below
+/// the aligned one.
+#[test]
+fn unaligned_barriers_cut_p99_completion_latency_five_fold_under_backpressure() {
+    let aligned = run_slow_consumer(CheckpointMode::Aligned);
+    let unaligned = run_slow_consumer(CheckpointMode::Unaligned);
+    let (a, u) = (barrier_latencies_us(&aligned), barrier_latencies_us(&unaligned));
+    assert!(a.len() >= 3 && u.len() >= 3, "completed: aligned {}, unaligned {}", a.len(), u.len());
+    assert!(
+        unaligned.checkpoint_stats.overtaken_records > 0,
+        "unaligned run captured no overtaken records: backpressure did not bite"
+    );
+    let (a99, u99) = (percentile(&a, 0.99), percentile(&u, 0.99));
+    let ratio = a99 as f64 / u99.max(1) as f64;
+    assert!(ratio >= 5.0, "aligned p99 {a99} us / unaligned p99 {u99} us = {ratio:.2} < 5");
 }

@@ -216,6 +216,42 @@ fn delta_barrier_bytes_undercut_full_barrier_bytes() {
     assert_eq!(full.sink_idents(), inc.sink_idents());
 }
 
+/// The store-level floor under the run-level comparison above: at 10^5 keys
+/// a barrier that dirtied 1 % or 10 % of them encodes a delta at most a
+/// fifth the size of the full image, and base + delta still folds to it.
+#[test]
+fn delta_image_is_at_most_a_fifth_of_the_full_image_at_ten_percent_dirty() {
+    const KEYS: u64 = 100_000;
+    let row = |key: u64, epoch: u64| {
+        Row::new(vec![
+            Datum::Int((key.wrapping_mul(0x9E3779B97F4A7C15) ^ epoch) as i64),
+            Datum::Int((key + epoch) as i64),
+        ])
+    };
+    for pct in [1, 10] {
+        let mut store = StateStore::new();
+        for key in 0..KEYS {
+            store.set_value(0, key, row(key, 0));
+        }
+        let base = store.snapshot();
+        store.clear_dirty();
+        let stride = 100 / pct;
+        for key in (1..KEYS).step_by(stride as usize) {
+            store.set_value(0, key, row(key, 1));
+        }
+        let delta = store.snapshot_delta();
+        let full = store.snapshot();
+        assert!(
+            5 * delta.len() <= full.len(),
+            "{pct} % dirty: delta {} B vs full {} B",
+            delta.len(),
+            full.len()
+        );
+        let merged = deltamap::merge_chain(&base, &[&delta]).expect("chain merges");
+        assert_eq!(&merged[..], &full[..], "{pct} % dirty: base + delta is not the full image");
+    }
+}
+
 #[test]
 fn recovery_restores_from_reconstructed_chain() {
     // Kill a stateful task mid-chain: the restore path must reconstruct the

@@ -1,6 +1,7 @@
-//! The tiered backend's two structural facts, as exact counts in tier-1: a
-//! checkpoint cut seals one segment, written once, and a read that finds its
-//! row resident is one lookup with no allocation.
+//! The tiered backend's structural facts, as exact counts in tier-1: a
+//! checkpoint cut seals one segment, written once, a read that finds its row
+//! resident is one lookup with no allocation, and the bytes a barrier ships
+//! follow the dirty set, not the total state.
 //!
 //! The allocator (`common`) counts per thread, so tests of this binary do not
 //! see each other's or the harness's allocations.
@@ -9,8 +10,8 @@ use clonos::config::{ClonosConfig, SharingDepth};
 use clonos_engine::operators::ReduceOp;
 use clonos_engine::state::StateStore;
 use clonos_engine::*;
-use clonos_sim::VirtualDuration;
-use clonos_storage::TieredConfig;
+use clonos_sim::{VirtualDuration, VirtualTime};
+use clonos_storage::{ByteWriter, SnapshotStore, TieredConfig};
 
 mod common;
 use common::{calls, Counting};
@@ -121,4 +122,101 @@ fn a_hit_on_a_resident_clean_row_does_not_allocate() {
     assert_eq!(calls() - before, 0, "allocator calls over 3 000 hits");
     assert_eq!(sum, 3 * (0..1_000).sum::<i64>());
     assert_eq!(store.backend_stats().faults, 0);
+}
+
+fn keyed_row(key: u64, epoch: u64) -> Row {
+    Row::new(vec![
+        Datum::Int((key.wrapping_mul(0x9E3779B97F4A7C15) ^ epoch) as i64),
+        Datum::Int((key + epoch) as i64),
+    ])
+}
+
+/// The image layer a tiered task acks beside its segments: everything but
+/// the values section, full or dirty, consuming the change log.
+fn resident_layer(store: &mut StateStore, full: bool) -> bytes::Bytes {
+    let mut w = ByteWriter::new();
+    w.put_varint(store.entry_count(full));
+    store.write_entries(full, &mut w);
+    w.freeze()
+}
+
+/// Mean bytes one steady-state barrier ships from a tiered store of `keys`
+/// keys (resident budget ≈ 10 % of the state) when each barrier dirties
+/// `dirty` keys spread over the key space: sealed segment payloads, the
+/// resident delta image, and the live-id listing. The first checkpoint, the
+/// full base, is not counted. The last checkpoint is re-folded through a
+/// `SnapshotStore` and must restore the live store's digest.
+fn mean_shipped_per_barrier(keys: u64, dirty: u64, barriers: u64) -> f64 {
+    let mut store = StateStore::new();
+    // A two-int row weighs ≈ 46 resident bytes.
+    store.enable_tiering((keys * 46 / 10).max(1024), 1 << 40);
+    let mut snapshots = SnapshotStore::new();
+    // Load in chunks, syncing per chunk, so the resident cache is the only
+    // RAM the load ever holds.
+    for chunk in (0..keys).step_by(100_000) {
+        for key in chunk..(chunk + 100_000).min(keys) {
+            store.set_value(0, key, keyed_row(key, 0));
+        }
+        store.tier_sync_dirty();
+    }
+    let (sealed, live) = (store.take_sealed_segments(), store.live_segments());
+    snapshots.put_segments(0, 0, live, sealed);
+    snapshots.put(VirtualTime(0), 0, 0, resident_layer(&mut store, true));
+
+    let stride = (keys / dirty).max(1);
+    let mut shipped = 0;
+    for b in 1..=barriers {
+        for i in 0..dirty {
+            let key = (b % stride + i * stride) % keys;
+            store.set_value(0, key, keyed_row(key, b));
+        }
+        store.tier_sync_dirty();
+        let (sealed, live) = (store.take_sealed_segments(), store.live_segments());
+        assert_eq!(store.backend_stats().segments_live, live.len() as u64);
+        let image = resident_layer(&mut store, false);
+        shipped += sealed.iter().map(|(_, p)| p.len() as u64).sum::<u64>()
+            + image.len() as u64
+            + 8 * live.len() as u64;
+        snapshots.put_segments(b, 0, live, sealed);
+        snapshots.put(VirtualTime(0), b, 0, image);
+    }
+
+    // A single-blob fold is canonical only over a full resident image.
+    snapshots.put(VirtualTime(0), barriers, 0, resident_layer(&mut store, true));
+    let (folded, _) = snapshots.get(VirtualTime(0), barriers, 0).expect("last checkpoint folds");
+    let restored = StateStore::restore(&folded).expect("folded image decodes");
+    assert_eq!(restored.digest(), store.digest(), "{keys} keys: restore diverges from live");
+    shipped as f64 / barriers as f64
+}
+
+/// `ceiling` bounds the shipped-bytes ratio of `large` over `small` keys at
+/// the same dirty set: O(dirty), not O(state).
+fn assert_shipped_bytes_follow_dirty_set(
+    (small, large): (u64, u64),
+    dirty: u64,
+    barriers: u64,
+    ceiling: f64,
+) {
+    let s = mean_shipped_per_barrier(small, dirty, barriers);
+    let l = mean_shipped_per_barrier(large, dirty, barriers);
+    let ratio = l / s;
+    assert!(
+        ratio <= ceiling,
+        "{large} keys ship {l:.0} B a barrier, {small} keys {s:.0} B: {ratio:.2}x > {ceiling}x"
+    );
+}
+
+#[test]
+fn shipped_bytes_per_barrier_follow_the_dirty_set_at_1e5_keys() {
+    assert_shipped_bytes_follow_dirty_set((10_000, 100_000), 1_000, 12, 2.5);
+}
+
+/// The same property at 10^7 keys (≈ 50 s in a release build on a 2-vCPU
+/// host). Fails today at 18.04×: `compact_into_next` folds a level of
+/// equal-sized corpus chunks into one segment, and the barrier that seals it
+/// ships the whole corpus.
+#[test]
+#[ignore = "full scale: run with --release -- --ignored"]
+fn shipped_bytes_per_barrier_follow_the_dirty_set_at_1e7_keys() {
+    assert_shipped_bytes_follow_dirty_set((100_000, 10_000_000), 10_000, 32, 2.0);
 }

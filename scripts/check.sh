@@ -53,18 +53,6 @@ CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 echo "== conformance: causal traces vs results/causal_spec.json (25 seeds x 4 FT modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test causal_conformance
 
-echo "== bench: checkpoint smoke (full-vs-delta barrier encoding) =="
-BENCH_CHECKPOINT_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_checkpoint
-
-echo "== bench: throughput smoke (sharded actor runtime vs sim scheduler) =="
-BENCH_THROUGHPUT_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_throughput
-
-echo "== bench: barrier smoke (aligned vs unaligned under backpressure) =="
-BENCH_BARRIER_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_barrier
-
-echo "== bench: state smoke (tiered backend, O(dirty) shipped bytes) =="
-BENCH_STATE_SMOKE=1 cargo run --release -q -p clonos-bench --bin bench_state
-
 # One short run of a benchmark workload: it must be correct with no failed
 # operation and, for each `metric=ceiling` given, the metric's exact value at
 # most the ceiling. Only exact metrics (counts, virtual time) get ceilings;
@@ -104,12 +92,5 @@ bench_stage nexmark "allocs_per_record=$NEXMARK_ALLOCS_PER_RECORD_CEILING"
 
 echo "== bench: keyed_state correct: tiered output = untiered output, every rep the same counts =="
 bench_stage keyed_state
-
-echo "== bench: committed BENCH_*.json untouched by the smokes =="
-if git rev-parse --is-inside-work-tree >/dev/null 2>&1 && ! git diff --quiet -- 'BENCH_*.json'; then
-  echo "ERROR: a committed BENCH_*.json differs from HEAD — smoke runs must write under target/bench-smoke/" >&2
-  git diff --stat -- 'BENCH_*.json' >&2
-  exit 1
-fi
 
 echo "== OK =="
