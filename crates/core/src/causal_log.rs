@@ -759,6 +759,20 @@ struct ShipCursor {
 /// Delta cursors of one origin's logs: `cursors[channel][log id]`.
 type ShipCursors = Vec<Vec<ShipCursor>>;
 
+/// Does `log` hold an entry past `cursor`?
+fn fresh(log: &EpochLog, cursor: &ShipCursor) -> bool {
+    cursor.seq.max(log.base_seq()) < log.next_seq()
+}
+
+/// Does any of `logs` hold an entry past its cursor in `cursors`? Grows
+/// `cursors` to one per log first.
+fn has_fresh(logs: &TaskLog, cursors: &mut Vec<ShipCursor>) -> bool {
+    if cursors.len() < logs.num_logs() {
+        cursors.resize(logs.num_logs(), ShipCursor::default());
+    }
+    logs.logs().zip(cursors.iter()).any(|((_, log), cursor)| fresh(log, cursor))
+}
+
 /// A replicated upstream log held at a downstream task.
 #[derive(Clone, Debug)]
 struct Replica {
@@ -796,8 +810,11 @@ pub struct CausalLogStats {
     /// forward gap in an incoming span (see `EpochLog::admit_span`).
     pub gap_resyncs: u64,
     /// Incoming spans the replica already held whole (a second path of a
-    /// diamond, a barrier-time re-ship), skipped by their byte length.
+    /// diamond, a re-ship after recovery), skipped by their byte length.
     pub held_spans_skipped: u64,
+    /// Forwarded origins with something new that a delta left out because
+    /// its channel had carried no record in the current epoch.
+    pub forwards_withheld: u64,
 }
 
 /// Replay source installed on a recovering task: the merged snapshot of its
@@ -818,6 +835,9 @@ pub struct CausalLogManager {
     own: TaskLog,
     replicated: BTreeMap<TaskId, Replica>,
     own_cursors: ShipCursors,
+    /// Per output channel: has it carried a record this epoch? Only such a
+    /// channel forwards replicated logs (see `collect_delta`).
+    carried_records: Vec<bool>,
     replay: Option<ReplaySource>,
     /// Scratch encoder for [`CausalLogManager::collect_delta`]: one delta is
     /// built per outgoing buffer, so the writer is reused and only the
@@ -835,6 +855,7 @@ impl CausalLogManager {
             own: TaskLog::new(num_out_channels),
             replicated: BTreeMap::new(),
             own_cursors: vec![Vec::new(); num_out_channels],
+            carried_records: vec![false; num_out_channels],
             replay: None,
             delta_scratch: ByteWriter::new(),
             stats: CausalLogStats::default(),
@@ -854,9 +875,11 @@ impl CausalLogManager {
     }
 
     /// Advance to a new epoch (a checkpoint barrier passed through the task).
+    /// No output channel has carried a record in the new epoch yet.
     pub fn set_epoch(&mut self, epoch: EpochId) {
         debug_assert!(epoch >= self.epoch);
         self.epoch = epoch;
+        self.carried_records.fill(false);
     }
 
     /// Whether causal logging is active at all (DSD = 0 disables it — the
@@ -899,17 +922,30 @@ impl CausalLogManager {
 
     // ----- delta exchange ----------------------------------------------
 
+    /// The buffer about to be cut on `channel` carries records: from now to
+    /// the end of the epoch the channel forwards replicated logs.
+    pub fn mark_records(&mut self, channel: ChannelId) {
+        self.carried_records[channel as usize] = true;
+    }
+
     /// Collect the piggyback delta for an outgoing buffer on `channel`,
     /// advancing that channel's cursors. Includes this task's own logs
-    /// (orig hops 0) and any replicated logs with `hops + 1 <= dsd`; an
-    /// origin with nothing new is left out, and a delta with nothing new is
-    /// empty.
+    /// (orig hops 0) and, once the channel has carried a record in the
+    /// current epoch ([`Self::mark_records`]), any replicated logs with
+    /// `hops + 1 <= dsd`; an origin with nothing new is left out, and a delta
+    /// with nothing new is empty.
+    ///
+    /// A receiver depends on a forwarded determinant only through records,
+    /// so a channel that carried none this epoch (its barrier or watermark
+    /// buffers) ships only the sender's own logs; the withheld entries stay
+    /// past the cursor and ride the channel's next record-carrying buffer.
     pub fn collect_delta(&mut self, channel: ChannelId) -> LogDelta {
         if !self.enabled() {
             return Bytes::new();
         }
         let ch = channel as usize;
         debug_assert!(ch < self.own_cursors.len());
+        let carried_records = self.carried_records[ch];
         let dsd = self.dsd;
         // Replicated upstream logs still within sharing depth are forwarded.
         let forwarded = |r: &Replica| dsd > 1 && r.hops < dsd;
@@ -918,14 +954,12 @@ impl CausalLogManager {
         // Own logs always ship (receiver is 1 hop from us).
         Self::encode_origin_delta(w, self.task, 0, &self.own, &mut self.own_cursors[ch], &mut self.stats);
         for (&origin, replica) in self.replicated.iter_mut().filter(|(_, r)| forwarded(r)) {
-            Self::encode_origin_delta(
-                w,
-                origin,
-                replica.hops,
-                &replica.log,
-                &mut replica.cursors[ch],
-                &mut self.stats,
-            );
+            let cursors = &mut replica.cursors[ch];
+            if carried_records {
+                Self::encode_origin_delta(w, origin, replica.hops, &replica.log, cursors, &mut self.stats);
+            } else if has_fresh(&replica.log, cursors) {
+                self.stats.forwards_withheld += 1;
+            }
         }
         if w.is_empty() {
             return Bytes::new();
@@ -948,14 +982,10 @@ impl CausalLogManager {
         cursors: &mut Vec<ShipCursor>,
         stats: &mut CausalLogStats,
     ) {
-        let nlogs = logs.num_logs();
-        if cursors.len() < nlogs {
-            cursors.resize(nlogs, ShipCursor::default());
-        }
-        let fresh = |log: &EpochLog, cursor: &ShipCursor| cursor.seq.max(log.base_seq()) < log.next_seq();
-        if !logs.logs().zip(cursors.iter()).any(|((_, log), cursor)| fresh(log, cursor)) {
+        if !has_fresh(logs, cursors) {
             return;
         }
+        let nlogs = logs.num_logs();
         w.put_varint(origin);
         w.put_varint(hops_at_sender as u64);
         w.put_varint(nlogs as u64);
@@ -1347,11 +1377,13 @@ mod tests {
         let mut a = mgr(2, 1, 2);
         a.ingest_delta(&du).unwrap();
         a.record(ts(6));
+        a.mark_records(0);
         let da = a.collect_delta(0);
         let mut b = mgr(3, 1, 2);
         b.ingest_delta(&da).unwrap();
         b.record(ts(8));
         assert_eq!(b.export_replica(1).unwrap().total_entries(), 1);
+        b.mark_records(0);
         let db = b.collect_delta(0);
         let mut c = mgr(4, 0, 2);
         c.ingest_delta(&db).unwrap();
@@ -1359,6 +1391,40 @@ mod tests {
         assert!(c.export_replica(3).is_some());
         // a's log is 2 hops at c — exactly DSD — so it must be present.
         assert!(c.export_replica(2).is_some());
+    }
+
+    #[test]
+    fn forwarded_logs_ride_only_channels_that_carried_records_this_epoch() {
+        // u -> relay -> {b0, b1} at DSD=2: channel 0 carries records,
+        // channel 1 only a barrier.
+        let mut u = mgr(1, 1, 2);
+        u.record(ts(5));
+        let mut relay = mgr(2, 2, 2);
+        relay.ingest_delta(&u.collect_delta(0)).unwrap();
+        relay.record(ts(6));
+        let (mut b0, mut b1) = (mgr(3, 0, 2), mgr(4, 0, 2));
+        relay.mark_records(0);
+        b0.ingest_delta(&relay.collect_delta(0)).unwrap();
+        b1.ingest_delta(&relay.collect_delta(1)).unwrap();
+        assert_eq!(b0.export_replica(1).unwrap().total_entries(), 1);
+        assert!(b1.export_replica(1).is_none(), "a barrier-only buffer forwarded u's log");
+        assert!(b1.export_replica(2).is_some(), "the relay's own log rides every buffer");
+        assert_eq!(relay.stats.forwards_withheld, 1);
+        // Channel 0 carried records this epoch: its barrier buffer forwards.
+        u.record(ts(7));
+        relay.ingest_delta(&u.collect_delta(0)).unwrap();
+        b0.ingest_delta(&relay.collect_delta(0)).unwrap();
+        assert_eq!(b0.export_replica(1).unwrap().total_entries(), 2);
+        // A new epoch clears the bit; what was withheld rides the channel's
+        // next record-carrying buffer.
+        relay.set_epoch(1);
+        u.record(ts(8));
+        relay.ingest_delta(&u.collect_delta(0)).unwrap();
+        assert!(relay.collect_delta(0).is_empty());
+        relay.mark_records(1);
+        b1.ingest_delta(&relay.collect_delta(1)).unwrap();
+        assert_eq!(b1.export_replica(1).unwrap().total_entries(), 3);
+        assert_eq!(relay.stats.forwards_withheld, 2);
     }
 
     #[test]
@@ -1493,8 +1559,11 @@ mod tests {
         relays[0].ingest_delta(&short).unwrap();
         for relay in &mut relays {
             relay.ingest_delta(&long).unwrap();
+            relay.mark_records(0);
         }
-        assert_eq!(relays[0].collect_delta(0), relays[1].collect_delta(0));
+        let forwarded = relays[0].collect_delta(0);
+        assert!(!forwarded.is_empty());
+        assert_eq!(forwarded, relays[1].collect_delta(0));
     }
 
     /// `a` (task 2, DSD 2) forwards `u` (task 1): the delta `a` ships, the
@@ -1522,6 +1591,7 @@ mod tests {
             for _ in 0..3 {
                 a.record(Determinant::Order { channel: 0 });
             }
+            a.mark_records(0);
             a.collect_delta(0)
         };
         let first = step(&mut u, &mut a, 1);
@@ -1703,6 +1773,7 @@ mod tests {
         a.record(ts(1));
         let mut relay = mgr(3, 1, 2);
         relay.ingest_delta(&a.collect_delta(0)).unwrap();
+        relay.mark_records(0);
         assert!(!relay.collect_delta(0).is_empty());
         assert!(relay.collect_delta(0).is_empty(), "a relay re-shipped what it had forwarded");
     }

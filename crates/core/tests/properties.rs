@@ -483,11 +483,17 @@ struct ModelManager {
     replicated: BTreeMap<u64, (u32, Vec<ShadowLog>)>,
     /// cursors[channel][origin][log id]
     cursors: Vec<BTreeMap<u64, BTreeMap<u32, u64>>>,
+    /// Per channel: carried a record this epoch (forwards replicated logs).
+    carried: Vec<bool>,
     entries_ingested: u64,
     order_entries_compressed: u64,
     gap_resyncs: u64,
     held_spans_skipped: u64,
+    forwards_withheld: u64,
 }
+
+/// An entry a task depends on: `(origin, log id, seq, epoch)`.
+type Dep = (u64, u32, u64, u64);
 
 impl ModelManager {
     fn new(task: u64, channels: usize, dsd: u32) -> ModelManager {
@@ -498,11 +504,22 @@ impl ModelManager {
             own: (0..channels + 1).map(|_| ShadowLog::default()).collect(),
             replicated: BTreeMap::new(),
             cursors: vec![BTreeMap::new(); channels],
+            carried: vec![false; channels],
             entries_ingested: 0,
             order_entries_compressed: 0,
             gap_resyncs: 0,
             held_spans_skipped: 0,
+            forwards_withheld: 0,
         }
+    }
+
+    fn next_epoch(&mut self) {
+        self.epoch += 1;
+        self.carried.fill(false);
+    }
+
+    fn forwards(&self, hops: u32) -> bool {
+        self.dsd > 1 && hops < self.dsd
     }
 
     fn record(&mut self, det: Determinant) {
@@ -515,18 +532,44 @@ impl ModelManager {
             .push((self.epoch, Determinant::BufferFlush { size, records }));
     }
 
-    fn collect_delta(&mut self, channel: usize) -> Vec<u8> {
+    /// The rule: replicated logs within DSD ride a channel only once it has
+    /// carried a record this epoch; own logs ride every buffer.
+    fn collect_delta(&mut self, channel: usize, records: u32) -> Vec<u8> {
+        self.carried[channel] |= records > 0;
         let dsd = self.dsd;
         let forwarded = |hops: u32| dsd > 1 && hops < dsd;
         let cursors = &mut self.cursors[channel];
         let mut w = ByteWriter::new();
         reference_origin(&mut w, self.task, 0, &self.own, cursors.entry(self.task).or_default());
         for (&origin, (hops, logs)) in &self.replicated {
-            if forwarded(*hops) {
-                reference_origin(&mut w, origin, *hops, logs, cursors.entry(origin).or_default());
+            if !forwarded(*hops) {
+                continue;
+            }
+            let cursor = cursors.entry(origin).or_default();
+            if self.carried[channel] {
+                reference_origin(&mut w, origin, *hops, logs, cursor);
+            } else if logs.iter().zip(0..).any(|(log, id)| {
+                cursor.get(&id).copied().unwrap_or(0).max(log.base) < log.base + log.entries.len() as u64
+            }) {
+                self.forwards_withheld += 1;
             }
         }
         w.freeze().to_vec()
+    }
+
+    /// Every entry this task holds that a record-carrying buffer it cuts
+    /// makes its receiver depend on: its own logs and the replicas it
+    /// forwards.
+    fn forwardable(&self) -> Vec<Dep> {
+        let replicas = self.replicated.iter().filter(|(_, (hops, _))| self.forwards(*hops));
+        std::iter::once((self.task, &self.own))
+            .chain(replicas.map(|(&origin, (_, logs))| (origin, logs)))
+            .flat_map(|(origin, logs)| {
+                logs.iter().zip(0u32..).flat_map(move |(log, id)| {
+                    log.entries.iter().zip(log.base..).map(move |((epoch, _), seq)| (origin, id, seq, *epoch))
+                })
+            })
+            .collect()
     }
 
     fn ingest_delta(&mut self, delta: &[u8]) {
@@ -601,11 +644,12 @@ enum Step {
     /// A flush determinant on an edge's channel log.
     Flush(usize, u16, u8),
     NextEpoch(u64),
-    /// Collect a delta on an edge and put it in flight.
-    Collect(usize),
+    /// Collect a delta on an edge for a buffer of that many records (0: a
+    /// barrier-only buffer) and put it in flight.
+    Collect(usize, u32),
     /// Collect a delta on an edge and deliver it at once: what keeps logs
     /// flowing down both sides of the diamond between the disorderly steps.
-    Ship(usize),
+    Ship(usize, u32),
     /// Deliver the in-flight delta `pick` (modulo what is there) of an edge;
     /// it stays in flight for a duplicate delivery unless `consume`.
     /// Picking past the oldest delivers out of order: forward gaps.
@@ -618,21 +662,173 @@ enum Step {
 fn arb_step() -> impl Strategy<Value = Step> {
     let task = || 1..TASKS + 1;
     let edge = || 0..EDGES.len();
+    // Half the buffers carry records, half are barrier-only.
+    let cut = move || (edge(), prop_oneof![Just(0u32), 1u32..64]);
     prop_oneof![
         (task(), arb_main_determinant()).prop_map(|(t, d)| Step::Record(t, d)),
         (task(), 0u32..2, 3usize..9).prop_map(|(t, c, n)| Step::OrderRun(t, c, n)),
         (3usize..9).prop_map(|n| Step::OrderRun(1, 0, n)),
         (edge(), any::<u16>(), any::<u8>()).prop_map(|(e, s, r)| Step::Flush(e, s, r)),
         task().prop_map(Step::NextEpoch),
-        edge().prop_map(Step::Collect),
-        edge().prop_map(Step::Ship),
-        edge().prop_map(Step::Ship),
-        edge().prop_map(Step::Ship),
-        edge().prop_map(Step::Ship),
+        cut().prop_map(|(e, r)| Step::Collect(e, r)),
+        cut().prop_map(|(e, r)| Step::Ship(e, r)),
+        cut().prop_map(|(e, r)| Step::Ship(e, r)),
+        cut().prop_map(|(e, r)| Step::Ship(e, r)),
+        cut().prop_map(|(e, r)| Step::Ship(e, r)),
         (edge(), 0usize..3, any::<bool>()).prop_map(|(e, p, c)| Step::Deliver(e, p, c)),
         (edge(), 0usize..3, any::<bool>()).prop_map(|(e, p, c)| Step::Deliver(e, p, c)),
         task().prop_map(Step::Truncate),
     ]
+}
+
+/// The origins a delta carries, in order.
+fn delta_origins(delta: &[u8]) -> Vec<u64> {
+    let mut r = ByteReader::new(delta);
+    let mut origins = Vec::new();
+    while !r.is_empty() {
+        origins.push(r.get_varint().unwrap());
+        let _hops = r.get_varint().unwrap();
+        let nlogs = r.get_varint().unwrap() as usize;
+        let spans: u32 = r.get_raw(nlogs.div_ceil(8)).unwrap().iter().map(|b| b.count_ones()).sum();
+        for _ in 0..spans {
+            let (_from, _count, len) = (r.get_varint().unwrap(), r.get_varint().unwrap(), r.get_varint().unwrap());
+            r.get_raw(len as usize).unwrap();
+        }
+    }
+    origins
+}
+
+/// Run `steps` over the diamond on real managers and on the model, checking
+/// that both ship the same bytes at every cut and end with the same
+/// replicas and counters, and that a barrier-only buffer on a channel that
+/// carried no record this epoch ships only its sender's own logs.
+///
+/// `fifo` delivers every edge's deltas in order, each once (the engine's
+/// channels): `Ship` delivers all that is in flight on its edge and
+/// `Deliver` the oldest. Then the dependency rule is checked after every
+/// step: a task holds every entry it depends on that no checkpoint made
+/// stable, where it depends on whatever its sender held (own logs and
+/// replicas within DSD) when cutting a record-carrying buffer it received.
+fn run_diamond(dsd: u32, steps: &[Step], fifo: bool) -> Result<(), TestCaseError> {
+    let channels = |task: u64| EDGES.iter().filter(|(from, _, _)| *from == task).count();
+    let mut real: Vec<CausalLogManager> =
+        (1..=TASKS).map(|t| CausalLogManager::new(t, channels(t), dsd)).collect();
+    let mut model: Vec<ModelManager> = (1..=TASKS).map(|t| ModelManager::new(t, channels(t), dsd)).collect();
+    // In flight per edge: the delta and, for a record-carrying buffer, what
+    // its receiver comes to depend on.
+    let mut in_flight: Vec<Vec<(Vec<u8>, Vec<Dep>)>> = vec![Vec::new(); EDGES.len()];
+    let mut depends: Vec<Vec<Dep>> = vec![Vec::new(); TASKS as usize];
+    // Entries of epochs at or below this are stable somewhere: exempt.
+    let mut stable: Option<u64> = None;
+    let at = |task: u64| task as usize - 1;
+    for step in steps {
+        match step {
+            Step::Record(t, d) => {
+                real[at(*t)].record(d.clone());
+                model[at(*t)].record(d.clone());
+            }
+            Step::OrderRun(t, channel, n) => {
+                for _ in 0..*n {
+                    real[at(*t)].record(Determinant::Order { channel: *channel });
+                    model[at(*t)].record(Determinant::Order { channel: *channel });
+                }
+            }
+            Step::Flush(e, size, records) => {
+                let (from, ch, _) = EDGES[*e];
+                real[at(from)].record_flush(ch, *size as u32, *records as u32);
+                model[at(from)].record_flush(ch, *size as u32, *records as u32);
+            }
+            Step::NextEpoch(t) => {
+                model[at(*t)].next_epoch();
+                real[at(*t)].set_epoch(model[at(*t)].epoch);
+            }
+            Step::Truncate(t) => {
+                if let Some(s) = model[at(*t)].epoch.checked_sub(1) {
+                    real[at(*t)].truncate_through(s);
+                    model[at(*t)].truncate_through(s);
+                    stable = stable.max(Some(s));
+                }
+            }
+            Step::Collect(..) | Step::Ship(..) | Step::Deliver(..) => {}
+        }
+        if let Step::Collect(e, records) | Step::Ship(e, records) = *step {
+            let (from, ch, _) = EDGES[e];
+            let idle = !model[at(from)].carried[ch as usize] && records == 0;
+            if records > 0 {
+                real[at(from)].mark_records(ch);
+            }
+            let delta = real[at(from)].collect_delta(ch);
+            let want = model[at(from)].collect_delta(ch as usize, records);
+            prop_assert_eq!(&delta[..], &want[..], "task {} channel {} ships other bytes", from, ch);
+            if idle {
+                prop_assert!(
+                    delta_origins(&want).iter().all(|&o| o == from),
+                    "task {}'s barrier-only buffer on idle channel {} forwarded an upstream log", from, ch
+                );
+            }
+            let deps = if records > 0 { model[at(from)].forwardable() } else { Vec::new() };
+            in_flight[e].push((want, deps));
+        }
+        let delivery = match (step, fifo) {
+            (&Step::Ship(e, _), false) => Some((e, usize::MAX, true)), // the delta just collected
+            (&Step::Deliver(e, pick, consume), false) => Some((e, pick, consume)),
+            (&Step::Ship(e, _) | &Step::Deliver(e, ..), true) => Some((e, 0, true)),
+            _ => None,
+        };
+        let Some((e, pick, consume)) = delivery else { continue };
+        let (_, _, to) = EDGES[e];
+        let rounds = if fifo && matches!(step, Step::Ship(..)) { in_flight[e].len() } else { 1 };
+        for _ in 0..rounds {
+            if in_flight[e].is_empty() {
+                break;
+            }
+            let pick = pick.min(in_flight[e].len() - 1);
+            let before = model[at(to)].entries_ingested;
+            let added = real[at(to)].ingest_delta(&in_flight[e][pick].0).unwrap();
+            model[at(to)].ingest_delta(&in_flight[e][pick].0);
+            prop_assert_eq!(added, model[at(to)].entries_ingested - before);
+            depends[at(to)].extend_from_slice(&in_flight[e][pick].1);
+            if consume {
+                in_flight[e].remove(pick);
+            }
+        }
+        if !fifo {
+            continue;
+        }
+        for (task, deps) in (1..=TASKS).zip(&mut depends) {
+            deps.retain(|&(.., epoch)| stable.is_none_or(|s| epoch > s));
+            for &(origin, id, seq, epoch) in deps.iter() {
+                let replica = real[at(task)].export_replica(origin);
+                let held = replica.as_ref().and_then(|r| r.for_log(id)).is_some_and(|(base, entries)| {
+                    seq >= base && entries.get((seq - base) as usize).is_some_and(|(e, _)| *e == epoch)
+                });
+                prop_assert!(held, "task {} lost entry {} of task {}'s log {} (epoch {})", task, seq, origin, id, epoch);
+            }
+        }
+    }
+    for (real, model) in real.iter_mut().zip(&mut model) {
+        for origin in 1..=TASKS {
+            prop_assert_eq!(
+                real.export_replica(origin),
+                model.export_replica(origin),
+                "task {}'s replica of task {}",
+                model.task,
+                origin
+            );
+        }
+        prop_assert_eq!(real.stats.entries_ingested, model.entries_ingested);
+        prop_assert_eq!(real.stats.order_entries_compressed, model.order_entries_compressed);
+        prop_assert_eq!(real.stats.gap_resyncs, model.gap_resyncs);
+        prop_assert_eq!(real.stats.held_spans_skipped, model.held_spans_skipped);
+        prop_assert_eq!(real.stats.forwards_withheld, model.forwards_withheld);
+        // What is left to forward is the same bytes, too.
+        for ch in 0..model.cursors.len() {
+            real.mark_records(ch as u32);
+            let delta = real.collect_delta(ch as u32);
+            prop_assert_eq!(&delta[..], &model.collect_delta(ch, 1)[..]);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -640,90 +836,25 @@ proptest! {
 
     /// Whatever the schedule — deltas delivered out of order, twice, after
     /// the receiver truncated, overlapping what another path delivered in
-    /// the middle of a compressed run — the span ingest leaves every task
-    /// with the replicas, the counters and the forwarded bytes of the
-    /// per-entry model.
+    /// the middle of a compressed run, on record-carrying and barrier-only
+    /// buffers — the span ingest leaves every task with the replicas, the
+    /// counters and the forwarded bytes of the per-entry model.
     #[test]
     fn span_ingest_matches_per_entry_model(
         dsd in 1u32..4, // 3 = Full on this graph
         steps in proptest::collection::vec(arb_step(), 1..160),
     ) {
-        let channels = |task: u64| EDGES.iter().filter(|(from, _, _)| *from == task).count();
-        let mut real: Vec<CausalLogManager> =
-            (1..=TASKS).map(|t| CausalLogManager::new(t, channels(t), dsd)).collect();
-        let mut model: Vec<ModelManager> =
-            (1..=TASKS).map(|t| ModelManager::new(t, channels(t), dsd)).collect();
-        let mut in_flight: Vec<Vec<Vec<u8>>> = vec![Vec::new(); EDGES.len()];
-        let at = |task: u64| task as usize - 1;
-        for step in &steps {
-            match step {
-                Step::Record(t, d) => {
-                    real[at(*t)].record(d.clone());
-                    model[at(*t)].record(d.clone());
-                }
-                Step::OrderRun(t, channel, n) => {
-                    for _ in 0..*n {
-                        real[at(*t)].record(Determinant::Order { channel: *channel });
-                        model[at(*t)].record(Determinant::Order { channel: *channel });
-                    }
-                }
-                Step::Flush(e, size, records) => {
-                    let (from, ch, _) = EDGES[*e];
-                    real[at(from)].record_flush(ch, *size as u32, *records as u32);
-                    model[at(from)].record_flush(ch, *size as u32, *records as u32);
-                }
-                Step::NextEpoch(t) => {
-                    model[at(*t)].epoch += 1;
-                    real[at(*t)].set_epoch(model[at(*t)].epoch);
-                }
-                Step::Truncate(t) => {
-                    if let Some(stable) = model[at(*t)].epoch.checked_sub(1) {
-                        real[at(*t)].truncate_through(stable);
-                        model[at(*t)].truncate_through(stable);
-                    }
-                }
-                Step::Collect(_) | Step::Ship(_) | Step::Deliver(..) => {}
-            }
-            if let Step::Collect(e) | Step::Ship(e) = *step {
-                let (from, ch, _) = EDGES[e];
-                let delta = real[at(from)].collect_delta(ch);
-                let want = model[at(from)].collect_delta(ch as usize);
-                prop_assert_eq!(&delta[..], &want[..], "task {} channel {} ships other bytes", from, ch);
-                in_flight[e].push(want);
-            }
-            let delivery = match *step {
-                Step::Ship(e) => Some((e, usize::MAX, true)), // the delta just collected
-                Step::Deliver(e, pick, consume) => Some((e, pick, consume)),
-                _ => None,
-            };
-            if let Some((e, pick, consume)) = delivery.filter(|(e, ..)| !in_flight[*e].is_empty()) {
-                let (_, _, to) = EDGES[e];
-                let pick = pick.min(in_flight[e].len() - 1);
-                let before = model[at(to)].entries_ingested;
-                let added = real[at(to)].ingest_delta(&in_flight[e][pick]).unwrap();
-                model[at(to)].ingest_delta(&in_flight[e][pick]);
-                prop_assert_eq!(added, model[at(to)].entries_ingested - before);
-                if consume {
-                    in_flight[e].remove(pick);
-                }
-            }
-        }
-        for (real, model) in real.iter_mut().zip(&mut model) {
-            for origin in 1..=TASKS {
-                prop_assert_eq!(
-                    real.export_replica(origin), model.export_replica(origin),
-                    "task {}'s replica of task {}", model.task, origin
-                );
-            }
-            prop_assert_eq!(real.stats.entries_ingested, model.entries_ingested);
-            prop_assert_eq!(real.stats.order_entries_compressed, model.order_entries_compressed);
-            prop_assert_eq!(real.stats.gap_resyncs, model.gap_resyncs);
-            prop_assert_eq!(real.stats.held_spans_skipped, model.held_spans_skipped);
-            // What is left to forward is the same bytes, too.
-            for ch in 0..model.cursors.len() {
-                let delta = real.collect_delta(ch as u32);
-                prop_assert_eq!(&delta[..], &model.collect_delta(ch)[..]);
-            }
-        }
+        run_diamond(dsd, &steps, false)?;
+    }
+
+    /// On FIFO channels, withholding forwarded logs from barrier-only
+    /// buffers on idle channels never leaves a task without an entry it
+    /// depends on through records (`Depend(e) ⊆ Log(e)`).
+    #[test]
+    fn record_paths_carry_every_forwarded_dependency(
+        dsd in 1u32..4,
+        steps in proptest::collection::vec(arb_step(), 1..160),
+    ) {
+        run_diamond(dsd, &steps, true)?;
     }
 }

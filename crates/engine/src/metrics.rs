@@ -275,6 +275,7 @@ impl TaskCounters {
         log.delta_bytes_memcpy += olog.delta_bytes_memcpy;
         log.gap_resyncs += olog.gap_resyncs;
         log.held_spans_skipped += olog.held_spans_skipped;
+        log.forwards_withheld += olog.forwards_withheld;
         self.routing.records_routed += o.routing.records_routed;
         self.routing.channel_writes += o.routing.channel_writes;
         self.routing.route_encodes += o.routing.route_encodes;

@@ -701,7 +701,9 @@ impl StateStore {
                 match e.value {
                     Some(v) => {
                         let mut r = ByteReader::new(v);
-                        self.values.insert((id, key), Slot::new(Row::decode(&mut r)?, false));
+                        let row = Row::decode(&mut r)?;
+                        r.finish("bytes after a state value row")?;
+                        self.values.insert((id, key), Slot::new(row, false));
                     }
                     None => {
                         self.values.remove(&(id, key));
@@ -718,6 +720,7 @@ impl StateStore {
                         for _ in 0..n {
                             rows.push(Row::decode(&mut r)?);
                         }
+                        r.finish("bytes after a state list")?;
                         self.lists.insert((id, key), rows);
                     }
                     None => {

@@ -33,7 +33,7 @@ use clonos::recovery::LogRetrievalResponse;
 use clonos::services::CausalServices;
 use clonos::{ChannelId, EpochId, TaskId};
 use clonos_sim::{Link, Scheduler, ServiceQueue, SimRng, VirtualDuration, VirtualTime};
-use clonos_storage::codec::{ByteReader, ByteWriter};
+use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 use clonos_storage::deltamap;
 use clonos_storage::log::DurableLog;
 use clonos_storage::spill::SpillDevice;
@@ -158,6 +158,7 @@ impl TaskSnapshot {
                 for _ in 0..n {
                     snap.channel_watermarks.push(r.get_varint()?);
                 }
+                r.finish("bytes after the META scalars")?;
             } else if e.section == deltamap::SEC_OVERTAKEN {
                 // Intercept before the state store (which rejects unknown
                 // sections): key = channel u16 BE ++ seq u32 BE, value = an
@@ -172,7 +173,8 @@ impl TaskSnapshot {
                 let ch = u16::from_be_bytes([e.key[0], e.key[1]]) as ChannelId;
                 let mut r = ByteReader::new(v);
                 let epoch = r.get_varint()?;
-                let records = r.get_varint()? as u32;
+                let records = u32::try_from(r.get_varint()?)
+                    .map_err(|_| CodecError::Inconsistent { context: "overtaken-record count past u32" })?;
                 let dlen = r.get_varint()? as usize;
                 let delta = Bytes::copy_from_slice(r.get_raw(dlen)?);
                 let payload = Bytes::copy_from_slice(r.get_raw(r.remaining())?);
@@ -1378,6 +1380,9 @@ impl Task {
         if log_flush {
             self.log.record_flush(chan, payload.len() as u32, records);
         }
+        if records > 0 {
+            self.log.mark_records(chan);
+        }
         let delta = self.log.collect_delta(chan);
         // Causal-logging cost: shipping the delta costs serialization and
         // network time proportional to its size.
@@ -2467,6 +2472,79 @@ pub fn hash_datum(d: &Datum) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Row;
+    use crate::state::{SEC_LISTS, SEC_VALUES};
+
+    /// A task image as `open_capture` and `close_unaligned_capture` cut it:
+    /// META, state values, a list, both timer kinds and an overtaken buffer.
+    /// `meta_extra`, `row_extra` and `list_extra` append bytes to those
+    /// values; `records` is the overtaken buffer's record count.
+    fn task_image(meta_extra: &[u8], row_extra: &[u8], list_extra: &[u8], records: u64) -> Vec<u8> {
+        let mut store = StateStore::new();
+        store.set_value(0, 7, Row::new(vec![Datum::Int(42), Datum::str("seven")]));
+        store.set_value(1, 9, Row::new(vec![Datum::Float(0.5), Datum::Null]));
+        store.push_list(2, 7, Row::new(vec![Datum::Int(1)]));
+        store.push_list(2, 7, Row::new(vec![Datum::Bool(true)]));
+        store.register_event_timer(StateTimer { ts: 1_000, key: 7, tag: 3 });
+        store.register_proc_timer(StateTimer { ts: 2_000, key: 9, tag: 0 });
+        let state = store.snapshot();
+        let entries = deltamap::read_entries(&state).unwrap();
+        let mut w = ByteWriter::new();
+        w.put_varint(entries.len() as u64 + 2);
+        let mut meta = ByteWriter::new();
+        // emit_seq, source_offset, max_event_time, watermark, two channels.
+        for v in [5u64, 6, 7, 8, 2, 100, 200] {
+            meta.put_varint(v);
+        }
+        meta.put_raw(meta_extra);
+        deltamap::write_put(&mut w, SEC_META, &[], meta.as_slice());
+        for e in &entries {
+            let extra = match e.section {
+                SEC_VALUES if e.key == entries[0].key => row_extra,
+                SEC_LISTS => list_extra,
+                _ => &[],
+            };
+            deltamap::write_put(&mut w, e.section, e.key, &[e.value.unwrap(), extra].concat());
+        }
+        let mut buf = ByteWriter::new();
+        for v in [3, records, 4] {
+            buf.put_varint(v);
+        }
+        buf.put_raw(&[1, 2, 3, 4]);
+        buf.put_raw(b"payload");
+        deltamap::write_put(&mut w, deltamap::SEC_OVERTAKEN, &[0, 1, 0, 0, 0, 2], buf.as_slice());
+        w.freeze().to_vec()
+    }
+
+    #[test]
+    fn task_snapshot_decode_fails_closed() {
+        let image = task_image(&[], &[], &[], 2);
+        let snap = TaskSnapshot::decode(&image).unwrap();
+        assert_eq!((snap.emit_seq, snap.source_offset, snap.max_event_time, snap.watermark), (5, 6, 7, 8));
+        assert_eq!(snap.channel_watermarks, [100, 200]);
+        assert_eq!(snap.store.list(2, 7).len(), 2);
+        assert_eq!(snap.store.event_timers_len(), 1);
+        let (ch, buf) = &snap.overtaken[0];
+        assert_eq!((*ch, buf.epoch, buf.records, &buf.delta[..], &buf.payload[..]), (1, 3, 2, &[1, 2, 3, 4][..], &b"payload"[..]));
+        // Bytes left over after a value, and a count `as u32` would cut.
+        for (what, bad) in [
+            ("META scalars", task_image(&[0], &[], &[], 2)),
+            ("a value row", task_image(&[], &[0], &[], 2)),
+            ("a list", task_image(&[], &[], &[0], 2)),
+            ("overtaken records", task_image(&[], &[], &[], u32::MAX as u64 + 1)),
+        ] {
+            assert!(TaskSnapshot::decode(&bad).is_err(), "{what}: accepted");
+        }
+        for len in 0..image.len() {
+            assert!(TaskSnapshot::decode(&image[..len]).is_err(), "truncated to {len} bytes: accepted");
+        }
+        // Every single-bit flip decodes or fails; none panics.
+        for bit in 0..image.len() * 8 {
+            let mut flipped = image.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = TaskSnapshot::decode(&flipped);
+        }
+    }
 
     #[test]
     fn hash_datum_low_bits_are_unbiased() {

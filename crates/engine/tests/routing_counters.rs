@@ -69,3 +69,49 @@ fn broadcast_routes_encode_once_and_deltas_ship_arena_bytes() {
     // sender ever skips ahead of what a receiver holds.
     assert_eq!(l.gap_resyncs, 0, "failure-free run resynchronized a replica");
 }
+
+/// src → a → b → sink, p = 4, Hash edges, every record of source partition
+/// `p` keyed `p`: each task sends records to one downstream instance (its
+/// lane) and only barriers and watermarks to the other three.
+fn lane_chain_report(dsd: SharingDepth) -> RunReport {
+    const P: usize = 4;
+    let mut g = JobGraph::new("lane-chain");
+    let src = g.add_source("src", P, SourceSpec::new("in").rate(2_000).key_field(0));
+    let a = g.add_operator("a", P, map_op(|rec| (rec.key, rec.row.clone())));
+    let b = g.add_operator("b", P, map_op(|rec| (rec.key, rec.row.clone())));
+    let snk = g.add_sink("out", P, SinkSpec { topic: "out".into() });
+    g.connect(src, a, Partitioning::Hash);
+    g.connect(a, b, Partitioning::Hash);
+    g.connect(b, snk, Partitioning::Hash);
+    let cfg = EngineConfig::default()
+        .with_seed(17)
+        .with_ft(FtMode::Clonos(ClonosConfig::exactly_once(dsd)));
+    let mut runner = JobRunner::new(g, cfg);
+    for p in 0..P {
+        let rows: Vec<Row> = (0..16_000).map(|i| Row::new(vec![Datum::Int(p as i64), Datum::Int(i)])).collect();
+        runner.populate("in", p, rows);
+    }
+    let report = runner.run_for(VirtualDuration::from_secs(20));
+    assert_eq!(report.records_in, 4 * 16_000);
+    assert!(report.last_completed_checkpoint >= 3, "the run should span several epochs");
+    report
+}
+
+#[test]
+fn forwarded_logs_ride_only_record_carrying_channels() {
+    let l = lane_chain_report(SharingDepth::Full).log_stats;
+    assert!(l.entries_ingested > 0, "replicas should hold upstream determinants");
+    // Idle channels withheld forwarded logs from their barrier and
+    // watermark buffers, so no receiver got an entry twice.
+    assert!(l.forwards_withheld > 0, "no barrier-only buffer withheld a forwarded log");
+    assert_eq!(l.held_spans_skipped, 0, "a receiver was sent a span it held");
+    assert_eq!(l.delta_entries_shipped, l.entries_ingested, "a shipped entry was a copy the receiver held");
+    assert_eq!(l.gap_resyncs, 0);
+}
+
+#[test]
+fn dsd1_forwards_nothing_so_withholds_nothing() {
+    let l = lane_chain_report(SharingDepth::Depth(1)).log_stats;
+    assert!(l.entries_ingested > 0);
+    assert_eq!(l.forwards_withheld, 0);
+}

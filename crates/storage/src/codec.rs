@@ -230,6 +230,12 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
+    /// End of a value that must fill its frame: a byte left over is
+    /// `Inconsistent { context }`.
+    pub fn finish(&self, context: &'static str) -> Result<(), CodecError> {
+        if self.is_empty() { Ok(()) } else { Err(CodecError::Inconsistent { context }) }
+    }
+
     #[inline]
     pub fn position(&self) -> usize {
         self.pos

@@ -78,11 +78,18 @@ print(f"== bench: {workload} correct: {line} ==")
 
 echo "== bench: chain correct + allocation and barrier ceilings (clonos_benchmark, exact values) =="
 ALLOCS_PER_RECORD_CEILING=11.21 # chain allocs_per_record at the commit that set it (10.19) + 10 %
-# chain barrier_max_ms at the commit that set it (18.789, delta wire v2) + 5 %:
-# barrier-time delta bytes are charged on the barrier's critical path, and the
-# v1 wire read 25.773 (EXPERIMENTS.md E1i).
-BARRIER_MAX_MS_CEILING=19.73
+# chain barrier_max_ms at the commit that set it (10.461: forwarded logs ride
+# only channels that carried records) + 5 %: barrier-time delta bytes are
+# charged on the barrier's critical path; re-shipping forwarded logs on idle
+# channels read 18.789, the v1 wire 25.773 (EXPERIMENTS.md E1i, E1j).
+BARRIER_MAX_MS_CEILING=10.98
 bench_stage chain "allocs_per_record=$ALLOCS_PER_RECORD_CEILING" "barrier_max_ms=$BARRIER_MAX_MS_CEILING"
+
+echo "== bench: recovery correct + barrier ceiling (two task kills in the timed runs) =="
+# recovery barrier_max_ms at the commit that set it (6.679) + 5 %; 17.403 with
+# the idle-channel re-ships (EXPERIMENTS.md E1j).
+RECOVERY_BARRIER_MAX_MS_CEILING=7.01
+bench_stage recovery "barrier_max_ms=$RECOVERY_BARRIER_MAX_MS_CEILING"
 
 echo "== bench: nexmark correct + allocation ceiling (the one workload whose determinants carry payloads) =="
 # nexmark allocs_per_record at the commit that set it (5.36) + 10 %: a

@@ -202,3 +202,52 @@ fn longer_checkpoint_interval_means_longer_replay_but_same_guarantee() {
         assert_exactly_once(&report, &format!("cp interval {interval_s}s"));
     }
 }
+
+// p = 4 lanes: src 1-4, a 5-8, b 9-12, sink 13-16. Source partition `p`
+// holds keys ≡ p (mod 4) only, so every task sends records down its own lane
+// and only barriers and watermarks to the other three instances: those idle
+// channels carry the task's own log but no forwarded one.
+const LANES: usize = 4;
+const A: [u64; LANES] = [5, 6, 7, 8];
+const B: [u64; LANES] = [9, 10, 11, 12];
+
+#[test]
+fn origin_and_an_idle_downstream_fail_together_mid_epoch() {
+    // a[1]'s log lives on at b[1] (its lane); b[2] only ever got its
+    // barriers, and its own log is at every sink.
+    let report = run(LANES, clonos_full(), 21, &[(7_500_000, A[1]), (7_500_000, B[2])], 24);
+    assert!(
+        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        "an idle downstream's failure must not orphan the origin: {:?}",
+        report.events
+    );
+    assert_exactly_once(&report, "origin + idle downstream");
+}
+
+#[test]
+fn origin_and_its_forwarder_fail_between_barrier_and_checkpoint_completion() {
+    // Find, in a failure-free run, a checkpoint that b[1] (the forwarder of
+    // a[1]'s log on its lane) has acked but that has not completed yet.
+    let quiet = run(LANES, clonos_full(), 23, &[], 24);
+    let at = |kind: &str, epoch: u64, task: Option<u64>| {
+        quiet
+            .causal_events
+            .iter()
+            .find(|e| e.kind == kind && e.epoch == epoch && task.is_none_or(|t| e.task == t))
+            .map(|e| e.at.as_micros())
+    };
+    let epoch = 2;
+    let acked = at("CheckpointAck", epoch, Some(B[1])).expect("b[1] acks checkpoint 2");
+    let done = at("CheckpointComplete", epoch, None).expect("checkpoint 2 completes");
+    assert!(acked < done, "no window between b[1]'s ack ({acked}) and completion ({done})");
+    let kill = acked + (done - acked) / 2;
+    // After b[1]'s barrier the sinks hold a[1]'s forwarded log only on
+    // lane 1; the other a tasks' own-log copies come from a[1]'s barriers.
+    let report = run(LANES, clonos_full(), 23, &[(kill, A[1]), (kill, B[1])], 24);
+    assert!(
+        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        "the origin's log must be recovered from its lane's sink: {:?}",
+        report.events
+    );
+    assert_exactly_once(&report, "origin + forwarder after the barrier");
+}
