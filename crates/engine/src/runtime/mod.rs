@@ -53,13 +53,13 @@ impl Default for ParallelConfig {
 
 /// Copy one partition of a shared topic into a fresh per-actor log (same
 /// name and partition count; the other partitions stay empty — each actor
-/// only ever touches `subtask % partitions`). Record payload/meta are
-/// refcounted `Bytes`, so this is cheap.
+/// only ever touches `subtask % partitions`). Record payloads are
+/// refcounted `Bytes` and metadata is inline, so this is cheap.
 fn clone_topic_partition(src: &DurableLog, part: usize) -> DurableLog {
     let mut t = DurableLog::new(src.name(), src.num_partitions());
     let p = part % src.num_partitions();
     for r in src.partition(p).fetch(0, usize::MAX) {
-        t.partition_mut(p).append_with_meta(r.payload.clone(), r.meta.clone());
+        t.partition_mut(p).append_with_meta(r.payload.clone(), r.meta);
     }
     t
 }
@@ -160,7 +160,7 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
                         let fresh = mine.partition(part).fetch(base, usize::MAX);
                         let out = shared_topic.partition_mut(part);
                         for r in fresh {
-                            out.append_with_meta(r.payload.clone(), r.meta.clone());
+                            out.append_with_meta(r.payload.clone(), r.meta);
                         }
                     }
                 }

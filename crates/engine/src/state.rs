@@ -23,9 +23,7 @@ use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 use clonos_storage::deltamap::{self, EntryRef};
 use clonos_storage::{SpillDevice, TieredConfig, TieredStore};
 use bytes::Bytes;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 
 /// Identifier of a named state within an operator (e.g. "counts" = 0).
 pub type StateId = u16;
@@ -114,10 +112,12 @@ fn entry_weight(row: &Row) -> u32 {
     u32::try_from(b).unwrap_or(u32::MAX)
 }
 
-/// One resident value row and its bookkeeping, found by the lookup that
-/// finds the row.
+/// One resident value row, its key and its bookkeeping, found by the lookup
+/// that finds the row.
 #[derive(Debug)]
 struct Slot {
+    key: u64,
+    id: StateId,
     row: Row,
     /// [`entry_weight`] of `row`; the resident total adds and subtracts it
     /// as stored.
@@ -130,8 +130,191 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(row: Row, dirty: bool) -> Slot {
-        Slot { weight: entry_weight(&row), row, dirty, referenced: false }
+    fn new((id, key): ValueKey, row: Row, dirty: bool) -> Slot {
+        Slot { key, id, weight: entry_weight(&row), row, dirty, referenced: false }
+    }
+
+    fn key(&self) -> ValueKey {
+        (self.id, self.key)
+    }
+}
+
+/// ⌊2⁶⁴ / φ⌋, odd: the multiplier of [`key_hash`].
+const SLOT_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Positions of the first index a row goes into.
+const MIN_POSITIONS: usize = 16;
+
+/// A fixed multiplicative hash, the same in every process: no seed.
+fn key_hash((id, key): ValueKey) -> u64 {
+    ((u64::from(id) << 48) ^ key).wrapping_mul(SLOT_HASH)
+}
+
+/// An index position that holds a row: the high half of the row's hash
+/// over its slot number + 1 (a free position is 0).
+fn position_entry(h: u64, slot: usize) -> u64 {
+    (h >> 32 << 32) | (slot as u64 + 1)
+}
+
+/// The slot number an occupied position names.
+fn entry_slot(e: u64) -> usize {
+    (e as u32).wrapping_sub(1) as usize
+}
+
+/// The value rows (DESIGN.md §10.2): dense slots, found through an
+/// open-addressed index with linear probing. A key's home position is the
+/// high bits of [`key_hash`], so the same operations lay out the same
+/// positions and slots in every run. Slots are in insertion order (a removal
+/// moves the last slot into the hole); key order exists only where an image
+/// consumes it ([`Self::sorted`]). At most three quarters of the positions
+/// are taken, and a removal shifts the rest of its run back, so no key ever
+/// sits behind a free position on its probe path.
+#[derive(Debug, Default)]
+struct SlotTable {
+    /// A power of two many positions, at most 2³², or none before the first
+    /// row. A position keeps its row's hash high half, so probing compares
+    /// keys only on a match and growth never reads a slot.
+    index: Vec<u64>,
+    slots: Vec<Slot>,
+}
+
+impl SlotTable {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Where the probe path of a key with hash `h` starts: the top bits.
+    fn home(&self, h: u64) -> usize {
+        // 2^b positions, 4 ≤ b ≤ 32 (an empty index: past the end).
+        (h >> (u64::BITS - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok` with `k`'s position and slot number, or `Err` with the free
+    /// position that ends its probe path (past the end with no positions).
+    fn probe(&self, k: ValueKey, h: u64) -> Result<(usize, usize), usize> {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut i = self.home(h);
+        // Never full, so a free position ends every walk.
+        while let Some(&e) = self.index.get(i) {
+            if e == 0 {
+                break;
+            }
+            if e >> 32 == h >> 32 {
+                let slot = entry_slot(e);
+                if self.slots.get(slot).is_some_and(|s| s.key == k.1 && s.id == k.0) {
+                    return Ok((i, slot));
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        Err(i)
+    }
+
+    fn find(&self, k: ValueKey) -> Option<usize> {
+        self.probe(k, key_hash(k)).ok().map(|(_, slot)| slot)
+    }
+
+    fn get(&self, k: ValueKey) -> Option<&Slot> {
+        self.slots.get(self.find(k)?)
+    }
+
+    fn get_mut(&mut self, k: ValueKey) -> Option<&mut Slot> {
+        let slot = self.find(k)?;
+        self.slots.get_mut(slot)
+    }
+
+    /// Put `slot` under its key, keeping the CLOCK bit of the row it
+    /// replaces; returns that row.
+    fn insert(&mut self, mut slot: Slot) -> Option<Slot> {
+        self.reserve(self.slots.len() + 1);
+        let h = key_hash(slot.key());
+        match self.probe(slot.key(), h) {
+            Ok((_, at)) => {
+                let old = self.slots.get_mut(at)?;
+                slot.referenced = old.referenced;
+                Some(std::mem::replace(old, slot))
+            }
+            Err(i) => {
+                *self.index.get_mut(i)? = position_entry(h, self.slots.len());
+                self.slots.push(slot);
+                None
+            }
+        }
+    }
+
+    /// Take `k`'s row out. Its position is freed and the rest of the run
+    /// shifts back: each key whose home does not lie between the free
+    /// position and itself moves into it, which moves on to where the key
+    /// was. The last slot moves into the freed slot.
+    fn remove(&mut self, k: ValueKey) -> Option<Slot> {
+        let (mut free, at) = self.probe(k, key_hash(k)).ok()?;
+        let mask = self.index.len() - 1;
+        *self.index.get_mut(free)? = 0;
+        let mut i = free;
+        loop {
+            i = (i + 1) & mask;
+            let e = match self.index.get(i) {
+                Some(&e) if e != 0 => e,
+                _ => break,
+            };
+            let home = self.home(e);
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(free) & mask) {
+                self.index.swap(free, i);
+                free = i;
+            }
+        }
+        let last = self.slots.len() - 1;
+        let removed = self.slots.swap_remove(at);
+        if let Some(moved) = self.slots.get(at) {
+            // Repoint the moved slot's position: it is on its probe path.
+            let h = key_hash(moved.key());
+            let mut i = self.home(h);
+            while let Some(e) = self.index.get_mut(i).filter(|e| **e != 0) {
+                if entry_slot(*e) == last {
+                    *e = position_entry(h, at);
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        Some(removed)
+    }
+
+    /// Room for `n` rows under the load limit. Growing doubles the positions
+    /// and re-places every taken position in position order.
+    fn reserve(&mut self, n: usize) {
+        if n * 4 <= self.index.len() * 3 {
+            return;
+        }
+        let mut positions = self.index.len().max(MIN_POSITIONS);
+        while n * 4 > positions * 3 {
+            positions *= 2;
+        }
+        self.slots.reserve(n.saturating_sub(self.slots.len()));
+        let old = std::mem::replace(&mut self.index, vec![0; positions]);
+        let mask = positions - 1;
+        for e in old.into_iter().filter(|&e| e != 0) {
+            let mut i = self.home(e);
+            while let Some(free) = self.index.get_mut(i) {
+                if *free == 0 {
+                    *free = e;
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+    }
+
+    /// The rows in slot order.
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter()
+    }
+
+    /// The rows in key order: one sort of a vector of keys, paid by the
+    /// consumers that need the order (a full image, the tier's bulk load).
+    fn sorted(&self) -> Vec<(ValueKey, &Slot)> {
+        let mut rows: Vec<_> = self.slots.iter().map(|slot| (slot.key(), slot)).collect();
+        rows.sort_unstable_by_key(|&(k, _)| k);
+        rows
     }
 }
 
@@ -154,9 +337,9 @@ struct TieredState {
     /// Clean resident rows, the eviction candidates: no sweep starts without
     /// one, so a cache of dirty rows over its budget costs an access nothing.
     clean_rows: u64,
-    /// The last key the CLOCK hand passed (`None`: before the first) — state,
-    /// not time, so the same operations always evict the same rows.
-    hand: Option<ValueKey>,
+    /// The slot position the CLOCK hand examines next — state, not time, so
+    /// the same operations always evict the same rows.
+    hand: usize,
     /// Victims of the sweep pass in progress (kept for its allocation).
     victims: Vec<ValueKey>,
     faults: u64,
@@ -186,32 +369,32 @@ impl TieredState {
         })
     }
 
-    /// CLOCK / second-chance sweep: advance the hand over the resident rows
-    /// in key order, wrapping, until the cache fits its budget or no clean
-    /// row is left. A dirty row is passed over; a clean row read since the
-    /// hand last came by loses its bit and stays; any other clean row is
-    /// evicted. Three passes reach every candidate twice.
-    fn sweep(&mut self, values: &mut BTreeMap<ValueKey, Slot>) {
+    /// CLOCK / second-chance sweep: advance the hand over the slot
+    /// positions, wrapping, until the cache fits its budget or no clean row
+    /// is left. A dirty row is passed over; a clean row read since the hand
+    /// last came by loses its bit and stays; any other clean row is evicted
+    /// once the pass ends. Three passes reach every candidate twice.
+    fn sweep(&mut self, values: &mut SlotTable) {
         for _pass in 0..3 {
             if self.resident_bytes <= self.budget || self.clean_rows == 0 {
                 return;
             }
             let mut freed = 0;
-            let from = self.hand.map_or(Bound::Unbounded, Bound::Excluded);
-            self.hand = None; // wrap, unless this pass frees enough first
-            for (&k, slot) in values.range_mut((from, Bound::Unbounded)) {
+            // Wrap, unless this pass frees enough first.
+            let from = std::mem::take(&mut self.hand);
+            for (i, slot) in values.slots.iter_mut().enumerate().skip(from) {
                 if slot.dirty || std::mem::take(&mut slot.referenced) {
                     continue;
                 }
-                self.victims.push(k);
+                self.victims.push(slot.key());
                 freed += u64::from(slot.weight);
                 if self.resident_bytes - freed <= self.budget {
-                    self.hand = Some(k);
+                    self.hand = i + 1;
                     break;
                 }
             }
             for k in self.victims.drain(..) {
-                if let Some(slot) = values.remove(&k) {
+                if let Some(slot) = values.remove(k) {
                     self.resident_bytes -= u64::from(slot.weight);
                     self.clean_rows -= 1;
                     self.evictions += 1;
@@ -227,12 +410,12 @@ pub struct StateStore {
     /// All value state (untiered), or the bounded resident cache of it
     /// (tiered — the [`TieredState`] tier is then authoritative).
     tiered: Option<Box<TieredState>>,
-    values: BTreeMap<ValueKey, Slot>,
+    values: SlotTable,
     lists: BTreeMap<(StateId, u64), Vec<Row>>,
     event_timers: BTreeSet<StateTimer>,
     proc_timers: BTreeSet<StateTimer>,
     // Epoch-scoped change tracking: every key mutated (inserted, updated or
-    // removed) since the last snapshot encoding. Presence in the live map at
+    // removed) since the last snapshot encoding. Presence in the live state at
     // encode time decides put vs tombstone.
     /// Each changed value key once, in arrival order (sorted, and freed, at
     /// the cut): entered when its slot goes clean → dirty, or its row is removed.
@@ -259,39 +442,35 @@ impl StateStore {
     /// even when every other resident row is dirty.
     pub fn value(&mut self, id: StateId, key: u64) -> Option<&Row> {
         self.evict_excess();
-        match self.values.entry((id, key)) {
-            Entry::Occupied(e) => {
-                let slot = e.into_mut();
-                slot.referenced = true;
-                Some(&slot.row)
-            }
-            Entry::Vacant(v) => {
-                let t = self.tiered.as_deref_mut()?;
-                if self.deleted_values.contains(&(id, key)) {
-                    return None;
-                }
-                let slot = Slot::new(t.fault((id, key))?, false);
-                t.resident_bytes += u64::from(slot.weight);
-                t.clean_rows += 1;
-                Some(&v.insert(slot).row)
-            }
+        let k = (id, key);
+        if let Some(at) = self.values.find(k) {
+            let slot = self.values.slots.get_mut(at)?;
+            slot.referenced = true;
+            return Some(&slot.row);
         }
+        let t = self.tiered.as_deref_mut()?;
+        if self.deleted_values.contains(&k) {
+            return None;
+        }
+        let slot = Slot::new(k, t.fault(k)?, false);
+        t.resident_bytes += u64::from(slot.weight);
+        t.clean_rows += 1;
+        self.values.insert(slot);
+        self.values.get(k).map(|slot| &slot.row)
     }
 
     pub fn set_value(&mut self, id: StateId, key: u64, row: Row) {
-        let new = Slot::new(row, true);
+        let new = Slot::new((id, key), row, true);
         let weight = u64::from(new.weight);
         // What the write replaced: its weight, and whether it was clean.
-        let (old_weight, was_clean) = match self.values.entry((id, key)) {
-            Entry::Occupied(mut e) => {
-                let old = e.insert(Slot { referenced: e.get().referenced, ..new });
+        let (old_weight, was_clean) = match self.values.insert(new) {
+            Some(old) => {
                 if !old.dirty {
                     self.changed_values.push((id, key));
                 }
                 (u64::from(old.weight), !old.dirty)
             }
-            Entry::Vacant(v) => {
-                v.insert(new);
+            None => {
                 // A pending deletion is in the change list already.
                 if !self.deleted_values.remove(&(id, key)) {
                     self.changed_values.push((id, key));
@@ -307,7 +486,7 @@ impl StateStore {
     }
 
     pub fn take_value(&mut self, id: StateId, key: u64) -> Option<Row> {
-        let (row, listed) = match self.values.remove(&(id, key)) {
+        let (row, listed) = match self.values.remove((id, key)) {
             Some(slot) => {
                 if let Some(t) = self.tiered.as_deref_mut() {
                     t.resident_bytes -= u64::from(slot.weight);
@@ -325,12 +504,6 @@ impl StateStore {
         }
         self.deleted_values.insert((id, key));
         Some(row)
-    }
-
-    /// Iterate resident values of one state id. Under tiering only cached
-    /// rows are visited — use the snapshot fold for a complete view.
-    pub fn values_of(&self, id: StateId) -> impl Iterator<Item = (u64, &Row)> {
-        self.values.range((id, 0)..=(id, u64::MAX)).map(|(&(_, k), slot)| (k, &slot.row))
     }
 
     /// Bring the resident cache back under its budget. Runs on entry to a
@@ -425,16 +598,17 @@ impl StateStore {
     /// collide across an arena shared by many tasks and generations).
     pub fn enable_tiering(&mut self, budget: u64, id_base: u64) {
         let mut tier = TieredStore::new(TieredConfig::default(), SpillDevice::new(), id_base);
-        if !self.values.is_empty() {
-            tier.bulk_load(self.values.iter().map(|(&k, s)| (tier_value_key(k), s.row.to_bytes())));
+        if self.values.len() > 0 {
+            let rows = self.values.sorted();
+            tier.bulk_load(rows.into_iter().map(|(k, s)| (tier_value_key(k), s.row.to_bytes())));
         }
         let io = tier.take_io();
         self.tiered = Some(Box::new(TieredState {
             tier,
             budget,
-            resident_bytes: self.values.values().map(|s| u64::from(s.weight)).sum(),
-            clean_rows: self.values.values().filter(|s| !s.dirty).count() as u64,
-            hand: None,
+            resident_bytes: self.values.iter().map(|s| u64::from(s.weight)).sum(),
+            clean_rows: self.values.iter().filter(|s| !s.dirty).count() as u64,
+            hand: 0,
             victims: Vec::new(),
             faults: 0,
             evictions: 0,
@@ -458,8 +632,8 @@ impl StateStore {
     /// Encode one changed value key as its layer entry — a put for a key
     /// still present, a tombstone for a removed one — and mark the row
     /// clean. Returns whether there was a row.
-    fn write_value_change(values: &mut BTreeMap<ValueKey, Slot>, w: &mut ByteWriter, k: ValueKey) -> bool {
-        let row = values.get_mut(&k).map(|slot| {
+    fn write_value_change(values: &mut SlotTable, w: &mut ByteWriter, k: ValueKey) -> bool {
+        let row = values.get_mut(k).map(|slot| {
             slot.dirty = false;
             &slot.row
         });
@@ -477,6 +651,8 @@ impl StateStore {
     pub fn tier_sync_dirty(&mut self) -> u64 {
         let Some(t) = self.tiered.as_deref_mut() else { return 0 };
         if self.changed_values.is_empty() {
+            // Nothing to sync, but a read may have faulted a row in over budget.
+            self.evict_excess();
             return 0;
         }
         // The list lives for an epoch: taken, so its buffer goes with it.
@@ -615,7 +791,7 @@ impl StateStore {
     /// Pure, so [`StateStore::digest`] can observe at any time.
     fn write_resident(&self, full: bool, w: &mut ByteWriter) {
         if full && self.tiered.is_none() {
-            for (&(id, key), slot) in &self.values {
+            for ((id, key), slot) in self.values.sorted() {
                 Self::write_value_entry(w, id, key, &slot.row);
             }
         }
@@ -642,7 +818,7 @@ impl StateStore {
     pub fn clear_dirty(&mut self) {
         self.tier_sync_dirty();
         for k in std::mem::take(&mut self.changed_values) {
-            if let Some(slot) = self.values.get_mut(&k) {
+            if let Some(slot) = self.values.get_mut(k) {
                 slot.dirty = false;
             }
         }
@@ -664,7 +840,7 @@ impl StateStore {
             Some(t) => {
                 let mut vals = t.tier.fold_entries();
                 for &k in &self.changed_values {
-                    match self.values.get(&k) {
+                    match self.values.get(k) {
                         Some(slot) => vals.insert(tier_value_key(k), slot.row.to_bytes()),
                         None => vals.remove(&tier_value_key(k)),
                     };
@@ -703,10 +879,10 @@ impl StateStore {
                         let mut r = ByteReader::new(v);
                         let row = Row::decode(&mut r)?;
                         r.finish("bytes after a state value row")?;
-                        self.values.insert((id, key), Slot::new(row, false));
+                        self.values.insert(Slot::new((id, key), row, false));
                     }
                     None => {
-                        self.values.remove(&(id, key));
+                        self.values.remove((id, key));
                     }
                 }
             }
@@ -749,10 +925,19 @@ impl StateStore {
         Ok(())
     }
 
+    /// Make room for the value rows among `entries`, so that applying them
+    /// never grows the table.
+    pub(crate) fn reserve_values(&mut self, entries: &[EntryRef<'_>]) {
+        let rows = entries.iter().filter(|e| e.section == SEC_VALUES && e.value.is_some()).count();
+        self.values.reserve(self.values.len() + rows);
+    }
+
     /// Restore from a full image, replacing all current contents.
     pub fn restore(bytes: &[u8]) -> Result<StateStore, CodecError> {
         let mut store = StateStore::new();
-        for e in deltamap::read_entries(bytes)? {
+        let entries = deltamap::read_entries(bytes)?;
+        store.reserve_values(&entries);
+        for e in entries {
             store.apply_entry(&e)?;
         }
         Ok(store)
@@ -791,7 +976,8 @@ mod tests {
         s.set_value(1, 1, row(99)); // different state id, same key
         assert_eq!(s.value(0, 1).unwrap().int(0), 10);
         assert_eq!(s.value(1, 1).unwrap().int(0), 99);
-        assert_eq!(s.values_of(0).count(), 2);
+        assert_eq!(s.value(0, 2).unwrap().int(0), 20);
+        assert_eq!(s.entries(), 3);
         assert_eq!(s.take_value(0, 1).unwrap().int(0), 10);
         assert!(s.value(0, 1).is_none());
     }
@@ -1068,7 +1254,7 @@ mod tests {
         for k in 0..40 {
             s.set_value(1, k, row(0)); // dirty rows alone exceed the budget
         }
-        assert!(s.values_of(0).next().is_none(), "state 0 is in the tier only");
+        assert!(s.values.iter().all(|slot| slot.id != 0), "state 0 is in the tier only");
         s.damage_newest_segment(damage);
         s
     }
@@ -1113,7 +1299,7 @@ mod tests {
         assert!(s.take_tier_error().is_some());
     }
 
-    // ----- model test: the tiered cache against the untiered map -----
+    // ----- model test: the tiered cache against the untiered store -----
 
     #[derive(Clone, Debug)]
     enum CacheOp {
@@ -1157,21 +1343,20 @@ mod tests {
     /// sync and still present: each must be resident and dirty.
     fn check_cache(s: &StateStore, unsynced: &BTreeSet<ValueKey>) {
         let t = s.tiered.as_deref().expect("tiered");
-        let weights: u64 = s.values.values().map(|slot| u64::from(entry_weight(&slot.row))).sum();
+        let weights: u64 = s.values.iter().map(|slot| u64::from(entry_weight(&slot.row))).sum();
         assert_eq!(t.resident_bytes, weights, "resident_bytes is exactly the sum of entry weights");
-        assert!(s.values.values().all(|slot| slot.weight == entry_weight(&slot.row)));
-        let clean = s.values.values().filter(|slot| !slot.dirty).count() as u64;
+        assert!(s.values.iter().all(|slot| slot.weight == entry_weight(&slot.row)));
+        let clean = s.values.iter().filter(|slot| !slot.dirty).count() as u64;
         assert_eq!(t.clean_rows, clean);
-        for k in unsynced {
+        for &k in unsynced {
             assert!(s.values.get(k).is_some_and(|slot| slot.dirty), "dirty row {k:?} evicted");
         }
         // The change list holds each changed key once: the dirty slots and
         // the pending deletions, which have no slot.
         let listed: BTreeSet<ValueKey> = s.changed_values.iter().copied().collect();
         assert_eq!(listed.len(), s.changed_values.len(), "a key listed twice");
-        let dirty: BTreeSet<ValueKey> =
-            s.values.iter().filter(|(_, slot)| slot.dirty).map(|(&k, _)| k).collect();
-        assert!(s.deleted_values.iter().all(|k| !s.values.contains_key(k)));
+        let dirty: BTreeSet<ValueKey> = s.values.iter().filter(|slot| slot.dirty).map(Slot::key).collect();
+        assert!(s.deleted_values.iter().all(|&k| s.values.get(k).is_none()));
         assert_eq!(listed, &dirty | &s.deleted_values);
     }
 
@@ -1245,6 +1430,112 @@ mod tests {
                 proptest::prop_assert_eq!(run_against_flat_model(&ops, budget), first);
             }
         }
+    }
+
+    // ----- model test: the slot table against an ordered map -----
+
+    #[derive(Clone, Debug)]
+    enum TableOp {
+        Insert(ValueKey, i64),
+        Remove(ValueKey),
+        Get(ValueKey),
+    }
+
+    /// Few enough keys that inserts overwrite and removes hit, enough that
+    /// the table grows from 16 positions to 256; a key's home is anywhere,
+    /// so runs wrap past the last position.
+    fn table_key() -> impl proptest::Strategy<Value = ValueKey> {
+        use proptest::prelude::*;
+        prop_oneof![(0u16..3, 0u64..48), (0u16..3, 0u64..48), (0u16..2, any::<u64>())]
+    }
+
+    fn table_op() -> impl proptest::Strategy<Value = TableOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (table_key(), any::<i64>()).prop_map(|(k, v)| TableOp::Insert(k, v)),
+            (table_key(), any::<i64>()).prop_map(|(k, v)| TableOp::Insert(k, v)),
+            table_key().prop_map(TableOp::Remove),
+            table_key().prop_map(TableOp::Get),
+        ]
+    }
+
+    /// What must hold of the table against `model` after every operation;
+    /// `gone` are keys removed and not inserted since.
+    fn check_table(t: &SlotTable, model: &BTreeMap<ValueKey, i64>, gone: &BTreeSet<ValueKey>) {
+        assert_eq!(t.len(), model.len());
+        assert_eq!(t.index.iter().filter(|&&e| e != 0).count(), model.len());
+        assert!(t.len() * 4 <= t.index.len() * 3, "over the load limit");
+        for (&k, &v) in model {
+            assert_eq!(t.get(k).map(|slot| slot.row.int(0)), Some(v), "{k:?}");
+        }
+        assert!(gone.iter().all(|&k| t.get(k).is_none()), "a removed key is found");
+        let walk: Vec<(ValueKey, i64)> = t.sorted().into_iter().map(|(k, slot)| (k, slot.row.int(0))).collect();
+        assert_eq!(walk, model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+        // Each slot is named by one position, which keeps its hash; every
+        // position from a key's home up to the key's own is taken.
+        let mask = t.index.len().wrapping_sub(1);
+        let mut named = vec![false; t.len()];
+        for (i, &e) in t.index.iter().enumerate().filter(|&(_, &e)| e != 0) {
+            let h = key_hash(t.slots[entry_slot(e)].key());
+            assert_eq!(e, position_entry(h, entry_slot(e)));
+            assert!(!std::mem::replace(&mut named[entry_slot(e)], true), "a slot named twice");
+            let mut p = t.home(h);
+            while p != i {
+                assert_ne!(t.index[p], 0, "position {i} behind the free position {p}");
+                p = (p + 1) & mask;
+            }
+        }
+    }
+
+    /// Run `ops` on a table beside a `BTreeMap`; returns the final layout.
+    fn run_table_against_model(ops: &[TableOp]) -> (Vec<u64>, Vec<ValueKey>) {
+        let mut t = SlotTable::default();
+        let mut model = BTreeMap::new();
+        let mut gone = BTreeSet::new();
+        for op in ops {
+            match *op {
+                TableOp::Insert(k, v) => {
+                    let old = t.insert(Slot::new(k, row(v), false)).map(|slot| slot.row.int(0));
+                    assert_eq!(old, model.insert(k, v));
+                    gone.remove(&k);
+                }
+                TableOp::Remove(k) => {
+                    assert_eq!(t.remove(k).map(|slot| slot.row.int(0)), model.remove(&k));
+                    gone.insert(k);
+                }
+                TableOp::Get(k) => assert_eq!(t.get(k).map(|slot| slot.row.int(0)), model.get(&k).copied()),
+            }
+            check_table(&t, &model, &gone);
+        }
+        (t.index, t.slots.iter().map(Slot::key).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn slot_table_matches_ordered_model(ops in proptest::collection::vec(table_op(), 1..400)) {
+            let layout = run_table_against_model(&ops);
+            // No seed: the same operations leave the same positions.
+            proptest::prop_assert_eq!(run_table_against_model(&ops), layout);
+        }
+    }
+
+    #[test]
+    fn slot_table_runs_wrap_past_the_last_position() {
+        let mut t = SlotTable::default();
+        t.reserve(1);
+        let last = t.index.len() - 1;
+        let keys: Vec<ValueKey> = (0..).map(|k| (0, k)).filter(|&k| t.home(key_hash(k)) == last).take(3).collect();
+        for &k in &keys {
+            t.insert(Slot::new(k, row(0), false));
+        }
+        let at = |t: &SlotTable, i: usize| (t.index[i] != 0).then(|| t.slots[entry_slot(t.index[i])].key());
+        assert_eq!([at(&t, last), at(&t, 0), at(&t, 1)], [Some(keys[0]), Some(keys[1]), Some(keys[2])]);
+        // Removing the row at the end shifts the run back across the wrap.
+        assert!(t.remove(keys[0]).is_some());
+        assert_eq!([at(&t, last), at(&t, 0), at(&t, 1)], [Some(keys[1]), Some(keys[2]), None]);
+        assert!(t.get(keys[2]).is_some() && t.get(keys[0]).is_none());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use clonos::{ChannelId, EpochId, TaskId};
 use clonos_sim::{Link, Scheduler, ServiceQueue, SimRng, VirtualDuration, VirtualTime};
 use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 use clonos_storage::deltamap;
-use clonos_storage::log::DurableLog;
+use clonos_storage::log::{DurableLog, Meta};
 use clonos_storage::spill::SpillDevice;
 use clonos_storage::external::ExternalKv;
 use std::collections::{BTreeMap, VecDeque};
@@ -145,7 +145,9 @@ impl TaskSnapshot {
     /// Parse a reconstructed *full* image (a base, or base + merged deltas).
     pub fn decode(bytes: &[u8]) -> Result<TaskSnapshot, EngineError> {
         let mut snap = TaskSnapshot::default();
-        for e in deltamap::read_entries(bytes)? {
+        let entries = deltamap::read_entries(bytes)?;
+        snap.store.reserve_values(&entries);
+        for e in entries {
             if e.section == SEC_META {
                 let Some(v) = e.value else { continue };
                 let mut r = ByteReader::new(v);
@@ -415,8 +417,6 @@ pub struct Task {
     /// Operator scratch, lent to each `OpCtx` and taken back drained.
     emits: Vec<Emit>,
     new_timers: Vec<StateTimer>,
-    /// Scratch encoder for sink output metadata.
-    meta_scratch: ByteWriter,
     pub routing: RoutingStats,
     /// Scratch encoder for checkpoint images (full or delta): reused across
     /// barriers so the steady-state snapshot path allocates nothing.
@@ -581,7 +581,6 @@ impl Task {
             scratch_rec: Record::default(),
             emits: Vec::new(),
             new_timers: Vec::new(),
-            meta_scratch: ByteWriter::new(),
             routing: RoutingStats::default(),
             snap_scratch: ByteWriter::new(),
             chain_parent: None,
@@ -2041,15 +2040,9 @@ impl Task {
             .topics
             .get_mut(&spec.topic)
             .ok_or_else(|| EngineError::Protocol(format!("missing output topic {}", spec.topic)))?;
-        let meta = &mut self.meta_scratch;
-        meta.clear();
-        meta.put_u8(META_DATA);
-        meta.put_varint(self.spec.id);
-        meta.put_varint(self.gen as u64);
-        meta.put_varint(epoch);
-        meta.put_varint(out.ident);
+        let meta = Meta::tagged(META_DATA, [self.spec.id, self.gen as u64, epoch, out.ident]);
         let p = self.spec.subtask % t.num_partitions();
-        t.partition_mut(p).append_with_meta(out.payload, Some(meta.take_frozen()));
+        t.partition_mut(p).append_with_meta(out.payload, Some(meta));
         let latency = commit_at.saturating_sub(VirtualTime(out.create_ts));
         ctx.metrics.record_output(self.spec.id, commit_at, latency);
         Ok(())
@@ -2626,15 +2619,7 @@ mod tests {
         let mut part = clonos_storage::log::LogPartition::default();
         // Two records in epoch 2 by sink 7 gen 0, then an abort marker
         // (gen < 1, epoch > 1), then a rewrite in gen 1.
-        let meta = |gen: u32, epoch: u64, ident: u64| {
-            let mut w = ByteWriter::new();
-            w.put_u8(META_DATA);
-            w.put_varint(7);
-            w.put_varint(gen as u64);
-            w.put_varint(epoch);
-            w.put_varint(ident);
-            w.freeze()
-        };
+        let meta = |gen: u32, epoch: u64, ident: u64| Meta::tagged(META_DATA, [7, u64::from(gen), epoch, ident]);
         let payload = {
             let rec = Record {
                 key: 1,
@@ -2691,14 +2676,8 @@ fn parse_meta(meta: &[u8]) -> Option<(u8, SinkMeta)> {
 /// Encode an abort marker: output of `task` from generations `< gen` in
 /// epochs `> epoch` is aborted (the global-rollback analogue of a Kafka
 /// transaction abort; read-committed consumers skip the records it covers).
-pub fn encode_abort_marker(task: TaskId, gen: u32, epoch: EpochId) -> Bytes {
-    let mut w = ByteWriter::new();
-    w.put_u8(META_ABORT);
-    w.put_varint(task);
-    w.put_varint(gen as u64);
-    w.put_varint(epoch);
-    w.put_varint(0);
-    w.freeze()
+pub fn encode_abort_marker(task: TaskId, gen: u32, epoch: EpochId) -> Meta {
+    Meta::tagged(META_ABORT, [task, u64::from(gen), epoch, 0])
 }
 
 /// Walk a sink partition and yield the *effective* (read-committed) output

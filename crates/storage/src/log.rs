@@ -13,9 +13,64 @@
 //!   already committed.
 
 use bytes::Bytes;
+use std::fmt;
+use std::ops::Deref;
 
 /// Offset of a record within a partition.
 pub type Offset = u64;
+
+/// Longest record metadata: a kind byte and four u64 varints.
+const META_CAPACITY: usize = 1 + 4 * 10;
+
+/// Producer-attached record metadata, held inline in its record, so that
+/// attaching it allocates nothing. Derefs to its bytes. Its one
+/// constructor writes at most 41 bytes: a longer value cannot be built, so
+/// there is no heap fallback to take.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Meta {
+    len: u8,
+    bytes: [u8; META_CAPACITY],
+}
+
+impl Meta {
+    /// `kind` followed by each field as a LEB128 varint (the encoding of
+    /// [`crate::ByteWriter::put_varint`]).
+    pub fn tagged(kind: u8, fields: [u64; 4]) -> Meta {
+        let mut meta = Meta { len: 0, bytes: [0; META_CAPACITY] };
+        let mut len = 0;
+        let mut out = meta.bytes.iter_mut();
+        let mut put = |b: u8| {
+            if let Some(o) = out.next() {
+                *o = b;
+                len += 1;
+            }
+        };
+        put(kind);
+        for mut v in fields {
+            while v >= 0x80 {
+                put(v as u8 | 0x80);
+                v >>= 7;
+            }
+            put(v as u8);
+        }
+        meta.len = len;
+        meta
+    }
+}
+
+impl Deref for Meta {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes.get(..usize::from(self.len)).unwrap_or_default()
+    }
+}
+
+impl fmt::Debug for Meta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Meta").field(&&**self).finish()
+    }
+}
 
 /// One appended record.
 #[derive(Clone, Debug)]
@@ -24,7 +79,7 @@ pub struct LogRecord {
     pub payload: Bytes,
     /// Producer-attached metadata (e.g. `(producer, epoch, seq)` determinant
     /// triplet for exactly-once sinks). `None` for plain records.
-    pub meta: Option<Bytes>,
+    pub meta: Option<Meta>,
 }
 
 /// A single FIFO partition.
@@ -39,7 +94,7 @@ impl LogPartition {
         self.append_with_meta(payload, None)
     }
 
-    pub fn append_with_meta(&mut self, payload: Bytes, meta: Option<Bytes>) -> Offset {
+    pub fn append_with_meta(&mut self, payload: Bytes, meta: Option<Meta>) -> Offset {
         let offset = self.records.len() as Offset;
         self.bytes += payload.len() as u64;
         self.records.push(LogRecord { offset, payload, meta });
@@ -129,6 +184,11 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// Metadata of `producer`'s record number `seq`.
+    fn m(producer: u64, seq: u64) -> Meta {
+        Meta::tagged(0, [producer, 0, 0, seq])
+    }
+
     #[test]
     fn offsets_are_dense_and_fifo() {
         let mut log = DurableLog::new("t", 2);
@@ -165,13 +225,28 @@ mod tests {
     fn meta_side_channel_query() {
         let mut log = DurableLog::new("out", 1);
         let p = log.partition_mut(0);
-        p.append_with_meta(b("x"), Some(b("sink1:e0:0")));
-        p.append_with_meta(b("y"), Some(b("sink2:e0:0")));
-        p.append_with_meta(b("z"), Some(b("sink1:e0:1")));
+        p.append_with_meta(b("x"), Some(m(1, 0)));
+        p.append_with_meta(b("y"), Some(m(2, 0)));
+        p.append_with_meta(b("z"), Some(m(1, 1)));
         p.append(b("plain"));
-        let last = p.last_meta(|m| m.starts_with(b"sink1")).unwrap();
+        let last = p.last_meta(|m| m.get(1) == Some(&1)).unwrap();
         assert_eq!(last.payload, b("z"));
-        assert!(p.last_meta(|m| m.starts_with(b"sink9")).is_none());
+        assert_eq!(last.meta.as_deref(), Some(&[0, 1, 0, 0, 1][..]));
+        assert!(p.last_meta(|m| m.get(1) == Some(&9)).is_none());
+    }
+
+    #[test]
+    fn meta_spells_varints_as_the_codec_does() {
+        // The longest case fills the capacity exactly.
+        for fields in [[0, 1, 127, 128], [300, u64::from(u32::MAX), 1 << 56, u64::MAX], [u64::MAX; 4]] {
+            let mut w = crate::ByteWriter::new();
+            w.put_u8(3);
+            for v in fields {
+                w.put_varint(v);
+            }
+            assert_eq!(&*Meta::tagged(3, fields), w.as_slice());
+        }
+        assert_eq!(Meta::tagged(3, [u64::MAX; 4]).len(), META_CAPACITY);
     }
 
     #[test]

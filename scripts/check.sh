@@ -77,7 +77,11 @@ print(f"== bench: {workload} correct: {line} ==")
 }
 
 echo "== bench: chain correct + allocation and barrier ceilings (clonos_benchmark, exact values) =="
-ALLOCS_PER_RECORD_CEILING=11.21 # chain allocs_per_record at the commit that set it (10.19) + 10 %
+# Allocation ceilings: each workload's allocs_per_record at the commit that set
+# them + 10 % (chain 9.1333, keyed_state 2.0971, nexmark 4.6490, recovery
+# 9.9508: value rows in a slot table and inline sink metadata; 10.1382,
+# 3.1488, 5.3596, 11.1982 before).
+ALLOCS_PER_RECORD_CEILING=10.05
 # chain barrier_max_ms at the commit that set it (10.461: forwarded logs ride
 # only channels that carried records) + 5 %: barrier-time delta bytes are
 # charged on the barrier's critical path; re-shipping forwarded logs on idle
@@ -85,19 +89,21 @@ ALLOCS_PER_RECORD_CEILING=11.21 # chain allocs_per_record at the commit that set
 BARRIER_MAX_MS_CEILING=10.98
 bench_stage chain "allocs_per_record=$ALLOCS_PER_RECORD_CEILING" "barrier_max_ms=$BARRIER_MAX_MS_CEILING"
 
-echo "== bench: recovery correct + barrier ceiling (two task kills in the timed runs) =="
+echo "== bench: recovery correct + barrier and allocation ceilings (two task kills in the timed runs) =="
 # recovery barrier_max_ms at the commit that set it (6.679) + 5 %; 17.403 with
 # the idle-channel re-ships (EXPERIMENTS.md E1j).
 RECOVERY_BARRIER_MAX_MS_CEILING=7.01
-bench_stage recovery "barrier_max_ms=$RECOVERY_BARRIER_MAX_MS_CEILING"
+RECOVERY_ALLOCS_PER_RECORD_CEILING=10.95
+bench_stage recovery "barrier_max_ms=$RECOVERY_BARRIER_MAX_MS_CEILING" \
+  "allocs_per_record=$RECOVERY_ALLOCS_PER_RECORD_CEILING"
 
 echo "== bench: nexmark correct + allocation ceiling (the one workload whose determinants carry payloads) =="
-# nexmark allocs_per_record at the commit that set it (5.36) + 10 %: a
-# per-determinant allocation back in the delta exchange costs Q13 one per record.
-NEXMARK_ALLOCS_PER_RECORD_CEILING=5.90
+# A per-determinant allocation back in the delta exchange costs Q13 one per record.
+NEXMARK_ALLOCS_PER_RECORD_CEILING=5.11
 bench_stage nexmark "allocs_per_record=$NEXMARK_ALLOCS_PER_RECORD_CEILING"
 
-echo "== bench: keyed_state correct: tiered output = untiered output, every rep the same counts =="
-bench_stage keyed_state
+echo "== bench: keyed_state correct (tiered output = untiered output, every rep the same counts) + allocation ceiling =="
+KEYED_STATE_ALLOCS_PER_RECORD_CEILING=2.31
+bench_stage keyed_state "allocs_per_record=$KEYED_STATE_ALLOCS_PER_RECORD_CEILING"
 
 echo "== OK =="
