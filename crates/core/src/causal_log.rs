@@ -25,6 +25,7 @@ use crate::determinant::{Determinant, WireCtx, WireCursor, WIRE_ABS};
 use crate::{ChannelId, EpochId, TaskId};
 use bytes::Bytes;
 use clonos_storage::codec::{ByteWriter, CodecError};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -194,11 +195,11 @@ impl EpochLog {
         self.active_start + self.active.len() as u64
     }
 
-    pub fn append(&mut self, epoch: EpochId, det: Determinant) -> u64 {
+    pub fn append(&mut self, epoch: EpochId, det: &Determinant) -> u64 {
         if let Some(last) = self.index.back() {
             debug_assert!(epoch >= last.epoch, "epochs must be nondecreasing");
         }
-        self.encode_entry(epoch, &det)
+        self.encode_entry(epoch, det)
     }
 
     /// `append` without its claim about epochs, which holds for a task's own
@@ -890,11 +891,13 @@ impl CausalLogManager {
 
     // ----- recording ---------------------------------------------------
 
-    /// Append a main-thread determinant.
-    pub fn record(&mut self, det: Determinant) {
+    /// Append a main-thread determinant, encoded from a borrow: a caller
+    /// that keeps the determinant's payload passes it by reference.
+    pub fn record(&mut self, det: impl Borrow<Determinant>) {
         if !self.enabled() {
             return;
         }
+        let det = det.borrow();
         debug_assert!(det.is_main_thread());
         self.stats.determinants_recorded += 1;
         self.stats.entries_encoded += 1;
@@ -908,7 +911,7 @@ impl CausalLogManager {
         }
         self.stats.determinants_recorded += 1;
         self.stats.entries_encoded += 1;
-        self.own.log_mut(channel_log(channel)).append(self.epoch, Determinant::BufferFlush {
+        self.own.log_mut(channel_log(channel)).append(self.epoch, &Determinant::BufferFlush {
             size,
             records,
         });
@@ -1167,7 +1170,7 @@ impl CausalLogManager {
     pub fn pop_replay(&mut self) -> Option<Determinant> {
         let (epoch, det) = self.replay.as_mut()?.main.pop_front()?;
         self.stats.entries_encoded += 1;
-        self.own.main.append(epoch, det.clone());
+        self.own.main.append(epoch, &det);
         self.check_replay_done();
         Some(det)
     }
@@ -1198,7 +1201,7 @@ impl CausalLogManager {
         self.stats.entries_encoded += 1;
         self.own
             .log_mut(channel_log(channel))
-            .append(epoch, Determinant::BufferFlush { size, records });
+            .append(epoch, &Determinant::BufferFlush { size, records });
         self.check_replay_done();
         Some((size, records))
     }
@@ -1249,10 +1252,10 @@ mod tests {
     #[test]
     fn epoch_log_append_truncate() {
         let mut log = EpochLog::new();
-        assert_eq!(log.append(0, ts(1)), 0);
-        assert_eq!(log.append(0, ts(2)), 1);
-        assert_eq!(log.append(1, ts(3)), 2);
-        assert_eq!(log.append(2, ts(4)), 3);
+        assert_eq!(log.append(0, &ts(1)), 0);
+        assert_eq!(log.append(0, &ts(2)), 1);
+        assert_eq!(log.append(1, &ts(3)), 2);
+        assert_eq!(log.append(2, &ts(4)), 3);
         assert_eq!(log.truncate_through(0), 2);
         assert_eq!(log.base_seq(), 2);
         assert_eq!(log.next_seq(), 4);
@@ -1291,8 +1294,8 @@ mod tests {
     #[test]
     fn bytes_accounting_tracks_append_and_truncate() {
         let mut log = EpochLog::new();
-        log.append(0, ts(100));
-        log.append(1, Determinant::External { payload: vec![0u8; 50] });
+        log.append(0, &ts(100));
+        log.append(1, &Determinant::External { payload: vec![0u8; 50] });
         let full = log.encoded_bytes();
         assert!(full > 50);
         log.truncate_through(0);

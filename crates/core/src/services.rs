@@ -191,11 +191,7 @@ impl CausalServices {
         perform: impl FnOnce() -> Vec<u8>,
     ) -> Result<Vec<u8>, ServiceError> {
         match Self::mode(log) {
-            ServiceMode::Recording => {
-                let payload = perform();
-                log.record(Determinant::External { payload: payload.clone() });
-                Ok(payload)
-            }
+            ServiceMode::Recording => Ok(record_payload(log, Determinant::External { payload: perform() })),
             ServiceMode::Replaying => match log.pop_replay() {
                 Some(Determinant::External { payload }) => Ok(payload),
                 Some(other) => Err(ServiceError::ReplayDivergence {
@@ -215,11 +211,7 @@ impl CausalServices {
         f: impl FnOnce() -> Vec<u8>,
     ) -> Result<Vec<u8>, ServiceError> {
         match Self::mode(log) {
-            ServiceMode::Recording => {
-                let payload = f();
-                log.record(Determinant::UserService { payload: payload.clone() });
-                Ok(payload)
-            }
+            ServiceMode::Recording => Ok(record_payload(log, Determinant::UserService { payload: f() })),
             ServiceMode::Replaying => match log.pop_replay() {
                 Some(Determinant::UserService { payload }) => Ok(payload),
                 Some(other) => Err(ServiceError::ReplayDivergence {
@@ -256,6 +248,16 @@ impl CausalServices {
     /// Invalidate the timestamp cache (e.g. on recovery completion).
     pub fn invalidate_cache(&mut self) {
         self.cached_ts = None;
+    }
+}
+
+/// Log a payload-carrying determinant and hand its payload back to the
+/// caller, uncopied.
+fn record_payload(log: &mut CausalLogManager, det: Determinant) -> Vec<u8> {
+    log.record(&det);
+    match det {
+        Determinant::External { payload } | Determinant::UserService { payload } => payload,
+        _ => Vec::new(),
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::error::EngineError;
 use crate::record::{Record, Row};
-use crate::state::{StateStore, StateTimer};
+use crate::state::{StateId, StateStore, StateTimer};
 use clonos::causal_log::CausalLogManager;
 use clonos::services::CausalServices;
 use clonos_sim::VirtualTime;
@@ -100,6 +100,15 @@ impl<'a> OpCtx<'a> {
         self.emitted.push(Emit { key, event_time, create_ts: self.default_create_ts, row });
     }
 
+    /// Emit `f(row)` for every row of list `(id, key)` in list order, under
+    /// `key` at `event_time`: the rows are read in place, not copied out.
+    pub fn emit_for_list(&mut self, id: StateId, key: u64, event_time: u64, mut f: impl FnMut(&Row) -> Row) {
+        let create_ts = self.default_create_ts;
+        for row in self.state.list(id, key) {
+            self.emitted.push(Emit { key, event_time, create_ts, row: f(row) });
+        }
+    }
+
     /// Emit with an explicit creation timestamp (e.g. window operators carry
     /// the newest contributing record's).
     pub fn emit_with_create(&mut self, key: u64, event_time: u64, create_ts: u64, row: Row) {
@@ -153,11 +162,13 @@ impl<'a> OpCtx<'a> {
         self.state.register_event_timer(StateTimer { ts, key, tag });
     }
 
-    /// Register a processing-time timer at virtual time `ts` micros.
+    /// Register a processing-time timer at virtual time `ts` micros. A
+    /// timer already registered is already scheduled.
     pub fn register_proc_timer(&mut self, ts: u64, key: u64, tag: u64) {
         let t = StateTimer { ts, key, tag };
-        self.state.register_proc_timer(t);
-        self.new_proc_timers.push(t);
+        if self.state.register_proc_timer(t) {
+            self.new_proc_timers.push(t);
+        }
     }
 }
 

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 // State ids used by the built-ins (operators own their whole task's store).
 const S_ACC: u16 = 0;
-const S_WINDOW: u16 = 1;
 const S_META: u16 = 2;
 const S_LEFT: u16 = 3;
 const S_RIGHT: u16 = 4;
@@ -92,13 +91,13 @@ where
     fn on_record(&mut self, _input: u8, rec: &Record, ctx: &mut OpCtx<'_>) -> Result<(), EngineError> {
         let acc = ctx.state.value(S_ACC, rec.key);
         let next = (self.f)(acc, &rec.row);
-        ctx.state.set_value(S_ACC, rec.key, next.clone());
+        ctx.state.set_value_from(S_ACC, rec.key, &next);
         ctx.emit(rec.key, rec.event_time, next);
         Ok(())
     }
 }
 
-/// Aggregation applied to a window's buffered rows when it fires.
+/// Aggregation a window computes over its rows, folded in as they arrive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WindowAggregate {
     Count,
@@ -113,23 +112,25 @@ pub enum WindowAggregate {
 }
 
 impl WindowAggregate {
-    fn apply(&self, rows: &[Row]) -> Datum {
+    /// Fold `row`, the window's `count`-th row so far (from 0), into `acc`.
+    fn accumulate(&self, count: i64, acc: i64, row: &Row) -> i64 {
         match *self {
-            WindowAggregate::Count => Datum::Int(rows.len() as i64),
-            WindowAggregate::SumInt(i) => Datum::Int(rows.iter().map(|r| r.int(i)).sum()),
-            WindowAggregate::MaxInt(i) => {
-                Datum::Int(rows.iter().map(|r| r.int(i)).max().unwrap_or(0))
-            }
-            WindowAggregate::MinInt(i) => {
-                Datum::Int(rows.iter().map(|r| r.int(i)).min().unwrap_or(0))
-            }
-            WindowAggregate::AvgInt(i) => {
-                if rows.is_empty() {
-                    Datum::Float(0.0)
-                } else {
-                    Datum::Float(rows.iter().map(|r| r.int(i) as f64).sum::<f64>() / rows.len() as f64)
-                }
-            }
+            WindowAggregate::Count => 0,
+            WindowAggregate::SumInt(i) | WindowAggregate::AvgInt(i) => acc.wrapping_add(row.int(i)),
+            WindowAggregate::MaxInt(i) if count > 0 => acc.max(row.int(i)),
+            WindowAggregate::MinInt(i) if count > 0 => acc.min(row.int(i)),
+            WindowAggregate::MaxInt(i) | WindowAggregate::MinInt(i) => row.int(i),
+        }
+    }
+
+    /// The aggregate of `count` rows folded into `acc`. An average divides
+    /// the exact sum, which is the float sum of the rows while the sums stay
+    /// under 2⁵³ in magnitude.
+    fn aggregate_of(&self, count: i64, acc: i64) -> Datum {
+        match *self {
+            WindowAggregate::Count => Datum::Int(count),
+            WindowAggregate::AvgInt(_) => Datum::Float(acc as f64 / count as f64),
+            _ => Datum::Int(acc),
         }
     }
 }
@@ -147,7 +148,11 @@ pub enum WindowTime {
 
 /// Keyed tumbling/sliding window with a built-in aggregate.
 ///
-/// Emits `(key, window_start, aggregate)` rows when windows fire.
+/// Emits `(key, window_start, aggregate)` rows when windows fire. A window
+/// holds no rows: its state is one accumulator row `[count, acc, newest
+/// create_ts]`, folded in place per record, and its timer is registered when
+/// the accumulator is created, so the timer is pending exactly while the
+/// accumulator exists.
 pub struct WindowOp {
     pub time: WindowTime,
     pub size_us: u64,
@@ -186,24 +191,16 @@ impl WindowOp {
     }
 
     fn fire(&self, key: u64, start: u64, ctx: &mut OpCtx<'_>) -> Result<(), EngineError> {
-        let bucket = Self::bucket_key(key, start);
-        let rows = ctx.state.take_list(S_WINDOW, bucket);
-        if rows.is_empty() {
+        let Some(mut row) = ctx.state.take_value(S_ACC, Self::bucket_key(key, start)) else {
             return Ok(());
-        }
-        let newest_create = ctx
-            .state
-            .take_value(S_META, bucket)
-            .map(|r| r.int(0) as u64)
-            .unwrap_or(0);
-        let agg = self.agg.apply(&rows);
-        let end = start + self.size_us;
-        ctx.emit_with_create(
-            key,
-            end,
-            newest_create,
-            Row::new(vec![Datum::Int(key as i64), Datum::Int(start as i64), agg]),
-        );
+        };
+        let [Datum::Int(count), Datum::Int(acc), Datum::Int(newest_create)] = row.0[..] else {
+            return Ok(());
+        };
+        // The accumulator's buffer becomes the output row.
+        row.0.clear();
+        row.0.extend([Datum::Int(key as i64), Datum::Int(start as i64), self.agg.aggregate_of(count, acc)]);
+        ctx.emit_with_create(key, start + self.size_us, newest_create as u64, row);
         Ok(())
     }
 }
@@ -215,18 +212,25 @@ impl Operator for WindowOp {
             WindowTime::Processing => ctx.timestamp()?,
         };
         for start in self.windows_for(ts) {
-            let bucket = Self::bucket_key(rec.key, start);
-            ctx.state.push_list(S_WINDOW, bucket, rec.row.clone());
-            // Track the newest contributor's create_ts for latency.
-            let newest = ctx.state.value(S_META, bucket).map(|r| r.int(0) as u64).unwrap_or(0);
-            if rec.create_ts > newest {
-                ctx.state
-                    .set_value(S_META, bucket, Row::new(vec![Datum::Int(rec.create_ts as i64)]));
-            }
-            let end = start + self.size_us;
-            match self.time {
-                WindowTime::Event => ctx.register_event_timer(end, rec.key, start),
-                WindowTime::Processing => ctx.register_proc_timer(end, rec.key, start),
+            let created = ctx.state.update_value(
+                S_ACC,
+                Self::bucket_key(rec.key, start),
+                || Row::new(vec![Datum::Int(0), Datum::Int(0), Datum::Int(0)]),
+                |row| {
+                    if let [Datum::Int(count), Datum::Int(acc), Datum::Int(newest)] = &mut row.0[..] {
+                        *acc = self.agg.accumulate(*count, *acc, &rec.row);
+                        *count += 1;
+                        // The newest contributor's create_ts, for latency.
+                        *newest = (*newest).max(rec.create_ts as i64);
+                    }
+                },
+            );
+            if created {
+                let end = start + self.size_us;
+                match self.time {
+                    WindowTime::Event => ctx.register_event_timer(end, rec.key, start),
+                    WindowTime::Processing => ctx.register_proc_timer(end, rec.key, start),
+                }
             }
         }
         Ok(())
@@ -266,14 +270,11 @@ where
     fn on_record(&mut self, input: u8, rec: &Record, ctx: &mut OpCtx<'_>) -> Result<(), EngineError> {
         let (mine, theirs) = if input == 0 { (S_LEFT, S_RIGHT) } else { (S_RIGHT, S_LEFT) };
         ctx.state.push_list(mine, rec.key, rec.row.clone());
-        let matches: Vec<Row> = ctx.state.list(theirs, rec.key).to_vec();
-        for other in matches {
-            let out = if input == 0 {
-                (self.emit)(&rec.row, &other)
-            } else {
-                (self.emit)(&other, &rec.row)
-            };
-            ctx.emit(rec.key, rec.event_time, out);
+        let emit = &self.emit;
+        if input == 0 {
+            ctx.emit_for_list(theirs, rec.key, rec.event_time, |other| emit(&rec.row, other));
+        } else {
+            ctx.emit_for_list(theirs, rec.key, rec.event_time, |other| emit(other, &rec.row));
         }
         Ok(())
     }
@@ -351,6 +352,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StateStore;
 
     fn windows(w: &WindowOp, ts: u64) -> Vec<u64> {
         w.windows_for(ts).collect()
@@ -390,6 +392,24 @@ mod tests {
         }
     }
 
+    /// The buffered definition of an aggregate, the oracle the incremental
+    /// window is checked against.
+    fn buffered_aggregate(agg: WindowAggregate, rows: &[Row]) -> Datum {
+        match agg {
+            WindowAggregate::Count => Datum::Int(rows.len() as i64),
+            WindowAggregate::SumInt(i) => Datum::Int(rows.iter().map(|r| r.int(i)).sum()),
+            WindowAggregate::MaxInt(i) => Datum::Int(rows.iter().map(|r| r.int(i)).max().unwrap_or(0)),
+            WindowAggregate::MinInt(i) => Datum::Int(rows.iter().map(|r| r.int(i)).min().unwrap_or(0)),
+            WindowAggregate::AvgInt(i) => {
+                if rows.is_empty() {
+                    Datum::Float(0.0)
+                } else {
+                    Datum::Float(rows.iter().map(|r| r.int(i) as f64).sum::<f64>() / rows.len() as f64)
+                }
+            }
+        }
+    }
+
     #[test]
     fn aggregates_compute() {
         let rows = vec![
@@ -397,13 +417,144 @@ mod tests {
             Row::new(vec![Datum::Int(2)]),
             Row::new(vec![Datum::Int(9)]),
         ];
-        assert_eq!(WindowAggregate::Count.apply(&rows), Datum::Int(3));
-        assert_eq!(WindowAggregate::SumInt(0).apply(&rows), Datum::Int(16));
-        assert_eq!(WindowAggregate::MaxInt(0).apply(&rows), Datum::Int(9));
-        assert_eq!(WindowAggregate::MinInt(0).apply(&rows), Datum::Int(2));
-        match WindowAggregate::AvgInt(0).apply(&rows) {
+        assert_eq!(buffered_aggregate(WindowAggregate::Count, &rows), Datum::Int(3));
+        assert_eq!(buffered_aggregate(WindowAggregate::SumInt(0), &rows), Datum::Int(16));
+        assert_eq!(buffered_aggregate(WindowAggregate::MaxInt(0), &rows), Datum::Int(9));
+        assert_eq!(buffered_aggregate(WindowAggregate::MinInt(0), &rows), Datum::Int(2));
+        match buffered_aggregate(WindowAggregate::AvgInt(0), &rows) {
             Datum::Float(v) => assert!((v - 16.0 / 3.0).abs() < 1e-9),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum WinOp {
+        /// key, event time, field value, create_ts
+        Record(u64, u64, i64, u64),
+        /// Advance the watermark by this much.
+        Watermark(u64),
+        /// Snapshot the store and carry on with the restored image.
+        Restore,
+    }
+
+    fn win_op() -> impl proptest::Strategy<Value = WinOp> {
+        use proptest::prelude::*;
+        // Values -50..50; event times up to 240 reach well behind the
+        // watermark, so late rows reopen windows that fired.
+        let record = || {
+            (0u64..4, 0u64..240, 0u64..100, 0u64..1_000)
+                .prop_map(|(k, t, v, c)| WinOp::Record(k, t, v as i64 - 50, c))
+        };
+        // The shim's `prop_oneof!` is uniform: repeats are the weights.
+        prop_oneof![
+            record(),
+            record(),
+            record(),
+            (0u64..30).prop_map(WinOp::Watermark),
+            Just(WinOp::Restore),
+        ]
+    }
+
+    /// What a window emitted: key, event time, create_ts and row.
+    type Fired = (u64, u64, u64, Row);
+
+    /// The buffered window: every row kept per (key, start) until the
+    /// watermark passes the window's end, fired in timer order.
+    #[derive(Default)]
+    struct BufferedWindows {
+        rows: std::collections::BTreeMap<(u64, u64), (Vec<Row>, u64)>,
+        timers: std::collections::BTreeSet<(u64, u64, u64)>,
+    }
+
+    impl BufferedWindows {
+        fn record(&mut self, w: &WindowOp, key: u64, ts: u64, row: Row, create_ts: u64) {
+            let starts = (0..=ts).filter(|s| s % w.slide_us == 0 && ts < s + w.size_us);
+            for start in starts {
+                let (rows, newest) = self.rows.entry((key, start)).or_default();
+                rows.push(row.clone());
+                *newest = (*newest).max(create_ts);
+                self.timers.insert((start + w.size_us, key, start));
+            }
+        }
+
+        fn advance(&mut self, w: &WindowOp, wm: u64, out: &mut Vec<Fired>) {
+            while let Some(&(end, key, start)) = self.timers.first().filter(|t| t.0 <= wm) {
+                self.timers.remove(&(end, key, start));
+                if let Some((rows, newest)) = self.rows.remove(&(key, start)) {
+                    let agg = buffered_aggregate(w.agg, &rows);
+                    let row = Row::new(vec![Datum::Int(key as i64), Datum::Int(start as i64), agg]);
+                    out.push((key, end, newest, row));
+                }
+            }
+        }
+    }
+
+    /// Drive `w` through `ops` on a real store and the buffered model
+    /// beside it; both must emit the same records in the same order.
+    fn run_window_against_buffered(w: &WindowOp, ops: &[WinOp]) {
+        use clonos::causal_log::CausalLogManager;
+        use clonos::services::CausalServices;
+        use clonos_sim::VirtualTime;
+        use clonos_storage::external::ExternalKv;
+
+        let mut state = StateStore::new();
+        let mut services = CausalServices::new(0);
+        let mut log = CausalLogManager::new(1, 1, 1);
+        let mut external = ExternalKv::new(1);
+        let mut op = WindowOp { ..*w };
+        let mut model = BufferedWindows::default();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut wm = 0;
+        for o in ops {
+            let mut ctx =
+                OpCtx::new(&mut state, &mut services, &mut log, &mut external, VirtualTime(0), wm, 0, 0);
+            match *o {
+                WinOp::Record(key, ts, v, create_ts) => {
+                    let row = Row::new(vec![Datum::Int(v), Datum::str("payload")]);
+                    let rec = Record { key, event_time: ts, create_ts, ident: 0, row: row.clone() };
+                    op.on_record(0, &rec, &mut ctx).unwrap();
+                    model.record(w, key, ts, row, create_ts);
+                }
+                WinOp::Watermark(by) => {
+                    wm += by;
+                    for t in ctx.state.pop_due_event_timers(wm) {
+                        op.on_timer(t, TimerKind::EventTime, &mut ctx).unwrap();
+                    }
+                    model.advance(w, wm, &mut want);
+                }
+                WinOp::Restore => {}
+            }
+            got.extend(ctx.emitted.drain(..).map(|e| (e.key, e.event_time, e.create_ts, e.row)));
+            if matches!(o, WinOp::Restore) {
+                state = StateStore::restore(&state.snapshot()).unwrap();
+            }
+        }
+        assert_eq!(got, want);
+        // Every window left open holds a pending timer and an accumulator.
+        assert_eq!(state.event_timers_len(), model.timers.len());
+        assert_eq!(state.entries(), model.rows.len());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn incremental_window_matches_buffered_definition(
+            ops in proptest::collection::vec(win_op(), 1..120),
+        ) {
+            let aggs = [
+                WindowAggregate::Count,
+                WindowAggregate::SumInt(0),
+                WindowAggregate::MaxInt(0),
+                WindowAggregate::MinInt(0),
+                WindowAggregate::AvgInt(0),
+            ];
+            for agg in aggs {
+                for (size, slide) in [(40, 40), (40, 10), (30, 20)] {
+                    let w = WindowOp::sliding(WindowTime::Event, size, slide, agg);
+                    run_window_against_buffered(&w, &ops);
+                }
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Keyed operator state with incremental (copy-on-write) snapshots.
 //!
 //! Operators keep all their state here so the engine can checkpoint and
-//! restore it uniformly: value state, list state (window contents, join
-//! buffers), and the registered timers (Flink likewise snapshots timers).
+//! restore it uniformly: value state, list state (join buffers), and the
+//! registered timers (Flink likewise snapshots timers).
 //!
 //! Every mutation marks its `(section, key)` dirty; at a barrier the task
 //! streams one image layer into a reusable [`ByteWriter`] through
@@ -23,7 +23,7 @@ use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 use clonos_storage::deltamap::{self, EntryRef};
 use clonos_storage::{SpillDevice, TieredConfig, TieredStore};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Identifier of a named state within an operator (e.g. "counts" = 0).
 pub type StateId = u16;
@@ -112,9 +112,18 @@ fn entry_weight(row: &Row) -> u32 {
     u32::try_from(b).unwrap_or(u32::MAX)
 }
 
+/// What a [`SlotTable`] holds: a row of state under its key.
+trait Keyed {
+    fn key(&self) -> ValueKey;
+
+    /// Take over what must outlive a replacement from `old`, the slot this
+    /// one replaces under the same key.
+    fn inherit(&mut self, _old: &Self) {}
+}
+
 /// One resident value row, its key and its bookkeeping, found by the lookup
 /// that finds the row.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     key: u64,
     id: StateId,
@@ -133,7 +142,30 @@ impl Slot {
     fn new((id, key): ValueKey, row: Row, dirty: bool) -> Slot {
         Slot { key, id, weight: entry_weight(&row), row, dirty, referenced: false }
     }
+}
 
+impl Keyed for Slot {
+    fn key(&self) -> ValueKey {
+        (self.id, self.key)
+    }
+
+    /// A write keeps the CLOCK bit of the row it replaces.
+    fn inherit(&mut self, old: &Slot) {
+        self.referenced = old.referenced;
+    }
+}
+
+/// One list's rows under its key.
+#[derive(Debug, Default)]
+struct ListSlot {
+    key: u64,
+    id: StateId,
+    rows: Vec<Row>,
+    /// Changed since the last cut: listed in `changed_lists`.
+    dirty: bool,
+}
+
+impl Keyed for ListSlot {
     fn key(&self) -> ValueKey {
         (self.id, self.key)
     }
@@ -160,24 +192,24 @@ fn entry_slot(e: u64) -> usize {
     (e as u32).wrapping_sub(1) as usize
 }
 
-/// The value rows (DESIGN.md §10.2): dense slots, found through an
-/// open-addressed index with linear probing. A key's home position is the
-/// high bits of [`key_hash`], so the same operations lay out the same
-/// positions and slots in every run. Slots are in insertion order (a removal
+/// The value rows, or the lists (DESIGN.md §10.2): dense slots, found
+/// through an open-addressed index with linear probing. A key's home
+/// position is the high bits of [`key_hash`], so the same operations lay out
+/// the same positions and slots in every run. Slots are in insertion order (a removal
 /// moves the last slot into the hole); key order exists only where an image
 /// consumes it ([`Self::sorted`]). At most three quarters of the positions
 /// are taken, and a removal shifts the rest of its run back, so no key ever
 /// sits behind a free position on its probe path.
 #[derive(Debug, Default)]
-struct SlotTable {
+struct SlotTable<S> {
     /// A power of two many positions, at most 2³², or none before the first
     /// row. A position keeps its row's hash high half, so probing compares
     /// keys only on a match and growth never reads a slot.
     index: Vec<u64>,
-    slots: Vec<Slot>,
+    slots: Vec<S>,
 }
 
-impl SlotTable {
+impl<S: Keyed> SlotTable<S> {
     fn len(&self) -> usize {
         self.slots.len()
     }
@@ -200,7 +232,7 @@ impl SlotTable {
             }
             if e >> 32 == h >> 32 {
                 let slot = entry_slot(e);
-                if self.slots.get(slot).is_some_and(|s| s.key == k.1 && s.id == k.0) {
+                if self.slots.get(slot).is_some_and(|s| s.key() == k) {
                     return Ok((i, slot));
                 }
             }
@@ -213,24 +245,24 @@ impl SlotTable {
         self.probe(k, key_hash(k)).ok().map(|(_, slot)| slot)
     }
 
-    fn get(&self, k: ValueKey) -> Option<&Slot> {
+    fn get(&self, k: ValueKey) -> Option<&S> {
         self.slots.get(self.find(k)?)
     }
 
-    fn get_mut(&mut self, k: ValueKey) -> Option<&mut Slot> {
+    fn get_mut(&mut self, k: ValueKey) -> Option<&mut S> {
         let slot = self.find(k)?;
         self.slots.get_mut(slot)
     }
 
-    /// Put `slot` under its key, keeping the CLOCK bit of the row it
-    /// replaces; returns that row.
-    fn insert(&mut self, mut slot: Slot) -> Option<Slot> {
+    /// Put `slot` under its key, [`Keyed::inherit`]ing from the slot it
+    /// replaces; returns that slot.
+    fn insert(&mut self, mut slot: S) -> Option<S> {
         self.reserve(self.slots.len() + 1);
         let h = key_hash(slot.key());
         match self.probe(slot.key(), h) {
             Ok((_, at)) => {
                 let old = self.slots.get_mut(at)?;
-                slot.referenced = old.referenced;
+                slot.inherit(old);
                 Some(std::mem::replace(old, slot))
             }
             Err(i) => {
@@ -245,7 +277,7 @@ impl SlotTable {
     /// shifts back: each key whose home does not lie between the free
     /// position and itself moves into it, which moves on to where the key
     /// was. The last slot moves into the freed slot.
-    fn remove(&mut self, k: ValueKey) -> Option<Slot> {
+    fn remove(&mut self, k: ValueKey) -> Option<S> {
         let (mut free, at) = self.probe(k, key_hash(k)).ok()?;
         let mask = self.index.len() - 1;
         *self.index.get_mut(free)? = 0;
@@ -305,13 +337,13 @@ impl SlotTable {
     }
 
     /// The rows in slot order.
-    fn iter(&self) -> impl Iterator<Item = &Slot> {
+    fn iter(&self) -> impl Iterator<Item = &S> {
         self.slots.iter()
     }
 
     /// The rows in key order: one sort of a vector of keys, paid by the
     /// consumers that need the order (a full image, the tier's bulk load).
-    fn sorted(&self) -> Vec<(ValueKey, &Slot)> {
+    fn sorted(&self) -> Vec<(ValueKey, &S)> {
         let mut rows: Vec<_> = self.slots.iter().map(|slot| (slot.key(), slot)).collect();
         rows.sort_unstable_by_key(|&(k, _)| k);
         rows
@@ -374,7 +406,7 @@ impl TieredState {
     /// is left. A dirty row is passed over; a clean row read since the hand
     /// last came by loses its bit and stays; any other clean row is evicted
     /// once the pass ends. Three passes reach every candidate twice.
-    fn sweep(&mut self, values: &mut SlotTable) {
+    fn sweep(&mut self, values: &mut SlotTable<Slot>) {
         for _pass in 0..3 {
             if self.resident_bytes <= self.budget || self.clean_rows == 0 {
                 return;
@@ -410,8 +442,8 @@ pub struct StateStore {
     /// All value state (untiered), or the bounded resident cache of it
     /// (tiered — the [`TieredState`] tier is then authoritative).
     tiered: Option<Box<TieredState>>,
-    values: SlotTable,
-    lists: BTreeMap<(StateId, u64), Vec<Row>>,
+    values: SlotTable<Slot>,
+    lists: SlotTable<ListSlot>,
     event_timers: BTreeSet<StateTimer>,
     proc_timers: BTreeSet<StateTimer>,
     // Epoch-scoped change tracking: every key mutated (inserted, updated or
@@ -423,7 +455,10 @@ pub struct StateStore {
     /// The changed value keys that have no slot: pending deletions. Only a
     /// miss consults this — the tier may still hold the old row.
     deleted_values: BTreeSet<ValueKey>,
-    dirty_lists: BTreeSet<(StateId, u64)>,
+    /// Each changed list key once, as `changed_values` is for values.
+    changed_lists: Vec<ValueKey>,
+    /// The changed list keys that have no slot.
+    deleted_lists: BTreeSet<ValueKey>,
     dirty_event_timers: BTreeSet<StateTimer>,
     dirty_proc_timers: BTreeSet<StateTimer>,
 }
@@ -448,6 +483,14 @@ impl StateStore {
             slot.referenced = true;
             return Some(&slot.row);
         }
+        let at = self.fault_in(k)?;
+        self.values.slots.get(at).map(|slot| &slot.row)
+    }
+
+    /// Bring `k`'s row in from the tier as a clean resident row; returns its
+    /// slot. `None` when untiered, for a pending deletion, and for a row the
+    /// tier does not hold.
+    fn fault_in(&mut self, k: ValueKey) -> Option<usize> {
         let t = self.tiered.as_deref_mut()?;
         if self.deleted_values.contains(&k) {
             return None;
@@ -456,33 +499,81 @@ impl StateStore {
         t.resident_bytes += u64::from(slot.weight);
         t.clean_rows += 1;
         self.values.insert(slot);
-        self.values.get(k).map(|slot| &slot.row)
+        self.values.find(k)
     }
 
     pub fn set_value(&mut self, id: StateId, key: u64, row: Row) {
-        let new = Slot::new((id, key), row, true);
-        let weight = u64::from(new.weight);
-        // What the write replaced: its weight, and whether it was clean.
-        let (old_weight, was_clean) = match self.values.insert(new) {
-            Some(old) => {
-                if !old.dirty {
-                    self.changed_values.push((id, key));
-                }
-                (u64::from(old.weight), !old.dirty)
+        match self.values.find((id, key)) {
+            Some(at) => self.rewrite_value(at, |old| *old = row),
+            None => self.insert_value((id, key), row),
+        }
+    }
+
+    /// [`Self::set_value`] of a copy of `row`, written into the resident
+    /// row's buffers when there is one.
+    pub fn set_value_from(&mut self, id: StateId, key: u64, row: &Row) {
+        match self.values.find((id, key)) {
+            // Row's derived `clone_from` would clone; its Vec's reuses the buffer.
+            Some(at) => self.rewrite_value(at, |old| old.0.clone_from(&row.0)),
+            None => self.insert_value((id, key), row.clone()),
+        }
+    }
+
+    /// Change `(id, key)`'s row in place through `update`, after creating it
+    /// with `create` if there is none (not resident, and under tiering not
+    /// in the tier either); returns whether it was created. One lookup (and
+    /// under tiering at most one fault) per call.
+    pub fn update_value(
+        &mut self,
+        id: StateId,
+        key: u64,
+        create: impl FnOnce() -> Row,
+        update: impl FnOnce(&mut Row),
+    ) -> bool {
+        let k = (id, key);
+        match self.values.find(k).or_else(|| self.fault_in(k)) {
+            Some(at) => {
+                self.rewrite_value(at, update);
+                false
             }
             None => {
-                // A pending deletion is in the change list already.
-                if !self.deleted_values.remove(&(id, key)) {
-                    self.changed_values.push((id, key));
-                }
-                (0, false)
+                let mut row = create();
+                update(&mut row);
+                self.insert_value(k, row);
+                true
             }
-        };
+        }
+    }
+
+    /// A write to the resident row in slot `at`, with the write's dirty and
+    /// weight bookkeeping.
+    fn rewrite_value(&mut self, at: usize, write: impl FnOnce(&mut Row)) {
+        let Some(slot) = self.values.slots.get_mut(at) else { return };
+        write(&mut slot.row);
+        let old_weight = std::mem::replace(&mut slot.weight, entry_weight(&slot.row));
+        let was_clean = !std::mem::replace(&mut slot.dirty, true);
+        if was_clean {
+            self.changed_values.push(slot.key());
+        }
         if let Some(t) = self.tiered.as_deref_mut() {
-            t.resident_bytes = t.resident_bytes + weight - old_weight;
+            t.resident_bytes = t.resident_bytes + u64::from(slot.weight) - u64::from(old_weight);
             t.clean_rows -= u64::from(was_clean);
             self.evict_excess();
         }
+    }
+
+    /// A write of a key with no resident row.
+    fn insert_value(&mut self, k: ValueKey, row: Row) {
+        // A pending deletion is in the change list already.
+        if !self.deleted_values.remove(&k) {
+            self.changed_values.push(k);
+        }
+        let slot = Slot::new(k, row, true);
+        if let Some(t) = self.tiered.as_deref_mut() {
+            t.resident_bytes += u64::from(slot.weight);
+        }
+        self.values.insert(slot);
+        self.evict_excess();
     }
 
     pub fn take_value(&mut self, id: StateId, key: u64) -> Option<Row> {
@@ -521,34 +612,57 @@ impl StateStore {
     // ----- list state -----
 
     pub fn list(&self, id: StateId, key: u64) -> &[Row] {
-        self.lists.get(&(id, key)).map(Vec::as_slice).unwrap_or(&[])
+        self.lists.get((id, key)).map_or(&[], |list| list.rows.as_slice())
     }
 
     pub fn push_list(&mut self, id: StateId, key: u64, row: Row) {
-        self.dirty_lists.insert((id, key));
-        self.lists.entry((id, key)).or_default().push(row);
+        let k = (id, key);
+        match self.lists.find(k).and_then(|at| self.lists.slots.get_mut(at)) {
+            Some(list) => {
+                list.rows.push(row);
+                if !std::mem::replace(&mut list.dirty, true) {
+                    self.changed_lists.push(k);
+                }
+            }
+            None => {
+                // A pending deletion is in the change list already.
+                if !self.deleted_lists.remove(&k) {
+                    self.changed_lists.push(k);
+                }
+                self.lists.insert(ListSlot { key, id, rows: vec![row], dirty: true });
+            }
+        }
     }
 
     pub fn take_list(&mut self, id: StateId, key: u64) -> Vec<Row> {
-        match self.lists.remove(&(id, key)) {
-            Some(rows) => {
-                self.dirty_lists.insert((id, key));
-                rows
-            }
-            None => Vec::new(),
+        let k = (id, key);
+        let Some(list) = self.lists.remove(k) else { return Vec::new() };
+        if !list.dirty {
+            self.changed_lists.push(k);
         }
+        self.deleted_lists.insert(k);
+        list.rows
     }
 
     // ----- timers -----
 
-    pub fn register_event_timer(&mut self, t: StateTimer) {
-        self.dirty_event_timers.insert(t);
-        self.event_timers.insert(t);
+    /// Register an event-time timer; returns whether it is new. Registering
+    /// a live timer changes nothing, so the next delta does not carry it.
+    pub fn register_event_timer(&mut self, t: StateTimer) -> bool {
+        let new = self.event_timers.insert(t);
+        if new {
+            self.dirty_event_timers.insert(t);
+        }
+        new
     }
 
-    pub fn register_proc_timer(&mut self, t: StateTimer) {
-        self.dirty_proc_timers.insert(t);
-        self.proc_timers.insert(t);
+    /// [`Self::register_event_timer`] for a processing-time timer.
+    pub fn register_proc_timer(&mut self, t: StateTimer) -> bool {
+        let new = self.proc_timers.insert(t);
+        if new {
+            self.dirty_proc_timers.insert(t);
+        }
+        new
     }
 
     /// Pop all event timers with `ts <= watermark`, in firing order.
@@ -632,7 +746,7 @@ impl StateStore {
     /// Encode one changed value key as its layer entry — a put for a key
     /// still present, a tombstone for a removed one — and mark the row
     /// clean. Returns whether there was a row.
-    fn write_value_change(values: &mut SlotTable, w: &mut ByteWriter, k: ValueKey) -> bool {
+    fn write_value_change(values: &mut SlotTable<Slot>, w: &mut ByteWriter, k: ValueKey) -> bool {
         let row = values.get_mut(k).map(|slot| {
             slot.dirty = false;
             &slot.row
@@ -726,7 +840,7 @@ impl StateStore {
         let rest = if full {
             self.lists.len() + self.event_timers.len() + self.proc_timers.len()
         } else {
-            self.dirty_lists.len() + self.dirty_event_timers.len() + self.dirty_proc_timers.len()
+            self.changed_lists.len() + self.dirty_event_timers.len() + self.dirty_proc_timers.len()
         };
         (values + rest) as u64
     }
@@ -775,40 +889,43 @@ impl StateStore {
     /// values section: its values are in tier segments, shipped beside the
     /// layer.
     pub fn write_entries(&mut self, full: bool, w: &mut ByteWriter) {
-        if !full && self.tiered.is_none() {
-            let mut changed = std::mem::take(&mut self.changed_values);
-            changed.sort_unstable();
-            for k in changed {
-                Self::write_value_change(&mut self.values, w, k);
+        if full {
+            self.write_resident(w);
+        } else {
+            if self.tiered.is_none() {
+                let mut changed = std::mem::take(&mut self.changed_values);
+                changed.sort_unstable();
+                for k in changed {
+                    Self::write_value_change(&mut self.values, w, k);
+                }
             }
+            // `clear_dirty` below marks the lists clean.
+            self.changed_lists.sort_unstable();
+            for &(id, key) in &self.changed_lists {
+                match self.lists.get((id, key)) {
+                    Some(list) => Self::write_list_entry(w, id, key, &list.rows),
+                    None => deltamap::write_tombstone(w, SEC_LISTS, &kv_key(id, key)),
+                }
+            }
+            Self::write_timers(w, SEC_EVENT_TIMERS, &self.event_timers, &self.dirty_event_timers, false);
+            Self::write_timers(w, SEC_PROC_TIMERS, &self.proc_timers, &self.dirty_proc_timers, false);
         }
-        self.write_resident(full, w);
         self.clear_dirty();
     }
 
-    /// The part of a layer that reads the store without changing it: every
-    /// entry it holds resident (`full`), or the changed lists and timers.
-    /// Pure, so [`StateStore::digest`] can observe at any time.
-    fn write_resident(&self, full: bool, w: &mut ByteWriter) {
-        if full && self.tiered.is_none() {
+    /// The full image of every entry the store holds resident. Pure, so
+    /// [`StateStore::digest`] can observe at any time.
+    fn write_resident(&self, w: &mut ByteWriter) {
+        if self.tiered.is_none() {
             for ((id, key), slot) in self.values.sorted() {
                 Self::write_value_entry(w, id, key, &slot.row);
             }
         }
-        if full {
-            for (&(id, key), rows) in &self.lists {
-                Self::write_list_entry(w, id, key, rows);
-            }
-        } else {
-            for &(id, key) in &self.dirty_lists {
-                match self.lists.get(&(id, key)) {
-                    Some(rows) => Self::write_list_entry(w, id, key, rows),
-                    None => deltamap::write_tombstone(w, SEC_LISTS, &kv_key(id, key)),
-                }
-            }
+        for ((id, key), list) in self.lists.sorted() {
+            Self::write_list_entry(w, id, key, &list.rows);
         }
-        Self::write_timers(w, SEC_EVENT_TIMERS, &self.event_timers, &self.dirty_event_timers, full);
-        Self::write_timers(w, SEC_PROC_TIMERS, &self.proc_timers, &self.dirty_proc_timers, full);
+        Self::write_timers(w, SEC_EVENT_TIMERS, &self.event_timers, &self.dirty_event_timers, true);
+        Self::write_timers(w, SEC_PROC_TIMERS, &self.proc_timers, &self.dirty_proc_timers, true);
     }
 
     /// Drop the change log (an image that holds it — the layer just written,
@@ -823,7 +940,12 @@ impl StateStore {
             }
         }
         self.deleted_values.clear();
-        self.dirty_lists.clear();
+        for k in self.changed_lists.drain(..) {
+            if let Some(list) = self.lists.get_mut(k) {
+                list.dirty = false;
+            }
+        }
+        self.deleted_lists.clear();
         self.dirty_event_timers.clear();
         self.dirty_proc_timers.clear();
     }
@@ -853,7 +975,7 @@ impl StateStore {
                 }
             }
         }
-        self.write_resident(true, &mut w);
+        self.write_resident(&mut w);
         w.freeze()
     }
 
@@ -897,10 +1019,10 @@ impl StateStore {
                             rows.push(Row::decode(&mut r)?);
                         }
                         r.finish("bytes after a state list")?;
-                        self.lists.insert((id, key), rows);
+                        self.lists.insert(ListSlot { key, id, rows, dirty: false });
                     }
                     None => {
-                        self.lists.remove(&(id, key));
+                        self.lists.remove((id, key));
                     }
                 }
             }
@@ -925,18 +1047,19 @@ impl StateStore {
         Ok(())
     }
 
-    /// Make room for the value rows among `entries`, so that applying them
-    /// never grows the table.
-    pub(crate) fn reserve_values(&mut self, entries: &[EntryRef<'_>]) {
-        let rows = entries.iter().filter(|e| e.section == SEC_VALUES && e.value.is_some()).count();
-        self.values.reserve(self.values.len() + rows);
+    /// Make room for the value rows and the lists among `entries`, so that
+    /// applying them never grows a table.
+    pub(crate) fn reserve_entries(&mut self, entries: &[EntryRef<'_>]) {
+        let puts = |section| entries.iter().filter(|e| e.section == section && e.value.is_some()).count();
+        self.values.reserve(self.values.len() + puts(SEC_VALUES));
+        self.lists.reserve(self.lists.len() + puts(SEC_LISTS));
     }
 
     /// Restore from a full image, replacing all current contents.
     pub fn restore(bytes: &[u8]) -> Result<StateStore, CodecError> {
         let mut store = StateStore::new();
         let entries = deltamap::read_entries(bytes)?;
-        store.reserve_values(&entries);
+        store.reserve_entries(&entries);
         for e in entries {
             store.apply_entry(&e)?;
         }
@@ -962,6 +1085,7 @@ mod tests {
     use super::*;
     use crate::record::Datum;
     use clonos_storage::deltamap::merge_chain;
+    use std::collections::BTreeMap;
 
     fn row(v: i64) -> Row {
         Row::new(vec![Datum::Int(v)])
@@ -1304,6 +1428,10 @@ mod tests {
     #[derive(Clone, Debug)]
     enum CacheOp {
         Set(StateId, u64, Row),
+        /// `set_value_from`.
+        SetFrom(StateId, u64, Row),
+        /// `update_value` appending an Int: creates, or grows the row.
+        Update(StateId, u64, i64),
         Take(StateId, u64),
         Get(StateId, u64),
         Sync,
@@ -1322,12 +1450,16 @@ mod tests {
             ]
         };
         let set = move || (key(), value()).prop_map(|((id, k), row)| CacheOp::Set(id, k, row));
+        let set_from = move || (key(), value()).prop_map(|((id, k), row)| CacheOp::SetFrom(id, k, row));
+        let update = move || (key(), any::<i64>()).prop_map(|((id, k), v)| CacheOp::Update(id, k, v));
         let get = move || key().prop_map(|(id, k)| CacheOp::Get(id, k));
         // The shim's `prop_oneof!` is uniform: repeats are the weights.
         prop_oneof![
             set(),
             set(),
-            set(),
+            set_from(),
+            update(),
+            update(),
             get(),
             get(),
             get(),
@@ -1372,6 +1504,20 @@ mod tests {
                 CacheOp::Set(id, k, row) => {
                     flat.set_value(*id, *k, row.clone());
                     tiered.set_value(*id, *k, row.clone());
+                    unsynced.insert((*id, *k));
+                }
+                CacheOp::SetFrom(id, k, row) => {
+                    flat.set_value_from(*id, *k, row);
+                    tiered.set_value_from(*id, *k, row);
+                    unsynced.insert((*id, *k));
+                }
+                CacheOp::Update(id, k, v) => {
+                    let v = *v;
+                    let append = move |row: &mut Row| row.0.push(Datum::Int(v));
+                    let faults = tiered.backend_stats().faults;
+                    let created = flat.update_value(*id, *k, Row::default, append);
+                    assert_eq!(tiered.update_value(*id, *k, Row::default, append), created, "created {id}/{k}");
+                    assert!(tiered.backend_stats().faults <= faults + 1, "an update faults at most once");
                     unsynced.insert((*id, *k));
                 }
                 CacheOp::Take(id, k) => {
@@ -1461,7 +1607,7 @@ mod tests {
 
     /// What must hold of the table against `model` after every operation;
     /// `gone` are keys removed and not inserted since.
-    fn check_table(t: &SlotTable, model: &BTreeMap<ValueKey, i64>, gone: &BTreeSet<ValueKey>) {
+    fn check_table(t: &SlotTable<Slot>, model: &BTreeMap<ValueKey, i64>, gone: &BTreeSet<ValueKey>) {
         assert_eq!(t.len(), model.len());
         assert_eq!(t.index.iter().filter(|&&e| e != 0).count(), model.len());
         assert!(t.len() * 4 <= t.index.len() * 3, "over the load limit");
@@ -1489,7 +1635,7 @@ mod tests {
 
     /// Run `ops` on a table beside a `BTreeMap`; returns the final layout.
     fn run_table_against_model(ops: &[TableOp]) -> (Vec<u64>, Vec<ValueKey>) {
-        let mut t = SlotTable::default();
+        let mut t = SlotTable::<Slot>::default();
         let mut model = BTreeMap::new();
         let mut gone = BTreeSet::new();
         for op in ops {
@@ -1523,19 +1669,123 @@ mod tests {
 
     #[test]
     fn slot_table_runs_wrap_past_the_last_position() {
-        let mut t = SlotTable::default();
+        let mut t = SlotTable::<Slot>::default();
         t.reserve(1);
         let last = t.index.len() - 1;
         let keys: Vec<ValueKey> = (0..).map(|k| (0, k)).filter(|&k| t.home(key_hash(k)) == last).take(3).collect();
         for &k in &keys {
             t.insert(Slot::new(k, row(0), false));
         }
-        let at = |t: &SlotTable, i: usize| (t.index[i] != 0).then(|| t.slots[entry_slot(t.index[i])].key());
+        let at = |t: &SlotTable<Slot>, i: usize| (t.index[i] != 0).then(|| t.slots[entry_slot(t.index[i])].key());
         assert_eq!([at(&t, last), at(&t, 0), at(&t, 1)], [Some(keys[0]), Some(keys[1]), Some(keys[2])]);
         // Removing the row at the end shifts the run back across the wrap.
         assert!(t.remove(keys[0]).is_some());
         assert_eq!([at(&t, last), at(&t, 0), at(&t, 1)], [Some(keys[1]), Some(keys[2]), None]);
         assert!(t.get(keys[2]).is_some() && t.get(keys[0]).is_none());
+    }
+
+    // ----- model test: list state against an ordered map -----
+
+    #[derive(Clone, Debug)]
+    enum ListOp {
+        Push(ValueKey, i64),
+        Take(ValueKey),
+        Cut,
+    }
+
+    fn list_op() -> impl proptest::Strategy<Value = ListOp> {
+        use proptest::prelude::*;
+        // Few keys, so a take hits and a push after it re-creates the list.
+        let key = || (0u16..2, 0u64..12);
+        prop_oneof![
+            (key(), any::<i64>()).prop_map(|(k, v)| ListOp::Push(k, v)),
+            (key(), any::<i64>()).prop_map(|(k, v)| ListOp::Push(k, v)),
+            (key(), any::<i64>()).prop_map(|(k, v)| ListOp::Push(k, v)),
+            key().prop_map(ListOp::Take),
+            Just(ListOp::Cut),
+        ]
+    }
+
+    /// `ops` on a store beside a `BTreeMap` of lists. Every cut is a delta
+    /// that holds exactly the keys changed since the last one, in key order,
+    /// a put for a list still there and a tombstone for one taken; the base
+    /// image and the deltas fold into the full image.
+    fn run_lists_against_model(ops: &[ListOp]) {
+        let mut s = StateStore::new();
+        let mut model: BTreeMap<ValueKey, Vec<i64>> = BTreeMap::new();
+        let mut changed: BTreeSet<ValueKey> = BTreeSet::new();
+        let base = s.snapshot();
+        let mut deltas = Vec::new();
+        for op in ops {
+            match *op {
+                ListOp::Push(k, v) => {
+                    s.push_list(k.0, k.1, row(v));
+                    model.entry(k).or_default().push(v);
+                    changed.insert(k);
+                }
+                ListOp::Take(k) => {
+                    let taken: Vec<i64> = s.take_list(k.0, k.1).iter().map(|r| r.int(0)).collect();
+                    let expected = model.remove(&k);
+                    if expected.is_some() {
+                        changed.insert(k);
+                    }
+                    assert_eq!(taken, expected.unwrap_or_default(), "take of {k:?}");
+                }
+                ListOp::Cut => {
+                    assert_eq!(s.entry_count(false), changed.len() as u64);
+                    let delta = s.snapshot_delta();
+                    let entries = deltamap::read_entries(&delta).unwrap();
+                    let got: Vec<(ValueKey, bool)> = entries
+                        .iter()
+                        .map(|e| (decode_kv_key(e.key).unwrap(), e.value.is_some()))
+                        .collect();
+                    let want: Vec<(ValueKey, bool)> =
+                        changed.iter().map(|&k| (k, model.contains_key(&k))).collect();
+                    assert_eq!(got, want, "delta keys");
+                    assert!(entries.iter().all(|e| e.section == SEC_LISTS));
+                    changed.clear();
+                    deltas.push(delta);
+                }
+            }
+            for (&(id, key), rows) in &model {
+                let got: Vec<i64> = s.list(id, key).iter().map(|r| r.int(0)).collect();
+                assert_eq!(&got, rows, "list {id}/{key}");
+            }
+            assert_eq!(s.entries(), model.len());
+        }
+        deltas.push(s.snapshot_delta());
+        let chain: Vec<&[u8]> = deltas.iter().map(|d| &d[..]).collect();
+        assert_eq!(merge_chain(&base, &chain).unwrap(), s.snapshot(), "base + deltas = full image");
+        let back = StateStore::restore(&s.snapshot()).unwrap();
+        assert_eq!(back.digest(), s.digest());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn list_table_matches_ordered_model(ops in proptest::collection::vec(list_op(), 1..200)) {
+            run_lists_against_model(&ops);
+        }
+    }
+
+    #[test]
+    fn re_registering_a_live_timer_ships_nothing() {
+        let mut s = StateStore::new();
+        let (event, proc) = (StateTimer { ts: 10, key: 1, tag: 0 }, StateTimer { ts: 20, key: 2, tag: 0 });
+        assert!(s.register_event_timer(event));
+        assert!(s.register_proc_timer(proc));
+        assert_eq!(s.entry_count(false), 2);
+        let _ = s.snapshot_delta();
+        assert!(!s.register_event_timer(event), "live already");
+        assert!(!s.register_proc_timer(proc), "live already");
+        assert_eq!(s.entry_count(false), 0);
+        let delta = s.snapshot_delta();
+        assert!(deltamap::read_entries(&delta).unwrap().is_empty(), "no timer entry in the delta");
+        // Fired and registered again in one epoch: a put, as before.
+        assert_eq!(s.pop_due_event_timers(10), vec![event]);
+        assert!(s.register_event_timer(event));
+        assert_eq!(s.entry_count(false), 1);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl TaskSnapshot {
     pub fn decode(bytes: &[u8]) -> Result<TaskSnapshot, EngineError> {
         let mut snap = TaskSnapshot::default();
         let entries = deltamap::read_entries(bytes)?;
-        snap.store.reserve_values(&entries);
+        snap.store.reserve_entries(&entries);
         for e in entries {
             if e.section == SEC_META {
                 let Some(v) = e.value else { continue };

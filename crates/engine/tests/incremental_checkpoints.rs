@@ -64,10 +64,10 @@ fn apply(store: &mut StateStore, m: &Mutation) {
             store.take_list(id, key);
         }
         Mutation::EventTimer { ts, key } => {
-            store.register_event_timer(StateTimer { ts, key, tag: 0 })
+            store.register_event_timer(StateTimer { ts, key, tag: 0 });
         }
         Mutation::ProcTimer { ts, key } => {
-            store.register_proc_timer(StateTimer { ts, key, tag: 0 })
+            store.register_proc_timer(StateTimer { ts, key, tag: 0 });
         }
         Mutation::PopTimers { watermark } => {
             store.pop_due_event_timers(watermark);

@@ -341,7 +341,8 @@ pub fn build_query(q: QueryId, p: usize, rate: u64) -> JobGraph {
                 factory(|| {
                     ProcessOp::new(|_input, rec: &Record, ctx: &mut OpCtx<'_>| {
                         let side = ctx.external_get(rec.row.int(bid::AUCTION) as u64)?;
-                        let mut row = rec.row.0.clone();
+                        let mut row = Vec::with_capacity(rec.row.0.len() + 1);
+                        row.extend_from_slice(&rec.row.0);
                         row.push(Datum::Int(side));
                         ctx.emit(rec.key, rec.event_time, Row::new(row));
                         Ok(())
