@@ -32,16 +32,6 @@ use std::collections::VecDeque;
 /// Log identifier within a task: the main-thread log or an output-channel log.
 pub const MAIN_LOG: u32 = 0;
 
-/// Wire-only kind (the low bits of a tag byte) for a run-length-compressed
-/// sequence of `Order` determinants inside a delta (§9 of the paper lists
-/// compressed causal-log data structures as future work). It fires on
-/// single-input stretches; `chain` alternates each `Order` with a
-/// `Timestamp` and never forms a run (EXPERIMENTS.md E13).
-const WIRE_ORDER_RUN: u8 = 0x3F;
-
-/// `Determinant::Order`'s kind (its `Determinant::encode` tag).
-const ORDER: u8 = 0;
-
 #[inline]
 pub fn channel_log(ch: ChannelId) -> u32 {
     ch + 1
@@ -63,24 +53,11 @@ struct IndexEntry {
     offset: u64,
     /// Width of the entry in the arena.
     len: u32,
-    /// The channel of an `Order` (0 for other kinds): delta collection
-    /// detects run-length-compressible runs from the index alone.
-    channel: u32,
-    /// The determinant's kind (its [`Determinant::encode`] tag).
+    /// The determinant's kind (its wire tag without flags).
     kind: u8,
 }
 
 impl IndexEntry {
-    #[inline]
-    fn end(&self) -> u64 {
-        self.offset + self.len as u64
-    }
-
-    #[inline]
-    fn order_channel(&self) -> Option<u32> {
-        (self.kind == ORDER).then_some(self.channel)
-    }
-
     /// `Timer`, `Rpc` and `Timestamp` move the context's step fields: only
     /// their bytes must be read to step past them.
     #[inline]
@@ -122,13 +99,13 @@ fn arena<T>(read: Result<T, CodecError>) -> T {
 /// wire format ([`Determinant::encode_wire`]) against the entry before it —
 /// the epoch only when it changes, `Timestamp.ts` and step offsets as deltas
 /// — into an append-only chunked byte arena, and keeps a per-entry
-/// [`IndexEntry`] carrying the epoch, offsets, the kind and the
-/// `Order`-channel needed for run detection. Everything else derives from
-/// the index and two contexts (`base_ctx` before the front entry, `tail_ctx`
+/// [`IndexEntry`] carrying the epoch, offset, length and kind. Everything
+/// else derives from the index and two contexts (`base_ctx` before the front entry, `tail_ctx`
 /// after the last):
 ///
 /// - delta collection re-codes a span's first entry or two and bulk-copies
-///   the rest instead of re-encoding each determinant per output channel;
+///   the rest in one range instead of re-encoding each determinant per
+///   output channel;
 /// - `encoded_bytes` accounting sums indexed lengths (no re-encode);
 /// - truncation pops index entries and retires whole dead chunks; the new
 ///   front starts a higher epoch, so its context restarted and `base_ctx`
@@ -137,10 +114,10 @@ fn arena<T>(read: Result<T, CodecError>) -> T {
 ///   snapshots, replay installation).
 ///
 /// Invariants: index offsets are strictly increasing and contiguous
-/// (`index[i].end() == index[i+1].offset`); an entry never spans chunks;
-/// live bytes are covered by `sealed` chunks plus the `active` tail, with
-/// `active` starting at `active_start == sealed.back().end()` (when sealed
-/// chunks exist); an empty log has `base_ctx == tail_ctx`.
+/// (`index[i].offset + index[i].len == index[i+1].offset`); an entry never
+/// spans chunks; live bytes are covered by `sealed` chunks plus the `active`
+/// tail, with `active` starting at `active_start == sealed.back().end()`
+/// (when sealed chunks exist); an empty log has `base_ctx == tail_ctx`.
 #[derive(Clone, Debug, Default)]
 pub struct EpochLog {
     base_seq: u64,
@@ -215,12 +192,8 @@ impl EpochLog {
         }
         let offset = self.next_offset();
         let kind = det.encode_wire(epoch, &mut self.tail_ctx, &mut self.active);
-        let channel = match det {
-            Determinant::Order { channel } => *channel,
-            _ => 0,
-        };
         let len = (self.next_offset() - offset) as u32;
-        self.push_entry(IndexEntry { epoch, offset, len, channel, kind });
+        self.push_entry(IndexEntry { epoch, offset, len, kind });
         seq
     }
 
@@ -403,19 +376,8 @@ impl EpochLog {
         let r = &mut WireCursor::new(span);
         // The span's own context: zero before its first item.
         let mut wire = WireCtx::default();
-        let mut logical = 0;
-        while logical < held {
-            match WireItem::read(r, &mut wire, count - logical)? {
-                WireItem::Entry { .. } => logical += 1,
-                WireItem::Run { channel, run } => {
-                    stats.order_entries_compressed += run;
-                    logical += run;
-                    // Only the tail of a run that straddles the boundary is new.
-                    if logical > held {
-                        self.append_order_run(wire.epoch, channel, logical - held);
-                    }
-                }
-            }
+        for _ in 0..held {
+            skip_item(r, &mut wire)?;
         }
         // The first `pending` bytes at `batch` belong to entries that are
         // indexed but not copied yet: consecutive entries go into the arena
@@ -425,6 +387,7 @@ impl EpochLog {
         // Whether the span's context and the tail agree; once they do, they
         // stay in step, and the tail is moved along when the loop leaves.
         let mut synced = wire == self.tail_ctx;
+        let mut logical = held;
         let result = loop {
             if logical >= count {
                 break match r.remaining() {
@@ -438,44 +401,31 @@ impl EpochLog {
                 (batch, pending) = (*r, 0);
             }
             let (mut at, mut before) = (*r, wire);
-            match WireItem::read(r, &mut wire, count - logical) {
+            let kind = match skip_item(r, &mut wire) {
+                Ok(kind) => kind,
                 Err(e) => {
                     wire = before;
                     break Err(e);
                 }
-                Ok(WireItem::Entry { kind, channel }) => {
-                    let len = at.remaining() - r.remaining();
-                    if synced {
-                        let offset = self.next_offset() + pending as u64;
-                        self.push_entry(IndexEntry { epoch: wire.epoch, offset, len: len as u32, channel, kind });
-                        pending += len;
-                    } else {
-                        self.active.put_raw(batch.peek(pending));
-                        (batch, pending) = (*r, 0);
-                        let offset = self.next_offset();
-                        let recoded =
-                            Determinant::recode_wire(&mut at, &mut before, &mut self.tail_ctx, &mut self.active);
-                        if let Err(e) = recoded {
-                            break Err(e);
-                        }
-                        let len = (self.next_offset() - offset) as u32;
-                        self.push_entry(IndexEntry { epoch: wire.epoch, offset, len, channel, kind });
-                        synced = wire == self.tail_ctx;
-                    }
-                    logical += 1;
+            };
+            if synced {
+                let len = at.remaining() - r.remaining();
+                let offset = self.next_offset() + pending as u64;
+                self.push_entry(IndexEntry { epoch: wire.epoch, offset, len: len as u32, kind });
+                pending += len;
+            } else {
+                self.active.put_raw(batch.peek(pending));
+                (batch, pending) = (*r, 0);
+                let offset = self.next_offset();
+                let recoded = Determinant::recode_wire(&mut at, &mut before, &mut self.tail_ctx, &mut self.active);
+                if let Err(e) = recoded {
+                    break Err(e);
                 }
-                Ok(WireItem::Run { channel, run }) => {
-                    self.active.put_raw(batch.peek(pending));
-                    if synced {
-                        self.tail_ctx = before;
-                    }
-                    stats.order_entries_compressed += run;
-                    self.append_order_run(wire.epoch, channel, run);
-                    synced = wire == self.tail_ctx;
-                    logical += run;
-                    (batch, pending) = (*r, 0);
-                }
+                let len = (self.next_offset() - offset) as u32;
+                self.push_entry(IndexEntry { epoch: wire.epoch, offset, len, kind });
+                synced = wire == self.tail_ctx;
             }
+            logical += 1;
         };
         self.active.put_raw(batch.peek(pending));
         if synced {
@@ -484,95 +434,28 @@ impl EpochLog {
         result
     }
 
-    /// Append `n` copies of `Order { channel }` under `epoch` (a compressed
-    /// wire run, expanded): the first two are encoded, the rest are stamped
-    /// from the second's bytes — an `Order` in its predecessor's epoch.
-    fn append_order_run(&mut self, epoch: EpochId, channel: u32, n: u64) {
-        let order = Determinant::Order { channel };
-        for _ in 0..n.min(2) {
-            self.encode_entry(epoch, &order);
-        }
-        let Some(&second) = self.index.back().filter(|_| n > 2) else { return };
-        // tag + varint(u32): at most 1 + 5 bytes.
-        let mut image = [0u8; 6];
-        let bytes = self.entry_bytes(&second);
-        let len = bytes.len();
-        image[..len].copy_from_slice(bytes);
-        for _ in 2..n {
-            if self.active.len() >= ARENA_CHUNK_BYTES {
-                self.seal_active();
-            }
-            let offset = self.next_offset();
-            self.active.put_raw(&image[..len]);
-            self.push_entry(IndexEntry { offset, ..second });
-        }
-    }
-
     /// Full copy of resident entries, `(seq, epoch, det)` triplets.
     pub fn snapshot(&self) -> Vec<(u64, EpochId, Determinant)> {
         self.since(self.base_seq).collect()
-    }
-
-    /// The maximal run of same-epoch, same-channel `Order` entries starting
-    /// at index position `i`, as `(channel, length)` with the length counted
-    /// to at most `cap`; `None` when the entry is not an `Order`.
-    /// Index-only — no decoding.
-    fn run_at(&self, i: usize, cap: usize) -> Option<(u32, usize)> {
-        let channel = self.index[i].order_channel()?;
-        let epoch = self.index[i].epoch;
-        let mut run = 1;
-        while run < cap
-            && i + run < self.index.len()
-            && self.index[i + run].epoch == epoch
-            && self.index[i + run].order_channel() == Some(channel)
-        {
-            run += 1;
-        }
-        Some((channel, run))
     }
 
     /// Append the wire span of entries `seq >= from` to `w`. On the wire
     /// each item is coded against the one before it and the first against
     /// the zero context; `at` is the arena's context before `from`. While
     /// the two contexts differ — the span's first entry or two — an entry is
-    /// re-coded; once they agree, entries are copied out of the arena as
-    /// they are, between maximal runs (>= 3) of same-channel same-epoch
-    /// `Order` entries, which go as [`WIRE_ORDER_RUN`] items.
+    /// re-coded; once they agree, the rest of the span means the same on the
+    /// wire as in the arena and is copied out of it as one byte range.
     fn encode_span(&self, from: u64, mut at: WireCtx, w: &mut ByteWriter, stats: &mut CausalLogStats) {
-        let n = self.index.len();
         let mut i = from.saturating_sub(self.base_seq) as usize;
         let mut wire = WireCtx::default();
-        while i < n {
-            if let Some((channel, run)) = self.run_at(i, usize::MAX).filter(|&(_, run)| run >= 3) {
-                let epoch = self.index[i].epoch;
-                wire.put_head(w, WIRE_ORDER_RUN, epoch);
-                w.put_varint(channel as u64);
-                w.put_varint(run as u64);
-                at.enter(epoch);
-                i += run;
-                continue;
-            }
-            if wire != at {
-                let bytes = self.entry_bytes(&self.index[i]);
-                arena(Determinant::recode_wire(&mut WireCursor::new(bytes), &mut at, &mut wire, w));
-                i += 1;
-                continue;
-            }
-            // Contiguous non-run stretch: extend until the next compressible
-            // run, then copy its arena bytes wholesale.
-            let start = i;
+        while let Some(e) = self.index.get(i).filter(|_| wire != at) {
+            arena(Determinant::recode_wire(&mut WireCursor::new(self.entry_bytes(e)), &mut at, &mut wire, w));
             i += 1;
-            while i < n && self.run_at(i, 3).is_none_or(|(_, run)| run < 3) {
-                i += 1;
-            }
-            let a = self.index[start].offset;
-            let b = self.index[i - 1].end();
+        }
+        if let Some(e) = self.index.get(i) {
+            let (a, b) = (e.offset, self.next_offset());
             self.copy_arena_range(a, b, w);
             stats.delta_bytes_memcpy += b - a;
-            // The copy moved both contexts alike; past it only the epoch is
-            // read again (by a run's tag byte).
-            wire.epoch = self.index[i - 1].epoch;
-            at = wire;
         }
     }
 
@@ -598,33 +481,13 @@ impl EpochLog {
     }
 }
 
-/// One item of a span's wire encoding.
-enum WireItem {
-    /// One entry of kind `kind` ([`Determinant::encode`]'s tag); `channel`
-    /// is an `Order`'s, 0 otherwise.
-    Entry { kind: u8, channel: u32 },
-    /// A [`WIRE_ORDER_RUN`]: `run` logical entries `Order { channel }`.
-    Run { channel: u32, run: u64 },
-}
-
-impl WireItem {
-    /// Read and validate the next item of a span that has `left` logical
-    /// entries to go, coded against `ctx`, which advances past it.
-    #[inline]
-    fn read(r: &mut WireCursor<'_>, ctx: &mut WireCtx, left: u64) -> Result<WireItem, CodecError> {
-        let kind = ctx.read_head(r)?;
-        if kind == WIRE_ORDER_RUN {
-            let channel = r.varint()? as u32;
-            let run = r.varint()?;
-            if run > left {
-                // A flipped length byte must not expand into 2^63 entries.
-                return Err(CodecError::InvalidTag { context: "delta order run longer than its span", tag: kind });
-            }
-            return Ok(WireItem::Run { channel, run });
-        }
-        let channel = Determinant::skip_wire(kind, r, ctx)?;
-        Ok(WireItem::Entry { kind: kind & !WIRE_ABS, channel: channel.unwrap_or(0) })
-    }
+/// Read and validate the next entry of a span, coded against `ctx`, which
+/// advances past it; returns its kind.
+#[inline]
+fn skip_item(r: &mut WireCursor<'_>, ctx: &mut WireCtx) -> Result<u8, CodecError> {
+    let kind = ctx.read_head(r)?;
+    Determinant::skip_wire(kind, r, ctx)?;
+    Ok(kind & !WIRE_ABS)
 }
 
 /// Errors during delta exchange.
@@ -794,10 +657,6 @@ pub struct CausalLogStats {
     pub delta_entries_shipped: u64,
     pub deltas_ingested: u64,
     pub entries_ingested: u64,
-    /// Logical `Order` entries received inside run-length-compressed wire
-    /// items (the §9 compression extension) of the spans read; a span held
-    /// whole is not read.
-    pub order_entries_compressed: u64,
     /// Determinants this task serialized into its own log arenas: each
     /// recorded or replayed entry exactly once, at append. Ingested entries
     /// are not encoded again — replica arenas take their wire bytes; a
@@ -805,7 +664,7 @@ pub struct CausalLogStats {
     /// against the replica's tail, their fields are not built.
     pub entries_encoded: u64,
     /// Delta payload bytes bulk-copied out of log arenas (as opposed to the
-    /// freshly written framing, re-coded first entries and run items).
+    /// freshly written framing and re-coded first entries).
     pub delta_bytes_memcpy: u64,
     /// Times a replica dropped its resident prefix to resynchronize over a
     /// forward gap in an incoming span (see `EpochLog::admit_span`).
@@ -1536,43 +1395,10 @@ mod tests {
         assert_eq!(down.ingest_delta(&d).unwrap(), 0, "downstream re-ingested known entries");
     }
 
-    #[test]
-    fn order_run_straddling_the_held_boundary_appends_only_its_tail() {
-        // Diamond: `up` ships the same main log on two channels, cut at
-        // different points inside one run of `Order`s.
-        let mut up = mgr(1, 2, 1);
-        for _ in 0..5 {
-            up.record(Determinant::Order { channel: 2 });
-        }
-        let short = up.collect_delta(0); // seqs 0..5, one run of 5
-        for _ in 0..4 {
-            up.record(Determinant::Order { channel: 2 });
-        }
-        up.record(ts(7));
-        let long = up.collect_delta(1); // seqs 0..10: one run of 9, then the timestamp
-        let mut down = mgr(2, 0, 1);
-        assert_eq!(down.ingest_delta(&short).unwrap(), 5);
-        assert_eq!(down.ingest_delta(&long).unwrap(), 5, "4 of the run's 9 and the timestamp are new");
-        assert_eq!(down.export_replica(1).unwrap(), up.own_snapshot());
-        assert_eq!(down.stats.order_entries_compressed, 14, "runs count whole, held or not");
-        assert_eq!(down.stats.gap_resyncs, 0);
-        // A relay that saw the run in two pieces forwards the bytes of one
-        // that saw it whole.
-        let mut relays = [mgr(3, 1, 2), mgr(3, 1, 2)];
-        relays[0].ingest_delta(&short).unwrap();
-        for relay in &mut relays {
-            relay.ingest_delta(&long).unwrap();
-            relay.mark_records(0);
-        }
-        let forwarded = relays[0].collect_delta(0);
-        assert!(!forwarded.is_empty());
-        assert_eq!(forwarded, relays[1].collect_delta(0));
-    }
-
     /// `a` (task 2, DSD 2) forwards `u` (task 1): the delta `a` ships, the
     /// one before it, and `u`'s own delta on its second channel, which holds
     /// every entry of `u` that `a` forwards. Between them: two origins,
-    /// compressed runs, `External` payloads, `Timestamp`s whose `ts` falls,
+    /// stretches of `Order`s, `External` payloads, `Timestamp`s whose `ts` falls,
     /// step offsets, an epoch change inside a span and — at a receiver that
     /// took the first and the direct delta — spans it holds whole.
     fn two_origin_deltas() -> (LogDelta, LogDelta, LogDelta) {
@@ -1622,11 +1448,10 @@ mod tests {
     #[test]
     fn corrupt_deltas_are_errors_not_panics_or_unbounded_work() {
         let (first, delta, direct) = two_origin_deltas();
-        // Run compression is the only amplification a delta has (a few
-        // bytes stand for `run` entries), a run is checked against its
-        // span's count, and one flipped bit can at most merge two adjacent
-        // one-byte varints into a 14-bit count.
-        let bound = 16 * delta.len() as u64;
+        // Every wire item is one entry, so a replica takes in no more than
+        // the bytes it reads plus a re-coded seam per span; the primed
+        // receiver also holds the earlier deltas' entries.
+        let bound = 2 * delta.len() as u64;
         let check = |bytes: &[u8]| -> [Result<u64, DeltaError>; 2] {
             // A fresh receiver, and one that already holds the earlier delta
             // and `u`'s direct one (so spans are partly and wholly held).
@@ -1703,9 +1528,10 @@ mod tests {
             assert_eq!(b.resident_bytes(), 0);
             assert!(b.export_replica(9).is_none_or(|snap| snap.logs.len() <= 2));
         };
-        // A run of 2^62 `Order`s inside a span of 3: no loop, no append.
+        // What a retired run-length kind (0x3F) would read as a run of 2^62
+        // `Order`s inside a span of 3 is an invalid tag: no loop, no append.
         let mut run = ByteWriter::new();
-        run.put_u8(WIRE_ORDER_RUN);
+        run.put_u8(0x3F);
         run.put_varint(0);
         run.put_varint(1 << 62);
         rejects(&one_span(3, run.len(), run.as_slice()));

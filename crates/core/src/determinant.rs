@@ -80,96 +80,29 @@ pub enum Determinant {
 }
 
 impl Determinant {
-    /// Serialized size in bytes (used for determinant-volume accounting in
-    /// the §7.5 memory experiments).
-    pub fn encoded_len(&self) -> usize {
-        let mut w = ByteWriter::new();
-        self.encode(&mut w);
-        w.len()
-    }
-
+    /// This determinant's wire encoding against the zero context: what
+    /// [`Determinant::encode_wire`] writes for the first entry of epoch 0.
     pub fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            Determinant::Order { channel } => {
-                w.put_u8(0);
-                w.put_varint(*channel as u64);
-            }
-            Determinant::Timer { timer_id, offset } => {
-                w.put_u8(1);
-                w.put_varint(*timer_id);
-                w.put_varint(*offset);
-            }
-            Determinant::Rpc { kind, arg, offset } => {
-                w.put_u8(2);
-                w.put_u8(kind.tag());
-                w.put_varint(*arg);
-                w.put_varint(*offset);
-            }
-            Determinant::Timestamp { ts, offset } => {
-                w.put_u8(3);
-                w.put_varint(*ts);
-                w.put_varint(*offset);
-            }
-            Determinant::RngSeed { seed } => {
-                w.put_u8(4);
-                w.put_varint(*seed);
-            }
-            Determinant::External { payload } => {
-                w.put_u8(5);
-                w.put_bytes(payload);
-            }
-            Determinant::UserService { payload } => {
-                w.put_u8(6);
-                w.put_bytes(payload);
-            }
-            Determinant::BufferFlush { size, records } => {
-                w.put_u8(7);
-                w.put_varint(*size as u64);
-                w.put_varint(*records as u64);
-            }
-            Determinant::Watermark { ts } => {
-                w.put_u8(8);
-                w.put_varint(*ts);
-            }
-        }
+        self.encode_wire(0, &mut WireCtx::default(), w);
     }
 
+    /// Decode what [`Determinant::encode`] wrote and advance `r` past it.
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Determinant, CodecError> {
-        let tag = r.get_u8()?;
-        Self::decode_with_tag(tag, r)
-    }
-
-    /// Decode with the tag byte already consumed (the delta wire decoder
-    /// reads tag bytes itself: they carry flags).
-    pub fn decode_with_tag(tag: u8, r: &mut ByteReader<'_>) -> Result<Determinant, CodecError> {
-        Ok(match tag {
-            0 => Determinant::Order { channel: r.get_varint()? as u32 },
-            1 => Determinant::Timer { timer_id: r.get_varint()?, offset: r.get_varint()? },
-            2 => Determinant::Rpc {
-                kind: RpcKind::from_tag(r.get_u8()?)?,
-                arg: r.get_varint()?,
-                offset: r.get_varint()?,
-            },
-            3 => Determinant::Timestamp { ts: r.get_varint()?, offset: r.get_varint()? },
-            4 => Determinant::RngSeed { seed: r.get_varint()? },
-            5 => Determinant::External { payload: r.get_bytes()?.to_vec() },
-            6 => Determinant::UserService { payload: r.get_bytes()?.to_vec() },
-            7 => Determinant::BufferFlush {
-                size: r.get_varint()? as u32,
-                records: r.get_varint()? as u32,
-            },
-            8 => Determinant::Watermark { ts: r.get_varint()? },
-            tag => return Err(CodecError::InvalidTag { context: "Determinant", tag }),
-        })
+        let rest = r.rest();
+        let mut cursor = WireCursor::new(rest);
+        let (_, det) = Self::decode_wire(&mut cursor, &mut WireCtx::default())?;
+        r.get_raw(rest.len() - cursor.remaining())?;
+        Ok(det)
     }
 
     /// The delta wire (v2) encoding of this determinant logged under `epoch`:
-    /// a tag byte carrying [`WIRE_EPOCH`] when `epoch` differs from the
-    /// context's and [`WIRE_ABS`] when a step field jumps further than an
-    /// `i64` reaches, then the fields of [`Determinant::encode`] with each
-    /// step field (`Timestamp.ts`, every `offset`) written as a zigzag delta
-    /// from the context's (from 0 in a new epoch). `ctx` advances past the
-    /// entry.
+    /// a tag byte — the variant's kind, 0..8 in declaration order — carrying
+    /// [`WIRE_EPOCH`] when `epoch` differs from the context's and
+    /// [`WIRE_ABS`] when a step field jumps further than an `i64` reaches,
+    /// then the fields in declaration order (varints; an `RpcKind` as one
+    /// byte; a payload length-prefixed), each step field (`Timestamp.ts`,
+    /// every `offset`) as a zigzag delta from the context's (from 0 in a new
+    /// epoch). `ctx` advances past the entry. Returns the kind.
     #[inline]
     pub(crate) fn encode_wire(&self, epoch: EpochId, ctx: &mut WireCtx, w: &mut ByteWriter) -> u8 {
         // The step fields are coded against the context the head leaves.
@@ -216,9 +149,7 @@ impl Determinant {
     }
 
     /// Decode one wire entry coded against `ctx`, which advances past it.
-    /// Cold path: replica export, replay installation, tests. The step
-    /// kinds are read here, the rest — whose fields are
-    /// [`Determinant::encode`]'s — through [`Determinant::decode_with_tag`].
+    /// Cold path: replica export, replay installation, tests.
     pub(crate) fn decode_wire(
         r: &mut WireCursor<'_>,
         ctx: &mut WireCtx,
@@ -226,6 +157,7 @@ impl Determinant {
         let kind = ctx.read_head(r)?;
         let abs = kind & WIRE_ABS != 0;
         let det = match kind {
+            0 => Determinant::Order { channel: r.varint()? as u32 },
             0x01 | 0x41 => {
                 Determinant::Timer { timer_id: r.varint()?, offset: read_step(r, &mut ctx.offset, abs)? }
             }
@@ -238,7 +170,12 @@ impl Determinant {
                 ts: read_step(r, &mut ctx.ts, abs)?,
                 offset: read_step(r, &mut ctx.offset, abs)?,
             },
-            tag => r.read_with(|br| Determinant::decode_with_tag(tag, br))?,
+            4 => Determinant::RngSeed { seed: r.varint()? },
+            5 => Determinant::External { payload: r.bytes()?.to_vec() },
+            6 => Determinant::UserService { payload: r.bytes()?.to_vec() },
+            7 => Determinant::BufferFlush { size: r.varint()? as u32, records: r.varint()? as u32 },
+            8 => Determinant::Watermark { ts: r.varint()? },
+            tag => return Err(CodecError::InvalidTag { context: "Determinant", tag }),
         };
         Ok((ctx.epoch, det))
     }
@@ -248,18 +185,12 @@ impl Determinant {
     /// determinants as bytes and needs only their extent and the context they
     /// leave. Accepts exactly the byte strings [`Determinant::decode_wire`]
     /// accepts, with the same error on the rest, so bytes that got past it
-    /// always decode later. Returns the channel of an `Order`, the one field
-    /// the arena index keeps.
+    /// always decode later.
     #[inline]
-    pub(crate) fn skip_wire(
-        kind: u8,
-        r: &mut WireCursor<'_>,
-        ctx: &mut WireCtx,
-    ) -> Result<Option<u32>, CodecError> {
+    pub(crate) fn skip_wire(kind: u8, r: &mut WireCursor<'_>, ctx: &mut WireCtx) -> Result<(), CodecError> {
         let abs = kind & WIRE_ABS != 0;
         match kind {
-            0 => return Ok(Some(r.varint()? as u32)),
-            4 | 8 => r.skip_varints::<1>()?,
+            0 | 4 | 8 => r.skip_varints::<1>()?,
             7 => r.skip_varints::<2>()?,
             0x01 | 0x41 => {
                 r.skip_varints::<1>()?;
@@ -275,12 +206,11 @@ impl Determinant {
                 read_step(r, &mut ctx.offset, abs)?;
             }
             5 | 6 => {
-                let n = r.varint()? as usize;
-                r.skip(n)?;
+                r.bytes()?;
             }
             tag => return Err(CodecError::InvalidTag { context: "Determinant", tag }),
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Re-code the wire entry at `r`, coded against `from`, against `to`,
@@ -542,15 +472,11 @@ impl<'a> WireCursor<'a> {
         Ok(taken)
     }
 
-    /// Run a [`ByteReader`] over the unread bytes and consume what it read.
-    fn read_with<T>(
-        &mut self,
-        read: impl FnOnce(&mut ByteReader<'a>) -> Result<T, CodecError>,
-    ) -> Result<T, CodecError> {
-        let mut reader = ByteReader::new(self.rest);
-        let value = read(&mut reader)?;
-        self.rest = self.rest.get(reader.position()..).unwrap_or_default();
-        Ok(value)
+    /// A length-prefixed payload, consumed.
+    #[inline]
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let n = self.varint()? as usize;
+        self.take(n)
     }
 
     #[inline]
@@ -600,27 +526,24 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_matches_actual() {
-        let d = Determinant::Timer { timer_id: 300, offset: 70_000 };
-        let mut w = ByteWriter::new();
-        d.encode(&mut w);
-        assert_eq!(d.encoded_len(), w.len());
-    }
-
-    #[test]
     fn order_determinants_are_tiny() {
         // The paper's overhead hinges on determinants being compact; an Order
         // entry must be ~2 bytes.
-        assert!(Determinant::Order { channel: 5 }.encoded_len() <= 2);
-        assert!(Determinant::Timestamp { ts: 1_616_161_616_161, offset: 3 }.encoded_len() <= 9);
+        let len = |d: Determinant| {
+            let mut w = ByteWriter::new();
+            d.encode(&mut w);
+            w.len()
+        };
+        assert!(len(Determinant::Order { channel: 5 }) <= 2);
+        assert!(len(Determinant::Timestamp { ts: 1_616_161_616_161, offset: 3 }) <= 9);
     }
 
     #[test]
     fn invalid_tag_is_an_error() {
-        let mut r = ByteReader::new(&[200]);
+        let mut r = ByteReader::new(&[9]);
         assert!(matches!(
             Determinant::decode(&mut r),
-            Err(CodecError::InvalidTag { context: "Determinant", tag: 200 })
+            Err(CodecError::InvalidTag { context: "Determinant", tag: 9 })
         ));
     }
 
@@ -682,22 +605,19 @@ mod tests {
     }
 
     /// What decoding `bytes` as one wire entry coded against `ctx` yields:
-    /// the `Order` channel if it is one, the bytes consumed, the context left.
-    fn decoded(bytes: &[u8], mut ctx: WireCtx) -> Result<(Option<u32>, usize, WireCtx), CodecError> {
+    /// the bytes consumed and the context left.
+    fn decoded(bytes: &[u8], mut ctx: WireCtx) -> Result<(usize, WireCtx), CodecError> {
         let mut r = WireCursor::new(bytes);
-        let channel = match Determinant::decode_wire(&mut r, &mut ctx)?.1 {
-            Determinant::Order { channel } => Some(channel),
-            _ => None,
-        };
-        Ok((channel, bytes.len() - r.remaining(), ctx))
+        Determinant::decode_wire(&mut r, &mut ctx)?;
+        Ok((bytes.len() - r.remaining(), ctx))
     }
 
     /// The same through the skip-walker.
-    fn skipped(bytes: &[u8], mut ctx: WireCtx) -> Result<(Option<u32>, usize, WireCtx), CodecError> {
+    fn skipped(bytes: &[u8], mut ctx: WireCtx) -> Result<(usize, WireCtx), CodecError> {
         let mut r = WireCursor::new(bytes);
         let kind = ctx.read_head(&mut r)?;
-        let channel = Determinant::skip_wire(kind, &mut r, &mut ctx)?;
-        Ok((channel, bytes.len() - r.remaining(), ctx))
+        Determinant::skip_wire(kind, &mut r, &mut ctx)?;
+        Ok((bytes.len() - r.remaining(), ctx))
     }
 
     fn arb_ctx() -> impl Strategy<Value = WireCtx> {
@@ -769,11 +689,7 @@ mod tests {
             let mut back = ctx;
             prop_assert_eq!(Determinant::decode_wire(&mut WireCursor::new(&bytes), &mut back), Ok((epoch, d.clone())));
             prop_assert_eq!(back, after);
-            let channel = match d {
-                Determinant::Order { channel } => Some(channel),
-                _ => None,
-            };
-            prop_assert_eq!(skipped(&bytes, ctx), Ok((channel, bytes.len(), after)));
+            prop_assert_eq!(skipped(&bytes, ctx), Ok((bytes.len(), after)));
             for cut in 0..bytes.len() {
                 prop_assert_eq!(skipped(&bytes[..cut], ctx), decoded(&bytes[..cut], ctx), "cut at {}", cut);
             }

@@ -13,8 +13,6 @@ use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
 pub const EPOCH: u8 = 0x80;
 /// Tag-byte flag: step fields are absolute.
 pub const ABS: u8 = 0x40;
-/// Kind of a compressed run of `Order`s.
-pub const ORDER_RUN: u8 = 0x3F;
 
 /// What an item is coded against: the epoch, and the last `Timestamp.ts`
 /// and last step offset before it in that epoch (0 in a new epoch).
@@ -23,13 +21,6 @@ pub struct Ctx {
     pub epoch: u64,
     pub ts: u64,
     pub offset: u64,
-}
-
-/// One decoded wire item.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Item {
-    Entry(Determinant),
-    Run { channel: u32, run: u64 },
 }
 
 fn head(w: &mut ByteWriter, ctx: &mut Ctx, kind: u8, epoch: u64) {
@@ -126,13 +117,6 @@ pub fn encode(w: &mut ByteWriter, ctx: &mut Ctx, epoch: u64, d: &Determinant) {
     }
 }
 
-/// Encode a run of `run` `Order { channel }`s under `epoch`.
-pub fn encode_run(w: &mut ByteWriter, ctx: &mut Ctx, epoch: u64, channel: u32, run: u64) {
-    head(w, ctx, ORDER_RUN, epoch);
-    w.put_varint(channel as u64);
-    w.put_varint(run);
-}
-
 fn read_step(r: &mut ByteReader<'_>, prev: &mut u64, abs: bool) -> Result<u64, CodecError> {
     let v = if abs {
         r.get_varint()?
@@ -144,8 +128,8 @@ fn read_step(r: &mut ByteReader<'_>, prev: &mut u64, abs: bool) -> Result<u64, C
     Ok(v)
 }
 
-/// Decode one item against `ctx`, which advances; `(epoch, item)`.
-pub fn decode(r: &mut ByteReader<'_>, ctx: &mut Ctx) -> Result<(u64, Item), CodecError> {
+/// Decode one entry against `ctx`, which advances; `(epoch, entry)`.
+pub fn decode(r: &mut ByteReader<'_>, ctx: &mut Ctx) -> Result<(u64, Determinant), CodecError> {
     let tag = r.get_u8()?;
     if tag & EPOCH != 0 {
         *ctx = Ctx { epoch: r.get_varint()?, ts: 0, offset: 0 };
@@ -154,11 +138,9 @@ pub fn decode(r: &mut ByteReader<'_>, ctx: &mut Ctx) -> Result<(u64, Item), Code
     if abs && !(1..=3).contains(&kind) {
         return Err(CodecError::InvalidTag { context: "Determinant", tag: tag & !EPOCH });
     }
-    let item = match kind {
-        1 => Item::Entry(Determinant::Timer {
-            timer_id: r.get_varint()?,
-            offset: read_step(r, &mut ctx.offset, abs)?,
-        }),
+    let det = match kind {
+        0 => Determinant::Order { channel: r.get_varint()? as u32 },
+        1 => Determinant::Timer { timer_id: r.get_varint()?, offset: read_step(r, &mut ctx.offset, abs)? },
         2 => {
             let kind = match r.get_u8()? {
                 0 => RpcKind::TriggerCheckpoint,
@@ -166,14 +148,18 @@ pub fn decode(r: &mut ByteReader<'_>, ctx: &mut Ctx) -> Result<(u64, Item), Code
                 tag => return Err(CodecError::InvalidTag { context: "RpcKind", tag }),
             };
             let arg = r.get_varint()?;
-            Item::Entry(Determinant::Rpc { kind, arg, offset: read_step(r, &mut ctx.offset, abs)? })
+            Determinant::Rpc { kind, arg, offset: read_step(r, &mut ctx.offset, abs)? }
         }
-        3 => Item::Entry(Determinant::Timestamp {
+        3 => Determinant::Timestamp {
             ts: read_step(r, &mut ctx.ts, abs)?,
             offset: read_step(r, &mut ctx.offset, abs)?,
-        }),
-        ORDER_RUN => Item::Run { channel: r.get_varint()? as u32, run: r.get_varint()? },
-        kind => Item::Entry(Determinant::decode_with_tag(kind, r)?),
+        },
+        4 => Determinant::RngSeed { seed: r.get_varint()? },
+        5 => Determinant::External { payload: r.get_bytes()?.to_vec() },
+        6 => Determinant::UserService { payload: r.get_bytes()?.to_vec() },
+        7 => Determinant::BufferFlush { size: r.get_varint()? as u32, records: r.get_varint()? as u32 },
+        8 => Determinant::Watermark { ts: r.get_varint()? },
+        kind => return Err(CodecError::InvalidTag { context: "Determinant", tag: kind }),
     };
-    Ok((ctx.epoch, item))
+    Ok((ctx.epoch, det))
 }

@@ -200,8 +200,7 @@ proptest! {
 enum Op {
     /// Record one main-thread determinant.
     Record(Determinant),
-    /// Record a burst of same-channel `Order` determinants (guarantees
-    /// compressed-run coverage).
+    /// Record a burst of same-channel `Order` determinants.
     OrderRun(u32, usize),
     /// Record a `BufferFlush` in an output-channel log.
     Flush(u32, u32, u32),
@@ -287,27 +286,13 @@ fn reference_origin(
     }
 }
 
-/// A span's items from the zero context: maximal runs (>= 3) of same-epoch
-/// same-channel `Order`s as one run item, every other entry on its own.
+/// A span's entries, each coded against the one before it, the first
+/// against the zero context.
 fn reference_span(window: &[(u64, Determinant)]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     let mut ctx = wire_v2::Ctx::default();
-    let mut i = 0;
-    while i < window.len() {
-        let (epoch, det) = &window[i];
-        if let Determinant::Order { channel } = det {
-            let run = window[i..]
-                .iter()
-                .take_while(|(e, d)| e == epoch && matches!(d, Determinant::Order { channel: c } if c == channel))
-                .count();
-            if run >= 3 {
-                wire_v2::encode_run(&mut w, &mut ctx, *epoch, *channel, run as u64);
-                i += run;
-                continue;
-            }
-        }
+    for (epoch, det) in window {
         wire_v2::encode(&mut w, &mut ctx, *epoch, det);
-        i += 1;
     }
     w.freeze().to_vec()
 }
@@ -404,34 +389,6 @@ proptest! {
     }
 }
 
-#[test]
-fn order_run_compression_shrinks_deltas_losslessly() {
-    // Steady-state main logs are dominated by Order entries from the same
-    // channel; the §9 wire compression must shrink them without changing
-    // the replica.
-    let mut compressed = CausalLogManager::new(1, 1, 1);
-    let mut mixed = CausalLogManager::new(3, 1, 1);
-    for i in 0..200u64 {
-        compressed.record(Determinant::Order { channel: 0 });
-        // The mixed stream alternates, defeating run detection.
-        mixed.record(Determinant::Order { channel: (i % 2) as u32 });
-        mixed.record(Determinant::Timestamp { ts: i, offset: i });
-    }
-    let d_comp = compressed.collect_delta(0);
-    let d_mixed = mixed.collect_delta(0);
-    assert!(
-        d_comp.len() * 10 < d_mixed.len(),
-        "run compression ineffective: {} vs {} bytes",
-        d_comp.len(),
-        d_mixed.len()
-    );
-    // Lossless: the replica expands back to 200 individual Order entries.
-    let mut down = CausalLogManager::new(2, 0, 1);
-    assert_eq!(down.ingest_delta(&d_comp).unwrap(), 200);
-    assert_eq!(down.stats.order_entries_compressed, 200);
-    assert_eq!(down.export_replica(1).unwrap(), compressed.own_snapshot());
-}
-
 // ---------------------------------------------------------------------
 // Span ingest / per-entry ingest equivalence
 // ---------------------------------------------------------------------
@@ -486,7 +443,6 @@ struct ModelManager {
     /// Per channel: carried a record this epoch (forwards replicated logs).
     carried: Vec<bool>,
     entries_ingested: u64,
-    order_entries_compressed: u64,
     gap_resyncs: u64,
     held_spans_skipped: u64,
     forwards_withheld: u64,
@@ -506,7 +462,6 @@ impl ModelManager {
             cursors: vec![BTreeMap::new(); channels],
             carried: vec![false; channels],
             entries_ingested: 0,
-            order_entries_compressed: 0,
             gap_resyncs: 0,
             held_spans_skipped: 0,
             forwards_withheld: 0,
@@ -594,22 +549,10 @@ impl ModelManager {
                     continue;
                 }
                 let mut ctx = wire_v2::Ctx::default();
-                let mut logical = 0;
-                while logical < count {
-                    let (epoch, item) = wire_v2::decode(&mut span, &mut ctx).unwrap();
-                    let (det, n) = match item {
-                        wire_v2::Item::Entry(det) => (det, 1),
-                        wire_v2::Item::Run { channel, run } => {
-                            self.order_entries_compressed += run;
-                            (Determinant::Order { channel }, run)
-                        }
-                    };
-                    for _ in 0..n {
-                        let added =
-                            logs[id].ingest(from + logical, epoch, det.clone(), &mut self.gap_resyncs);
-                        self.entries_ingested += added as u64;
-                        logical += 1;
-                    }
+                for seq in from..from + count {
+                    let (epoch, det) = wire_v2::decode(&mut span, &mut ctx).unwrap();
+                    let added = logs[id].ingest(seq, epoch, det, &mut self.gap_resyncs);
+                    self.entries_ingested += added as u64;
                 }
                 assert!(span.is_empty(), "span bytes past its entries");
             }
@@ -817,7 +760,6 @@ fn run_diamond(dsd: u32, steps: &[Step], fifo: bool) -> Result<(), TestCaseError
             );
         }
         prop_assert_eq!(real.stats.entries_ingested, model.entries_ingested);
-        prop_assert_eq!(real.stats.order_entries_compressed, model.order_entries_compressed);
         prop_assert_eq!(real.stats.gap_resyncs, model.gap_resyncs);
         prop_assert_eq!(real.stats.held_spans_skipped, model.held_spans_skipped);
         prop_assert_eq!(real.stats.forwards_withheld, model.forwards_withheld);
@@ -836,7 +778,7 @@ proptest! {
 
     /// Whatever the schedule — deltas delivered out of order, twice, after
     /// the receiver truncated, overlapping what another path delivered in
-    /// the middle of a compressed run, on record-carrying and barrier-only
+    /// the middle of a span, on record-carrying and barrier-only
     /// buffers — the span ingest leaves every task with the replicas, the
     /// counters and the forwarded bytes of the per-entry model.
     #[test]

@@ -270,7 +270,6 @@ impl TaskCounters {
         log.delta_entries_shipped += olog.delta_entries_shipped;
         log.deltas_ingested += olog.deltas_ingested;
         log.entries_ingested += olog.entries_ingested;
-        log.order_entries_compressed += olog.order_entries_compressed;
         log.entries_encoded += olog.entries_encoded;
         log.delta_bytes_memcpy += olog.delta_bytes_memcpy;
         log.gap_resyncs += olog.gap_resyncs;

@@ -142,7 +142,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "determinant-codec",
-        summary: "every Determinant variant must have matching encode and decode arms",
+        summary: "every Determinant variant must have matching arms in encode_wire and decode_wire",
         allowable: false,
     },
     RuleInfo {

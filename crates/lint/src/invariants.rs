@@ -4,7 +4,8 @@
 //! violation silently breaks recovery:
 //!
 //! 1. **determinant-codec** — every `Determinant` enum variant has a
-//!    matching encode arm *and* decode arm. A variant that encodes but does
+//!    matching arm in the wire codec's encoder *and* decoder
+//!    (`encode_wire`, `decode_wire`). A variant that encodes but does
 //!    not decode corrupts every causal log that ships it; one that is never
 //!    encoded can never be recovered.
 //! 2. **determinant-replay** — every variant is consumed by a replay arm
@@ -40,12 +41,12 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
         ));
     }
     let codec_refs = |name: &str| determinant_refs(det.fns.iter().find(|f| f.name == name));
-    let (encode_refs, decode_refs) = (codec_refs("encode"), codec_refs("decode_with_tag"));
+    let (encode_refs, decode_refs) = (codec_refs("encode_wire"), codec_refs("decode_wire"));
     let replay_refs = determinant_refs(
         config::REPLAY_SURFACE_FILES.iter().flat_map(|rel| &parsed(rel).fns),
     );
     for (variant, line) in &variants {
-        for (refs, codec_fn) in [(&encode_refs, "encode"), (&decode_refs, "decode_with_tag")] {
+        for (refs, codec_fn) in [(&encode_refs, "encode_wire"), (&decode_refs, "decode_wire")] {
             if !refs.contains(variant.as_str()) {
                 diags.push(Diagnostic::new(
                     config::DETERMINANT_FILE,

@@ -123,8 +123,8 @@ fn laundered_taint(tag: &str, allow_on_hop: bool) -> Fixture {
         "crates/core/src/determinant.rs",
         "pub enum Determinant { Order { channel: u32 } }\n\
          impl Determinant {\n\
-             pub fn encode(&self) { match self { Determinant::Order { .. } => {} } }\n\
-             pub fn decode_with_tag(_tag: u8) -> Determinant {\n\
+             pub fn encode_wire(&self) { match self { Determinant::Order { .. } => {} } }\n\
+             pub fn decode_wire(_tag: u8) -> Determinant {\n\
                  storage::stamp::fresh_seed();\n\
                  Determinant::Order { channel: 0 }\n\
              }\n\
@@ -160,7 +160,7 @@ fn taint_laundered_through_helper_crate_is_traced() {
     assert!(diag.message.contains("`SystemTime`"), "{}", diag.message);
     assert!(diag.message.contains("replay-surface function"), "{}", diag.message);
     let chain = diag.chain.join(" | ");
-    assert!(chain.contains("core::determinant::Determinant::decode_with_tag"), "{chain}");
+    assert!(chain.contains("core::determinant::Determinant::decode_wire"), "{chain}");
     assert!(chain.contains("storage::stamp::fresh_seed"), "{chain}");
     assert!(chain.contains("storage::stamp::entropy"), "{chain}");
 }

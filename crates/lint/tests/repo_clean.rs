@@ -104,8 +104,8 @@ impl MiniRepo {
             "crates/core/src/determinant.rs",
             "pub enum Determinant {\n    Order { channel: u32 },\n    Timer { timer_id: u64 },\n}\n\
              impl Determinant {\n\
-                 pub fn encode(&self) { match self { Determinant::Order { .. } => {}, Determinant::Timer { .. } => {} } }\n\
-                 pub fn decode_with_tag(tag: u8) -> Determinant {\n\
+                 pub fn encode_wire(&self) { match self { Determinant::Order { .. } => {}, Determinant::Timer { .. } => {} } }\n\
+                 pub fn decode_wire(tag: u8) -> Determinant {\n\
                      match tag { 0 => Determinant::Order { channel: 0 }, _ => Determinant::Timer { timer_id: 0 } }\n\
                  }\n\
              }\n",
@@ -164,13 +164,13 @@ fn consistent_mini_repo_is_clean() {
 #[test]
 fn missing_decode_arm_is_detected() {
     let repo = MiniRepo::consistent("decode");
-    // Drop the Timer arm from decode_with_tag only.
+    // Drop the Timer arm from decode_wire only.
     repo.write(
         "crates/core/src/determinant.rs",
         "pub enum Determinant {\n    Order { channel: u32 },\n    Timer { timer_id: u64 },\n}\n\
          impl Determinant {\n\
-             pub fn encode(&self) { match self { Determinant::Order { .. } => {}, Determinant::Timer { .. } => {} } }\n\
-             pub fn decode_with_tag(_tag: u8) -> Determinant { Determinant::Order { channel: 0 } }\n\
+             pub fn encode_wire(&self) { match self { Determinant::Order { .. } => {}, Determinant::Timer { .. } => {} } }\n\
+             pub fn decode_wire(_tag: u8) -> Determinant { Determinant::Order { channel: 0 } }\n\
          }\n",
     );
     let diags = analyze(&repo.root).unwrap();

@@ -241,6 +241,11 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
+    /// The unread bytes, not consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof { needed: n, remaining: self.remaining() });

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: tier-1 build + tests, then the blocking static-analysis stage
-# (clonos-lint + clippy disallow lists), then the chaos sweep.
+# Repo gate: tier-1 build + tests, the core proptests under more seeds, then
+# the blocking static-analysis stage (clonos-lint + clippy disallow lists),
+# then the chaos sweep.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,6 +11,16 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== properties: the core crate's proptests under eight more seeds (release) =="
+# The delta wire is the one determinant codec; its byte-equality, skip/decode
+# and span-ingest properties are its only oracle, so they run under seeds
+# 1..8 beside tier-1's seed 0 (the proptest shim mixes PROPTEST_SEED into
+# every test's stream).
+for seed in 1 2 3 4 5 6 7 8; do
+  echo "-- PROPTEST_SEED=$seed"
+  PROPTEST_SEED=$seed cargo test --release -q -p clonos
+done
 
 echo "== lint: clonos-lint + clippy (blocking) =="
 lint_time_file=$(mktemp)
