@@ -595,27 +595,7 @@ impl Cluster {
             if let Some(g) = self.jm.gathers.get_mut(&task) {
                 g.expected = expected.clone();
             }
-            for t in expected {
-                // Recorded at the send attempt: a chaos-dropped request then
-                // shows up as a request hop with no matching response, which
-                // is exactly the stall the conformance checker blames.
-                self.metrics.causal_event(
-                    now,
-                    "LogRequest",
-                    gen as u64,
-                    t,
-                    Some(crate::metrics::CausalRef {
-                        kind: "InstallRecovery",
-                        epoch: gen as u64,
-                        task,
-                    }),
-                );
-                self.send_recovery_ctrl(
-                    VirtualDuration::from_micros(150),
-                    t,
-                    Msg::LogRequest { origin: task, after_cp: resume_cp, gather_id },
-                );
-            }
+            self.send_log_requests(task, gen, resume_cp, gather_id, expected);
             self.sim
                 .schedule_in(self.config.gather_timeout, JM, Msg::GatherTimeout { task, attempt: 0 });
         }
@@ -656,27 +636,35 @@ impl Cluster {
             format!("gather retry {} for task {task} ({} stragglers)", attempt + 1, remaining.len()),
         );
         let gen = self.gens.get(&task).copied().unwrap_or(0);
-        for t in remaining {
-            self.metrics.causal_event(
-                now,
-                "LogRequest",
-                gen as u64,
-                t,
-                Some(crate::metrics::CausalRef {
-                    kind: "InstallRecovery",
-                    epoch: gen as u64,
-                    task,
-                }),
-            );
+        self.send_log_requests(task, gen, resume_cp, gather_id, remaining);
+        let backoff =
+            VirtualDuration::from_micros(self.config.gather_timeout.as_micros() << (attempt + 1));
+        self.sim.schedule_in(backoff, JM, Msg::GatherTimeout { task, attempt: attempt + 1 });
+    }
+
+    /// Gather step: ask each of `holders` for the determinants of `task`'s
+    /// incarnation `gen` logged after checkpoint `resume_cp`. Each request is
+    /// recorded at the send attempt: a chaos-dropped request then shows up as
+    /// a request hop with no matching response, which is exactly the stall
+    /// the conformance checker blames.
+    fn send_log_requests(
+        &mut self,
+        task: TaskId,
+        gen: u32,
+        resume_cp: u64,
+        gather_id: u64,
+        holders: impl IntoIterator<Item = TaskId>,
+    ) {
+        let now = self.sim.now();
+        let cause = crate::metrics::CausalRef { kind: "InstallRecovery", epoch: gen as u64, task };
+        for t in holders {
+            self.metrics.causal_event(now, "LogRequest", gen as u64, t, Some(cause));
             self.send_recovery_ctrl(
                 VirtualDuration::from_micros(150),
                 t,
                 Msg::LogRequest { origin: task, after_cp: resume_cp, gather_id },
             );
         }
-        let backoff =
-            VirtualDuration::from_micros(self.config.gather_timeout.as_micros() << (attempt + 1));
-        self.sim.schedule_in(backoff, JM, Msg::GatherTimeout { task, attempt: attempt + 1 });
     }
 
     /// The whole-recovery watchdog: a local recovery that has not reported

@@ -87,6 +87,7 @@ impl Workspace {
         let configured = config::RECOVERY_PATH_FILES
             .iter()
             .chain(config::REPLAY_SURFACE_FILES)
+            .chain(config::MESSAGE_HANDLER_FILES)
             .chain(config::STATS_STRUCTS.iter().map(|(_, file)| file))
             .chain([&config::DETERMINANT_FILE, &config::RUN_REPORT_FILE]);
         let rels: BTreeSet<&str> =

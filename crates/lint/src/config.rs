@@ -91,7 +91,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "message-protocol",
         summary: "every messages.rs enum variant constructed anywhere must have a handling \
-                  match arm in task.rs/cluster.rs and vice versa (no dead or unhandled \
+                  match arm in task/mod.rs or cluster.rs and vice versa (no dead or unhandled \
                   control-plane messages)",
         allowable: false,
     },
@@ -204,9 +204,13 @@ pub const DETERMINANT_FILE: &str = "crates/core/src/determinant.rs";
 
 /// Files that together form the replay surface: every `Determinant` variant
 /// must be matched (replayed) by at least one of them, otherwise a logged
-/// event can never be reproduced during recovery.
+/// event can never be reproduced during recovery. The task's replay arms
+/// live in `task/recovery.rs`; its data path and barrier code record the
+/// determinants they replay.
 pub const REPLAY_SURFACE_FILES: &[&str] = &[
-    "crates/engine/src/task.rs",
+    "crates/engine/src/task/recovery.rs",
+    "crates/engine/src/task/data_path.rs",
+    "crates/engine/src/task/checkpoint.rs",
     "crates/engine/src/cluster.rs",
     "crates/core/src/services.rs",
     "crates/core/src/causal_log.rs",
@@ -231,9 +235,10 @@ pub const RUN_REPORT_FILE: &str = "crates/engine/src/runner.rs";
 /// enum declared here participates in the `message-protocol` check.
 pub const MESSAGES_FILE: &str = "crates/engine/src/messages.rs";
 
-/// Files whose `match` arms count as *handling* a control-plane message.
+/// Files whose `match` arms count as *handling* a control-plane message:
+/// the task's one dispatch (`Task::handle`) and the cluster's.
 pub const MESSAGE_HANDLER_FILES: &[&str] =
-    &["crates/engine/src/task.rs", "crates/engine/src/cluster.rs"];
+    &["crates/engine/src/task/mod.rs", "crates/engine/src/cluster.rs"];
 
 /// Is `rel` a test-source file? Out-of-line test modules (`src/tests.rs`,
 /// `src/**/tests/*.rs`) and `tests/` integration files carry no

@@ -137,13 +137,15 @@ mod tests {
     }
 
     const MESSAGES: &str = "pub enum Msg {\n    Ping { n: u64 },\n    Pong(u64),\n}\n";
+    /// The task's configured handler file (its `Msg` dispatch).
+    const HANDLER: &str = config::MESSAGE_HANDLER_FILES[0];
 
     #[test]
     fn constructed_and_handled_is_clean() {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { n } => drop(n), Msg::Pong(n) if n > 0 => drop(n), Msg::Pong(_) => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n",
             ),
@@ -156,7 +158,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n",
             ),
@@ -166,7 +168,7 @@ mod tests {
         assert!(d[0].message.contains("`Msg::Pong` is constructed but has no handling"));
         assert_eq!(d[0].file, config::MESSAGES_FILE);
         assert_eq!(d[0].line, 3); // Pong declaration
-        assert!(d[0].chain[0].contains("constructed at crates/engine/src/task.rs:2"));
+        assert!(d[0].chain[0].contains(&format!("constructed at {HANDLER}:2")));
     }
 
     #[test]
@@ -174,7 +176,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); }\n",
             ),
@@ -190,7 +192,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); }\n",
             ),
@@ -205,7 +207,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n\
                  #[cfg(test)]\nmod tests {\n    fn t(m: Msg) { match m { Msg::Pong(_) => {}, _ => {} } }\n}\n",
@@ -229,7 +231,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); }\n",
             ),
@@ -268,7 +270,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); }\n\
                  fn peek(m: &Msg) -> u64 { if let Msg::Pong(n) = m { *n } else { 0 } }\n",
@@ -277,7 +279,7 @@ mod tests {
         let d = check(&w);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`Msg::Pong` has a handling match arm but is never constructed"));
-        assert!(d[0].chain[0].contains("handled at crates/engine/src/task.rs:1"), "{:?}", d[0].chain);
+        assert!(d[0].chain[0].contains(&format!("handled at {HANDLER}:1")), "{:?}", d[0].chain);
     }
 
     /// Same for `matches!`: its second operand is a pattern.
@@ -286,7 +288,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); }\n\
                  fn is_pong(m: &Msg) -> bool { matches!(m, Msg::Pong(..) | Msg::Pong(0)) }\n",
@@ -304,7 +306,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/task.rs",
+                HANDLER,
                 "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n\
                  fn peek(m: &Msg) -> bool { if let Msg::Pong(_) = m { return true; } matches!(m, Msg::Pong(1)) }\n",
@@ -313,6 +315,6 @@ mod tests {
         let d = check(&w);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`Msg::Pong` is constructed but has no handling"));
-        assert_eq!(d[0].chain, vec!["constructed at crates/engine/src/task.rs:2"]);
+        assert_eq!(d[0].chain, vec![format!("constructed at {HANDLER}:2")]);
     }
 }

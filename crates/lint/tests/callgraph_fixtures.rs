@@ -4,10 +4,15 @@
 //! directory tree under `CARGO_TARGET_TMPDIR` run through the full
 //! `analyze` pipeline — the same path the CLI takes.
 
+use clonos_lint::config;
 use clonos_lint::diagnostics::render_json;
 use clonos_lint::{analyze, Diagnostic};
 use std::fs;
 use std::path::PathBuf;
+
+/// The configured files holding the task's replay arms and its `Msg` dispatch.
+const REPLAY: &str = config::REPLAY_SURFACE_FILES[0];
+const HANDLER: &str = config::MESSAGE_HANDLER_FILES[0];
 
 struct Fixture {
     root: PathBuf,
@@ -143,7 +148,7 @@ fn laundered_taint(tag: &str, allow_on_hop: bool) -> Fixture {
     );
     // Replay arm so the determinant-replay invariant stays quiet.
     f.write(
-        "crates/engine/src/task.rs",
+        REPLAY,
         "fn replay(d: &Determinant) { match d { Determinant::Order { .. } => {} } }\n",
     );
     f.write("crates/engine/src/cluster.rs", "// no arms\n");
@@ -185,7 +190,7 @@ fn unhandled_message_variant_is_flagged_with_sites() {
         "pub enum Msg {\n    Ping { n: u64 },\n    Orphan(u32),\n}\n",
     );
     f.write(
-        "crates/engine/src/task.rs",
+        HANDLER,
         "fn handle(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
          fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Orphan(7)); }\n",
     );
@@ -195,7 +200,7 @@ fn unhandled_message_variant_is_flagged_with_sites() {
     assert_eq!(d[0].file, "crates/engine/src/messages.rs");
     assert_eq!(d[0].line, 3); // Orphan declaration
     assert!(d[0].message.contains("`Msg::Orphan` is constructed but has no handling"));
-    assert!(d[0].chain[0].contains("constructed at crates/engine/src/task.rs:2"), "{:?}", d[0].chain);
+    assert!(d[0].chain[0].contains(&format!("constructed at {HANDLER}:2")), "{:?}", d[0].chain);
 }
 
 #[test]
@@ -206,7 +211,7 @@ fn dead_variant_and_dead_arm_are_flagged() {
         "pub enum Msg {\n    Ping,\n    Ghost,\n    Zombie,\n}\n",
     );
     f.write(
-        "crates/engine/src/task.rs",
+        HANDLER,
         "fn handle(m: Msg) { match m { Msg::Ping => {}, Msg::Zombie => {}, _ => {} } }\n\
          fn send() { emit(Msg::Ping); }\n",
     );
@@ -227,7 +232,7 @@ fn only_tested_never_sent(tag: &str, test_fn: &str) -> Vec<Diagnostic> {
         "pub enum Msg {\n    Ping { n: u64 },\n    Probe(u32),\n}\n",
     );
     f.write(
-        "crates/engine/src/task.rs",
+        HANDLER,
         &format!(
             "fn handle(m: Msg) {{ match m {{ Msg::Ping {{ .. }} => {{}}, Msg::Probe(_) => {{}} }} }}\n\
              fn send() {{ emit(Msg::Ping {{ n: 1 }}); }}\n{test_fn}\n"
@@ -246,7 +251,7 @@ fn if_let_on_a_never_sent_variant_is_not_a_construction() {
     assert_eq!(d.len(), 1, "{d:?}");
     assert_eq!((d[0].file.as_str(), d[0].line), ("crates/engine/src/messages.rs", 3));
     assert!(d[0].message.contains("`Msg::Probe` has a handling match arm but is never constructed"));
-    assert_eq!(d[0].chain, vec!["handled at crates/engine/src/task.rs:1"]);
+    assert_eq!(d[0].chain, vec![format!("handled at {HANDLER}:1")]);
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! lint-clean" gate, and a synthetic mini-workspace proving the cross-file
 //! invariant checks fire when a codec/replay arm or counter goes missing.
 
+use clonos_lint::config;
 use clonos_lint::diagnostics::render_json;
 use clonos_lint::{analyze, analyze_ordered, relative, rust_files_under};
 use std::fs;
@@ -87,6 +88,9 @@ fn analysis_output_is_byte_identical_and_order_independent() {
 // Synthetic workspace for the cross-file invariants.
 // ---------------------------------------------------------------------
 
+/// The configured file holding the task's replay arms.
+const REPLAY: &str = config::REPLAY_SURFACE_FILES[0];
+
 struct MiniRepo {
     root: PathBuf,
 }
@@ -110,11 +114,13 @@ impl MiniRepo {
                  }\n\
              }\n",
         );
+        for rel in config::REPLAY_SURFACE_FILES.iter().chain(config::MESSAGE_HANDLER_FILES) {
+            repo.write(rel, "// no replay arms here\n");
+        }
         repo.write(
-            "crates/engine/src/task.rs",
+            REPLAY,
             "fn replay(d: &Determinant) { match d { Determinant::Order { .. } => {}, Determinant::Timer { .. } => {} } }\n",
         );
-        repo.write("crates/engine/src/cluster.rs", "// no replay arms here\n");
         repo.write(
             "crates/engine/src/metrics.rs",
             "pub struct RecoveryStats {\n    pub escalations: u64,\n}\n\
@@ -188,7 +194,7 @@ fn missing_decode_arm_is_detected() {
 fn missing_replay_arm_is_detected() {
     let repo = MiniRepo::consistent("replay");
     repo.write(
-        "crates/engine/src/task.rs",
+        REPLAY,
         "fn replay(d: &Determinant) { match d { Determinant::Order { .. } => {}, _ => {} } }\n",
     );
     let diags = analyze(&repo.root).unwrap();
@@ -202,11 +208,26 @@ fn missing_replay_arm_is_detected() {
 fn replay_arm_inside_cfg_test_does_not_count() {
     let repo = MiniRepo::consistent("replay_test_only");
     repo.write(
-        "crates/engine/src/task.rs",
+        REPLAY,
         "fn replay(d: &Determinant) { match d { Determinant::Order { .. } => {}, _ => {} } }\n\
          #[cfg(test)]\nmod tests {\n    fn t(d: &Determinant) { match d { Determinant::Timer { .. } => {}, _ => {} } }\n}\n",
     );
     assert!(repo.rules_fired().contains(&"determinant-replay".to_string()));
+}
+
+/// Every configured file is read, the message-handler files included: a
+/// handler path that no longer exists (a file split or renamed without its
+/// config entry) is an `unreadable-file` error, not a silently empty handler.
+#[test]
+fn absent_configured_handler_file_is_unreadable() {
+    let repo = MiniRepo::consistent("handler_absent");
+    let handler = config::MESSAGE_HANDLER_FILES[0];
+    fs::remove_file(repo.root.join(handler)).unwrap();
+    let diags = analyze(&repo.root).unwrap();
+    assert!(
+        diags.iter().any(|d| d.rule == "unreadable-file" && d.file == handler),
+        "{diags:?}"
+    );
 }
 
 #[test]

@@ -283,3 +283,22 @@ fn sink_killed_between_ack_and_commit_loses_nothing() {
         assert_matches_reference(&report, &reference, &label);
     }
 }
+
+/// Both recovery retry ladders under partial control-plane loss. Task 3 dies
+/// at 6 s while 30 % of recovery control messages are lost; with seed 3 the
+/// job manager re-sends a lost `LogRequest` (gather ladder) and the
+/// replacement re-sends a lost `ReplayRequest` (replay ladder), and the
+/// recovery still completes locally with exactly-once output. The chaos
+/// sweeps only exercise these ladders, and the watchdog test drops every
+/// control message, so this is the one run that pins a retry that succeeds.
+#[test]
+fn lossy_control_plane_retries_both_ladders_and_recovers_locally() {
+    let plan = FailurePlan::none().kill_at(VirtualTime(6_000_000), 3);
+    let report = run_oracle_plan(clonos_full(), 3, plan, |cfg| cfg.ctrl_loss_prob = 0.3);
+    let rs = &report.recovery_stats;
+    assert!(rs.gather_retries >= 1, "no gather retry: {rs:?}");
+    assert!(rs.replay_request_retries >= 1, "no replay-request retry: {rs:?}");
+    assert!(rs.recoveries_completed >= 1, "recovery never completed: {rs:?}");
+    assert_eq!(rs.escalations, 0, "escalated to a global rollback: {rs:?}");
+    assert_exactly_once(&report, "lossy control plane, seed 3");
+}
