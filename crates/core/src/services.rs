@@ -119,25 +119,21 @@ impl CausalServices {
                 log.record(Determinant::Timestamp { ts, offset: step });
                 Ok(ts)
             }
-            ServiceMode::Replaying => match log.peek_replay() {
-                Some(&Determinant::Timestamp { offset, .. }) if offset == step => {
-                    let Some(Determinant::Timestamp { ts, .. }) = log.pop_replay() else {
-                        // clonos-lint: allow(recovery-panic, reason = "pop_replay returns the entry peek_replay just matched; divergence here is a torn log, not a recoverable fault")
-                        unreachable!("peeked Timestamp")
-                    };
+            ServiceMode::Replaying => match (log.peek_replay(), self.cached_ts) {
+                (Some(&Determinant::Timestamp { ts, offset }), _) if offset == step => {
+                    log.pop_replay();
                     // Re-prime the cache so post-replay behaviour matches.
                     self.cached_ts = Some((ts, now));
                     Ok(ts)
                 }
                 // Cached-window call during replay: the original run returned
                 // the cached value without logging; do the same.
-                // clonos-lint: allow(recovery-panic, reason = "guarded by the is_some match arm condition on the same expression")
-                _ if self.cached_ts.is_some() => Ok(self.cached_ts.expect("checked").0),
-                Some(other) => Err(ServiceError::ReplayDivergence {
+                (_, Some((ts, _))) => Ok(ts),
+                (Some(other), None) => Err(ServiceError::ReplayDivergence {
                     expected: "Timestamp",
                     found: format!("{other:?}"),
                 }),
-                None => Err(ServiceError::ReplayExhausted { expected: "Timestamp" }),
+                (None, None) => Err(ServiceError::ReplayExhausted { expected: "Timestamp" }),
             },
         }
     }

@@ -13,7 +13,7 @@
 //!   `BeginReplay` — or a stop-the-world `RestartAll` for the baseline and
 //!   for Clonos' orphan fallback.
 
-use crate::config::{EngineConfig, FtMode};
+use crate::config::{EngineConfig, FtMode, GATHER_TIMEOUT, RECOVERY_TIMEOUT};
 use crate::coordinator::{JmCtx, JobManager, LogGather};
 use crate::error::EngineError;
 use crate::graph::{ExecutionGraph, JobGraph, Partitioning, VertexKind};
@@ -587,8 +587,7 @@ impl Cluster {
         // below (lost requests, a survivor dying mid-response, an upstream
         // that never serves the replay), this incarnation either reports
         // `RecoveryDone` or the watchdog escalates to a global rollback.
-        self.sim
-            .schedule_in(self.config.recovery_timeout, JM, Msg::RecoveryWatchdog { task, gen });
+        self.sim.schedule_in(RECOVERY_TIMEOUT, JM, Msg::RecoveryWatchdog { task, gen });
         if expected.is_empty() {
             self.jm_dispatch_begin_replay(task);
         } else {
@@ -596,8 +595,7 @@ impl Cluster {
                 g.expected = expected.clone();
             }
             self.send_log_requests(task, gen, resume_cp, gather_id, expected);
-            self.sim
-                .schedule_in(self.config.gather_timeout, JM, Msg::GatherTimeout { task, attempt: 0 });
+            self.sim.schedule_in(GATHER_TIMEOUT, JM, Msg::GatherTimeout { task, attempt: 0 });
         }
     }
 
@@ -637,8 +635,7 @@ impl Cluster {
         );
         let gen = self.gens.get(&task).copied().unwrap_or(0);
         self.send_log_requests(task, gen, resume_cp, gather_id, remaining);
-        let backoff =
-            VirtualDuration::from_micros(self.config.gather_timeout.as_micros() << (attempt + 1));
+        let backoff = VirtualDuration::from_micros(GATHER_TIMEOUT.as_micros() << (attempt + 1));
         self.sim.schedule_in(backoff, JM, Msg::GatherTimeout { task, attempt: attempt + 1 });
     }
 

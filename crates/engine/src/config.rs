@@ -46,31 +46,50 @@ pub enum CheckpointMode {
     Unaligned,
 }
 
+/// Network buffer capacity in bytes.
+pub const BUFFER_SIZE: usize = 32 * 1024;
+/// Flush partial output buffers at this period (the nondeterministic
+/// buffer-size source of §4.1).
+pub const FLUSH_INTERVAL: VirtualDuration = VirtualDuration::from_millis(5);
+/// Extra virtual cost per shipped determinant-delta byte (serialization and
+/// network overhead of causal logging).
+pub const DELTA_BYTE_COST_NS: u64 = 30;
+/// Base link latency and jitter bound between tasks.
+pub const LINK_LATENCY: VirtualDuration = VirtualDuration::from_micros(300);
+pub const LINK_JITTER: VirtualDuration = VirtualDuration::from_micros(400);
+/// Failure-detection delay for Clonos (connection reset propagation).
+pub const DETECTION_LOCAL: VirtualDuration = VirtualDuration::from_millis(200);
+/// Determinant-log gather round timeout: if any expected survivor has not
+/// responded within this window, the JM re-requests the stragglers
+/// (doubling the window each retry).
+pub const GATHER_TIMEOUT: VirtualDuration = VirtualDuration::from_millis(400);
+/// Recovering-task replay-request timeout: if an upstream has not started
+/// replaying within this window the request is re-sent (doubling each
+/// retry; upstreams dedup by requester incarnation).
+pub const REPLAY_REQUEST_TIMEOUT: VirtualDuration = VirtualDuration::from_millis(800);
+pub const MAX_REPLAY_REQUEST_RETRIES: u32 = 3;
+/// Whole-recovery watchdog: a local recovery still incomplete after this
+/// long escalates to a global rollback (the never-hang guarantee).
+pub const RECOVERY_TIMEOUT: VirtualDuration = VirtualDuration::from_secs(20);
+/// Buffers sent per replay-pump step (upstream replay pacing).
+pub const REPLAY_BATCH: usize = 16;
+
+// Zero-sized buffers or batches would hang the pipeline: records could
+// never be flushed, replay pumping would never progress.
+const _: () = assert!(BUFFER_SIZE > 0 && REPLAY_BATCH > 0);
+
 /// Full engine configuration. Defaults follow the paper's evaluation setup
 /// (§7.1) scaled to simulation: checkpoint interval 5 s, Flink failure
 /// detection via 4 s heartbeats timing out after 6 s, small per-channel
-/// output buffer pools, 32 KiB network buffers.
+/// output buffer pools, 32 KiB network buffers (`BUFFER_SIZE`).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Root seed; all simulated nondeterminism derives from it.
     pub seed: u64,
     pub ft: FtMode,
-    /// Network buffer capacity in bytes.
-    pub buffer_size: usize,
-    /// Flush partial output buffers at this period (the nondeterministic
-    /// buffer-size source of §4.1).
-    pub flush_interval: VirtualDuration,
     pub checkpoint_interval: VirtualDuration,
     /// Per-record processing cost charged to a task's service queue.
     pub record_cost: VirtualDuration,
-    /// Extra virtual cost per shipped determinant-delta byte (serialization
-    /// and network overhead of causal logging).
-    pub delta_byte_cost_ns: u64,
-    /// Base link latency and jitter bound between tasks.
-    pub link_latency: VirtualDuration,
-    pub link_jitter: VirtualDuration,
-    /// Failure-detection delay for Clonos (connection reset propagation).
-    pub detection_local: VirtualDuration,
     /// Failure-detection delay for the global-rollback baseline (heartbeat
     /// timeout — the paper tunes Flink to 4 s interval / 6 s timeout).
     pub detection_global: VirtualDuration,
@@ -81,21 +100,9 @@ pub struct EngineConfig {
     /// concurrent kills then produce concurrent detections, which several
     /// multi-failure scenarios rely on; chaos plans always set it nonzero.
     pub detection_jitter: VirtualDuration,
-    /// Determinant-log gather round timeout: if any expected survivor has not
-    /// responded within this window, the JM re-requests the stragglers
-    /// (doubling the window each retry).
-    pub gather_timeout: VirtualDuration,
     /// Gather retry rounds before the JM gives up and escalates the recovery
     /// to a global rollback.
     pub max_gather_retries: u32,
-    /// Recovering-task replay-request timeout: if an upstream has not started
-    /// replaying within this window the request is re-sent (doubling each
-    /// retry; upstreams dedup by requester incarnation).
-    pub replay_request_timeout: VirtualDuration,
-    pub max_replay_request_retries: u32,
-    /// Whole-recovery watchdog: a local recovery still incomplete after this
-    /// long escalates to a global rollback (the never-hang guarantee).
-    pub recovery_timeout: VirtualDuration,
     /// Chaos: probability that an eligible recovery control message
     /// (LogRequest / LogResponse / ReplayRequest) is dropped in transit.
     /// Checkpoint-coordination RPCs are exempt — they model Flink's reliable
@@ -116,8 +123,6 @@ pub struct EngineConfig {
     pub restart_delay: VirtualDuration,
     /// Number of cluster nodes (standby anti-affinity placement domain).
     pub num_nodes: u32,
-    /// Buffers sent per replay-pump step (upstream replay pacing).
-    pub replay_batch: usize,
     /// Extra synthetic state bytes included in each task snapshot, to model
     /// jobs with large operator state (the §7.4 multi-failure experiments
     /// use 100 MB per operator).
@@ -147,28 +152,17 @@ impl Default for EngineConfig {
         EngineConfig {
             seed: 1,
             ft: FtMode::Clonos(ClonosConfig::default()),
-            buffer_size: 32 * 1024,
-            flush_interval: VirtualDuration::from_millis(5),
             checkpoint_interval: VirtualDuration::from_secs(5),
             record_cost: VirtualDuration::from_micros(10),
-            delta_byte_cost_ns: 30,
-            link_latency: VirtualDuration::from_micros(300),
-            link_jitter: VirtualDuration::from_micros(400),
-            detection_local: VirtualDuration::from_millis(200),
             detection_global: VirtualDuration::from_secs(6),
             detection_jitter: VirtualDuration::ZERO,
-            gather_timeout: VirtualDuration::from_millis(400),
             max_gather_retries: 3,
-            replay_request_timeout: VirtualDuration::from_millis(800),
-            max_replay_request_retries: 3,
-            recovery_timeout: VirtualDuration::from_secs(20),
             ctrl_loss_prob: 0.0,
             ctrl_delay_prob: 0.0,
             ctrl_max_delay: VirtualDuration::ZERO,
             inject_ack_loss: None,
             restart_delay: VirtualDuration::from_secs(8),
             num_nodes: 8,
-            replay_batch: 16,
             synthetic_state_bytes: 0,
             checkpoint_rebase_interval: 8,
             checkpoint_mode: CheckpointMode::Aligned,
@@ -202,21 +196,15 @@ impl EngineConfig {
     /// Detection delay applicable to the configured mode.
     pub fn detection_delay(&self) -> VirtualDuration {
         match self.ft {
-            FtMode::Clonos(_) => self.detection_local,
+            FtMode::Clonos(_) => DETECTION_LOCAL,
             _ => self.detection_global,
         }
     }
 
     /// Reject incoherent configurations up front with a typed error instead
-    /// of a mid-run panic (zero-sized buffers or batches hang the pipeline).
+    /// of a mid-run panic.
     pub fn validate(&self) -> Result<(), crate::error::EngineError> {
         let bad = |msg: String| Err(crate::error::EngineError::Config(msg));
-        if self.buffer_size == 0 {
-            return bad("buffer_size must be > 0 (records could never be flushed)".into());
-        }
-        if self.replay_batch == 0 {
-            return bad("replay_batch must be > 0 (replay pumping would never progress)".into());
-        }
         if !matches!(self.ft, FtMode::None) && self.checkpoint_interval == VirtualDuration::ZERO {
             return bad(
                 "checkpoint_interval must be > 0 when fault tolerance is enabled \
@@ -261,10 +249,9 @@ mod tests {
         assert_eq!(c.ctrl_delay_prob, 0.0);
         // Retry ladder must terminate well inside the recovery watchdog:
         // worst-case gather time = sum of timeout * 2^i over all rounds.
-        let worst_gather: u64 = (0..=c.max_gather_retries)
-            .map(|i| c.gather_timeout.as_micros() << i)
-            .sum();
-        assert!(worst_gather < c.recovery_timeout.as_micros());
+        let worst_gather: u64 =
+            (0..=c.max_gather_retries).map(|i| GATHER_TIMEOUT.as_micros() << i).sum();
+        assert!(worst_gather < RECOVERY_TIMEOUT.as_micros());
         // Jitter is opt-in too: zero keeps concurrent detections concurrent.
         assert_eq!(c.detection_jitter, VirtualDuration::ZERO);
     }
@@ -292,12 +279,6 @@ mod tests {
         // Rebase interval 0 is valid: every image is a full base.
         let c = EngineConfig { checkpoint_rebase_interval: 0, ..EngineConfig::default() };
         assert!(c.validate().is_ok());
-
-        let c = EngineConfig { buffer_size: 0, ..EngineConfig::default() };
-        reject(c, "buffer_size");
-
-        let c = EngineConfig { replay_batch: 0, ..EngineConfig::default() };
-        reject(c, "replay_batch");
 
         let c = EngineConfig { checkpoint_interval: VirtualDuration::ZERO, ..EngineConfig::default() };
         reject(c, "checkpoint_interval");

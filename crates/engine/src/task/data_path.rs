@@ -2,7 +2,7 @@
 //! cuts, watermarks, timers and sources, logging what it decides as it goes.
 
 use super::*;
-use crate::config::CheckpointMode;
+use crate::config::{CheckpointMode, BUFFER_SIZE, DELTA_BYTE_COST_NS, FLUSH_INTERVAL};
 use crate::graph::TimestampMode;
 use crate::operator::{timer_id, OpCtx, TimerKind};
 use crate::record::{barrier_only, BufferReader, Element, StreamElement};
@@ -411,7 +411,7 @@ impl Task {
         let chan = out_idx as ChannelId;
         if self.log.replaying_flushes(chan) {
             self.drain_replay_flushes(out_idx..out_idx + 1, at, ctx)?;
-        } else if self.outs[out_idx].writer.len() >= self.buffer_size {
+        } else if self.outs[out_idx].writer.len() >= BUFFER_SIZE {
             self.flush_channel(out_idx, at, true, ctx)?;
         }
         Ok(())
@@ -449,10 +449,8 @@ impl Task {
         // Causal-logging cost: shipping the delta costs serialization and
         // network time proportional to its size.
         let mut send_at = at;
-        if !delta.is_empty() && ctx.config.delta_byte_cost_ns > 0 {
-            let cost = VirtualDuration::from_micros(
-                (delta.len() as u64 * ctx.config.delta_byte_cost_ns) / 1_000,
-            );
+        if !delta.is_empty() {
+            let cost = VirtualDuration::from_micros(delta.len() as u64 * DELTA_BYTE_COST_NS / 1_000);
             send_at = self.queue.admit(send_at, cost);
         }
         let buffer = SentBuffer { epoch: self.epoch, payload, delta, records };
@@ -498,7 +496,7 @@ impl Task {
             self.flush_all(ctx)?;
         }
         // clonos-lint: allow(non-progressing-cycle, reason = "fixed-interval flush timer: each firing is idempotent and the sim horizon bounds the loop; there is no protocol state to advance")
-        ctx.sched.schedule_in(ctx.config.flush_interval, self.spec.id, Msg::FlushTick);
+        ctx.sched.schedule_in(FLUSH_INTERVAL, self.spec.id, Msg::FlushTick);
         Ok(())
     }
 

@@ -28,7 +28,7 @@ pub use checkpoint::TaskSnapshot;
 pub use sink::{effective_sink_meta, effective_sink_records, encode_abort_marker};
 pub use sink::{SinkMeta, META_ABORT, META_DATA};
 
-use crate::config::{EngineConfig, FtMode};
+use crate::config::{EngineConfig, FtMode, FLUSH_INTERVAL, LINK_JITTER, LINK_LATENCY};
 use crate::error::EngineError;
 use crate::graph::{Partitioning, SourceSpec, TaskSpec, VertexKind};
 use crate::messages::Msg;
@@ -67,8 +67,8 @@ impl<'a> TaskCtx<'a> {
             .entry((from, to))
             .or_insert_with(|| {
                 Link::new(
-                    self.config.link_latency,
-                    self.config.link_jitter,
+                    LINK_LATENCY,
+                    LINK_JITTER,
                     SimRng::new(self.config.seed).fork(from.wrapping_mul(1_000_003) ^ to),
                 )
             });
@@ -158,7 +158,6 @@ pub struct Task {
     /// Replay bookkeeping (`recovery.rs`).
     replay: recovery::Replay,
     pub dead: bool,
-    buffer_size: usize,
     /// Scratch encoder for the routing fast path: a routed record is
     /// serialized once here, then its bytes are copied to each destination
     /// channel's builder.
@@ -277,7 +276,6 @@ impl Task {
             queue: ServiceQueue::new(),
             replay: recovery::Replay::new(num_outs),
             dead: false,
-            buffer_size: config.buffer_size,
             route_scratch: ByteWriter::new(),
             scratch_rec: Record::default(),
             emits: Vec::new(),
@@ -384,7 +382,7 @@ impl Task {
             );
         }
         if !self.outs.is_empty() {
-            ctx.sched.schedule_in(ctx.config.flush_interval, me, Msg::FlushTick);
+            ctx.sched.schedule_in(FLUSH_INTERVAL, me, Msg::FlushTick);
         }
         // Reschedule restored processing-time timers.
         self.schedule_proc_timers(ctx);

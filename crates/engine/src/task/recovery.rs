@@ -3,6 +3,7 @@
 
 use super::data_path::{InChannel, WM_TIMER_ID};
 use super::*;
+use crate::config::{MAX_REPLAY_REQUEST_RETRIES, REPLAY_BATCH, REPLAY_REQUEST_TIMEOUT};
 use crate::metrics::CausalRef;
 use crate::operator::{timer_id, TimerKind};
 use bytes::Bytes;
@@ -327,7 +328,7 @@ impl Task {
         self.send_replay_requests(|_| true, ctx);
         if !self.ins.is_empty() {
             ctx.sched.schedule_in(
-                ctx.config.replay_request_timeout,
+                REPLAY_REQUEST_TIMEOUT,
                 self.spec.id,
                 Msg::ReplayRetryTick { attempt: 0 },
             );
@@ -375,7 +376,7 @@ impl Task {
     pub(super) fn on_replay_retry_tick(&mut self, attempt: u32, ctx: &mut TaskCtx<'_>) {
         let installed = self.replay.installed;
         let outstanding = installed || self.ins.iter().any(|c| c.awaiting_resume);
-        if !outstanding || attempt >= ctx.config.max_replay_request_retries {
+        if !outstanding || attempt >= MAX_REPLAY_REQUEST_RETRIES {
             return;
         }
         let me = self.spec.id;
@@ -385,9 +386,7 @@ impl Task {
             format!("task {me} replay retry {} (re-requesting upstream replay)", attempt + 1),
         );
         self.send_replay_requests(|c| installed || c.awaiting_resume, ctx);
-        let backoff = VirtualDuration::from_micros(
-            ctx.config.replay_request_timeout.as_micros() << (attempt + 1),
-        );
+        let backoff = VirtualDuration::from_micros(REPLAY_REQUEST_TIMEOUT.as_micros() << (attempt + 1));
         ctx.sched.schedule_in(backoff, me, Msg::ReplayRetryTick { attempt: attempt + 1 });
     }
 
@@ -483,7 +482,7 @@ impl Task {
 
     pub(super) fn on_replay_pump(&mut self, channel: ChannelId, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
         let idx = channel as usize;
-        let batch = ctx.config.replay_batch;
+        let batch = REPLAY_BATCH;
         let me = self.spec.id;
         for _ in 0..batch {
             let Some(mut cursor) = self.outs[idx].pump else { return Ok(()) };

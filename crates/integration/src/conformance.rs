@@ -1,9 +1,10 @@
 //! Runtime trace conformance against the statically derived causal spec
 //! (DESIGN.md §11).
 //!
-//! `clonos-lint --emit-spec` publishes `results/causal_spec.json`: the
-//! protocol's entry variants and its "sent-in-response-to" edges, extracted
-//! from handler-arm send sites. Every chaos run records a causal trace
+//! [`StaticSpec::derive`] runs `clonos-lint` in-process for the spec
+//! `--emit-spec` publishes as `results/causal_spec.json`: the protocol's
+//! entry variants and its "sent-in-response-to" edges, extracted from
+//! handler-arm send sites. Every chaos run records a causal trace
 //! ([`CausalEvent`]s in [`RunReport::causal_events`]) on the engine side.
 //! This module replays the trace against the spec and reports, with a blame
 //! chain, every hop the static protocol does not sanction:
@@ -55,69 +56,9 @@ pub struct StaticSpec {
     pub chains: Vec<(String, Vec<String>)>,
 }
 
-/// Extract `"key":"value"` from a single rendered-JSON line.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
 impl StaticSpec {
-    /// Parse the spec from the `--emit-spec` JSON. The renderer emits one
-    /// object per line, so a line-oriented scan is exact for its output.
-    pub fn from_json(s: &str) -> Option<StaticSpec> {
-        let mut spec = StaticSpec::default();
-        let mut section = "";
-        for line in s.lines() {
-            let t = line.trim();
-            if t.starts_with("\"entries\"") {
-                section = "entries";
-            } else if t.starts_with("\"edges\"") {
-                section = "edges";
-            } else if t.starts_with("\"chains\"") {
-                section = "chains";
-            } else if section == "entries" {
-                if let Some(v) = json_field(t, "variant") {
-                    spec.entries.insert(v.to_string());
-                }
-            } else if section == "edges" {
-                if let (Some(f), Some(to)) = (json_field(t, "from"), json_field(t, "to")) {
-                    spec.edges.insert((f.to_string(), to.to_string()));
-                }
-            } else if section == "chains" {
-                if let Some(name) = json_field(t, "name") {
-                    let hops_src = t.split("\"hops\":[").nth(1)?;
-                    let hops: Vec<String> = hops_src[..hops_src.find(']')?]
-                        .split(',')
-                        .map(|h| h.trim_matches(|c| c == '"').to_string())
-                        .filter(|h| !h.is_empty())
-                        .collect();
-                    spec.chains.push((name.to_string(), hops));
-                }
-            }
-        }
-        if spec.edges.is_empty() {
-            None
-        } else {
-            Some(spec)
-        }
-    }
-
-    /// Load the published `results/causal_spec.json` under `root`, falling
-    /// back to deriving the spec in-process with `clonos-lint` — same
-    /// extraction, never stale — when the file is absent (tests run before
-    /// CI has published anything).
-    pub fn load(root: &Path) -> StaticSpec {
-        if let Ok(s) = std::fs::read_to_string(root.join("results/causal_spec.json")) {
-            if let Some(spec) = StaticSpec::from_json(&s) {
-                return spec;
-            }
-        }
-        Self::derive(root)
-    }
-
-    /// Derive the spec by running the static analysis over the workspace.
+    /// Derive the spec by running the static analysis over the workspace —
+    /// the same extraction `--emit-spec` publishes, never stale.
     pub fn derive(root: &Path) -> StaticSpec {
         let fa = clonos_lint::analyze_full(root).expect("static analysis over workspace");
         let mut spec = StaticSpec {

@@ -26,7 +26,7 @@
 use crate::config;
 use crate::diagnostics::Diagnostic;
 use crate::lexer::{self, AllowAnnotation, LexedFile, Tokens};
-use crate::parser::{self, CallTarget, FnItem, ParsedFile};
+use crate::parser::{self, CallTarget, FnItem, MarkKind, ParsedFile};
 use crate::rules::test_regions;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -263,12 +263,13 @@ impl<'a> CallGraph<'a> {
         let mut unknown_keys: BTreeSet<(String, u32, String)> = BTreeSet::new();
         for (ix, Node { file: rel, item, .. }) in nodes.iter().enumerate() {
             let pf = &ws.files[*rel];
-            for call in &item.calls {
+            for call in &item.marks {
+                let MarkKind::Call(target) = &call.kind else { continue };
                 let mut link = |targets: &[usize], by_name: bool| {
                     let edge = |&to| Edge { to, line: call.line, ord: call.ord, by_name };
                     edges[ix].extend(targets.iter().map(edge));
                 };
-                match &call.target {
+                match target {
                     CallTarget::Path(segs) => match index.resolve(ws, pf, item, segs) {
                         Resolution::Fns(targets) => {
                             stats.resolved_paths += 1;
@@ -555,10 +556,16 @@ mod tests {
             "clonos",
             "struct S { q: Mutex<u32> }\nimpl S { fn f(&self) { let g = self.q.lock().unwrap(); std::thread::sleep(d); } }\n",
         )]);
-        let n = g.nodes[ix(&g, "clonos::a::S::f")].item;
-        assert_eq!(n.locks.len(), 1);
-        assert_eq!(n.locks[0].lock, "q");
-        assert_eq!(n.blocks.len(), 1);
+        let marks = &g.nodes[ix(&g, "clonos::a::S::f")].item.marks;
+        let locks: Vec<&str> = marks
+            .iter()
+            .filter_map(|m| match &m.kind {
+                parser::MarkKind::Lock(lock) => Some(lock.lock.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(locks, vec!["q"]);
+        assert_eq!(marks.iter().filter(|m| matches!(m.kind, parser::MarkKind::Block(..))).count(), 1);
     }
 
     #[test]

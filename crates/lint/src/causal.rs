@@ -9,7 +9,7 @@
 //!   (`parser::ArmRegion`) whose pattern names a variant of the protocol
 //!   file (`config::MESSAGES_FILE`), in any non-test graph file.
 //! * A **send** is an `Enum::Variant` construction site
-//!   (`parser::SendFact`) of a protocol variant.
+//!   (`parser::MarkKind::Send`) of a protocol variant.
 //! * The causal edge `V → W` exists when handling `V` leads to sending
 //!   `W`. Propagation states (`propagate::bfs`) are `(arm, callee)`: the
 //!   zero-hop state is the arm's own body extent, whose sends of `W` count
@@ -21,9 +21,13 @@
 //!   a function that is neither reachable from any handler-arm call site
 //!   nor itself a handler (e.g. the deploy-time `CheckpointTick` kick-off
 //!   and the failure-detector's `FailureDetected`).
-//! * An edge **makes progress** when a `config`-listed progress counter
-//!   (`PROGRESS_IDENTS`) is incremented inside the arm window or in any
-//!   function on the arm→send call chain.
+//! * An edge **makes progress** when, on some arm→send path, a progress
+//!   counter (`PROGRESS_IDENTS`) is incremented inside the arm window or in
+//!   a function of the call chain — any path, not just the exemplar the
+//!   BFS keeps, so no file or helper name can flip it.
+//! * `message-protocol` reads the same per-node view: every declared
+//!   variant is constructed and handled by an arm in a
+//!   `config::MESSAGE_HANDLER_FILES` file (not allowable).
 //!
 //! Rules (all allowable, exemplar-blamed):
 //!
@@ -42,10 +46,10 @@
 //! are byte-identical across runs and file orders.
 
 use crate::allows::AllowBook;
-use crate::callgraph::{CallGraph, Workspace};
+use crate::callgraph::{CallGraph, Node, Workspace};
 use crate::config;
 use crate::diagnostics::{json_str, Diagnostic};
-use crate::parser::PROGRESS_IDENTS;
+use crate::parser::{ArmRegion, MarkKind, VariantSite, PROGRESS_IDENTS};
 use crate::propagate::{bfs, Reached};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -60,8 +64,6 @@ pub struct CausalEdge {
     /// The `from` handler arm the send is attributed to.
     pub arm_file: String,
     pub arm_line: u32,
-    /// Rendered fn hops from the arm's function to the sending function.
-    pub chain: Vec<String>,
     /// Some evidence path for this edge advances a progress counter.
     pub progress: bool,
 }
@@ -91,55 +93,78 @@ pub fn check(
     let Some(msg_file) = ws.files.get(config::MESSAGES_FILE) else {
         return (Vec::new(), CausalSpec::default());
     };
-    // variant -> (enum, declaration line). Bare variant names are the graph
-    // keys — the runtime trace records kinds unqualified.
-    let mut decl: BTreeMap<String, (String, u32)> = BTreeMap::new();
+    // Every declared variant's non-test construction sites and handling
+    // patterns (in a `config::MESSAGE_HANDLER_FILES` arm), in node order.
+    let mut sites: BTreeMap<(&str, &str), Sites> = BTreeMap::new();
     for (enm, variants) in &msg_file.enums {
         for (v, line) in variants {
-            decl.entry(v.clone()).or_insert((enm.clone(), *line));
+            sites.insert((enm, v), Sites { decl_line: *line, ..Sites::default() });
         }
+    }
+    // variant -> (enum, declaration line). Bare variant names are the graph
+    // keys — the runtime trace records kinds unqualified.
+    let mut decl: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
+    for (&(enm, v), s) in &sites {
+        decl.entry(v).or_insert((enm, s.decl_line));
     }
     if decl.is_empty() {
         return (Vec::new(), CausalSpec::default());
     }
     let is_protocol =
-        |enm: &str, v: &str| decl.get(v).is_some_and(|(e, _)| e == enm);
+        |s: &VariantSite| decl.get(s.variant.as_str()).is_some_and(|(e, _)| *e == s.enm);
 
     // ---- per-node protocol view ----
     let n = graph.nodes.len();
     let test_node: Vec<bool> =
         graph.nodes.iter().map(|nd| config::is_test_source(nd.file)).collect();
-    // Indexes into item.arms whose pattern names a protocol variant.
-    let mut proto_arms: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // Protocol sends outside every protocol arm of the node.
-    let mut uncond: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for ix in (0..n).filter(|&ix| !test_node[ix]) {
-        let item = graph.nodes[ix].item;
-        for (ai, arm) in item.arms.iter().enumerate() {
-            if arm.patterns.iter().any(|p| is_protocol(&p.enm, &p.variant)) {
-                proto_arms[ix].push(ai);
-            }
-        }
-        for (si, s) in item.sends.iter().enumerate() {
-            let in_arm = proto_arms[ix].iter().any(|&ai| {
-                let a = &item.arms[ai];
-                (a.lo..a.hi).contains(&s.ord)
-            });
-            if is_protocol(&s.enm, &s.variant) && !in_arm {
-                uncond[ix].push(si);
-            }
-        }
+    fn key(s: &VariantSite) -> (&str, &str) {
+        (&s.enm, &s.variant)
     }
+    // Arms whose pattern names a protocol variant, protocol sends, and the
+    // sends outside every protocol arm of the node.
+    let mut proto_arms: Vec<Vec<&ArmRegion>> = vec![Vec::new(); n];
+    let mut proto_sends: Vec<Vec<&VariantSite>> = vec![Vec::new(); n];
+    let mut uncond: Vec<Vec<&VariantSite>> = vec![Vec::new(); n];
+    for ix in (0..n).filter(|&ix| !test_node[ix]) {
+        let Node { file, item, .. } = &graph.nodes[ix];
+        let handler = config::MESSAGE_HANDLER_FILES.contains(file);
+        for m in &item.marks {
+            match &m.kind {
+                MarkKind::Arm(arm) => {
+                    for p in arm.patterns.iter().filter(|_| handler) {
+                        if let Some(v) = sites.get_mut(&key(p)) {
+                            v.handled.push((file, p.line));
+                        }
+                    }
+                    if arm.patterns.iter().any(is_protocol) {
+                        proto_arms[ix].push(arm);
+                    }
+                }
+                MarkKind::Send(s) => {
+                    if let Some(v) = sites.get_mut(&key(s)) {
+                        v.constructed.push((file, s.line));
+                    }
+                    if is_protocol(s) {
+                        proto_sends[ix].push(s);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let in_arm = |o: u32| proto_arms[ix].iter().any(|a| (a.lo..a.hi).contains(&o));
+        uncond[ix] = proto_sends[ix].iter().copied().filter(|s| !in_arm(s.ord)).collect();
+    }
+    let mut out = message_protocol(&sites);
 
     // ---- edge derivation ----
     // State `(arm fn, arm index, callee)`: `None` is the arm's own body
     // window, `Some(f)` is `f` entered (transitively) from a call inside it.
     type ArmState = (usize, usize, Option<usize>);
-    let arm_seeds = (0..n).flat_map(|ix| proto_arms[ix].iter().map(move |&ai| (ix, ai, None)));
-    let flow = bfs(arm_seeds, |&(ix, ai, callee): &ArmState| {
-        let arm = &graph.nodes[ix].item.arms[ai];
+    let arm_seeds = (0..n).flat_map(|ix| (0..proto_arms[ix].len()).map(move |ai| (ix, ai, None)));
+    let window = |ix: usize, ai: usize| proto_arms[ix][ai].lo..proto_arms[ix][ai].hi;
+    let succ = |&(ix, ai, callee): &ArmState| {
         let (from, window) = match callee {
-            None => (ix, arm.lo..arm.hi),
+            None => (ix, window(ix, ai)),
             Some(f) => (f, 0..u32::MAX),
         };
         graph.edges[from]
@@ -147,34 +172,35 @@ pub fn check(
             .filter(|e| window.contains(&e.ord) && !test_node[e.to])
             .map(|e| (ix, ai, Some(e.to)))
             .collect()
-    });
+    };
+    let flow = bfs(arm_seeds, &succ);
+    // Progress on some path, not just the exemplar: every state reachable
+    // from one that advances a counter — an arm window that increments one,
+    // or a callee that does.
+    let advances = |&&(ix, ai, callee): &&ArmState| match callee {
+        None => graph.nodes[ix].item.advances(window(ix, ai)),
+        Some(f) => graph.nodes[f].item.advances(0..u32::MAX),
+    };
+    let advanced = bfs(flow.0.keys().filter(advances).copied(), &succ);
     let mut edges: BTreeMap<(String, String), CausalEdge> = BTreeMap::new();
     for st in flow.0.keys() {
         let &(ix, ai, callee) = st;
-        let (node, arm) = (&graph.nodes[ix], &graph.nodes[ix].item.arms[ai]);
-        let window = arm.lo..arm.hi;
+        let (node, arm) = (&graph.nodes[ix], proto_arms[ix][ai]);
         let sender = &graph.nodes[callee.unwrap_or(ix)];
         // Direct sends inside the arm body, or a callee's unconditional ones.
-        let sends: Vec<&crate::parser::VariantSite> = match callee {
+        let sends: Vec<&VariantSite> = match callee {
             None => {
-                let in_window = sender.item.sends.iter().filter(|s| window.contains(&s.ord));
-                in_window.filter(|s| is_protocol(&s.enm, &s.variant)).collect()
+                let in_window = proto_sends[ix].iter().filter(|s| window(ix, ai).contains(&s.ord));
+                in_window.copied().collect()
             }
-            Some(f) => uncond[f].iter().map(|&si| &sender.item.sends[si]).collect(),
+            Some(f) => uncond[f].clone(),
         };
         if sends.is_empty() {
             continue;
         }
-        // Progress: in the arm window, or anywhere in a fn of the call chain.
-        let path = flow.path_to(st);
-        let progress = node.item.progress_ords.iter().any(|o| window.contains(o))
-            || path[1..].iter().any(|&(.., f)| {
-                f.is_some_and(|f| !graph.nodes[f].item.progress_ords.is_empty())
-            });
-        let chain: Vec<String> =
-            path.iter().map(|&(.., f)| graph.nodes[f.unwrap_or(ix)].render()).collect();
+        let progress = advanced.contains(st);
         for s in sends {
-            for from in arm.patterns.iter().filter(|p| is_protocol(&p.enm, &p.variant)) {
+            for from in arm.patterns.iter().filter(|p| is_protocol(p)) {
                 let ev = CausalEdge {
                     from: from.variant.clone(),
                     to: s.variant.clone(),
@@ -182,7 +208,6 @@ pub fn check(
                     send_line: s.line,
                     arm_file: node.file.to_string(),
                     arm_line: arm.line,
-                    chain: chain.clone(),
                     progress,
                 };
                 edges
@@ -203,8 +228,7 @@ pub fn check(
         if test_node[ix] || reached.contains(&ix) || !proto_arms[ix].is_empty() {
             continue;
         }
-        for &si in &uncond[ix] {
-            let s = &graph.nodes[ix].item.sends[si];
+        for s in &uncond[ix] {
             entries
                 .entry(s.variant.clone())
                 .or_insert((graph.nodes[ix].file.to_string(), s.line));
@@ -216,29 +240,25 @@ pub fn check(
     for (from, to) in edges.keys() {
         adj.entry(from.as_str()).or_default().insert(to.as_str());
     }
-    let mut constructed: BTreeMap<String, (String, u32)> = BTreeMap::new();
-    for (node, _) in graph.nodes.iter().zip(&test_node).filter(|(_, &is_test)| !is_test) {
-        for s in node.item.sends.iter().filter(|s| is_protocol(&s.enm, &s.variant)) {
-            constructed.entry(s.variant.clone()).or_insert((node.file.to_string(), s.line));
-        }
-    }
+    // Protocol variant -> its first construction site.
+    let constructed: BTreeMap<&str, (&str, u32)> = sites
+        .iter()
+        .filter(|((enm, v), _)| decl[v].0 == *enm)
+        .filter_map(|(&(_, v), s)| Some((v, *s.constructed.first()?)))
+        .collect();
     let entry_names: Vec<&str> = entries.keys().map(String::as_str).collect();
     let live = reach_from(&adj, &entry_names);
 
-    let mut out = Vec::new();
-
     // ---- rule: orphan-event ----
-    for (v, site) in &constructed {
-        if live.contains(&v.as_str()) {
+    for (&v, site) in &constructed {
+        if live.contains(&v) {
             continue;
         }
         let (enm, line) = &decl[v];
         let rule = "orphan-event";
-        if book.covers(config::MESSAGES_FILE, *line, rule)
-            || book.covers(&site.0, site.1, rule)
-        {
+        if book.covers(config::MESSAGES_FILE, *line, rule) || book.covers(site.0, site.1, rule) {
             book.mark_used(config::MESSAGES_FILE, *line, rule);
-            book.mark_used(&site.0, site.1, rule);
+            book.mark_used(site.0, site.1, rule);
             continue;
         }
         out.push(
@@ -408,6 +428,55 @@ pub fn check(
     (out, spec)
 }
 
+/// Where one declared variant is constructed and handled: `(file, line)`s.
+#[derive(Debug, Default)]
+struct Sites<'a> {
+    decl_line: u32,
+    constructed: Vec<(&'a str, u32)>,
+    handled: Vec<(&'a str, u32)>,
+}
+
+/// `message-protocol`: every declared variant is both constructed and
+/// handled. Constructed without a handler, handled without a constructor,
+/// or fully dead each raise an error anchored at the variant declaration,
+/// with the evidence sites (or their absence) in the chain.
+fn message_protocol(sites: &BTreeMap<(&str, &str), Sites>) -> Vec<Diagnostic> {
+    let chain = |label: &str, ev: &[(&str, u32)]| -> Vec<String> {
+        ev.iter().take(3).map(|(f, l)| format!("{label} {f}:{l}")).collect()
+    };
+    let mut out = Vec::new();
+    for ((enm, variant), ev) in sites {
+        let qualified = format!("{enm}::{variant}");
+        let (message, chain) = match (ev.constructed.is_empty(), ev.handled.is_empty()) {
+            (false, false) => continue, // constructed and handled: healthy
+            (false, true) => (
+                format!(
+                    "variant `{qualified}` is constructed but has no handling match arm in {}",
+                    config::MESSAGE_HANDLER_FILES.join(" / ")
+                ),
+                chain("constructed at", &ev.constructed),
+            ),
+            (true, false) => (
+                format!(
+                    "variant `{qualified}` has a handling match arm but is never constructed \
+                     (dead control-plane message)"
+                ),
+                chain("handled at", &ev.handled),
+            ),
+            (true, true) => (
+                format!(
+                    "variant `{qualified}` is never constructed and never handled (dead \
+                     control-plane message); remove it"
+                ),
+                Vec::new(),
+            ),
+        };
+        let diag = Diagnostic::new(config::MESSAGES_FILE, ev.decl_line, "message-protocol", message);
+        out.push(diag.with_chain(chain));
+    }
+    out
+}
+
 /// Variants reachable from `starts` over the variant graph, with
 /// shortest-path provenance.
 fn reach_from<'a>(
@@ -453,4 +522,206 @@ pub fn render_spec(spec: &CausalSpec) -> String {
     }
     out.push_str("\n]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    /// The `message-protocol` findings of the causal pass over `ws`.
+    fn check(ws: &Workspace) -> Vec<Diagnostic> {
+        let (diags, _) = super::check(ws, &CallGraph::build(ws), &mut AllowBook::default());
+        diags.into_iter().filter(|d| d.rule == "message-protocol").collect()
+    }
+
+    fn ws(files: &[(&str, &str)]) -> Workspace {
+        let mut ws = Workspace::default();
+        for (rel, src) in files {
+            ws.add(rel, Some("clonos_engine".into()), lex(src));
+        }
+        ws
+    }
+
+    const MESSAGES: &str = "pub enum Msg {\n    Ping { n: u64 },\n    Pong(u64),\n}\n";
+    /// The task's configured handler file (its `Msg` dispatch).
+    const HANDLER: &str = config::MESSAGE_HANDLER_FILES[0];
+
+    #[test]
+    fn constructed_and_handled_is_clean() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { n } => drop(n), Msg::Pong(n) if n > 0 => drop(n), Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n",
+            ),
+        ]);
+        assert!(check(&w).is_empty(), "{:?}", check(&w));
+    }
+
+    #[test]
+    fn unhandled_variant_is_flagged_with_construction_site() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` is constructed but has no handling"));
+        assert_eq!(d[0].file, config::MESSAGES_FILE);
+        assert_eq!(d[0].line, 3); // Pong declaration
+        assert!(d[0].chain[0].contains(&format!("constructed at {HANDLER}:2")));
+    }
+
+    #[test]
+    fn never_constructed_variant_is_flagged() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("never constructed"));
+        assert!(d[0].chain[0].contains("handled at"));
+    }
+
+    #[test]
+    fn fully_dead_variant_is_flagged() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("never constructed and never handled"));
+    }
+
+    #[test]
+    fn arm_in_cfg_test_or_non_handler_file_does_not_count() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n\
+                 #[cfg(test)]\nmod tests {\n    fn t(m: Msg) { match m { Msg::Pong(_) => {}, _ => {} } }\n}\n",
+            ),
+            (
+                "crates/engine/src/other.rs",
+                "fn t(m: Msg) { match m { Msg::Pong(_) => {}, _ => {} } }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` is constructed but has no handling"));
+    }
+
+    #[test]
+    fn out_of_line_test_module_contributes_no_evidence() {
+        // `crates/engine/src/tests.rs` is `#[cfg(test)] mod tests;` in the
+        // parent — no cfg marker inside the file itself, so only the
+        // test-source path filter keeps its constructions out. A variant
+        // constructed *only* there must still read as never-constructed.
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n",
+            ),
+            (
+                "crates/engine/src/tests.rs",
+                "fn t() { emit(Msg::Pong(7)); }\n",
+            ),
+            (
+                "crates/engine/src/state/tests/fixtures.rs",
+                "fn t() { emit(Msg::Pong(8)); }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` has a handling match arm but is never constructed"));
+    }
+
+    #[test]
+    fn or_pattern_counts_as_handled() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                "crates/engine/src/cluster.rs",
+                "fn h(m: Msg) { match m { Msg::Ping { .. } | Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n",
+            ),
+        ]);
+        assert!(check(&w).is_empty(), "{:?}", check(&w));
+    }
+
+    /// A variant someone only *destructures* is not thereby constructed:
+    /// `Pong` has its arm, nobody sends it, and the `if let` in `peek` is a
+    /// test, not a send.
+    #[test]
+    fn if_let_destructuring_is_not_a_construction() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n\
+                 fn peek(m: &Msg) -> u64 { if let Msg::Pong(n) = m { *n } else { 0 } }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` has a handling match arm but is never constructed"));
+        assert!(d[0].chain[0].contains(&format!("handled at {HANDLER}:1")), "{:?}", d[0].chain);
+    }
+
+    /// Same for `matches!`: its second operand is a pattern.
+    #[test]
+    fn matches_macro_pattern_is_not_a_construction() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, Msg::Pong(_) => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); }\n\
+                 fn is_pong(m: &Msg) -> bool { matches!(m, Msg::Pong(..) | Msg::Pong(0)) }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` has a handling match arm but is never constructed"));
+    }
+
+    /// ...and neither test counts as *handling*: both let every other
+    /// variant fall through silently, which is what the rule exists to stop.
+    #[test]
+    fn test_patterns_do_not_handle_either() {
+        let w = ws(&[
+            ("crates/engine/src/messages.rs", MESSAGES),
+            (
+                HANDLER,
+                "fn h(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
+                 fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n\
+                 fn peek(m: &Msg) -> bool { if let Msg::Pong(_) = m { return true; } matches!(m, Msg::Pong(1)) }\n",
+            ),
+        ]);
+        let d = check(&w);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`Msg::Pong` is constructed but has no handling"));
+        assert_eq!(d[0].chain, vec![format!("constructed at {HANDLER}:2")]);
+    }
 }

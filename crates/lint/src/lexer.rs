@@ -171,7 +171,7 @@ impl Lexer {
                 _ if c.is_whitespace() => self.pos += 1,
                 '/' if self.peek(1) == Some('/') => self.line_comment(),
                 '/' if self.peek(1) == Some('*') => self.block_comment(),
-                '"' => self.string_literal(false),
+                '"' => self.string_literal(None),
                 '\'' => self.char_or_lifetime(),
                 _ if c.is_ascii_digit() => self.number(),
                 _ if is_ident_start(c) => self.ident_or_prefixed_literal(),
@@ -226,39 +226,19 @@ impl Lexer {
         }
     }
 
-    /// Consume `"..."` with escape handling. `raw` disables escapes.
-    fn string_literal(&mut self, raw: bool) {
+    /// A string literal from its opening quote: cooked (`raw` is `None`:
+    /// backslash escapes, closed by `"`) or raw (closed by `"` and
+    /// `raw` hashes).
+    fn string_literal(&mut self, raw: Option<usize>) {
         let line = self.line;
         self.pos += 1; // opening quote
         while self.pos < self.chars.len() {
             match self.chars[self.pos] {
-                '"' => {
-                    self.pos += 1;
-                    self.out.toks.push(Tok { line, kind: TokKind::Lit });
-                    return;
+                '"' if raw.is_none_or(|hashes| self.closes_raw(hashes)) => {
+                    self.pos += 1 + raw.unwrap_or(0);
+                    break;
                 }
-                '\\' if !raw => self.pos += 2,
-                '\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                _ => self.pos += 1,
-            }
-        }
-        self.out.toks.push(Tok { line, kind: TokKind::Lit });
-    }
-
-    /// Consume `r"..."` / `r#"..."#` with `hashes` delimiter hashes.
-    fn raw_string(&mut self, hashes: usize) {
-        let line = self.line;
-        self.pos += 1; // opening quote
-        while self.pos < self.chars.len() {
-            match self.chars[self.pos] {
-                '"' if self.closes_raw(hashes) => {
-                    self.pos += 1 + hashes;
-                    self.out.toks.push(Tok { line, kind: TokKind::Lit });
-                    return;
-                }
+                '\\' if raw.is_none() => self.pos += 2,
                 '\n' => {
                     self.line += 1;
                     self.pos += 1;
@@ -328,7 +308,7 @@ impl Lexer {
         let name: String = self.chars[start..self.pos].iter().collect();
         // String-literal prefixes and raw identifiers.
         match (name.as_str(), self.peek(0)) {
-            ("r" | "br", Some('"')) => return self.raw_string(0),
+            ("r" | "br", Some('"')) => return self.string_literal(Some(0)),
             ("r" | "br", Some('#')) => {
                 let mut hashes = 0;
                 while self.peek(hashes) == Some('#') {
@@ -336,7 +316,7 @@ impl Lexer {
                 }
                 if self.peek(hashes) == Some('"') {
                     self.pos += hashes;
-                    return self.raw_string(hashes);
+                    return self.string_literal(Some(hashes));
                 }
                 if name == "r" && self.peek(1).is_some_and(is_ident_start) {
                     // Raw identifier `r#ident`: emit the bare identifier.
@@ -350,7 +330,7 @@ impl Lexer {
                     return;
                 }
             }
-            ("b", Some('"')) => return self.string_literal(false),
+            ("b", Some('"')) => return self.string_literal(None),
             _ => {}
         }
         self.out.toks.push(Tok { line: self.line, kind: TokKind::Ident(name) });

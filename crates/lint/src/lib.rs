@@ -16,9 +16,10 @@
 //!
 //! Self-contained by design: a hand-rolled comment/string-aware lexer, no
 //! registry dependencies (the build environment is offline), `std` only.
-//! Every file is read and lexed once (`callgraph::Workspace::load`), parsed
-//! once into per-file facts, and the rules read those facts; the
-//! transitive rules share one propagation engine (`propagate`).
+//! Every file is read and lexed once (`callgraph::Workspace::load`), and
+//! parsed once: one walk classifies every live token into marks
+//! (`parser::Mark`), and every rule reads those marks; the transitive rules
+//! share one propagation engine (`propagate`).
 //! Everything iterates in `BTree` order, so the full diagnostic output —
 //! including every blame chain — is byte-identical across runs and
 //! file-walk orders (`analyze_ordered` exists so tests can prove it).
@@ -33,7 +34,6 @@ pub mod lexer;
 pub mod lockgraph;
 pub mod parser;
 pub mod propagate;
-pub mod protocol;
 pub mod reach;
 pub mod rules;
 pub mod taint;
@@ -43,7 +43,6 @@ pub use diagnostics::{Diagnostic, Severity};
 use allows::AllowBook;
 use callgraph::{CallGraph, GraphStats, Workspace};
 use rules::RuleSet;
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -83,30 +82,23 @@ pub fn analyze_full(root: &Path) -> io::Result<FullAnalysis> {
 pub fn analyze_ordered(root: &Path, files: &[String]) -> io::Result<FullAnalysis> {
     let ws = Workspace::load(root, files);
 
-    // ---- per-file rules (plan from the config tables) + allow registration ----
+    // ---- per-file rules + allow registration ----
+    // Every parsed file is a deterministic-crate source, the files these
+    // rules cover.
     let mut diags = Vec::new();
     let mut book = AllowBook::default();
-    let mut raw: Vec<Diagnostic> = Vec::new();
-    let planned =
-        files.iter().map(String::as_str).chain(config::RECOVERY_PATH_FILES.iter().copied());
-    for rel in planned.collect::<BTreeSet<&str>>() {
-        let determinism = config::deterministic_crate_of(rel).is_some();
+    for (rel, pf) in &ws.files {
         let ruleset = RuleSet {
-            determinism,
+            determinism: true,
             // The sharded actor runtime is the sanctioned home for thread
             // coordination; everywhere else in the deterministic crates
             // must stay single-thread-runnable.
-            threading: determinism
-                && !config::THREADING_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p)),
-            recovery_panic: config::RECOVERY_PATH_FILES.contains(&rel),
+            threading: !config::THREADING_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p)),
+            recovery_panic: config::RECOVERY_PATH_FILES.contains(&rel.as_str()),
         };
-        if !ruleset.any() {
-            continue;
-        }
-        if let Some(src) = ws.sources.get(rel) {
-            book.add_file(rel, &src.allows);
-            raw.extend(rules::scan_file(rel, &src.toks, &ruleset));
-        }
+        book.add_file(rel, &ws.sources[rel].allows);
+        let found = rules::findings(rel, &pf.marks, &ruleset).into_iter();
+        diags.extend(found.filter(|d| !book.suppress(&d.file, d.line, &d.rule)));
     }
     // Every file the load could not read, once: none of its rules ran.
     diags.extend(ws.unreadable.iter().map(|(rel, e)| {
@@ -123,7 +115,6 @@ pub fn analyze_ordered(root: &Path, files: &[String]) -> io::Result<FullAnalysis
     let t0 = std::time::Instant::now();
     diags.extend(lockgraph::check(&ws, &graph, &mut book));
     let lockgraph_ms = t0.elapsed().as_millis();
-    diags.extend(protocol::check(&ws));
     #[allow(clippy::disallowed_methods)]
     let t1 = std::time::Instant::now();
     let (causal_diags, spec) = causal::check(&ws, &graph, &mut book);
@@ -132,8 +123,7 @@ pub fn analyze_ordered(root: &Path, files: &[String]) -> io::Result<FullAnalysis
     diags.extend(graph.unknown.iter().cloned());
     let stats = graph.stats;
 
-    // ---- resolve per-file suppressions, then the meta rules ----
-    diags.extend(raw.into_iter().filter(|d| !book.suppress(&d.file, d.line, &d.rule)));
+    // ---- the meta rules, once every pass has marked its allows ----
     diags.extend(book.finish());
 
     // Cross-file invariants; the counter-consumption check scans the wider

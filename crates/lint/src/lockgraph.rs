@@ -1,12 +1,12 @@
 //! Concurrency-soundness pass: transitive held-lock analysis over the
 //! sharded runtime (and any other lock-bearing code the parser sees).
 //!
-//! The parser records a `LockFact` at every `.lock()`/`.try_lock()`/
-//! `Condvar::wait` site — which lock field is acquired, whether the guard
-//! is bound (live to the end of the enclosing block) or a temporary (live
-//! to the end of the statement) — and a `BlockFact` at every blocking or
-//! parking operation (`recv`, `std::thread::sleep`, `yield_now`, `park`).
-//! All facts share a token-ordinal scale with call-graph edges, so "call
+//! The parser marks every `.lock()`/`.try_lock()`/`Condvar::wait` site
+//! with a `LockFact` — which lock field is acquired, whether the guard is
+//! bound (live to the end of the enclosing block) or a temporary (live to
+//! the end of the statement) — and every blocking or parking operation
+//! (`recv`, `std::thread::sleep`, `yield_now`, `park`) with a `Block` mark.
+//! All marks share a token-ordinal scale with call-graph edges, so "call
 //! made while guard live" is a plain ordinal-window test.
 //!
 //! From those facts this pass computes **held-lock states** and runs them
@@ -42,16 +42,13 @@
 use crate::allows::AllowBook;
 use crate::callgraph::{CallGraph, Workspace};
 use crate::diagnostics::Diagnostic;
-use crate::parser::{BlockFact, BlockKind, LockFact, LockOp};
+use crate::parser::{BlockKind, LockFact, LockOp, Mark, MarkKind, SYNC_PRIMITIVES};
 use crate::propagate::{self, bfs, PathRule};
 use std::collections::{BTreeMap, BTreeSet};
 
 const RULE_ORDER: &str = "lock-order";
 const RULE_BLOCK: &str = "blocking-under-lock";
 const RULE_PARK: &str = "guard-across-park";
-
-/// Field types whose fields name a lock.
-const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
 /// "This code can run with that lock held." Ordered callees first, then
 /// frames by `(node, acquisition)` — the order exemplars are picked in.
@@ -60,8 +57,8 @@ enum Held<'a> {
     /// `node` was called, directly or transitively, from under a live
     /// guard of `lock`: its whole body runs with the lock held.
     Callee { node: usize, lock: &'a str },
-    /// The acquiring function itself, inside the guard window of its
-    /// `locks[acq]` (`acq.ord < ord <= acq.scope_end`).
+    /// The acquiring function itself, inside the guard window of the lock
+    /// mark `marks[acq]` (`acq.ord < ord <= acq.scope_end`).
     Frame { node: usize, acq: usize },
 }
 
@@ -69,8 +66,8 @@ enum Held<'a> {
 enum Sink<'a> {
     /// A blocking acquisition (`.lock()` / `Condvar::wait*`).
     Acquire(&'a LockFact),
-    /// A blocking or parking operation that takes no guard.
-    Op(&'a BlockFact),
+    /// A blocking or parking operation that takes no guard, rendered.
+    Op(&'a str),
 }
 
 struct HeldRule<'a> {
@@ -79,24 +76,26 @@ struct HeldRule<'a> {
 }
 
 impl<'a> HeldRule<'a> {
-    /// The acquisition a frame state sits under.
-    fn guard(&self, s: &Held<'a>) -> Option<&'a LockFact> {
-        match *s {
-            Held::Frame { node, acq } => Some(&self.graph.nodes[node].item.locks[acq]),
-            Held::Callee { .. } => None,
+    /// The acquisition a frame state sits under, and its mark.
+    fn guard(&self, s: &Held<'a>) -> Option<(&'a Mark, &'a LockFact)> {
+        let Held::Frame { node, acq } = *s else { return None };
+        let mark = &self.graph.nodes[node].item.marks[acq];
+        match &mark.kind {
+            MarkKind::Lock(fact) => Some((mark, fact)),
+            _ => None,
         }
     }
 
     fn lock(&self, s: &Held<'a>) -> &'a str {
         match *s {
             Held::Callee { lock, .. } => lock,
-            Held::Frame { .. } => self.guard(s).map_or("", |a| a.lock.as_str()),
+            Held::Frame { .. } => self.guard(s).map_or("", |(_, a)| a.lock.as_str()),
         }
     }
 
     /// Does the state cover token ordinal `ord` of its function?
     fn covers(&self, s: &Held<'a>, ord: u32) -> bool {
-        self.guard(s).is_none_or(|a| a.ord < ord && ord <= a.scope_end)
+        self.guard(s).is_none_or(|(at, a)| at.ord < ord && ord <= a.scope_end)
     }
 }
 
@@ -110,7 +109,9 @@ impl<'a> PathRule for HeldRule<'a> {
 
     fn seeds(&self) -> Vec<Held<'a>> {
         let frames = |(node, n): (usize, &crate::callgraph::Node<'a>)| {
-            (0..n.item.locks.len()).map(move |acq| Held::Frame { node, acq })
+            let locks = n.item.marks.iter().enumerate();
+            let locks = locks.filter(|(_, m)| matches!(m.kind, MarkKind::Lock(_)));
+            locks.map(move |(acq, _)| Held::Frame { node, acq })
         };
         self.graph.nodes.iter().enumerate().flat_map(frames).collect()
     }
@@ -122,7 +123,7 @@ impl<'a> PathRule for HeldRule<'a> {
     }
 
     fn seed_line(&self, s: &Held<'a>) -> Option<u32> {
-        self.guard(s).map(|a| a.line)
+        self.guard(s).map(|(at, _)| at.line)
     }
 
     fn calls(&self, s: &Held<'a>) -> Vec<(u32, Held<'a>)> {
@@ -136,25 +137,20 @@ impl<'a> PathRule for HeldRule<'a> {
 
     /// The one place each rule's sinks are spelled out.
     fn sinks(&self, s: &Held<'a>) -> Vec<(u32, Sink<'a>)> {
-        let item = self.graph.nodes[self.node(s)].item;
         let held = self.lock(s);
-        let acquires = item.locks.iter().filter(|f| {
-            matches!(f.op, LockOp::Lock | LockOp::Wait)
-                && match self.rule {
-                    RULE_BLOCK => true,
-                    RULE_ORDER => f.lock != held,
-                    _ => false,
-                }
-        });
-        let ops = item.blocks.iter().filter(|b| match self.rule {
-            RULE_BLOCK => b.kind == BlockKind::Blocking,
-            RULE_PARK => b.kind == BlockKind::Park,
-            _ => false,
-        });
-        let acquires =
-            acquires.filter(|f| self.covers(s, f.ord)).map(|f| (f.line, Sink::Acquire(f)));
-        let ops = ops.filter(|b| self.covers(s, b.ord)).map(|b| (b.line, Sink::Op(b)));
-        acquires.chain(ops).collect()
+        let sink = |m: &'a Mark| match (&m.kind, self.rule) {
+            (MarkKind::Lock(f), RULE_BLOCK | RULE_ORDER)
+                if matches!(f.op, LockOp::Lock | LockOp::Wait)
+                    && (self.rule == RULE_BLOCK || f.lock != held) =>
+            {
+                Some(Sink::Acquire(f))
+            }
+            (MarkKind::Block(what, BlockKind::Blocking), RULE_BLOCK)
+            | (MarkKind::Block(what, BlockKind::Park), RULE_PARK) => Some(Sink::Op(what)),
+            _ => None,
+        };
+        let marks = self.graph.nodes[self.node(s)].item.marks.iter();
+        marks.filter(|m| self.covers(s, m.ord)).filter_map(|m| Some((m.line, sink(m)?))).collect()
     }
 }
 
@@ -171,7 +167,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
     for (strukt, fs) in ws.files.values().flat_map(|pf| &pf.structs) {
         // `FieldFact::ty` stops at the first generic-argument comma, so
         // `Mutex<..>` and `Arc<Mutex<..>>` count, `Map<K, Mutex<V>>` does not.
-        for f in fs.iter().filter(|f| f.ty.iter().any(|t| LOCK_TYPES.contains(&t.as_str()))) {
+        for f in fs.iter().filter(|f| f.ty.iter().any(|t| SYNC_PRIMITIVES.contains(&t.as_str()))) {
             fields.entry(&f.name).or_default().insert(strukt);
         }
     }
@@ -191,11 +187,11 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
             // Blame chain from the acquiring frame down to the state's
             // node: `f acquires `L` (file:line) → g (file:line) → ...`.
             let path = found.reached.path_to(st);
-            let Some(acq) = held.guard(&path[0]) else { continue };
+            let Some((at, acq)) = held.guard(&path[0]) else { continue };
             let (seed, node) = (&graph.nodes[held.node(&path[0])], &graph.nodes[held.node(st)]);
             let lock = disp(&acq.lock);
             let mut chain =
-                vec![format!("{} acquires `{lock}` ({}:{})", seed.path, seed.file, acq.line)];
+                vec![format!("{} acquires `{lock}` ({}:{})", seed.path, seed.file, at.line)];
             chain.extend(path[1..].iter().map(|s| graph.nodes[held.node(s)].render()));
             // Zero-hop findings name the acquisition site alone; a path
             // finding names the acquiring function and offers its hops.
@@ -204,7 +200,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
                 "`{lock}` is held (acquired {}{}:{})",
                 if direct { "at ".to_string() } else { format!("in `{}`, ", seed.path) },
                 seed.file,
-                acq.line
+                at.line
             );
             let on_path = if direct { "" } else { " on a hop of the printed path" };
             let message = match (rule, sink) {
@@ -215,9 +211,9 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
                             node.path,
                             disp(&f.lock),
                             node.file,
-                            f.line
+                            line
                         ));
-                        OrderEx { hops: chain, file: node.file.to_string(), line: f.line }
+                        OrderEx { hops: chain, file: node.file.to_string(), line: *line }
                     });
                     continue;
                 }
@@ -234,7 +230,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
                 (RULE_PARK, Sink::Op(b)) => format!(
                     "{} in `{}` parks while {holder}; {}drop the guard before yielding or add \
                      an audited allow",
-                    b.what,
+                    b,
                     node.path,
                     if direct {
                         ""
@@ -245,7 +241,7 @@ pub fn check(ws: &Workspace, graph: &CallGraph, book: &mut AllowBook) -> Vec<Dia
                 (_, Sink::Op(b)) => format!(
                     "{} in `{}` while {holder}; the lock stays held for the full wait — \
                      restructure or add an audited allow{on_path}",
-                    b.what, node.path
+                    b, node.path
                 ),
             };
             out.push(Diagnostic::new(node.file, *line, rule, message).with_chain(chain));

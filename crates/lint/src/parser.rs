@@ -1,17 +1,16 @@
 //! Item/signature parser on top of the lexer: just enough structural
-//! understanding of a Rust source file to build a workspace call graph.
+//! understanding of a Rust source file to build a workspace call graph,
+//! and the one classification of its tokens every rule reads.
 //!
-//! Per file it extracts: the module path (derived from the file's location
+//! Per file it extracts the module path (derived from the file's location
 //! in its crate), `use` imports (aliases resolved to workspace-absolute
-//! paths), `fn` items with their enclosing inline-`mod`/`impl` context, and
-//! per-function *body facts* — call sites (path calls and `.method()`
-//! calls), direct panic sites, direct nondeterminism sources, and the
-//! concurrency facts the `lockgraph` pass consumes: lock acquisitions
-//! (`.lock()` / `.try_lock()` / `Condvar` waits, with a conservative
-//! guard-liveness range) and blocking/park points (`std::thread::sleep`,
-//! `yield_now`, `park`, blocking channel receives). Call sites and
-//! concurrency facts share one token-ordinal scale (`ord`), so a later pass
-//! can tell which calls happen while a guard is live.
+//! paths), enums, structs and `fn` items with their inline-`mod`/`impl`
+//! context, and classifies every live token once into a typed `Mark`:
+//! table identifiers, call sites, panic sites, nondeterminism sources,
+//! lock acquisitions (with a conservative guard-liveness range),
+//! blocking/park points and `Enum::Variant` sites, all on one
+//! token-ordinal scale (`ord`), so a later pass can tell which calls happen
+//! while a guard is live. A fn's facts are the marks in its body.
 //!
 //! The token stream handed in is the file's *live* one: `#[cfg(test)]`
 //! regions were cut when the file was loaded (`callgraph::Source`), so
@@ -47,17 +46,37 @@ pub const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_e
 pub const PANIC_MACROS: &[&str] =
     &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 
-/// Identifiers that are nondeterminism sources when they appear in a body.
-pub const TAINT_IDENTS: &[&str] = &[
-    "SystemTime",
-    "UNIX_EPOCH",
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
-    "RandomState",
-    "DefaultHasher",
+/// Hash-ordered collections (`hash-collections`).
+pub const HASH_COLLECTIONS: &[&str] = &["HashMap", "HashSet", "hash_map", "hash_set"];
+
+/// Nondeterminism sources by identifier: what `hash-collections`,
+/// `wall-clock` and `os-entropy` flag per file and `replay-taint` follows
+/// through the call graph. `Instant` counts only as `Instant::now`.
+pub const SOURCES: &[(&str, Nondet)] = &[
+    ("RandomState", Nondet::HashState), ("DefaultHasher", Nondet::HashState),
+    ("SystemTime", Nondet::Clock), ("UNIX_EPOCH", Nondet::Clock),
+    ("thread_rng", Nondet::Entropy), ("from_entropy", Nondet::Entropy),
+    ("OsRng", Nondet::Entropy), ("getrandom", Nondet::Entropy),
 ];
+
+/// Lock/coordination types (`threading`). `Barrier` is deliberately
+/// absent: `StreamElement::Barrier` is the engine's checkpoint barrier and
+/// would false-positive everywhere; `std::sync::Barrier` use would still
+/// trip on the `thread::`/spawn machinery needed to exercise it.
+pub const SYNC_PRIMITIVES: &[&str] = &["Mutex", "RwLock", "Condvar"];
+
+/// Host-scheduler operations of `std::thread` and how they hold up the
+/// caller. Two readings of one table: any bare call of one is a
+/// `threading` mark (only modelled time is legal outside the runtime
+/// module); a call whose path — or whose `use` — names `std::thread` is a
+/// block fact the lockgraph reads.
+pub const THREAD_OPS: &[(&str, BlockKind)] = &[
+    ("sleep", BlockKind::Blocking), ("yield_now", BlockKind::Park),
+    ("park", BlockKind::Park), ("park_timeout", BlockKind::Park),
+];
+
+/// Keywords whose next identifier is declared, not referenced.
+const DECL_KEYWORDS: &[&str] = &["fn", "let", "mod", "struct", "enum"];
 
 /// Method names that acquire a lock. `read`/`write` are deliberately absent
 /// (`io::Read::read` would false-positive everywhere; `RwLock` is banned
@@ -80,39 +99,13 @@ pub const BLOCKING_METHODS: &[&str] = &["recv", "recv_timeout"];
 pub const PROGRESS_IDENTS: &[&str] =
     &["next_cp", "attempt", "gen", "epoch", "emit_seq", "offset", "step", "seq", "gather_seq"];
 
-/// One call site inside a function body.
-#[derive(Clone, Debug)]
-pub struct CallSite {
-    pub line: u32,
-    /// Token ordinal within the file — shared scale with `LockFact::ord`,
-    /// so a pass can tell whether the call happens under a live guard.
-    pub ord: u32,
-    pub target: CallTarget,
-}
-
 #[derive(Clone, Debug)]
 pub enum CallTarget {
-    /// `a::b::c(...)` or `c(...)` — path segments as written (head already
-    /// normalized for `crate`/`self`/`super`).
+    /// `a::b::c(...)` or `c(...)` — path segments as written (in a fn's
+    /// marks, the head normalized for `crate`/`self`/`super`).
     Path(Vec<String>),
     /// `.m(...)` — receiver type unknown.
     Method(String),
-}
-
-/// A direct abort site inside a function body.
-#[derive(Clone, Debug)]
-pub struct PanicFact {
-    pub line: u32,
-    /// Human description: "`.unwrap()`", "`panic!`", "slice indexing `[..]`".
-    pub what: String,
-}
-
-/// A direct nondeterminism source inside a function body.
-#[derive(Clone, Debug)]
-pub struct TaintFact {
-    pub line: u32,
-    /// Which source: "Instant::now", "SystemTime", ...
-    pub what: String,
 }
 
 /// How a lock acquisition behaves when the lock is contended.
@@ -131,9 +124,6 @@ pub enum LockOp {
 /// One lock-acquisition site inside a function body.
 #[derive(Clone, Debug)]
 pub struct LockFact {
-    pub line: u32,
-    /// Token ordinal of the acquisition (same scale as `CallSite::ord`).
-    pub ord: u32,
     /// Receiver leaf ident — the lock field (`queue` in
     /// `self.queue.lock()`) or local binding name.
     pub lock: String,
@@ -158,28 +148,15 @@ pub enum BlockKind {
     Park,
 }
 
-/// A direct blocking or park-point fact that is not a lock acquisition:
-/// `std::thread::sleep` / `yield_now` / `park`, blocking channel receives.
-#[derive(Clone, Debug)]
-pub struct BlockFact {
-    pub line: u32,
-    /// Token ordinal (same scale as `CallSite::ord` / `LockFact::ord`).
-    pub ord: u32,
-    /// Rendered description, e.g. "`std::thread::sleep`".
-    pub what: String,
-    pub kind: BlockKind,
-}
-
-/// One `Enum::Variant` occurrence inside a function body. Which list of
-/// its `FnItem` it lands in says what it is: a construction (`sends`), a
-/// match-arm pattern (`ArmRegion::patterns`) or a refutable test
-/// (`tests`). Recorded for every capitalised two-segment path tail; the
-/// passes filter to the enums they care about (associated consts and
-/// foreign enums ride along unused).
+/// One `Enum::Variant` occurrence. Its mark says what it is: a
+/// construction (`Send`), a match-arm pattern (`ArmRegion::patterns`) or a
+/// refutable test (`Test`). Recorded for every capitalised two-segment path
+/// tail; the passes filter to the enums they care about (associated consts
+/// and foreign enums ride along unused).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VariantSite {
     pub line: u32,
-    /// Token ordinal (same scale as `CallSite::ord` / `ArmRegion` extents).
+    /// Token ordinal (same scale as `ArmRegion` extents).
     pub ord: u32,
     /// Second-to-last path segment (`Msg` in `Msg::Data`).
     pub enm: String,
@@ -187,10 +164,10 @@ pub struct VariantSite {
     pub variant: String,
 }
 
-/// One `Enum::Variant` match arm inside a function body: which variants the
-/// arm matches (an or-pattern contributes several) and the token-ordinal
-/// extent of its body. Sends and calls whose `ord` falls inside `[lo, hi)`
-/// execute *in response to* the matched variant.
+/// One `Enum::Variant` match arm: which variants the arm matches (an
+/// or-pattern contributes several) and the token-ordinal extent of its
+/// body. Sends and calls whose `ord` falls inside `[lo, hi)` execute *in
+/// response to* the matched variant.
 #[derive(Clone, Debug)]
 pub struct ArmRegion {
     /// Line of the arm's first pattern.
@@ -200,6 +177,64 @@ pub struct ArmRegion {
     pub lo: u32,
     /// Arm-body end ordinal (exclusive).
     pub hi: u32,
+}
+
+/// Which kind of nondeterminism a `SOURCES` identifier draws on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Nondet {
+    /// OS-seeded hash state (`hash-collections`).
+    HashState,
+    /// The host clock (`wall-clock`).
+    Clock,
+    /// OS entropy (`os-entropy`).
+    Entropy,
+}
+
+/// What one live token is, for every rule that asks: the parser's one
+/// classification of a file. The per-file rules filter a file's marks;
+/// a fn's facts are the marks inside its body.
+#[derive(Clone, Debug)]
+pub struct Mark {
+    pub line: u32,
+    /// Token ordinal in the file's live stream.
+    pub ord: u32,
+    pub kind: MarkKind,
+}
+
+#[derive(Clone, Debug)]
+pub enum MarkKind {
+    /// A `HASH_COLLECTIONS` identifier.
+    HashCollection(String),
+    /// A `SOURCES` identifier, or the `Instant` of `Instant::now`.
+    Source(Nondet, String),
+    /// `partial_cmp`, unless declared.
+    PartialCmp,
+    /// A `SYNC_PRIMITIVES` or `Atomic*` type, a `thread::` path, or a bare
+    /// call of a `THREAD_OPS` name.
+    Threading(String),
+    /// `.unwrap()` et al. (`PANIC_METHODS`).
+    PanicMethod(String),
+    /// `panic!` et al. (`PANIC_MACROS`).
+    PanicMacro(String),
+    /// Slice/array indexing `x[..]`.
+    Index,
+    /// A `std::thread` block/park call or a blocking receive, rendered.
+    Block(String, BlockKind),
+    /// Names the `Determinant` type.
+    Determinant,
+    /// A call; a path is as written (its fn normalizes the head).
+    Call(CallTarget),
+    /// `.lock()` / `.try_lock()` / `Condvar::wait*`, with its guard window.
+    Lock(LockFact),
+    /// A progress counter incremented (`PROGRESS_IDENTS`).
+    Progress,
+    /// `Enum::Variant` constructed.
+    Send(VariantSite),
+    /// `Enum::Variant` tested by `if let` / `while let` / `let .. else` /
+    /// `matches!`.
+    Test(VariantSite),
+    /// `Enum::Variant` match arm, marked at its body start.
+    Arm(ArmRegion),
 }
 
 /// One `fn` item.
@@ -217,27 +252,9 @@ pub struct FnItem {
     pub is_pub: bool,
     /// Takes a `self` receiver (candidate for `.method()` resolution).
     pub has_self: bool,
-    pub calls: Vec<CallSite>,
-    pub panics: Vec<PanicFact>,
-    pub taints: Vec<TaintFact>,
-    /// Lock acquisitions (lockgraph pass input).
-    pub locks: Vec<LockFact>,
-    /// Blocking/park points that are not acquisitions (lockgraph input).
-    pub blocks: Vec<BlockFact>,
-    /// Body mentions the `Determinant` type (replay-surface marker).
-    pub mentions_determinant: bool,
-    /// `Enum::Variant` construction sites.
-    pub sends: Vec<VariantSite>,
-    /// `Enum::Variant` match-arm regions.
-    pub arms: Vec<ArmRegion>,
-    /// `Enum::Variant` patterns that only *test* a value — `if let` /
-    /// `while let` / `let .. else` / `matches!`. Neither a construction
-    /// nor a handling arm.
-    pub tests: Vec<VariantSite>,
-    /// Token ordinals where the body increments a progress counter (see
-    /// `PROGRESS_IDENTS`) — per-site so the causal pass can tell whether a
-    /// specific match arm (not merely the enclosing fn) advances state.
-    pub progress_ords: Vec<u32>,
+    /// The body's facts: its marks, in token order, a call path's head
+    /// normalized for `crate`/`self`/`super`.
+    pub marks: Vec<Mark>,
 }
 
 impl FnItem {
@@ -248,8 +265,38 @@ impl FnItem {
 
     /// Every `Enum::Variant` the body names, whatever its role.
     pub fn variant_sites(&self) -> impl Iterator<Item = &VariantSite> {
-        let arms = self.arms.iter().flat_map(|a| &a.patterns);
-        self.sends.iter().chain(arms).chain(&self.tests)
+        self.marks.iter().flat_map(|m| match &m.kind {
+            MarkKind::Send(s) | MarkKind::Test(s) => std::slice::from_ref(s),
+            MarkKind::Arm(arm) => &arm.patterns,
+            _ => &[],
+        })
+    }
+
+    /// Does the body increment a progress counter inside `window`?
+    pub fn advances(&self, window: Range<u32>) -> bool {
+        self.marks.iter().any(|m| matches!(m.kind, MarkKind::Progress) && window.contains(&m.ord))
+    }
+}
+
+impl Mark {
+    /// The abort at an abort site: "`.unwrap()`", "`panic!`", "slice
+    /// indexing `[..]`".
+    pub fn panic(&self) -> Option<String> {
+        match &self.kind {
+            MarkKind::PanicMethod(name) => Some(format!("`.{name}()`")),
+            MarkKind::PanicMacro(name) => Some(format!("`{name}!`")),
+            MarkKind::Index => Some("slice indexing `[..]`".into()),
+            _ => None,
+        }
+    }
+
+    /// The source at a nondeterminism source: "Instant::now", "SystemTime", ...
+    pub fn taint(&self) -> Option<String> {
+        match &self.kind {
+            MarkKind::Source(_, name) if name == "Instant" => Some("Instant::now".into()),
+            MarkKind::Source(_, name) => Some(name.clone()),
+            _ => None,
+        }
     }
 }
 
@@ -281,6 +328,9 @@ pub struct ParsedFile {
     /// Module-level struct name -> named fields (empty for tuple/unit
     /// structs).
     pub structs: BTreeMap<String, Vec<FieldFact>>,
+    /// Every live token's classification, in token order: fn bodies and
+    /// item-level tokens (`use` trees, field types, signatures) alike.
+    pub marks: Vec<Mark>,
 }
 
 /// Derive the module path for `rel` (workspace-relative, `/`-separated)
@@ -302,7 +352,8 @@ pub fn module_path_of(lib_name: &str, rel: &str) -> Vec<String> {
     out
 }
 
-/// Parse one file's live token stream into its item/call-site structure.
+/// Parse one file's live token stream into its items, then classify every
+/// token once and hand each fn the marks inside its body.
 pub fn parse_file(module: Vec<String>, toks: &Tokens) -> ParsedFile {
     let mut p = Parser {
         t: toks,
@@ -311,8 +362,21 @@ pub fn parse_file(module: Vec<String>, toks: &Tokens) -> ParsedFile {
         module,
         mods: Vec::new(),
         impls: Vec::new(),
+        bodies: Vec::new(),
     };
     p.run();
+    let mut marks = p.classify();
+    marks.sort_by_key(|m| m.ord);
+    for (item, body) in p.out.fns.iter_mut().zip(&p.bodies) {
+        let at = |o: usize| marks.partition_point(|m| (m.ord as usize) < o);
+        item.marks = marks[at(body.start)..at(body.end)].to_vec();
+        for m in &mut item.marks {
+            if let MarkKind::Call(CallTarget::Path(segs)) = &mut m.kind {
+                *segs = normalize_head(&p.module[0], item.module.clone(), std::mem::take(segs));
+            }
+        }
+    }
+    p.out.marks = marks;
     p.out
 }
 
@@ -326,6 +390,8 @@ struct Parser<'a> {
     mods: Vec<(String, usize)>,
     /// `impl Ty {` stack: (type leaf name, index of the body's `}`).
     impls: Vec<(String, usize)>,
+    /// Body token range of each of `out.fns`.
+    bodies: Vec<Range<usize>>,
 }
 
 impl<'a> Parser<'a> {
@@ -518,8 +584,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(TokKind::Punct('*')) => {
                     self.i += 1;
-                    let path = self.normalize_head(prefix.clone());
-                    self.out.globs.push(path);
+                    let module = self.current_module();
+                    self.out.globs.push(normalize_head(&self.module[0], module, prefix.clone()));
                     return;
                 }
                 _ => return,
@@ -531,38 +597,8 @@ impl<'a> Parser<'a> {
         if alias.is_empty() || path.is_empty() {
             return;
         }
-        let path = self.normalize_head(path);
+        let path = normalize_head(&self.module[0], self.current_module(), path);
         self.out.imports.insert(alias, path);
-    }
-
-    /// Resolve `crate`/`self`/`super` heads against the file module.
-    fn normalize_head(&self, mut path: Vec<String>) -> Vec<String> {
-        let module = self.current_module();
-        match path.first().map(String::as_str) {
-            Some("crate") => {
-                let mut out = vec![self.module[0].clone()];
-                out.extend(path.drain(1..));
-                out
-            }
-            Some("self") => {
-                let mut out = module;
-                out.extend(path.drain(1..));
-                out
-            }
-            Some("super") => {
-                let mut out = module;
-                out.pop();
-                // Chained `super::super::` heads.
-                let mut rest = path.drain(1..).peekable();
-                while rest.peek().map(String::as_str) == Some("super") {
-                    rest.next();
-                    out.pop();
-                }
-                out.extend(rest);
-                out
-            }
-            _ => path,
-        }
     }
 
     /// `impl [<...>] Type [for Type2] {` — push the *self type* leaf.
@@ -690,23 +726,27 @@ impl<'a> Parser<'a> {
         let mut path = module.clone();
         path.extend(impl_type.clone());
         path.push(name.clone());
-        let mut item =
+        let item =
             FnItem { name, path, module, impl_type, line, is_pub, has_self, ..FnItem::default() };
-        self.scan_body(open, end, &mut item);
         self.out.fns.push(item);
+        self.bodies.push(open..end);
         self.i = end;
     }
 
-    /// The one walk over a fn body `[lo, hi)`. Each path head `a::b::c` is
-    /// collected once and classified twice: for call sites, panic, taint,
-    /// lock and block facts, and — here and nowhere else — as an
-    /// `Enum::Variant` construction (`sends`), match-arm pattern
-    /// (or-patterns grouped into one `ArmRegion`, its body extent on the
-    /// shared ord scale) or refutable test (`tests`). Progress ordinals for
-    /// the `non-progressing-cycle` rule ride along.
-    fn scan_body(&self, lo: usize, hi: usize, item: &mut FnItem) {
+    /// The one walk over the file's live tokens. Every identifier is
+    /// classified by the tables (`ident_mark`) wherever it stands. Each path
+    /// head `a::b::c` is collected once and classified twice: for call and
+    /// block facts, and — here and nowhere else — as an `Enum::Variant`
+    /// construction, match-arm pattern (or-patterns grouped into one
+    /// `ArmRegion`, its body extent on the shared ord scale) or refutable
+    /// test. Progress marks for `non-progressing-cycle` ride along.
+    fn classify(&self) -> Vec<Mark> {
         let t = self.t;
-        // Innermost enclosing `{` (the body brace at `lo` is the outermost).
+        let mut marks = Vec::new();
+        let mut mark = |j: usize, kind: MarkKind| {
+            marks.push(Mark { line: t[j].line, ord: j as u32, kind });
+        };
+        // Innermost enclosing `{`.
         let mut braces: Vec<usize> = Vec::new();
         // Patterns of the or-group currently being accumulated.
         let mut pending: Vec<VariantSite> = Vec::new();
@@ -716,9 +756,10 @@ impl<'a> Parser<'a> {
         // its continuation segments (and a macro its `!`) for the facts; an
         // arm pattern covers its payload and guard, an or-alternative its
         // payload and `|`, for the variant sites.
-        let (mut next_fact, mut next_site) = (lo, lo);
-        for j in lo..hi {
+        let (mut next_fact, mut next_site) = (0, 0);
+        for j in 0..t.len() {
             let (fact, site) = (j >= next_fact, j >= next_site);
+            let before = |k: usize, c: char| t.punct(j.wrapping_sub(k), c);
             let name = match &t[j].kind {
                 TokKind::Ident(name) => name,
                 TokKind::Punct('{') if fact => {
@@ -730,43 +771,44 @@ impl<'a> Parser<'a> {
                     continue;
                 }
                 TokKind::Punct('[') if fact => {
-                    // Slice/array indexing: `x[..]`, `f()[..]`, `x[0][1]`.
-                    let is_index = j > lo
-                        && matches!(t[j - 1].kind, TokKind::Ident(_) | TokKind::Punct(')' | ']'))
-                        // `vec![` and other macros are separated by `!`; attrs by `#`.
-                        && !(j > lo + 1 && t[j - 2].is_punct('#'));
-                    if is_index {
-                        let what = "slice indexing `[..]`".into();
-                        item.panics.push(PanicFact { line: t[j].line, what });
+                    // Slice/array indexing: `x[..]`, `f()[..]`, `x[0][1]`;
+                    // `vec![` and other macros are separated by `!`.
+                    let indexed = t.get(j.wrapping_sub(1)).is_some_and(|p| {
+                        matches!(p.kind, TokKind::Ident(_) | TokKind::Punct(')' | ']'))
+                    });
+                    if indexed && !before(2, '#') {
+                        mark(j, MarkKind::Index);
                     }
                     continue;
                 }
                 _ => continue,
             };
+            if let Some(kind) = self.ident_mark(j, name) {
+                mark(j, kind);
+            }
             if site {
                 // Progress probe: a known counter with a `+` shortly after
                 // covers `x += 1`, `x: x + 1`, and `self.epoch = id + 1` alike.
                 if PROGRESS_IDENTS.contains(&name.as_str())
-                    && t[j + 1..(j + 7).min(hi)].iter().any(|x| x.is_punct('+'))
+                    && t[j + 1..(j + 7).min(t.len())].iter().any(|x| x.is_punct('+'))
                 {
-                    item.progress_ords.push(j as u32);
+                    mark(j, MarkKind::Progress);
                 }
                 if name == "matches" && t.punct(j + 1, '!') && t.punct(j + 2, '(') {
                     let past = t.close(j + 2) + 1;
                     matches_pattern = t.walk(j + 3, past, |k| t.punct(k, ','))..past;
                 }
             }
-            if t[j - 1].is_punct('.') {
+            if before(1, '.') {
                 if fact {
-                    self.method_facts(j, name, &braces, lo, hi, item);
+                    self.method_marks(j, name, &braces).into_iter().for_each(|kind| mark(j, kind));
                 }
                 continue;
             }
             // A declared name is not a reference; a continuation segment
             // (`::` before it) is not a variant path's head.
-            let decl = ["fn", "let", "mod", "struct", "enum"].iter().any(|k| t[j - 1].is_ident(k));
-            let fact = fact && !decl;
-            let site = site && !(t.punct(j - 1, ':') && t.punct(j - 2, ':'));
+            let fact = fact && !declared(t, j);
+            let site = site && !(before(1, ':') && before(2, ':'));
             if !fact && !site {
                 continue;
             }
@@ -779,30 +821,71 @@ impl<'a> Parser<'a> {
                 end += 3;
             }
             if fact {
-                next_fact = self.path_facts(j, &segs, end, item);
+                let after = skip_turbofish(t, end);
+                next_fact = if t.punct(after, '!') { after + 1 } else { end };
+                if t.punct(after, '(') {
+                    mark(j, self.path_call(segs.clone()));
+                }
             }
             if site {
-                next_site = self.variant_site(&segs, end, hi, &mut pending, &matches_pattern, item);
+                let (site, next) = variant_site(t, &segs, end, &mut pending, &matches_pattern);
+                next_site = next;
+                if let Some((at, kind)) = site {
+                    mark(at, kind);
+                }
             }
         }
+        marks
     }
 
-    /// `.name(..)` at `j`: a lock acquisition with its guard window, or a
-    /// blocking receive, a panicking method or a by-name call.
-    fn method_facts(
-        &self,
-        j: usize,
-        name: &str,
-        braces: &[usize],
-        lo: usize,
-        hi: usize,
-        item: &mut FnItem,
-    ) {
+    /// What the identifier at `j` is by the tables alone, wherever it
+    /// stands: the per-file rules' whole view, and the fn facts' sources.
+    fn ident_mark(&self, j: usize, name: &str) -> Option<MarkKind> {
+        let t = self.t;
+        let prev = |c: char| j > 0 && t[j - 1].is_punct(c);
+        let path_next = t.punct(j + 1, ':') && t.punct(j + 2, ':');
+        let owned = || name.to_string();
+        if HASH_COLLECTIONS.contains(&name) {
+            return Some(MarkKind::HashCollection(owned()));
+        }
+        if let Some(&(_, source)) = SOURCES.iter().find(|(s, _)| *s == name) {
+            return Some(MarkKind::Source(source, owned()));
+        }
+        if name == "Instant" && path_next && t.get(j + 3).is_some_and(|x| x.is_ident("now")) {
+            return Some(MarkKind::Source(Nondet::Clock, owned()));
+        }
+        if name == "partial_cmp" && !declared(t, j) {
+            return Some(MarkKind::PartialCmp);
+        }
+        // A bare `sleep(..)` — imported via `use std::thread::sleep` —
+        // sidesteps the `thread::` path; methods, path tails (marked at
+        // `thread`) and definitions named alike are not calls of it.
+        let bare_op = THREAD_OPS.iter().any(|(op, _)| *op == name)
+            && t.punct(j + 1, '(')
+            && !prev('.')
+            && !prev(':')
+            && !declared(t, j);
+        if SYNC_PRIMITIVES.contains(&name)
+            || name.strip_prefix("Atomic").is_some_and(|rest| !rest.is_empty())
+            || name == "thread" && path_next
+            || bare_op
+        {
+            return Some(MarkKind::Threading(owned()));
+        }
+        if PANIC_MACROS.contains(&name) && t.punct(j + 1, '!') {
+            return Some(MarkKind::PanicMacro(owned()));
+        }
+        (name == "Determinant").then_some(MarkKind::Determinant)
+    }
+
+    /// `.name(..)` at `j`: a lock acquisition with its guard window, a
+    /// panicking method, or a by-name call — a blocking receive also marked
+    /// as one, since a workspace method of the same name resolves by name.
+    fn method_marks(&self, j: usize, name: &str, braces: &[usize]) -> Vec<MarkKind> {
         let t = self.t;
         if !t.punct(skip_turbofish(t, j + 1), '(') {
-            return;
+            return Vec::new();
         }
-        let line = t[j].line;
         if let Some(&(_, op)) = LOCK_METHODS.iter().find(|(m, _)| *m == name) {
             // `x.y.lock()` — the receiver leaf ident names the lock; a
             // non-ident receiver (call result) stays anonymous. No call edge:
@@ -813,157 +896,143 @@ impl<'a> Parser<'a> {
             // block's level from `j` on. Groups after `j` (closure bodies,
             // `if` blocks fed by the temporary) are stepped over, which
             // over-approximates liveness into them — the safe direction.
-            let block = braces.last().copied().unwrap_or(lo);
-            let binds = stmt_binds_guard(t, lo, j);
-            let scope_end = if binds {
+            let block = braces.last().copied().unwrap_or(0);
+            let binds_guard = stmt_binds_guard(t, j);
+            let scope_end = if binds_guard {
                 t.close(block)
             } else {
-                t.walk(block + 1, hi, |k| k >= j && t.punct(k, ';'))
+                t.walk(block + 1, t.len(), |k| k >= j && t.punct(k, ';'))
             };
-            item.locks.push(LockFact {
-                line,
-                ord: j as u32,
-                lock,
-                op,
-                binds_guard: binds,
-                scope_end: scope_end as u32,
-            });
-            return;
-        }
-        if BLOCKING_METHODS.contains(&name) {
-            // The call edge below is kept too: a workspace method of the
-            // same name resolves by name.
-            let what = format!("blocking `.{name}()`");
-            item.blocks.push(BlockFact { line, ord: j as u32, what, kind: BlockKind::Blocking });
+            let scope_end = scope_end as u32;
+            return vec![MarkKind::Lock(LockFact { lock, op, binds_guard, scope_end })];
         }
         if PANIC_METHODS.contains(&name) {
-            item.panics.push(PanicFact { line, what: format!("`.{name}()`") });
-        } else {
-            let target = CallTarget::Method(name.to_string());
-            item.calls.push(CallSite { line, ord: j as u32, target });
+            return vec![MarkKind::PanicMethod(name.to_string())];
         }
+        let call = MarkKind::Call(CallTarget::Method(name.to_string()));
+        if BLOCKING_METHODS.contains(&name) {
+            let block = MarkKind::Block(format!("blocking `.{name}()`"), BlockKind::Blocking);
+            return vec![block, call];
+        }
+        vec![call]
     }
 
-    /// Facts of the path head at `j` whose segments `segs` end before `end`:
-    /// taint sources, a panicking macro, a thread block/park operation or a
-    /// call. Returns the next ordinal the fact walk looks at.
-    fn path_facts(&self, j: usize, segs: &[String], end: usize, item: &mut FnItem) -> usize {
-        let (t, line) = (self.t, self.t[j].line);
-        // Taint facts (independent of call-ness: type positions like
-        // `RandomState` in a generic argument also count).
-        for (ix, s) in segs.iter().enumerate() {
-            if TAINT_IDENTS.contains(&s.as_str()) {
-                item.taints.push(TaintFact { line, what: s.clone() });
-            }
-            if s == "Instant" && segs.get(ix + 1).map(String::as_str) == Some("now") {
-                item.taints.push(TaintFact { line, what: "Instant::now".into() });
-            }
-            if s == "Determinant" {
-                item.mentions_determinant = true;
-            }
-        }
-        let after = skip_turbofish(t, end);
-        if t.punct(after, '!') {
-            if segs.len() == 1 && PANIC_MACROS.contains(&segs[0].as_str()) {
-                item.panics.push(PanicFact { line, what: format!("`{}!`", segs[0]) });
-            }
-            return after + 1;
-        }
-        if t.punct(after, '(') {
-            // `std::thread::sleep(..)` et al. are blocking/park facts, not
-            // workspace call edges. A bare `sleep(..)` counts when a `use`
-            // maps it back to `std::thread`.
-            let effective = match segs {
-                [one] => self.out.imports.get(one).map_or(segs, Vec::as_slice),
-                _ => segs,
-            };
-            if let Some((what, kind)) = thread_block_op(effective) {
-                item.blocks.push(BlockFact { line, ord: j as u32, what, kind });
-            } else {
-                let target = CallTarget::Path(self.normalize_head(segs.to_vec()));
-                item.calls.push(CallSite { line, ord: j as u32, target });
-            }
-        }
-        end
-    }
-
-    /// Classify the path whose segments `segs` end before `end`, when its
-    /// last two segments are capitalised (`Enum::Variant`): inside a
-    /// `matches!` pattern a test; followed by `|` an or-alternative; by `=>`
-    /// (or a guard and then `=>`) an arm pattern; by a lone `=` a
-    /// `let`/`if let`/`while let` test; else a construction. Returns the
-    /// next ordinal the classifier looks at — past the pattern's payload
-    /// and guard for an arm, which it keeps walking *inside*.
-    fn variant_site(
-        &self,
-        segs: &[String],
-        end: usize,
-        hi: usize,
-        pending: &mut Vec<VariantSite>,
-        matches_pattern: &Range<usize>,
-        item: &mut FnItem,
-    ) -> usize {
-        let t = self.t;
-        let upper = |s: &str| s.chars().next().is_some_and(char::is_uppercase);
-        let [.., enm, variant] = segs else { return end };
-        if !upper(enm) || !upper(variant) {
-            return end;
-        }
-        let (enm, variant) = (enm.clone(), variant.clone());
-        let site = VariantSite { line: t[end - 1].line, ord: end as u32 - 1, enm, variant };
-        // Step over an optional payload group; what follows classifies.
-        let after = if t.punct(end, '{') || t.punct(end, '(') { t.close(end) + 1 } else { end };
-        let arm = t.punct(after, '=') && t.punct(after + 1, '>')
-            || t.get(after).is_some_and(|x| x.is_ident("if"));
-        let arrow = if arm {
-            t.walk(after, hi, |k| t.punct(k, ';') || t.punct(k, '=') && t.punct(k + 1, '>'))
-        } else {
-            hi
+    /// A path call `segs(..)`: a `std::thread` block/park operation (a bare
+    /// `sleep(..)` counts when a `use` maps it back to `std::thread`), else
+    /// a call edge.
+    fn path_call(&self, segs: Vec<String>) -> MarkKind {
+        let effective = match segs.as_slice() {
+            [one] => self.out.imports.get(one).unwrap_or(&segs),
+            _ => &segs,
         };
-        if matches_pattern.contains(&(end - 1)) {
-            item.tests.push(site);
-        } else if t.punct(after, '|') {
-            pending.push(site);
-            return after + 1;
-        } else if arrow < hi && t.punct(arrow, '=') {
-            pending.push(site);
-            let body_lo = arrow + 2;
-            let body_hi = if t.punct(body_lo, '{') {
-                t.close(body_lo) + 1
-            } else {
-                t.walk(body_lo, hi, |k| t.punct(k, ','))
-            };
-            item.arms.push(ArmRegion {
-                line: pending[0].line,
-                patterns: std::mem::take(pending),
-                lo: body_lo as u32,
-                hi: body_hi as u32,
-            });
-            return body_lo;
-        } else if t.punct(after, '=') && !t.punct(after + 1, '=') && !t.punct(after + 1, '>') {
-            item.tests.push(site);
-        } else {
-            item.sends.push(site);
+        match thread_block_op(effective) {
+            Some((what, kind)) => MarkKind::Block(what, kind),
+            None => MarkKind::Call(CallTarget::Path(segs)),
         }
-        pending.clear();
-        end
+    }
+}
+
+/// Is the identifier at `j` declared by the keyword before it?
+fn declared(t: &[Tok], j: usize) -> bool {
+    j > 0 && DECL_KEYWORDS.iter().any(|k| t[j - 1].is_ident(k))
+}
+
+/// Classify the path whose segments `segs` end before `end`, when its
+/// last two segments are capitalised (`Enum::Variant`): inside a
+/// `matches!` pattern a test; followed by `|` an or-alternative; by `=>`
+/// (or a guard and then `=>`) an arm pattern; by a lone `=` a
+/// `let`/`if let`/`while let` test; else a construction. Returns the mark,
+/// if any, with its ordinal (an arm's is its body start), and the next
+/// ordinal the classifier looks at — past the pattern's payload and guard
+/// for an arm, which it keeps walking *inside*.
+fn variant_site(
+    t: &Tokens,
+    segs: &[String],
+    end: usize,
+    pending: &mut Vec<VariantSite>,
+    matches_pattern: &Range<usize>,
+) -> (Option<(usize, MarkKind)>, usize) {
+    let upper = |s: &str| s.chars().next().is_some_and(char::is_uppercase);
+    let [.., enm, variant] = segs else { return (None, end) };
+    if !upper(enm) || !upper(variant) {
+        return (None, end);
+    }
+    let (enm, variant) = (enm.clone(), variant.clone());
+    let site = VariantSite { line: t[end - 1].line, ord: end as u32 - 1, enm, variant };
+    // Step over an optional payload group; what follows classifies.
+    let after = if t.punct(end, '{') || t.punct(end, '(') { t.close(end) + 1 } else { end };
+    let arm = t.punct(after, '=') && t.punct(after + 1, '>')
+        || t.get(after).is_some_and(|x| x.is_ident("if"));
+    let arrow = if arm {
+        t.walk(after, t.len(), |k| t.punct(k, ';') || t.punct(k, '=') && t.punct(k + 1, '>'))
+    } else {
+        t.len()
+    };
+    let kind = if matches_pattern.contains(&(end - 1)) {
+        MarkKind::Test(site)
+    } else if t.punct(after, '|') {
+        pending.push(site);
+        return (None, after + 1);
+    } else if arrow < t.len() && t.punct(arrow, '=') {
+        pending.push(site);
+        let body_lo = arrow + 2;
+        let body_hi = if t.punct(body_lo, '{') {
+            t.close(body_lo) + 1
+        } else {
+            t.walk(body_lo, t.len(), |k| t.punct(k, ','))
+        };
+        let arm = ArmRegion {
+            line: pending[0].line,
+            patterns: std::mem::take(pending),
+            lo: body_lo as u32,
+            hi: body_hi as u32,
+        };
+        return (Some((body_lo, MarkKind::Arm(arm))), body_lo);
+    } else if t.punct(after, '=') && !t.punct(after + 1, '=') && !t.punct(after + 1, '>') {
+        MarkKind::Test(site)
+    } else {
+        MarkKind::Send(site)
+    };
+    pending.clear();
+    (Some((end - 1, kind)), end)
+}
+
+/// Resolve a `crate`/`self`/`super` head against `module` (the module a
+/// path is written in) of the crate named `root`.
+fn normalize_head(root: &str, module: Vec<String>, mut path: Vec<String>) -> Vec<String> {
+    match path.first().map(String::as_str) {
+        Some("crate") => {
+            let mut out = vec![root.to_string()];
+            out.extend(path.drain(1..));
+            out
+        }
+        Some("self") => {
+            let mut out = module;
+            out.extend(path.drain(1..));
+            out
+        }
+        Some("super") => {
+            let mut out = module;
+            out.pop();
+            // Chained `super::super::` heads.
+            let mut rest = path.drain(1..).peekable();
+            while rest.peek().map(String::as_str) == Some("super") {
+                rest.next();
+                out.pop();
+            }
+            out.extend(rest);
+            out
+        }
+        _ => path,
     }
 }
 
 /// Is this path a `std::thread` blocking/park operation? Matches any path
 /// whose tail is `thread::<op>` (`std::thread::sleep`, `thread::park`, ...).
 fn thread_block_op(segs: &[String]) -> Option<(String, BlockKind)> {
-    if segs.len() < 2 || segs[segs.len() - 2] != "thread" {
-        return None;
-    }
-    let (what, kind) = match segs.last().map(String::as_str) {
-        Some("sleep") => ("`std::thread::sleep`", BlockKind::Blocking),
-        Some("yield_now") => ("`std::thread::yield_now`", BlockKind::Park),
-        Some("park") => ("`std::thread::park`", BlockKind::Park),
-        Some("park_timeout") => ("`std::thread::park_timeout`", BlockKind::Park),
-        _ => return None,
-    };
-    Some((what.to_string(), kind))
+    let [.., thread, op] = segs else { return None };
+    let &(op, kind) = THREAD_OPS.iter().find(|(o, _)| o == op && thread == "thread")?;
+    Some((format!("`std::thread::{op}`"), kind))
 }
 
 /// Does the statement containing token `j` bind its value? True when a
@@ -971,17 +1040,9 @@ fn thread_block_op(segs: &[String]) -> Option<(String, BlockKind)> {
 /// appears between the previous statement/block boundary and `j` — the
 /// guard then lives past the statement (to the end of the enclosing block,
 /// conservatively; `match` scrutinee temporaries live through the arms).
-fn stmt_binds_guard(t: &[Tok], lo: usize, j: usize) -> bool {
-    let mut k = j;
-    while k > lo {
-        k -= 1;
-        match &t[k].kind {
-            TokKind::Punct(';' | '{' | '}') => return false,
-            TokKind::Ident(s) if s == "let" || s == "match" => return true,
-            _ => {}
-        }
-    }
-    false
+fn stmt_binds_guard(t: &[Tok], j: usize) -> bool {
+    let mut stmt = t[..j].iter().rev().take_while(|x| !matches!(x.kind, TokKind::Punct(';' | '{' | '}')));
+    stmt.any(|x| x.is_ident("let") || x.is_ident("match"))
 }
 
 /// From `<` at `open`, return the index past the matching `>` (the `>` of
@@ -1027,6 +1088,77 @@ mod tests {
 
     fn fn_named<'a>(f: &'a ParsedFile, name: &str) -> &'a FnItem {
         f.fns.iter().find(|i| i.name == name).unwrap_or_else(|| panic!("no fn {name}: {f:#?}"))
+    }
+
+    #[derive(Debug)]
+    struct Call {
+        ord: u32,
+        target: CallTarget,
+    }
+
+    #[derive(Debug)]
+    struct Fact {
+        what: String,
+    }
+
+    #[derive(Debug)]
+    struct Lock {
+        ord: u32,
+        lock: String,
+        op: LockOp,
+        binds_guard: bool,
+        scope_end: u32,
+    }
+
+    #[derive(Debug)]
+    struct Block {
+        what: String,
+        kind: BlockKind,
+    }
+
+    /// A fn's marks sorted into per-kind lists.
+    #[derive(Debug, Default)]
+    struct Facts {
+        calls: Vec<Call>,
+        panics: Vec<Fact>,
+        taints: Vec<Fact>,
+        locks: Vec<Lock>,
+        blocks: Vec<Block>,
+        mentions_determinant: bool,
+        sends: Vec<VariantSite>,
+        arms: Vec<ArmRegion>,
+        tests: Vec<VariantSite>,
+        progress_ords: Vec<u32>,
+    }
+
+    fn facts(item: &FnItem) -> Facts {
+        let mut f = Facts::default();
+        for m in &item.marks {
+            f.panics.extend(m.panic().map(|what| Fact { what }));
+            f.taints.extend(m.taint().map(|what| Fact { what }));
+            match &m.kind {
+                MarkKind::Call(target) => f.calls.push(Call { ord: m.ord, target: target.clone() }),
+                MarkKind::Lock(l) => f.locks.push(Lock {
+                    ord: m.ord,
+                    lock: l.lock.clone(),
+                    op: l.op,
+                    binds_guard: l.binds_guard,
+                    scope_end: l.scope_end,
+                }),
+                MarkKind::Block(what, kind) => f.blocks.push(Block { what: what.clone(), kind: *kind }),
+                MarkKind::Determinant => f.mentions_determinant = true,
+                MarkKind::Send(site) => f.sends.push(site.clone()),
+                MarkKind::Test(site) => f.tests.push(site.clone()),
+                MarkKind::Arm(arm) => f.arms.push(arm.clone()),
+                MarkKind::Progress => f.progress_ords.push(m.ord),
+                _ => {}
+            }
+        }
+        f
+    }
+
+    fn facts_of(f: &ParsedFile, name: &str) -> Facts {
+        facts(fn_named(f, name))
     }
 
     #[test]
@@ -1096,7 +1228,7 @@ mod tests {
                  a + b\n\
              }\n",
         );
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         let paths: Vec<String> = item
             .calls
             .iter()
@@ -1118,7 +1250,7 @@ mod tests {
     #[test]
     fn method_calls_and_fields() {
         let f = parse("fn f(s: S) { s.go(); let x = s.field; s.generic::<u8>(1); }\n");
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         let methods: Vec<&str> = item
             .calls
             .iter()
@@ -1135,7 +1267,8 @@ mod tests {
         let f = parse(
             "fn f() {\n    let t = std::time::Instant::now();\n    let s = SystemTime::now();\n    let h: RandomState = RandomState::new();\n}\n",
         );
-        let t: Vec<&str> = fn_named(&f, "f").taints.iter().map(|x| x.what.as_str()).collect();
+        let taints = facts_of(&f, "f").taints;
+        let t: Vec<&str> = taints.iter().map(|x| x.what.as_str()).collect();
         assert!(t.contains(&"Instant::now"));
         assert!(t.contains(&"SystemTime"));
         assert!(t.contains(&"RandomState"));
@@ -1144,7 +1277,7 @@ mod tests {
     #[test]
     fn vec_macro_and_attrs_are_not_indexing() {
         let f = parse("fn f() { let v = vec![1, 2]; #[allow(dead_code)] let w: [u8; 2] = [0; 2]; }\n");
-        assert!(fn_named(&f, "f").panics.is_empty(), "{:?}", fn_named(&f, "f").panics);
+        assert!(facts_of(&f, "f").panics.is_empty(), "{:?}", facts_of(&f, "f").panics);
     }
 
     #[test]
@@ -1168,7 +1301,7 @@ mod tests {
     #[test]
     fn determinant_mention_is_tracked() {
         let f = parse("fn replay(d: u8) { match d { _ => Determinant::decode(d) }; }\n");
-        assert!(fn_named(&f, "replay").mentions_determinant);
+        assert!(facts_of(&f, "replay").mentions_determinant);
     }
 
     #[test]
@@ -1182,7 +1315,7 @@ mod tests {
         let d = fn_named(&f, "with_default");
         assert!(d.has_self);
         assert_eq!(d.path, vec!["x", "T", "with_default"]);
-        assert!(d.calls.iter().any(|c| matches!(&c.target, CallTarget::Method(m) if m == "required")));
+        assert!(facts(d).calls.iter().any(|c| matches!(&c.target, CallTarget::Method(m) if m == "required")));
         assert_eq!(fn_named(&f, "after").path, vec!["x", "after"]);
     }
 
@@ -1210,14 +1343,14 @@ mod tests {
         assert_eq!((f.structs["S"][0].name.as_str(), f.structs["S"][0].is_pub), ("q", false));
         assert_eq!(f.structs["S"][0].ty, vec!["Mutex", "u32"]);
 
-        let bound = fn_named(&f, "bound");
+        let bound = facts_of(&f, "bound");
         let a = &bound.locks[0];
         assert_eq!((a.lock.as_str(), a.op, a.binds_guard), ("q", LockOp::Lock, true));
         // The helper() call after the acquisition falls inside the guard.
         let call = bound.calls.iter().find(|c| matches!(&c.target, CallTarget::Path(p) if p == &vec!["helper".to_string()])).unwrap();
         assert!(a.ord < call.ord && call.ord <= a.scope_end);
 
-        let temp = fn_named(&f, "temp");
+        let temp = facts_of(&f, "temp");
         let a = &temp.locks[0];
         assert!(!a.binds_guard);
         // Statement-scoped: `is_zero` is under the temporary, `helper` not.
@@ -1226,7 +1359,7 @@ mod tests {
         assert!(a.ord < is_zero.ord && is_zero.ord <= a.scope_end);
         assert!(helper.ord > a.scope_end);
 
-        let tried = fn_named(&f, "tried");
+        let tried = facts_of(&f, "tried");
         let a = &tried.locks[0];
         assert_eq!((a.op, a.binds_guard), (LockOp::TryLock, true));
     }
@@ -1243,7 +1376,7 @@ mod tests {
                  rx.recv();\n\
              }\n",
         );
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         let whats: Vec<&str> = item.blocks.iter().map(|b| b.what.as_str()).collect();
         assert_eq!(
             whats,
@@ -1277,7 +1410,7 @@ mod tests {
                  }\n\
              }\n",
         );
-        let item = fn_named(&f, "handle");
+        let item = facts_of(&f, "handle");
         // One construction site: Pong. Ping/Stop/Halt are patterns.
         let sends: Vec<&str> = item.sends.iter().map(|s| s.variant.as_str()).collect();
         assert_eq!(sends, vec!["Pong"], "{:?}", item.sends);
@@ -1315,7 +1448,7 @@ mod tests {
                  while let Msg::Tick = next() {}\n\
              }\n",
         );
-        assert!(fn_named(&f, "f").sends.is_empty(), "{:?}", fn_named(&f, "f").sends);
+        assert!(facts_of(&f, "f").sends.is_empty(), "{:?}", facts_of(&f, "f").sends);
     }
 
     #[test]
@@ -1328,7 +1461,7 @@ mod tests {
                  }\n\
              }\n",
         );
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         assert_eq!(item.arms.len(), 1);
         assert_eq!(item.sends.len(), 1, "{:?}", item.sends);
         let arm = &item.arms[0];
@@ -1343,9 +1476,9 @@ mod tests {
              fn b(&mut self, attempt: u32) { retry(GatherTimeout { attempt: attempt + 1 }); }\n\
              fn c(&mut self) { self.counter += 1; }\n",
         );
-        assert!(!fn_named(&f, "a").progress_ords.is_empty());
-        assert!(!fn_named(&f, "b").progress_ords.is_empty());
-        assert!(fn_named(&f, "c").progress_ords.is_empty());
+        assert!(!facts_of(&f, "a").progress_ords.is_empty());
+        assert!(!facts_of(&f, "b").progress_ords.is_empty());
+        assert!(facts_of(&f, "c").progress_ords.is_empty());
     }
 
     #[test]
@@ -1359,7 +1492,7 @@ mod tests {
                  matches!(q.peek(), Some(Msg::Halt | Msg::Stop)) && !matches!(m, Msg::Tick)\n\
              }\n",
         );
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         let names = |v: &[VariantSite]| v.iter().map(|s| s.variant.clone()).collect::<Vec<_>>();
         // A guard with `==`/`>=` in it is still an arm: the arrow search
         // must not stop at the first `=`.
@@ -1370,7 +1503,7 @@ mod tests {
         // `matches!` operands are tests, alternatives included; `Some` and
         // the scrutinee expression are not variant paths at all.
         assert_eq!(names(&item.tests), vec!["Halt", "Stop", "Tick"]);
-        assert_eq!(item.variant_sites().count(), 6);
+        assert_eq!(fn_named(&f, "f").variant_sites().count(), 6);
     }
 
     #[test]
@@ -1404,7 +1537,7 @@ mod tests {
                  }\n\
              }\n",
         );
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         assert_eq!(item.arms.len(), 2, "{:#?}", item.arms);
         let a = &item.arms[0];
         assert!(t[a.hi as usize].is_punct(',') && t[a.hi as usize - 1].is_punct(')'));
@@ -1421,7 +1554,7 @@ mod tests {
                  }\n\
              }\n",
         );
-        let item = fn_named(&f, "f");
+        let item = facts_of(&f, "f");
         assert_eq!(item.arms.len(), 1, "{:#?}", item.arms);
         let arm = &item.arms[0];
         assert!(t[arm.lo as usize - 2].is_punct('=') && t[arm.lo as usize - 1].is_punct('>'));

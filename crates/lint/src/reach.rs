@@ -97,7 +97,7 @@ pub fn check(graph: &CallGraph, book: &mut AllowBook) -> Vec<Diagnostic> {
             if on_recovery_path(ix) {
                 return Vec::new();
             }
-            graph.nodes[ix].item.panics.iter().map(|p| (p.line, p.what.clone())).collect()
+            graph.nodes[ix].item.marks.iter().filter_map(|m| Some((m.line, m.panic()?))).collect()
         }),
         hint: "surface an error into the retry/escalation ladder or add an audited allow on a \
                hop of the printed path",

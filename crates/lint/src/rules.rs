@@ -1,15 +1,15 @@
-//! The per-file rule engine: determinism rules and recovery-path panic
-//! rules over a file's live token stream (`#[cfg(test)]` regions are cut
-//! when the file is loaded — `test_regions` below finds them).
-//! Allow-annotation resolution lives in `allows::AllowBook` (shared with
-//! the transitive graph rules); `check_file` remains as the single-file
-//! convenience wrapper.
+//! The per-file rules: determinism rules and recovery-path panic rules, a
+//! filter of the parser's marks (`parser::Mark`) over a file's live tokens
+//! (`#[cfg(test)]` regions are cut when the file is loaded — `test_regions`
+//! below finds them). Allow-annotation resolution lives in
+//! `allows::AllowBook` (shared with the transitive graph rules);
+//! `check_file` remains as the single-file convenience wrapper.
 
 use crate::allows::AllowBook;
 use crate::callgraph::Source;
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{LexedFile, Tok, Tokens};
-use crate::parser::{PANIC_MACROS, PANIC_METHODS};
+use crate::lexer::{LexedFile, Tokens};
+use crate::parser::{self, Mark, MarkKind};
 
 /// Which rule families apply to a file (derived from `config` tables).
 #[derive(Clone, Copy, Debug, Default)]
@@ -22,41 +22,15 @@ pub struct RuleSet {
     pub recovery_panic: bool,
 }
 
-impl RuleSet {
-    pub fn any(&self) -> bool {
-        self.determinism || self.threading || self.recovery_panic
-    }
-}
-
-/// Identifiers that imply randomized iteration order or hashing state.
-const HASH_IDENTS: &[&str] =
-    &["HashMap", "HashSet", "RandomState", "DefaultHasher", "hash_map", "hash_set"];
-
-/// Identifiers that read wall-clock time.
-const WALL_CLOCK_IDENTS: &[&str] = &["SystemTime", "UNIX_EPOCH"];
-
-/// Identifiers that draw OS entropy.
-const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
-
-/// Lock/coordination types (threading rule). `Barrier` is deliberately
-/// absent: `StreamElement::Barrier` is the engine's checkpoint barrier and
-/// would false-positive everywhere; `std::sync::Barrier` use would still
-/// trip on the `thread::`/spawn machinery needed to exercise it.
-const SYNC_PRIMITIVE_IDENTS: &[&str] = &["Mutex", "RwLock", "Condvar"];
-
-/// Host-scheduler operations reachable as *bare* calls via `use
-/// std::thread::sleep` etc. — only modelled time is legal outside the
-/// runtime module (threading rule).
-const THREAD_OP_IDENTS: &[&str] = &["sleep", "yield_now", "park", "park_timeout"];
-
 /// Run all applicable per-file rules on one file, resolving suppressions
 /// against a file-local `AllowBook`. The workspace driver (`lib.rs`)
-/// instead calls `scan_file` and shares one book across every pass.
+/// instead calls `findings` and shares one book across every pass.
 pub fn check_file(rel: &str, lexed: &LexedFile, rules: &RuleSet) -> Vec<Diagnostic> {
     let src = Source::new(lexed.clone());
+    let marks = parser::parse_file(vec!["crate".into()], &src.toks).marks;
     let mut book = AllowBook::default();
     book.add_file(rel, &src.allows);
-    let mut out: Vec<Diagnostic> = scan_file(rel, &src.toks, rules)
+    let mut out: Vec<Diagnostic> = findings(rel, &marks, rules)
         .into_iter()
         .filter(|d| !book.suppress(&d.file, d.line, &d.rule))
         .collect();
@@ -66,84 +40,51 @@ pub fn check_file(rel: &str, lexed: &LexedFile, rules: &RuleSet) -> Vec<Diagnost
     out
 }
 
-/// Raw per-file findings over a file's live tokens; suppression is the
+/// Raw per-file findings: the marks `rules` cover; suppression is the
 /// caller's job (via `AllowBook`, so stale allows can be reported). Two
 /// identical triggers on one line (e.g. `HashMap` twice) are deduplicated
 /// to one finding.
-pub fn scan_file(rel: &str, toks: &[Tok], rules: &RuleSet) -> Vec<Diagnostic> {
-    let mut found: Vec<Diagnostic> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        let mut flag =
-            |rule: &str, message: String| found.push(Diagnostic::new(rel, t.line, rule, message));
-        let next_punct = |ahead: usize, c: char| toks.get(i + ahead).is_some_and(|n| n.is_punct(c));
-        if rules.determinism {
-            if HASH_IDENTS.contains(&name) {
-                flag(
-                    "hash-collections",
-                    format!("`{name}` has nondeterministic iteration/hash order; use BTreeMap/BTreeSet"),
-                );
-            }
-            if WALL_CLOCK_IDENTS.contains(&name)
-                || (name == "Instant" && path_call(toks, i, "now"))
+pub fn findings(rel: &str, marks: &[Mark], rules: &RuleSet) -> Vec<Diagnostic> {
+    use parser::Nondet::{Clock, Entropy, HashState};
+    let ladder = "surface an error into the retry/escalation ladder";
+    let mut found = Vec::new();
+    for m in marks {
+        let (rule, message) = match &m.kind {
+            MarkKind::HashCollection(name) | MarkKind::Source(HashState, name)
+                if rules.determinism =>
             {
-                flag(
-                    "wall-clock",
-                    format!("`{name}` reads the host clock; route through the sim clock (VirtualTime)"),
-                );
+                let fix = "use BTreeMap/BTreeSet";
+                ("hash-collections", format!("`{name}` has nondeterministic iteration/hash order; {fix}"))
             }
-            if ENTROPY_IDENTS.contains(&name) {
-                flag("os-entropy", format!("`{name}` draws OS entropy; use the seeded sim RNG"));
+            MarkKind::Source(Clock, name) if rules.determinism => (
+                "wall-clock",
+                format!("`{name}` reads the host clock; route through the sim clock (VirtualTime)"),
+            ),
+            MarkKind::Source(Entropy, name) if rules.determinism => {
+                ("os-entropy", format!("`{name}` draws OS entropy; use the seeded sim RNG"))
             }
-            if name == "partial_cmp" && !prev_is_fn(toks, i) {
-                flag(
-                    "float-ordering",
-                    "`partial_cmp` is not a total order over floats; use total_cmp or integer keys"
-                        .to_string(),
-                );
+            MarkKind::PartialCmp if rules.determinism => (
+                "float-ordering",
+                "`partial_cmp` is not a total order over floats; use total_cmp or integer keys".into(),
+            ),
+            MarkKind::Threading(name) if rules.threading => (
+                "threading",
+                format!(
+                    "`{name}` is a thread-coordination primitive; determinism-sensitive code runs \
+                     single-threaded under the sim scheduler — threading belongs in \
+                     crates/engine/src/runtime/"
+                ),
+            ),
+            MarkKind::PanicMethod(name) if rules.recovery_panic => {
+                ("recovery-panic", format!("`.{name}()` panics on the recovery path; {ladder}"))
             }
-        }
-        if rules.threading {
-            let is_atomic = name.starts_with("Atomic") && name.len() > "Atomic".len();
-            let is_thread_path = name == "thread" && next_punct(1, ':') && next_punct(2, ':');
-            // A bare `sleep(..)`/`yield_now(..)`/`park(..)` call — imported
-            // via `use std::thread::sleep` — sidesteps the `thread::` path
-            // check above. Require a following `(` and no `.`/`::` prefix
-            // so `d.sleep()` methods and the path form (already reported)
-            // don't double-fire.
-            let is_thread_op = THREAD_OP_IDENTS.contains(&name)
-                && next_punct(1, '(')
-                && !prev_is_dot(toks, i)
-                && !(i > 0 && toks[i - 1].is_punct(':'))
-                && !prev_is_fn(toks, i);
-            if SYNC_PRIMITIVE_IDENTS.contains(&name) || is_atomic || is_thread_path || is_thread_op
-            {
-                flag(
-                    "threading",
-                    format!(
-                        "`{name}` is a thread-coordination primitive; determinism-sensitive \
-                         code runs single-threaded under the sim scheduler — threading \
-                         belongs in crates/engine/src/runtime/"
-                    ),
-                );
+            MarkKind::PanicMacro(name) if rules.recovery_panic => {
+                ("recovery-panic", format!("`{name}!` aborts on the recovery path; {ladder}"))
             }
-        }
-        if rules.recovery_panic {
-            if PANIC_METHODS.contains(&name) && next_punct(1, '(') && prev_is_dot(toks, i) {
-                flag(
-                    "recovery-panic",
-                    format!("`.{name}()` panics on the recovery path; surface an error into the retry/escalation ladder"),
-                );
-            }
-            if PANIC_MACROS.contains(&name) && next_punct(1, '!') {
-                flag(
-                    "recovery-panic",
-                    format!("`{name}!` aborts on the recovery path; surface an error into the retry/escalation ladder"),
-                );
-            }
-        }
+            _ => continue,
+        };
+        found.push(Diagnostic::new(rel, m.line, rule, message));
     }
-
     found.sort();
     found.dedup();
     found
@@ -174,21 +115,6 @@ pub fn test_regions(toks: &Tokens) -> Vec<(u32, u32)> {
         i = end + 1;
     }
     regions
-}
-
-/// True if `toks[i]` is followed by `::method` (e.g. `Instant::now`).
-fn path_call(toks: &[Tok], i: usize, method: &str) -> bool {
-    toks.get(i + 1).map(|t| t.is_punct(':')).unwrap_or(false)
-        && toks.get(i + 2).map(|t| t.is_punct(':')).unwrap_or(false)
-        && toks.get(i + 3).map(|t| t.is_ident(method)).unwrap_or(false)
-}
-
-fn prev_is_fn(toks: &[Tok], i: usize) -> bool {
-    i > 0 && toks[i - 1].is_ident("fn")
-}
-
-fn prev_is_dot(toks: &[Tok], i: usize) -> bool {
-    i > 0 && toks[i - 1].is_punct('.')
 }
 
 #[cfg(test)]

@@ -21,11 +21,12 @@ use crate::allows::AllowBook;
 use crate::callgraph::CallGraph;
 use crate::config;
 use crate::diagnostics::Diagnostic;
+use crate::parser::MarkKind;
 use crate::reach::{self, EntryRule};
 
 pub fn check(graph: &CallGraph, book: &mut AllowBook) -> Vec<Diagnostic> {
     let is_entry = |n: &crate::callgraph::Node| {
-        n.item.mentions_determinant
+        n.item.marks.iter().any(|m| matches!(m.kind, MarkKind::Determinant))
             && (config::REPLAY_SURFACE_FILES.contains(&n.file)
                 || n.file == config::DETERMINANT_FILE)
     };
@@ -35,8 +36,8 @@ pub fn check(graph: &CallGraph, book: &mut AllowBook) -> Vec<Diagnostic> {
         entries: (0..graph.nodes.len()).filter(|&ix| is_entry(&graph.nodes[ix])).collect(),
         entry_label: "replay-surface function",
         facts: Box::new(|ix| {
-            let taints = &graph.nodes[ix].item.taints;
-            taints.iter().map(|t| (t.line, format!("`{}`", t.what))).collect()
+            let marks = graph.nodes[ix].item.marks.iter();
+            marks.filter_map(|m| Some((m.line, format!("`{}`", m.taint()?)))).collect()
         }),
         hint: "route the value through a logged determinant or add an audited allow on a hop \
                of the printed path",

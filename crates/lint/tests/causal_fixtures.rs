@@ -147,6 +147,43 @@ fn stale_allow_without_a_cycle_is_reported() {
     assert!(stale[0].message.contains("non-progressing-cycle"));
 }
 
+/// Handling `Boot` sends `Tick` along two relay paths, through
+/// `crates/engine/src/{a,z}.rs`; only the relay in `progressing` advances a
+/// counter. The edge makes progress whichever file name sorts first:
+/// progress is a property of some evidence path, not of the exemplar the
+/// BFS happens to keep.
+fn two_relay_fixture(tag: &str, progressing: &str, plain: &str) -> Fixture {
+    let f = Fixture::new(tag);
+    f.write("crates/engine/src/messages.rs", "pub enum Msg {\n    Boot,\n    Tick,\n}\n");
+    f.write(
+        "crates/engine/src/cluster.rs",
+        "pub fn deploy() { emit(Msg::Boot); }\n\
+         fn handle(m: Msg) {\n\
+             match m {\n\
+                 Msg::Boot => { crate::a::relay(); crate::z::relay(); }\n\
+                 Msg::Tick => {}\n\
+             }\n\
+         }\n\
+         fn emit(_m: Msg) {}\n",
+    );
+    let relay = |file: &str, body: &str| {
+        f.write(&format!("crates/engine/src/{file}.rs"), &format!("pub fn relay() {{ {body} }}\n"));
+    };
+    relay(progressing, "seq += 1; crate::tick::send();");
+    relay(plain, "crate::tick::send();");
+    f.write("crates/engine/src/tick.rs", "pub fn send() { emit(Msg::Tick); }\nfn emit(_m: Msg) {}\n");
+    f
+}
+
+#[test]
+fn progress_on_some_path_counts_whatever_the_file_order() {
+    for (tag, progressing, plain) in [("progress_z", "z", "a"), ("progress_a", "a", "z")] {
+        let fa = analyze_full(&two_relay_fixture(tag, progressing, plain).root).unwrap();
+        let edge = fa.spec.edges.iter().find(|e| e.from == "Boot" && e.to == "Tick");
+        assert!(edge.is_some_and(|e| e.progress), "{tag}: {:?}", fa.spec.edges);
+    }
+}
+
 // ---------------------------------------------------------------------
 // unstabilized-recovery
 // ---------------------------------------------------------------------

@@ -88,6 +88,18 @@ fn recovery_panic_covers_every_panicking_method() {
     }
 }
 
+/// Item-level tokens are classified like body tokens: a field type and a
+/// fn parameter each carry exactly one finding, at their own line.
+#[test]
+fn item_level_types_are_flagged_once() {
+    let field = run("struct S {\n    m: Mutex<u8>,\n}\n", THR);
+    assert_eq!(field.len(), 1, "{field:?}");
+    assert_eq!((field[0].rule.as_str(), field[0].line), ("threading", 2));
+    let param = run("fn f(\n    m: HashMap<u8, u8>,\n) {}\n", DET);
+    assert_eq!(param.len(), 1, "{param:?}");
+    assert_eq!((param[0].rule.as_str(), param[0].line), ("hash-collections", 2));
+}
+
 #[test]
 fn instant_without_now_is_fine() {
     // Storing a sim-provided Instant type name alone is not a violation;

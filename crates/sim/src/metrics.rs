@@ -95,8 +95,9 @@ impl ThroughputSeries {
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        // clonos-lint: allow(panic-path, reason = "index resized in-bounds on the line above")
-        self.counts[idx] += n;
+        if let Some(count) = self.counts.get_mut(idx) {
+            *count += n;
+        }
     }
 
     /// `(window_start_time, records_per_second)` pairs.

@@ -61,7 +61,7 @@ scripts/loc.sh
 echo "== chaos: bounded seed sweep (25 seeds x 3 modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 
-echo "== conformance: causal traces vs results/causal_spec.json (25 seeds x 4 FT modes, release) =="
+echo "== conformance: causal traces vs the causal spec derived in-process by clonos-lint (25 seeds x 4 FT modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test causal_conformance
 
 # One short run of a benchmark workload: it must be correct with no failed

@@ -24,11 +24,11 @@ fn sweep_seeds() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(6)
 }
 
-/// The published/derived spec is non-trivial and carries the two chains the
+/// The derived spec is non-trivial and carries the two chains the
 /// recovery argument rests on (the barrier round-trip and failure-to-done).
 #[test]
 fn spec_has_the_core_protocol_chains() {
-    let spec = StaticSpec::load(&workspace_root());
+    let spec = StaticSpec::derive(&workspace_root());
     assert!(!spec.entries.is_empty(), "spec has no protocol entries");
     assert!(spec.edges.len() >= 10, "suspiciously few response edges: {:?}", spec.edges);
     let chain = |name: &str| {
@@ -53,7 +53,7 @@ fn spec_has_the_core_protocol_chains() {
 /// control plane.
 #[test]
 fn chaos_sweep_traces_conform_in_all_ft_modes() {
-    let spec = StaticSpec::load(&workspace_root());
+    let spec = StaticSpec::derive(&workspace_root());
     let tol = Tolerances::oracle();
     let space = clonos_integration::oracle_space();
     // Every failure-handling mode (`FtMode::None` cannot take a kill by
@@ -78,7 +78,7 @@ fn chaos_sweep_traces_conform_in_all_ft_modes() {
 /// barrier chain (non-vacuous: triggers, acks, and completions all appear).
 #[test]
 fn failure_free_trace_is_conformant_and_nonempty() {
-    let spec = StaticSpec::load(&workspace_root());
+    let spec = StaticSpec::derive(&workspace_root());
     let report = run_oracle(clonos_full(), 7, None);
     for kind in ["TriggerCheckpoint", "CheckpointAck", "CheckpointComplete"] {
         assert!(
@@ -95,7 +95,7 @@ fn failure_free_trace_is_conformant_and_nonempty() {
 /// exactly task 5 — not merely notice "something didn't finish".
 #[test]
 fn dropped_ack_is_blamed_on_the_missing_hop() {
-    let spec = StaticSpec::load(&workspace_root());
+    let spec = StaticSpec::derive(&workspace_root());
     let report = run_oracle_with(clonos_full(), 3, None, |cfg| {
         cfg.inject_ack_loss = Some((5, 2));
     });

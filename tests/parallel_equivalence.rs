@@ -125,7 +125,7 @@ fn threaded_clonos_chain_trace_conforms_and_standbys_follow() {
     }
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let tol = Tolerances { horizon: VirtualDuration::from_secs(SECS), ..Tolerances::oracle() };
-    assert_conformant(&par, &StaticSpec::load(&root), &tol, "threaded clonos chain");
+    assert_conformant(&par, &StaticSpec::derive(&root), &tol, "threaded clonos chain");
     assert!(par.checkpoint_stats.delta_dispatches > 0, "no standby was brought up to date");
 }
 
