@@ -1,35 +1,26 @@
-//! The simulated cluster: owns the event queue, the tasks, the storage
-//! substrates, and the job manager (actor id 0).
+//! The simulated cluster: the substrate a job runs on — the event queue,
+//! the task slots and their node placement, the storage substrates, failure
+//! injection and the report-time folds over live and retired tasks.
 //!
-//! The job manager implements:
-//! - the **checkpoint coordinator** (periodic barrier injection, ack
-//!   collection and snapshot GC, completion broadcast, standby state
-//!   dispatch, §6.4) — `coordinator::JobManager`, which the threaded runtime
-//!   drives too;
-//! - **failure detection** (connection-reset propagation for Clonos,
-//!   heartbeat-timeout for the baseline);
-//! - the **recovery orchestration**: Figure-4 analysis, standby activation,
-//!   determinant-log gathering from downstream survivors, and dispatch of
-//!   `BeginReplay` — or a stop-the-world `RestartAll` for the baseline and
-//!   for Clonos' orphan fallback.
+//! The job manager (actor id 0) is `coordinator::JobManager`: `Cluster`
+//! hands it every message addressed to `JM`, lending its queue and task
+//! slots as the manager's `TaskHost` for the call.
 
-use crate::config::{EngineConfig, FtMode, GATHER_TIMEOUT, RECOVERY_TIMEOUT};
-use crate::coordinator::{JmCtx, JobManager, LogGather};
+use crate::config::{EngineConfig, FtMode};
+use crate::coordinator::{JmCtx, JobManager, TaskHost};
 use crate::error::EngineError;
-use crate::graph::{ExecutionGraph, JobGraph, Partitioning, VertexKind};
+use crate::graph::{ExecutionGraph, JobGraph, VertexId, VertexKind};
 use crate::messages::Msg;
 use crate::metrics::{JobMetrics, TaskCounters};
-use crate::task::{encode_abort_marker, recovery_ctrl_delay, Task, TaskCtx, TaskSnapshot};
+use crate::task::{encode_abort_marker, Task, TaskCtx, TaskSnapshot};
 use bytes::Bytes;
-use clonos::causal_log::TaskLogSnapshot;
-use clonos::recovery::{analyze_failure, RecoveryDecision};
 use clonos::standby::AllocationStrategy;
-use clonos::{ChannelId, TaskId};
-use clonos_sim::{Link, SimRng, Simulation, VirtualDuration, VirtualTime};
+use clonos::TaskId;
+use clonos_sim::{ActorId, Link, Scheduler, SimRng, Simulation, VirtualDuration, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
 use clonos_storage::snapshot::{SnapshotStore, TransferModel};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Job-manager actor id.
 pub const JM: TaskId = 0;
@@ -52,7 +43,6 @@ pub struct Cluster {
     tasks: BTreeMap<TaskId, Option<Task>>,
     /// Task → hosting node (round-robin placement; standbys anti-affine).
     nodes: BTreeMap<TaskId, u32>,
-    gens: BTreeMap<TaskId, u32>,
     pub(crate) jm: JobManager,
     depth: u32,
     /// Counters of retired task incarnations (killed, rolled back, or
@@ -62,11 +52,73 @@ pub struct Cluster {
     pub errors: Vec<String>,
 }
 
+/// The substrate half of the cluster, lent to the job manager as its
+/// `TaskHost` while it handles one input: disjoint from the manager and
+/// from the rest of its `JmCtx`.
+struct Host<'a> {
+    sim: &'a mut Simulation<Msg>,
+    tasks: &'a mut BTreeMap<TaskId, Option<Task>>,
+    retired: &'a mut TaskCounters,
+    topics: &'a mut BTreeMap<String, DurableLog>,
+    job: &'a JobGraph,
+    graph: &'a ExecutionGraph,
+    config: &'a EngineConfig,
+    depth: u32,
+}
+
+impl Scheduler<Msg> for Host<'_> {
+    fn now(&self) -> VirtualTime {
+        self.sim.now()
+    }
+
+    fn schedule_at(&mut self, at: VirtualTime, dest: ActorId, msg: Msg) {
+        self.sim.schedule_at(at, dest, msg);
+    }
+}
+
+impl TaskHost for Host<'_> {
+    fn replace_task(&mut self, id: TaskId, gen_of: &dyn Fn(TaskId) -> u32) -> Result<(), EngineError> {
+        let spec = self.graph.task(id).clone();
+        let kind = &self.job.vertices[spec.vertex.0].kind;
+        let partitioning = self.graph.edge_partitioning.clone();
+        let mut task = Task::new(spec, kind, partitioning, self.config, self.depth, gen_of(id));
+        task.set_neighbor_gens(gen_of);
+        if let Some(old) = self.tasks.insert(id, Some(task)).flatten() {
+            self.retired.absorb(&old.counters());
+        }
+        Ok(())
+    }
+
+    fn cancel_task(&mut self, id: TaskId) -> Result<(), EngineError> {
+        if let Some(old) = self.tasks.insert(id, None).flatten() {
+            self.retired.absorb(&old.counters());
+        }
+        self.sim.drop_events_for(id);
+        Ok(())
+    }
+
+    fn is_live(&self, id: TaskId) -> Result<bool, EngineError> {
+        Ok(self.tasks.get(&id).is_some_and(Option::is_some))
+    }
+
+    fn write_abort_markers(&mut self, gen: u32, resume_cp: u64) -> Result<(), EngineError> {
+        for spec in &self.graph.tasks {
+            let VertexKind::Sink(s) = &self.job.vertices[spec.vertex.0].kind else { continue };
+            if let Some(topic) = self.topics.get_mut(&s.topic) {
+                let p = spec.subtask % topic.num_partitions();
+                let marker = encode_abort_marker(spec.id, gen, resume_cp);
+                topic.partition_mut(p).append_with_meta(Bytes::new(), Some(marker));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Cluster {
     pub fn new(job: JobGraph, config: EngineConfig) -> Cluster {
         let graph = ExecutionGraph::expand(&job, 1);
         let depth = graph.depth();
-        let jm = JobManager::new(&graph.tasks);
+        let jm = JobManager::new(&graph, depth);
         let root = SimRng::new(config.seed);
         let mut cluster = Cluster {
             sim: Simulation::new(),
@@ -81,7 +133,6 @@ impl Cluster {
             job,
             tasks: BTreeMap::new(),
             nodes: BTreeMap::new(),
-            gens: BTreeMap::new(),
             jm,
             depth,
             retired: TaskCounters::default(),
@@ -106,27 +157,12 @@ impl Cluster {
     }
 
     pub fn last_completed_checkpoint(&self) -> u64 {
-        self.jm.last_completed
+        self.jm.last_completed()
     }
 
-    /// Vertex kind lookup for external consumers (the runner).
-    pub fn vertex_kind_pub(&self, vertex: crate::graph::VertexId) -> Option<VertexKind> {
-        self.job.vertices.get(vertex.0).map(|v| v.kind.clone())
-    }
-
-    fn vertex_kind(&self, task: TaskId) -> VertexKind {
-        let spec = self.graph.task(task);
-        self.job.vertices[spec.vertex.0].kind.clone()
-    }
-
-    fn edge_partitionings(&self) -> Vec<Partitioning> {
-        self.graph.edge_partitioning.clone()
-    }
-
-    fn build_task(&self, id: TaskId, gen: u32) -> Task {
-        let spec = self.graph.task(id).clone();
-        let kind = self.vertex_kind(id);
-        Task::new(spec, &kind, self.edge_partitionings(), &self.config, self.depth, gen)
+    /// The kind of job vertex `vertex`.
+    pub(crate) fn vertex_kind(&self, vertex: VertexId) -> Option<&VertexKind> {
+        self.job.vertices.get(vertex.0).map(|v| &v.kind)
     }
 
     /// Detach a live task from the cluster (parallel-runtime handoff: the
@@ -145,17 +181,17 @@ impl Cluster {
         let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
         let num_nodes = self.config.num_nodes;
         for (i, &id) in ids.iter().enumerate() {
-            let task = self.build_task(id, 0);
-            self.tasks.insert(id, Some(task));
             self.nodes.insert(id, (i as u32) % num_nodes);
-            self.gens.insert(id, 0);
         }
+        // Every task as incarnation 0.
+        self.with_jm(|_, ctx| ids.iter().try_for_each(|&id| ctx.host.replace_task(id, &|_| 0)));
         // Standbys.
         if let FtMode::Clonos(c) = &self.config.ft {
             if c.standby_tasks {
                 for &id in &ids {
                     let node = self.nodes[&id];
-                    self.jm.standby.register(id, node, num_nodes, AllocationStrategy::AntiAffinity);
+                    let standby = self.jm.standby_mut();
+                    standby.register(id, node, num_nodes, AllocationStrategy::AntiAffinity);
                 }
             }
         }
@@ -170,6 +206,35 @@ impl Cluster {
         if !matches!(self.config.ft, FtMode::None) {
             let interval = self.config.checkpoint_interval;
             self.sim.schedule_in(interval, JM, Msg::CheckpointTick);
+        }
+    }
+
+    /// Run a closure against the job manager, with the cluster's queue and
+    /// task slots lent as its host; an error it returns is recorded.
+    fn with_jm(
+        &mut self,
+        f: impl FnOnce(&mut JobManager, &mut JmCtx<'_>) -> Result<(), EngineError>,
+    ) {
+        let mut host = Host {
+            sim: &mut self.sim,
+            tasks: &mut self.tasks,
+            retired: &mut self.retired,
+            topics: &mut self.topics,
+            job: &self.job,
+            graph: &self.graph,
+            config: &self.config,
+            depth: self.depth,
+        };
+        let mut ctx = JmCtx {
+            host: &mut host,
+            snapshots: &mut self.snapshots,
+            config: &self.config,
+            metrics: &mut self.metrics,
+            entropy: &mut self.entropy,
+            errors: &mut self.errors,
+        };
+        if let Err(e) = f(&mut self.jm, &mut ctx) {
+            self.errors.push(format!("job manager: {e}"));
         }
     }
 
@@ -194,43 +259,32 @@ impl Cluster {
             metrics: &mut self.metrics,
         };
         let mut escalate = false;
-        let mut plain_error = None;
         if let Err(e) = f(&mut task, &mut ctx) {
-            if e.is_replay_divergence() && ctx.config.ft.is_clonos() {
-                let prefer_availability = ctx
-                    .config
-                    .ft
-                    .clonos()
-                    .map(|c| c.prefer_availability_on_orphans)
-                    .unwrap_or(false);
-                let now = ctx.sched.now();
-                if prefer_availability {
-                    ctx.metrics.event(
-                        now,
-                        format!("task {id} orphaned mid-replay: continuing at-least-once"),
-                    );
-                    task.abandon_replay(&mut ctx);
-                } else {
-                    ctx.metrics.event(
-                        now,
-                        format!(
-                            "task {id} orphaned mid-replay ({e}): escalating to global rollback"
-                        ),
-                    );
-                    escalate = true;
+            match ctx.config.ft.clonos() {
+                Some(c) if e.is_replay_divergence() => {
+                    let now = ctx.sched.now();
+                    if c.prefer_availability_on_orphans {
+                        ctx.metrics.event(
+                            now,
+                            format!("task {id} orphaned mid-replay: continuing at-least-once"),
+                        );
+                        task.abandon_replay(&mut ctx);
+                    } else {
+                        ctx.metrics.event(
+                            now,
+                            format!("task {id} orphaned mid-replay ({e}): escalating to global rollback"),
+                        );
+                        escalate = true;
+                    }
                 }
-            } else {
-                plain_error = Some(format!("task {id}: {e}"));
+                _ => self.errors.push(format!("task {id}: {e}")),
             }
-        }
-        if let Some(e) = plain_error {
-            self.errors.push(e);
         }
         if let Some(slot) = self.tasks.get_mut(&id) {
             *slot = Some(task);
         }
         if escalate {
-            self.schedule_rollback();
+            self.with_jm(|jm, ctx| jm.schedule_rollback(ctx));
         }
     }
 
@@ -239,16 +293,13 @@ impl Cluster {
     /// jitter, and carries the dying incarnation so the JM can discard stale
     /// notifications about already-replaced incarnations.
     pub fn kill_task(&mut self, id: TaskId) {
-        let Some(slot) = self.tasks.get_mut(&id) else { return };
-        if slot.is_none() {
+        if !matches!(self.tasks.get(&id), Some(Some(_))) {
             return;
         }
-        let old = slot.take();
-        self.retire(old);
-        self.sim.drop_events_for(id);
+        self.with_jm(|_, ctx| ctx.host.cancel_task(id));
         let now = self.sim.now();
         self.metrics.event(now, format!("FAILURE task {id}"));
-        let gen = self.gens.get(&id).copied().unwrap_or(0);
+        let gen = self.jm.gen(id);
         let mut delay = self.config.detection_delay();
         let jitter = self.config.detection_jitter.as_micros();
         if jitter > 0 {
@@ -266,7 +317,7 @@ impl Cluster {
         self.metrics.event(now, format!("NODE FAILURE node {node}"));
         self.metrics.recovery.node_crashes += 1;
         let nodes = self.nodes.clone();
-        let lost = self.jm.standby.fail_node(node, self.config.num_nodes, now, |t| {
+        let lost = self.jm.standby_mut().fail_node(node, self.config.num_nodes, now, |t| {
             nodes.get(&t).copied().unwrap_or(0)
         });
         for t in lost {
@@ -299,23 +350,10 @@ impl Cluster {
     /// cold-starts from the snapshot store.
     pub fn interrupt_standby(&mut self, task: TaskId) {
         let now = self.sim.now();
-        if self.jm.standby.interrupt_transfer(task, now) {
+        if self.jm.standby_mut().interrupt_transfer(task, now) {
             self.metrics.recovery.standby_interrupts += 1;
             self.metrics
                 .event(now, format!("standby state transfer for task {task} interrupted"));
-        }
-    }
-
-    /// Send a recovery-path control message from the JM, subject to the
-    /// configured control-plane chaos (loss / extra delay).
-    fn send_recovery_ctrl(&mut self, base_delay: VirtualDuration, dest: TaskId, msg: Msg) {
-        if let Some(delay) = recovery_ctrl_delay(
-            &self.config,
-            &mut self.entropy,
-            &mut self.metrics.recovery,
-            base_delay,
-        ) {
-            self.sim.schedule_in(delay, dest, msg);
         }
     }
 
@@ -336,526 +374,9 @@ impl Cluster {
 
     fn dispatch(&mut self, dest: TaskId, msg: Msg) {
         if dest == JM {
-            self.jm_handle(msg);
+            self.with_jm(|jm, ctx| jm.handle(msg, ctx));
         } else {
             self.with_task(dest, |task, ctx| task.handle(msg, ctx));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Job manager
-    // ------------------------------------------------------------------
-
-    fn jm_handle(&mut self, msg: Msg) {
-        // The checkpoint arms act through `ctx`; the recovery arms need the
-        // whole cluster (they build, replace and drop tasks).
-        let mut ctx = JmCtx {
-            sched: &mut self.sim,
-            snapshots: &mut self.snapshots,
-            config: &self.config,
-            metrics: &mut self.metrics,
-        };
-        match msg {
-            Msg::CheckpointTick => self.jm.checkpoint_tick(&mut ctx),
-            Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
-                self.jm.ack(&mut ctx, task, id, snapshot, delta_parent, segments)
-            }
-            Msg::FailureDetected { task, gen, killed_at } => {
-                self.jm_failure(task, gen, killed_at)
-            }
-            Msg::InstallRecovery { task } => self.jm_install(task),
-            Msg::GatherTimeout { task, attempt } => self.jm_gather_timeout(task, attempt),
-            Msg::RecoveryWatchdog { task, gen } => self.jm_recovery_watchdog(task, gen),
-            Msg::LogResponse { origin, from, gather_id, resp } => {
-                self.jm_log_response(origin, from, gather_id, resp)
-            }
-            Msg::RecoveryDone { task } => {
-                if self.jm.recovering.remove(&task) {
-                    self.metrics.recovery.recoveries_completed += 1;
-                }
-                self.jm.failed.remove(&task);
-            }
-            Msg::RestartAll => self.jm_restart_all(),
-            other => {
-                self.errors.push(format!("job manager received unexpected {other:?}"));
-            }
-        }
-    }
-
-    fn jm_failure(&mut self, task: TaskId, gen: u32, killed_at: VirtualTime) {
-        let now = self.sim.now();
-        // Stale notification about an incarnation the JM already replaced
-        // (possible when detections race with an in-progress re-install).
-        if gen < self.gens.get(&task).copied().unwrap_or(0) {
-            return;
-        }
-        self.metrics.recovery.failures_detected += 1;
-        self.metrics.recovery.detection_latency_us_total +=
-            now.saturating_sub(killed_at).as_micros();
-        self.metrics.recovery.detection_samples += 1;
-        // Recovery-chain entry: epoch is the incarnation that died.
-        self.metrics.causal_event(now, "FailureDetected", gen as u64, task, None);
-        if self.jm.busy() {
-            self.metrics.recovery.concurrent_failures += 1;
-        }
-        if self.jm.rollback_scheduled {
-            // A kill landed between rollback scheduling and restart. The
-            // restart rebuilds every task anyway, but the failed set must
-            // stay complete: any decision made before `RestartAll` fires
-            // (another detection, an analysis) sees a consistent picture.
-            self.jm.failed.insert(task);
-            self.metrics.event(
-                now,
-                format!("failure of task {task} during scheduled rollback: folded into restart"),
-            );
-            return;
-        }
-        let refailed = self.jm.failed.contains(&task);
-        self.jm.failed.insert(task);
-        if refailed {
-            // The replacement died before its recovery finished: tear down
-            // the in-progress gather/replay bookkeeping and re-run the
-            // failure analysis over the enlarged failed set instead of
-            // dropping the notification (which would leave `recovering`
-            // non-empty forever and stall checkpointing).
-            self.jm.recovering.remove(&task);
-            self.jm.gathers.remove(&task);
-            self.metrics.event(
-                now,
-                format!("replacement for task {task} died mid-recovery: restarting recovery"),
-            );
-        } else {
-            self.metrics.event(now, format!("failure of task {task} detected"));
-        }
-        // A pending determinant-log gather can no longer expect a response
-        // from the newly failed task.
-        let mut ready = Vec::new();
-        for (&origin, g) in self.jm.gathers.iter_mut() {
-            if g.expected.remove(&task) && g.expected.is_empty() {
-                ready.push(origin);
-            }
-        }
-        for origin in ready {
-            self.jm_dispatch_begin_replay(origin);
-        }
-        match &self.config.ft {
-            FtMode::None => {
-                self.errors.push(format!("task {task} failed with fault tolerance disabled"));
-            }
-            FtMode::GlobalRollback => self.schedule_rollback(),
-            FtMode::Clonos(c) => {
-                let dsd = c.effective_dsd(self.depth);
-                let topo = self.graph.topology();
-                match analyze_failure(&topo, &self.jm.failed, dsd) {
-                    RecoveryDecision::Local { .. } => self.clonos_schedule_install(task),
-                    RecoveryDecision::GlobalRollback { orphaned } => {
-                        if c.prefer_availability_on_orphans {
-                            // §5.4: favour availability — recover locally
-                            // with at-least-once semantics for the orphans.
-                            self.metrics.event(
-                                now,
-                                format!("orphaned {orphaned:?}: continuing at-least-once"),
-                            );
-                            self.clonos_schedule_install(task);
-                        } else {
-                            self.metrics.event(
-                                now,
-                                format!("orphaned {orphaned:?}: falling back to global rollback"),
-                            );
-                            self.schedule_rollback();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A task's full image at `resume_cp`, folded from the store's layers
-    /// now, and when it is loaded: `standby_ready` if an activated standby
-    /// already holds the layers, else after a charged store read. Checkpoint
-    /// 0 is the empty state. `None` — after recording an engine error — if
-    /// the image is missing or undecodable: restoring must never silently
-    /// become a fresh start.
-    fn restore_image(
-        &mut self,
-        task: TaskId,
-        resume_cp: u64,
-        standby_ready: Option<VirtualTime>,
-    ) -> Option<(Bytes, VirtualTime)> {
-        let now = self.sim.now();
-        let loaded = match (resume_cp, standby_ready) {
-            (0, _) => Some((Bytes::new(), now + VirtualDuration::from_millis(50))),
-            (cp, Some(ready)) => self.snapshots.image(cp, task).map(|image| (image, ready)),
-            (cp, None) => self.snapshots.get(now, cp, task),
-        };
-        if loaded.is_none() {
-            self.errors.push(format!(
-                "task {task}: checkpoint {resume_cp} image is missing or undecodable"
-            ));
-        }
-        loaded
-    }
-
-    fn clonos_schedule_install(&mut self, task: TaskId) {
-        let now = self.sim.now();
-        let resume_cp = self.jm.last_completed;
-        // Step 1: activate the standby — usable only if it holds exactly the
-        // checkpoint to resume from, whose layers the store still has (GC
-        // keeps the last completed checkpoint's chain) — or cold-start.
-        let standby_ready = match self.jm.standby.activate(task, now) {
-            Some((cp, ready)) if cp == resume_cp => Some(ready),
-            _ => None,
-        };
-        let Some((state, ready)) = self.restore_image(task, resume_cp, standby_ready) else {
-            return;
-        };
-        self.jm.gather_seq += 1;
-        let gather = LogGather { id: self.jm.gather_seq, resume_cp, state, ..Default::default() };
-        self.jm.gathers.insert(task, gather);
-        self.sim.schedule_at(ready, JM, Msg::InstallRecovery { task });
-    }
-
-    /// Steps 1–3 driver: replacement construction, network reconfiguration,
-    /// determinant-log requests.
-    fn jm_install(&mut self, task: TaskId) {
-        if self.jm.rollback_scheduled || !self.jm.gathers.contains_key(&task) {
-            return; // superseded by a global rollback
-        }
-        let gen = {
-            let g = self.gens.entry(task).or_insert(0);
-            *g += 1;
-            *g
-        };
-        let mut replacement = self.build_task(task, gen);
-        replacement.gen = gen;
-        let gens = self.gens.clone();
-        replacement.set_neighbor_gens(|t| gens.get(&t).copied().unwrap_or(0));
-        let old = self.tasks.insert(task, Some(replacement)).flatten();
-        self.retire(old);
-        self.jm.recovering.insert(task);
-        let now = self.sim.now();
-        self.metrics.event(now, format!("standby/replacement for task {task} installed"));
-        // Incarnations bump by exactly one on a local install, so the
-        // causing detection carries `gen - 1`.
-        self.metrics.causal_event(
-            now,
-            "InstallRecovery",
-            gen as u64,
-            task,
-            Some(crate::metrics::CausalRef {
-                kind: "FailureDetected",
-                epoch: (gen - 1) as u64,
-                task,
-            }),
-        );
-
-        // Step 2: reconfigure — downstream survivors expect the new
-        // incarnation (and drop stale in-flight buffers of the old one).
-        let spec = self.graph.task(task).clone();
-        for &(_, down, _, _) in &spec.outputs {
-            if self.tasks.get(&down).map(|t| t.is_some()).unwrap_or(false) {
-                self.sim.schedule_in(
-                    VirtualDuration::from_micros(50),
-                    down,
-                    Msg::ChannelReset { from: task, new_gen: gen },
-                );
-            }
-        }
-
-        // Step 3: gather determinant logs from surviving holders within DSD
-        // hops, plus received-buffer counts from direct downstream survivors.
-        let dsd = self.config.ft.clonos().map(|c| c.effective_dsd(self.depth)).unwrap_or(0);
-        let topo = self.graph.topology();
-        let cone = topo.downstream_cone(task);
-        let mut expected: BTreeSet<TaskId> = BTreeSet::new();
-        if dsd > 0 {
-            for (&t, &hops) in &cone {
-                let alive = self.tasks.get(&t).map(|s| s.is_some()).unwrap_or(false)
-                    && !self.jm.recovering.contains(&t);
-                if alive && (hops <= dsd || hops == 1) {
-                    expected.insert(t);
-                }
-            }
-        }
-        let (resume_cp, gather_id) = self
-            .jm
-            .gathers
-            .get(&task)
-            .map(|g| (g.resume_cp, g.id))
-            .unwrap_or((0, 0));
-        // Never-hang guarantee: whatever happens to the gather and replay
-        // below (lost requests, a survivor dying mid-response, an upstream
-        // that never serves the replay), this incarnation either reports
-        // `RecoveryDone` or the watchdog escalates to a global rollback.
-        self.sim.schedule_in(RECOVERY_TIMEOUT, JM, Msg::RecoveryWatchdog { task, gen });
-        if expected.is_empty() {
-            self.jm_dispatch_begin_replay(task);
-        } else {
-            if let Some(g) = self.jm.gathers.get_mut(&task) {
-                g.expected = expected.clone();
-            }
-            self.send_log_requests(task, gen, resume_cp, gather_id, expected);
-            self.sim.schedule_in(GATHER_TIMEOUT, JM, Msg::GatherTimeout { task, attempt: 0 });
-        }
-    }
-
-    /// A gather round timed out: re-request the stragglers with doubled
-    /// timeout, or — once the retry budget is exhausted — escalate to a
-    /// global rollback rather than leaving the recovery hanging.
-    fn jm_gather_timeout(&mut self, task: TaskId, attempt: u32) {
-        let now = self.sim.now();
-        let (remaining, resume_cp, gather_id) = {
-            let Some(g) = self.jm.gathers.get(&task) else { return };
-            if g.attempts != attempt || g.expected.is_empty() {
-                return; // superseded or already complete
-            }
-            (g.expected.iter().copied().collect::<Vec<_>>(), g.resume_cp, g.id)
-        };
-        if attempt >= self.config.max_gather_retries {
-            self.jm.gathers.remove(&task);
-            self.metrics.recovery.escalations += 1;
-            self.metrics.event(
-                now,
-                format!(
-                    "determinant gather for task {task} incomplete after {attempt} retries \
-                     ({} stragglers): escalating to global rollback",
-                    remaining.len()
-                ),
-            );
-            self.schedule_rollback();
-            return;
-        }
-        if let Some(g) = self.jm.gathers.get_mut(&task) {
-            g.attempts = attempt + 1;
-        }
-        self.metrics.recovery.gather_retries += 1;
-        self.metrics.event(
-            now,
-            format!("gather retry {} for task {task} ({} stragglers)", attempt + 1, remaining.len()),
-        );
-        let gen = self.gens.get(&task).copied().unwrap_or(0);
-        self.send_log_requests(task, gen, resume_cp, gather_id, remaining);
-        let backoff = VirtualDuration::from_micros(GATHER_TIMEOUT.as_micros() << (attempt + 1));
-        self.sim.schedule_in(backoff, JM, Msg::GatherTimeout { task, attempt: attempt + 1 });
-    }
-
-    /// Gather step: ask each of `holders` for the determinants of `task`'s
-    /// incarnation `gen` logged after checkpoint `resume_cp`. Each request is
-    /// recorded at the send attempt: a chaos-dropped request then shows up as
-    /// a request hop with no matching response, which is exactly the stall
-    /// the conformance checker blames.
-    fn send_log_requests(
-        &mut self,
-        task: TaskId,
-        gen: u32,
-        resume_cp: u64,
-        gather_id: u64,
-        holders: impl IntoIterator<Item = TaskId>,
-    ) {
-        let now = self.sim.now();
-        let cause = crate::metrics::CausalRef { kind: "InstallRecovery", epoch: gen as u64, task };
-        for t in holders {
-            self.metrics.causal_event(now, "LogRequest", gen as u64, t, Some(cause));
-            self.send_recovery_ctrl(
-                VirtualDuration::from_micros(150),
-                t,
-                Msg::LogRequest { origin: task, after_cp: resume_cp, gather_id },
-            );
-        }
-    }
-
-    /// The whole-recovery watchdog: a local recovery that has not reported
-    /// `RecoveryDone` within the recovery timeout (for the installed
-    /// incarnation) escalates to a global rollback.
-    fn jm_recovery_watchdog(&mut self, task: TaskId, gen: u32) {
-        if self.jm.rollback_scheduled {
-            return;
-        }
-        if self.gens.get(&task).copied().unwrap_or(0) != gen {
-            return; // a newer incarnation took over; its own watchdog is armed
-        }
-        if !self.jm.recovering.contains(&task) && !self.jm.gathers.contains_key(&task) {
-            return; // recovery completed
-        }
-        self.metrics.recovery.escalations += 1;
-        self.metrics.recovery.watchdog_escalations += 1;
-        // Satellite: name the stalled hop instead of only reporting the
-        // elapsed timeout — the last causal event of this recovery tells
-        // which phase never produced its successor.
-        let hop = self.metrics.last_recovery_hop(task, gen as u64);
-        match hop.map(|h| h.kind) {
-            Some("FailureDetected" | "InstallRecovery" | "LogRequest" | "LogResponse") => {
-                self.metrics.recovery.stalled_gather_escalations += 1;
-            }
-            Some("BeginReplay" | "ReplayRequest") => {
-                self.metrics.recovery.stalled_replay_escalations += 1;
-            }
-            _ => {}
-        }
-        let diagnosis = match hop {
-            Some(h) => format!("cause chain stalls after {}", h.describe()),
-            None => "no causal event observed".to_string(),
-        };
-        self.metrics.event(
-            self.sim.now(),
-            format!(
-                "recovery of task {task} (incarnation {gen}) exceeded the recovery timeout: \
-                 {diagnosis}; escalating to global rollback"
-            ),
-        );
-        self.schedule_rollback();
-    }
-
-    fn jm_log_response(
-        &mut self,
-        origin: TaskId,
-        from: TaskId,
-        gather_id: u64,
-        resp: clonos::recovery::LogRetrievalResponse,
-    ) {
-        let Some(g) = self.jm.gathers.get_mut(&origin) else { return };
-        if g.id != gather_id {
-            return; // response to a superseded gather (earlier recovery attempt)
-        }
-        // Responses are recorded at the accepting side: a response lost to
-        // control-plane chaos leaves the chain stalled at its `LogRequest`.
-        let gen = self.gens.get(&origin).copied().unwrap_or(0);
-        self.metrics.causal_event(
-            self.sim.now(),
-            "LogResponse",
-            gen as u64,
-            from,
-            Some(crate::metrics::CausalRef { kind: "LogRequest", epoch: gen as u64, task: from }),
-        );
-        let Some(g) = self.jm.gathers.get_mut(&origin) else { return };
-        g.expected.remove(&from);
-        g.snapshot.merge(&resp.snapshot);
-        for (ch, n) in resp.received_buffers {
-            let e = g.counts.entry((from, ch)).or_insert(0);
-            *e = (*e).max(n);
-        }
-        if g.expected.is_empty() {
-            self.jm_dispatch_begin_replay(origin);
-        }
-    }
-
-    /// Steps 4–6 hand-off: send the merged snapshot + dedup counts to the
-    /// recovering task, which requests upstream replay itself.
-    fn jm_dispatch_begin_replay(&mut self, task: TaskId) {
-        let Some(g) = self.jm.gathers.remove(&task) else { return };
-        let gen = self.gens.get(&task).copied().unwrap_or(0);
-        self.metrics.causal_event(
-            self.sim.now(),
-            "BeginReplay",
-            gen as u64,
-            task,
-            Some(crate::metrics::CausalRef {
-                kind: "InstallRecovery",
-                epoch: gen as u64,
-                task,
-            }),
-        );
-        let spec = self.graph.task(task).clone();
-        let skip: Vec<(ChannelId, u64)> = spec
-            .outputs
-            .iter()
-            .map(|&(ch, to, _, dest_in)| (ch, g.counts.get(&(to, dest_in)).copied().unwrap_or(0)))
-            .collect();
-        self.sim.schedule_in(
-            VirtualDuration::from_micros(100),
-            task,
-            Msg::BeginReplay {
-                snapshot: g.snapshot,
-                skip,
-                resume_cp: g.resume_cp,
-                state: g.state,
-                rebuild_sink_dedup: true,
-            },
-        );
-    }
-
-    fn schedule_rollback(&mut self) {
-        if self.jm.rollback_scheduled {
-            return;
-        }
-        self.jm.rollback_scheduled = true;
-        // Cancel everything now; redeploy after the restart delay.
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
-        for id in ids {
-            let old = self.tasks.insert(id, None).flatten();
-            self.retire(old);
-            self.sim.drop_events_for(id);
-        }
-        self.metrics.event(self.sim.now(), "global rollback: cancelling all tasks".to_string());
-        let delay = self.config.restart_delay;
-        self.sim.schedule_in(delay, JM, Msg::RestartAll);
-    }
-
-    fn jm_restart_all(&mut self) {
-        let now = self.sim.now();
-        let resume_cp = self.jm.last_completed;
-        self.metrics.event(now, format!("global rollback: restarting from checkpoint {resume_cp}"));
-        self.jm.rollback_scheduled = false;
-        self.jm.failed.clear();
-        self.jm.recovering.clear();
-        self.jm.gathers.clear();
-        self.jm.pending.clear();
-        self.jm.next_cp = resume_cp;
-        // One common new generation for every task.
-        let new_gen = self.gens.values().copied().max().unwrap_or(0) + 1;
-        let ids: Vec<TaskId> = self.graph.tasks.iter().map(|t| t.id).collect();
-        // Rollback-chain entry: the per-task `BeginReplay`s below hang off it.
-        self.metrics.causal_event(now, "RestartAll", new_gen as u64, JM, None);
-
-        // Abort markers: older-generation output past the restored
-        // checkpoint becomes invisible to read-committed consumers — §5.5
-        // fallback semantics for immediate sinks, and the abort half of the
-        // transactional sinks' two-phase commit (pre-committed transactions
-        // whose checkpoint never completed roll back here).
-        for spec in self.graph.tasks.clone() {
-            let VertexKind::Sink(s) = self.vertex_kind(spec.id) else { continue };
-            if let Some(topic) = self.topics.get_mut(&s.topic) {
-                let p = spec.subtask % topic.num_partitions();
-                topic
-                    .partition_mut(p)
-                    .append_with_meta(Bytes::new(), Some(encode_abort_marker(spec.id, new_gen, resume_cp)));
-            }
-        }
-
-        let extra = self.config.synthetic_state_bytes;
-        for &id in &ids {
-            self.gens.insert(id, new_gen);
-            let task = self.build_task(id, new_gen);
-            self.tasks.insert(id, Some(task));
-            // State restore time: snapshot transfer from the store.
-            let Some((state, mut ready)) = self.restore_image(id, resume_cp, None) else {
-                continue;
-            };
-            if resume_cp > 0 {
-                ready += TransferModel::default().transfer_time(extra);
-            }
-            self.metrics.causal_event(
-                now,
-                "BeginReplay",
-                new_gen as u64,
-                id,
-                Some(crate::metrics::CausalRef {
-                    kind: "RestartAll",
-                    epoch: new_gen as u64,
-                    task: JM,
-                }),
-            );
-            self.sim.schedule_at(
-                ready,
-                id,
-                Msg::BeginReplay {
-                    snapshot: TaskLogSnapshot::default(),
-                    skip: Vec::new(),
-                    resume_cp,
-                    state,
-                    rebuild_sink_dedup: false,
-                },
-            );
         }
     }
 
@@ -869,14 +390,6 @@ impl Cluster {
             .iter()
             .map(|(&id, t)| (id, t.as_ref().map(|t| t.state_digest())))
             .collect()
-    }
-
-    /// Fold a retired incarnation's counters into the job-wide accumulator
-    /// before the `Task` object is dropped.
-    fn retire(&mut self, old: Option<Task>) {
-        if let Some(t) = old {
-            self.retired.absorb(&t.counters());
-        }
     }
 
     /// Every per-task counter block, summed over retired and live
@@ -925,7 +438,7 @@ impl Cluster {
         let mut total = self.counters().ckpt;
         total.reconstructions = self.snapshots.reconstructions();
         total.reconstruct_us = self.snapshots.reconstruct_us();
-        total.delta_dispatches = self.jm.standby.delta_dispatches();
+        total.delta_dispatches = self.jm.standby().delta_dispatches();
         total
     }
 
@@ -952,7 +465,7 @@ impl Cluster {
 pub(crate) mod tests {
     use super::*;
     use crate::config::CheckpointMode;
-    use crate::graph::{SinkSpec, SourceSpec};
+    use crate::graph::{Partitioning, SinkSpec, SourceSpec};
     use crate::operator::{factory, OpCtx};
     use crate::operators::ProcessOp;
     use crate::record::{Datum, Record, Row};
@@ -1032,14 +545,12 @@ pub(crate) mod tests {
 
             let reads = cluster.snapshots.reads();
             cluster.kill_task(COUNTER);
-            while !cluster.jm.gathers.contains_key(&COUNTER) {
+            while cluster.jm.gathered_image(COUNTER).is_none() {
                 let next = cluster.sim.peek_time().expect("failure detection is scheduled");
                 cluster.run_until(next);
             }
-            let (resume_cp, handed) = {
-                let g = &cluster.jm.gathers[&COUNTER];
-                (g.resume_cp, g.state.clone())
-            };
+            let (resume_cp, handed) =
+                cluster.jm.gathered_image(COUNTER).map(|(cp, state)| (cp, state.clone())).expect("gather");
             assert_eq!(resume_cp, 3, "{what}");
             assert_eq!(cluster.snapshots.reads(), reads, "{what}: standby path must not read the store");
             let now = cluster.sim.now();

@@ -202,7 +202,7 @@ pub struct TaskSpec {
 }
 
 /// The expanded physical graph.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecutionGraph {
     pub job_name: String,
     pub tasks: Vec<TaskSpec>,

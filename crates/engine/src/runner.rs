@@ -338,7 +338,7 @@ impl JobRunner {
             .graph
             .tasks
             .iter()
-            .filter_map(|t| match self.job_vertex_kind(t.vertex) {
+            .filter_map(|t| match self.cluster.vertex_kind(t.vertex) {
                 Some(VertexKind::Sink(s)) => Some((t.id, s.topic.clone(), t.subtask)),
                 _ => None,
             })
@@ -381,9 +381,5 @@ impl JobRunner {
             state_backend_stats: self.cluster.state_backend_stats(),
             wall_seconds,
         }
-    }
-
-    fn job_vertex_kind(&self, vertex: crate::graph::VertexId) -> Option<VertexKind> {
-        self.cluster.vertex_kind_pub(vertex)
     }
 }

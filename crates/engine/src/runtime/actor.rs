@@ -6,7 +6,7 @@
 //! ever mutated under its state lock.
 
 use crate::config::EngineConfig;
-use crate::coordinator::{JmCtx, JobManager};
+use crate::coordinator::{JmCtx, JobManager, TaskHost};
 use crate::messages::Msg;
 use crate::metrics::JobMetrics;
 use crate::task::{Task, TaskCtx};
@@ -48,6 +48,11 @@ impl Scheduler<Msg> for ActorSched<'_> {
     }
 }
 
+/// The coordinator cell's host: it cannot rebuild or cancel tasks, so the
+/// job manager's recovery half refuses here (the threaded runtime runs
+/// failure-free plans only).
+impl TaskHost for ActorSched<'_> {}
+
 /// One task plus its private copies of what `TaskCtx` borrows.
 pub(crate) struct TaskWorld {
     pub(crate) task: Task,
@@ -65,9 +70,9 @@ pub(crate) enum CellKind {
     /// Boxed: a `TaskWorld` is ~2 KB (task + topics) — unboxed it would
     /// inflate every `CellState`.
     Task(Box<TaskWorld>),
-    /// The cluster's own job manager and snapshot store, lent to the
-    /// coordinator cell for the run and handed back at teardown.
-    Coord(Box<(JobManager, SnapshotStore)>),
+    /// The cluster's own job manager, snapshot store and entropy stream,
+    /// lent to the coordinator cell for the run and handed back at teardown.
+    Coord(Box<(JobManager, SnapshotStore, SimRng)>),
 }
 
 /// Mutable half of a cell, guarded by one lock so a cell is only ever
@@ -108,17 +113,17 @@ impl CellState {
                 }
             }
             CellKind::Coord(w) => {
-                let (jm, snapshots) = &mut **w;
-                let mut ctx =
-                    JmCtx { sched: &mut sched, snapshots, config, metrics: &mut self.metrics };
-                match msg {
-                    Msg::CheckpointTick => jm.checkpoint_tick(&mut ctx),
-                    Msg::CheckpointAck { task, id, snapshot, delta_parent, segments } => {
-                        jm.ack(&mut ctx, task, id, snapshot, delta_parent, segments)
-                    }
-                    other => self.errors.push(format!(
-                        "coordinator received unsupported {other:?} in parallel runtime"
-                    )),
+                let (jm, snapshots, entropy) = &mut **w;
+                let mut ctx = JmCtx {
+                    host: &mut sched,
+                    snapshots,
+                    config,
+                    metrics: &mut self.metrics,
+                    entropy,
+                    errors: &mut self.errors,
+                };
+                if let Err(e) = jm.handle(msg, &mut ctx) {
+                    self.errors.push(format!("job manager: {e}"));
                 }
             }
         }

@@ -5,19 +5,22 @@
 //! Each task becomes an actor with a bounded mailbox and a private world
 //! (Lamport clock, timer queue, links, metrics shard, topic partitions);
 //! actors are sharded round-robin across worker threads with work stealing,
-//! and a coordinator actor drives the cluster's own `JobManager` (the same
-//! checkpoint coordinator the sim runs) against the cluster's snapshot
-//! store. The determinism-sensitive machinery (determinant replay, chaos injection,
-//! recovery oracles) stays pinned to the sim scheduler — this runtime only
-//! accepts failure-free plans and exists to measure and scale the hot path.
+//! and a coordinator actor hands every job-manager message to the cluster's
+//! own `JobManager::handle` (the dispatch the sim runs) against the
+//! cluster's snapshot store. Its actor scheduler cannot rebuild tasks, so
+//! the job manager's recovery half refuses here: determinant replay, chaos
+//! injection and the recovery oracles stay pinned to the sim scheduler —
+//! this runtime only accepts failure-free plans and exists to measure and
+//! scale the hot path.
 //!
-//! Lifecycle: `run` lifts the tasks, the job manager and the snapshot store
-//! out of a deployed [`Cluster`], drains the sim queue's pending self-events
-//! into per-actor timer queues, runs the actor system to quiescence under
-//! the virtual-time horizon, then folds every cell back into the cluster
-//! (tasks, job manager and store reinstalled, metrics shards absorbed, sink
-//! appends merged into the shared topics) so reporting, inspection and a
-//! later restore work exactly as after a sim run.
+//! Lifecycle: `run` lifts the tasks, the job manager, the snapshot store and
+//! the entropy stream out of a deployed [`Cluster`], drains the sim queue's
+//! pending self-events into per-actor timer queues, runs the actor system to
+//! quiescence under the virtual-time horizon, then folds every cell back
+//! into the cluster (tasks, job manager, store and stream reinstalled,
+//! metrics shards absorbed, sink appends merged into the shared topics) so
+//! reporting, inspection and a later restore work exactly as after a sim
+//! run.
 
 mod actor;
 mod mailbox;
@@ -75,7 +78,8 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
     // ---- Build the actor cells: coordinator first, then graph order. ----
     let mut cells: Vec<ActorCell> = Vec::with_capacity(specs.len() + 1);
     let mut index: BTreeMap<ActorId, usize> = BTreeMap::new();
-    let coord = (std::mem::take(&mut cluster.jm), std::mem::take(&mut cluster.snapshots));
+    let jm = std::mem::take(&mut cluster.jm);
+    let coord = (jm, std::mem::take(&mut cluster.snapshots), cluster.entropy.clone());
     cells.push(ActorCell::new(crate::cluster::JM, CellKind::Coord(Box::new(coord)), usize::MAX));
     index.insert(crate::cluster::JM, 0);
     for spec in &specs {
@@ -151,7 +155,7 @@ pub fn run(cluster: &mut Cluster, until: VirtualTime, pcfg: &ParallelConfig) -> 
         cluster.metrics.absorb(state.metrics);
         errors.extend(state.errors);
         match state.kind {
-            CellKind::Coord(w) => (cluster.jm, cluster.snapshots) = *w,
+            CellKind::Coord(w) => (cluster.jm, cluster.snapshots, cluster.entropy) = *w,
             CellKind::Task(mut w) => {
                 if let Some((name, part, base)) = w.sink_merge.take() {
                     if let (Some(mine), Some(shared_topic)) =

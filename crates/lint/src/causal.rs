@@ -661,7 +661,7 @@ mod tests {
         let w = ws(&[
             ("crates/engine/src/messages.rs", MESSAGES),
             (
-                "crates/engine/src/cluster.rs",
+                "crates/engine/src/coordinator.rs",
                 "fn h(m: Msg) { match m { Msg::Ping { .. } | Msg::Pong(_) => {} } }\n\
                  fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Pong(2)); }\n",
             ),

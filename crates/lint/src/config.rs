@@ -91,7 +91,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "message-protocol",
         summary: "every messages.rs enum variant constructed anywhere must have a handling \
-                  match arm in task/mod.rs or cluster.rs and vice versa (no dead or unhandled \
+                  match arm in task/mod.rs or coordinator.rs and vice versa (no dead or unhandled \
                   control-plane messages)",
         allowable: false,
     },
@@ -211,7 +211,7 @@ pub const REPLAY_SURFACE_FILES: &[&str] = &[
     "crates/engine/src/task/recovery.rs",
     "crates/engine/src/task/data_path.rs",
     "crates/engine/src/task/checkpoint.rs",
-    "crates/engine/src/cluster.rs",
+    "crates/engine/src/coordinator.rs",
     "crates/core/src/services.rs",
     "crates/core/src/causal_log.rs",
     "crates/core/src/inflight.rs",
@@ -236,9 +236,10 @@ pub const RUN_REPORT_FILE: &str = "crates/engine/src/runner.rs";
 pub const MESSAGES_FILE: &str = "crates/engine/src/messages.rs";
 
 /// Files whose `match` arms count as *handling* a control-plane message:
-/// the task's one dispatch (`Task::handle`) and the cluster's.
+/// the task's one dispatch (`Task::handle`) and the job manager's
+/// (`JobManager::handle`).
 pub const MESSAGE_HANDLER_FILES: &[&str] =
-    &["crates/engine/src/task/mod.rs", "crates/engine/src/cluster.rs"];
+    &["crates/engine/src/task/mod.rs", "crates/engine/src/coordinator.rs"];
 
 /// Is `rel` a test-source file? Out-of-line test modules (`src/tests.rs`,
 /// `src/**/tests/*.rs`) and `tests/` integration files carry no

@@ -238,7 +238,9 @@ impl Lexer {
                     self.pos += 1 + raw.unwrap_or(0);
                     break;
                 }
-                '\\' if raw.is_none() => self.pos += 2,
+                // The `\` of a `\`-newline continuation falls to the last arm
+                // alone, so the newline arm counts the line it ends.
+                '\\' if raw.is_none() && self.peek(1) != Some('\n') => self.pos += 2,
                 '\n' => {
                     self.line += 1;
                     self.pos += 1;
@@ -452,6 +454,14 @@ mod tests {
     #[test]
     fn line_numbers_survive_multiline_constructs() {
         let src = "let a = \"x\ny\";\nlet b = 1;\n";
+        let lexed = lex(src);
+        let b = lexed.toks.iter().find(|t| t.is_ident("b")).unwrap();
+        assert_eq!(b.line, 3);
+    }
+
+    #[test]
+    fn a_continued_string_counts_its_newline() {
+        let src = "let a = \"x \\\n     y\";\nlet b = 1;\n";
         let lexed = lex(src);
         let b = lexed.toks.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!(b.line, 3);

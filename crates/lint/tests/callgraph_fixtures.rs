@@ -151,7 +151,7 @@ fn laundered_taint(tag: &str, allow_on_hop: bool) -> Fixture {
         REPLAY,
         "fn replay(d: &Determinant) { match d { Determinant::Order { .. } => {} } }\n",
     );
-    f.write("crates/engine/src/cluster.rs", "// no arms\n");
+    f.write("crates/engine/src/coordinator.rs", "// no arms\n");
     f
 }
 
@@ -194,7 +194,7 @@ fn unhandled_message_variant_is_flagged_with_sites() {
         "fn handle(m: Msg) { match m { Msg::Ping { .. } => {}, _ => {} } }\n\
          fn send() { emit(Msg::Ping { n: 1 }); emit(Msg::Orphan(7)); }\n",
     );
-    f.write("crates/engine/src/cluster.rs", "// jm side: no arms\n");
+    f.write("crates/engine/src/coordinator.rs", "// jm side: no arms\n");
     let d = f.of_rule("message-protocol");
     assert_eq!(d.len(), 1, "{d:?}");
     assert_eq!(d[0].file, "crates/engine/src/messages.rs");
@@ -215,7 +215,7 @@ fn dead_variant_and_dead_arm_are_flagged() {
         "fn handle(m: Msg) { match m { Msg::Ping => {}, Msg::Zombie => {}, _ => {} } }\n\
          fn send() { emit(Msg::Ping); }\n",
     );
-    f.write("crates/engine/src/cluster.rs", "// empty\n");
+    f.write("crates/engine/src/coordinator.rs", "// empty\n");
     let d = f.of_rule("message-protocol");
     assert_eq!(d.len(), 2, "{d:?}");
     assert!(d.iter().any(|x| x.message.contains("`Msg::Ghost` is never constructed and never handled")));
@@ -238,7 +238,7 @@ fn only_tested_never_sent(tag: &str, test_fn: &str) -> Vec<Diagnostic> {
              fn send() {{ emit(Msg::Ping {{ n: 1 }}); }}\n{test_fn}\n"
         ),
     );
-    f.write("crates/engine/src/cluster.rs", "// jm side: no arms\n");
+    f.write("crates/engine/src/coordinator.rs", "// jm side: no arms\n");
     f.of_rule("message-protocol")
 }
 

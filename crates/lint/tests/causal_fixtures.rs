@@ -52,7 +52,7 @@ fn orphan_variant_is_flagged_at_its_declaration() {
         "pub enum Msg {\n    Boot,\n    Tick,\n    Dead1,\n    Dead2,\n}\n",
     );
     f.write(
-        "crates/engine/src/cluster.rs",
+        "crates/engine/src/coordinator.rs",
         "pub fn deploy() { emit(Msg::Boot); }\n\
          fn handle(m: Msg) {\n\
              match m {\n\
@@ -69,7 +69,7 @@ fn orphan_variant_is_flagged_at_its_declaration() {
     assert!(d[0].message.contains("`Msg::Dead2`"), "{}", d[0].message);
     assert_eq!(d[0].file, "crates/engine/src/messages.rs");
     assert_eq!(d[0].line, 5); // Dead2 declaration
-    assert!(d[0].chain[0].contains("constructed at crates/engine/src/cluster.rs:"));
+    assert!(d[0].chain[0].contains("constructed at crates/engine/src/coordinator.rs:"));
     // `Tick` is reachable from the entry; `Dead1` is never constructed at
     // all — that is message-protocol's finding, not an orphan.
     assert!(!d[0].message.contains("Tick"));
@@ -86,7 +86,7 @@ fn cycle_fixture(tag: &str, pong_arm: &str) -> Fixture {
         "pub enum Msg {\n    Kick,\n    Ping,\n    Pong,\n}\n",
     );
     f.write(
-        "crates/engine/src/cluster.rs",
+        "crates/engine/src/coordinator.rs",
         &format!(
             "pub fn deploy() {{ emit(Msg::Kick); }}\n\
              fn handle(m: Msg) {{\n\
@@ -156,7 +156,7 @@ fn two_relay_fixture(tag: &str, progressing: &str, plain: &str) -> Fixture {
     let f = Fixture::new(tag);
     f.write("crates/engine/src/messages.rs", "pub enum Msg {\n    Boot,\n    Tick,\n}\n");
     f.write(
-        "crates/engine/src/cluster.rs",
+        "crates/engine/src/coordinator.rs",
         "pub fn deploy() { emit(Msg::Boot); }\n\
          fn handle(m: Msg) {\n\
              match m {\n\
@@ -197,7 +197,7 @@ fn recovery_fixture(tag: &str, install_arm: &str, extra_variants: &str) -> Fixtu
         ),
     );
     f.write(
-        "crates/engine/src/cluster.rs",
+        "crates/engine/src/coordinator.rs",
         &format!(
             "pub fn kill() {{ emit(Msg::FailureDetected); }}\n\
              fn handle(m: Msg) {{\n\
@@ -251,7 +251,7 @@ fn spec_carries_entries_and_response_edges() {
         "pub enum Msg {\n    Boot,\n    Tick,\n}\n",
     );
     f.write(
-        "crates/engine/src/cluster.rs",
+        "crates/engine/src/coordinator.rs",
         "pub fn deploy() { emit(Msg::Boot); }\n\
          fn handle(m: Msg) {\n\
              match m {\n\

@@ -55,6 +55,28 @@ if head != new:
 print(f"== lint: {len(new[0])} edges / {len(new[2])} chains unchanged ==")
 '
 
+echo "== lint: every site of the regenerated causal spec names its variant =="
+# An edge's `site` is the construction of its `to` variant and its `arm` the
+# match arm of its `from` variant; an entry's `site` constructs its variant.
+# A line that does not name the variant means the lexer's line count drifted.
+python3 -c '
+import json, re, sys
+spec = json.load(open("results/causal_spec.json"))
+def names(site, variant):
+    path, line = site.rsplit(":", 1)
+    text = open(path).read().split("\n")[int(line) - 1]
+    return re.search(r"\b" + variant + r"\b", text) is not None
+checks = [("edge %s -> %s: site" % (e["from"], e["to"]), e["site"], e["to"]) for e in spec["edges"]]
+checks += [("edge %s -> %s: arm" % (e["from"], e["to"]), e["arm"], e["from"]) for e in spec["edges"]]
+checks += [("entry %s: site" % e["variant"], e["site"], e["variant"]) for e in spec["entries"]]
+bad = [(what, site) for what, site, variant in checks if not names(site, variant)]
+for what, site in bad:
+    print("ERROR: %s %s does not name its variant" % (what, site), file=sys.stderr)
+if bad:
+    sys.exit("ERROR: %d causal spec sites point away from their variant" % len(bad))
+print("== lint: %d edges / %d entries, every site on its variant ==" % (len(spec["edges"]), len(spec["entries"])))
+'
+
 echo "== size: non-test lines per crate (scripts/loc.sh; reported, not gated) =="
 scripts/loc.sh
 
