@@ -186,12 +186,23 @@ impl EpochLog {
     /// at 25 seeds), so ingest must take them; truncation copes — it pops a
     /// prefix, such an entry just waits for the ones before it.
     fn encode_entry(&mut self, epoch: EpochId, det: &Determinant) -> u64 {
+        self.encode_with(epoch, |ctx, w| det.encode_wire(epoch, ctx, w))
+    }
+
+    /// Append the entry `encode` writes against the tail context; it
+    /// returns the entry's kind.
+    #[inline]
+    fn encode_with(
+        &mut self,
+        epoch: EpochId,
+        encode: impl FnOnce(&mut WireCtx, &mut ByteWriter) -> u8,
+    ) -> u64 {
         let seq = self.next_seq();
         if self.active.len() >= ARENA_CHUNK_BYTES {
             self.seal_active();
         }
         let offset = self.next_offset();
-        let kind = det.encode_wire(epoch, &mut self.tail_ctx, &mut self.active);
+        let kind = encode(&mut self.tail_ctx, &mut self.active);
         let len = (self.next_offset() - offset) as u32;
         self.push_entry(IndexEntry { epoch, offset, len, kind });
         seq
@@ -753,14 +764,26 @@ impl CausalLogManager {
     /// Append a main-thread determinant, encoded from a borrow: a caller
     /// that keeps the determinant's payload passes it by reference.
     pub fn record(&mut self, det: impl Borrow<Determinant>) {
+        let det = det.borrow();
+        debug_assert!(det.is_main_thread());
+        self.record_with(|main, epoch| main.append(epoch, det));
+    }
+
+    /// [`CausalLogManager::record`] of `Determinant::External { payload }`
+    /// from the borrowed answer, which the caller keeps.
+    pub fn record_external(&mut self, payload: &[u8]) {
+        self.record_with(|main, epoch| {
+            main.encode_with(epoch, |ctx, w| Determinant::encode_external_wire(payload, epoch, ctx, w))
+        });
+    }
+
+    fn record_with(&mut self, append: impl FnOnce(&mut EpochLog, EpochId) -> u64) {
         if !self.enabled() {
             return;
         }
-        let det = det.borrow();
-        debug_assert!(det.is_main_thread());
         self.stats.determinants_recorded += 1;
         self.stats.entries_encoded += 1;
-        self.own.main.append(self.epoch, det);
+        append(&mut self.own.main, self.epoch);
     }
 
     /// Append an output-queue flush determinant for `channel`.

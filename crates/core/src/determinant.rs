@@ -8,7 +8,7 @@
 //! variant below corresponds to one of them.
 
 use crate::EpochId;
-use clonos_storage::codec::{ByteReader, ByteWriter, CodecError};
+use clonos_storage::codec::{read_varint, ByteReader, ByteWriter, CodecError};
 
 /// Kind of a state-affecting RPC received by a task (§4.1: "any RPC received
 /// by a task which affects its state is nondeterministic").
@@ -146,6 +146,20 @@ impl Determinant {
             }
         }
         kind
+    }
+
+    /// What [`Determinant::encode_wire`] writes for `External { payload }`,
+    /// from a borrowed payload: an external answer is logged uncopied.
+    #[inline]
+    pub(crate) fn encode_external_wire(
+        payload: &[u8],
+        epoch: EpochId,
+        ctx: &mut WireCtx,
+        w: &mut ByteWriter,
+    ) -> u8 {
+        put_tag(w, 5, ctx.enter(epoch).then_some(epoch));
+        w.put_bytes(payload);
+        5
     }
 
     /// Decode one wire entry coded against `ctx`, which advances past it.
@@ -370,11 +384,11 @@ fn read_step(r: &mut WireCursor<'_>, prev: &mut u64, abs: bool) -> Result<u64, C
     Ok(v)
 }
 
-/// Forward cursor over received delta bytes. It reads what [`ByteReader`]
-/// reads and fails with the same [`CodecError`]s, but every method inlines
-/// into the ingest loop (`ByteReader`'s varint reader is an out-of-line call
-/// across the crate boundary, paid several times per entry), and a copy of
-/// it marks a position whose bytes can be taken later.
+/// Forward cursor over received delta bytes. Its varints go through the
+/// codec's one reader ([`read_varint`]), so it reads what [`ByteReader`]
+/// reads and fails with the same [`CodecError`]s; it adds the delta wire's
+/// walks ([`WireCursor::skip_varints`], `peek`/`skip`), and a copy of it
+/// marks a position whose bytes can be taken later.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WireCursor<'a> {
     rest: &'a [u8],
@@ -406,17 +420,25 @@ impl<'a> WireCursor<'a> {
         Ok(byte)
     }
 
+    /// One byte inline; a wider varint takes one call into the kernel. The
+    /// ingest walk has a varint read in every arm, and the kernel's window
+    /// inlined at each made it 16 % slower per entry (EXPERIMENTS.md E1q).
     #[inline]
     pub(crate) fn varint(&mut self) -> Result<u64, CodecError> {
-        // Channel ids, epochs, small counts and tags' operands are mostly
-        // one byte; the general loop stays out of line.
         match self.rest.split_first() {
             Some((&byte, rest)) if byte < 0x80 => {
                 self.rest = rest;
-                Ok(byte as u64)
+                Ok(u64::from(byte))
             }
-            _ => self.varint_multibyte(),
+            _ => self.varint_wide(),
         }
+    }
+
+    #[inline(never)]
+    fn varint_wide(&mut self) -> Result<u64, CodecError> {
+        let (v, width) = read_varint(self.rest)?;
+        self.rest = self.rest.get(width..).unwrap_or_default();
+        Ok(v)
     }
 
     /// Walk past `N` consecutive varints without assembling their values.
@@ -440,28 +462,9 @@ impl<'a> WireCursor<'a> {
             }
         }
         for _ in 0..N {
-            self.varint_multibyte()?;
+            self.varint()?;
         }
         Ok(())
-    }
-
-    fn varint_multibyte(&mut self) -> Result<u64, CodecError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(CodecError::VarintOverflow);
-            }
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(CodecError::VarintOverflow);
-            }
-        }
     }
 
     /// The next `n` bytes, consumed.
@@ -671,9 +674,10 @@ mod tests {
         }
 
         /// On every reference wire encoding (any context, any epoch), the
-        /// crate's encoder writes the same bytes and leaves the same context,
-        /// the decoder gives the determinant back, and on every truncation the
-        /// walker consumes what the decoder consumes or fails as it fails.
+        /// crate's encoder writes the same bytes and leaves the same context
+        /// (for `External`, from a borrowed payload too), the decoder gives
+        /// the determinant back, and on every truncation the walker consumes
+        /// what the decoder consumes or fails as it fails.
         #[test]
         fn prop_skip_agrees_with_decode_on_encodings(
             d in arb_determinant(),
@@ -686,6 +690,12 @@ mod tests {
             d.encode_wire(epoch, &mut left, &mut mine);
             prop_assert_eq!(mine.as_slice(), &bytes[..]);
             prop_assert_eq!(left, after);
+            if let Determinant::External { payload } = &d {
+                let (mut borrowed, mut left) = (ByteWriter::new(), ctx);
+                Determinant::encode_external_wire(payload, epoch, &mut left, &mut borrowed);
+                prop_assert_eq!(borrowed.as_slice(), &bytes[..]);
+                prop_assert_eq!(left, after);
+            }
             let mut back = ctx;
             prop_assert_eq!(Determinant::decode_wire(&mut WireCursor::new(&bytes), &mut back), Ok((epoch, d.clone())));
             prop_assert_eq!(back, after);

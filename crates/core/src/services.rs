@@ -180,16 +180,27 @@ impl CausalServices {
     /// `perform` executes the real call under normal operation; during
     /// recovery its logged response is returned without re-calling — the
     /// external world must not observe duplicated side effects and its state
-    /// may have changed since.
-    pub fn external_call(
+    /// may have changed since. The answer is logged from a borrow, so one
+    /// that is not a `Vec` (`[u8; 8]`) costs no allocation; replay converts
+    /// the logged payload.
+    pub fn external_call<A: AsRef<[u8]> + TryFrom<Vec<u8>>>(
         &mut self,
         log: &mut CausalLogManager,
-        perform: impl FnOnce() -> Vec<u8>,
-    ) -> Result<Vec<u8>, ServiceError> {
+        perform: impl FnOnce() -> A,
+    ) -> Result<A, ServiceError> {
         match Self::mode(log) {
-            ServiceMode::Recording => Ok(record_payload(log, Determinant::External { payload: perform() })),
+            ServiceMode::Recording => {
+                let answer = perform();
+                log.record_external(answer.as_ref());
+                Ok(answer)
+            }
             ServiceMode::Replaying => match log.pop_replay() {
-                Some(Determinant::External { payload }) => Ok(payload),
+                Some(Determinant::External { payload }) => {
+                    A::try_from(payload).map_err(|_| ServiceError::ReplayDivergence {
+                        expected: "External",
+                        found: "an External answer of another length".into(),
+                    })
+                }
                 Some(other) => Err(ServiceError::ReplayDivergence {
                     expected: "External",
                     found: format!("{other:?}"),
@@ -329,7 +340,7 @@ mod tests {
         let b = svc2.timestamp(&mut log2, VirtualTime(8), 1).unwrap();
         assert_eq!(a, b);
         // The external determinant is still intact.
-        assert_eq!(svc2.external_call(&mut log2, || panic!("must not re-call")).unwrap(), b"resp");
+        assert_eq!(svc2.external_call(&mut log2, || -> Vec<u8> { panic!("must not re-call") }).unwrap(), b"resp");
     }
 
     #[test]
@@ -368,7 +379,7 @@ mod tests {
         let mut log2 = CausalLogManager::new(1, 1, 1);
         log2.begin_replay(down.export_replica(1).unwrap(), 0);
         let mut svc2 = CausalServices::new(1_000);
-        let replayed = svc2.external_call(&mut log2, || panic!("external re-called")).unwrap();
+        let replayed = svc2.external_call(&mut log2, || -> Vec<u8> { panic!("external re-called") }).unwrap();
         assert_eq!(replayed, vec![1, 2, 3]);
     }
 

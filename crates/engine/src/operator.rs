@@ -138,12 +138,8 @@ impl<'a> OpCtx<'a> {
     pub fn external_get(&mut self, key: u64) -> Result<i64, EngineError> {
         let external = &mut *self.external;
         let now = self.now;
-        let payload = self.services.external_call(self.log, || {
-            external.get(key, now).to_le_bytes().to_vec()
-        })?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(&payload[..8]);
-        Ok(i64::from_le_bytes(arr))
+        let answer = self.services.external_call(self.log, || external.get(key, now).to_le_bytes())?;
+        Ok(i64::from_le_bytes(answer))
     }
 
     /// Run arbitrary user-provided nondeterministic logic as a causal

@@ -47,6 +47,7 @@ impl Datum {
         }
     }
 
+    #[inline]
     pub fn encode(&self, w: &mut ByteWriter) {
         match self {
             Datum::Null => w.put_u8(0),
@@ -69,6 +70,7 @@ impl Datum {
         }
     }
 
+    #[inline]
     pub fn decode(r: &mut ByteReader<'_>) -> Result<Datum, CodecError> {
         Ok(match r.get_u8()? {
             0 => Datum::Null,
@@ -83,6 +85,7 @@ impl Datum {
     /// Walk over one encoded datum without materialising it. Accepts exactly
     /// the inputs [`Datum::decode`] accepts (strings are UTF-8 checked), so
     /// bytes that pass here can be handed on verbatim.
+    #[inline]
     fn skip(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         match r.get_u8()? {
             0 => {}
@@ -121,16 +124,26 @@ impl Row {
         &self.0[i]
     }
 
+    #[inline]
     pub fn int(&self, i: usize) -> i64 {
-        self.0[i].as_int().unwrap_or_else(|| panic!("field {i} is not an Int: {:?}", self.0[i]))
+        self.0.get(i).and_then(Datum::as_int).unwrap_or_else(|| self.wrong_field(i, "an Int"))
     }
 
+    #[inline]
     pub fn float(&self, i: usize) -> f64 {
-        self.0[i].as_float().unwrap_or_else(|| panic!("field {i} is not numeric: {:?}", self.0[i]))
+        self.0.get(i).and_then(Datum::as_float).unwrap_or_else(|| self.wrong_field(i, "numeric"))
     }
 
+    #[inline]
     pub fn str(&self, i: usize) -> &str {
-        self.0[i].as_str().unwrap_or_else(|| panic!("field {i} is not a Str: {:?}", self.0[i]))
+        self.0.get(i).and_then(Datum::as_str).unwrap_or_else(|| self.wrong_field(i, "a Str"))
+    }
+
+    /// The panic of a typed accessor, out of line so the accessors inline.
+    #[cold]
+    #[inline(never)]
+    fn wrong_field(&self, i: usize, what: &str) -> ! {
+        panic!("field {i} is not {what}: {:?}", self.0[i])
     }
 
     pub fn len(&self) -> usize {
@@ -141,6 +154,7 @@ impl Row {
         self.0.is_empty()
     }
 
+    #[inline]
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_varint(self.0.len() as u64);
         for d in &self.0 {
@@ -157,6 +171,7 @@ impl Row {
     /// Decode into `self`, replacing its fields but keeping the vector's
     /// capacity: a scratch row reused across records stops allocating once
     /// it has seen the widest row (strings still allocate their `Arc`).
+    #[inline]
     pub fn decode_into(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         let n = Row::field_count(r)?;
         self.0.clear();
@@ -168,6 +183,7 @@ impl Row {
     }
 
     /// Walk over one encoded row, validating it as [`Row::decode`] would.
+    #[inline]
     fn skip(r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         for _ in 0..Row::field_count(r)? {
             Datum::skip(r)?;
@@ -178,6 +194,7 @@ impl Row {
     /// The field-count prefix, bounded by what the input can still hold
     /// (every datum takes at least its tag byte), so a corrupt count is an
     /// error here and never an allocation request.
+    #[inline]
     fn field_count(r: &mut ByteReader<'_>) -> Result<usize, CodecError> {
         let n = r.get_varint()? as usize;
         let remaining = r.remaining();
@@ -213,6 +230,7 @@ pub struct Record {
 }
 
 impl Record {
+    #[inline]
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_varint(self.key);
         w.put_varint(self.event_time);
@@ -233,6 +251,7 @@ impl Record {
         self.row.decode_into(r)
     }
 
+    #[inline]
     fn decode_header(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.key = r.get_varint()?;
         self.event_time = r.get_varint()?;
@@ -307,6 +326,7 @@ impl Element {
 
 /// The one element decoder: tag dispatch, record header, then `row` over the
 /// record's row bytes (materialise or just validate).
+#[inline]
 fn read_element(
     r: &mut ByteReader<'_>,
     rec: &mut Record,
@@ -714,6 +734,60 @@ mod tests {
                 prop_assert_eq!(walked.err(), streamed.err());
             }
         }
+    }
+
+    /// The wire bytes of a fixed record set, pinned: header varints of
+    /// every width up to a ten-byte key, ints at both sides of every zigzag
+    /// width boundary and at both ends of `i64`, and each other datum kind.
+    /// A codec change that moves a byte fails here, not only a round trip.
+    #[test]
+    fn record_wire_bytes_are_pinned() {
+        let mut ints = vec![Datum::Int(0), Datum::Int(i64::MIN), Datum::Int(i64::MAX)];
+        for k in 0..9 {
+            let edge = 1i64 << (7 * k + 6);
+            ints.extend([edge - 1, edge, -edge, -edge - 1].map(Datum::Int));
+        }
+        let others = vec![
+            Datum::str(""),
+            Datum::str("héllo"),
+            Datum::Null,
+            Datum::Bool(true),
+            Datum::Bool(false),
+            Datum::Float(2.25),
+            Datum::Float(-0.0),
+        ];
+        let records = [
+            Record {
+                key: 0x9E37_79B9_7F4A_7C15,
+                event_time: 0,
+                create_ts: 1_000_000,
+                ident: (5 << 40) | 12,
+                row: Row::new(ints),
+            },
+            Record { key: 1, event_time: 127, create_ts: 128, ident: u64::MAX, row: Row::new(others) },
+            Record { key: 300, event_time: 1 << 35, create_ts: 16_384, ident: 0, row: Row::default() },
+        ];
+        /// `records` on the wire; changes only with a deliberate format change.
+        const GOLDEN_RECORDS: &str = concat!(
+            "0095f8a9fa97b7de9b9e0100c0843d8c80808080a00127020002ffffffffffffffffff01",
+            "02feffffffffffffffff01027e028001027f02810102fe7f0280800102ff7f0281800102",
+            "feff7f028080800102ffff7f028180800102feffff7f02808080800102ffffff7f028180",
+            "80800102feffffff7f0280808080800102ffffffff7f0281808080800102feffffffff7f",
+            "028080808080800102ffffffffff7f028180808080800102feffffffffff7f0280808080",
+            "8080800102ffffffffffff7f02818080808080800102feffffffffffff7f028080808080",
+            "8080800102ffffffffffffff7f0281808080808080800102feffffffffffffff7f028080",
+            "808080808080800102ffffffffffffffff7f028180808080808080800100017f8001ffff",
+            "ffffffffffffff01070400040668c3a96c6c6f0001010100030000000000000240030000",
+            "00000000008000ac028080808080018080010000",
+        );
+        let mut w = ByteWriter::new();
+        for rec in &records {
+            rec.encode_element(&mut w);
+        }
+        let hex: String = w.as_slice().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_RECORDS);
+        let back = decode_buffer(w.as_slice()).unwrap();
+        assert_eq!(back, records.map(StreamElement::Record));
     }
 
     #[test]

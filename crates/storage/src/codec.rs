@@ -74,18 +74,10 @@ impl ByteWriter {
         self.buf.put_u8(v);
     }
 
-    /// LEB128 varint.
+    /// LEB128 varint ([`write_varint`]).
     #[inline]
-    pub fn put_varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.put_u8(byte);
-                return;
-            }
-            self.buf.put_u8(byte | 0x80);
-        }
+    pub fn put_varint(&mut self, v: u64) {
+        write_varint(v, |byte| self.buf.put_u8(byte));
     }
 
     /// ZigZag-encoded signed varint.
@@ -105,12 +97,14 @@ impl ByteWriter {
     }
 
     /// Length-prefixed byte slice.
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_varint(v.len() as u64);
         self.buf.put_slice(v);
     }
 
     /// Length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
@@ -173,11 +167,12 @@ impl ByteWriter {
         }
         if let Some(prefixed) = self.buf.get_mut(pos..) {
             prefixed.copy_within(1..end - pos, width);
-            let mut v = len;
-            for byte in prefixed.iter_mut().take(width) {
-                *byte = (v as u8 & 0x7f) | if v >= 0x80 { 0x80 } else { 0 };
-                v >>= 7;
-            }
+            let mut out = prefixed.iter_mut();
+            write_varint(len, |byte| {
+                if let Some(o) = out.next() {
+                    *o = byte;
+                }
+            });
         }
     }
 
@@ -208,26 +203,100 @@ impl ByteWriter {
     }
 }
 
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Write `v` as a LEB128 varint through `put`: the one varint writer. A push
+/// loop measured faster than staging the bytes in a `[u8; 10]` for one copy.
+#[inline]
+pub fn write_varint(mut v: u64, mut put: impl FnMut(u8)) {
+    while v >= 0x80 {
+        put(v as u8 | 0x80);
+        v >>= 7;
+    }
+    put(v as u8);
+}
+
+/// The value and width of the LEB128 varint at the front of `buf`: the one
+/// varint reader. One byte costs one compare; longer varints decode from a
+/// ten-byte window with no per-byte bounds check, and only one in the last
+/// nine bytes of `buf` takes the cold tail. A tenth byte above 1 is
+/// `VarintOverflow`; `buf` ending inside the varint is `UnexpectedEof {
+/// needed: 1, remaining: 0 }`.
+#[inline(always)]
+pub fn read_varint(buf: &[u8]) -> Result<(u64, usize), CodecError> {
+    match buf.first() {
+        Some(&byte) if byte < 0x80 => Ok((u64::from(byte), 1)),
+        _ => match buf.first_chunk::<MAX_VARINT_LEN>() {
+            Some(window) => read_window(window),
+            None => read_tail(buf),
+        },
+    }
+}
+
+/// Two bytes by a second compare; more as one word of eight, whose lowest
+/// clear high bit ends the varint, packed by three shift-and-mask steps.
+#[inline]
+fn read_window(window: &[u8; MAX_VARINT_LEN]) -> Result<(u64, usize), CodecError> {
+    let &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9] = window;
+    if b1 < 0x80 {
+        return Ok((u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2));
+    }
+    let word = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
+    let ends = !word & 0x8080_8080_8080_8080;
+    // Every byte up to and including the first that ends the varint.
+    let keep = if ends == 0 { u64::MAX } else { ends ^ (ends - 1) };
+    let mut v = word & keep & 0x7f7f_7f7f_7f7f_7f7f;
+    v = (v & 0x007f_007f_007f_007f) | ((v & 0x7f00_7f00_7f00_7f00) >> 1);
+    v = (v & 0x0000_3fff_0000_3fff) | ((v & 0x3fff_0000_3fff_0000) >> 2);
+    v = (v & 0x0000_0000_0fff_ffff) | ((v & 0x0fff_ffff_0000_0000) >> 4);
+    if ends != 0 {
+        return Ok((v, ends.trailing_zeros() as usize / 8 + 1));
+    }
+    v |= u64::from(b8 & 0x7f) << 56;
+    if b8 < 0x80 {
+        return Ok((v, 9));
+    }
+    if b9 > 1 {
+        return Err(CodecError::VarintOverflow);
+    }
+    Ok((v | u64::from(b9) << 63, MAX_VARINT_LEN))
+}
+
+/// The kernel's tail: a varint fewer than ten bytes before the end of `buf`,
+/// read through the window from a copy padded with continuation bytes. No
+/// varint ends in the padding: one that runs into it overflows at the tenth
+/// byte, which is padding, and `buf` ended inside it.
+#[cold]
+fn read_tail(buf: &[u8]) -> Result<(u64, usize), CodecError> {
+    let mut window = [0x80; MAX_VARINT_LEN];
+    for (slot, &byte) in window.iter_mut().zip(buf) {
+        *slot = byte;
+    }
+    read_window(&window).map_err(|_| CodecError::UnexpectedEof { needed: 1, remaining: 0 })
+}
+
 /// Cursor-based decoder over a byte slice.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
+    /// Length of the whole input.
+    len: usize,
 }
 
 impl<'a> ByteReader<'a> {
     pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
+        ByteReader { rest: buf, len: buf.len() }
     }
 
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+        self.rest.is_empty()
     }
 
     /// End of a value that must fill its frame: a byte left over is
@@ -238,76 +307,76 @@ impl<'a> ByteReader<'a> {
 
     #[inline]
     pub fn position(&self) -> usize {
-        self.pos
+        self.len - self.rest.len()
     }
 
     /// The unread bytes, not consumed.
     pub fn rest(&self) -> &'a [u8] {
-        self.buf.get(self.pos..).unwrap_or_default()
+        self.rest
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEof { needed: n, remaining: self.remaining() });
-        }
-        // clonos-lint: allow(panic-path, reason = "bounds checked above; short reads surface CodecError::UnexpectedEof")
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(CodecError::UnexpectedEof { needed: n, remaining: self.rest.len() })?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEof { needed: N, remaining: self.rest.len() })?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let (&byte, rest) =
+            self.rest.split_first().ok_or(CodecError::UnexpectedEof { needed: 1, remaining: 0 })?;
+        self.rest = rest;
+        Ok(byte)
     }
 
+    #[inline(always)]
     pub fn get_varint(&mut self) -> Result<u64, CodecError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.get_u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(CodecError::VarintOverflow);
-            }
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(CodecError::VarintOverflow);
-            }
-        }
+        let (v, width) = read_varint(self.rest)?;
+        self.rest = self.rest.get(width..).unwrap_or_default();
+        Ok(v)
     }
 
+    #[inline]
     pub fn get_varint_i64(&mut self) -> Result<i64, CodecError> {
         let z = self.get_varint()?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
     pub fn get_u32_le(&mut self) -> Result<u32, CodecError> {
-        let s = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(s);
-        Ok(u32::from_le_bytes(a))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        let s = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(s);
-        Ok(f64::from_bits(u64::from_le_bytes(a)))
+        Ok(f64::from_bits(u64::from_le_bytes(self.take_array()?)))
     }
 
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, CodecError> {
         Ok(self.get_u8()? != 0)
     }
 
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.get_varint()? as usize;
         self.take(n)
     }
 
+    #[inline]
     pub fn get_str(&mut self) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| CodecError::InvalidUtf8)
     }
@@ -431,11 +500,106 @@ mod tests {
         assert_eq!(ByteReader::new(&bytes).get_str(), Err(CodecError::InvalidUtf8));
     }
 
+    /// Byte-at-a-time LEB128, written apart from the kernel: the value and
+    /// width of the varint at the front of `buf`, or the error.
+    fn reference_read(buf: &[u8]) -> Result<(u64, usize), CodecError> {
+        let (mut v, mut shift) = (0u64, 0u32);
+        for (i, &byte) in buf.iter().enumerate() {
+            if shift == 63 && byte > 1 {
+                return Err(CodecError::VarintOverflow);
+            }
+            v |= ((byte & 0x7f) as u64) << shift;
+            if byte & 0x80 == 0 {
+                return Ok((v, i + 1));
+            }
+            shift += 7;
+        }
+        Err(CodecError::UnexpectedEof { needed: 1, remaining: 0 })
+    }
+
+    fn reference_write(mut v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return out;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    /// The kernel and `ByteReader` against the reference on every prefix of
+    /// `bytes` (windowed and tail reads alike).
+    fn check_against_reference(bytes: &[u8]) {
+        for cut in 0..=bytes.len() {
+            let prefix = &bytes[..cut];
+            let want = reference_read(prefix);
+            assert_eq!(read_varint(prefix), want, "{prefix:x?}");
+            let mut r = ByteReader::new(prefix);
+            assert_eq!(r.get_varint().map(|v| (v, r.position())), want, "{prefix:x?}");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_at_the_overflow_edges() {
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        let mut over = vec![0xff; 9];
+        over.push(0x02);
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        for (bytes, want) in [
+            (max, Ok((u64::MAX, 10))),
+            (over, Err(CodecError::VarintOverflow)),
+            (eleven, Err(CodecError::VarintOverflow)),
+            (vec![0x80; 9], Err(CodecError::UnexpectedEof { needed: 1, remaining: 0 })),
+        ] {
+            assert_eq!(read_varint(&bytes), want);
+            // At the end of the buffer (tail) and with bytes after it (window).
+            check_against_reference(&bytes);
+            check_against_reference(&[&bytes[..], &[0x05; 12]].concat());
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_reference_at_every_width_boundary() {
+        let mut values = vec![u64::MAX];
+        for k in 1..10 {
+            let edge = 1u64 << (7 * k);
+            values.extend([edge - 1, edge, edge + 1]);
+        }
+        for v in values {
+            let want = reference_write(v);
+            let mut w = ByteWriter::new();
+            w.put_varint(v);
+            assert_eq!(w.as_slice(), &want[..], "{v:#x}");
+            let mut put = Vec::new();
+            write_varint(v, |b| put.push(b));
+            assert_eq!(put, want);
+            assert_eq!(read_varint(&want), Ok((v, want.len())));
+        }
+    }
+
     proptest! {
+        /// Same value, same bytes consumed, same error as the reference on
+        /// byte strings no encoder wrote, biased to continuation bytes.
+        #[test]
+        fn prop_kernel_matches_the_reference_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(
+                prop_oneof![any::<u8>(), 0x80u8..=0xff, Just(0xff), Just(0x01), Just(0x02)],
+                0..24,
+            ),
+        ) {
+            check_against_reference(&bytes);
+        }
+
         #[test]
         fn prop_varint_roundtrip(v in any::<u64>()) {
             let mut w = ByteWriter::new();
             w.put_varint(v);
+            prop_assert_eq!(w.as_slice(), &reference_write(v)[..]);
             let b = w.freeze();
             prop_assert_eq!(ByteReader::new(&b).get_varint().unwrap(), v);
         }

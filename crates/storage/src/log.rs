@@ -12,6 +12,7 @@
 //!   implements that query, letting a recovering sink deduplicate output it
 //!   already committed.
 
+use crate::codec::write_varint;
 use bytes::Bytes;
 use std::fmt;
 use std::ops::Deref;
@@ -33,8 +34,8 @@ pub struct Meta {
 }
 
 impl Meta {
-    /// `kind` followed by each field as a LEB128 varint (the encoding of
-    /// [`crate::ByteWriter::put_varint`]).
+    /// `kind` followed by each field as a LEB128 varint
+    /// ([`crate::codec::write_varint`]).
     pub fn tagged(kind: u8, fields: [u64; 4]) -> Meta {
         let mut meta = Meta { len: 0, bytes: [0; META_CAPACITY] };
         let mut len = 0;
@@ -46,12 +47,8 @@ impl Meta {
             }
         };
         put(kind);
-        for mut v in fields {
-            while v >= 0x80 {
-                put(v as u8 | 0x80);
-                v >>= 7;
-            }
-            put(v as u8);
+        for v in fields {
+            write_varint(v, &mut put);
         }
         meta.len = len;
         meta
