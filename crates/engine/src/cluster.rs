@@ -11,7 +11,7 @@ use crate::coordinator::{JmCtx, JobManager, TaskHost};
 use crate::error::EngineError;
 use crate::graph::{ExecutionGraph, JobGraph, VertexId, VertexKind};
 use crate::messages::Msg;
-use crate::metrics::{JobMetrics, TaskCounters};
+use crate::metrics::{CausalRef, Escalation, JobMetrics, Kind, TaskCounters};
 use crate::task::{encode_abort_marker, Task, TaskCtx, TaskSnapshot};
 use bytes::Bytes;
 use clonos::standby::AllocationStrategy;
@@ -243,9 +243,9 @@ impl Cluster {
     /// Replay-divergence errors are the runtime signal of §5.3 Case 2 — an
     /// orphaned dependency whose determinants died with the failed set
     /// (possible when DSD < graph depth and consecutive tasks fail). Per the
-    /// paper, the task escalates to the job manager, which either triggers a
-    /// global rollback or — if availability is preferred — lets the task
-    /// abandon replay and continue at-least-once.
+    /// paper, the task escalates to the job manager, whose orphan policy
+    /// either triggers a global rollback or — if availability is preferred —
+    /// has the task abandon replay and continue at-least-once.
     fn with_task(&mut self, id: TaskId, f: impl FnOnce(&mut Task, &mut TaskCtx<'_>) -> Result<(), EngineError>) {
         let Some(slot) = self.tasks.get_mut(&id) else { return };
         let Some(mut task) = slot.take() else { return };
@@ -258,33 +258,28 @@ impl Cluster {
             entropy: &mut self.entropy,
             metrics: &mut self.metrics,
         };
-        let mut escalate = false;
-        if let Err(e) = f(&mut task, &mut ctx) {
-            match ctx.config.ft.clonos() {
-                Some(c) if e.is_replay_divergence() => {
-                    let now = ctx.sched.now();
-                    if c.prefer_availability_on_orphans {
-                        ctx.metrics.event(
-                            now,
-                            format!("task {id} orphaned mid-replay: continuing at-least-once"),
-                        );
-                        task.abandon_replay(&mut ctx);
-                    } else {
-                        ctx.metrics.event(
-                            now,
-                            format!("task {id} orphaned mid-replay ({e}): escalating to global rollback"),
-                        );
-                        escalate = true;
-                    }
-                }
-                _ => self.errors.push(format!("task {id}: {e}")),
+        let diverged = match f(&mut task, &mut ctx) {
+            Err(e) if e.is_replay_divergence() && ctx.config.ft.clonos().is_some() => {
+                Some(task.gen as u64)
             }
-        }
+            Err(e) => {
+                self.errors.push(format!("task {id}: {e}"));
+                None
+            }
+            Ok(()) => None,
+        };
         if let Some(slot) = self.tasks.get_mut(&id) {
             *slot = Some(task);
         }
-        if escalate {
-            self.with_jm(|jm, ctx| jm.schedule_rollback(ctx));
+        let Some(epoch) = diverged else { return };
+        let cause = CausalRef { kind: Kind::BeginReplay, epoch, task: id };
+        let mut go_on = false;
+        self.with_jm(|jm, ctx| {
+            go_on = jm.orphaned(ctx, Escalation::ReplayDiverged, cause)?;
+            Ok(())
+        });
+        if go_on {
+            self.with_task(id, abandon_replay);
         }
     }
 
@@ -298,8 +293,8 @@ impl Cluster {
         }
         self.with_jm(|_, ctx| ctx.host.cancel_task(id));
         let now = self.sim.now();
-        self.metrics.event(now, format!("FAILURE task {id}"));
         let gen = self.jm.gen(id);
+        self.metrics.record(now, Kind::TaskKilled, gen as u64, id, None);
         let mut delay = self.config.detection_delay();
         let jitter = self.config.detection_jitter.as_micros();
         if jitter > 0 {
@@ -314,14 +309,13 @@ impl Cluster {
     /// next activation falls back to a cold snapshot load).
     pub fn kill_node(&mut self, node: u32) {
         let now = self.sim.now();
-        self.metrics.event(now, format!("NODE FAILURE node {node}"));
-        self.metrics.recovery.node_crashes += 1;
+        self.metrics.record(now, Kind::NodeCrashed { node }, 0, JM, None);
         let nodes = self.nodes.clone();
         let lost = self.jm.standby_mut().fail_node(node, self.config.num_nodes, now, |t| {
             nodes.get(&t).copied().unwrap_or(0)
         });
         for t in lost {
-            self.metrics.event(now, format!("standby of task {t} lost with node {node}"));
+            self.metrics.record(now, Kind::StandbyLost { node }, 0, t, None);
         }
         let victims: Vec<TaskId> =
             nodes.iter().filter(|&(_, &n)| n == node).map(|(&t, _)| t).collect();
@@ -336,8 +330,8 @@ impl Cluster {
     /// pressure for aligned-vs-unaligned checkpoint comparisons.
     pub fn slow_task(&mut self, task: TaskId, factor: u64, window: VirtualDuration) {
         let now = self.sim.now();
-        self.metrics
-            .event(now, format!("SLOWDOWN task {task} x{factor} for {}us", window.as_micros()));
+        let kind = Kind::Slowdown { factor, for_us: window.as_micros() };
+        self.metrics.record(now, kind, 0, task, None);
         let until = now + window;
         self.with_task(task, |t, _| {
             t.apply_slowdown(factor, until);
@@ -351,9 +345,7 @@ impl Cluster {
     pub fn interrupt_standby(&mut self, task: TaskId) {
         let now = self.sim.now();
         if self.jm.standby_mut().interrupt_transfer(task, now) {
-            self.metrics.recovery.standby_interrupts += 1;
-            self.metrics
-                .event(now, format!("standby state transfer for task {task} interrupted"));
+            self.metrics.record(now, Kind::StandbyInterrupted, 0, task, None);
         }
     }
 
@@ -459,6 +451,12 @@ impl Cluster {
         let (bytes, _) = self.snapshots.get(now, cp, task)?;
         TaskSnapshot::decode(&bytes).ok()
     }
+}
+
+/// The orphan policy chose at-least-once for a diverged replay: go on live.
+fn abandon_replay(task: &mut Task, ctx: &mut TaskCtx<'_>) -> Result<(), EngineError> {
+    task.abandon_replay(ctx);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use crate::config::{EngineConfig, FtMode, GATHER_TIMEOUT, RECOVERY_TIMEOUT};
 use crate::error::EngineError;
 use crate::graph::ExecutionGraph;
 use crate::messages::{Msg, SegmentAck};
-use crate::metrics::{CausalRef, JobMetrics};
+use crate::metrics::{CausalRef, Escalation, JobMetrics, Kind};
 use crate::task::recovery_ctrl_delay;
 use bytes::Bytes;
 use clonos::causal_log::TaskLogSnapshot;
@@ -182,11 +182,9 @@ impl JobManager {
         }
         self.next_cp += 1;
         let id = self.next_cp;
-        let now = ctx.host.now();
-        ctx.metrics.event(now, format!("checkpoint {id} triggered"));
         // Barrier-chain entry: everything checkpoint `id` does is caused by
         // this trigger.
-        ctx.metrics.causal_event(now, "TriggerCheckpoint", id, JM, None);
+        ctx.metrics.record(ctx.host.now(), Kind::TriggerCheckpoint, id, JM, None);
         self.pending.insert(id, BTreeSet::new());
         for s in self.graph.tasks.iter().filter(|t| t.inputs.is_empty()) {
             ctx.host.schedule_in(VirtualDuration::from_micros(100), s.id, Msg::TriggerCheckpoint { id });
@@ -230,9 +228,8 @@ impl JobManager {
         }
         self.last_completed = id;
         ctx.snapshots.truncate_before(id);
-        ctx.metrics.event(now, format!("checkpoint {id} complete"));
-        let cause = CausalRef { kind: "CheckpointAck", epoch: id, task };
-        ctx.metrics.causal_event(now, "CheckpointComplete", id, JM, Some(cause));
+        let cause = CausalRef { kind: Kind::CheckpointAck, epoch: id, task };
+        ctx.metrics.record(now, Kind::CheckpointComplete, id, JM, Some(cause));
         for t in &self.graph.tasks {
             ctx.host.schedule_in(VirtualDuration::from_micros(100), t.id, Msg::CheckpointComplete { id });
         }
@@ -286,7 +283,8 @@ impl JobManager {
         ctx.metrics.recovery.detection_latency_us_total += now.saturating_sub(killed_at).as_micros();
         ctx.metrics.recovery.detection_samples += 1;
         // Recovery-chain entry: epoch is the incarnation that died.
-        ctx.metrics.causal_event(now, "FailureDetected", gen as u64, task, None);
+        ctx.metrics.record(now, Kind::FailureDetected, gen as u64, task, None);
+        let detected = CausalRef { kind: Kind::FailureDetected, epoch: gen as u64, task };
         if self.busy() {
             ctx.metrics.recovery.concurrent_failures += 1;
         }
@@ -296,15 +294,10 @@ impl JobManager {
             // stay complete: any decision made before `RestartAll` fires
             // (another detection, an analysis) sees a consistent picture.
             self.failed.insert(task);
-            ctx.metrics.event(
-                now,
-                format!("failure of task {task} during scheduled rollback: folded into restart"),
-            );
+            ctx.metrics.record(now, Kind::FoldedIntoRollback, gen as u64, task, Some(detected));
             return Ok(());
         }
-        if self.failed.insert(task) {
-            ctx.metrics.event(now, format!("failure of task {task} detected"));
-        } else {
+        if !self.failed.insert(task) {
             // The replacement died before its recovery finished: tear down
             // the in-progress gather/replay bookkeeping and re-run the
             // failure analysis over the enlarged failed set instead of
@@ -312,10 +305,7 @@ impl JobManager {
             // non-empty forever and stall checkpointing).
             self.recovering.remove(&task);
             self.gathers.remove(&task);
-            ctx.metrics.event(
-                now,
-                format!("replacement for task {task} died mid-recovery: restarting recovery"),
-            );
+            ctx.metrics.record(now, Kind::ReplacementDied, gen as u64, task, Some(detected));
         }
         // A pending determinant-log gather can no longer expect a response
         // from the newly failed task.
@@ -335,29 +325,34 @@ impl JobManager {
             FtMode::GlobalRollback => self.schedule_rollback(ctx)?,
             FtMode::Clonos(c) => {
                 let topo = self.graph.topology();
-                match analyze_failure(&topo, &self.failed, c.effective_dsd(self.depth)) {
-                    RecoveryDecision::Local { .. } => self.schedule_install(ctx, task),
-                    RecoveryDecision::GlobalRollback { orphaned } => {
-                        if c.prefer_availability_on_orphans {
-                            // §5.4: favour availability — recover locally
-                            // with at-least-once semantics for the orphans.
-                            ctx.metrics.event(
-                                now,
-                                format!("orphaned {orphaned:?}: continuing at-least-once"),
-                            );
-                            self.schedule_install(ctx, task);
-                        } else {
-                            ctx.metrics.event(
-                                now,
-                                format!("orphaned {orphaned:?}: falling back to global rollback"),
-                            );
-                            self.schedule_rollback(ctx)?;
-                        }
-                    }
+                let decision = analyze_failure(&topo, &self.failed, c.effective_dsd(self.depth));
+                let local = matches!(decision, RecoveryDecision::Local { .. });
+                if local || self.orphaned(ctx, Escalation::Orphaned, detected)? {
+                    self.schedule_install(ctx, task);
                 }
             }
         }
         Ok(())
+    }
+
+    /// §5.4, the one owner of the orphan policy: the failure analysis found
+    /// orphans (`Orphaned`, caused by the detection) or a replay diverged at
+    /// runtime (`ReplayDiverged`, caused by its `BeginReplay`). With
+    /// availability preferred the task goes on at-least-once; otherwise the
+    /// job falls back to a global rollback. Returns whether the task goes on.
+    pub(crate) fn orphaned(
+        &mut self,
+        ctx: &mut JmCtx<'_>,
+        why: Escalation,
+        cause: CausalRef,
+    ) -> Result<bool, EngineError> {
+        let go_on = ctx.config.ft.clonos().is_some_and(|c| c.prefer_availability_on_orphans);
+        let kind = if go_on { Kind::AtLeastOnce } else { Kind::Escalated(why) };
+        ctx.metrics.record(ctx.host.now(), kind, cause.epoch, cause.task, Some(cause));
+        if !go_on {
+            self.schedule_rollback(ctx)?;
+        }
+        Ok(go_on)
     }
 
     /// Step 1: activate the standby — usable only if it holds exactly the
@@ -393,12 +388,10 @@ impl JobManager {
         };
         ctx.host.replace_task(task, &|t| self.gen(t))?;
         self.recovering.insert(task);
-        let now = ctx.host.now();
-        ctx.metrics.event(now, format!("standby/replacement for task {task} installed"));
         // Incarnations bump by exactly one on a local install, so the
         // causing detection carries `gen - 1`.
-        let cause = CausalRef { kind: "FailureDetected", epoch: (gen - 1) as u64, task };
-        ctx.metrics.causal_event(now, "InstallRecovery", gen as u64, task, Some(cause));
+        let cause = CausalRef { kind: Kind::FailureDetected, epoch: (gen - 1) as u64, task };
+        ctx.metrics.record(ctx.host.now(), Kind::InstallRecovery, gen as u64, task, Some(cause));
 
         // Step 2: reconfigure — downstream survivors expect the new
         // incarnation (and drop stale in-flight buffers of the old one).
@@ -448,33 +441,26 @@ impl JobManager {
         task: TaskId,
         attempt: u32,
     ) -> Result<(), EngineError> {
-        let now = ctx.host.now();
+        let (now, gen) = (ctx.host.now(), self.gen(task));
         let Some(g) = self.gathers.get_mut(&task) else { return Ok(()) };
         if g.attempts != attempt || g.expected.is_empty() {
             return Ok(()); // superseded or already complete
         }
         let remaining: Vec<TaskId> = g.expected.iter().copied().collect();
         let (resume_cp, gather_id) = (g.resume_cp, g.id);
+        let install = CausalRef { kind: Kind::InstallRecovery, epoch: gen as u64, task };
         if attempt >= ctx.config.max_gather_retries {
             self.gathers.remove(&task);
             ctx.metrics.recovery.escalations += 1;
-            ctx.metrics.event(
-                now,
-                format!(
-                    "determinant gather for task {task} incomplete after {attempt} retries \
-                     ({} stragglers): escalating to global rollback",
-                    remaining.len()
-                ),
-            );
+            let kind = Kind::Escalated(Escalation::GatherExhausted);
+            ctx.metrics.record(now, kind, gen as u64, task, Some(install));
             return self.schedule_rollback(ctx);
         }
         g.attempts = attempt + 1;
         ctx.metrics.recovery.gather_retries += 1;
-        ctx.metrics.event(
-            now,
-            format!("gather retry {} for task {task} ({} stragglers)", attempt + 1, remaining.len()),
-        );
-        ctx.send_log_requests(task, self.gen(task), resume_cp, gather_id, remaining);
+        let kind = Kind::GatherRetry { attempt: attempt + 1, stragglers: remaining.len() as u32 };
+        ctx.metrics.record(now, kind, gen as u64, task, Some(install));
+        ctx.send_log_requests(task, gen, resume_cp, gather_id, remaining);
         let backoff = VirtualDuration::from_micros(GATHER_TIMEOUT.as_micros() << (attempt + 1));
         ctx.host.schedule_in(backoff, JM, Msg::GatherTimeout { task, attempt: attempt + 1 });
         Ok(())
@@ -499,31 +485,13 @@ impl JobManager {
             return Ok(()); // recovery completed
         }
         ctx.metrics.recovery.escalations += 1;
-        ctx.metrics.recovery.watchdog_escalations += 1;
         // Name the stalled hop instead of only reporting the elapsed
-        // timeout — the last causal event of this recovery tells which
-        // phase never produced its successor.
+        // timeout — the last hop of this recovery tells which phase never
+        // produced its successor — and link the escalation to it.
         let hop = ctx.metrics.last_recovery_hop(task, gen as u64);
-        match hop.map(|h| h.kind) {
-            Some("FailureDetected" | "InstallRecovery" | "LogRequest" | "LogResponse") => {
-                ctx.metrics.recovery.stalled_gather_escalations += 1;
-            }
-            Some("BeginReplay" | "ReplayRequest") => {
-                ctx.metrics.recovery.stalled_replay_escalations += 1;
-            }
-            _ => {}
-        }
-        let diagnosis = match hop {
-            Some(h) => format!("cause chain stalls after {}", h.describe()),
-            None => "no causal event observed".to_string(),
-        };
-        ctx.metrics.event(
-            ctx.host.now(),
-            format!(
-                "recovery of task {task} (incarnation {gen}) exceeded the recovery timeout: \
-                 {diagnosis}; escalating to global rollback"
-            ),
-        );
+        let stalled_after = hop.and_then(|h| h.kind.as_hop());
+        let kind = Kind::Escalated(Escalation::Watchdog { stalled_after });
+        ctx.metrics.record(ctx.host.now(), kind, gen as u64, task, hop.map(|h| h.id()));
         self.schedule_rollback(ctx)
     }
 
@@ -541,8 +509,8 @@ impl JobManager {
         // Responses are recorded at the accepting side: a response lost to
         // control-plane chaos leaves the chain stalled at its `LogRequest`.
         let epoch = self.gen(origin) as u64;
-        let cause = CausalRef { kind: "LogRequest", epoch, task: from };
-        ctx.metrics.causal_event(ctx.host.now(), "LogResponse", epoch, from, Some(cause));
+        let cause = CausalRef { kind: Kind::LogRequest, epoch, task: from };
+        ctx.metrics.record(ctx.host.now(), Kind::LogResponse, epoch, from, Some(cause));
         let Some(g) = self.gathers.get_mut(&origin) else { return };
         g.expected.remove(&from);
         g.snapshot.merge(&resp.snapshot);
@@ -560,8 +528,8 @@ impl JobManager {
     fn dispatch_begin_replay(&mut self, ctx: &mut JmCtx<'_>, task: TaskId) {
         let Some(g) = self.gathers.remove(&task) else { return };
         let epoch = self.gen(task) as u64;
-        let cause = CausalRef { kind: "InstallRecovery", epoch, task };
-        ctx.metrics.causal_event(ctx.host.now(), "BeginReplay", epoch, task, Some(cause));
+        let cause = CausalRef { kind: Kind::InstallRecovery, epoch, task };
+        ctx.metrics.record(ctx.host.now(), Kind::BeginReplay, epoch, task, Some(cause));
         let skip: Vec<(ChannelId, u64)> = self
             .graph
             .task(task)
@@ -584,7 +552,7 @@ impl JobManager {
 
     /// Cancel every task now and restart the job from the last completed
     /// checkpoint after the restart delay (once per rollback).
-    pub(crate) fn schedule_rollback(&mut self, ctx: &mut JmCtx<'_>) -> Result<(), EngineError> {
+    fn schedule_rollback(&mut self, ctx: &mut JmCtx<'_>) -> Result<(), EngineError> {
         if self.rollback_scheduled {
             return Ok(());
         }
@@ -592,7 +560,8 @@ impl JobManager {
         for t in &self.graph.tasks {
             ctx.host.cancel_task(t.id)?;
         }
-        ctx.metrics.event(ctx.host.now(), "global rollback: cancelling all tasks".to_string());
+        let resume_cp = self.last_completed;
+        ctx.metrics.record(ctx.host.now(), Kind::RollbackScheduled, resume_cp, JM, None);
         ctx.host.schedule_in(ctx.config.restart_delay, JM, Msg::RestartAll);
         Ok(())
     }
@@ -600,7 +569,6 @@ impl JobManager {
     fn restart_all(&mut self, ctx: &mut JmCtx<'_>) -> Result<(), EngineError> {
         let now = ctx.host.now();
         let resume_cp = self.last_completed;
-        ctx.metrics.event(now, format!("global rollback: restarting from checkpoint {resume_cp}"));
         self.rollback_scheduled = false;
         self.failed.clear();
         self.recovering.clear();
@@ -610,7 +578,7 @@ impl JobManager {
         // One common new generation for every task.
         let new_gen = self.gens.values().copied().max().unwrap_or(0) + 1;
         // Rollback-chain entry: the per-task `BeginReplay`s below hang off it.
-        ctx.metrics.causal_event(now, "RestartAll", new_gen as u64, JM, None);
+        ctx.metrics.record(now, Kind::RestartAll, new_gen as u64, JM, None);
         // Abort markers: older-generation output past the restored
         // checkpoint becomes invisible to read-committed consumers — §5.5
         // fallback semantics for immediate sinks, and the abort half of the
@@ -618,7 +586,7 @@ impl JobManager {
         // whose checkpoint never completed roll back here).
         ctx.host.write_abort_markers(new_gen, resume_cp)?;
         let extra = ctx.config.synthetic_state_bytes;
-        let cause = CausalRef { kind: "RestartAll", epoch: new_gen as u64, task: JM };
+        let cause = CausalRef { kind: Kind::RestartAll, epoch: new_gen as u64, task: JM };
         for id in self.graph.tasks.iter().map(|t| t.id) {
             self.gens.insert(id, new_gen);
             ctx.host.replace_task(id, &|_| new_gen)?;
@@ -629,7 +597,7 @@ impl JobManager {
             if resume_cp > 0 {
                 ready += TransferModel::default().transfer_time(extra);
             }
-            ctx.metrics.causal_event(now, "BeginReplay", new_gen as u64, id, Some(cause));
+            ctx.metrics.record(now, Kind::BeginReplay, new_gen as u64, id, Some(cause));
             let replay = Msg::BeginReplay {
                 snapshot: TaskLogSnapshot::default(),
                 skip: Vec::new(),
@@ -685,9 +653,9 @@ impl JmCtx<'_> {
         holders: impl IntoIterator<Item = TaskId>,
     ) {
         let now = self.host.now();
-        let cause = CausalRef { kind: "InstallRecovery", epoch: gen as u64, task };
+        let cause = CausalRef { kind: Kind::InstallRecovery, epoch: gen as u64, task };
         for t in holders {
-            self.metrics.causal_event(now, "LogRequest", gen as u64, t, Some(cause));
+            self.metrics.record(now, Kind::LogRequest, gen as u64, t, Some(cause));
             let base = VirtualDuration::from_micros(150);
             let stats = &mut self.metrics.recovery;
             if let Some(delay) = recovery_ctrl_delay(self.config, self.entropy, stats, base) {
@@ -813,7 +781,7 @@ mod tests {
         assert_eq!(sent.len(), 1, "{sent:?}");
         assert!(matches!(sent[0], (at, JM, Msg::CheckpointTick) if at == VirtualTime(1_000) + interval));
         assert_eq!(jm.next_cp, 0);
-        assert!(jm.pending.is_empty() && metrics.causal.is_empty());
+        assert!(jm.pending.is_empty() && metrics.trace.is_empty());
 
         // Recovered: the next tick starts checkpoint 1 at the sources only.
         jm.failed.clear();
@@ -825,7 +793,7 @@ mod tests {
             .collect();
         assert_eq!(triggered, [1, 2]);
         assert_eq!(sent.len(), 3, "{sent:?}");
-        assert_eq!(metrics.causal.len(), 1);
+        assert_eq!(metrics.trace.len(), 1);
     }
 
     #[test]
@@ -861,7 +829,7 @@ mod tests {
             assert!(store.newest_layer(1, task).is_none(), "task {task}: checkpoint 1 survived");
             assert!(store.newest_layer(2, task).is_some(), "task {task}: checkpoint 2 lost");
         }
-        let completes = metrics.causal.iter().filter(|e| e.kind == "CheckpointComplete").count();
+        let completes = metrics.trace.iter().filter(|e| e.kind == Kind::CheckpointComplete).count();
         assert_eq!(completes, 2);
         // A straggling duplicate ack of a completed checkpoint is inert.
         let sent = drive(3_000, &mut store, &mut metrics, |ctx| jm.ack(ctx, 4, 2, Bytes::new(), None, None));
@@ -886,7 +854,7 @@ mod tests {
         assert!(host.sent.is_empty() && host.host_calls.is_empty(), "{:?}", host.host_calls);
         assert_eq!(metrics.recovery.failures_detected, 0);
         assert_eq!(metrics.recovery.detection_samples, 0);
-        assert!(metrics.causal.is_empty() && metrics.events.is_empty());
+        assert!(metrics.trace.is_empty());
         assert!(!jm.busy() && jm.gathers.is_empty());
 
         let host = drive_with(&config, 1_000, &mut store, &mut metrics, |ctx| {
@@ -916,7 +884,7 @@ mod tests {
         };
         let sent = drive(1_000, &mut store, &mut metrics, |ctx| jm.handle(response(6), ctx).expect("handled"));
         assert!(sent.is_empty(), "{sent:?}");
-        assert!(metrics.causal.is_empty());
+        assert!(metrics.trace.is_empty());
         let g = &jm.gathers[&3];
         assert_eq!((g.id, g.expected.iter().copied().collect::<Vec<_>>()), (7, vec![4]));
         assert!(g.snapshot.is_empty() && g.counts.is_empty());
@@ -928,6 +896,7 @@ mod tests {
         };
         assert_eq!(snapshot.total_entries(), 1);
         assert!(skip.is_empty(), "a sink has no outputs: {skip:?}");
-        assert_eq!(metrics.causal.iter().map(|e| e.kind).collect::<Vec<_>>(), ["LogResponse", "BeginReplay"]);
+        let kinds: Vec<Kind> = metrics.trace.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [Kind::LogResponse, Kind::BeginReplay]);
     }
 }

@@ -37,7 +37,7 @@ pub use cluster::Cluster;
 pub use config::{CheckpointMode, EngineConfig, FtMode};
 pub use error::EngineError;
 pub use graph::{JobGraph, Partitioning, SinkSpec, SourceSpec, TimestampMode, VertexId};
-pub use metrics::RuntimeStats;
+pub use metrics::{Escalation, Event, Kind, RuntimeStats};
 pub use operator::{factory, OpCtx, Operator, TimerKind};
 pub use record::{Datum, Record, Row, StreamElement};
 pub use runner::{FailurePlan, JobRunner, RunReport};

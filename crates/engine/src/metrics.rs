@@ -1,53 +1,163 @@
-//! Job-level measurement: sink latency/throughput series and recovery
-//! event markers — the raw data behind Figures 5 and 6.
+//! Job-level measurement: sink latency/throughput series and the run's
+//! typed trace of protocol hops and incidents — the raw data behind
+//! Figures 5 and 6.
 
 use clonos::TaskId;
 use clonos_sim::{LatencyRecorder, ThroughputSeries, TimeSeries, VirtualDuration, VirtualTime};
 use std::collections::BTreeMap;
+use std::fmt;
 
-/// A notable event during a run (failure injected, recovery steps, ...).
-#[derive(Clone, Debug)]
-pub struct RunEvent {
-    pub at: VirtualTime,
-    pub what: String,
+/// Declares `Kind` from its two groups, listing each variant once, with
+/// the hop list [`HOPS`] and [`Kind::name`].
+macro_rules! kinds {
+    (
+        hops: $($hop:ident),+;
+        incidents: $($(#[$doc:meta])* $inc:ident $({ $($f:ident: $t:ty),+ })? $(($why:ty))?,)+
+    ) => {
+        /// What a trace entry records: one of the eleven protocol hops, each
+        /// named after the `Msg` variant it sends or accepts (DESIGN.md §11),
+        /// or an incident — a fault injected, a retry, a fallback — that the
+        /// recovery protocol reacts to but never sends. Only hops take part
+        /// in conformance checking.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Kind {
+            $($hop,)+
+            $($(#[$doc])* $inc $({ $($f: $t),+ })? $(($why))?,)+
+        }
+
+        /// The protocol hops, in chain order.
+        pub static HOPS: &[Kind] = &[$(Kind::$hop),+];
+
+        impl Kind {
+            /// Variant name: the `Msg` variant for a hop.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Kind::$hop => stringify!($hop),)+
+                    $(Kind::$inc { .. } => stringify!($inc),)+
+                }
+            }
+        }
+    };
 }
 
-/// Reference to a prior causal event, by protocol identity (not by index —
-/// indices are not stable across metric absorption). Resolves to the
-/// earliest event with the same `(kind, epoch, task)` key.
+kinds! {
+    hops: TriggerCheckpoint, CheckpointAck, CheckpointComplete, FailureDetected, InstallRecovery,
+        LogRequest, LogResponse, BeginReplay, ReplayRequest, RecoveryDone, RestartAll;
+    incidents:
+    /// A task was killed; `epoch` is the dying incarnation.
+    TaskKilled,
+    /// A whole node crashed.
+    NodeCrashed { node: u32 },
+    /// A standby's preloaded state died with its node.
+    StandbyLost { node: u32 },
+    /// An in-flight standby state transfer was cut off.
+    StandbyInterrupted,
+    /// The task consumes `factor`× slower for `for_us` virtual µs.
+    Slowdown { factor: u64, for_us: u64 },
+    /// A determinant-log gather round re-sent to its stragglers.
+    GatherRetry { attempt: u32, stragglers: u32 },
+    /// A recovering task re-sent its upstream replay requests.
+    ReplayRetry { attempt: u32 },
+    /// A failure detected while a global rollback was already scheduled.
+    FoldedIntoRollback,
+    /// A replacement died before its recovery finished; recovery restarts.
+    ReplacementDied,
+    /// Every task cancelled; `epoch` is the checkpoint to restart from.
+    RollbackScheduled,
+    /// Orphans found, availability preferred (§5.4): go on at-least-once.
+    AtLeastOnce,
+    /// Local recovery gave up and fell back to a global rollback.
+    Escalated(Escalation),
+}
+
+/// Why a local recovery fell back to a global rollback.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Escalation {
+    /// The failure analysis found orphans (§5.3, Figure 4).
+    Orphaned,
+    /// The determinant-log gather ran out of retries.
+    GatherExhausted,
+    /// Replay diverged: an orphan the analysis missed (§5.3 Case 2).
+    ReplayDiverged,
+    /// No `RecoveryDone` within the recovery timeout; `stalled_after` is
+    /// the last hop the recovery reached, an entry of [`HOPS`] (the
+    /// reference keeps `Kind` sized and `Copy`).
+    Watchdog { stalled_after: Option<&'static Kind> },
+}
+
+impl Kind {
+    /// This kind's entry in [`HOPS`]; `None` for an incident.
+    pub fn as_hop(self) -> Option<&'static Kind> {
+        HOPS.iter().find(|&&h| h == self)
+    }
+
+    /// A protocol hop, not an incident.
+    pub fn is_hop(self) -> bool {
+        self.as_hop().is_some()
+    }
+
+    /// Part of a global rollback: scheduled, restarted, or escalated to.
+    pub fn is_rollback(self) -> bool {
+        matches!(self, Kind::RollbackScheduled | Kind::RestartAll | Kind::Escalated(_))
+    }
+}
+
+impl PartialEq<&str> for Kind {
+    fn eq(&self, name: &&str) -> bool {
+        self.name() == *name
+    }
+}
+
+/// A trace entry's protocol identity `(kind, epoch, task)`, by which a
+/// `caused_by` link names its cause (not by index — indices are not stable
+/// across metric absorption). Resolves to the earliest entry with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CausalRef {
-    /// `Msg` variant name of the cause (`"TriggerCheckpoint"`, ...).
-    pub kind: &'static str,
-    /// Checkpoint id for barrier events, incarnation for recovery events.
+    pub kind: Kind,
+    /// Checkpoint id for barrier hops, incarnation for recovery hops.
     pub epoch: u64,
     pub task: TaskId,
 }
 
-/// One hop of the runtime causal trace (DESIGN.md §11): a protocol message
-/// was sent (requests, recorded at the sender) or accepted (responses,
-/// recorded at the processing side), linked to the event that caused it.
-/// Conformance checking validates these links against the statically
-/// derived spec in `results/causal_spec.json`.
-#[derive(Clone, Copy, Debug)]
-pub struct CausalEvent {
+/// `Kind(fields)(epoch=…, task=…)`, e.g. `LogRequest(epoch=3, task=2)`.
+impl fmt::Display for CausalRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}(epoch={}, task={})", self.kind, self.epoch, self.task)
+    }
+}
+
+/// One entry of the run's trace (DESIGN.md §11). A hop is recorded where a
+/// protocol message is sent (requests) or accepted (responses), an incident
+/// where it happens; either may name the entry that caused it. Conformance
+/// checking validates the hops' links against the statically derived spec
+/// in `results/causal_spec.json`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Event {
     pub at: VirtualTime,
-    /// `Msg` variant name (`"CheckpointAck"`, `"LogRequest"`, ...).
-    pub kind: &'static str,
-    /// Checkpoint id for barrier-chain events, incarnation (generation) for
-    /// recovery-chain events.
+    pub kind: Kind,
+    /// Checkpoint id for barrier hops, incarnation (generation) for
+    /// recovery hops and for incidents concerning a task.
     pub epoch: u64,
-    /// The task the event concerns: the acker for an ack, the recovering
-    /// task for install/replay hops, the surveyed survivor for log gathers.
+    /// The task the entry concerns: the acker for an ack, the recovering
+    /// task for install/replay hops, the surveyed survivor for log gathers,
+    /// the job manager (0) for job-wide entries.
     pub task: TaskId,
-    /// Protocol cause, if the event is not a chain entry.
+    /// The entry that caused this one; `None` for a chain entry.
     pub caused_by: Option<CausalRef>,
 }
 
-impl CausalEvent {
-    /// `LogRequest(epoch=3, task=2)` display form, used in blame chains.
-    pub fn describe(&self) -> String {
-        format!("{}(epoch={}, task={})", self.kind, self.epoch, self.task)
+impl Event {
+    /// This entry's protocol identity.
+    pub fn id(&self) -> CausalRef {
+        CausalRef { kind: self.kind, epoch: self.epoch, task: self.task }
+    }
+}
+
+/// The identity's form, then `<- cause` when there is one.
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.id())?;
+        self.caused_by.map_or(Ok(()), |cause| write!(f, " <- {cause}"))
     }
 }
 
@@ -145,29 +255,16 @@ pub struct RecoveryStats {
     /// Failures that arrived while another failure was still being handled
     /// (non-empty failed set, active recovery, or scheduled rollback).
     pub concurrent_failures: u64,
-    /// Whole-node crash events injected.
-    pub node_crashes: u64,
-    /// Standby state-transfer interruptions injected.
-    pub standby_interrupts: u64,
     /// Determinant-log gather rounds re-sent after a timeout.
     pub gather_retries: u64,
-    /// Upstream replay requests re-sent by recovering tasks after a timeout.
-    pub replay_request_retries: u64,
     /// Recoveries that gave up (gather exhausted / watchdog fired) and
-    /// escalated to a global rollback.
+    /// escalated to a global rollback; the trace's `Escalated` entries
+    /// name each one's cause.
     pub escalations: u64,
-    /// Subset of `escalations` triggered by the whole-recovery watchdog.
-    pub watchdog_escalations: u64,
     /// Recovery control messages dropped by injected control-plane chaos.
     pub ctrl_dropped: u64,
     /// Recovery control messages delayed by injected control-plane chaos.
     pub ctrl_delayed: u64,
-    /// Watchdog escalations whose causal chain stalled in the gather phase
-    /// (last observed hop was `InstallRecovery`/`LogRequest`/`LogResponse`).
-    pub stalled_gather_escalations: u64,
-    /// Watchdog escalations whose causal chain stalled in the replay phase
-    /// (last observed hop was `BeginReplay`/`ReplayRequest`).
-    pub stalled_replay_escalations: u64,
     /// Local (Clonos) recoveries that ran to completion.
     pub recoveries_completed: u64,
     /// Sum of kill→detection latencies, for averaging.
@@ -299,10 +396,10 @@ pub struct JobMetrics {
     pub latency: LatencyRecorder,
     /// Output records per second (all sinks combined).
     pub throughput: ThroughputSeries,
-    pub events: Vec<RunEvent>,
-    /// Causal protocol trace: one entry per protocol hop, linked by
-    /// `caused_by`. Checked against the static spec after chaos runs.
-    pub causal: Vec<CausalEvent>,
+    /// The run's trace: protocol hops and incidents, linked by
+    /// `caused_by`. Its hops are checked against the static spec after
+    /// chaos runs.
+    pub trace: Vec<Event>,
     /// Records committed at sinks.
     pub records_out: u64,
     /// Records ingested at sources.
@@ -317,8 +414,7 @@ impl JobMetrics {
             latency_series: BTreeMap::new(),
             latency: LatencyRecorder::new(),
             throughput: ThroughputSeries::new(throughput_window),
-            events: Vec::new(),
-            causal: Vec::new(),
+            trace: Vec::new(),
             records_out: 0,
             records_in: 0,
             recovery: RecoveryStats::default(),
@@ -332,20 +428,16 @@ impl JobMetrics {
         self.records_out += 1;
     }
 
-    pub fn event(&mut self, at: VirtualTime, what: impl Into<String>) {
-        self.events.push(RunEvent { at, what: what.into() });
-    }
-
-    /// Record one causal protocol hop.
-    pub fn causal_event(
+    /// Append one hop or incident to the trace.
+    pub fn record(
         &mut self,
         at: VirtualTime,
-        kind: &'static str,
+        kind: Kind,
         epoch: u64,
         task: TaskId,
         caused_by: Option<CausalRef>,
     ) {
-        self.causal.push(CausalEvent { at, kind, epoch, task, caused_by });
+        self.trace.push(Event { at, kind, epoch, task, caused_by });
     }
 
     /// Last causal hop observed for the in-flight recovery of `task` at
@@ -353,12 +445,13 @@ impl JobMetrics {
     /// recovery entry (`FailureDetected`/`RestartAll`) concerning `task`.
     /// Used by the recovery watchdog to name the stalled hop instead of
     /// just reporting the elapsed timeout.
-    pub fn last_recovery_hop(&self, task: TaskId, gen: u64) -> Option<CausalEvent> {
-        self.causal
+    pub fn last_recovery_hop(&self, task: TaskId, gen: u64) -> Option<Event> {
+        self.trace
             .iter()
             .rev()
+            .filter(|e| e.kind.is_hop())
             .find(|e| {
-                if e.kind == "FailureDetected" {
+                if e.kind == Kind::FailureDetected {
                     // The entry names the incarnation that died, one below
                     // the recovering one.
                     return e.task == task && e.epoch < gen;
@@ -368,21 +461,18 @@ impl JobMetrics {
             .copied()
     }
 
-    /// Walk `caused_by` links back to the chain entry; `Some(root)` when the
-    /// root is a recovery entry event. Link resolution is by protocol
-    /// identity `(kind, epoch, task)`, earliest match wins.
-    fn recovery_chain_root(&self, e: &CausalEvent) -> Option<CausalEvent> {
+    /// Walk a hop's `caused_by` links back to the chain entry; `Some(root)`
+    /// when the root is a recovery entry hop. Link resolution is by
+    /// protocol identity `(kind, epoch, task)`, earliest match wins.
+    fn recovery_chain_root(&self, e: &Event) -> Option<Event> {
         let mut cur = *e;
         // Chains are short (≤ 6 hops); the bound guards against a
         // self-referential link ever being recorded.
         for _ in 0..16 {
             let Some(cause) = cur.caused_by else {
-                return matches!(cur.kind, "FailureDetected" | "RestartAll").then_some(cur);
+                return matches!(cur.kind, Kind::FailureDetected | Kind::RestartAll).then_some(cur);
             };
-            cur = *self
-                .causal
-                .iter()
-                .find(|c| c.kind == cause.kind && c.epoch == cause.epoch && c.task == cause.task)?;
+            cur = *self.trace.iter().find(|c| c.id() == cause)?;
         }
         None
     }
@@ -397,10 +487,8 @@ impl JobMetrics {
         }
         self.latency.absorb(&other.latency);
         self.throughput.absorb(&other.throughput);
-        self.events.extend(other.events);
-        self.events.sort_by_key(|e| e.at);
-        self.causal.extend(other.causal);
-        self.causal.sort_by_key(|e| e.at);
+        self.trace.extend(other.trace);
+        self.trace.sort_by_key(|e| e.at);
         self.records_out += other.records_out;
         self.records_in += other.records_in;
     }
@@ -487,8 +575,22 @@ mod tests {
     #[test]
     fn events_are_recorded() {
         let mut m = JobMetrics::new(VirtualDuration::from_secs(1));
-        m.event(VirtualTime(7), "kill task 3");
-        assert_eq!(m.events.len(), 1);
-        assert_eq!(m.events[0].what, "kill task 3");
+        m.record(VirtualTime(7), Kind::TaskKilled, 0, 3, None);
+        let hop = Kind::FailureDetected;
+        let cause = CausalRef { kind: hop, epoch: 0, task: 3 };
+        m.record(VirtualTime(9), hop, 0, 3, None);
+        let watchdog = Escalation::Watchdog { stalled_after: hop.as_hop() };
+        m.record(VirtualTime(9), Kind::Escalated(watchdog), 1, 3, Some(cause));
+        assert_eq!(m.trace.len(), 3);
+        assert_eq!(m.trace[0].to_string(), "TaskKilled(epoch=0, task=3)");
+        assert_eq!(
+            m.trace[2].to_string(),
+            "Escalated(Watchdog { stalled_after: Some(FailureDetected) })(epoch=1, task=3) \
+             <- FailureDetected(epoch=0, task=3)"
+        );
+        assert!(HOPS.iter().all(|h| h.is_hop()) && !m.trace[0].kind.is_hop());
+        assert!(m.trace[2].kind == "Escalated" && m.trace[2].kind.is_rollback());
+        // The watchdog's stall is the last hop, never the incident after it.
+        assert_eq!(m.last_recovery_hop(3, 1).map(|e| e.kind), Some(hop));
     }
 }

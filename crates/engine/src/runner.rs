@@ -93,10 +93,10 @@ pub struct RunReport {
     pub throughput: Vec<(VirtualTime, f64)>,
     pub latency_p50: Option<VirtualDuration>,
     pub latency_p99: Option<VirtualDuration>,
-    pub events: Vec<crate::metrics::RunEvent>,
-    /// Causal protocol trace (one entry per protocol hop, `caused_by`-linked);
-    /// validated against the static spec by the conformance checker.
-    pub causal_events: Vec<crate::metrics::CausalEvent>,
+    /// The run's trace: protocol hops and incidents, `caused_by`-linked;
+    /// its hops are validated against the static spec by the conformance
+    /// checker.
+    pub causal_events: Vec<crate::metrics::Event>,
     pub log_stats: clonos::causal_log::CausalLogStats,
     /// Routing hot-path counters aggregated across tasks.
     pub routing_stats: crate::metrics::RoutingStats,
@@ -189,9 +189,9 @@ impl RunReport {
     /// the failure.
     pub fn recovery_time(&self, tol: f64) -> Option<VirtualDuration> {
         let fail_at = self
-            .events
+            .causal_events
             .iter()
-            .find(|e| e.what.starts_with("FAILURE"))
+            .find(|e| e.kind == crate::metrics::Kind::TaskKilled)
             .map(|e| e.at)?;
         const BUCKET: u64 = 250_000; // micros
         let mut bucketed = clonos_sim::TimeSeries::new();
@@ -365,8 +365,7 @@ impl JobRunner {
             throughput,
             latency_p50,
             latency_p99,
-            events: self.cluster.metrics.events.clone(),
-            causal_events: self.cluster.metrics.causal.clone(),
+            causal_events: self.cluster.metrics.trace.clone(),
             log_stats: self.cluster.log_stats(),
             routing_stats: self.cluster.routing_stats(),
             ts_service_calls: ts_calls,

@@ -5,7 +5,7 @@
 use super::*;
 use crate::config::CheckpointMode;
 use crate::messages::SegmentAck;
-use crate::metrics::{CausalRef, CheckpointStats};
+use crate::metrics::{CausalRef, CheckpointStats, Kind};
 use crate::record::{barrier_only, StreamElement};
 use crate::state::SEC_META;
 use bytes::Bytes;
@@ -519,13 +519,8 @@ impl Task {
             ctx.metrics.recovery.ctrl_dropped += 1;
             return;
         }
-        ctx.metrics.causal_event(
-            ctx.sched.now(),
-            "CheckpointAck",
-            id,
-            self.spec.id,
-            Some(CausalRef { kind: "TriggerCheckpoint", epoch: id, task: 0 }),
-        );
+        let cause = CausalRef { kind: Kind::TriggerCheckpoint, epoch: id, task: 0 };
+        ctx.metrics.record(ctx.sched.now(), Kind::CheckpointAck, id, self.spec.id, Some(cause));
         ctx.send_ctrl(
             0,
             Msg::CheckpointAck {

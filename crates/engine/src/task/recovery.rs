@@ -4,7 +4,7 @@
 use super::data_path::{InChannel, WM_TIMER_ID};
 use super::*;
 use crate::config::{MAX_REPLAY_REQUEST_RETRIES, REPLAY_BATCH, REPLAY_REQUEST_TIMEOUT};
-use crate::metrics::CausalRef;
+use crate::metrics::{CausalRef, Kind};
 use crate::operator::{timer_id, TimerKind};
 use bytes::Bytes;
 use clonos::causal_log::TaskLogSnapshot;
@@ -349,13 +349,8 @@ impl Task {
     fn send_replay_requests(&self, pick: impl Fn(&InChannel) -> bool, ctx: &mut TaskCtx<'_>) {
         let (me, gen, from_epoch) = (self.spec.id, self.gen, self.replay.from_epoch);
         for (i, c) in self.ins.iter().enumerate().filter(|(_, c)| pick(c)) {
-            ctx.metrics.causal_event(
-                ctx.sched.now(),
-                "ReplayRequest",
-                gen as u64,
-                c.from,
-                Some(CausalRef { kind: "BeginReplay", epoch: gen as u64, task: me }),
-            );
+            let cause = CausalRef { kind: Kind::BeginReplay, epoch: gen as u64, task: me };
+            ctx.metrics.record(ctx.sched.now(), Kind::ReplayRequest, gen as u64, c.from, Some(cause));
             ctx.send_recovery_ctrl(
                 c.from,
                 Msg::ReplayRequest { from_task: me, dest_in: i as ChannelId, dest_gen: gen, from_epoch },
@@ -380,11 +375,9 @@ impl Task {
             return;
         }
         let me = self.spec.id;
-        ctx.metrics.recovery.replay_request_retries += 1;
-        ctx.metrics.event(
-            ctx.sched.now(),
-            format!("task {me} replay retry {} (re-requesting upstream replay)", attempt + 1),
-        );
+        let cause = CausalRef { kind: Kind::BeginReplay, epoch: self.gen as u64, task: me };
+        let kind = Kind::ReplayRetry { attempt: attempt + 1 };
+        ctx.metrics.record(ctx.sched.now(), kind, self.gen as u64, me, Some(cause));
         self.send_replay_requests(|c| installed || c.awaiting_resume, ctx);
         let backoff = VirtualDuration::from_micros(REPLAY_REQUEST_TIMEOUT.as_micros() << (attempt + 1));
         ctx.sched.schedule_in(backoff, me, Msg::ReplayRetryTick { attempt: attempt + 1 });
@@ -409,17 +402,9 @@ impl Task {
             self.emit_barrier_and_snapshot(id, ctx)?;
         }
         self.maybe_close_unaligned_captures(ctx)?;
-        ctx.metrics.event(
-            ctx.sched.now(),
-            format!("task {} ({}) replay complete", self.spec.id, self.spec.name),
-        );
-        ctx.metrics.causal_event(
-            ctx.sched.now(),
-            "RecoveryDone",
-            self.gen as u64,
-            self.spec.id,
-            Some(CausalRef { kind: "BeginReplay", epoch: self.gen as u64, task: self.spec.id }),
-        );
+        let (me, gen) = (self.spec.id, self.gen as u64);
+        let cause = CausalRef { kind: Kind::BeginReplay, epoch: gen, task: me };
+        ctx.metrics.record(ctx.sched.now(), Kind::RecoveryDone, gen, me, Some(cause));
         ctx.send_ctrl(0, Msg::RecoveryDone { task: self.spec.id });
         // Any processing-time timers registered during replay but not yet
         // fired need real simulator events now.

@@ -60,28 +60,17 @@ fn kill_during_scheduled_rollback_folds_into_restart() {
         .kill_at(VirtualTime(10_000_000), 5);
     let report = runner.with_failures(plan).run_for(VirtualDuration::from_secs(40));
 
+    let trace = &report.causal_events;
     assert!(
-        report
-            .events
-            .iter()
-            .any(|e| e.what.contains("failure of task 5 during scheduled rollback: folded into restart")),
-        "second failure in the rollback window was not folded into the restart: {:?}",
-        report.events
+        trace.iter().any(|e| e.kind == Kind::FoldedIntoRollback && e.task == 5),
+        "second failure in the rollback window was not folded into the restart: {trace:?}"
     );
     // The restart must actually take: checkpoints resume after it.
-    let restart_at = report
-        .events
-        .iter()
-        .find(|e| e.what.contains("global rollback"))
-        .map(|e| e.at)
-        .expect("no rollback event");
+    let restart_at =
+        trace.iter().find(|e| e.kind.is_rollback()).map(|e| e.at).expect("no rollback event");
     assert!(
-        report
-            .events
-            .iter()
-            .any(|e| e.at > restart_at && e.what.contains("checkpoint") && e.what.contains("complete")),
-        "no checkpoint completed after the restart: {:?}",
-        report.events
+        trace.iter().any(|e| e.at > restart_at && e.kind == Kind::CheckpointComplete),
+        "no checkpoint completed after the restart: {trace:?}"
     );
     assert!(report.duplicate_idents().is_empty(), "duplicates after folded rollback");
     assert!(report.ident_gaps().is_empty(), "losses after folded rollback");
@@ -108,25 +97,22 @@ fn kill_of_replacement_mid_recovery_restarts_recovery() {
         t += VirtualDuration::from_micros(50);
         assert!(t < VirtualTime(9_000_000), "replacement for task 3 never installed");
         runner.cluster.run_until(t);
-        if runner.cluster.metrics.events.iter().any(|e| e.what.contains("for task 3 installed")) {
+        let installed = |e: &Event| e.kind == Kind::InstallRecovery && e.task == 3;
+        if runner.cluster.metrics.trace.iter().any(installed) {
             break;
         }
     }
     runner.cluster.kill_task(3);
     let report = runner.run_for(VirtualDuration::from_secs(40));
 
+    let trace = &report.causal_events;
     assert!(
-        report
-            .events
-            .iter()
-            .any(|e| e.what.contains("replacement for task 3 died mid-recovery: restarting recovery")),
-        "second failure of the replacement was not re-analyzed: {:?}",
-        report.events
+        trace.iter().any(|e| e.kind == Kind::ReplacementDied && e.task == 3),
+        "second failure of the replacement was not re-analyzed: {trace:?}"
     );
     assert!(
-        report.events.iter().any(|e| e.at > t && e.what.contains("task 3") && e.what.contains("replay complete")),
-        "task 3 never finished recovering after the mid-recovery kill: {:?}",
-        report.events
+        trace.iter().any(|e| e.at > t && e.kind == Kind::RecoveryDone && e.task == 3),
+        "task 3 never finished recovering after the mid-recovery kill: {trace:?}"
     );
     // Recovery completing means checkpointing resumes for the rest of the
     // run — the pre-fix behaviour stalls at the checkpoint preceding the

@@ -126,7 +126,7 @@ fn checkpoints_pause_during_recovery_and_resume_after() {
         .with_failures(FailurePlan::none().kill_at(VirtualTime(7_000_000), 3))
         .run_for(VirtualDuration::from_secs(31));
     // Recovery completed and checkpoints continued afterwards.
-    assert!(report.events.iter().any(|e| e.what.contains("replay complete")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::RecoveryDone));
     assert!(report.last_completed_checkpoint >= 4);
     assert!(report.duplicate_idents().is_empty());
     assert!(report.ident_gaps().is_empty());

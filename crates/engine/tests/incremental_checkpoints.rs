@@ -267,7 +267,7 @@ fn recovery_restores_from_reconstructed_chain() {
         .with_failures(FailurePlan::none().kill_at(VirtualTime(13_700_000), 2))
         .run_for(VirtualDuration::from_secs(40));
     let ck = report.checkpoint_stats;
-    assert!(report.events.iter().any(|e| e.what.contains("replay complete")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::RecoveryDone));
     // The standby/restore read had to materialize a full image from a chain.
     assert!(
         ck.reconstructions > 0 || ck.delta_dispatches > 0,

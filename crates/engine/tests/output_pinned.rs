@@ -69,7 +69,7 @@ fn run_digest(ft: FtMode, kill: Option<(VirtualTime, u64)>) -> (u64, u64) {
         cluster.kill_task(task);
     }
     cluster.run_until(VirtualTime::ZERO + VirtualDuration::from_secs(40));
-    let recovered = cluster.metrics.events.iter().any(|e| e.what.contains("replay complete"));
+    let recovered = cluster.metrics.trace.iter().any(|e| e.kind == Kind::RecoveryDone);
     assert_eq!(recovered, kill.is_some(), "the kill must land mid-flow and be recovered from");
     let topic = cluster.topic("out").expect("sink topic");
     let mut h = 0xCBF2_9CE4_8422_2325;

@@ -91,7 +91,7 @@ fn nondeterministic_operator_exactly_once_under_failure() {
         40_000,
         30,
     );
-    assert!(report.events.iter().any(|e| e.what.contains("replay complete")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::RecoveryDone));
     assert!(report.duplicate_idents().is_empty());
     assert!(report.ident_gaps().is_empty());
     assert_eq!(report.records_in, 40_000);
@@ -140,10 +140,7 @@ fn baseline_global_rollback_is_exactly_once_but_restarts_world() {
         40_000,
         60,
     );
-    assert!(report
-        .events
-        .iter()
-        .any(|e| e.what.contains("global rollback: restarting")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::RestartAll));
     assert!(report.duplicate_idents().is_empty());
     assert!(report.ident_gaps().is_empty());
     assert_eq!(report.records_out, 40_000, "transactional sink must commit everything");
@@ -242,9 +239,9 @@ fn concurrent_connected_failures_with_full_dsd() {
         40,
     );
     assert!(
-        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        !report.causal_events.iter().any(|e| e.kind.is_rollback()),
         "full DSD must never roll back: {:?}",
-        report.events
+        report.causal_events
     );
     assert!(report.duplicate_idents().is_empty());
     assert!(report.ident_gaps().is_empty());
@@ -272,9 +269,9 @@ fn consecutive_failures_beyond_dsd_fall_back_to_global_rollback() {
         60,
     );
     assert!(
-        report.events.iter().any(|e| e.what.contains("falling back to global rollback")),
+        report.causal_events.iter().any(|e| e.kind == Kind::Escalated(Escalation::Orphaned)),
         "expected orphan fallback: {:?}",
-        report.events
+        report.causal_events
     );
     // Even then: exactly-once via abort markers + restart.
     assert!(report.duplicate_idents().is_empty());

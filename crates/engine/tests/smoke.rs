@@ -65,9 +65,9 @@ fn single_failure_exactly_once_with_clonos() {
     assert_eq!(report.duplicate_idents(), Vec::<u64>::new(), "duplicates at sink");
     assert_eq!(report.ident_gaps(), Vec::<(u64, u64)>::new(), "lost records");
     assert!(
-        report.events.iter().any(|e| e.what.contains("replay complete")),
+        report.causal_events.iter().any(|e| e.kind == Kind::RecoveryDone),
         "recovery should have run: {:?}",
-        report.events
+        report.causal_events
     );
 }
 

@@ -4,10 +4,11 @@
 //! [`StaticSpec::derive`] runs `clonos-lint` in-process for the spec
 //! `--emit-spec` publishes as `results/causal_spec.json`: the protocol's
 //! entry variants and its "sent-in-response-to" edges, extracted from
-//! handler-arm send sites. Every chaos run records a causal trace
-//! ([`CausalEvent`]s in [`RunReport::causal_events`]) on the engine side.
-//! This module replays the trace against the spec and reports, with a blame
-//! chain, every hop the static protocol does not sanction:
+//! handler-arm send sites. Every chaos run records a trace ([`Event`]s in
+//! [`RunReport::causal_events`]) on the engine side. This module replays
+//! the trace's protocol hops against the spec — incidents such as kills and
+//! retries are never violations — and reports, with a blame chain, every
+//! hop the static protocol does not sanction:
 //!
 //! * **illegal edge** — an event's `caused_by` names a cause the spec has
 //!   no edge (or even path) for;
@@ -23,29 +24,11 @@
 //!   `RecoveryDone`, not superseded by a newer incarnation, with enough
 //!   remaining horizon — blamed on the last hop the chain did reach.
 
-use clonos_engine::metrics::CausalEvent;
+use clonos_engine::metrics::{CausalRef, Event, Kind, HOPS};
 use clonos_engine::RunReport;
 use clonos_sim::{VirtualDuration, VirtualTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
-
-/// Protocol kinds the engine records causal events for. An uncaused trace
-/// event is legal if the spec can explain it through a cause *outside* this
-/// set: e.g. `TriggerCheckpoint` is caused by the untraced `CheckpointTick`
-/// timer, so it may appear uncaused at runtime.
-pub const INSTRUMENTED: &[&str] = &[
-    "TriggerCheckpoint",
-    "CheckpointAck",
-    "CheckpointComplete",
-    "FailureDetected",
-    "InstallRecovery",
-    "LogRequest",
-    "LogResponse",
-    "BeginReplay",
-    "ReplayRequest",
-    "RecoveryDone",
-    "RestartAll",
-];
 
 /// The static causal spec, as consumed by the conformance checker: entry
 /// variants, response edges, and the named chains (for reporting).
@@ -95,15 +78,14 @@ impl StaticSpec {
         false
     }
 
-    /// Can an *uncaused* runtime event of `kind` be explained statically?
+    /// Can an *uncaused* runtime hop of `kind` be explained statically?
     /// Yes if it is a protocol entry, or if some static cause of it is not
-    /// an instrumented kind (the cause fires without leaving a trace).
+    /// a traced hop (the cause fires without leaving a trace): e.g.
+    /// `TriggerCheckpoint` is caused by the untraced `CheckpointTick` timer,
+    /// so it may appear uncaused at runtime.
     pub fn explains_entry(&self, kind: &str) -> bool {
         self.entries.contains(kind)
-            || self
-                .edges
-                .iter()
-                .any(|(f, t)| t == kind && !INSTRUMENTED.contains(&f.as_str()))
+            || self.edges.iter().any(|(f, t)| t == kind && !HOPS.iter().any(|h| *h == f.as_str()))
     }
 }
 
@@ -154,16 +136,13 @@ impl Tolerances {
 
 /// Resolve a `caused_by` reference the way the metrics layer defines it:
 /// the earliest trace event with the same `(kind, epoch, task)` identity.
-fn resolve<'a>(
-    trace: &'a [CausalEvent],
-    r: &clonos_engine::metrics::CausalRef,
-) -> Option<&'a CausalEvent> {
-    trace.iter().find(|e| e.kind == r.kind && e.epoch == r.epoch && e.task == r.task)
+fn resolve<'a>(trace: &'a [Event], r: &CausalRef) -> Option<&'a Event> {
+    trace.iter().find(|e| e.id() == *r)
 }
 
 /// Walk the cause chain of `e` back to its root, rendering each hop.
-fn blame_chain(trace: &[CausalEvent], e: &CausalEvent) -> Vec<String> {
-    let mut out = vec![format!("at {:?}: {}", e.at, e.describe())];
+fn blame_chain(trace: &[Event], e: &Event) -> Vec<String> {
+    let mut out = vec![format!("at {:?}: {}", e.at, e.id())];
     let mut cur = *e;
     // Bounded walk: identity resolution cannot cycle forward in time, but
     // guard against a malformed trace anyway.
@@ -171,14 +150,11 @@ fn blame_chain(trace: &[CausalEvent], e: &CausalEvent) -> Vec<String> {
         let Some(r) = cur.caused_by else { break };
         match resolve(trace, &r) {
             Some(prev) => {
-                out.push(format!("caused by {} at {:?}", prev.describe(), prev.at));
+                out.push(format!("caused by {} at {:?}", prev.id(), prev.at));
                 cur = *prev;
             }
             None => {
-                out.push(format!(
-                    "caused by {}(epoch={}, task={}) — absent from the trace",
-                    r.kind, r.epoch, r.task
-                ));
+                out.push(format!("caused by {r} — absent from the trace"));
                 break;
             }
         }
@@ -192,18 +168,20 @@ pub fn check_trace(report: &RunReport, spec: &StaticSpec, tol: &Tolerances) -> V
     let trace = &report.causal_events;
     let mut out = Vec::new();
     let end = VirtualTime(tol.horizon.as_micros());
+    let hops = || trace.iter().filter(|e| e.kind.is_hop());
 
-    // ---- per-event edge/entry legality ----
-    for e in trace {
+    // ---- per-hop edge/entry legality ----
+    for e in hops() {
+        let kind = e.kind.name();
         match &e.caused_by {
             Some(r) => {
-                if !spec.has_edge(r.kind, e.kind) && !spec.has_path(r.kind, e.kind) {
+                let cause = r.kind.name();
+                if !spec.has_edge(cause, kind) && !spec.has_path(cause, kind) {
                     out.push(Violation {
                         at: e.at,
                         what: format!(
-                            "illegal causal edge: runtime claims `{}` was caused by `{}`, \
-                             but the static spec has no such response edge or path",
-                            e.kind, r.kind
+                            "illegal causal edge: runtime claims `{kind}` was caused by `{cause}`, \
+                             but the static spec has no such response edge or path"
                         ),
                         blame: blame_chain(trace, e),
                     });
@@ -212,22 +190,20 @@ pub fn check_trace(report: &RunReport, spec: &StaticSpec, tol: &Tolerances) -> V
                     out.push(Violation {
                         at: e.at,
                         what: format!(
-                            "dangling cause: `{}` references `{}(epoch={}, task={})`, \
-                             which never appears in the trace",
-                            e.kind, r.kind, r.epoch, r.task
+                            "dangling cause: `{kind}` references `{r}`, \
+                             which never appears in the trace"
                         ),
                         blame: blame_chain(trace, e),
                     });
                 }
             }
             None => {
-                if !spec.explains_entry(e.kind) {
+                if !spec.explains_entry(kind) {
                     out.push(Violation {
                         at: e.at,
                         what: format!(
-                            "illegal entry: uncaused `{}` is neither a spec entry nor \
-                             caused by any untraced kind",
-                            e.kind
+                            "illegal entry: uncaused `{kind}` is neither a spec entry nor \
+                             caused by any untraced kind"
                         ),
                         blame: blame_chain(trace, e),
                     });
@@ -242,18 +218,20 @@ pub fn check_trace(report: &RunReport, spec: &StaticSpec, tol: &Tolerances) -> V
     // failure at/after the trigger, not near the horizon), and it never
     // completed.
     let all_ackers: BTreeSet<u64> =
-        trace.iter().filter(|e| e.kind == "CheckpointAck").map(|e| e.task).collect();
+        trace.iter().filter(|e| e.kind == Kind::CheckpointAck).map(|e| e.task).collect();
     let completed: BTreeSet<u64> =
-        trace.iter().filter(|e| e.kind == "CheckpointComplete").map(|e| e.epoch).collect();
+        trace.iter().filter(|e| e.kind == Kind::CheckpointComplete).map(|e| e.epoch).collect();
     // A barrier is excused when failure/recovery activity overlaps it: any
-    // recovery-chain event at or after the trigger means some participant
-    // was (or went) down while the barrier was in flight.
-    let last_recovery_activity: Option<VirtualTime> = trace
-        .iter()
-        .filter(|e| !matches!(e.kind, "TriggerCheckpoint" | "CheckpointAck" | "CheckpointComplete"))
+    // recovery-chain hop at or after the trigger means some participant was
+    // (or went) down while the barrier was in flight. Incidents excuse
+    // nothing: a slowdown overlapping a barrier must not hide its stall.
+    let last_recovery_activity: Option<VirtualTime> = hops()
+        .filter(|e| {
+            !matches!(e.kind, Kind::TriggerCheckpoint | Kind::CheckpointAck | Kind::CheckpointComplete)
+        })
         .map(|e| e.at)
         .max();
-    for trig in trace.iter().filter(|e| e.kind == "TriggerCheckpoint") {
+    for trig in trace.iter().filter(|e| e.kind == Kind::TriggerCheckpoint) {
         if completed.contains(&trig.epoch) {
             continue;
         }
@@ -265,7 +243,7 @@ pub fn check_trace(report: &RunReport, spec: &StaticSpec, tol: &Tolerances) -> V
         }
         let acked: BTreeSet<u64> = trace
             .iter()
-            .filter(|e| e.kind == "CheckpointAck" && e.epoch == trig.epoch)
+            .filter(|e| e.kind == Kind::CheckpointAck && e.epoch == trig.epoch)
             .map(|e| e.task)
             .collect();
         let missing: Vec<u64> = all_ackers.difference(&acked).copied().collect();
@@ -291,39 +269,25 @@ pub fn check_trace(report: &RunReport, spec: &StaticSpec, tol: &Tolerances) -> V
     // Every replay begun must stabilize (`RecoveryDone` for the same task
     // and incarnation) unless a newer incarnation superseded it or the run
     // ended first. Blame names the last hop the chain did produce.
-    let done: BTreeSet<(u64, u64)> = trace
-        .iter()
-        .filter(|e| e.kind == "RecoveryDone")
-        .map(|e| (e.epoch, e.task))
-        .collect();
-    let max_gen: BTreeMap<u64, u64> = trace
-        .iter()
-        .filter(|e| matches!(e.kind, "BeginReplay" | "InstallRecovery"))
-        .fold(BTreeMap::new(), |mut m, e| {
-            let g = m.entry(e.task).or_insert(0);
-            *g = (*g).max(e.epoch);
-            m
-        });
-    let max_restart: Option<u64> =
-        trace.iter().filter(|e| e.kind == "RestartAll").map(|e| e.epoch).max();
-    for begin in trace.iter().filter(|e| e.kind == "BeginReplay") {
-        if done.contains(&(begin.epoch, begin.task)) {
+    for begin in trace.iter().filter(|e| e.kind == Kind::BeginReplay) {
+        let (gen, task) = (begin.epoch, begin.task);
+        if trace.iter().any(|e| e.kind == Kind::RecoveryDone && e.epoch == gen && e.task == task) {
             continue;
         }
-        if max_gen.get(&begin.task).is_some_and(|&g| g > begin.epoch)
-            || max_restart.is_some_and(|g| g > begin.epoch)
-        {
+        let newer = |e: &Event| match e.kind {
+            Kind::BeginReplay | Kind::InstallRecovery => e.task == task && e.epoch > gen,
+            Kind::RestartAll => e.epoch > gen,
+            _ => false,
+        };
+        if trace.iter().any(newer) {
             continue; // superseded by a newer incarnation or global rollback
         }
         if begin.at + tol.recovery_grace > end {
             continue; // replay still running at the horizon
         }
-        let last = trace
-            .iter()
-            .rfind(|e| e.epoch == begin.epoch && e.task == begin.task)
-            .unwrap_or(begin);
+        let last = hops().rfind(|e| e.epoch == begin.epoch && e.task == begin.task).unwrap_or(begin);
         let mut blame = blame_chain(trace, last);
-        blame.push(format!("recovery chain stalls after {}", last.describe()));
+        blame.push(format!("recovery chain stalls after {}", last.id()));
         out.push(Violation {
             at: begin.at,
             what: format!(

@@ -94,8 +94,11 @@ fn main() {
     println!("audit samples       : {audited}");
     println!("duplicates          : {}", report.duplicate_idents().len());
     println!("losses              : {}", report.ident_gaps().len());
-    for e in report.events.iter().filter(|e| e.what.contains("replay") || e.what.contains("FAILURE")) {
-        println!("  {} {}", e.at, e.what);
+    let recovery = |e: &&Event| {
+        !matches!(e.kind, Kind::TriggerCheckpoint | Kind::CheckpointAck | Kind::CheckpointComplete)
+    };
+    for e in report.causal_events.iter().filter(recovery) {
+        println!("  {} {e}", e.at);
     }
     assert!(report.duplicate_idents().is_empty());
     assert!(report.ident_gaps().is_empty());

@@ -48,9 +48,9 @@ fn main() {
         .run_for(VirtualDuration::from_secs(25));
 
     // 5. Inspect the outcome.
-    println!("events:");
-    for e in &report.events {
-        println!("  {} {}", e.at, e.what);
+    println!("trace:");
+    for e in &report.causal_events {
+        println!("  {} {e}", e.at);
     }
     println!("\ningested : {}", report.records_in);
     println!("committed: {}", report.records_out);

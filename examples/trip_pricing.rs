@@ -53,12 +53,10 @@ fn run(ft: FtMode, label: &str) {
     println!("duplicates: {}  losses: {}", report.duplicate_idents().len(), report.ident_gaps().len());
     println!("p50 output latency: {:?}", report.latency_p50);
     println!("recovery time (latency back within 25% of baseline): {recovery}");
-    for e in report
-        .events
-        .iter()
-        .filter(|e| e.what.contains("FAILURE") || e.what.contains("replay complete") || e.what.contains("rollback"))
-    {
-        println!("  {} {}", e.at, e.what);
+    let milestone =
+        |e: &&Event| matches!(e.kind, Kind::TaskKilled | Kind::RecoveryDone) || e.kind.is_rollback();
+    for e in report.causal_events.iter().filter(milestone) {
+        println!("  {} {e}", e.at);
     }
     assert!(report.duplicate_idents().is_empty(), "{label}: duplicated window results");
     assert!(report.ident_gaps().is_empty(), "{label}: lost window results");

@@ -11,7 +11,8 @@ use clonos_integration::conformance::{
 use clonos_integration::{
     at_least_once_orphan, clonos_dsd, clonos_full, run_oracle, run_oracle_plan, run_oracle_with,
 };
-use clonos_engine::{FailurePlan, FtMode};
+use clonos_engine::metrics::HOPS;
+use clonos_engine::{Escalation, FailurePlan, FtMode, Kind};
 use clonos_sim::chaos::ChaosPlan;
 use clonos_sim::VirtualTime;
 use std::path::{Path, PathBuf};
@@ -45,6 +46,64 @@ fn spec_has_the_core_protocol_chains() {
     let recovery = chain("recovery");
     assert_eq!(recovery.first().map(String::as_str), Some("FailureDetected"));
     assert_eq!(recovery.last().map(String::as_str), Some("RecoveryDone"));
+}
+
+/// The trace's hop kinds are the protocol the static spec derives: each
+/// hop's name is a variant the spec names, as an entry or an edge endpoint,
+/// and no incident's name is one. A renamed `Msg` variant, or a hop the
+/// trace gains, fails here instead of silently desynchronising the checker.
+#[test]
+fn hop_kinds_are_exactly_spec_variants() {
+    let spec = StaticSpec::derive(&workspace_root());
+    let named = |name: &str| {
+        spec.entries.contains(name) || spec.edges.iter().any(|(f, t)| f == name || t == name)
+    };
+    // Every variant, sorted by hand: a variant added to `Kind` fails to
+    // compile here until it is placed in a group.
+    let is_hop = |k: Kind| match k {
+        Kind::TriggerCheckpoint
+        | Kind::CheckpointAck
+        | Kind::CheckpointComplete
+        | Kind::FailureDetected
+        | Kind::InstallRecovery
+        | Kind::LogRequest
+        | Kind::LogResponse
+        | Kind::BeginReplay
+        | Kind::ReplayRequest
+        | Kind::RecoveryDone
+        | Kind::RestartAll => true,
+        Kind::TaskKilled
+        | Kind::NodeCrashed { .. }
+        | Kind::StandbyLost { .. }
+        | Kind::StandbyInterrupted
+        | Kind::Slowdown { .. }
+        | Kind::GatherRetry { .. }
+        | Kind::ReplayRetry { .. }
+        | Kind::FoldedIntoRollback
+        | Kind::ReplacementDied
+        | Kind::RollbackScheduled
+        | Kind::AtLeastOnce
+        | Kind::Escalated(_) => false,
+    };
+    let incidents = [
+        Kind::TaskKilled,
+        Kind::NodeCrashed { node: 0 },
+        Kind::StandbyLost { node: 0 },
+        Kind::StandbyInterrupted,
+        Kind::Slowdown { factor: 2, for_us: 1 },
+        Kind::GatherRetry { attempt: 1, stragglers: 1 },
+        Kind::ReplayRetry { attempt: 1 },
+        Kind::FoldedIntoRollback,
+        Kind::ReplacementDied,
+        Kind::RollbackScheduled,
+        Kind::AtLeastOnce,
+        Kind::Escalated(Escalation::Orphaned),
+    ];
+    for k in HOPS.iter().chain(&incidents) {
+        assert_eq!(k.is_hop(), is_hop(*k), "{k:?} is in the wrong group");
+        assert_eq!(named(k.name()), k.is_hop(), "{k:?}: spec variants {:?}", spec.entries);
+    }
+    assert_eq!(HOPS.len(), 11);
 }
 
 /// Bounded chaos sweep (`CHAOS_SEEDS` widens it; `scripts/check.sh` runs 25,
@@ -129,8 +188,8 @@ fn dropped_ack_is_blamed_on_the_missing_hop() {
 /// Injected liveness fault #2: a task dies and the recovery control plane
 /// loses every message, so the determinant gather can never finish. The
 /// recovery watchdog must escalate *and* name the stalled hop (the gather's
-/// unanswered `LogRequest`) in both the event log and the new stats
-/// counter, rather than only reporting an elapsed timeout.
+/// unanswered `LogRequest`) in its typed cause, rather than only reporting
+/// an elapsed timeout.
 #[test]
 fn watchdog_escalation_names_the_stalled_gather_hop() {
     let report = run_oracle_plan(
@@ -144,19 +203,29 @@ fn watchdog_escalation_names_the_stalled_gather_hop() {
             cfg.max_gather_retries = 100;
         },
     );
-    let rs = &report.recovery_stats;
-    assert!(rs.watchdog_escalations >= 1, "watchdog never escalated: {rs:?}");
+    let trace = &report.causal_events;
+    let stalls: Vec<_> = trace
+        .iter()
+        .filter_map(|e| match e.kind {
+            Kind::Escalated(Escalation::Watchdog { stalled_after }) => Some((stalled_after, e)),
+            _ => None,
+        })
+        .collect();
+    assert!(!stalls.is_empty(), "watchdog never escalated: {trace:?}");
+    let gather = [Kind::FailureDetected, Kind::InstallRecovery, Kind::LogRequest, Kind::LogResponse];
     assert!(
-        rs.stalled_gather_escalations >= 1,
-        "stall not attributed to the gather phase: {rs:?}"
+        stalls.iter().any(|(h, _)| h.is_some_and(|h| gather.contains(h))),
+        "stall not attributed to the gather phase: {stalls:?}"
     );
-    assert_eq!(rs.stalled_replay_escalations, 0, "misattributed to replay: {rs:?}");
     assert!(
-        report
-            .events
-            .iter()
-            .any(|e| e.what.contains("cause chain stalls after LogRequest(")),
-        "escalation event does not name the stalled hop: {:?}",
-        report.events.iter().map(|e| &e.what).collect::<Vec<_>>()
+        !stalls.iter().any(|(h, _)| matches!(h, Some(Kind::BeginReplay | Kind::ReplayRequest))),
+        "misattributed to replay: {stalls:?}"
     );
+    // The escalation names the stalled hop and links to it.
+    let (_, e) = stalls
+        .iter()
+        .find(|(h, _)| *h == Some(&Kind::LogRequest))
+        .unwrap_or_else(|| panic!("escalation does not name the stalled LogRequest: {stalls:?}"));
+    assert!(e.caused_by.is_some_and(|c| c.kind == Kind::LogRequest), "unlinked: {e}");
+    assert!(report.recovery_stats.escalations >= 1);
 }

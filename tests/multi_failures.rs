@@ -32,6 +32,11 @@ fn chain(parallelism: usize) -> JobGraph {
     g
 }
 
+/// Whether any entry of the run's trace belongs to a global rollback.
+fn rolled_back(report: &RunReport) -> bool {
+    report.causal_events.iter().any(|e| e.kind.is_rollback())
+}
+
 fn run(
     parallelism: usize,
     ft: FtMode,
@@ -65,7 +70,7 @@ fn three_staggered_failures_full_dsd() {
         &[(7_000_000, 3), (12_000_000, 5), (17_000_000, 7)],
         40,
     );
-    assert!(!report.events.iter().any(|e| e.what.contains("global rollback")));
+    assert!(!rolled_back(&report));
     assert_exactly_once(&report, "staggered");
 }
 
@@ -79,9 +84,9 @@ fn three_concurrent_connected_failures_full_dsd() {
         40,
     );
     assert!(
-        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        !rolled_back(&report),
         "full DSD must recover locally: {:?}",
-        report.events
+        report.causal_events
     );
     assert_exactly_once(&report, "concurrent");
 }
@@ -89,7 +94,7 @@ fn three_concurrent_connected_failures_full_dsd() {
 #[test]
 fn dsd2_tolerates_two_consecutive_failures() {
     let report = run(2, clonos_dsd(2), 7, &[(7_000_000, 3), (7_000_000, 5)], 40);
-    assert!(!report.events.iter().any(|e| e.what.contains("global rollback")));
+    assert!(!rolled_back(&report));
     assert_exactly_once(&report, "dsd2/2-consecutive");
 }
 
@@ -97,10 +102,9 @@ fn dsd2_tolerates_two_consecutive_failures() {
 fn dsd1_with_two_consecutive_failures_rolls_back_but_stays_consistent() {
     let report = run(2, clonos_dsd(1), 9, &[(7_000_000, 3), (7_000_000, 5)], 60);
     assert!(
-        report.events.iter().any(|e| e.what.contains("falling back to global rollback")
-            || e.what.contains("escalating to global rollback")),
+        report.causal_events.iter().any(|e| matches!(e.kind, Kind::Escalated(_))),
         "expected the Figure-4 orphan fallback (static or runtime-escalated): {:?}",
-        report.events
+        report.causal_events
     );
     assert_exactly_once(&report, "dsd1 fallback");
 }
@@ -117,11 +121,8 @@ fn prefer_availability_continues_at_least_once() {
         40,
     );
     // §5.4: availability wins — no global rollback even though orphaned.
-    assert!(report
-        .events
-        .iter()
-        .any(|e| e.what.contains("continuing at-least-once")));
-    assert!(!report.events.iter().any(|e| e.what.contains("global rollback: restarting")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::AtLeastOnce));
+    assert!(!report.causal_events.iter().any(|e| e.kind == Kind::RestartAll));
     // No losses; duplicates possible.
     assert!(report.ident_gaps().is_empty());
 }
@@ -132,9 +133,9 @@ fn unconnected_parallel_failures_recover_independently() {
     // paths simultaneously; DSD=1 suffices (no consecutive pair dies).
     let report = run(2, clonos_dsd(1), 13, &[(7_000_000, 3), (7_000_000, 6)], 40);
     assert!(
-        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        !rolled_back(&report),
         "unconnected failures must not orphan anyone: {:?}",
-        report.events
+        report.causal_events
     );
     assert_exactly_once(&report, "unconnected");
 }
@@ -177,7 +178,7 @@ fn failure_before_first_checkpoint_replays_from_job_start() {
     // replay covers the whole history from the sources.
     let report = run(2, clonos_full(), 31, &[(2_000_000, 5)], 40);
     assert_exactly_once(&report, "pre-first-checkpoint");
-    assert!(report.events.iter().any(|e| e.what.contains("replay complete")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::RecoveryDone));
 }
 
 #[test]
@@ -217,9 +218,9 @@ fn origin_and_an_idle_downstream_fail_together_mid_epoch() {
     // barriers, and its own log is at every sink.
     let report = run(LANES, clonos_full(), 21, &[(7_500_000, A[1]), (7_500_000, B[2])], 24);
     assert!(
-        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        !rolled_back(&report),
         "an idle downstream's failure must not orphan the origin: {:?}",
-        report.events
+        report.causal_events
     );
     assert_exactly_once(&report, "origin + idle downstream");
 }
@@ -245,9 +246,47 @@ fn origin_and_its_forwarder_fail_between_barrier_and_checkpoint_completion() {
     // lane 1; the other a tasks' own-log copies come from a[1]'s barriers.
     let report = run(LANES, clonos_full(), 23, &[(kill, A[1]), (kill, B[1])], 24);
     assert!(
-        !report.events.iter().any(|e| e.what.contains("global rollback")),
+        !rolled_back(&report),
         "the origin's log must be recovered from its lane's sink: {:?}",
-        report.events
+        report.causal_events
     );
     assert_exactly_once(&report, "origin + forwarder after the barrier");
+}
+
+const SINKS: [u64; LANES] = [13, 14, 15, 16];
+
+/// The narrowed case of holder-aware orphan analysis, measured: an origin
+/// and every holder on its record paths — its lane's `b` (the only
+/// downstream its records reach) and that lane's sink (the only task that
+/// `b` forwards its log to) — die together mid-epoch. The other `b` tasks
+/// are one hop away and alive, so the static analysis says "local" at
+/// either depth, and they hold the origin's own log because its idle
+/// channels carry it. Pinned: no escalation of any cause, no rollback, and
+/// `recovery_ms` (kill → the last `RecoveryDone` of a victim) = 200.35.
+#[test]
+fn origin_and_every_record_path_holder_fail_mid_epoch() {
+    let kill = 7_500_000;
+    let victims = [A[1], B[1], SINKS[1]];
+    let kills: Vec<(u64, u64)> = victims.iter().map(|&t| (kill, t)).collect();
+    for (label, ft) in [("dsd1", clonos_dsd(1)), ("full", clonos_full())] {
+        let report = run(LANES, ft, 25, &kills, 24);
+        let trace = &report.causal_events;
+        let causes: Vec<Escalation> = trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                Kind::Escalated(why) => Some(why),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(causes, [], "{label}: escalated");
+        assert!(!rolled_back(&report), "{label}: rolled back: {trace:?}");
+        let done = trace
+            .iter()
+            .filter(|e| e.kind == Kind::RecoveryDone && victims.contains(&e.task))
+            .map(|e| e.at.as_micros())
+            .max()
+            .expect("the victims recover");
+        assert_eq!(done - kill, 200_350, "{label}: recovery_ms moved");
+        assert_exactly_once(&report, label);
+    }
 }

@@ -7,6 +7,7 @@
 //! event-time queries, the effective output multiset equals a failure-free
 //! run of the same seed.
 
+use clonos_engine::Kind;
 use clonos_integration::{assert_exactly_once, clonos_full, run_nexmark};
 use clonos_nexmark::{QueryId, ALL_QUERIES};
 
@@ -34,15 +35,12 @@ fn every_query_survives_an_operator_failure_exactly_once() {
         let victim = first_operator_task(q, p as u64);
         let report =
             run_nexmark(q, clonos_full(), 7, p, 60_000, &[(7_000_000, victim)], 30);
+        let trace = &report.causal_events;
         assert!(
-            report.events.iter().any(|e| e.what.contains("replay complete")),
-            "{q}: recovery did not complete: {:?}",
-            report.events
+            trace.iter().any(|e| e.kind == Kind::RecoveryDone),
+            "{q}: recovery did not complete: {trace:?}"
         );
-        assert!(
-            !report.events.iter().any(|e| e.what.contains("global rollback")),
-            "{q}: unexpected global rollback"
-        );
+        assert!(!trace.iter().any(|e| e.kind.is_rollback()), "{q}: unexpected global rollback");
         assert_exactly_once(&report, &q.to_string());
         assert!(report.records_out > 0, "{q}: produced no output");
     }
@@ -99,7 +97,7 @@ fn aggregation_tree_second_stage_failure() {
     // for skewed keys); kill it rather than the first stage. Layout at p=2:
     // bids 1-2, partial-max 3-4, global-max 5 (parallelism 1), sink 6.
     let report = run_nexmark(QueryId::Q7, clonos_full(), 23, 2, 60_000, &[(7_000_000, 5)], 30);
-    assert!(report.events.iter().any(|e| e.what.contains("replay complete")));
+    assert!(report.causal_events.iter().any(|e| e.kind == Kind::RecoveryDone));
     assert_exactly_once(&report, "Q7 global-max kill");
     let clean = run_nexmark(QueryId::Q7, clonos_full(), 23, 2, 60_000, &[], 30);
     assert_eq!(clean.output_multiset(), report.output_multiset());
