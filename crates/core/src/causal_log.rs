@@ -688,6 +688,22 @@ pub struct CausalLogStats {
     pub forwards_withheld: u64,
 }
 
+impl CausalLogStats {
+    /// Fold another task's log counters into this aggregate: every field sums.
+    pub fn absorb(&mut self, o: &CausalLogStats) {
+        self.determinants_recorded += o.determinants_recorded;
+        self.delta_bytes_shipped += o.delta_bytes_shipped;
+        self.delta_entries_shipped += o.delta_entries_shipped;
+        self.deltas_ingested += o.deltas_ingested;
+        self.entries_ingested += o.entries_ingested;
+        self.entries_encoded += o.entries_encoded;
+        self.delta_bytes_memcpy += o.delta_bytes_memcpy;
+        self.gap_resyncs += o.gap_resyncs;
+        self.held_spans_skipped += o.held_spans_skipped;
+        self.forwards_withheld += o.forwards_withheld;
+    }
+}
+
 /// Replay source installed on a recovering task: the merged snapshot of its
 /// predecessor's logs, consumed as the task re-executes.
 #[derive(Debug, Default)]

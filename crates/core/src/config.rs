@@ -69,10 +69,6 @@ pub struct ClonosConfig {
     pub standby_tasks: bool,
     /// In-flight log buffer pool capacity, in buffers, per task.
     pub inflight_pool_buffers: usize,
-    /// Cache granularity of the timestamp service in microseconds (§4.2
-    /// "Wall-Clock Time": refresh the cached timestamp periodically instead
-    /// of logging one determinant per call). 0 disables caching.
-    pub timestamp_cache_us: u64,
     /// On over-budget failures (more than DSD consecutive), favour
     /// availability (continue at-least-once) instead of consistency (global
     /// rollback) — §5.4 last paragraph.
@@ -87,7 +83,6 @@ impl Default for ClonosConfig {
             spill: SpillPolicy::default_threshold(),
             standby_tasks: true,
             inflight_pool_buffers: 2_560, // 80 MB of 32 KiB buffers, per §7.5
-            timestamp_cache_us: 1_000,    // 1 ms granularity
             prefer_availability_on_orphans: false,
         }
     }
@@ -150,6 +145,5 @@ mod tests {
         assert_eq!(c.guarantee, GuaranteeMode::ExactlyOnce);
         assert!(matches!(c.spill, SpillPolicy::SpillThreshold(_)));
         assert!(c.standby_tasks);
-        assert_eq!(c.timestamp_cache_us, 1_000);
     }
 }

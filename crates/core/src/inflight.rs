@@ -95,6 +95,19 @@ pub struct InFlightStats {
     pub peak_resident_bytes: u64,
 }
 
+impl InFlightStats {
+    /// Fold another log's counters into this aggregate: every field sums,
+    /// the resident-bytes peak too (a job total of per-incarnation peaks).
+    pub fn absorb(&mut self, o: &InFlightStats) {
+        self.buffers_logged += o.buffers_logged;
+        self.buffers_spilled += o.buffers_spilled;
+        self.spill_io = self.spill_io + o.spill_io;
+        self.replay_io = self.replay_io + o.replay_io;
+        self.blocked_appends += o.blocked_appends;
+        self.peak_resident_bytes += o.peak_resident_bytes;
+    }
+}
+
 /// The per-task in-flight record log.
 #[derive(Debug)]
 pub struct InFlightLog {

@@ -127,7 +127,7 @@ impl Cluster {
             topics: BTreeMap::new(),
             snapshots: SnapshotStore::with_model(TransferModel::default()),
             entropy: root.fork(0xC0FFEE),
-            metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
+            metrics: JobMetrics::default(),
             graph,
             runtime_stats: crate::metrics::RuntimeStats::default(),
             job,
@@ -385,18 +385,18 @@ impl Cluster {
     }
 
     /// Every per-task counter block, summed over retired and live
-    /// incarnations — what each counter accessor below reads.
-    fn counters(&self) -> TaskCounters {
+    /// incarnations, with the snapshot store's reconstruction work and the
+    /// standby manager's delta shipping in the checkpoint block: the job
+    /// totals `RunReport` carries.
+    pub(crate) fn counters(&self) -> TaskCounters {
         let mut total = self.retired;
         for t in self.tasks.values().flatten() {
             total.absorb(&t.counters());
         }
+        total.ckpt.reconstructions = self.snapshots.reconstructions();
+        total.ckpt.reconstruct_us = self.snapshots.reconstruct_us();
+        total.ckpt.delta_dispatches = self.jm.standby().delta_dispatches();
         total
-    }
-
-    /// Aggregate in-flight log statistics (§7.5).
-    pub fn inflight_stats(&self) -> clonos::inflight::InFlightStats {
-        self.counters().inflight
     }
 
     /// Sum of in-flight log bytes across live tasks (memory accounting, §7.5).
@@ -411,39 +411,6 @@ impl Cluster {
     /// Resident causal-log bytes summed over live tasks (§7.5 determinant pool).
     pub fn total_determinant_bytes(&self) -> u64 {
         self.tasks.values().flatten().map(|t| t.log.resident_bytes()).sum()
-    }
-
-    /// Aggregate causal-log statistics.
-    pub fn log_stats(&self) -> clonos::causal_log::CausalLogStats {
-        self.counters().log
-    }
-
-    /// Aggregate routing hot-path counters.
-    pub fn routing_stats(&self) -> crate::metrics::RoutingStats {
-        self.counters().routing
-    }
-
-    /// Aggregate incremental-checkpoint counters: per-task encoder stats
-    /// plus the snapshot store's reconstruction work and the standby
-    /// manager's delta shipping.
-    pub fn checkpoint_stats(&self) -> crate::metrics::CheckpointStats {
-        let mut total = self.counters().ckpt;
-        total.reconstructions = self.snapshots.reconstructions();
-        total.reconstruct_us = self.snapshots.reconstruct_us();
-        total.delta_dispatches = self.jm.standby().delta_dispatches();
-        total
-    }
-
-    /// Aggregate tiered-state-backend counters (all zero when
-    /// `state_memory_budget` is 0).
-    pub fn state_backend_stats(&self) -> crate::metrics::StateBackendStats {
-        self.counters().backend
-    }
-
-    /// Timestamp-service call/determinant counters (benchmark E9).
-    pub fn ts_service_counts(&self) -> (u64, u64) {
-        let c = self.counters();
-        (c.ts_calls, c.ts_determinants)
     }
 
     pub fn snapshot_of(&mut self, cp: u64, task: TaskId) -> Option<TaskSnapshot> {
@@ -566,8 +533,8 @@ pub(crate) mod tests {
     #[test]
     fn a_killed_incarnation_keeps_its_counts_in_the_job_totals() {
         let counts = |c: &Cluster| {
-            let (log, routing, inflight) = (c.log_stats(), c.routing_stats(), c.inflight_stats());
-            [log.determinants_recorded, routing.records_routed, inflight.buffers_logged]
+            let c = c.counters();
+            [c.log.determinants_recorded, c.routing.records_routed, c.inflight.buffers_logged]
         };
         let mut cluster = counting_cluster(clonos());
         feed(&mut cluster, 0..300, 6);

@@ -71,6 +71,10 @@ pub const MAX_REPLAY_REQUEST_RETRIES: u32 = 3;
 /// Whole-recovery watchdog: a local recovery still incomplete after this
 /// long escalates to a global rollback (the never-hang guarantee).
 pub const RECOVERY_TIMEOUT: VirtualDuration = VirtualDuration::from_secs(20);
+/// Cache granularity of the timestamp service in microseconds (§4.2
+/// "Wall-Clock Time": refresh the cached timestamp every millisecond
+/// instead of logging one determinant per call).
+pub const TIMESTAMP_CACHE_US: u64 = 1_000;
 /// Buffers sent per replay-pump step (upstream replay pacing).
 pub const REPLAY_BATCH: usize = 16;
 

@@ -11,7 +11,7 @@ use crate::messages::Msg;
 use crate::metrics::JobMetrics;
 use crate::task::{Task, TaskCtx};
 use clonos::TaskId;
-use clonos_sim::{ActorId, Link, Scheduler, SimRng, Simulation, VirtualDuration, VirtualTime};
+use clonos_sim::{ActorId, Link, Scheduler, SimRng, Simulation, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
 use clonos_storage::snapshot::SnapshotStore;
@@ -150,8 +150,7 @@ impl ActorCell {
             kind,
             clock: VirtualTime::ZERO,
             timers: Simulation::new(),
-            // Window must match the cluster accumulator's for `absorb`.
-            metrics: JobMetrics::new(VirtualDuration::from_secs(1)),
+            metrics: JobMetrics::default(),
             errors: Vec::new(),
             outbox: VecDeque::new(),
         };

@@ -28,7 +28,9 @@ pub use checkpoint::TaskSnapshot;
 pub use sink::{effective_sink_meta, effective_sink_records, encode_abort_marker};
 pub use sink::{SinkMeta, META_ABORT, META_DATA};
 
-use crate::config::{EngineConfig, FtMode, FLUSH_INTERVAL, LINK_JITTER, LINK_LATENCY};
+use crate::config::{
+    EngineConfig, FtMode, FLUSH_INTERVAL, LINK_JITTER, LINK_LATENCY, TIMESTAMP_CACHE_US,
+};
 use crate::error::EngineError;
 use crate::graph::{Partitioning, SourceSpec, TaskSpec, VertexKind};
 use crate::messages::Msg;
@@ -194,15 +196,11 @@ impl Task {
     ) -> Task {
         // At-most-once logs nothing, at-least-once only in-flight buffers,
         // exactly-once in-flight buffers and determinants.
-        let (guarantee, dsd, cache_us, pool, spill_policy) = match &config.ft {
-            FtMode::Clonos(c) => (
-                c.guarantee,
-                c.effective_dsd(graph_depth),
-                c.timestamp_cache_us,
-                c.inflight_pool_buffers,
-                c.spill,
-            ),
-            _ => (GuaranteeMode::AtMostOnce, 0, 1_000, 0, clonos::SpillPolicy::InMemory),
+        let (guarantee, dsd, pool, spill_policy) = match &config.ft {
+            FtMode::Clonos(c) => {
+                (c.guarantee, c.effective_dsd(graph_depth), c.inflight_pool_buffers, c.spill)
+            }
+            _ => (GuaranteeMode::AtMostOnce, 0, 0, clonos::SpillPolicy::InMemory),
         };
         let num_outs = spec.outputs.len();
         let num_ins = spec.inputs.len();
@@ -270,7 +268,7 @@ impl Task {
             step: 0,
             watermark: 0,
             log,
-            services: CausalServices::new(cache_us),
+            services: CausalServices::new(TIMESTAMP_CACHE_US),
             inflight,
             spill: SpillDevice::new(),
             queue: ServiceQueue::new(),

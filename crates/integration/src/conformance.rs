@@ -24,7 +24,7 @@
 //!   `RecoveryDone`, not superseded by a newer incarnation, with enough
 //!   remaining horizon — blamed on the last hop the chain did reach.
 
-use clonos_engine::metrics::{CausalRef, Event, Kind, HOPS};
+use clonos_engine::metrics::{cause_chain, resolve, Event, Kind, HOPS};
 use clonos_engine::RunReport;
 use clonos_sim::{VirtualDuration, VirtualTime};
 use std::collections::BTreeSet;
@@ -134,30 +134,17 @@ impl Tolerances {
     }
 }
 
-/// Resolve a `caused_by` reference the way the metrics layer defines it:
-/// the earliest trace event with the same `(kind, epoch, task)` identity.
-fn resolve<'a>(trace: &'a [Event], r: &CausalRef) -> Option<&'a Event> {
-    trace.iter().find(|e| e.id() == *r)
-}
-
-/// Walk the cause chain of `e` back to its root, rendering each hop.
+/// Render the cause chain of `e` (the one walk `clonos_engine::metrics`
+/// defines), naming a link that resolves to nothing.
 fn blame_chain(trace: &[Event], e: &Event) -> Vec<String> {
     let mut out = vec![format!("at {:?}: {}", e.at, e.id())];
-    let mut cur = *e;
-    // Bounded walk: identity resolution cannot cycle forward in time, but
-    // guard against a malformed trace anyway.
-    for _ in 0..32 {
-        let Some(r) = cur.caused_by else { break };
-        match resolve(trace, &r) {
-            Some(prev) => {
-                out.push(format!("caused by {} at {:?}", prev.id(), prev.at));
-                cur = *prev;
-            }
-            None => {
-                out.push(format!("caused by {r} — absent from the trace"));
-                break;
-            }
-        }
+    let mut last = e;
+    for prev in cause_chain(trace, e).skip(1) {
+        out.push(format!("caused by {} at {:?}", prev.id(), prev.at));
+        last = prev;
+    }
+    if let Some(r) = last.caused_by.filter(|&r| resolve(trace, r).is_none()) {
+        out.push(format!("caused by {r} — absent from the trace"));
     }
     out
 }
@@ -186,7 +173,7 @@ pub fn check_trace(report: &RunReport, spec: &StaticSpec, tol: &Tolerances) -> V
                         blame: blame_chain(trace, e),
                     });
                 }
-                if resolve(trace, r).is_none() {
+                if resolve(trace, *r).is_none() {
                     out.push(Violation {
                         at: e.at,
                         what: format!(

@@ -224,6 +224,7 @@ pub const STATS_STRUCTS: &[(&str, &str)] = &[
     ("RoutingStats", "crates/engine/src/metrics.rs"),
     ("CheckpointStats", "crates/engine/src/metrics.rs"),
     ("CausalLogStats", "crates/core/src/causal_log.rs"),
+    ("InFlightStats", "crates/core/src/inflight.rs"),
     ("RuntimeStats", "crates/engine/src/metrics.rs"),
     ("StateBackendStats", "crates/engine/src/metrics.rs"),
 ];

@@ -97,7 +97,7 @@ struct MiniRepo {
 
 impl MiniRepo {
     /// A minimal consistent workspace: two Determinant variants with full
-    /// encode/decode/replay coverage, three stats structs embedded in
+    /// encode/decode/replay coverage, the stats structs embedded in
     /// RunReport with every counter consumed by a test file.
     fn consistent(tag: &str) -> MiniRepo {
         let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("mini_{tag}"));
@@ -131,7 +131,7 @@ impl MiniRepo {
         );
         repo.write(
             "crates/engine/src/runner.rs",
-            "pub struct RunReport {\n    pub recovery_stats: RecoveryStats,\n    pub routing_stats: RoutingStats,\n    pub checkpoint_stats: CheckpointStats,\n    pub log_stats: CausalLogStats,\n    pub runtime_stats: RuntimeStats,\n    pub state_backend_stats: StateBackendStats,\n}\n",
+            "pub struct RunReport {\n    pub recovery_stats: RecoveryStats,\n    pub routing_stats: RoutingStats,\n    pub checkpoint_stats: CheckpointStats,\n    pub log_stats: CausalLogStats,\n    pub inflight_stats: InFlightStats,\n    pub runtime_stats: RuntimeStats,\n    pub state_backend_stats: StateBackendStats,\n}\n",
         );
         repo.write(
             "crates/core/src/causal_log.rs",
@@ -139,9 +139,13 @@ impl MiniRepo {
         );
         repo.write(
             "crates/engine/tests/counters.rs",
-            "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.route_encodes, r.checkpoint_stats.rebases, r.log_stats.deltas_ingested, r.runtime_stats.steals, r.state_backend_stats.faults);\n}\n",
+            "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.route_encodes, r.checkpoint_stats.rebases, r.log_stats.deltas_ingested, r.inflight_stats.replay_io, r.runtime_stats.steals, r.state_backend_stats.faults);\n}\n",
         );
-        for f in ["recovery.rs", "standby.rs", "inflight.rs", "services.rs"] {
+        repo.write(
+            "crates/core/src/inflight.rs",
+            "pub struct InFlightStats {\n    pub replay_io: u64,\n}\n",
+        );
+        for f in ["recovery.rs", "standby.rs", "services.rs"] {
             repo.write(&format!("crates/core/src/{f}"), "// empty recovery-path module\n");
         }
         repo
@@ -233,7 +237,13 @@ fn absent_configured_handler_file_is_unreadable() {
 #[test]
 fn unread_counter_is_detected() {
     let repo = MiniRepo::consistent("counter");
-    // The test file stops reading the CausalLogStats counter.
+    // The test file stops reading the CausalLogStats counter; the fold in
+    // its defining file reads it, but a fold is not a reader.
+    repo.write(
+        "crates/core/src/causal_log.rs",
+        "pub struct CausalLogStats {\n    pub deltas_ingested: u64,\n}\n\
+         impl CausalLogStats {\n    pub fn absorb(&mut self, o: &CausalLogStats) {\n        self.deltas_ingested += o.deltas_ingested;\n    }\n}\n",
+    );
     repo.write(
         "crates/engine/tests/counters.rs",
         "fn consume(r: RunReport) {\n    let _ = (r.recovery_stats.escalations, r.routing_stats.route_encodes);\n}\n",

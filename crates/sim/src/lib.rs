@@ -27,7 +27,7 @@ pub mod time;
 
 pub use chaos::{ChaosEvent, ChaosInjection, ChaosPlan, ChaosSpace};
 pub use events::{ActorId, Delivery, Scheduler, Simulation};
-pub use metrics::{LatencyRecorder, ThroughputSeries, TimeSeries};
+pub use metrics::TimeSeries;
 pub use net::Link;
 pub use rng::SimRng;
 pub use service::ServiceQueue;

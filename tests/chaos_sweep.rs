@@ -14,7 +14,7 @@ use clonos_integration::{
     oracle_reference, oracle_space, run_oracle, run_oracle_plan, run_oracle_with, OracleReference,
 };
 use clonos_sim::chaos::ChaosPlan;
-use clonos_sim::{VirtualDuration, VirtualTime};
+use clonos_sim::{SimRng, VirtualDuration, VirtualTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -249,6 +249,31 @@ fn chaos_sweep_at_least_once_orphan_never_loses() {
         census.add(&report);
     }
     census.print("at-least-once-orphan");
+}
+
+/// The §5.4 orphan fallback under a seeded kill instant. At DSD = 1 the
+/// only holders of `a` task 3's determinant log are the `b` tasks 5 and 6;
+/// killing all three together leaves task 3's log with no survivor, so the
+/// failure analysis finds orphans and, availability preferred, the job goes
+/// on at-least-once. The generated chaos plans never produce that set, so
+/// this sweep is the one that reaches the fallback: every run must record
+/// `AtLeastOnce` and lose no record.
+#[test]
+fn chaos_sweep_orphaning_kills_fall_back_to_at_least_once_without_loss() {
+    for seed in 0..sweep_seeds() {
+        let at = VirtualTime(SimRng::new(seed).gen_range_in(6_000_000, 22_000_001));
+        let plan = FailurePlan::none().kill_at(at, 3).kill_at(at, 5).kill_at(at, 6);
+        let report = run_oracle_plan(at_least_once_orphan(), seed, plan, |_| {});
+        let label = format!("orphaning kills seed {seed} at {at:?}");
+        assert!(report.records_out > 0, "{label}: no committed output");
+        assert!(
+            report.causal_events.iter().any(|e| e.kind == Kind::AtLeastOnce),
+            "{label}: no at-least-once fallback: {:?}",
+            report.causal_events.iter().filter(|e| !e.kind.is_hop()).collect::<Vec<_>>()
+        );
+        let gaps = report.ident_gaps();
+        assert!(gaps.is_empty(), "{label}: lost records: {gaps:?}");
+    }
 }
 
 proptest! {
