@@ -59,12 +59,6 @@ struct ChannelLog {
     slots: std::collections::VecDeque<Slot>,
 }
 
-impl ChannelLog {
-    fn end_idx(&self) -> u64 {
-        self.base_idx + self.slots.len() as u64
-    }
-}
-
 /// Outcome of an append under the configured spill policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AppendOutcome {
@@ -369,11 +363,6 @@ impl InFlightLog {
         }
     }
 
-    /// Remaining buffers under a cursor (for progress reporting).
-    pub fn replay_remaining(&self, cursor: &ReplayCursor) -> u64 {
-        self.channels[cursor.channel as usize].end_idx().saturating_sub(cursor.next_idx)
-    }
-
     /// Number of logged buffers per channel (tests / introspection).
     pub fn channel_len(&self, channel: ChannelId) -> usize {
         self.channels[channel as usize].slots.len()
@@ -425,7 +414,9 @@ mod tests {
         let mut cur = l.open_replay(0, 1);
         let (b, _) = l.replay_next(&mut cur, &mut sp).unwrap();
         assert_eq!(b.epoch, 1);
-        assert_eq!(l.replay_remaining(&cur), 1);
+        let (b, _) = l.replay_next(&mut cur, &mut sp).unwrap();
+        assert_eq!(b.epoch, 2);
+        assert!(l.replay_next(&mut cur, &mut sp).is_none());
     }
 
     #[test]

@@ -194,24 +194,6 @@ pub struct LogRetrievalResponse {
     pub received_buffers: Vec<(ChannelId, u64)>,
 }
 
-impl LogRetrievalResponse {
-    /// Merge multiple survivors' responses: longest log wins per log id;
-    /// received counts are per distinct channel so they concatenate.
-    pub fn merge(&mut self, other: LogRetrievalResponse) {
-        self.snapshot.merge(&other.snapshot);
-        for (ch, n) in other.received_buffers {
-            match self.received_buffers.iter_mut().find(|(c, _)| *c == ch) {
-                Some((_, existing)) => *existing = (*existing).max(n),
-                None => self.received_buffers.push((ch, n)),
-            }
-        }
-    }
-
-    pub fn received_on(&self, ch: ChannelId) -> u64 {
-        self.received_buffers.iter().find(|(c, _)| *c == ch).map(|&(_, n)| n).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,22 +339,6 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn log_retrieval_merge_takes_max() {
-        let mut a = LogRetrievalResponse {
-            snapshot: Default::default(),
-            received_buffers: vec![(0, 5)],
-        };
-        let b = LogRetrievalResponse {
-            snapshot: Default::default(),
-            received_buffers: vec![(0, 3), (1, 7)],
-        };
-        a.merge(b);
-        assert_eq!(a.received_on(0), 5);
-        assert_eq!(a.received_on(1), 7);
-        assert_eq!(a.received_on(9), 0);
     }
 
     #[test]

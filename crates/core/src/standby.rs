@@ -193,11 +193,6 @@ impl StandbyManager {
         lost
     }
 
-    /// Tasks whose standby lives on `node` (all lost if that node fails).
-    pub fn standbys_on_node(&self, node: u32) -> Vec<TaskId> {
-        self.standbys.iter().filter(|(_, s)| s.node == node).map(|(&t, _)| t).collect()
-    }
-
     pub fn dispatches(&self) -> u64 {
         self.dispatches
     }
@@ -230,7 +225,6 @@ mod tests {
         let mut m = StandbyManager::new();
         m.register(1, 3, 8, AllocationStrategy::CoLocate);
         assert_eq!(m.get(1).unwrap().node, 3);
-        assert_eq!(m.standbys_on_node(3), vec![1]);
     }
 
     #[test]

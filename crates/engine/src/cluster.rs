@@ -19,7 +19,7 @@ use clonos::TaskId;
 use clonos_sim::{ActorId, Link, Scheduler, SimRng, Simulation, VirtualDuration, VirtualTime};
 use clonos_storage::external::ExternalKv;
 use clonos_storage::log::DurableLog;
-use clonos_storage::snapshot::{SnapshotStore, TransferModel};
+use clonos_storage::snapshot::SnapshotStore;
 use std::collections::BTreeMap;
 
 /// Job-manager actor id.
@@ -36,11 +36,9 @@ pub struct Cluster {
     pub entropy: SimRng,
     pub metrics: JobMetrics,
     pub graph: ExecutionGraph,
-    /// Counters from the multi-threaded runtime (all zero under the sim
-    /// scheduler); installed at parallel-runtime teardown.
-    pub runtime_stats: crate::metrics::RuntimeStats,
     job: JobGraph,
-    tasks: BTreeMap<TaskId, Option<Task>>,
+    /// Task slots by id; `None` while a killed task awaits its replacement.
+    pub(crate) tasks: BTreeMap<TaskId, Option<Task>>,
     /// Task → hosting node (round-robin placement; standbys anti-affine).
     nodes: BTreeMap<TaskId, u32>,
     pub(crate) jm: JobManager,
@@ -125,11 +123,10 @@ impl Cluster {
             links: BTreeMap::new(),
             external: ExternalKv::new(config.seed ^ 0xE47),
             topics: BTreeMap::new(),
-            snapshots: SnapshotStore::with_model(TransferModel::default()),
+            snapshots: SnapshotStore::new(),
             entropy: root.fork(0xC0FFEE),
             metrics: JobMetrics::default(),
             graph,
-            runtime_stats: crate::metrics::RuntimeStats::default(),
             job,
             tasks: BTreeMap::new(),
             nodes: BTreeMap::new(),
@@ -163,18 +160,6 @@ impl Cluster {
     /// The kind of job vertex `vertex`.
     pub(crate) fn vertex_kind(&self, vertex: VertexId) -> Option<&VertexKind> {
         self.job.vertices.get(vertex.0).map(|v| &v.kind)
-    }
-
-    /// Detach a live task from the cluster (parallel-runtime handoff: the
-    /// actor cell takes ownership for the duration of the threaded run).
-    pub(crate) fn take_task(&mut self, id: TaskId) -> Option<Task> {
-        self.tasks.get_mut(&id).and_then(|slot| slot.take())
-    }
-
-    /// Re-attach a task after a parallel run so the report-time aggregators
-    /// (log/routing/checkpoint stats, state digests) see its final state.
-    pub(crate) fn install_task(&mut self, id: TaskId, task: Task) {
-        self.tasks.insert(id, Some(task));
     }
 
     fn deploy(&mut self) {
@@ -252,7 +237,7 @@ impl Cluster {
         let mut ctx = TaskCtx {
             sched: &mut self.sim,
             links: &mut self.links,
-            external: &mut self.external,
+            external: &self.external,
             topics: &mut self.topics,
             config: &self.config,
             entropy: &mut self.entropy,

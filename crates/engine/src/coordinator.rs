@@ -25,7 +25,8 @@ use clonos::recovery::{analyze_failure, LogRetrievalResponse, RecoveryDecision};
 use clonos::standby::StandbyManager;
 use clonos::{ChannelId, TaskId};
 use clonos_sim::{Scheduler, SimRng, VirtualDuration, VirtualTime};
-use clonos_storage::snapshot::{SnapshotBlob, SnapshotStore, TransferModel};
+use clonos_storage::snapshot::{SnapshotBlob, SnapshotStore};
+use clonos_storage::TransferModel;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Gathering state for one recovering task's determinant logs.
@@ -233,7 +234,6 @@ impl JobManager {
         for t in &self.graph.tasks {
             ctx.host.schedule_in(VirtualDuration::from_micros(100), t.id, Msg::CheckpointComplete { id });
         }
-        let model = TransferModel::default();
         let extra = ctx.config.synthetic_state_bytes;
         for t in self.graph.tasks.iter().map(|t| t.id) {
             if !self.standby.has_standby(t) {
@@ -246,7 +246,7 @@ impl JobManager {
             let SnapshotBlob { bytes, parent } = blob.clone();
             let missing = bytes.len() as u64 + segment_bytes;
             let shipped = parent.and_then(|p| {
-                let transfer = model.transfer_time(missing);
+                let transfer = TransferModel::NETWORK.cost(missing);
                 self.standby.dispatch_delta(t, id, p, bytes.clone(), now, transfer)
             });
             if shipped.is_some() {
@@ -260,7 +260,7 @@ impl JobManager {
                 Some(_) => ctx.snapshots.get(now, id, t).map(|(image, _)| (image.len() as u64, image)),
             };
             if let Some((len, image)) = full {
-                let transfer = model.transfer_time(len + extra);
+                let transfer = TransferModel::NETWORK.cost(len + extra);
                 self.standby.dispatch_state(t, id, image, now, transfer);
             }
         }
@@ -590,7 +590,7 @@ impl JobManager {
                 continue;
             };
             if resume_cp > 0 {
-                ready += TransferModel::default().transfer_time(extra);
+                ready += TransferModel::NETWORK.cost(extra);
             }
             ctx.metrics.record(now, Kind::BeginReplay, new_gen as u64, id, Some(cause));
             let replay = Msg::BeginReplay {

@@ -50,7 +50,7 @@ pub struct OpCtx<'a> {
     pub state: &'a mut StateStore,
     services: &'a mut CausalServices,
     log: &'a mut CausalLogManager,
-    external: &'a mut ExternalKv,
+    external: &'a ExternalKv,
     /// Virtual instant of this processing step (service-time adjusted).
     now: VirtualTime,
     /// Current low watermark of the task.
@@ -74,7 +74,7 @@ impl<'a> OpCtx<'a> {
         state: &'a mut StateStore,
         services: &'a mut CausalServices,
         log: &'a mut CausalLogManager,
-        external: &'a mut ExternalKv,
+        external: &'a ExternalKv,
         now: VirtualTime,
         watermark: u64,
         default_create_ts: u64,
@@ -136,7 +136,7 @@ impl<'a> OpCtx<'a> {
     /// performed once under normal operation, replayed from the log after a
     /// failure.
     pub fn external_get(&mut self, key: u64) -> Result<i64, EngineError> {
-        let external = &mut *self.external;
+        let external = self.external;
         let now = self.now;
         let answer = self.services.external_call(self.log, || external.get(key, now).to_le_bytes())?;
         Ok(i64::from_le_bytes(answer))
@@ -230,12 +230,12 @@ mod tests {
         let mut state = StateStore::new();
         let mut services = CausalServices::new(1_000);
         let mut log = CausalLogManager::new(1, 1, 1);
-        let mut external = ExternalKv::new(1);
+        let external = ExternalKv::new(1);
         let mut ctx = OpCtx::new(
             &mut state,
             &mut services,
             &mut log,
-            &mut external,
+            &external,
             VirtualTime(500),
             42,
             7,
@@ -260,13 +260,13 @@ mod tests {
         let mut state = StateStore::new();
         let mut services = CausalServices::new(0);
         let mut log = CausalLogManager::new(1, 1, 1);
-        let mut external = ExternalKv::new(9);
+        let external = ExternalKv::new(9);
         let (t1, x1) = {
             let mut ctx = OpCtx::new(
                 &mut state,
                 &mut services,
                 &mut log,
-                &mut external,
+                &external,
                 VirtualTime(123_000),
                 0,
                 0,
@@ -287,7 +287,7 @@ mod tests {
             &mut state2,
             &mut services2,
             &mut log2,
-            &mut external,
+            &external,
             VirtualTime(9_999_000),
             0,
             0,

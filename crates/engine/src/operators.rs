@@ -500,14 +500,14 @@ mod tests {
         let mut state = StateStore::new();
         let mut services = CausalServices::new(0);
         let mut log = CausalLogManager::new(1, 1, 1);
-        let mut external = ExternalKv::new(1);
+        let external = ExternalKv::new(1);
         let mut op = WindowOp { ..*w };
         let mut model = BufferedWindows::default();
         let (mut got, mut want) = (Vec::new(), Vec::new());
         let mut wm = 0;
         for o in ops {
             let mut ctx =
-                OpCtx::new(&mut state, &mut services, &mut log, &mut external, VirtualTime(0), wm, 0, 0);
+                OpCtx::new(&mut state, &mut services, &mut log, &external, VirtualTime(0), wm, 0, 0);
             match *o {
                 WinOp::Record(key, ts, v, create_ts) => {
                     let row = Row::new(vec![Datum::Int(v), Datum::str("payload")]);

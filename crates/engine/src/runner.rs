@@ -5,6 +5,7 @@
 use crate::cluster::Cluster;
 use crate::config::EngineConfig;
 use crate::graph::{JobGraph, VertexKind};
+use crate::metrics::RuntimeStats;
 use crate::record::{Record, Row};
 use crate::task::{effective_sink_records, SinkMeta};
 use clonos::TaskId;
@@ -39,11 +40,6 @@ impl FailurePlan {
 
     pub fn kill_at(mut self, at: VirtualTime, task: TaskId) -> FailurePlan {
         self.faults.push((at, Fault::KillTask(task)));
-        self
-    }
-
-    pub fn node_crash_at(mut self, at: VirtualTime, node: u32) -> FailurePlan {
-        self.faults.push((at, Fault::KillNode(node)));
         self
     }
 
@@ -115,7 +111,7 @@ pub struct RunReport {
     /// Multi-threaded runtime counters (all zero for sim-scheduled runs):
     /// worker count, steals, backpressure stalls, mailbox depth highwater,
     /// and per-worker event min/max.
-    pub runtime_stats: crate::metrics::RuntimeStats,
+    pub runtime_stats: RuntimeStats,
     /// Tiered-state-backend counters (flushes, compactions, faults,
     /// evictions, segment inventory; all zero when the backend is off).
     pub state_backend_stats: crate::metrics::StateBackendStats,
@@ -304,7 +300,7 @@ impl JobRunner {
         }
         self.cluster.run_until(end);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
-        self.report(wall_seconds)
+        self.report(wall_seconds, RuntimeStats::default())
     }
 
     /// Drive the job for `duration` of virtual time on the multi-threaded
@@ -325,12 +321,12 @@ impl JobRunner {
         // clonos-lint: allow(wall-clock, reason = "measures host CPU for the throughput benchmark; feeds only the human-facing RunReport")
         let wall_start = std::time::Instant::now();
         let end = VirtualTime::ZERO + duration;
-        crate::runtime::run(&mut self.cluster, end, pcfg);
+        let runtime_stats = crate::runtime::run(&mut self.cluster, end, pcfg);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
-        self.report(wall_seconds)
+        self.report(wall_seconds, runtime_stats)
     }
 
-    fn report(mut self, wall_seconds: f64) -> RunReport {
+    fn report(mut self, wall_seconds: f64, runtime_stats: RuntimeStats) -> RunReport {
         // Gather effective sink output from every sink task's partition.
         let mut sink_output = Vec::new();
         let sinks: Vec<(TaskId, String, usize)> = self
@@ -378,7 +374,7 @@ impl JobRunner {
             last_completed_checkpoint: self.cluster.last_completed_checkpoint(),
             recovery_stats,
             checkpoint_stats: counters.ckpt,
-            runtime_stats: self.cluster.runtime_stats,
+            runtime_stats,
             state_backend_stats: counters.backend,
             wall_seconds,
         }

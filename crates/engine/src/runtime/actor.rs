@@ -1,9 +1,10 @@
 //! Per-actor state for the multi-threaded runtime: a task (or the
-//! coordinator) plus everything it needs to run without touching shared
-//! mutable state — its own Lamport clock, timer queue, per-pair links,
-//! metrics shard, and (for sources/sinks) private topic partitions. All
-//! cross-actor communication goes through mailboxes; a cell's state is only
-//! ever mutated under its state lock.
+//! coordinator) borrowed from the cluster, plus everything it needs to run
+//! without touching shared mutable state — its own Lamport clock, timer
+//! queue, per-pair links, entropy stream, metrics shard, and (for sources and
+//! sinks) the one topic partition the cluster lent it. All cross-actor
+//! communication goes through mailboxes; a cell's state is only ever mutated
+//! under its state lock.
 
 use crate::config::EngineConfig;
 use crate::coordinator::{JmCtx, JobManager, TaskHost};
@@ -53,32 +54,33 @@ impl Scheduler<Msg> for ActorSched<'_> {
 /// failure-free plans only).
 impl TaskHost for ActorSched<'_> {}
 
-/// One task plus its private copies of what `TaskCtx` borrows.
-pub(crate) struct TaskWorld {
-    pub(crate) task: Task,
+/// One of the cluster's tasks plus what `TaskCtx` lends it on this thread.
+pub(crate) struct TaskWorld<'c> {
+    pub(crate) task: &'c mut Task,
+    /// This actor's outgoing links.
     pub(crate) links: BTreeMap<(TaskId, TaskId), Link>,
-    pub(crate) external: ExternalKv,
+    /// A source's or sink's topic, holding only the partition the cluster
+    /// lent for the run; `run` hands it back at teardown.
     pub(crate) topics: BTreeMap<String, DurableLog>,
+    /// A stream forked for this actor: the cluster's own stream is the
+    /// coordinator's.
     pub(crate) entropy: SimRng,
-    /// `(topic, partition, base_offset)` — records this actor appends to its
-    /// private sink partition at offsets `>= base_offset` are merged back
-    /// into the cluster's shared topic at teardown.
-    pub(crate) sink_merge: Option<(String, usize, u64)>,
 }
 
-pub(crate) enum CellKind {
-    /// Boxed: a `TaskWorld` is ~2 KB (task + topics) — unboxed it would
-    /// inflate every `CellState`.
-    Task(Box<TaskWorld>),
-    /// The cluster's own job manager, snapshot store and entropy stream,
-    /// lent to the coordinator cell for the run and handed back at teardown.
-    Coord(Box<(JobManager, SnapshotStore, SimRng)>),
+pub(crate) enum CellKind<'c> {
+    /// Boxed: inline, the world's per-send fields (links, entropy) would
+    /// share cache lines with the cell's mailbox lock and `parked` flag,
+    /// which other threads write; the threaded chain probe at two workers
+    /// read about 5 % lower that way (EXPERIMENTS.md E1t).
+    Task(Box<TaskWorld<'c>>),
+    /// The cluster's own job manager, snapshot store and entropy stream.
+    Coord { jm: &'c mut JobManager, snapshots: &'c mut SnapshotStore, entropy: &'c mut SimRng },
 }
 
 /// Mutable half of a cell, guarded by one lock so a cell is only ever
 /// processed by one worker at a time.
-pub(crate) struct CellState {
-    pub(crate) kind: CellKind,
+pub(crate) struct CellState<'c> {
+    pub(crate) kind: CellKind<'c>,
     /// Lamport clock: the latest delivery time this actor has seen.
     pub(crate) clock: VirtualTime,
     /// Messages the actor scheduled for itself.
@@ -91,9 +93,16 @@ pub(crate) struct CellState {
     pub(crate) outbox: VecDeque<(VirtualTime, ActorId, Msg)>,
 }
 
-impl CellState {
+impl CellState<'_> {
     /// Run actor `me`'s handler for `msg`, delivered at `at`.
-    pub(crate) fn deliver(&mut self, config: &EngineConfig, me: ActorId, at: VirtualTime, msg: Msg) {
+    pub(crate) fn deliver(
+        &mut self,
+        config: &EngineConfig,
+        external: &ExternalKv,
+        me: ActorId,
+        at: VirtualTime,
+        msg: Msg,
+    ) {
         self.clock = self.clock.max(at);
         let mut sched =
             ActorSched { me, clock: self.clock, timers: &mut self.timers, outbox: &mut self.outbox };
@@ -102,7 +111,7 @@ impl CellState {
                 let mut ctx = TaskCtx {
                     sched: &mut sched,
                     links: &mut w.links,
-                    external: &mut w.external,
+                    external,
                     topics: &mut w.topics,
                     config,
                     entropy: &mut w.entropy,
@@ -112,8 +121,7 @@ impl CellState {
                     self.errors.push(format!("task {me}: {e}"));
                 }
             }
-            CellKind::Coord(w) => {
-                let (jm, snapshots, entropy) = &mut **w;
+            CellKind::Coord { jm, snapshots, entropy } => {
                 let mut ctx = JmCtx {
                     host: &mut sched,
                     snapshots,
@@ -131,11 +139,9 @@ impl CellState {
 }
 
 /// One actor slot: mailbox (any thread) + locked state (one thread at a time).
-pub(crate) struct ActorCell {
-    /// The actor's id in the message plane (JM = 0, tasks as in the graph).
-    pub(crate) id: ActorId,
+pub(crate) struct ActorCell<'c> {
     pub(crate) mailbox: Mailbox,
-    pub(crate) state: Mutex<CellState>,
+    pub(crate) state: Mutex<CellState<'c>>,
     /// True when the cell had nothing runnable at the end of its last sweep;
     /// cleared by producers when they push into the mailbox.
     pub(crate) parked: AtomicBool,
@@ -144,8 +150,8 @@ pub(crate) struct ActorCell {
     pub(crate) clock_us: AtomicU64,
 }
 
-impl ActorCell {
-    pub(crate) fn new(id: ActorId, kind: CellKind, capacity: usize) -> ActorCell {
+impl<'c> ActorCell<'c> {
+    pub(crate) fn new(kind: CellKind<'c>, capacity: usize) -> ActorCell<'c> {
         let state = CellState {
             kind,
             clock: VirtualTime::ZERO,
@@ -155,7 +161,6 @@ impl ActorCell {
             outbox: VecDeque::new(),
         };
         ActorCell {
-            id,
             mailbox: Mailbox::new(capacity),
             state: Mutex::new(state),
             parked: AtomicBool::new(false),

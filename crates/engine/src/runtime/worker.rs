@@ -20,7 +20,7 @@
 use crate::config::EngineConfig;
 use crate::messages::Msg;
 use clonos_sim::{ActorId, Delivery, VirtualTime};
-use std::collections::BTreeMap;
+use clonos_storage::external::ExternalKv;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use super::actor::{ActorCell, CellKind, CellState};
@@ -31,11 +31,12 @@ const HELP_BUDGET: usize = 32;
 const MAX_HELP_DEPTH: usize = 64;
 
 /// Everything the workers share, all borrowed or atomic.
-pub(crate) struct Shared<'a> {
-    /// `cells[0]` is the coordinator; `cells[1..]` are the graph's tasks.
-    pub(crate) cells: &'a [ActorCell],
-    pub(crate) index: &'a BTreeMap<ActorId, usize>,
+pub(crate) struct Shared<'a, 'c> {
+    /// Indexed by actor id: `cells[0]` is the coordinator, `cells[1..]` are
+    /// the graph's tasks.
+    pub(crate) cells: &'a [ActorCell<'c>],
     pub(crate) config: &'a EngineConfig,
+    pub(crate) external: &'a ExternalKv,
     /// Events a worker may run on one cell before moving on.
     pub(crate) quantum: usize,
     /// Virtual-time horizon: events scheduled past it are left unrun.
@@ -49,8 +50,14 @@ pub(crate) struct Shared<'a> {
 
 /// Deliver one message to a cell's actor. Does NOT flush the outbox —
 /// callers flush (or deliberately defer while a send is stalled).
-fn deliver_raw(shared: &Shared<'_>, idx: usize, state: &mut CellState, at: VirtualTime, msg: Msg) {
-    state.deliver(shared.config, shared.cells[idx].id, at, msg);
+fn deliver_raw(
+    shared: &Shared<'_, '_>,
+    idx: usize,
+    state: &mut CellState<'_>,
+    at: VirtualTime,
+    msg: Msg,
+) {
+    state.deliver(shared.config, shared.external, idx as ActorId, at, msg);
 }
 
 /// Flush a cell's outbox into destination mailboxes, honouring
@@ -58,9 +65,9 @@ fn deliver_raw(shared: &Shared<'_>, idx: usize, state: &mut CellState, at: Virtu
 /// lock (helping uses `try_lock`). Returns events handled as a side effect
 /// of stalls (self-drain + helping).
 pub(crate) fn flush_outbox(
-    shared: &Shared<'_>,
+    shared: &Shared<'_, '_>,
     idx: usize,
-    state: &mut CellState,
+    state: &mut CellState<'_>,
     depth: usize,
 ) -> u64 {
     let mut extra = 0u64;
@@ -73,16 +80,17 @@ pub(crate) fn flush_outbox(
         // Delivering them drains all in-flight data, which is the
         // termination condition; the sim equivalent is a run whose input
         // fully drains before `until`.
-        let Some(&dest_idx) = shared.index.get(&dest) else {
+        let dest_idx = dest as usize;
+        let Some(dest_cell) = shared.cells.get(dest_idx) else {
             // Unknown destination: drop, as the sim's dead-letter path does.
             continue;
         };
         let mut d = Delivery { at, dest, msg };
         loop {
-            match shared.cells[dest_idx].mailbox.try_push(d) {
+            match dest_cell.mailbox.try_push(d) {
                 Ok(()) => {
                     shared.inflight.fetch_add(1, Ordering::SeqCst);
-                    shared.cells[dest_idx].parked.store(false, Ordering::Release);
+                    dest_cell.parked.store(false, Ordering::Release);
                     break;
                 }
                 Err(back) => {
@@ -117,7 +125,7 @@ pub(crate) fn flush_outbox(
 /// self-timers, merged in per-actor timestamp order (timers win ties so a
 /// cell's own ticks aren't starved by a busy mailbox). Returns events
 /// handled; 0 if the cell was locked by another worker or had nothing due.
-pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth: usize) -> u64 {
+pub(crate) fn process_cell(shared: &Shared<'_, '_>, idx: usize, budget: usize, depth: usize) -> u64 {
     let cell = &shared.cells[idx];
     let Ok(mut state) = cell.state.try_lock() else { return 0 };
     let mut done = 0u64;
@@ -172,7 +180,7 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
     let parked = cell.mailbox.is_drained()
         && state.timers.peek_time().is_none_or(|at| !timer_due(shared, &state, at))
         && state.outbox.is_empty();
-    let clock = if parked && !matches!(state.kind, CellKind::Coord(_)) {
+    let clock = if parked && !matches!(state.kind, CellKind::Coord { .. }) {
         shared.end
     } else {
         state.clock
@@ -190,11 +198,11 @@ pub(crate) fn process_cell(shared: &Shared<'_>, idx: usize, budget: usize, depth
 ///   clock has caught up to `at` — this paces checkpoint ticks against
 ///   actual task progress instead of burst-firing the whole schedule
 ///   against the coordinator's mostly-idle clock.
-fn timer_due(shared: &Shared<'_>, state: &CellState, at: VirtualTime) -> bool {
+fn timer_due(shared: &Shared<'_, '_>, state: &CellState<'_>, at: VirtualTime) -> bool {
     if at > shared.end {
         return false;
     }
-    if !matches!(state.kind, CellKind::Coord(_)) {
+    if !matches!(state.kind, CellKind::Coord { .. }) {
         return true;
     }
     shared.cells[1..]
@@ -204,7 +212,7 @@ fn timer_due(shared: &Shared<'_>, state: &CellState, at: VirtualTime) -> bool {
 
 /// One worker's main loop: sweep own shard, steal when idle, park briefly
 /// when there is nothing anywhere. Returns `(events_handled, steals)`.
-pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize, nworkers: usize) -> (u64, u64) {
+pub(crate) fn worker_loop(shared: &Shared<'_, '_>, worker: usize, nworkers: usize) -> (u64, u64) {
     let quantum = shared.quantum.max(1);
     let mut handled = 0u64;
     let mut steals = 0u64;
@@ -266,7 +274,7 @@ pub(crate) fn worker_loop(shared: &Shared<'_>, worker: usize, nworkers: usize) -
 /// would contend with the workers for cores and mailbox cache lines (on a
 /// single-core host it would steal roughly half the machine). Checkpoint
 /// acks tolerate the extra ~50µs of latency easily.
-pub(crate) fn coordinator_loop(shared: &Shared<'_>) -> u64 {
+pub(crate) fn coordinator_loop(shared: &Shared<'_, '_>) -> u64 {
     let mut handled = 0u64;
     let mut quiet_rounds = 0u32;
     loop {

@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct TaskCtx<'a> {
     pub sched: &'a mut dyn Scheduler<Msg>,
     pub links: &'a mut BTreeMap<(TaskId, TaskId), Link>,
-    pub external: &'a mut ExternalKv,
+    pub external: &'a ExternalKv,
     pub topics: &'a mut BTreeMap<String, DurableLog>,
     pub config: &'a EngineConfig,
     pub entropy: &'a mut SimRng,
@@ -401,8 +401,8 @@ impl Task {
         }
     }
 
-    /// Input topic, if this task is a source (the parallel runtime uses
-    /// this to give each source actor a private copy of its partition).
+    /// Input topic, if this task is a source (the parallel runtime lends
+    /// each source actor its partition of it for the run).
     pub fn source_topic(&self) -> Option<&str> {
         match &self.role {
             Role::Source { spec, .. } => Some(&spec.topic),

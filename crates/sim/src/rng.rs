@@ -62,13 +62,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Exponential draw with the given mean (for inter-arrival jitter).
-    #[inline]
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.gen_f64(); // (0, 1]
-        -mean * u.ln()
-    }
-
     /// Zipf-like skewed index in `[0, n)` with exponent `theta` in `(0, 1)`;
     /// used by workload generators for hot keys.
     pub fn gen_zipf(&mut self, n: u64, theta: f64) -> u64 {
@@ -154,13 +147,6 @@ mod tests {
         }
         // With theta=0.8, far more than 10% of draws land in the first decile.
         assert!(low > 3_000, "low={low}");
-    }
-
-    #[test]
-    fn exp_mean_roughly_matches() {
-        let mut r = SimRng::new(13);
-        let mean: f64 = (0..20_000).map(|_| r.gen_exp(5.0)).sum::<f64>() / 20_000.0;
-        assert!((mean - 5.0).abs() < 0.25, "mean={mean}");
     }
 
     #[test]

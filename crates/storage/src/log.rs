@@ -163,11 +163,6 @@ impl DurableLog {
         &mut self.partitions[p]
     }
 
-    /// Total records across partitions.
-    pub fn total_records(&self) -> u64 {
-        self.partitions.iter().map(|p| p.end_offset()).sum()
-    }
-
     pub fn total_bytes(&self) -> u64 {
         self.partitions.iter().map(|p| p.total_bytes()).sum()
     }
@@ -197,7 +192,7 @@ mod tests {
         assert_eq!(p0.get(0).unwrap().payload, b("a"));
         assert_eq!(p0.get(1).unwrap().payload, b("b"));
         assert!(p0.get(2).is_none());
-        assert_eq!(log.total_records(), 3);
+        assert_eq!(log.partition(1).end_offset(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! O(dirty), which is what keeps the §6.4 dispatch-time-vs-checkpoint-interval
 //! bound honest under large state.
 
-use crate::deltamap;
+use crate::{deltamap, TransferModel};
 use bytes::Bytes;
 use clonos_sim::{VirtualDuration, VirtualTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,33 +25,6 @@ pub type SnapshotId = u64;
 /// Upper bound on delta-chain walks; real chains are bounded by the engine's
 /// rebase interval, so hitting this means a corrupt parent pointer.
 const MAX_CHAIN_LEN: usize = 4096;
-
-/// Cost model for writing/reading snapshots over the network.
-#[derive(Clone, Copy, Debug)]
-pub struct TransferModel {
-    /// Fixed per-transfer latency (connection setup, namenode round trip).
-    pub latency: VirtualDuration,
-    /// Sustained throughput in bytes per second.
-    pub bytes_per_sec: u64,
-}
-
-impl TransferModel {
-    pub fn transfer_time(&self, bytes: u64) -> VirtualDuration {
-        let stream = bytes
-            .saturating_mul(1_000_000)
-            .checked_div(self.bytes_per_sec)
-            .map(VirtualDuration::from_micros)
-            .unwrap_or(VirtualDuration::ZERO);
-        self.latency + stream
-    }
-}
-
-impl Default for TransferModel {
-    fn default() -> Self {
-        // ~10 ms setup + 200 MB/s sustained: a modest distributed FS.
-        TransferModel { latency: VirtualDuration::from_millis(10), bytes_per_sec: 200_000_000 }
-    }
-}
 
 /// One stored layer: `parent` is `None` for a self-contained base image, or
 /// the checkpoint whose image these bytes apply on top of.
@@ -77,7 +50,6 @@ pub struct SnapshotStore {
     segments: BTreeMap<(u64, u64), (Bytes, u64)>,
     /// `(checkpoint, task) -> live segment ids in fold order`.
     segment_refs: BTreeMap<(SnapshotId, u64), Vec<u64>>,
-    model: TransferModel,
     writes: u64,
     delta_writes: u64,
     segment_writes: u64,
@@ -89,10 +61,6 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     pub fn new() -> SnapshotStore {
         SnapshotStore::default()
-    }
-
-    pub fn with_model(model: TransferModel) -> SnapshotStore {
-        SnapshotStore { model, ..Default::default() }
     }
 
     /// Persist a task's full (base) image for a checkpoint; returns the
@@ -129,7 +97,7 @@ impl SnapshotStore {
         parent: Option<SnapshotId>,
         bytes: Bytes,
     ) -> VirtualTime {
-        let done = now + self.model.transfer_time(bytes.len() as u64);
+        let done = now + TransferModel::NETWORK.cost(bytes.len() as u64);
         self.snapshots.insert((checkpoint, task), SnapshotBlob { bytes, parent });
         self.writes += 1;
         self.delta_writes += u64::from(parent.is_some());
@@ -170,7 +138,7 @@ impl SnapshotStore {
         // Anything still at refcount zero was never referenced (sealed and
         // compacted within one sync) — no checkpoint can ever need it.
         self.segments.retain(|_, (_, rc)| *rc > 0);
-        self.model.transfer_time(shipped)
+        TransferModel::NETWORK.cost(shipped)
     }
 
     fn release_refs(&mut self, task: u64, ids: &[u64]) {
@@ -262,9 +230,9 @@ impl SnapshotStore {
         let (layers, segments) = self.layers(checkpoint, task)?;
         let size = |ls: &[&Bytes]| ls.iter().map(|b| b.len() as u64).sum::<u64>();
         let (segs, chain) = layers.split_at(segments.unwrap_or(0));
-        let mut done = now + self.model.transfer_time(size(chain));
+        let mut done = now + TransferModel::NETWORK.cost(size(chain));
         if segments.is_some() {
-            done += self.model.transfer_time(size(segs));
+            done += TransferModel::NETWORK.cost(size(segs));
         }
         let reconstructed = chain.len() > 1 || segments.is_some();
         let image = Self::fold(&layers)?;
@@ -388,12 +356,11 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_size() {
-        let m = TransferModel { latency: VirtualDuration::from_millis(10), bytes_per_sec: 1_000_000 };
-        let small = m.transfer_time(1_000);
-        let big = m.transfer_time(100_000_000); // 100 MB at 1 MB/s = 100 s
-        assert!(big.as_secs_f64() > 99.0);
-        assert!(small.as_millis() >= 10);
-        assert!(small < big);
+        let small = TransferModel::NETWORK.cost(1_000);
+        let big = TransferModel::NETWORK.cost(2_000_000_000); // 2 GB at 200 MB/s = 10 s
+        assert_eq!(small, VirtualDuration::from_micros(10_005));
+        assert_eq!(big, VirtualDuration::from_micros(10_010_000));
+        assert_eq!(TransferModel::DISK.cost(1_000), VirtualDuration::from_micros(102));
     }
 
     #[test]
@@ -574,14 +541,12 @@ mod tests {
 
     #[test]
     fn delta_write_charges_delta_bytes_only() {
-        let model =
-            TransferModel { latency: VirtualDuration::ZERO, bytes_per_sec: 1_000_000 };
-        let mut s = SnapshotStore::with_model(model);
-        let big = vec![0u8; 1_000_000];
-        let t_full = s.put(VirtualTime::ZERO, 1, 7, Bytes::from(big));
+        let mut s = SnapshotStore::new();
+        // 10 ms setup each; 5 ms more for the megabyte, nothing for the delta.
+        let t_full = s.put(VirtualTime::ZERO, 1, 7, Bytes::from(vec![0u8; 1_000_000]));
         let t_delta =
             s.put_delta(VirtualTime::ZERO, 2, 7, 1, Bytes::from_static(b"tiny delta"));
-        assert!(t_full.as_secs_f64() > 0.9);
-        assert!(t_delta.as_secs_f64() < 0.01);
+        assert_eq!(t_full, VirtualTime(15_000));
+        assert_eq!(t_delta, VirtualTime(10_000));
     }
 }

@@ -9,6 +9,7 @@
 //! spill-epoch) beats per-buffer I/O (spill-buffer) — the exact trade-off the
 //! §7.5 memory experiment measures.
 
+use crate::TransferModel;
 use bytes::Bytes;
 use clonos_sim::VirtualDuration;
 use std::collections::BTreeMap;
@@ -17,37 +18,9 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpillHandle(pub u64);
 
-/// I/O cost model.
-#[derive(Clone, Copy, Debug)]
-pub struct IoModel {
-    /// Fixed cost per I/O operation (syscall + seek).
-    pub per_op: VirtualDuration,
-    /// Streaming throughput, bytes per second.
-    pub bytes_per_sec: u64,
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        // 100 µs per op, 500 MB/s sequential — a commodity SSD.
-        IoModel { per_op: VirtualDuration::from_micros(100), bytes_per_sec: 500_000_000 }
-    }
-}
-
-impl IoModel {
-    pub fn cost(&self, bytes: u64, ops: u64) -> VirtualDuration {
-        let stream = bytes
-            .saturating_mul(1_000_000)
-            .checked_div(self.bytes_per_sec)
-            .map(VirtualDuration::from_micros)
-            .unwrap_or(VirtualDuration::ZERO);
-        VirtualDuration::from_micros(self.per_op.as_micros() * ops) + stream
-    }
-}
-
 /// The device. Writes are modelled, contents retained for later reads.
 #[derive(Clone, Debug, Default)]
 pub struct SpillDevice {
-    model: IoModel,
     data: BTreeMap<SpillHandle, Bytes>,
     next: u64,
     bytes_written: u64,
@@ -61,17 +34,13 @@ impl SpillDevice {
         SpillDevice::default()
     }
 
-    pub fn with_model(model: IoModel) -> SpillDevice {
-        SpillDevice { model, ..Default::default() }
-    }
-
     /// Write one buffer; returns its handle and the modelled I/O duration.
     pub fn write(&mut self, bytes: Bytes) -> (SpillHandle, VirtualDuration) {
         let h = SpillHandle(self.next);
         self.next += 1;
         self.bytes_written += bytes.len() as u64;
         self.write_ops += 1;
-        let cost = self.model.cost(bytes.len() as u64, 1);
+        let cost = TransferModel::DISK.cost(bytes.len() as u64);
         self.data.insert(h, bytes);
         (h, cost)
     }
@@ -80,7 +49,7 @@ impl SpillDevice {
     /// buffer than individual writes — this is what batching buys).
     pub fn write_batch(&mut self, buffers: Vec<Bytes>) -> (Vec<SpillHandle>, VirtualDuration) {
         let total: u64 = buffers.iter().map(|b| b.len() as u64).sum();
-        let cost = self.model.cost(total, 1);
+        let cost = TransferModel::DISK.cost(total);
         self.write_ops += 1;
         self.bytes_written += total;
         let handles = buffers
@@ -100,7 +69,7 @@ impl SpillDevice {
         let bytes = self.data.get(&h)?.clone();
         self.read_ops += 1;
         self.bytes_read += bytes.len() as u64;
-        let cost = self.model.cost(bytes.len() as u64, 1);
+        let cost = TransferModel::DISK.cost(bytes.len() as u64);
         Some((bytes, cost))
     }
 
@@ -121,7 +90,7 @@ impl SpillDevice {
         let slice = bytes.slice(offset..end);
         self.read_ops += 1;
         self.bytes_read += slice.len() as u64;
-        let cost = self.model.cost(slice.len() as u64, 1);
+        let cost = TransferModel::DISK.cost(slice.len() as u64);
         Some((slice, cost))
     }
 

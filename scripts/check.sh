@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: tier-1 build + tests, the core proptests under more seeds, then
 # the blocking static-analysis stage (clonos-lint + clippy disallow lists),
-# then the chaos sweep.
+# then the chaos and conformance sweeps, the threaded runtime's equivalence
+# tests five times over, and short benchmark runs.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,6 +89,15 @@ CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test chaos_sweep
 
 echo "== conformance: causal traces vs the causal spec derived in-process by clonos-lint (25 seeds x 4 FT modes, release) =="
 CHAOS_SEEDS=25 cargo test --release -q -p clonos-integration --test causal_conformance
+
+echo "== threaded runtime: the parallel-equivalence tests five times (release) =="
+# The threaded runtime is the one nondeterministic substrate: mailbox races
+# reorder deliveries between actors from run to run, so one passing run in
+# the debug tier-1 suite says little about an interleaving it did not hit.
+for run in 1 2 3 4 5; do
+  echo "-- run $run of 5"
+  cargo test --release -q -p clonos-integration --test parallel_equivalence
+done
 
 # One short run of a benchmark workload: it must be correct with no failed
 # operation and, for each `metric=ceiling` given, the metric's exact value at
